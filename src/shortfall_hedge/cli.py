@@ -22,8 +22,10 @@ identical run configuration.  Floats print with 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -264,7 +266,22 @@ class _Symbols:
 
 
 _SYMBOL_TOKENS = ("E[l(H)]", "E[H]", "p(H)", "price")
-_EXPR_CHARS = frozenset("0123456789.eE+-*/() ")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _arith(node) -> float:
+    """Value of a parsed expression made only of number literals, unary
+    +/-, the binary operators + - * / and parentheses."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        return _UNARY[type(node.op)](_arith(node.operand))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_arith(node.left), _arith(node.right))
+    raise ValueError("only numbers, + - * / ( ) and the symbols p(H), "
+                     "price, E[H], E[l(H)] are allowed")
 
 
 def resolve_expr(expr: str, symbols: _Symbols) -> float:
@@ -273,13 +290,10 @@ def resolve_expr(expr: str, symbols: _Symbols) -> float:
     for token in _SYMBOL_TOKENS:
         if token in s:
             s = s.replace(token, f"({symbols.value(token):.17g})")
-    if not s.strip() or not set(s) <= _EXPR_CHARS:
-        raise ValidationError(
-            [f"expression {expr!r}: only numbers, + - * / ( ) and the "
-             "symbols p(H), price, E[H], E[l(H)] are allowed"])
     try:
-        v = float(eval(s, {"__builtins__": {}}, {}))
-    except (SyntaxError, NameError, TypeError, ZeroDivisionError) as exc:
+        v = _arith(ast.parse(s.strip(), mode="eval").body)
+    except (SyntaxError, ValueError, ZeroDivisionError, OverflowError,
+            RecursionError, MemoryError) as exc:
         raise ValidationError([f"expression {expr!r}: {exc}"])
     if not math.isfinite(v):
         raise ValidationError([f"expression {expr!r}: evaluates to {v!r}"])
@@ -370,7 +384,7 @@ def _run_phi(command: str, config: RunConfig, symbols: _Symbols,
         g = resolve_expr(options.x, symbols)
         value, c, err, method = _phi1_impl(config.payoff, config.market,
                                            config.loss, g, config.solver,
-                                           config.mc)
+                                           config.mc)[:4]
     else:
         g = resolve_expr(options.v, symbols)
         value, c, err, method = _phi2_impl(config.payoff, config.market,

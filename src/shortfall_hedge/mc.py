@@ -16,11 +16,11 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .errors import NanGuardError, ValidationError
+from .errors import ValidationError
 from .market import (UNDER_P, UNDER_PTILDE, MarketParams, _check_measure,
                      derive_constants, radon_nikodym, terminal_price)
 from .payoffs import CUSTOM, Payoff, evaluate
-from .psi import LINEAR, POWER, LossSpec
+from .psi import LINEAR, POWER, LossSpec, _nan_guard
 
 
 @dataclass(frozen=True)
@@ -67,27 +67,21 @@ def estimate(integrand, params: MarketParams, mc: McConfig,
     mean = _mean_under(params, under)
     rng = np.random.Generator(np.random.Philox(mc.seed))
 
-    def guard(vals, w):
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:
-            i = int(bad[0])
-            raise NanGuardError(i, float(w[i, 0]), float(w[i, 1]))
-        return vals
-
     if mc.antithetic:
         m = (mc.n_paths + 1) // 2
         z = rng.standard_normal((m, 2))
         w_pos = mean + z @ chol.T
         w_neg = mean - z @ chol.T
-        v_pos = guard(np.asarray(integrand(w_pos[:, 0], w_pos[:, 1]),
-                                 dtype=float), w_pos)
-        v_neg = guard(np.asarray(integrand(w_neg[:, 0], w_neg[:, 1]),
-                                 dtype=float), w_neg)
+        v_pos = _nan_guard(np.asarray(integrand(w_pos[:, 0], w_pos[:, 1]),
+                                      dtype=float), w_pos)
+        v_neg = _nan_guard(np.asarray(integrand(w_neg[:, 0], w_neg[:, 1]),
+                                      dtype=float), w_neg)
         pair = 0.5 * (v_pos + v_neg)
         return float(np.mean(pair)), float(np.std(pair, ddof=1) / math.sqrt(m))
     z = rng.standard_normal((mc.n_paths, 2))
     w = mean + z @ chol.T
-    vals = guard(np.asarray(integrand(w[:, 0], w[:, 1]), dtype=float), w)
+    vals = _nan_guard(np.asarray(integrand(w[:, 0], w[:, 1]), dtype=float),
+                      w)
     return float(np.mean(vals)), float(np.std(vals, ddof=1)
                                        / math.sqrt(mc.n_paths))
 
@@ -250,12 +244,16 @@ def verify_risk(payoff: Payoff, params: MarketParams, loss: LossSpec,
     Compares (i) the engine risk, (ii) the Monte Carlo expected loss of
     the shortfall H minus the modified claim under P, and (iii) the Monte
     Carlo cost of the modified claim under the martingale measure, which
-    must not exceed x and must bind when x < p(H).
+    must not exceed x and must bind when x < p(H).  Each comparison allows
+    3 combined standard errors: the simulation's and, on the engine's
+    Monte Carlo route, the engine's own (of the risk, and of the capital
+    it spends at c).
     """
-    from .solver import phi1, price
+    from .solver import _phi1_impl, price
 
-    engine_risk, c = phi1(payoff, params, loss, x, mc=None
-                          if payoff.kind != CUSTOM else mc)
+    engine_mc = None if payoff.kind != CUSTOM else mc
+    engine_risk, c, risk_err, _method, cost_err = _phi1_impl(
+        payoff, params, loss, x, None, engine_mc)
     p_h = price(payoff, params, mc)
 
     def shortfall_loss(w1, w2):
@@ -269,10 +267,12 @@ def verify_risk(payoff: Payoff, params: MarketParams, loss: LossSpec,
     mc_risk, risk_se = estimate(shortfall_loss, params, mc, UNDER_P)
     mc_cost, cost_se = estimate(discounted_mod, params, mc, UNDER_PTILDE)
     slack = 1e-9 * max(1.0, abs(engine_risk), x)
-    risk_ok = abs(engine_risk - mc_risk) <= 3.0 * risk_se + slack
-    cost_ok = mc_cost <= x + 3.0 * cost_se + slack
+    risk_tol = 3.0 * math.hypot(risk_se, risk_err) + slack
+    cost_tol = 3.0 * math.hypot(cost_se, cost_err) + slack
+    risk_ok = abs(engine_risk - mc_risk) <= risk_tol
+    cost_ok = mc_cost <= x + cost_tol
     if x < p_h:
-        cost_ok = cost_ok and abs(mc_cost - x) <= 3.0 * cost_se + slack
+        cost_ok = cost_ok and abs(mc_cost - x) <= cost_tol
     return VerifyReport(x=x, price=p_h, c=c, engine_risk=engine_risk,
                         mc_risk=mc_risk, mc_risk_se=risk_se, mc_cost=mc_cost,
                         mc_cost_se=cost_se, risk_ok=risk_ok, cost_ok=cost_ok)

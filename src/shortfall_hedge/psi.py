@@ -29,12 +29,12 @@ import numpy as np
 from scipy.special import ndtr
 
 from ._quad import integrate_batch, integrate_rows
-from .errors import (AssumptionViolatedError, UnsupportedClosedFormError,
-                     ValidationError)
+from .errors import (AssumptionViolatedError, NanGuardError,
+                     UnsupportedClosedFormError, ValidationError)
 from .gaussian import (TRUNC_SD, GaussianLaw, _rect_upper_with_err, sample,
                        tilted_interval_mass)
 from .market import (UNDER_P, UNDER_PTILDE, MarketParams, MeasureConstants,
-                     derive_constants, radon_nikodym)
+                     derive_constants)
 from .payoffs import (CUSTOM, DIGITAL, OUTPERFORMANCE, QUANTO_DOMESTIC,
                       QUANTO_FOREIGN, SPREAD, Payoff, evaluate)
 
@@ -927,66 +927,191 @@ def spread_region_boundary(constants: MeasureConstants, params: MarketParams,
                          b_set=(float(d_y[0]), float(x_star[0])))
 
 
-def _psi_mc_detailed(payoff: Payoff, params: MarketParams, loss: LossSpec,
-                     c: float, n: int, seed: int,
-                     constants: Optional[MeasureConstants] = None):
-    """(psi1, se1, psi2, se2) by direct sampling under P and P~."""
-    c = _validate_c(c)
-    if n < 10 ** 4:
-        raise ValidationError([f"n: Monte Carlo oracle use requires n >= 1e4, got {n}"])
-    cons = constants if constants is not None else derive_constants(
-        params, payoff.strike if payoff.kind != CUSTOM else 1.0)
-    law = GaussianLaw(2, np.zeros(2), params.wiener_cov)
-    draws = sample(law, 2 * n, seed)
-    w, wt = draws[:n], draws[n:]
-    a1, a2, t = cons.a1, cons.a2, cons.T
-    lnc = _lnc(c)
+def _prefix(x: np.ndarray) -> np.ndarray:
+    """Sums of x[:k] for k = 0..len(x)."""
+    out = np.zeros(x.size + 1)
+    np.cumsum(x, out=out[1:])
+    return out
 
-    def one_side(wmat, under):
-        s1 = params.s0[0] * np.exp(
-            ((params.alpha[0] if under == UNDER_P else params.r)
-             - 0.5 * params.sigma[0] ** 2) * t + params.sigma[0] * wmat[:, 0])
-        s2 = params.s0[1] * np.exp(
-            ((params.alpha[1] if under == UNDER_P else params.r)
-             - 0.5 * params.sigma[1] ** 2) * t + params.sigma[1] * wmat[:, 1])
-        h = np.asarray(evaluate(payoff, s1, s2), dtype=float)
-        zt = radon_nikodym(cons, wmat[:, 0], wmat[:, 1], under)
-        b = cons.b_cap if under == UNDER_P else cons.b_cap_tilde
-        ln_cz = lnc - a1 * wmat[:, 0] - a2 * wmat[:, 1] - b * t
-        if loss.kind == LINEAR:
-            ind = -ln_cz >= 0  # Z~^{-1} >= c
-            return h, zt, ind
-        with np.errstate(divide="ignore"):
-            ln_h = np.where(h > 0, np.log(np.maximum(h, 1e-300)), -np.inf)
-        ind = np.where(h > 0, ln_cz <= (loss.p - 1.0) * ln_h, c == 0.0)
-        return h, zt, ind
 
-    h_p, zt_p, ind_p = one_side(w, UNDER_P)
-    h_t, zt_t, ind_t = one_side(wt, UNDER_PTILDE)
-    if loss.kind == LINEAR:
-        x1 = h_p * ind_p
-        x2 = h_t * ind_t
-    else:
-        p_exp = loss.p
-        q = p_exp / (p_exp - 1.0)
-        kap = 1.0 / (p_exp - 1.0)
-        x1 = np.where(ind_p, 0.0, h_p ** p_exp) / p_exp
-        hedged = np.zeros_like(h_p)
-        if c > 0 and not math.isinf(c):
-            hedged[ind_p] = (c * zt_p[ind_p]) ** q / p_exp
-        x1 = x1 + hedged
-        x2 = np.zeros_like(h_t)
-        if math.isinf(c):
-            pass
-        elif c == 0:
-            x2 = h_t * ind_t
+def _suffix(x: np.ndarray) -> np.ndarray:
+    """Sums of x[k:] for k = 0..len(x)."""
+    out = np.zeros(x.size + 1)
+    np.cumsum(x[::-1], out=out[-2::-1])
+    return out
+
+
+def _nan_guard(vals: np.ndarray, w: np.ndarray, offset: int = 0) -> np.ndarray:
+    """vals, unless a path's value is not finite: then NanGuardError with
+    that path's index (plus offset) and coordinates w[i]."""
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        i = int(bad[0])
+        raise NanGuardError(offset + i, float(w[i, 0]), float(w[i, 1]))
+    return vals
+
+
+class _McSide:
+    """Per-path terms of one Psi side; a path is in A_c iff ln c <= key.
+
+    Until the side is asked for a second finite c, a value is a masked mean
+    over the unsorted paths.  The second finite c sorts the paths once by
+    descending key, keeps prefix (and, for the power shortfall term, suffix)
+    sums of each term and of its square, and drops the per-path arrays;
+    every later value is read at k = #{key >= ln c}, found by binary search.
+
+    kind "linear":  H 1_Ac
+         "power1":  (H^p 1_{Ac^c} + (c Z~)^q 1_Ac) / p,   q = p/(p-1)
+         "power2":  (H - (c Z~)^kap) 1_Ac,                 kap = 1/(p-1)
+    """
+
+    def __init__(self, kind: str, n: int, p: Optional[float], key, h, zt=None):
+        self.kind = kind
+        self.n = n
+        self.p = p
+        self.key = key
+        self.h = h      # H^p on the power1 side, H otherwise
+        self.zt = zt    # Z~ (power only)
+        self.neg_key = None  # -key ascending, once sorted
+        self.sums = ()
+        self._finite_seen = 0
+
+    def value(self, c: float, lnc: float) -> tuple[float, float]:
+        """(mean, standard error) of the side's terms at c."""
+        if self.neg_key is None and 0.0 < c < math.inf:
+            self._finite_seen += 1
+            if self._finite_seen > 1:
+                self._sort()
+        if self.neg_key is None:
+            return self._masked(c, lnc)
+        return self._from_sums(c, lnc)
+
+    def _masked(self, c, lnc):
+        ind = lnc <= self.key
+        finite = 0.0 < c < math.inf
+        if self.kind == "linear":
+            x = self.h * ind
+        elif self.kind == "power1":
+            p = self.p
+            x = np.where(ind, 0.0, self.h) / p
+            hedged = np.zeros_like(x)
+            if finite:
+                hedged[ind] = (c * self.zt[ind]) ** (p / (p - 1.0)) / p
+            x = x + hedged
         else:
-            x2[ind_t] = h_t[ind_t] - (c * zt_t[ind_t]) ** kap
-    psi1 = float(np.mean(x1))
-    psi2 = float(np.mean(x2))
-    se1 = float(np.std(x1, ddof=1) / math.sqrt(n))
-    se2 = float(np.std(x2, ddof=1) / math.sqrt(n))
-    return psi1, se1, psi2, se2
+            x = np.zeros_like(self.h)
+            if c == 0.0:
+                x = self.h * ind
+            elif finite:
+                kap = 1.0 / (self.p - 1.0)
+                x[ind] = self.h[ind] - (c * self.zt[ind]) ** kap
+        return (float(np.mean(x)),
+                float(np.std(x, ddof=1) / math.sqrt(self.n)))
+
+    def _sort(self):
+        # unsorted arrays are dropped as soon as they are gathered, and the
+        # sums are built one at a time, to keep the peak footprint small
+        order = np.argsort(self.key)[::-1]
+        self.neg_key = np.negative(self.key[order])
+        h = self.h[order]
+        z = self.zt[order] if self.zt is not None else None
+        self.key = self.h = self.zt = order = None
+        if self.kind == "linear":
+            self.sums = (_prefix(h), _prefix(h * h))
+        elif self.kind == "power1":
+            z **= self.p / (self.p - 1.0)
+            # off-A_c terms as a suffix sum: total - prefix loses digits
+            self.sums = (_suffix(h), _suffix(h * h),
+                         _prefix(z), _prefix(z * z))
+        else:
+            z **= 1.0 / (self.p - 1.0)
+            self.sums = (_prefix(h), _prefix(h * h), _prefix(h * z),
+                         _prefix(z), _prefix(z * z))
+
+    def _from_sums(self, c, lnc):
+        k = int(np.searchsorted(self.neg_key, -lnc, side="right"))
+        n, p = self.n, self.p
+        if self.kind == "linear":
+            s, s2 = self.sums[0][k], self.sums[1][k]
+        elif self.kind == "power1":
+            off, off2, on, on2 = self.sums
+            s, s2 = off[k] / p, off2[k] / (p * p)
+            if k:
+                cq = c ** (p / (p - 1.0))
+                s += cq * on[k] / p
+                s2 += cq * cq * on2[k] / (p * p)
+        elif k:
+            hs, h2, hu, us, u2 = self.sums
+            ck = c ** (1.0 / (p - 1.0))
+            s = hs[k] - ck * us[k]
+            s2 = h2[k] - 2.0 * ck * hu[k] + ck * ck * u2[k]
+        else:
+            s = s2 = 0.0
+        var = max(s2 - s * s / n, 0.0) / (n - 1)
+        return float(s / n), math.sqrt(var) / math.sqrt(n)
+
+
+class _McTable:
+    """Psi1 and Psi2 of one contract from one seeded Monte Carlo sample.
+
+    sample(law, 2n, seed) is drawn once: rows [:n] are W_T under P and give
+    Psi1, rows [n:] are W~_T under P~ and give Psi2.  Each path keeps its
+    terms and its key, a1 w1 + a2 w2 + bT = -ln Z~ for linear loss and
+    (p-1) ln H - ln Z~ (-inf where H = 0) for power loss, so A_c is the
+    superlevel set {key >= ln c} and Psi is monotone in c pathwise.  Each
+    side sorts itself lazily (see _McSide).  A path whose loss term is not
+    finite raises NanGuardError with its coordinates.
+    """
+
+    def __init__(self, payoff: Payoff, params: MarketParams, loss: LossSpec,
+                 n: int, seed: int,
+                 constants: Optional[MeasureConstants] = None):
+        if n < 10 ** 4:
+            raise ValidationError(
+                [f"n: Monte Carlo oracle use requires n >= 1e4, got {n}"])
+        cons = constants if constants is not None else derive_constants(
+            params, payoff.strike if payoff.kind != CUSTOM else 1.0)
+        law = GaussianLaw(2, np.zeros(2), params.wiener_cov)
+        draws = sample(law, 2 * n, seed)
+        self.sides = {
+            1: self._side(payoff, params, loss, cons, draws[:n], UNDER_P, 0),
+            2: self._side(payoff, params, loss, cons, draws[n:],
+                          UNDER_PTILDE, n)}
+
+    @staticmethod
+    def _side(payoff, params, loss, cons, w, under, offset) -> _McSide:
+        t = cons.T
+        drift = params.alpha if under == UNDER_P else (params.r, params.r)
+        s1 = params.s0[0] * np.exp((drift[0] - 0.5 * params.sigma[0] ** 2) * t
+                                   + params.sigma[0] * w[:, 0])
+        s2 = params.s0[1] * np.exp((drift[1] - 0.5 * params.sigma[1] ** 2) * t
+                                   + params.sigma[1] * w[:, 1])
+        h = np.asarray(evaluate(payoff, s1, s2), dtype=float)
+        del s1, s2
+        b = cons.b_cap if under == UNDER_P else cons.b_cap_tilde
+        # ln Z~ = -a1 w1 - a2 w2 - bT, evaluated in place in that order
+        ln_z = -cons.a1 * w[:, 0]
+        ln_z -= cons.a2 * w[:, 1]
+        ln_z -= b * t
+        n = w.shape[0]
+        if loss.kind == LINEAR:
+            _nan_guard(h, w, offset)
+            return _McSide("linear", n, None, np.negative(ln_z, out=ln_z), h)
+        p = loss.p
+        with np.errstate(divide="ignore"):
+            key = np.where(h > 0, np.log(np.maximum(h, 1e-300)), -np.inf)
+        key *= p - 1.0
+        key -= ln_z
+        if under == UNDER_P:
+            with np.errstate(over="ignore"):  # _nan_guard reports the overflow
+                h = h ** p  # the shortfall loss term, p * l(H)
+        _nan_guard(h, w, offset)
+        return _McSide("power1" if under == UNDER_P else "power2", n, p, key,
+                       h, np.exp(ln_z, out=ln_z))
+
+    def side(self, c: float, side: int) -> tuple[float, float]:
+        """(Psi_side(c), standard error) at a validated c."""
+        return self.sides[side].value(c, _lnc(c))
 
 
 def psi_mc(payoff: Payoff, params: MarketParams, loss: LossSpec, c: float,
@@ -998,7 +1123,9 @@ def psi_mc(payoff: Payoff, params: MarketParams, loss: LossSpec, c: float,
     where a closed-form sign condition fails; Psi2 samples W~_T under the
     martingale measure directly.
     """
-    psi1, se1, psi2, se2 = _psi_mc_detailed(payoff, params, loss, c, n, seed,
-                                            constants)
-    return PsiPair(psi1=psi1, psi2=psi2, c=float(c), method="monte-carlo",
+    c = _validate_c(c)
+    table = _McTable(payoff, params, loss, n, seed, constants)
+    psi1, se1 = table.side(c, 1)
+    psi2, se2 = table.side(c, 2)
+    return PsiPair(psi1=psi1, psi2=psi2, c=c, method="monte-carlo",
                    err_estimate=max(se1, se2))

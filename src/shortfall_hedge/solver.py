@@ -16,8 +16,8 @@ the solution set (the predicate flips exactly at the left endpoint).
 
 Named payoffs evaluate Psi by quadrature; Custom payoffs, and power-loss
 cases whose closed-form sign condition fails, fall back to the Monte Carlo
-evaluator with a fixed (n, seed) so the bisected function stays
-deterministic and pathwise monotone in c.
+table (psi._McTable): one sample with a fixed (n, seed) per solve, so the
+bisected function stays deterministic and pathwise monotone in c.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .errors import (AssumptionViolatedError, HeavyTailError,
 from .market import MarketParams, derive_constants
 from .mc import McConfig
 from .payoffs import CUSTOM, Payoff
-from .psi import (LINEAR, POWER, LossSpec, _make_ctx, _psi_mc_detailed,
-                  _psi_side, _sign_guard_power)
+from .psi import (LINEAR, POWER, LossSpec, _make_ctx, _McTable, _psi_side,
+                  _sign_guard_power)
 
 _FALLBACK_MC = McConfig(n_paths=200_000, seed=1729, antithetic=True)
 _EDGE_TOL = 1e-9
@@ -96,7 +96,11 @@ def _route_method(payoff: Payoff, params: MarketParams, loss: LossSpec) -> str:
 
 
 class _Evaluator:
-    """One-sided Psi evaluation with a fixed route (quadrature or MC)."""
+    """One-sided Psi evaluation with a fixed route (quadrature or MC).
+
+    On the MC route it owns one _McTable: one seeded sample for the whole
+    solve, dropped with the evaluator.
+    """
 
     def __init__(self, payoff: Payoff, params: MarketParams, loss: LossSpec,
                  mc: Optional[McConfig]):
@@ -105,23 +109,18 @@ class _Evaluator:
         self.loss = loss
         self.constants = derive_constants(
             params, payoff.strike if payoff.kind != CUSTOM else 1.0)
-        self.mc = mc or _FALLBACK_MC
         self.method = _route_method(payoff, params, loss)
-        self._cache: dict[float, tuple[float, float, float, float]] = {}
+        if self.method == METHOD_MC:
+            mc = mc or _FALLBACK_MC
+            self._table = _McTable(payoff, params, loss, mc.n_paths, mc.seed,
+                                   self.constants)
 
     def side(self, c: float, side: int) -> tuple[float, float]:
         if self.method == METHOD_QUAD:
             return _psi_side(self.payoff, self.params, self.loss, c, side,
                              self.constants)
-        got = self._cache.get(c)
-        if got is None:
-            got = _psi_mc_detailed(self.payoff, self.params, self.loss, c,
-                                   self.mc.n_paths, self.mc.seed, self.constants)
-            if len(self._cache) > 512:
-                self._cache.clear()
-            self._cache[c] = got
-        v1, e1, v2, e2 = got
-        return (max(v1, 0.0), e1) if side == 1 else (max(v2, 0.0), e2)
+        v, e = self._table.side(c, side)
+        return max(v, 0.0), e
 
 
 @lru_cache(maxsize=256)
@@ -136,9 +135,10 @@ def _edges(payoff: Payoff, params: MarketParams, loss: LossSpec,
     return p1, e1, p2, e2
 
 
+@lru_cache(maxsize=256)
 def price(payoff: Payoff, params: MarketParams,
           mc: Optional[McConfig] = None) -> float:
-    """p(H) = e^{-rT} E~[H].
+    """p(H) = e^{-rT} E~[H], computed once per (payoff, params, mc).
 
     Quadrature for named payoffs, with a numerical integrability check:
     widening the Gaussian truncation from 10 to 12 sd must move the value
@@ -254,8 +254,12 @@ def invert_psi1(payoff: Payoff, params: MarketParams, loss: LossSpec,
 
 
 def _phi1_impl(payoff: Payoff, params: MarketParams, loss: LossSpec, x: float,
-               config: Optional[SolveConfig],
-               mc: Optional[McConfig]) -> tuple[float, float, float, str]:
+               config: Optional[SolveConfig], mc: Optional[McConfig]
+               ) -> tuple[float, float, float, str, float]:
+    """(risk, c, err, method, cost_err).  cost_err is the standard error of
+    the engine's discounted Psi2 at c, the capital the solution spends: read
+    from the solve's sample on the MC route, 0 on the quadrature route and
+    at the edges x = 0 and x >= p(H)."""
     config = config or SolveConfig()
     x = float(x)
     method = _route_method(payoff, params, loss)
@@ -265,17 +269,19 @@ def _phi1_impl(payoff: Payoff, params: MarketParams, loss: LossSpec, x: float,
             raise OutOfRangeError(f"x: capital must be nonnegative, got {x!r}")
         x = 0.0
     if x >= p_h:
-        return 0.0, 0.0, 0.0, method
+        return 0.0, 0.0, 0.0, method, 0.0
     psi1_edge, e_edge, _p2, _e2 = _edges(payoff, params, loss, mc)
     if x == 0.0:
-        return psi1_edge, math.inf, e_edge, method
+        return psi1_edge, math.inf, e_edge, method, 0.0
     ev = _Evaluator(payoff, params, loss, mc)
-    c = _bisect(ev, 2, math.exp(params.r * params.T) * x, increasing=False,
-                config=config, scale=math.exp(params.r * params.T) * p_h)
+    growth = math.exp(params.r * params.T)
+    c = _bisect(ev, 2, growth * x, increasing=False, config=config,
+                scale=growth * p_h)
+    cost_err = ev.side(c, 2)[1] / growth if ev.method == METHOD_MC else 0.0
     v1, err1 = ev.side(c, 1)
     if loss.kind == LINEAR:
-        return max(psi1_edge - v1, 0.0), c, e_edge + err1, method
-    return v1, c, err1, method
+        return max(psi1_edge - v1, 0.0), c, e_edge + err1, method, cost_err
+    return v1, c, err1, method, cost_err
 
 
 def phi1(payoff: Payoff, params: MarketParams, loss: LossSpec, x: float,
@@ -288,7 +294,7 @@ def phi1(payoff: Payoff, params: MarketParams, loss: LossSpec, x: float,
     c = inf.  The modified claim identified by c is H 1_{A_c} (linear) or
     (H - (c Z~_T)^{1/(p-1)})^+ (power).
     """
-    risk, c, _err, _method = _phi1_impl(payoff, params, loss, x, config, mc)
+    risk, c = _phi1_impl(payoff, params, loss, x, config, mc)[:2]
     return risk, c
 
 
@@ -353,7 +359,8 @@ def curve(payoff: Payoff, params: MarketParams, loss: LossSpec, kind: str,
 
     def one(g: float) -> CurvePoint:
         try:
-            value, c, err, method = impl(payoff, params, loss, g, config, mc)
+            value, c, err, method = impl(payoff, params, loss, g, config,
+                                         mc)[:4]
             return CurvePoint(input=g, value=value, c=c, method=method,
                               err_estimate=err)
         except ShortfallHedgeError as exc:

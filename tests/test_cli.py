@@ -72,6 +72,11 @@ def test_symbolic_expressions(tmp_path, capsys):
     capsys.readouterr()
     assert main(["phi1", "--config", cfg, "--x", "__import__"]) == 2
     assert "expression" in capsys.readouterr().err
+    # only + - * / and parentheses: a power is refused before it is computed
+    for expr in ("2**10", "1e5**1e5", "9**9**9", "1/0", "1e308*10",
+                 "-" * 5000 + "1"):
+        assert main(["phi1", "--config", cfg, f"--x={expr}"]) == 2, expr
+        assert "expression" in capsys.readouterr().err
 
 
 def test_json_artifact_roundtrips_config(tmp_path):

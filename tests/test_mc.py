@@ -13,7 +13,8 @@ from shortfall_hedge.market import (UNDER_P, UNDER_PTILDE, derive_constants,
                                     radon_nikodym, terminal_price)
 from shortfall_hedge.mc import (DiscreteState, McConfig, brute_force_np,
                                 discretize, estimate, verify_risk)
-from shortfall_hedge.payoffs import DIGITAL, Payoff, QUANTO_DOMESTIC, SPREAD
+from shortfall_hedge.payoffs import (CUSTOM, DIGITAL, Payoff,
+                                     QUANTO_DOMESTIC, SPREAD)
 from shortfall_hedge.psi import LINEAR, LossSpec, POWER
 from shortfall_hedge.solver import phi1, price
 
@@ -153,3 +154,24 @@ def test_verify_risk_accepts_engine_solution():
         phi1(payoff, params, LossSpec(LINEAR), x)[0], rel=1e-12)
     rep2 = verify_risk(payoff, params, LossSpec(POWER, 2.0), x, mc)
     assert rep2.ok
+
+
+@pytest.mark.parametrize("h_fn, seed, u", [
+    # simulated risk 4.0 of its own se from the engine's
+    (lambda s1, s2: np.maximum(100.0 - np.minimum(s1, s2), 0.0),
+     854478761, 0.4),
+    # simulated cost 3.07 of its own se from x
+    (lambda s1, s2: np.maximum(0.5 * (s1 + s2) - 95.0, 0.0), 354253419, 0.73),
+])
+def test_verify_risk_counts_the_engines_mc_error(h_fn, seed, u):
+    # correct MC-route solutions that a test at 3 se of the simulation alone
+    # rejects; the engine's own standard error takes them back in
+    params = desk_params()
+    payoff = Payoff(CUSTOM, custom_eval=h_fn)
+    mc = McConfig(200_000, seed=seed)
+    x = u * price(payoff, params, mc)
+    rep = verify_risk(payoff, params, LossSpec(LINEAR), x, mc)
+    assert rep.ok
+    risk_z = abs(rep.mc_risk - rep.engine_risk) / rep.mc_risk_se
+    cost_z = abs(rep.mc_cost - x) / rep.mc_cost_se
+    assert max(risk_z, cost_z) > 3.0
