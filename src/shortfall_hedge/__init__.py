@@ -7,14 +7,12 @@ power loss functions, by closed-form conditional quadrature with Monte
 Carlo cross-checks.
 """
 
-from .errors import (AssumptionViolatedError, DegenerateConditioningError,
-                     DegenerateLawError, HeavyTailError,
-                     InfeasibleInversionError, InvalidCorrelationError,
-                     NanGuardError, OutOfRangeError, PayoffContractError,
-                     ShortfallHedgeError, UnsupportedClosedFormError,
-                     ValidationError)
-from .gaussian import (ConditionalLaw, GaussianLaw, condition, conditional,
-                       linear_transform, pdf, rect_upper_prob, sample)
+from .errors import (AssumptionViolatedError, DegenerateLawError,
+                     HeavyTailError, InfeasibleInversionError,
+                     InvalidCorrelationError, NanGuardError, OutOfRangeError,
+                     PayoffContractError, ShortfallHedgeError,
+                     UnsupportedClosedFormError, ValidationError)
+from .gaussian import GaussianLaw, rect_upper_prob, sample
 from .market import (UNDER_P, UNDER_PTILDE, MarketParams, MeasureConstants,
                      derive_constants, radon_nikodym, terminal_price,
                      wiener_law)
@@ -31,13 +29,11 @@ from .solver import (CurvePoint, RiskCurve, SolveConfig, curve, invert_psi1,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionViolatedError", "DegenerateConditioningError",
-    "DegenerateLawError", "HeavyTailError", "InfeasibleInversionError",
-    "InvalidCorrelationError", "NanGuardError", "OutOfRangeError",
-    "PayoffContractError", "ShortfallHedgeError",
+    "AssumptionViolatedError", "DegenerateLawError", "HeavyTailError",
+    "InfeasibleInversionError", "InvalidCorrelationError", "NanGuardError",
+    "OutOfRangeError", "PayoffContractError", "ShortfallHedgeError",
     "UnsupportedClosedFormError", "ValidationError",
-    "ConditionalLaw", "GaussianLaw", "condition", "conditional",
-    "linear_transform", "pdf", "rect_upper_prob", "sample",
+    "GaussianLaw", "rect_upper_prob", "sample",
     "UNDER_P", "UNDER_PTILDE", "MarketParams", "MeasureConstants",
     "derive_constants", "radon_nikodym", "terminal_price", "wiener_law",
     "DiscreteState", "McConfig", "VerifyReport", "brute_force_np",

@@ -10,12 +10,16 @@ Panels are accepted when the 7-point Gauss vs 15-point Kronrod difference
 falls below max(rel_tol * |panel|, floor), with the floor tied to the
 running estimate of each interval's total so negligible-mass tail panels
 do not force refinement.  Accepted panel errors are summed per interval and
-reported; refinement is capped, never raised on.
+reported; refinement is capped, never raised on.  A non-finite integrand
+value raises HeavyTailError at once: no panel around it could converge, and
+refining toward it only multiplies the panels.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import HeavyTailError
 
 # G7/K15 abscissae and weights on [-1, 1] (positive half; standard table).
 _POS_NODES = np.array([
@@ -60,7 +64,8 @@ def integrate_batch(f, lo, hi, rel_tol=1e-9, abs_floor=1e-15,
     each abscissa, and returns integrand values of the same shape.
     Intervals with hi <= lo contribute zero.  Returns (values, errors),
     both arrays of len(lo); errors are the summed accepted-panel K-G
-    differences (a conservative bound for smooth integrands).
+    differences (a conservative bound for smooth integrands).  Raises
+    HeavyTailError on the first non-finite integrand value.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -86,7 +91,14 @@ def integrate_batch(f, lo, hi, rel_tol=1e-9, abs_floor=1e-15,
         h = 0.5 * (b - a)
         x = (c[:, None] + h[:, None] * NODES[None, :]).ravel()
         ids_x = np.repeat(ids, 15)
-        y = np.asarray(f(x, ids_x), dtype=float).reshape(-1, 15)
+        y = np.asarray(f(x, ids_x), dtype=float)
+        if not np.isfinite(y).all():
+            i = int(np.flatnonzero(~np.isfinite(y))[0])
+            raise HeavyTailError(
+                f"quadrature integrand is {float(y[i])!r} at x = "
+                f"{float(x[i]):.6g}: a loss term overflows, too heavy a tail "
+                "for the quadrature box")
+        y = y.reshape(-1, 15)
         k15 = h * (y @ WK)
         g7 = h * (y @ WG)
         err = np.abs(k15 - g7)

@@ -33,10 +33,6 @@ class DegenerateLawError(ShortfallHedgeError):
     """Covariance matrix is not positive definite (Cholesky pivot <= 1e-12)."""
 
 
-class DegenerateConditioningError(ShortfallHedgeError):
-    """Conditioning block of the covariance is singular."""
-
-
 class PayoffContractError(ShortfallHedgeError):
     """A custom payoff hook returned a negative or non-finite value."""
 
@@ -66,7 +62,12 @@ class InfeasibleInversionError(ShortfallHedgeError):
 
 
 class HeavyTailError(ShortfallHedgeError):
-    """Truncated-tail contribution to the price exceeds the integrability bound."""
+    """The payoff's tail is too heavy for the closed-form quadrature.
+
+    Raised when the truncated-tail contribution to the price exceeds the
+    integrability bound, or when a power-loss term overflows to a
+    non-finite value (a quadrature integrand, or a constant such as K^p).
+    """
 
 
 class NanGuardError(ShortfallHedgeError):

@@ -1,28 +1,27 @@
-"""Multivariate (chiefly bivariate) normal algebra.
+"""Bivariate normal algebra for the Psi integrals.
 
-Densities, linear-transform laws, conditional laws, upper-rectangle
-probabilities, and seeded sampling of correlated normals.  All operations
-are pure functions on immutable values and are safe to call concurrently.
-
-Numerical conventions: Gaussian integrals are truncated at +/-10 marginal
-standard deviations (truncated mass < 1e-23, the documented error floor);
-rectangle probabilities integrate the conditional 1-d tail along the outer
-axis with adaptive Gauss-Kronrod panels at relative tolerance 1e-9.
+The law type, closed-form upper-orthant probabilities, closed-form
+exponentially tilted interval masses, and seeded sampling of correlated
+normals.  All operations are pure functions on immutable values and are
+safe to call concurrently.  Nothing here integrates numerically: orthant
+probabilities use Owen's T function and carry only rounding error
+(RECT_ERR).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, owens_t
 
-from ._quad import integrate_batch
-from .errors import DegenerateConditioningError, DegenerateLawError
+from .errors import DegenerateLawError
 
 _PIVOT_THRESHOLD = 1e-12
 _SYM_TOL = 1e-12
-TRUNC_SD = 10.0
+# absolute rounding bound of one rect_upper_prob value
+RECT_ERR = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,112 +61,46 @@ class GaussianLaw:
         return np.sqrt(np.diag(self.cov))
 
 
-@dataclass(frozen=True, eq=False)
-class ConditionalLaw:
-    """Affine-map form of X1 | X2 = x2.
+def rect_upper_prob(law: GaussianLaw, lower) -> float:
+    """P(X1 >= lower[0], X2 >= lower[1]) for a bivariate law, in closed form.
 
-    mean_shift holds (m1, coef) with coef = S12 S22^-1, so the conditional
-    mean is m1 + coef @ (x2 - m2); cond_cov = S11 - S12 S22^-1 S21 does not
-    depend on the conditioning value.
+    Either bound may be +/-inf.  With the standardised bounds h, k and the
+    correlation rho, Owen's (1956) T function gives
+
+        P = (Phi(-h) + Phi(-k)) / 2 - T(h, a_h) - T(k, a_k) - beta,
+        a_h = (k/h - rho) / sqrt(1 - rho^2),  a_k = (h/k - rho) / sqrt(1 - rho^2),
+
+    with beta = 1/2 when h and k lie on opposite sides of 0, else 0.  The
+    signs are read from h and k themselves, never from h*k, which underflows;
+    a zero bound counts as positive, so a_h = +/-inf with the sign of k at
+    h = 0 (k/h would let -0.0 flip it), and h = k = 0 is the quadrant
+    1/4 + asin(rho) / (2 pi).  The absolute rounding error is within RECT_ERR.
     """
-
-    mean_shift: tuple
-    cond_cov: np.ndarray
-    _m2: np.ndarray = field(repr=False, default=None)
-
-    def law_at(self, observed_values) -> GaussianLaw:
-        m1, coef = self.mean_shift
-        x2 = np.asarray(observed_values, dtype=float)
-        mean = m1 + coef @ (x2 - self._m2)
-        return GaussianLaw(mean.size, mean, self.cond_cov)
-
-
-def linear_transform(law: GaussianLaw, a) -> GaussianLaw:
-    """Law of A X: N_k(A m, A S A^T).
-
-    Raises DegenerateLawError when the output covariance is singular.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.shape[1] != law.dim:
-        raise DegenerateLawError(
-            f"transform has {a.shape[1]} columns, law has dim {law.dim}")
-    return GaussianLaw(a.shape[0], a @ law.mean, a @ law.cov @ a.T)
-
-
-def conditional(law: GaussianLaw, observed_indices) -> ConditionalLaw:
-    """Conditional law of the remaining coordinates given the observed ones."""
-    obs = list(observed_indices)
-    rest = [i for i in range(law.dim) if i not in obs]
-    if not obs or not rest:
-        raise DegenerateConditioningError("need a proper subset of coordinates")
-    s11 = law.cov[np.ix_(rest, rest)]
-    s12 = law.cov[np.ix_(rest, obs)]
-    s22 = law.cov[np.ix_(obs, obs)]
-    try:
-        coef = np.linalg.solve(s22, s12.T).T
-    except np.linalg.LinAlgError:
-        raise DegenerateConditioningError("conditioning block is singular") from None
-    cond_cov = s11 - coef @ s12.T
-    return ConditionalLaw((law.mean[rest], coef), cond_cov, _m2=law.mean[obs])
-
-
-def condition(law: GaussianLaw, observed_indices, observed_values) -> GaussianLaw:
-    """Condition on X[observed_indices] = observed_values."""
-    return conditional(law, observed_indices).law_at(observed_values)
-
-
-def pdf(law: GaussianLaw, x):
-    """Density of the law at x (a vector, or an array of row vectors)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    z = np.linalg.solve(law._chol, (pts - law.mean).T)
-    log_det = np.sum(np.log(np.diag(law._chol)))
-    log_pdf = -0.5 * np.sum(z * z, axis=0) - 0.5 * law.dim * np.log(2 * np.pi) - log_det
-    out = np.exp(log_pdf)
-    return float(out[0]) if single else out
-
-
-def _rect_upper_with_err(law: GaussianLaw, lower, rel_tol=1e-9,
-                         trunc_sd=TRUNC_SD):
-    """P(X1 >= l1, X2 >= l2) with the accumulated quadrature error."""
     if law.dim != 2:
         raise DegenerateLawError("rect_upper_prob requires a bivariate law")
     l1, l2 = (float(v) for v in lower)
-    m1, m2 = law.mean
-    s1, s2 = law.marginal_sd
-    if np.isneginf(l1) and np.isneginf(l2):
-        return 1.0, 0.0
-    if np.isneginf(l1):
-        return float(ndtr((m2 - l2) / s2)), 0.0
-    if np.isneginf(l2):
-        return float(ndtr((m1 - l1) / s1)), 0.0
-    coef = law.cov[0, 1] / law.cov[1, 1]
-    cond_sd = float(np.sqrt(law.cov[0, 0] - coef * law.cov[0, 1]))
-    lo = max(l2, m2 - trunc_sd * s2)
-    hi = m2 + trunc_sd * s2
-    if hi <= lo:
-        return 0.0, 0.0
-    inv_s2 = 1.0 / s2
-    norm = inv_s2 / np.sqrt(2 * np.pi)
-
-    def integrand(x2, _ids):
-        dens = norm * np.exp(-0.5 * ((x2 - m2) * inv_s2) ** 2)
-        cm = m1 + coef * (x2 - m2)
-        return dens * ndtr((cm - l1) / cond_sd)
-
-    vals, errs = integrate_batch(integrand, [lo], [hi], rel_tol=rel_tol)
-    return float(np.clip(vals[0], 0.0, 1.0)), float(errs[0])
-
-
-def rect_upper_prob(law: GaussianLaw, lower, rel_tol=1e-9,
-                    trunc_sd=TRUNC_SD) -> float:
-    """P(X1 >= lower[0], X2 >= lower[1]) for a bivariate law.
-
-    Either bound may be -inf.  Computed by outer integration of the
-    conditional 1-d tail of X1 given X2.
-    """
-    return _rect_upper_with_err(law, lower, rel_tol, trunc_sd)[0]
+    m1, m2 = (float(v) for v in law.mean)
+    s1, s2 = (float(v) for v in law.marginal_sd)
+    if l1 == -math.inf and l2 == -math.inf:
+        return 1.0
+    if l1 == -math.inf:
+        return float(ndtr((m2 - l2) / s2))
+    if l2 == -math.inf:
+        return float(ndtr((m1 - l1) / s1))
+    if l1 == math.inf or l2 == math.inf:
+        return 0.0
+    h = (l1 - m1) / s1
+    k = (l2 - m2) / s2
+    rho = float(law.cov[0, 1]) / (s1 * s2)
+    if h == 0.0 and k == 0.0:
+        return 0.25 + math.asin(rho) / (2.0 * math.pi)
+    root = math.sqrt((1.0 - rho) * (1.0 + rho))
+    a_h = math.copysign(math.inf, k) if h == 0.0 else (k / h - rho) / root
+    a_k = math.copysign(math.inf, h) if k == 0.0 else (h / k - rho) / root
+    beta = 0.5 if (h >= 0.0) != (k >= 0.0) else 0.0
+    prob = (0.5 * (ndtr(-h) + ndtr(-k)) - owens_t(h, a_h) - owens_t(k, a_k)
+            - beta)
+    return float(np.clip(prob, 0.0, 1.0))
 
 
 def sample(law: GaussianLaw, n: int, seed: int) -> np.ndarray:

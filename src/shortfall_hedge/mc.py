@@ -18,8 +18,8 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from .errors import ValidationError
 from .market import (UNDER_P, UNDER_PTILDE, MarketParams, _check_measure,
-                     derive_constants, radon_nikodym, terminal_price)
-from .payoffs import CUSTOM, Payoff, evaluate
+                     radon_nikodym, terminal_price)
+from .payoffs import CUSTOM, Payoff, evaluate, payoff_constants
 from .psi import LINEAR, POWER, LossSpec, _nan_guard
 
 
@@ -153,8 +153,7 @@ def discretize(payoff: Payoff, params: MarketParams,
     shift = np.linalg.solve(chol, -_mean_under(params, UNDER_PTILDE))
     prob_pt = std_normal2(pts + shift) * area
     prob_pt /= prob_pt.sum()
-    cons = derive_constants(
-        params, payoff.strike if payoff.kind != CUSTOM else 1.0)
+    cons = payoff_constants(payoff, params)
     s1 = terminal_price(params, 1, w[:, 0], UNDER_P)
     s2 = terminal_price(params, 2, w[:, 1], UNDER_P)
     h = np.asarray(evaluate(payoff, s1, s2), dtype=float)
@@ -202,8 +201,7 @@ def _modified_claim(payoff: Payoff, params: MarketParams, loss: LossSpec,
     power loss pays (H - (c Z~)^{1/(p-1)})^+, which is H on A_c's interior
     and 0 off it.
     """
-    cons = derive_constants(
-        params, payoff.strike if payoff.kind != CUSTOM else 1.0)
+    cons = payoff_constants(payoff, params)
     s1 = terminal_price(params, 1, w1, UNDER_P)
     s2 = terminal_price(params, 2, w2, UNDER_P)
     h = np.asarray(evaluate(payoff, s1, s2), dtype=float)

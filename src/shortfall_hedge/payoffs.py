@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import PayoffContractError, ValidationError
-from .market import MarketParams, derive_constants
+from .market import MarketParams, MeasureConstants, derive_constants
 
 DIGITAL = "Digital"
 QUANTO_DOMESTIC = "QuantoDomestic"
@@ -61,6 +61,13 @@ class UniquenessReport:
     psi1_strictly_monotone: bool
     psi2_strictly_monotone: bool
     reason: str
+
+
+def payoff_constants(payoff: Payoff, params: MarketParams) -> MeasureConstants:
+    """The measure constants at the payoff's strike (1.0 for Custom, whose
+    strike is unused)."""
+    return derive_constants(
+        params, payoff.strike if payoff.kind != CUSTOM else 1.0)
 
 
 def evaluate(payoff: Payoff, s1, s2):

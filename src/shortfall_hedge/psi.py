@@ -8,11 +8,15 @@ uses A_c = {c Z~ <= H^(p-1)}.  Definitions:
                        + (1/p) E[(c Z~)^(p/(p-1)) 1_Ac]
              Psi2(c) = E~[(H - (c Z~)^(1/(p-1))) 1_Ac]
 
-Every expectation reduces to an outer 1-d adaptive integral whose inner
-integral is the closed form E[e^(gamma Y) 1{lo<=Y<=hi}] for a conditional
-normal Y, except the spread/power shortfall term, whose inner integrand
-(S1 - S2 - K)^p has no tilt representation and is integrated numerically
-after the substitution x = d(y) + t^4 that removes the algebraic edge.
+The digital's indicator terms are bivariate normal orthant probabilities,
+in closed form by Owen's T (gaussian.rect_upper_prob, err_estimate a 4 eps
+rounding bound).  Every other expectation reduces to an outer 1-d adaptive
+integral whose inner integral is the closed form E[e^(gamma Y) 1{lo<=Y<=hi}]
+for a conditional normal Y, except the spread/power shortfall term, whose
+inner integrand (S1 - S2 - K)^p has no tilt representation and is
+integrated numerically after the substitution x = d(y) + t^4 that removes
+the algebraic edge.  _psi_side is the one quadrature entry point;
+psi_linear and psi_power call it once per side.
 
 Monte Carlo twins of both functions (psi_mc) sample W_T under P and W~_T
 under P~ directly and work for every payoff, including Custom and the
@@ -29,19 +33,22 @@ import numpy as np
 from scipy.special import ndtr
 
 from ._quad import integrate_batch, integrate_rows
-from .errors import (AssumptionViolatedError, NanGuardError,
+from .errors import (AssumptionViolatedError, HeavyTailError, NanGuardError,
                      UnsupportedClosedFormError, ValidationError)
-from .gaussian import (TRUNC_SD, GaussianLaw, _rect_upper_with_err, sample,
+from .gaussian import (RECT_ERR, GaussianLaw, rect_upper_prob, sample,
                        tilted_interval_mass)
-from .market import (UNDER_P, UNDER_PTILDE, MarketParams, MeasureConstants,
-                     derive_constants)
+from .market import UNDER_P, UNDER_PTILDE, MarketParams, MeasureConstants
 from .payoffs import (CUSTOM, DIGITAL, OUTPERFORMANCE, QUANTO_DOMESTIC,
-                      QUANTO_FOREIGN, SPREAD, Payoff, evaluate)
+                      QUANTO_FOREIGN, SPREAD, Payoff, evaluate,
+                      payoff_constants)
 
 LINEAR = "linear"
 POWER = "power"
 
 _SIGN_TOL = 1e-14
+# Gaussian integrals are truncated at +/-TRUNC_SD marginal standard
+# deviations (truncated mass < 1e-23, the documented error floor)
+TRUNC_SD = 10.0
 _INNER_PANELS_MIN = 16
 _INNER_PANELS_MAX = 96
 
@@ -110,8 +117,8 @@ class _Ctx:
 def _make_ctx(payoff: Payoff, params: MarketParams,
               constants: Optional[MeasureConstants],
               trunc_sd: float) -> _Ctx:
-    cons = constants if constants is not None else derive_constants(
-        params, payoff.strike if payoff.kind != CUSTOM else 1.0)
+    cons = constants if constants is not None else payoff_constants(
+        payoff, params)
     sg1, sg2 = params.sigma
     t = params.T
     sd = math.sqrt(t)
@@ -139,6 +146,18 @@ def _side_fields(ctx: _Ctx, tilde: bool):
     if tilde:
         return ctx.cons.b_cap_tilde, ctx.m1q, ctx.m2q, "_tilde"
     return ctx.cons.b_cap, ctx.m1p, ctx.m2p, ""
+
+
+def _half_line(a: float, rest, big_l: float):
+    """(lo, hi) of {v : a v + rest >= L}, elementwise over rest.
+
+    |a| <= _SIGN_TOL counts as a = 0: then the set is everything or nothing.
+    """
+    if a > _SIGN_TOL:
+        return (big_l - rest) / a, np.inf
+    if a < -_SIGN_TOL:
+        return -np.inf, (big_l - rest) / a
+    return np.where(rest >= big_l, -np.inf, np.inf), np.inf
 
 
 def _digital_xy(ctx: _Ctx):
@@ -176,8 +195,7 @@ def _digital_linear_side(ctx: _Ctx, c: float, tilde: bool):
         mass = max(0.0, float(ndtr(hi / sd_x) - ndtr(thr_b / sd_x)))
         return ctx.k * mass, 0.0
     law = GaussianLaw(2, np.zeros(2), cov)
-    prob, err = _rect_upper_with_err(law, (thr_b, big_l), trunc_sd=ctx.trunc_sd)
-    return ctx.k * prob, ctx.k * err
+    return ctx.k * rect_upper_prob(law, (thr_b, big_l)), ctx.k * RECT_ERR
 
 
 def _qd_linear_side(ctx: _Ctx, c: float, tilde: bool):
@@ -194,13 +212,7 @@ def _qd_linear_side(ctx: _Ctx, c: float, tilde: bool):
 
     def f(x, _ids):
         g = np.maximum(s10 * np.exp(m1 + sg1 * x) - k, 0.0)
-        if a2 > _SIGN_TOL:
-            lo_y, hi_y = (big_l - a1 * x) / a2, np.inf
-        elif a2 < -_SIGN_TOL:
-            lo_y, hi_y = -np.inf, (big_l - a1 * x) / a2
-        else:
-            lo_y = np.where(a1 * x >= big_l, -np.inf, np.inf)
-            hi_y = np.inf
+        lo_y, hi_y = _half_line(a2, a1 * x, big_l)
         mass = tilted_interval_mass(sg2, rho * x, cond_sd, lo_y, hi_y)
         return _phi(x, sd) * g * s20 * np.exp(m2) * mass
 
@@ -220,15 +232,8 @@ def _qf_linear_side(ctx: _Ctx, c: float, tilde: bool):
         return 0.0, 0.0
 
     def f(y, _ids):
-        lo_pay = (thr_d - sg2 * y) / sg1
-        if a1 > _SIGN_TOL:
-            lo_x = np.maximum(lo_pay, (big_l - a2 * y) / a1)
-            hi_x = np.full_like(y, np.inf)
-        elif a1 < -_SIGN_TOL:
-            lo_x, hi_x = lo_pay, (big_l - a2 * y) / a1
-        else:
-            lo_x = np.where(a2 * y >= big_l, lo_pay, np.inf)
-            hi_x = np.full_like(y, np.inf)
+        lo_x, hi_x = _half_line(a1, a2 * y, big_l)
+        lo_x = np.maximum(lo_x, (thr_d - sg2 * y) / sg1)
         m_c = rho * y
         t1 = s10 * np.exp(m1) * tilted_interval_mass(sg1, m_c, cond_sd, lo_x, hi_x)
         t2 = (k / s20) * np.exp(-m2 - sg2 * y) * tilted_interval_mass(
@@ -253,29 +258,15 @@ def _outp_linear_side(ctx: _Ctx, c: float, tilde: bool):
 
     def f_r1(x, _ids):
         g = np.maximum(s10 * np.exp(m1 + sg1 * x) - k, 0.0)
-        cap1 = (sg1 * x - thr_b) / sg2
-        if a2 > _SIGN_TOL:
-            lo_y, hi_y = (big_l - a1 * x) / a2, cap1
-        elif a2 < -_SIGN_TOL:
-            lo_y = np.full_like(x, -np.inf)
-            hi_y = np.minimum(cap1, (big_l - a1 * x) / a2)
-        else:
-            lo_y = np.where(a1 * x >= big_l, -np.inf, np.inf)
-            hi_y = cap1
+        lo_y, hi_y = _half_line(a2, a1 * x, big_l)
+        hi_y = np.minimum(hi_y, (sg1 * x - thr_b) / sg2)
         mass = tilted_interval_mass(0.0, rho * x, cond_sd, lo_y, hi_y)
         return _phi(x, sd) * g * mass
 
     def f_r2(y, _ids):
         g = np.maximum(s20 * np.exp(m2 + sg2 * y) - k, 0.0)
-        cap2 = (sg2 * y + thr_b) / sg1
-        if a1 > _SIGN_TOL:
-            lo_x, hi_x = (big_l - a2 * y) / a1, cap2
-        elif a1 < -_SIGN_TOL:
-            lo_x = np.full_like(y, -np.inf)
-            hi_x = np.minimum(cap2, (big_l - a2 * y) / a1)
-        else:
-            lo_x = np.where(a2 * y >= big_l, -np.inf, np.inf)
-            hi_x = cap2
+        lo_x, hi_x = _half_line(a1, a2 * y, big_l)
+        hi_x = np.minimum(hi_x, (sg2 * y + thr_b) / sg1)
         mass = tilted_interval_mass(0.0, rho * y, cond_sd, lo_x, hi_x)
         return _phi(y, sd) * g * mass
 
@@ -296,15 +287,8 @@ def _spread_linear_side(ctx: _Ctx, c: float, tilde: bool):
 
     def f(y, _ids):
         s2v = s20 * np.exp(m2 + sg2 * y)
-        d_y = (np.log((s2v + k) / s10) - m1) / sg1
-        if a1 > _SIGN_TOL:
-            lo_x = np.maximum(d_y, (big_l - a2 * y) / a1)
-            hi_x = np.full_like(y, np.inf)
-        elif a1 < -_SIGN_TOL:
-            lo_x, hi_x = d_y, (big_l - a2 * y) / a1
-        else:
-            lo_x = np.where(a2 * y >= big_l, d_y, np.inf)
-            hi_x = np.full_like(y, np.inf)
+        lo_x, hi_x = _half_line(a1, a2 * y, big_l)
+        lo_x = np.maximum(lo_x, (np.log((s2v + k) / s10) - m1) / sg1)
         m_c = rho * y
         t1 = s10 * np.exp(m1) * tilted_interval_mass(sg1, m_c, cond_sd, lo_x, hi_x)
         t2 = (s2v + k) * tilted_interval_mass(0.0, m_c, cond_sd, lo_x, hi_x)
@@ -358,9 +342,8 @@ def _digital_power_psi1(ctx: _Ctx, c: float, p: float):
                 tilted_interval_mass(-q * lam, 0.0, sd_x, a_lo, a_hi))
         return term1 + term2, 0.0
     law = GaussianLaw(2, np.zeros(2), cov)
-    pj, ej = _rect_upper_with_err(law, (thr_b, u_c), trunc_sd=ctx.trunc_sd)
-    val = (k ** p / p) * (p_b - pj)
-    err = (k ** p / p) * ej
+    val = (k ** p / p) * (p_b - rect_upper_prob(law, (thr_b, u_c)))
+    err = (k ** p / p) * RECT_ERR
     if not math.isinf(c):
         coef = cov[0, 1] / cov[0, 0]
         s_yx = math.sqrt(max(cov[1, 1] - coef * cov[0, 1], 0.0))
@@ -404,8 +387,7 @@ def _digital_power_psi2(ctx: _Ctx, c: float, p: float):
         val -= c ** kap * math.exp(-kap * b_tilde * t) * float(
             tilted_interval_mass(-kap * lam, 0.0, sd_x, a_lo, a_hi))
         return val, 0.0
-    law = GaussianLaw(2, np.zeros(2), cov)
-    pj, ej = _rect_upper_with_err(law, (thr_b, u_c), trunc_sd=ctx.trunc_sd)
+    pj = rect_upper_prob(GaussianLaw(2, np.zeros(2), cov), (thr_b, u_c))
     coef = cov[0, 1] / cov[0, 0]
     s_yx = math.sqrt(max(cov[1, 1] - coef * cov[0, 1], 0.0))
 
@@ -415,7 +397,7 @@ def _digital_power_psi2(ctx: _Ctx, c: float, p: float):
     vals, errs = integrate_batch(f, [max(thr_b, -ctx.trunc_sd * sd_x)],
                                  [ctx.trunc_sd * sd_x])
     w = c ** kap * math.exp(-kap * b_tilde * t)
-    return k * pj - w * float(vals[0]), k * ej + w * float(errs[0])
+    return k * pj - w * float(vals[0]), k * RECT_ERR + w * float(errs[0])
 
 
 def _qd_beta(ctx: _Ctx, p: float) -> float:
@@ -834,56 +816,14 @@ def _sign_guard_power(payoff: Payoff, ctx: _Ctx, p: float):
         _check_spread_power(ctx)
 
 
-def psi_linear(payoff: Payoff, params: MarketParams,
-               constants: Optional[MeasureConstants] = None, c: float = 0.0,
-               *, trunc_sd: float = TRUNC_SD) -> PsiPair:
-    """(Psi1(c), Psi2(c)) for linear loss by closed-form quadrature."""
-    c = _validate_c(c)
-    if payoff.kind == CUSTOM:
-        raise UnsupportedClosedFormError(
-            "custom payoffs have no closed-form Psi; use psi_mc")
-    ctx = _make_ctx(payoff, params, constants, trunc_sd)
-    side = _LINEAR_SIDES[payoff.kind]
-    v1, e1 = side(ctx, c, False)
-    v2, e2 = side(ctx, c, True)
-    return PsiPair(psi1=max(v1, 0.0), psi2=max(v2, 0.0), c=c,
-                   method="quadrature", err_estimate=e1 + e2)
-
-
-def psi_power(payoff: Payoff, params: MarketParams,
-              constants: Optional[MeasureConstants] = None, c: float = 0.0,
-              p: float = 2.0, *, trunc_sd: float = TRUNC_SD) -> PsiPair:
-    """(Psi1^p(c), Psi2^p(c)) for power loss by closed-form quadrature.
-
-    Payoff-specific sign conditions are checked first; a violation raises
-    AssumptionViolatedError naming the condition (psi_mc remains available).
-    """
-    c = _validate_c(c)
-    if not p > 1:
-        raise ValidationError([f"p: power loss requires p > 1, got {p!r}"])
-    if payoff.kind == CUSTOM:
-        raise UnsupportedClosedFormError(
-            "custom payoffs have no closed-form Psi; use psi_mc")
-    ctx = _make_ctx(payoff, params, constants, trunc_sd)
-    _sign_guard_power(payoff, ctx, p)
-    if c == 0.0:
-        side = _LINEAR_SIDES[payoff.kind]
-        v2, e2 = side(ctx, 0.0, True)
-        return PsiPair(psi1=0.0, psi2=max(v2, 0.0), c=c,
-                       method="quadrature", err_estimate=e2)
-    v1, e1 = _POWER_PSI1[payoff.kind](ctx, c, p)
-    v2, e2 = _POWER_PSI2[payoff.kind](ctx, c, p)
-    return PsiPair(psi1=max(v1, 0.0), psi2=max(v2, 0.0), c=c,
-                   method="quadrature", err_estimate=e1 + e2)
-
-
 def _psi_side(payoff: Payoff, params: MarketParams, loss: LossSpec, c: float,
               side: int, constants: Optional[MeasureConstants] = None,
               trunc_sd: float = TRUNC_SD):
-    """(value, err) of Psi1 (side=1) or Psi2 (side=2) alone, by quadrature.
+    """(value, err) of Psi1 (side=1) or Psi2 (side=2) by quadrature.
 
-    Root-finding in the solver only ever needs one component per iterate;
-    this skips the other side's integral.
+    The one closed-form Psi entry point: the solver needs one side per
+    iterate, and psi_linear / psi_power call it once per side.  A power
+    term that overflows (K^p at a large p, say) raises HeavyTailError.
     """
     c = _validate_c(c)
     if payoff.kind == CUSTOM:
@@ -900,8 +840,43 @@ def _psi_side(payoff: Payoff, params: MarketParams, loss: LossSpec, c: float,
         v, e = _LINEAR_SIDES[payoff.kind](ctx, 0.0, True)
         return max(v, 0.0), e
     table = _POWER_PSI1 if side == 1 else _POWER_PSI2
-    v, e = table[payoff.kind](ctx, c, loss.p)
+    try:
+        v, e = table[payoff.kind](ctx, c, loss.p)
+    except OverflowError:
+        raise HeavyTailError(
+            f"Psi{side} at p = {loss.p:g}, c = {c:g}: a power-loss term "
+            "overflows") from None
     return max(v, 0.0), e
+
+
+def _psi_pair(payoff: Payoff, params: MarketParams, loss: LossSpec, c,
+              constants: Optional[MeasureConstants],
+              trunc_sd: float) -> PsiPair:
+    c = _validate_c(c)
+    v1, e1 = _psi_side(payoff, params, loss, c, 1, constants, trunc_sd)
+    v2, e2 = _psi_side(payoff, params, loss, c, 2, constants, trunc_sd)
+    return PsiPair(psi1=v1, psi2=v2, c=c, method="quadrature",
+                   err_estimate=e1 + e2)
+
+
+def psi_linear(payoff: Payoff, params: MarketParams,
+               constants: Optional[MeasureConstants] = None, c: float = 0.0,
+               *, trunc_sd: float = TRUNC_SD) -> PsiPair:
+    """(Psi1(c), Psi2(c)) for linear loss by closed-form quadrature."""
+    return _psi_pair(payoff, params, LossSpec(LINEAR), c, constants, trunc_sd)
+
+
+def psi_power(payoff: Payoff, params: MarketParams,
+              constants: Optional[MeasureConstants] = None, c: float = 0.0,
+              p: float = 2.0, *, trunc_sd: float = TRUNC_SD) -> PsiPair:
+    """(Psi1^p(c), Psi2^p(c)) for power loss by closed-form quadrature.
+
+    p must be finite and above 1 (ValidationError otherwise).
+    Payoff-specific sign conditions are checked first; a violation raises
+    AssumptionViolatedError naming the condition (psi_mc remains available).
+    """
+    return _psi_pair(payoff, params, LossSpec(POWER, p), c, constants,
+                     trunc_sd)
 
 
 @dataclass(frozen=True)
@@ -1069,8 +1044,8 @@ class _McTable:
         if n < 10 ** 4:
             raise ValidationError(
                 [f"n: Monte Carlo oracle use requires n >= 1e4, got {n}"])
-        cons = constants if constants is not None else derive_constants(
-            params, payoff.strike if payoff.kind != CUSTOM else 1.0)
+        cons = constants if constants is not None else payoff_constants(
+            payoff, params)
         law = GaussianLaw(2, np.zeros(2), params.wiener_cov)
         draws = sample(law, 2 * n, seed)
         self.sides = {

@@ -32,9 +32,9 @@ from typing import Optional
 from .errors import (AssumptionViolatedError, HeavyTailError,
                      InfeasibleInversionError, OutOfRangeError,
                      ShortfallHedgeError, ValidationError)
-from .market import MarketParams, derive_constants
+from .market import MarketParams
 from .mc import McConfig
-from .payoffs import CUSTOM, Payoff
+from .payoffs import CUSTOM, Payoff, payoff_constants
 from .psi import (LINEAR, POWER, LossSpec, _make_ctx, _McTable, _psi_side,
                   _sign_guard_power)
 
@@ -107,8 +107,7 @@ class _Evaluator:
         self.payoff = payoff
         self.params = params
         self.loss = loss
-        self.constants = derive_constants(
-            params, payoff.strike if payoff.kind != CUSTOM else 1.0)
+        self.constants = payoff_constants(payoff, params)
         self.method = _route_method(payoff, params, loss)
         if self.method == METHOD_MC:
             mc = mc or _FALLBACK_MC
@@ -335,12 +334,6 @@ def phi2(payoff: Payoff, params: MarketParams, loss: LossSpec, v: float,
     return cost, c
 
 
-def _thread_count(n_points: int) -> int:
-    env = os.environ.get("SH_THREADS", "").strip()
-    workers = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(workers, n_points))
-
-
 def curve(payoff: Payoff, params: MarketParams, loss: LossSpec, kind: str,
           grid, config: Optional[SolveConfig] = None,
           mc: Optional[McConfig] = None) -> RiskCurve:
@@ -368,6 +361,7 @@ def curve(payoff: Payoff, params: MarketParams, loss: LossSpec, kind: str,
                               method=_route_method(payoff, params, loss),
                               err_estimate=math.nan, error=str(exc))
 
-    with ThreadPoolExecutor(max_workers=_thread_count(len(grid))) as pool:
+    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1,
+                                            len(grid))) as pool:
         points = tuple(pool.map(one, grid))
     return RiskCurve(loss=loss, kind=kind, points=points)

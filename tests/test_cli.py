@@ -157,6 +157,22 @@ def test_heavy_tail_exit_code(tmp_path, capsys):
     assert "tail" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind, strike", [
+    ("Digital", 10.0), ("QuantoDomestic", 100.0), ("QuantoForeign", 9500.0),
+    ("Outperformance", 100.0), ("Spread", 5.0)])
+def test_overflowing_power_loss_exit_code(tmp_path, capsys, kind, strike):
+    # at p = 400 the loss terms overflow: a typed refusal, not an unbounded
+    # refinement of non-finite panels or a raw OverflowError
+    cfg = dict(DESK, payoff={"kind": kind, "strike": strike},
+               loss={"kind": "power", "p": 400.0})
+    rc = main(["phi1", "--config", _write(tmp_path, cfg), "--x", "0.5*price"])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 5
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "overflows" in err[0]
+
+
 def test_psi_command_csv(tmp_path, capsys):
     rc = main(["psi", "--config", _write(tmp_path, DESK), "--c", "25"])
     assert rc == 0

@@ -1,4 +1,4 @@
-"""Gaussian law algebra, rectangle probabilities, exponential tilts."""
+"""Gaussian laws, orthant probabilities, exponential tilts, sampling."""
 
 from __future__ import annotations
 
@@ -6,14 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from shortfall_hedge._quad import integrate_batch
 from shortfall_hedge.errors import DegenerateLawError
-from shortfall_hedge.gaussian import (GaussianLaw, condition, conditional,
-                                      linear_transform, pdf, rect_upper_prob,
-                                      sample, tilted_interval_mass)
+from shortfall_hedge.gaussian import (GaussianLaw, rect_upper_prob, sample,
+                                      tilted_interval_mass)
 
 
 def _std_bvn(rho: float) -> GaussianLaw:
@@ -86,42 +86,40 @@ def test_rect_monotone_in_thresholds(rho, l1, l2, bump):
     assert shrunk <= base + 1e-12
 
 
-def test_conditional_matches_direct_formula():
-    law = GaussianLaw(2, [1.0, 2.0], [[2.0, 0.6], [0.6, 1.5]])
-    cond = condition(law, [1], [3.0])
-    # X1 | X2 = x2 is N(m1 + (s12/s22)(x2 - m2), s11 - s12^2/s22)
-    want_mean = 1.0 + (0.6 / 1.5) * (3.0 - 2.0)
-    want_var = 2.0 - 0.6 ** 2 / 1.5
-    assert abs(cond.mean[0] - want_mean) <= 1e-14
-    assert abs(cond.cov[0, 0] - want_var) <= 1e-14
+def _rect_by_quadrature(law: GaussianLaw, lower):
+    """(P(X1 >= l1, X2 >= l2), error) by outer adaptive quadrature of the
+    conditional tail of X1 given X2 over +/-10 sd: an independent route."""
+    l1, l2 = lower
+    m1, m2 = law.mean
+    s2 = math.sqrt(law.cov[1, 1])
+    coef = law.cov[0, 1] / law.cov[1, 1]
+    cond_sd = math.sqrt(law.cov[0, 0] - coef * law.cov[0, 1])
+    lo, hi = max(l2, m2 - 10.0 * s2), m2 + 10.0 * s2
+    if hi <= lo:
+        return 0.0, 0.0
+
+    def integrand(x2, _ids):
+        dens = np.exp(-0.5 * ((x2 - m2) / s2) ** 2) / (s2 * math.sqrt(2 * math.pi))
+        return dens * ndtr((m1 + coef * (x2 - m2) - l1) / cond_sd)
+
+    vals, errs = integrate_batch(integrand, [lo], [hi])
+    return float(vals[0]), float(errs[0])
 
 
-def test_conditional_transform_commute():
-    # conditioning then scaling equals scaling the conditional law
-    law = GaussianLaw(2, [0.5, -1.0], [[1.0, 0.4], [0.4, 2.0]])
-    scaled_then_cond = condition(linear_transform(law, [[2.0, 0.0], [0.0, 1.0]]),
-                                 [1], [0.7])
-    cond_then_scaled = linear_transform(condition(law, [1], [0.7]), [[2.0]])
-    assert abs(scaled_then_cond.mean[0] - cond_then_scaled.mean[0]) <= 1e-12
-    assert abs(scaled_then_cond.cov[0, 0] - cond_then_scaled.cov[0, 0]) <= 1e-12
-
-
-def test_pdf_integrates_to_rect_probability():
-    law = _std_bvn(0.5)
-
-    def outer(x, ids):
-        out = np.empty_like(x)
-        for i, xi in enumerate(x):
-            inner, _ = integrate_batch(
-                lambda y, j, xi=xi: pdf(law, np.column_stack(
-                    [np.full_like(y, xi), y])),
-                np.array([0.2]), np.array([8.0]))
-            out[i] = inner[0]
-        return out
-
-    want, _ = integrate_batch(outer, np.array([-0.3]), np.array([8.0]))
-    got = rect_upper_prob(law, [-0.3, 0.2])
-    assert abs(got - want[0]) <= 1e-8
+@settings(max_examples=300, deadline=None)
+@given(rho=st.floats(-0.95, 0.95), m1=st.floats(-2, 2), m2=st.floats(-2, 2),
+       s1=st.floats(0.3, 3), s2=st.floats(0.3, 3), l1=st.floats(-8, 8),
+       l2=st.floats(-8, 8))
+# h*k underflows to 0 here; the signs of h and k still decide the formula
+@example(rho=0.0, m1=0.0, m2=0.0, s1=1.0, s2=1.0, l1=2.9e-136, l2=2e-267)
+@example(rho=0.0, m1=0.0, m2=0.0, s1=1.0, s2=1.0, l1=-2.9e-136, l2=2e-267)
+# (k - rho h)/h at subnormal h loses rho h; k/h - rho keeps it
+@example(rho=0.5, m1=0.0, m2=0.0, s1=1.0, s2=1.0, l1=5e-324, l2=0.0)
+def test_rect_matches_conditional_quadrature(rho, m1, m2, s1, s2, l1, l2):
+    cov = [[s1 * s1, rho * s1 * s2], [rho * s1 * s2, s2 * s2]]
+    law = GaussianLaw(2, [m1, m2], cov)
+    want, err = _rect_by_quadrature(law, (l1, l2))
+    assert abs(rect_upper_prob(law, [l1, l2]) - want) <= 1e-13 + err
 
 
 def test_sample_seeded_and_moments():
@@ -139,13 +137,3 @@ def test_degenerate_covariance_rejected():
         GaussianLaw(2, [0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(DegenerateLawError):
         GaussianLaw(2, [0.0, 0.0], [[1.0, 0.2], [0.3, 1.0]])
-
-
-def test_conditional_law_at_batches():
-    law = GaussianLaw(3, [0.0, 1.0, -1.0], [[1.0, 0.2, 0.1],
-                                            [0.2, 1.0, 0.3],
-                                            [0.1, 0.3, 1.0]])
-    cl = conditional(law, [2])
-    at = cl.law_at([0.5])
-    assert at.dim == 2
-    assert at.cov.shape == (2, 2)

@@ -249,3 +249,10 @@ def test_c_validation():
         LossSpec(POWER, 1.0)  # p must exceed 1
     with pytest.raises(ValidationError):
         LossSpec("cubic")
+
+
+def test_psi_power_rejects_non_finite_p():
+    params = desk_params()
+    for p in (math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            psi_power(Payoff(DIGITAL, 10.0), params, c=1.0, p=p)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -207,12 +206,3 @@ def test_solve_config_validation():
         SolveConfig(abs_tol_target=0.0)
     with pytest.raises(ValidationError):
         SolveConfig(bisection_iters=0)
-
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("SH_THREADS", "1")
-    params = desk_params()
-    payoff = Payoff(DIGITAL, 10.0)
-    rc = curve(payoff, params, LIN, "phi1", [0.0, 1.0, 2.0])
-    assert [p.error for p in rc.points] == [None, None, None]
-    assert os.environ["SH_THREADS"] == "1"
