@@ -66,6 +66,10 @@ def integrate_batch(f, lo, hi, rel_tol=1e-9, abs_floor=1e-15,
     both arrays of len(lo); errors are the summed accepted-panel K-G
     differences (a conservative bound for smooth integrands).  Raises
     HeavyTailError on the first non-finite integrand value.
+
+    An interval's value and error are the same bits whatever other
+    intervals share the call, provided f is elementwise: its panels, their
+    acceptance and the order of their sums depend on that interval alone.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -99,8 +103,10 @@ def integrate_batch(f, lo, hi, rel_tol=1e-9, abs_floor=1e-15,
                 f"{float(x[i]):.6g}: a loss term overflows, too heavy a tail "
                 "for the quadrature box")
         y = y.reshape(-1, 15)
-        k15 = h * (y @ WK)
-        g7 = h * (y @ WG)
+        # row sums, not y @ WK: a BLAS product rounds each row differently
+        # with the batch, and a value must not depend on its neighbours
+        k15 = h * (y * WK).sum(axis=-1)
+        g7 = h * (y * WG).sum(axis=-1)
         err = np.abs(k15 - g7)
 
         # refresh scale: accumulated + current estimates of live panels
@@ -130,7 +136,8 @@ def integrate_rows(f, lo, hi, n_panels):
     f receives abscissae shaped (rows, n_panels, 15); per-row constants in
     the integrand must broadcast against that shape.  No error control;
     meant for inner integrals whose smoothness is arranged by the caller.
-    Rows with hi <= lo yield 0.
+    Rows with hi <= lo yield 0.  Each row's value depends only on that row,
+    so integrating rows in chunks gives the same bits.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -142,4 +149,4 @@ def integrate_rows(f, lo, hi, n_panels):
     h = 0.5 * (b - a)
     x = c[..., None] + h[..., None] * NODES
     y = np.asarray(f(x), dtype=float)
-    return (h * (y @ WK)).sum(axis=1)
+    return (h * (y * WK).sum(axis=-1)).sum(axis=1)

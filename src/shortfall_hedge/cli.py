@@ -38,8 +38,8 @@ from .market import MarketParams
 from .mc import McConfig, verify_risk
 from .payoffs import CUSTOM, KINDS, Payoff
 from .psi import LINEAR, POWER, LossSpec, psi_linear, psi_power
-from .solver import (SolveConfig, _edges, _phi1_impl, _phi2_impl, curve,
-                     price)
+from .solver import (SolveConfig, _edges, _one, _phi1_impl, _phi2_impl,
+                     curve, price)
 
 _FORMATS = ("csv", "json")
 _DEFAULT_MC = McConfig(n_paths=200_000, seed=1, antithetic=True)
@@ -382,14 +382,14 @@ def _run_phi(command: str, config: RunConfig, symbols: _Symbols,
              options) -> str:
     if command == "phi1":
         g = resolve_expr(options.x, symbols)
-        value, c, err, method = _phi1_impl(config.payoff, config.market,
-                                           config.loss, g, config.solver,
-                                           config.mc)[:4]
+        value, c, err, method = _one(_phi1_impl(
+            config.payoff, config.market, config.loss, [g], config.solver,
+            config.mc))[:4]
     else:
         g = resolve_expr(options.v, symbols)
-        value, c, err, method = _phi2_impl(config.payoff, config.market,
-                                           config.loss, g, config.solver,
-                                           config.mc)
+        value, c, err, method = _one(_phi2_impl(
+            config.payoff, config.market, config.loss, [g], config.solver,
+            config.mc))
     row = [g, value, c, method, err]
     results = {"input": _sanitize(g), "value": _sanitize(value),
                "c": _sanitize(c), "method": method,

@@ -247,11 +247,11 @@ def verify_risk(payoff: Payoff, params: MarketParams, loss: LossSpec,
     Monte Carlo route, the engine's own (of the risk, and of the capital
     it spends at c).
     """
-    from .solver import _phi1_impl, price
+    from .solver import _one, _phi1_impl, price
 
     engine_mc = None if payoff.kind != CUSTOM else mc
-    engine_risk, c, risk_err, _method, cost_err = _phi1_impl(
-        payoff, params, loss, x, None, engine_mc)
+    engine_risk, c, risk_err, _method, cost_err = _one(_phi1_impl(
+        payoff, params, loss, [x], None, engine_mc))
     p_h = price(payoff, params, mc)
 
     def shortfall_loss(w1, w2):

@@ -15,8 +15,14 @@ integral whose inner integral is the closed form E[e^(gamma Y) 1{lo<=Y<=hi}]
 for a conditional normal Y, except the spread/power shortfall term, whose
 inner integrand (S1 - S2 - K)^p has no tilt representation and is
 integrated numerically after the substitution x = d(y) + t^4 that removes
-the algebraic edge.  _psi_side is the one quadrature entry point;
-psi_linear and psi_power call it once per side.
+the algebraic edge.
+
+_psi_side is the one quadrature entry point, and it takes an array of c:
+every side integrates one interval per c in one integrate_batch call, its
+integrand indexing the per-c constants by interval id.  Per-c constants
+(ln c, c^q) are taken in Python floats, and integrate_batch sums each
+interval on its own, so a value does not depend on the other c's of the
+call.  psi_linear and psi_power call it at one c, once per side.
 
 Monte Carlo twins of both functions (psi_mc) sample W_T under P and W~_T
 under P~ directly and work for every payoff, including Custom and the
@@ -51,6 +57,10 @@ _SIGN_TOL = 1e-14
 TRUNC_SD = 10.0
 _INNER_PANELS_MIN = 16
 _INNER_PANELS_MAX = 96
+# abscissae per inner-integral chunk: 16384 doubles (128 KiB) per temporary
+# stay in the heap and the L2 cache; a temporary of all rows (up to
+# 120 x 96 x 15, 1.4 MB) is mapped and unmapped again on every call
+_INNER_CHUNK_POINTS = 16384
 
 
 @dataclass(frozen=True)
@@ -94,6 +104,22 @@ def _lnc(c: float) -> float:
     if math.isinf(c):
         return math.inf
     return math.log(c)
+
+
+def _each(fn, c) -> np.ndarray:
+    """fn at each c, in Python floats: the same bits as a one-c call."""
+    return np.array([fn(float(ci)) for ci in c], dtype=float)
+
+
+def _c_weight(c, q: float, b: float, t: float) -> np.ndarray:
+    """c^q e^(-q b t) at each c, 0 at c = inf, in Python floats."""
+    return _each(lambda ci: 0.0 if math.isinf(ci)
+                 else ci ** q * math.exp(-q * b * t), c)
+
+
+def _integrate(f, lo: float, hi: float, live):
+    """integrate_batch of f over [lo, hi] once per c; 0 where not live."""
+    return integrate_batch(f, np.full(live.size, lo), np.where(live, hi, lo))
 
 
 @dataclass(frozen=True)
@@ -148,8 +174,8 @@ def _side_fields(ctx: _Ctx, tilde: bool):
     return ctx.cons.b_cap, ctx.m1p, ctx.m2p, ""
 
 
-def _half_line(a: float, rest, big_l: float):
-    """(lo, hi) of {v : a v + rest >= L}, elementwise over rest.
+def _half_line(a: float, rest, big_l):
+    """(lo, hi) of {v : a v + rest >= L}, elementwise over rest and L.
 
     |a| <= _SIGN_TOL counts as a = 0: then the set is everything or nothing.
     """
@@ -170,10 +196,11 @@ def _digital_xy(ctx: _Ctx):
 
 
 # ---------------------------------------------------------------------------
-# linear loss, one side (tilde=False -> Psi1 under P, tilde=True -> Psi2)
+# linear loss, one side (tilde=False -> Psi1 under P, tilde=True -> Psi2),
+# at each c of an array; c = inf gives an empty interval (A_c is empty)
 # ---------------------------------------------------------------------------
 
-def _digital_linear_side(ctx: _Ctx, c: float, tilde: bool):
+def _digital_linear_one(ctx: _Ctx, c: float, tilde: bool):
     bs, _m1, _m2, suf = _side_fields(ctx, tilde)
     thr_b = ctx.cons.thresholds["b" + suf]
     big_l = _lnc(c) - bs * ctx.cons.T
@@ -198,41 +225,40 @@ def _digital_linear_side(ctx: _Ctx, c: float, tilde: bool):
     return ctx.k * rect_upper_prob(law, (thr_b, big_l)), ctx.k * RECT_ERR
 
 
-def _qd_linear_side(ctx: _Ctx, c: float, tilde: bool):
+def _digital_linear_side(ctx: _Ctx, c, tilde: bool):
+    # closed form, no quadrature: one c at a time
+    return _each(lambda ci: _digital_linear_one(ctx, ci, tilde), c).T
+
+
+def _qd_linear_side(ctx: _Ctx, c, tilde: bool):
     bs, m1, m2, suf = _side_fields(ctx, tilde)
     thr_a1 = ctx.cons.thresholds["a1" + suf]
-    big_l = _lnc(c) - bs * ctx.cons.T
+    big_l = _each(_lnc, c) - bs * ctx.cons.T
     a1, a2 = ctx.cons.a1, ctx.cons.a2
     sg1, sg2 = ctx.params.sigma
     s10, s20 = ctx.params.s0
     rho, sd, cond_sd, k = ctx.rho, ctx.sd, ctx.cond_sd, ctx.k
-    lo, hi = max(thr_a1, -ctx.cap), ctx.cap
-    if lo >= hi or math.isinf(big_l) and big_l > 0:
-        return 0.0, 0.0
 
-    def f(x, _ids):
+    def f(x, ids):
         g = np.maximum(s10 * np.exp(m1 + sg1 * x) - k, 0.0)
-        lo_y, hi_y = _half_line(a2, a1 * x, big_l)
+        lo_y, hi_y = _half_line(a2, a1 * x, big_l[ids])
         mass = tilted_interval_mass(sg2, rho * x, cond_sd, lo_y, hi_y)
         return _phi(x, sd) * g * s20 * np.exp(m2) * mass
 
-    vals, errs = integrate_batch(f, [lo], [hi])
-    return float(vals[0]), float(errs[0])
+    return _integrate(f, max(thr_a1, -ctx.cap), ctx.cap, big_l < math.inf)
 
 
-def _qf_linear_side(ctx: _Ctx, c: float, tilde: bool):
+def _qf_linear_side(ctx: _Ctx, c, tilde: bool):
     bs, m1, m2, suf = _side_fields(ctx, tilde)
     thr_d = ctx.cons.thresholds["d" + suf]
-    big_l = _lnc(c) - bs * ctx.cons.T
+    big_l = _each(_lnc, c) - bs * ctx.cons.T
     a1, a2 = ctx.cons.a1, ctx.cons.a2
     sg1, sg2 = ctx.params.sigma
     s10, s20 = ctx.params.s0
     rho, sd, cond_sd, k = ctx.rho, ctx.sd, ctx.cond_sd, ctx.k
-    if math.isinf(big_l) and big_l > 0:
-        return 0.0, 0.0
 
-    def f(y, _ids):
-        lo_x, hi_x = _half_line(a1, a2 * y, big_l)
+    def f(y, ids):
+        lo_x, hi_x = _half_line(a1, a2 * y, big_l[ids])
         lo_x = np.maximum(lo_x, (thr_d - sg2 * y) / sg1)
         m_c = rho * y
         t1 = s10 * np.exp(m1) * tilted_interval_mass(sg1, m_c, cond_sd, lo_x, hi_x)
@@ -240,62 +266,57 @@ def _qf_linear_side(ctx: _Ctx, c: float, tilde: bool):
             0.0, m_c, cond_sd, lo_x, hi_x)
         return _phi(y, sd) * (t1 - t2)
 
-    vals, errs = integrate_batch(f, [-ctx.cap], [ctx.cap])
-    return float(vals[0]), float(errs[0])
+    return _integrate(f, -ctx.cap, ctx.cap, big_l < math.inf)
 
 
-def _outp_linear_side(ctx: _Ctx, c: float, tilde: bool):
+def _outp_linear_side(ctx: _Ctx, c, tilde: bool):
     bs, m1, m2, suf = _side_fields(ctx, tilde)
     thr = ctx.cons.thresholds
     thr_a1, thr_a2, thr_b = thr["a1" + suf], thr["a2" + suf], thr["b" + suf]
-    big_l = _lnc(c) - bs * ctx.cons.T
+    big_l = _each(_lnc, c) - bs * ctx.cons.T
     a1, a2 = ctx.cons.a1, ctx.cons.a2
     sg1, sg2 = ctx.params.sigma
     s10, s20 = ctx.params.s0
     rho, sd, cond_sd, k = ctx.rho, ctx.sd, ctx.cond_sd, ctx.k
-    if math.isinf(big_l) and big_l > 0:
-        return 0.0, 0.0
+    live = big_l < math.inf
 
-    def f_r1(x, _ids):
+    def f_r1(x, ids):
         g = np.maximum(s10 * np.exp(m1 + sg1 * x) - k, 0.0)
-        lo_y, hi_y = _half_line(a2, a1 * x, big_l)
+        lo_y, hi_y = _half_line(a2, a1 * x, big_l[ids])
         hi_y = np.minimum(hi_y, (sg1 * x - thr_b) / sg2)
         mass = tilted_interval_mass(0.0, rho * x, cond_sd, lo_y, hi_y)
         return _phi(x, sd) * g * mass
 
-    def f_r2(y, _ids):
+    def f_r2(y, ids):
         g = np.maximum(s20 * np.exp(m2 + sg2 * y) - k, 0.0)
-        lo_x, hi_x = _half_line(a1, a2 * y, big_l)
+        lo_x, hi_x = _half_line(a1, a2 * y, big_l[ids])
         hi_x = np.minimum(hi_x, (sg2 * y + thr_b) / sg1)
         mass = tilted_interval_mass(0.0, rho * y, cond_sd, lo_x, hi_x)
         return _phi(y, sd) * g * mass
 
-    v1, e1 = integrate_batch(f_r1, [max(thr_a1, -ctx.cap)], [ctx.cap])
-    v2, e2 = integrate_batch(f_r2, [max(thr_a2, -ctx.cap)], [ctx.cap])
-    return float(v1[0] + v2[0]), float(e1[0] + e2[0])
+    v1, e1 = _integrate(f_r1, max(thr_a1, -ctx.cap), ctx.cap, live)
+    v2, e2 = _integrate(f_r2, max(thr_a2, -ctx.cap), ctx.cap, live)
+    return v1 + v2, e1 + e2
 
 
-def _spread_linear_side(ctx: _Ctx, c: float, tilde: bool):
+def _spread_linear_side(ctx: _Ctx, c, tilde: bool):
     bs, m1, m2, _suf = _side_fields(ctx, tilde)
-    big_l = _lnc(c) - bs * ctx.cons.T
+    big_l = _each(_lnc, c) - bs * ctx.cons.T
     a1, a2 = ctx.cons.a1, ctx.cons.a2
     sg1, sg2 = ctx.params.sigma
     s10, s20 = ctx.params.s0
     rho, sd, cond_sd, k = ctx.rho, ctx.sd, ctx.cond_sd, ctx.k
-    if math.isinf(big_l) and big_l > 0:
-        return 0.0, 0.0
 
-    def f(y, _ids):
+    def f(y, ids):
         s2v = s20 * np.exp(m2 + sg2 * y)
-        lo_x, hi_x = _half_line(a1, a2 * y, big_l)
+        lo_x, hi_x = _half_line(a1, a2 * y, big_l[ids])
         lo_x = np.maximum(lo_x, (np.log((s2v + k) / s10) - m1) / sg1)
         m_c = rho * y
         t1 = s10 * np.exp(m1) * tilted_interval_mass(sg1, m_c, cond_sd, lo_x, hi_x)
         t2 = (s2v + k) * tilted_interval_mass(0.0, m_c, cond_sd, lo_x, hi_x)
         return _phi(y, sd) * (t1 - t2)
 
-    vals, errs = integrate_batch(f, [-ctx.cap], [ctx.cap])
-    return float(vals[0]), float(errs[0])
+    return _integrate(f, -ctx.cap, ctx.cap, big_l < math.inf)
 
 
 _LINEAR_SIDES = {
@@ -308,10 +329,12 @@ _LINEAR_SIDES = {
 
 
 # ---------------------------------------------------------------------------
-# power loss
+# power loss, at each c of an array: Psi1 sides see 0 < c <= inf, Psi2
+# sides 0 < c < inf (_psi_side settles the other c's).  A term weighted by
+# coef2 is skipped, by mask, where coef2 is 0: at c = inf it is 0 * inf.
 # ---------------------------------------------------------------------------
 
-def _digital_power_psi1(ctx: _Ctx, c: float, p: float):
+def _digital_power_psi1(ctx: _Ctx, c, p: float):
     a1, a2 = ctx.cons.a1, ctx.cons.a2
     sg1, sg2 = ctx.params.sigma
     k, t = ctx.k, ctx.cons.T
@@ -323,44 +346,38 @@ def _digital_power_psi1(ctx: _Ctx, c: float, p: float):
     p_b = _norm_sf(thr_b / sd_x)
     amax = max(abs(a1), abs(a2))
     if amax <= _SIGN_TOL:
-        scaled = k ** p if c > k ** (p - 1.0) else (0.0 if c == 0 else c ** q)
-        return (scaled / p) * p_b, 0.0
-    u_c = _lnc(c) - (p - 1.0) * math.log(k) - b_cap * t
+        scaled = _each(lambda ci: k ** p if ci > k ** (p - 1.0) else ci ** q, c)
+        return (scaled / p) * p_b, np.zeros(c.size)
+    u_c = _each(_lnc, c) - (p - 1.0) * math.log(k) - b_cap * t
+    w = _c_weight(c, q, b_cap, t) / p
     det = sg1 * a2 + sg2 * a1
     if abs(det) <= _SIGN_TOL * max(sg1, sg2) * amax:
         lam = a1 / sg1
+        cut = np.maximum(thr_b, u_c / lam)
         if lam > 0:
-            a_lo, a_hi = max(thr_b, u_c / lam), np.inf
-            c_lo, c_hi = thr_b, max(thr_b, u_c / lam)
+            a_lo, a_hi, c_lo, c_hi = cut, np.inf, thr_b, cut
         else:
-            a_lo, a_hi = thr_b, u_c / lam
-            c_lo, c_hi = max(thr_b, u_c / lam), np.inf
-        term1 = (k ** p / p) * float(tilted_interval_mass(0.0, 0.0, sd_x, c_lo, c_hi))
-        term2 = 0.0
-        if not math.isinf(c):
-            term2 = (c ** q * math.exp(-q * b_cap * t) / p) * float(
-                tilted_interval_mass(-q * lam, 0.0, sd_x, a_lo, a_hi))
-        return term1 + term2, 0.0
+            a_lo, a_hi, c_lo, c_hi = thr_b, u_c / lam, cut, np.inf
+        term1 = (k ** p / p) * tilted_interval_mass(0.0, 0.0, sd_x, c_lo, c_hi)
+        term2 = w * tilted_interval_mass(-q * lam, 0.0, sd_x, a_lo, a_hi)
+        return term1 + term2, np.zeros(c.size)
     law = GaussianLaw(2, np.zeros(2), cov)
-    val = (k ** p / p) * (p_b - rect_upper_prob(law, (thr_b, u_c)))
-    err = (k ** p / p) * RECT_ERR
-    if not math.isinf(c):
-        coef = cov[0, 1] / cov[0, 0]
-        s_yx = math.sqrt(max(cov[1, 1] - coef * cov[0, 1], 0.0))
+    val = (k ** p / p) * (p_b - _each(
+        lambda u: rect_upper_prob(law, (thr_b, u)), u_c))
+    err = np.full(c.size, (k ** p / p) * RECT_ERR)
+    coef = cov[0, 1] / cov[0, 0]
+    s_yx = math.sqrt(max(cov[1, 1] - coef * cov[0, 1], 0.0))
 
-        def f(x, _ids):
-            return _phi(x, sd_x) * tilted_interval_mass(
-                -q, coef * x, s_yx, u_c, np.inf)
+    def f(x, ids):
+        return _phi(x, sd_x) * tilted_interval_mass(
+            -q, coef * x, s_yx, u_c[ids], np.inf)
 
-        vals, errs = integrate_batch(f, [max(thr_b, -ctx.trunc_sd * sd_x)],
-                                     [ctx.trunc_sd * sd_x])
-        w = c ** q * math.exp(-q * b_cap * t) / p
-        val += w * float(vals[0])
-        err += w * float(errs[0])
-    return val, err
+    vals, errs = _integrate(f, max(thr_b, -ctx.trunc_sd * sd_x),
+                            ctx.trunc_sd * sd_x, c < math.inf)
+    return val + w * vals, err + w * errs
 
 
-def _digital_power_psi2(ctx: _Ctx, c: float, p: float):
+def _digital_power_psi2(ctx: _Ctx, c, p: float):
     a1, a2 = ctx.cons.a1, ctx.cons.a2
     sg1, sg2 = ctx.params.sigma
     k, t = ctx.k, ctx.cons.T
@@ -370,34 +387,34 @@ def _digital_power_psi2(ctx: _Ctx, c: float, p: float):
     cov = _digital_xy(ctx)
     sd_x = math.sqrt(cov[0, 0])
     amax = max(abs(a1), abs(a2))
-    if math.isinf(c):
-        return 0.0, 0.0
     if amax <= _SIGN_TOL:
-        val = max(k - c ** kap, 0.0) * _norm_sf(thr_b / sd_x)
-        return val, 0.0
-    u_c = _lnc(c) - (p - 1.0) * math.log(k) - b_tilde * t
+        p_b = _norm_sf(thr_b / sd_x)
+        return _each(lambda ci: max(k - ci ** kap, 0.0) * p_b, c), \
+            np.zeros(c.size)
+    u_c = _each(_lnc, c) - (p - 1.0) * math.log(k) - b_tilde * t
+    w = _c_weight(c, kap, b_tilde, t)
     det = sg1 * a2 + sg2 * a1
     if abs(det) <= _SIGN_TOL * max(sg1, sg2) * amax:
         lam = a1 / sg1
         if lam > 0:
-            a_lo, a_hi = max(thr_b, u_c / lam), np.inf
+            a_lo, a_hi = np.maximum(thr_b, u_c / lam), np.inf
         else:
             a_lo, a_hi = thr_b, u_c / lam
-        val = k * float(tilted_interval_mass(0.0, 0.0, sd_x, a_lo, a_hi))
-        val -= c ** kap * math.exp(-kap * b_tilde * t) * float(
-            tilted_interval_mass(-kap * lam, 0.0, sd_x, a_lo, a_hi))
-        return val, 0.0
-    pj = rect_upper_prob(GaussianLaw(2, np.zeros(2), cov), (thr_b, u_c))
+        val = k * tilted_interval_mass(0.0, 0.0, sd_x, a_lo, a_hi)
+        val = val - w * tilted_interval_mass(-kap * lam, 0.0, sd_x, a_lo, a_hi)
+        return val, np.zeros(c.size)
+    law = GaussianLaw(2, np.zeros(2), cov)
+    pj = _each(lambda u: rect_upper_prob(law, (thr_b, u)), u_c)
     coef = cov[0, 1] / cov[0, 0]
     s_yx = math.sqrt(max(cov[1, 1] - coef * cov[0, 1], 0.0))
 
-    def f(x, _ids):
-        return _phi(x, sd_x) * tilted_interval_mass(-kap, coef * x, s_yx, u_c, np.inf)
+    def f(x, ids):
+        return _phi(x, sd_x) * tilted_interval_mass(-kap, coef * x, s_yx,
+                                                    u_c[ids], np.inf)
 
-    vals, errs = integrate_batch(f, [max(thr_b, -ctx.trunc_sd * sd_x)],
-                                 [ctx.trunc_sd * sd_x])
-    w = c ** kap * math.exp(-kap * b_tilde * t)
-    return k * pj - w * float(vals[0]), k * RECT_ERR + w * float(errs[0])
+    vals, errs = _integrate(f, max(thr_b, -ctx.trunc_sd * sd_x),
+                            ctx.trunc_sd * sd_x, c < math.inf)
+    return k * pj - w * vals, k * RECT_ERR + w * errs
 
 
 def _qd_beta(ctx: _Ctx, p: float) -> float:
@@ -413,8 +430,9 @@ def _check_qd_power(ctx: _Ctx, p: float):
     return beta
 
 
-def _qd_power_boundary(ctx: _Ctx, c: float, p: float, tilde: bool, x):
-    """Row boundary w(x): the success region is {y >= w(x)}."""
+def _qd_power_boundary(ctx: _Ctx, lnc, p: float, tilde: bool, x):
+    """Row boundary w(x) at ln c = lnc (elementwise with x): the success
+    region is {y >= w(x)}."""
     bs, m1, m2, _suf = _side_fields(ctx, tilde)
     kap = 1.0 / (p - 1.0)
     beta = _qd_beta(ctx, p)
@@ -424,12 +442,12 @@ def _qd_power_boundary(ctx: _Ctx, c: float, p: float, tilde: bool, x):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g = s10 * np.exp(m1 + sg1 * x) - ctx.k
         ln_g = np.where(g > 0, np.log(np.maximum(g, 1e-300)), -np.inf)
-        num = (ln_g + math.log(s20) + m2 - kap * _lnc(c)
+        num = (ln_g + math.log(s20) + m2 - kap * lnc
                + kap * a1 * x + kap * bs * t)
     return -num / beta
 
 
-def _qd_power_psi1(ctx: _Ctx, c: float, p: float):
+def _qd_power_psi1(ctx: _Ctx, c, p: float):
     _check_qd_power(ctx, p)
     thr_a1 = ctx.cons.thresholds["a1"]
     a1, a2 = ctx.cons.a1, ctx.cons.a2
@@ -439,30 +457,26 @@ def _qd_power_psi1(ctx: _Ctx, c: float, p: float):
     q = p / (p - 1.0)
     b_cap = ctx.cons.b_cap
     c_p = (s20 * math.exp(ctx.m2p)) ** p
-    coef2 = 0.0 if math.isinf(c) else c ** q * math.exp(-q * b_cap * t)
+    lnc = _each(_lnc, c)
+    coef2 = _c_weight(c, q, b_cap, t)
 
-    def f(x, _ids):
-        w = _qd_power_boundary(ctx, c, p, False, x)
+    def f(x, ids):
+        w = _qd_power_boundary(ctx, lnc[ids], p, False, x)
         g = np.maximum(s10 * np.exp(ctx.m1p + sg1 * x) - k, 0.0)
         t1 = c_p * g ** p * tilted_interval_mass(p * sg2, rho * x, cond_sd,
                                                  -np.inf, w)
-        out = t1
-        if coef2 != 0.0:
-            out = out + coef2 * np.exp(-q * a1 * x) * tilted_interval_mass(
-                -q * a2, rho * x, cond_sd, w, np.inf)
+        c2 = coef2[ids]
+        out = np.where(c2 != 0.0, t1 + c2 * np.exp(-q * a1 * x)
+                       * tilted_interval_mass(-q * a2, rho * x, cond_sd, w,
+                                              np.inf), t1)
         return _phi(x, sd) * out / p
 
-    lo = max(thr_a1, -ctx.cap)
-    if lo >= ctx.cap:
-        return 0.0, 0.0
-    vals, errs = integrate_batch(f, [lo], [ctx.cap])
-    return float(vals[0]), float(errs[0])
+    return _integrate(f, max(thr_a1, -ctx.cap), ctx.cap,
+                      np.full(c.size, True))
 
 
-def _qd_power_psi2(ctx: _Ctx, c: float, p: float):
+def _qd_power_psi2(ctx: _Ctx, c, p: float):
     _check_qd_power(ctx, p)
-    if math.isinf(c):
-        return 0.0, 0.0
     thr_a1 = ctx.cons.thresholds["a1_tilde"]
     a1, a2 = ctx.cons.a1, ctx.cons.a2
     sg1, sg2 = ctx.params.sigma
@@ -470,22 +484,20 @@ def _qd_power_psi2(ctx: _Ctx, c: float, p: float):
     rho, sd, cond_sd, k, t = ctx.rho, ctx.sd, ctx.cond_sd, ctx.k, ctx.cons.T
     kap = 1.0 / (p - 1.0)
     b_tilde = ctx.cons.b_cap_tilde
-    coef = c ** kap * math.exp(-kap * b_tilde * t)
+    lnc = _each(_lnc, c)
+    coef = _c_weight(c, kap, b_tilde, t)
 
-    def f(x, _ids):
-        w = _qd_power_boundary(ctx, c, p, True, x)
+    def f(x, ids):
+        w = _qd_power_boundary(ctx, lnc[ids], p, True, x)
         g = np.maximum(s10 * np.exp(ctx.m1q + sg1 * x) - k, 0.0)
         t1 = s20 * math.exp(ctx.m2q) * g * tilted_interval_mass(
             sg2, rho * x, cond_sd, w, np.inf)
-        t2 = coef * np.exp(-kap * a1 * x) * tilted_interval_mass(
+        t2 = coef[ids] * np.exp(-kap * a1 * x) * tilted_interval_mass(
             -kap * a2, rho * x, cond_sd, w, np.inf)
         return _phi(x, sd) * (t1 - t2)
 
-    lo = max(thr_a1, -ctx.cap)
-    if lo >= ctx.cap:
-        return 0.0, 0.0
-    vals, errs = integrate_batch(f, [lo], [ctx.cap])
-    return float(vals[0]), float(errs[0])
+    return _integrate(f, max(thr_a1, -ctx.cap), ctx.cap,
+                      np.full(c.size, True))
 
 
 def _qf_uz(ctx: _Ctx, p: float):
@@ -515,7 +527,7 @@ def _qf_uz(ctx: _Ctx, p: float):
     return inv, g_u, g_z, sd_z, coef_uz, sd_u_z
 
 
-def _qf_power_psi1(ctx: _Ctx, c: float, p: float):
+def _qf_power_psi1(ctx: _Ctx, c, p: float):
     inv, g_u, g_z, sd_z, coef_uz, sd_u_z = _qf_uz(ctx, p)
     s10, s20 = ctx.params.s0
     sg2 = ctx.params.sigma[1]
@@ -524,35 +536,30 @@ def _qf_power_psi1(ctx: _Ctx, c: float, p: float):
     kap, q = 1.0 / (p - 1.0), p / (p - 1.0)
     b_cap = ctx.cons.b_cap
     k21, k22 = inv[1, 0], inv[1, 1]
-    ln_d = kap * _lnc(c) + math.log(s20) + ctx.m2p - kap * b_cap * t
+    ln_d = kap * _each(_lnc, c) + math.log(s20) + ctx.m2p - kap * b_cap * t
     c1 = s20 ** (-p) * math.exp(-p * ctx.m2p) / p
-    coef2 = 0.0 if math.isinf(c) else c ** q * math.exp(-q * b_cap * t) / p
+    coef2 = _c_weight(c, q, b_cap, t) / p
 
-    def f(z, _ids):
+    def f(z, ids):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             n_z = s10 * s20 * np.exp(ctx.m1p + ctx.m2p + z) - k
             n_z = np.maximum(n_z, 0.0)
-            v = np.where(n_z > 0, ln_d - np.log(np.maximum(n_z, 1e-300)), np.inf)
+            v = np.where(n_z > 0, ln_d[ids] - np.log(np.maximum(n_z, 1e-300)),
+                         np.inf)
         m_u = coef_uz * z
         t1 = c1 * n_z ** p * np.exp(-p * sg2 * k22 * z) * tilted_interval_mass(
             -p * sg2 * k21, m_u, sd_u_z, -np.inf, v)
-        out = t1
-        if coef2 != 0.0:
-            out = out + coef2 * np.exp(-q * g_z * z) * tilted_interval_mass(
-                -q * g_u, m_u, sd_u_z, v, np.inf)
+        c2 = coef2[ids]
+        out = np.where(c2 != 0.0, t1 + c2 * np.exp(-q * g_z * z)
+                       * tilted_interval_mass(-q * g_u, m_u, sd_u_z, v,
+                                              np.inf), t1)
         return _phi(z, sd_z) * out
 
-    lo = max(thr_d, -ctx.trunc_sd * sd_z)
-    hi = ctx.trunc_sd * sd_z
-    if lo >= hi:
-        return 0.0, 0.0
-    vals, errs = integrate_batch(f, [lo], [hi])
-    return float(vals[0]), float(errs[0])
+    return _integrate(f, max(thr_d, -ctx.trunc_sd * sd_z),
+                      ctx.trunc_sd * sd_z, np.full(c.size, True))
 
 
-def _qf_power_psi2(ctx: _Ctx, c: float, p: float):
-    if math.isinf(c):
-        return 0.0, 0.0
+def _qf_power_psi2(ctx: _Ctx, c, p: float):
     inv, g_u, g_z, sd_z, coef_uz, sd_u_z = _qf_uz(ctx, p)
     s10, s20 = ctx.params.s0
     sg2 = ctx.params.sigma[1]
@@ -561,28 +568,25 @@ def _qf_power_psi2(ctx: _Ctx, c: float, p: float):
     kap = 1.0 / (p - 1.0)
     b_tilde = ctx.cons.b_cap_tilde
     k21, k22 = inv[1, 0], inv[1, 1]
-    ln_d = kap * _lnc(c) + math.log(s20) + ctx.m2q - kap * b_tilde * t
+    ln_d = kap * _each(_lnc, c) + math.log(s20) + ctx.m2q - kap * b_tilde * t
     c1 = 1.0 / (s20 * math.exp(ctx.m2q))
-    coef2 = c ** kap * math.exp(-kap * b_tilde * t)
+    coef2 = _c_weight(c, kap, b_tilde, t)
 
-    def f(z, _ids):
+    def f(z, ids):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             n_z = s10 * s20 * np.exp(ctx.m1q + ctx.m2q + z) - k
             n_z = np.maximum(n_z, 0.0)
-            v = np.where(n_z > 0, ln_d - np.log(np.maximum(n_z, 1e-300)), np.inf)
+            v = np.where(n_z > 0, ln_d[ids] - np.log(np.maximum(n_z, 1e-300)),
+                         np.inf)
         m_u = coef_uz * z
         t1 = c1 * n_z * np.exp(-sg2 * k22 * z) * tilted_interval_mass(
             -sg2 * k21, m_u, sd_u_z, v, np.inf)
-        t2 = coef2 * np.exp(-kap * g_z * z) * tilted_interval_mass(
+        t2 = coef2[ids] * np.exp(-kap * g_z * z) * tilted_interval_mass(
             -kap * g_u, m_u, sd_u_z, v, np.inf)
         return _phi(z, sd_z) * (t1 - t2)
 
-    lo = max(thr_d, -ctx.trunc_sd * sd_z)
-    hi = ctx.trunc_sd * sd_z
-    if lo >= hi:
-        return 0.0, 0.0
-    vals, errs = integrate_batch(f, [lo], [hi])
-    return float(vals[0]), float(errs[0])
+    return _integrate(f, max(thr_d, -ctx.trunc_sd * sd_z),
+                      ctx.trunc_sd * sd_z, np.full(c.size, True))
 
 
 def _check_outp_power(ctx: _Ctx):
@@ -593,11 +597,9 @@ def _check_outp_power(ctx: _Ctx):
             f"(got A1={a1:.6g}, A2={a2:.6g}); use the Monte Carlo route")
 
 
-def _outp_power_side(ctx: _Ctx, c: float, p: float, tilde: bool):
+def _outp_power_side(ctx: _Ctx, c, p: float, tilde: bool):
     """Either Psi1^p (tilde=False) or Psi2^p (tilde=True)."""
     _check_outp_power(ctx)
-    if tilde and math.isinf(c):
-        return 0.0, 0.0
     bs, m1, m2, suf = _side_fields(ctx, tilde)
     thr = ctx.cons.thresholds
     thr_a1, thr_a2, thr_b = thr["a1" + suf], thr["a2" + suf], thr["b" + suf]
@@ -606,42 +608,41 @@ def _outp_power_side(ctx: _Ctx, c: float, p: float, tilde: bool):
     s10, s20 = ctx.params.s0
     rho, sd, cond_sd, k, t = ctx.rho, ctx.sd, ctx.cond_sd, ctx.k, ctx.cons.T
     kap, q = 1.0 / (p - 1.0), p / (p - 1.0)
-    lnc = _lnc(c)
-    if tilde:
-        coef2 = c ** kap * math.exp(-kap * bs * t)
-    else:
-        coef2 = 0.0 if math.isinf(c) else c ** q * math.exp(-q * bs * t)
+    lnc = _each(_lnc, c)
+    coef2 = _c_weight(c, kap, bs, t) if tilde else _c_weight(c, q, bs, t)
 
-    def region(outer, own_a, other_a, own_sg, other_sg, s0_own, m_own, thr_cap):
+    def region(outer, ids, own_a, other_a, own_sg, other_sg, s0_own, m_own,
+               thr_cap):
         g = np.maximum(s0_own * np.exp(m_own + own_sg * outer) - k, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             ln_g = np.where(g > 0, np.log(np.maximum(g, 1e-300)), -np.inf)
-            v = (lnc - (p - 1.0) * ln_g - own_a * outer - bs * t) / other_a
+            v = (lnc[ids] - (p - 1.0) * ln_g - own_a * outer - bs * t) / other_a
         cap = (own_sg * outer - thr_cap) / other_sg
         m_c = rho * outer
+        c2 = coef2[ids]
         if tilde:
             t1 = g * tilted_interval_mass(0.0, m_c, cond_sd, v, cap)
-            t2 = coef2 * np.exp(-kap * own_a * outer) * tilted_interval_mass(
+            t2 = c2 * np.exp(-kap * own_a * outer) * tilted_interval_mass(
                 -kap * other_a, m_c, cond_sd, v, cap)
             return _phi(outer, sd) * (t1 - t2)
         t1 = g ** p * tilted_interval_mass(0.0, m_c, cond_sd, -np.inf,
                                            np.minimum(v, cap))
-        out = t1
-        if coef2 != 0.0:
-            out = out + coef2 * np.exp(-q * own_a * outer) * tilted_interval_mass(
-                -q * other_a, m_c, cond_sd, v, cap)
+        out = np.where(c2 != 0.0, t1 + c2 * np.exp(-q * own_a * outer)
+                       * tilted_interval_mass(-q * other_a, m_c, cond_sd, v,
+                                              cap), t1)
         return _phi(outer, sd) * out / p
 
-    def f_r1(x, _ids):
-        return region(x, a1, a2, sg1, sg2, s10, m1, thr_b)
+    def f_r1(x, ids):
+        return region(x, ids, a1, a2, sg1, sg2, s10, m1, thr_b)
 
-    def f_r2(y, _ids):
+    def f_r2(y, ids):
         # region 2 constraint is sigma1 x - sigma2 y < b, i.e. x < (sigma2 y + b)/sigma1
-        return region(y, a2, a1, sg2, sg1, s20, m2, -thr_b)
+        return region(y, ids, a2, a1, sg2, sg1, s20, m2, -thr_b)
 
-    v1, e1 = integrate_batch(f_r1, [max(thr_a1, -ctx.cap)], [ctx.cap])
-    v2, e2 = integrate_batch(f_r2, [max(thr_a2, -ctx.cap)], [ctx.cap])
-    return float(v1[0] + v2[0]), float(e1[0] + e2[0])
+    live = np.full(c.size, True)
+    v1, e1 = _integrate(f_r1, max(thr_a1, -ctx.cap), ctx.cap, live)
+    v2, e2 = _integrate(f_r2, max(thr_a2, -ctx.cap), ctx.cap, live)
+    return v1 + v2, e1 + e2
 
 
 def _check_spread_power(ctx: _Ctx):
@@ -660,64 +661,97 @@ def _spread_d_of_y(ctx: _Ctx, y, tilde: bool):
     return (np.log((s2v + ctx.k) / s10) - m1) / sg1, s2v
 
 
-def _spread_xstar(ctx: _Ctx, c: float, p: float, y, tilde: bool):
+def _spread_xstar(ctx: _Ctx, lnc, p: float, y, tilde: bool):
     """Unique crossing x*(y) of c^k Z~^k = S1(x) - S2(y) - K, above d(y).
 
-    Vectorized bisection to 1e-12 absolute in x.  c = 0 gives d(y); c = inf
-    gives +inf.
+    lnc = ln c, per row or one for all.  Vectorized bisection to 1e-12
+    absolute in x, row by row.  c = 0 gives d(y); c = inf gives +inf.
     """
     _check_spread_power(ctx)
     bs, m1, _m2, _suf = _side_fields(ctx, tilde)
     y = np.asarray(y, dtype=float)
     d_y, s2v = _spread_d_of_y(ctx, y, tilde)
-    if c == 0.0:
-        return d_y.copy(), d_y
-    if math.isinf(c):
-        return np.full_like(d_y, np.inf), d_y
+    lnc = np.broadcast_to(np.asarray(lnc, dtype=float), d_y.shape)
+    x_star = np.where(lnc == -np.inf, d_y, np.inf)
+    rows = np.isfinite(lnc)
+    if not rows.any():
+        return x_star, d_y
     kap = 1.0 / (p - 1.0)
     a1, a2, t = ctx.cons.a1, ctx.cons.a2, ctx.cons.T
     s10 = ctx.params.s0[0]
     sg1 = ctx.params.sigma[0]
-    lnc = math.log(c)
+    lnc_r, y_r, d_r, s2v_r = lnc[rows], y[rows], d_y[rows], s2v[rows]
 
     def h(x):
         # decreasing in x: left side is the kappa-log of c Z~, right side
         # the log payoff; h > 0 means x is left of the crossing
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            lhs = kap * (lnc - a1 * x - a2 * y - bs * t)
-            gap = s10 * np.exp(m1 + sg1 * x) - s2v - ctx.k
+            lhs = kap * (lnc_r - a1 * x - a2 * y_r - bs * t)
+            gap = s10 * np.exp(m1 + sg1 * x) - s2v_r - ctx.k
             rhs = np.where(gap > 0, np.log(np.maximum(gap, 1e-300)), -np.inf)
         return lhs - rhs
 
-    lo = d_y.copy()
-    width = np.full_like(d_y, 1.0)
-    hi = d_y + width
+    lo = d_r.copy()
+    width = np.full_like(d_r, 1.0)
+    hi = d_r + width
     for _ in range(80):
         mask = h(hi) > 0
         if not mask.any():
             break
         width = np.where(mask, width * 2.0, width)
-        hi = np.where(mask, d_y + width, hi)
+        hi = np.where(mask, d_r + width, hi)
     for _ in range(64):
         mid = 0.5 * (lo + hi)
         above = h(mid) > 0
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
-    return 0.5 * (lo + hi), d_y
+    x_star[rows] = 0.5 * (lo + hi)
+    return x_star, d_y
 
 
-def _spread_power_psi1(ctx: _Ctx, c: float, p: float):
+def _spread_shortfall_rows(ctx: _Ctx, p: float, d_y, s2k, m_c, t_hi):
+    """Inner integral of (S1 - S2 - K)^p over [d(y), d(y) + t_hi^4] under
+    the conditional law of W1, row-wise after x = d(y) + t^4.  The panel
+    count follows the widest of the given rows."""
+    s10 = ctx.params.s0[0]
+    sg1 = ctx.params.sigma[0]
+    cond_sd = ctx.cond_sd
+    n_panels = int(np.clip(
+        math.ceil(4.0 * float(np.max(t_hi, initial=0.0)) ** 4
+                  / (0.75 * cond_sd)),
+        _INNER_PANELS_MIN, _INNER_PANELS_MAX))
+
+    # rows in chunks: a row's value does not depend on the other rows
+    step = max(1, _INNER_CHUNK_POINTS // (15 * n_panels))
+    out = np.empty_like(t_hi)
+    for i in range(0, t_hi.size, step):
+        r = slice(i, i + step)
+        d_r, s_r, m_r = d_y[r], s2k[r], m_c[r]
+
+        def inner(tt):
+            x = d_r[:, None, None] + tt ** 4
+            gap = np.maximum(s10 * np.exp(ctx.m1p + sg1 * x)
+                             - s_r[:, None, None], 0.0)
+            return (gap ** p * _phi(x - m_r[:, None, None], cond_sd)
+                    * 4.0 * tt ** 3)
+
+        out[r] = integrate_rows(inner, np.zeros_like(t_hi[r]), t_hi[r],
+                                n_panels)
+    return out
+
+
+def _spread_power_psi1(ctx: _Ctx, c, p: float):
     _check_spread_power(ctx)
     a1, a2 = ctx.cons.a1, ctx.cons.a2
     sg1, sg2 = ctx.params.sigma
-    s10 = ctx.params.s0[0]
     rho, sd, cond_sd, k, t = ctx.rho, ctx.sd, ctx.cond_sd, ctx.k, ctx.cons.T
     q = p / (p - 1.0)
     b_cap = ctx.cons.b_cap
-    coef2 = 0.0 if math.isinf(c) else c ** q * math.exp(-q * b_cap * t)
+    lnc = _each(_lnc, c)
+    coef2 = _c_weight(c, q, b_cap, t)
 
-    def f(y, _ids):
-        x_star, d_y = _spread_xstar(ctx, c, p, y, False)
+    def f(y, ids):
+        x_star, d_y = _spread_xstar(ctx, lnc[ids], p, y, False)
         m_c = rho * y
         # inner cap: beyond the tilt-shifted conditional tail the p-th power
         # of the gap carries negligible mass
@@ -725,56 +759,48 @@ def _spread_power_psi1(ctx: _Ctx, c: float, p: float):
                               np.maximum(d_y, m_c + p * sg1 * cond_sd ** 2
                                          + (ctx.trunc_sd + 2.0) * cond_sd))
         t_hi = np.maximum(hi_inner - d_y, 0.0) ** 0.25
-        n_panels = int(np.clip(
-            math.ceil(4.0 * float(np.max(t_hi, initial=0.0)) ** 4
-                      / (0.75 * cond_sd)),
-            _INNER_PANELS_MIN, _INNER_PANELS_MAX))
         s2k = np.exp(ctx.m2p + sg2 * y) * ctx.params.s0[1] + k
-
-        def inner(tt):
-            x = d_y[:, None, None] + tt ** 4
-            gap = np.maximum(s10 * np.exp(ctx.m1p + sg1 * x)
-                             - s2k[:, None, None], 0.0)
-            return (gap ** p * _phi(x - m_c[:, None, None], cond_sd)
-                    * 4.0 * tt ** 3)
-
-        t1 = integrate_rows(inner, np.zeros_like(t_hi), t_hi, n_panels)
+        # one c at a time, so that each c's panel count and temporaries are
+        # those of a one-c call
+        t1 = np.empty_like(y)
+        for i in np.unique(ids):
+            r = ids == i
+            t1[r] = _spread_shortfall_rows(ctx, p, d_y[r], s2k[r], m_c[r],
+                                           t_hi[r])
         out = t1 / p
-        if coef2 != 0.0:
-            out = out + (coef2 / p) * np.exp(-q * a2 * y) * \
-                tilted_interval_mass(-q * a1, m_c, cond_sd, x_star, np.inf)
+        c2 = coef2[ids]
+        out = np.where(c2 != 0.0, out + (c2 / p) * np.exp(-q * a2 * y)
+                       * tilted_interval_mass(-q * a1, m_c, cond_sd, x_star,
+                                              np.inf), out)
         return _phi(y, sd) * out
 
-    vals, errs = integrate_batch(f, [-ctx.cap], [ctx.cap])
-    return float(vals[0]), float(errs[0])
+    return _integrate(f, -ctx.cap, ctx.cap, np.full(c.size, True))
 
 
-def _spread_power_psi2(ctx: _Ctx, c: float, p: float):
+def _spread_power_psi2(ctx: _Ctx, c, p: float):
     _check_spread_power(ctx)
-    if math.isinf(c):
-        return 0.0, 0.0
     a1, a2 = ctx.cons.a1, ctx.cons.a2
     sg1 = ctx.params.sigma[0]
     s10 = ctx.params.s0[0]
     rho, sd, cond_sd, k, t = ctx.rho, ctx.sd, ctx.cond_sd, ctx.k, ctx.cons.T
     kap = 1.0 / (p - 1.0)
     b_tilde = ctx.cons.b_cap_tilde
-    coef2 = c ** kap * math.exp(-kap * b_tilde * t)
+    lnc = _each(_lnc, c)
+    coef2 = _c_weight(c, kap, b_tilde, t)
+    _bs, m1, _m2, _suf = _side_fields(ctx, True)
 
-    def f(y, _ids):
-        x_star, _d_y = _spread_xstar(ctx, c, p, y, True)
-        _bs, m1, _m2, _suf = _side_fields(ctx, True)
+    def f(y, ids):
+        x_star, _d_y = _spread_xstar(ctx, lnc[ids], p, y, True)
         _dd, s2v = _spread_d_of_y(ctx, y, True)
         m_c = rho * y
         t1 = s10 * np.exp(m1) * tilted_interval_mass(sg1, m_c, cond_sd,
                                                      x_star, np.inf)
         t2 = (s2v + k) * tilted_interval_mass(0.0, m_c, cond_sd, x_star, np.inf)
-        t3 = coef2 * np.exp(-kap * a2 * y) * tilted_interval_mass(
+        t3 = coef2[ids] * np.exp(-kap * a2 * y) * tilted_interval_mass(
             -kap * a1, m_c, cond_sd, x_star, np.inf)
         return _phi(y, sd) * (t1 - t2 - t3)
 
-    vals, errs = integrate_batch(f, [-ctx.cap], [ctx.cap])
-    return float(vals[0]), float(errs[0])
+    return _integrate(f, -ctx.cap, ctx.cap, np.full(c.size, True))
 
 
 _POWER_PSI1 = {
@@ -816,47 +842,64 @@ def _sign_guard_power(payoff: Payoff, ctx: _Ctx, p: float):
         _check_spread_power(ctx)
 
 
-def _psi_side(payoff: Payoff, params: MarketParams, loss: LossSpec, c: float,
+def _psi_side(payoff: Payoff, params: MarketParams, loss: LossSpec, c,
               side: int, constants: Optional[MeasureConstants] = None,
               trunc_sd: float = TRUNC_SD):
-    """(value, err) of Psi1 (side=1) or Psi2 (side=2) by quadrature.
+    """(values, errs) of Psi1 (side=1) or Psi2 (side=2) by quadrature, as
+    arrays over the 1-d array of c.
 
-    The one closed-form Psi entry point: the solver needs one side per
-    iterate, and psi_linear / psi_power call it once per side.  A power
-    term that overflows (K^p at a large p, say) raises HeavyTailError.
+    The one closed-form Psi entry point: the solver reads one side at all
+    the c's of a step, and psi_linear / psi_power call it at one c, once
+    per side.  A value does not depend on the other c's of the call.  A
+    power term that overflows (K^p at a large p, say) raises
+    HeavyTailError.
     """
-    c = _validate_c(c)
+    c = np.array([_validate_c(ci) for ci in np.ravel(c)])
     if payoff.kind == CUSTOM:
         raise UnsupportedClosedFormError(
             "custom payoffs have no closed-form Psi; use psi_mc")
     ctx = _make_ctx(payoff, params, constants, trunc_sd)
     if loss.kind == LINEAR:
         v, e = _LINEAR_SIDES[payoff.kind](ctx, c, side == 2)
-        return max(v, 0.0), e
+        return np.maximum(v, 0.0), e
     _sign_guard_power(payoff, ctx, loss.p)
-    if c == 0.0:
-        if side == 1:
-            return 0.0, 0.0
-        v, e = _LINEAR_SIDES[payoff.kind](ctx, 0.0, True)
-        return max(v, 0.0), e
-    table = _POWER_PSI1 if side == 1 else _POWER_PSI2
-    try:
-        v, e = table[payoff.kind](ctx, c, loss.p)
-    except OverflowError:
-        raise HeavyTailError(
-            f"Psi{side} at p = {loss.p:g}, c = {c:g}: a power-loss term "
-            "overflows") from None
-    return max(v, 0.0), e
+    v, e = np.zeros(c.size), np.zeros(c.size)
+    at0 = c == 0.0
+    if side == 2 and at0.any():
+        v[at0], e[at0] = _LINEAR_SIDES[payoff.kind](ctx, c[at0], True)
+    # Psi1(0) = 0 and Psi2(inf) = 0: A_0 is everything, A_inf empty
+    rest = ~at0 if side == 1 else ~at0 & (c < math.inf)
+    if rest.any():
+        table = _POWER_PSI1 if side == 1 else _POWER_PSI2
+        try:
+            # an overflowing term is reported below, or by integrate_batch
+            # as a non-finite integrand, not as a RuntimeWarning
+            with np.errstate(over="ignore", invalid="ignore"):
+                v[rest], e[rest] = table[payoff.kind](ctx, c[rest], loss.p)
+        except OverflowError:
+            raise HeavyTailError(
+                f"Psi{side} at p = {loss.p:g}, c = {_fmt_c(c[rest])}: a "
+                "power-loss term overflows") from None
+        bad = ~(np.isfinite(v) & np.isfinite(e))
+        if bad.any():
+            raise HeavyTailError(
+                f"Psi{side} at p = {loss.p:g}, c = {_fmt_c(c[bad])}: a "
+                "power-loss term overflows")
+    return np.maximum(v, 0.0), e
+
+
+def _fmt_c(c) -> str:
+    return ", ".join(f"{ci:g}" for ci in c)
 
 
 def _psi_pair(payoff: Payoff, params: MarketParams, loss: LossSpec, c,
               constants: Optional[MeasureConstants],
               trunc_sd: float) -> PsiPair:
     c = _validate_c(c)
-    v1, e1 = _psi_side(payoff, params, loss, c, 1, constants, trunc_sd)
-    v2, e2 = _psi_side(payoff, params, loss, c, 2, constants, trunc_sd)
-    return PsiPair(psi1=v1, psi2=v2, c=c, method="quadrature",
-                   err_estimate=e1 + e2)
+    v1, e1 = _psi_side(payoff, params, loss, [c], 1, constants, trunc_sd)
+    v2, e2 = _psi_side(payoff, params, loss, [c], 2, constants, trunc_sd)
+    return PsiPair(psi1=float(v1[0]), psi2=float(v2[0]), c=c,
+                   method="quadrature", err_estimate=float(e1[0] + e2[0]))
 
 
 def psi_linear(payoff: Payoff, params: MarketParams,
@@ -897,7 +940,8 @@ def spread_region_boundary(constants: MeasureConstants, params: MarketParams,
     c = _validate_c(c)
     payoff = Payoff(SPREAD, strike=constants.strike)
     ctx = _make_ctx(payoff, params, constants, TRUNC_SD)
-    x_star, d_y = _spread_xstar(ctx, c, float(p), np.array([float(y)]), False)
+    x_star, d_y = _spread_xstar(ctx, _lnc(c), float(p), np.array([float(y)]),
+                                False)
     return SpreadRegions(a_set=(float(x_star[0]), math.inf),
                          b_set=(float(d_y[0]), float(x_star[0])))
 
@@ -951,15 +995,20 @@ class _McSide:
         self.sums = ()
         self._finite_seen = 0
 
-    def value(self, c: float, lnc: float) -> tuple[float, float]:
-        """(mean, standard error) of the side's terms at c."""
-        if self.neg_key is None and 0.0 < c < math.inf:
-            self._finite_seen += 1
-            if self._finite_seen > 1:
-                self._sort()
-        if self.neg_key is None:
-            return self._masked(c, lnc)
-        return self._from_sums(c, lnc)
+    def value(self, c, lnc):
+        """(means, standard errors) of the side's terms at each c, taken in
+        order: the c's before the sort are masked means, one at a time."""
+        v, e = np.empty(c.size), np.empty(c.size)
+        for i in range(c.size):
+            if self.neg_key is None and 0.0 < c[i] < math.inf:
+                self._finite_seen += 1
+                if self._finite_seen > 1:
+                    self._sort()
+            if self.neg_key is not None:
+                v[i:], e[i:] = self._from_sums(c[i:], lnc[i:])
+                break
+            v[i], e[i] = self._masked(c[i], lnc[i])
+        return v, e
 
     def _masked(self, c, lnc):
         ind = lnc <= self.key
@@ -1004,26 +1053,23 @@ class _McSide:
                          _prefix(z), _prefix(z * z))
 
     def _from_sums(self, c, lnc):
-        k = int(np.searchsorted(self.neg_key, -lnc, side="right"))
+        k = np.searchsorted(self.neg_key, -lnc, side="right")
         n, p = self.n, self.p
         if self.kind == "linear":
             s, s2 = self.sums[0][k], self.sums[1][k]
         elif self.kind == "power1":
             off, off2, on, on2 = self.sums
-            s, s2 = off[k] / p, off2[k] / (p * p)
-            if k:
-                cq = c ** (p / (p - 1.0))
-                s += cq * on[k] / p
-                s2 += cq * cq * on2[k] / (p * p)
-        elif k:
-            hs, h2, hu, us, u2 = self.sums
-            ck = c ** (1.0 / (p - 1.0))
-            s = hs[k] - ck * us[k]
-            s2 = h2[k] - 2.0 * ck * hu[k] + ck * ck * u2[k]
+            # c^q in Python floats, and only where A_c holds a path
+            cq = _each(lambda ci: ci ** (p / (p - 1.0)), np.where(k > 0, c, 0.0))
+            s = off[k] / p + cq * on[k] / p
+            s2 = off2[k] / (p * p) + cq * cq * on2[k] / (p * p)
         else:
-            s = s2 = 0.0
-        var = max(s2 - s * s / n, 0.0) / (n - 1)
-        return float(s / n), math.sqrt(var) / math.sqrt(n)
+            hs, h2, hu, us, u2 = self.sums
+            ck = _each(lambda ci: ci ** (1.0 / (p - 1.0)), np.where(k > 0, c, 0.0))
+            s = np.where(k > 0, hs[k] - ck * us[k], 0.0)
+            s2 = np.where(k > 0, h2[k] - 2.0 * ck * hu[k] + ck * ck * u2[k], 0.0)
+        var = np.maximum(s2 - s * s / n, 0.0) / (n - 1)
+        return s / n, np.sqrt(var) / math.sqrt(n)
 
 
 class _McTable:
@@ -1084,9 +1130,14 @@ class _McTable:
         return _McSide("power1" if under == UNDER_P else "power2", n, p, key,
                        h, np.exp(ln_z, out=ln_z))
 
-    def side(self, c: float, side: int) -> tuple[float, float]:
-        """(Psi_side(c), standard error) at a validated c."""
-        return self.sides[side].value(c, _lnc(c))
+    def side(self, c, side: int):
+        """(Psi_side(c), standard error) at a validated c, or arrays of both
+        at each c of an array, read in its order."""
+        cs = np.atleast_1d(np.asarray(c, dtype=float))
+        v, e = self.sides[side].value(cs, _each(_lnc, cs))
+        if np.ndim(c) == 0:
+            return float(v[0]), float(e[0])
+        return v, e
 
 
 def psi_mc(payoff: Payoff, params: MarketParams, loss: LossSpec, c: float,

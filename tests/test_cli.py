@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -157,13 +158,15 @@ def test_heavy_tail_exit_code(tmp_path, capsys):
     assert "tail" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("kind, strike", [
     ("Digital", 10.0), ("QuantoDomestic", 100.0), ("QuantoForeign", 9500.0),
     ("Outperformance", 100.0), ("Spread", 5.0)])
-def test_overflowing_power_loss_exit_code(tmp_path, capsys, kind, strike):
+def test_overflowing_power_loss_exit_code(tmp_path, capsys, recwarn, kind,
+                                          strike):
     # at p = 400 the loss terms overflow: a typed refusal, not an unbounded
-    # refinement of non-finite panels or a raw OverflowError
+    # refinement of non-finite panels or a raw OverflowError, and no numpy
+    # RuntimeWarning on the way (capsys does not see warnings; recwarn does)
+    warnings.simplefilter("always")
     cfg = dict(DESK, payoff={"kind": kind, "strike": strike},
                loss={"kind": "power", "p": 400.0})
     rc = main(["phi1", "--config", _write(tmp_path, cfg), "--x", "0.5*price"])
@@ -171,6 +174,7 @@ def test_overflowing_power_loss_exit_code(tmp_path, capsys, kind, strike):
     assert rc == 5
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "overflows" in err[0]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_psi_command_csv(tmp_path, capsys):

@@ -18,6 +18,7 @@ from shortfall_hedge.market import (UNDER_P, UNDER_PTILDE, derive_constants,
 from shortfall_hedge.payoffs import (CUSTOM, DIGITAL, OUTPERFORMANCE, Payoff,
                                      QUANTO_DOMESTIC, QUANTO_FOREIGN, SPREAD,
                                      evaluate)
+import shortfall_hedge.psi as psi_mod
 from shortfall_hedge.psi import (LINEAR, LossSpec, POWER, psi_linear, psi_mc,
                                  psi_power, spread_region_boundary)
 
@@ -192,6 +193,17 @@ def test_spread_region_boundary_membership():
             assert log_ratio(x_star + eps, y) < 0.0
             if x_star - eps > d_y:
                 assert log_ratio(x_star - eps, y) > 0.0
+
+
+def test_spread_power_inner_chunks_keep_the_bits(monkeypatch):
+    # the inner shortfall integral runs in row chunks; one chunk of all
+    # rows must give the same bits
+    params = desk_params()
+    payoff = Payoff(SPREAD, 5.0)
+    chunked = [psi_power(payoff, params, c=c) for c in (0.5, 25.0)]
+    monkeypatch.setattr(psi_mod, "_INNER_CHUNK_POINTS", 10 ** 9)
+    whole = [psi_power(payoff, params, c=c) for c in (0.5, 25.0)]
+    assert chunked == whole
 
 
 def test_power_sign_guards_raise_named_conditions():

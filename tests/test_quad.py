@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shortfall_hedge._quad import integrate_batch, integrate_rows
 
@@ -58,3 +60,48 @@ def test_integrate_rows_matches_exponential():
     truth = np.exp(hi) - np.exp(lo)
     truth[2] = 0.0  # hi == lo row contributes nothing
     assert np.all(np.abs(vals - truth) <= 1e-10 * np.maximum(truth, 1.0))
+
+
+def _bumps(freq, decay):
+    """An integrand with per-interval constants, indexed by interval id."""
+    def f(x, ids):
+        return np.exp(-decay[ids] * x * x) * (1.5 + np.sin(freq[ids] * x))
+    return f
+
+
+_INTERVAL = st.tuples(st.floats(-5, 5), st.floats(-1, 8), st.floats(0, 60),
+                      st.floats(0.01, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_INTERVAL, min_size=1, max_size=9))
+def test_integrate_batch_is_invariant_to_the_batch(intervals):
+    # each interval's value and error are the same bits alone or in a batch,
+    # whatever the others need in refinement (empty intervals included)
+    lo, width, freq, decay = (np.array(v) for v in zip(*intervals))
+    hi = lo + width
+    vals, errs = integrate_batch(_bumps(freq, decay), lo, hi)
+    for i in range(lo.size):
+        one = slice(i, i + 1)
+        v1, e1 = integrate_batch(_bumps(freq[one], decay[one]), lo[one],
+                                 hi[one])
+        assert vals[i] == v1[0] and errs[i] == e1[0], i
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.tuples(st.floats(-3, 3), st.floats(0, 4),
+                               st.floats(0.1, 3)), min_size=1, max_size=12),
+       n_panels=st.integers(1, 40), chunk=st.integers(1, 5))
+def test_integrate_rows_is_invariant_to_the_chunks(rows, n_panels, chunk):
+    lo, width, g = (np.array(v) for v in zip(*rows))
+    hi = lo + width
+
+    def for_rows(gr):
+        return lambda x: np.exp(-gr[:, None, None] * x) * np.cos(x)
+
+    whole = integrate_rows(for_rows(g), lo, hi, n_panels)
+    parts = np.concatenate([
+        integrate_rows(for_rows(g[k:k + chunk]), lo[k:k + chunk],
+                       hi[k:k + chunk], n_panels)
+        for k in range(0, lo.size, chunk)])
+    assert np.array_equal(whole, parts)

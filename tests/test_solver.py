@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from conftest import DESK_PAYOFFS, desk_params
+from shortfall_hedge import psi, solver
 from shortfall_hedge.errors import (HeavyTailError, InfeasibleInversionError,
                                     OutOfRangeError, ValidationError)
+from shortfall_hedge.mc import McConfig
 from shortfall_hedge.payoffs import (CUSTOM, DIGITAL, OUTPERFORMANCE, Payoff,
-                                     QUANTO_DOMESTIC, SPREAD)
+                                     QUANTO_DOMESTIC, QUANTO_FOREIGN, SPREAD)
 from shortfall_hedge.psi import LINEAR, LossSpec, POWER, psi_linear, psi_power
-from shortfall_hedge.solver import (SolveConfig, curve, invert_psi1,
+from shortfall_hedge.solver import (SolveConfig, _edges, _phi1_impl,
+                                    _phi2_impl, curve, invert_psi1,
                                     invert_psi2, phi1, phi2, price)
 
 LIN = LossSpec(LINEAR)
@@ -174,6 +177,103 @@ def test_curve_subset_consistency():
     for a, b in zip(coarse.points, fine.points[::2]):
         assert a.input == b.input and a.value == b.value
     del p_h
+
+
+@pytest.mark.parametrize("loss", (LIN, P2), ids=lambda l: l.kind)
+@pytest.mark.parametrize("payoff", DESK_PAYOFFS, ids=lambda p: p.kind)
+def test_curve_points_equal_one_point_solves(payoff, loss):
+    # the lockstep solve runs each point's own iterates, and a Psi value
+    # does not depend on the other c's of a batch: the same bits
+    params = desk_params()
+    for kind, impl, top in (
+            ("phi1", _phi1_impl, price(payoff, params)),
+            ("phi2", _phi2_impl, _edges(payoff, params, loss, None)[0])):
+        grid = [f * top for f in (0.0, 0.2, 0.5, 0.8)]
+        rc = curve(payoff, params, loss, kind, grid)
+        for g, pt in zip(grid, rc.points):
+            got = impl(payoff, params, loss, [g], None, None)[0]
+            assert pt.error is None
+            assert (pt.value, pt.c, pt.err_estimate, pt.method) == got[:4]
+
+
+def _basket():
+    return Payoff(CUSTOM, custom_eval=lambda s1, s2: np.maximum(
+        0.5 * s1 + 0.5 * s2 - 95.0, 0.0))
+
+
+@pytest.mark.parametrize("kind, loss", (("phi1", LIN), ("phi2", P2)))
+def test_custom_curve_draws_one_sample(kind, loss, monkeypatch):
+    params = desk_params()
+    payoff = _basket()
+    mc = McConfig(20_000, seed=3)
+    impl = _phi1_impl if kind == "phi1" else _phi2_impl
+    # price and the edges are cached per contract: filled before counting
+    p_h, edge = price(payoff, params, mc), _edges(payoff, params, loss, mc)[0]
+    top = p_h if kind == "phi1" else edge
+    grid = list(np.linspace(0.0, 0.95, 21) * top)
+    calls = []
+    real = psi.sample
+
+    def counting(law, n, seed):
+        calls.append(n)
+        return real(law, n, seed)
+
+    monkeypatch.setattr(psi, "sample", counting)
+    rc = curve(payoff, params, loss, kind, grid, mc=mc)
+    assert calls == [40_000]
+    for g, pt in zip(grid, rc.points):
+        value, c, err, method = impl(payoff, params, loss, [g], None, mc)[0][:4]
+        assert pt.error is None and pt.c == c and pt.method == method
+        assert pt.value == pytest.approx(value, rel=1e-12)
+        assert pt.err_estimate == pytest.approx(err, rel=1e-12)
+
+
+def test_curve_psi_failures_stay_per_point(monkeypatch):
+    # a batched read that raises is retried one c at a time: only the
+    # points whose own c fails carry the error
+    params = desk_params()
+    payoff = Payoff(QUANTO_DOMESTIC, 100.0)
+    grid = list(np.linspace(0.05, 0.95, 10) * price(payoff, params))
+    clean = curve(payoff, params, LIN, "phi1", grid)
+    cs = sorted(p.c for p in clean.points)
+    # a point solved at c <= limit (a power of 2) never reads above it
+    limit = 2.0 ** math.ceil(math.log2(cs[len(cs) // 2]))
+    real = solver._psi_side
+
+    def failing(payoff, params, loss, c, side, *args, **kwargs):
+        if (np.asarray(c) > limit).any():
+            raise HeavyTailError("c above the limit")
+        return real(payoff, params, loss, c, side, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_psi_side", failing)
+    rc = curve(payoff, params, LIN, "phi1", grid)
+    assert any(p.c <= limit for p in clean.points)
+    assert any(p.c > limit for p in clean.points)
+    for a, b in zip(clean.points, rc.points):
+        if a.c <= limit:
+            assert b == a
+        else:
+            assert b.error == "c above the limit" and math.isnan(b.value)
+
+
+def test_curve_reads_psi_once_per_lockstep_step(monkeypatch):
+    # 21 points share every step: about 50 reads, not 21 solves of 46 each
+    params = desk_params()
+    payoff = Payoff(QUANTO_FOREIGN, 9500.0)
+    top = _edges(payoff, params, LIN, None)[0]
+    price(payoff, params)
+    calls = []
+    real = solver._psi_side
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_psi_side", counting)
+    rc = curve(payoff, params, LIN, "phi2", list(np.linspace(0.0, 0.95, 21)
+                                                  * top))
+    assert all(p.error is None for p in rc.points)
+    assert len(calls) <= 70
 
 
 def test_mc_fallback_route_for_violated_signs():
