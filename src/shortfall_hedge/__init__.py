@@ -23,8 +23,8 @@ from .payoffs import (CUSTOM, DIGITAL, KINDS, OUTPERFORMANCE,
                       UniquenessReport, evaluate, uniqueness_check)
 from .psi import (LINEAR, POWER, LossSpec, PsiPair, SpreadRegions, psi_linear,
                   psi_mc, psi_power, spread_region_boundary)
-from .solver import (CurvePoint, RiskCurve, SolveConfig, curve, invert_psi1,
-                     invert_psi2, phi1, phi2, price)
+from .solver import (CurvePoint, RiskCurve, SolveConfig, curve, phi1, phi2,
+                     price)
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,7 @@ __all__ = [
     "uniqueness_check",
     "LINEAR", "POWER", "LossSpec", "PsiPair", "SpreadRegions", "psi_linear",
     "psi_mc", "psi_power", "spread_region_boundary",
-    "CurvePoint", "RiskCurve", "SolveConfig", "curve", "invert_psi1",
-    "invert_psi2", "phi1", "phi2", "price",
+    "CurvePoint", "RiskCurve", "SolveConfig", "curve", "phi1", "phi2",
+    "price",
     "__version__",
 ]

@@ -114,6 +114,9 @@ def _num(section: dict, name: str, key: str, bad: list, default=None):
     if not _is_num(v):
         bad.append(f"{name}.{key}: must be a number, got {v!r}")
         return 1.0
+    if not math.isfinite(v):
+        bad.append(f"{name}.{key}: must be finite, got {v!r}")
+        return 1.0
     return float(v)
 
 

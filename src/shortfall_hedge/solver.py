@@ -14,11 +14,15 @@ each equation is solved by bracketed bisection on a sign predicate; where
 the function is flat at the target level the returned c is the infimum of
 the solution set (the predicate flips exactly at the left endpoint).
 
-The solve functions take a grid of inputs and bisect all of its points in
-lockstep: each step reads one Psi side once, at the distinct c's of the
-points still running (the Psi sides take c-arrays), and every point runs
-the same steps it would run alone.  phi1 and phi2 solve a grid of one
-point; a curve solves its whole grid at once, on one thread.
+Each point's bisection is one generator, _predicate_bisection: plain code
+that yields every c it reads and is sent Psi(c) back.  The check at the
+end uses the value already read at the answer, so a solve reads each c
+once.  The solve functions take a grid of inputs and drive the points'
+generators in lockstep (_bisect): each step reads one Psi side once, at
+the distinct c's of the points still running (the Psi sides take
+c-arrays), and every point runs the same steps it would run alone.  phi1
+and phi2 solve a grid of one point; a curve solves its whole grid at once,
+on one thread.
 
 Named payoffs evaluate Psi by quadrature; Custom payoffs, and power-loss
 cases whose closed-form sign condition fails, fall back to the Monte Carlo
@@ -61,8 +65,9 @@ class SolveConfig:
 
     def __post_init__(self):
         bad = []
-        if not self.abs_tol_target > 0:
-            bad.append(f"abs_tol_target: must be positive, got {self.abs_tol_target!r}")
+        if not 0 < self.abs_tol_target < math.inf:
+            bad.append("abs_tol_target: must be positive and finite, got "
+                       f"{self.abs_tol_target!r}")
         if self.max_bracket_expansions < 1:
             bad.append("max_bracket_expansions: must be >= 1")
         if self.bisection_iters < 1:
@@ -152,18 +157,6 @@ def _read(ev: _Evaluator, c, side: int):
     return v[where], e[where], [failed[j] for j in where]
 
 
-def _solved(out: list, points, cs: list) -> dict:
-    """{point: c} of the solves that found their c; the others' errors are
-    recorded on out."""
-    found = {}
-    for i, c in zip(points, cs):
-        if isinstance(c, ShortfallHedgeError):
-            out[i] = c
-        else:
-            found[i] = c
-    return found
-
-
 def _one(results: list):
     """The result of a one-point solve, or its error raised."""
     got = results[0]
@@ -209,130 +202,79 @@ def price(payoff: Payoff, params: MarketParams,
     return disc * v10
 
 
-_START, _BRACKET, _BISECT, _CHECK = range(4)
+def _predicate_bisection(side: int, target: float, increasing: bool,
+                         config: SolveConfig, tol: float):
+    """One point's solve: the infimum c of {c : Psi_side(c) reaches target}.
 
-
-def _bisect(ev: _Evaluator, side: int, targets, increasing: bool,
-            config: SolveConfig, scale: float) -> list:
-    """Infimum c of {c : Psi_side(c) reaches target}, for each target.
-
-    Every point runs the steps of a predicate bisection: the predicate at
-    c = 0, doublings from hi = 1, midpoints until hi - lo <= 1e-13
-    max(1, hi), and a check that Psi(hi) is the target within tolerance.
-    The predicate is True strictly left of the answer: Psi > target for a
-    nonincreasing side, Psi < target for a nondecreasing one.  The points
-    step in lockstep, with one Psi read per step at the distinct c's of
-    the points still running; a point that finishes drops out.  Returns
-    per target its c, or the ShortfallHedgeError that ended its solve.
+    A generator: it yields each c it reads, is sent (Psi_side(c), err) and
+    returns (c, Psi_side(c), err).  The predicate is True strictly left of
+    the answer: Psi > target for a nonincreasing side, Psi < target for a
+    nondecreasing one.  It runs the predicate at c = 0, doublings from
+    hi = 1, midpoints until hi - lo <= 1e-13 max(1, hi), and a check that
+    the value already read at hi is the target within max(tol, 8 err).
     """
-    targets = [float(t) for t in targets]
-    n = len(targets)
-    out: list = [None] * n
-    stage = [_START] * n
-    lo, hi = [0.0] * n, [0.0] * n
-    steps = [0] * n  # doublings while bracketing, then midpoints
-    while True:
-        run = [i for i in range(n) if out[i] is None]
-        if not run:
-            return out
-        at = []
-        for i in run:
-            if stage[i] == _BISECT and (
-                    steps[i] >= config.bisection_iters
-                    or hi[i] - lo[i] <= 1e-13 * max(1.0, hi[i])):
-                stage[i] = _CHECK
-            at.append(0.5 * (lo[i] + hi[i]) if stage[i] == _BISECT else hi[i])
-        vals, errs, failed = _read(ev, at, side)
-        for j, i in enumerate(run):
-            c, v, target = at[j], vals[j], targets[i]
-            if failed[j] is not None:
-                out[i] = failed[j]
-            elif stage[i] == _CHECK:
-                tol = max(config.abs_tol_target * max(1.0, scale),
-                          8.0 * errs[j],
-                          1e-7 * max(1.0, scale) if ev.method == METHOD_MC
-                          else 0.0)
-                if abs(v - target) <= tol:
-                    out[i] = c
-                else:
-                    out[i] = InfeasibleInversionError(
-                        f"Psi{side}({c:.12g}) = {v:.12g} cannot reach target "
-                        f"{target:.12g} within tolerance {tol:.3g}: the Psi "
-                        "function jumps across the target (degenerate or "
-                        "discontinuous case)")
-            else:
-                left = v < target if increasing else v > target
-                if stage[i] == _START:
-                    if left:
-                        stage[i], hi[i] = _BRACKET, 1.0
-                    else:
-                        out[i] = 0.0
-                elif stage[i] == _BRACKET:
-                    if not left:
-                        stage[i], steps[i] = _BISECT, 0
-                        continue
-                    lo[i], hi[i] = c, 2.0 * c
-                    steps[i] += 1
-                    if steps[i] > config.max_bracket_expansions:
-                        out[i] = InfeasibleInversionError(
-                            f"could not bracket the Psi{side} inversion "
-                            f"target {target!r} within "
-                            f"{config.max_bracket_expansions} doublings")
-                else:
-                    steps[i] += 1
-                    if left:
-                        lo[i] = c
-                    else:
-                        hi[i] = c
+    def left(v):
+        return v < target if increasing else v > target
+
+    v, err = yield 0.0
+    if not left(v):
+        return 0.0, v, err
+    lo, hi = 0.0, 1.0
+    v, err = yield hi
+    doublings = 0
+    while left(v):
+        doublings += 1
+        if doublings > config.max_bracket_expansions:
+            raise InfeasibleInversionError(
+                f"could not bracket the Psi{side} inversion target "
+                f"{target!r} within {config.max_bracket_expansions} doublings")
+        lo, hi = hi, 2.0 * hi
+        v, err = yield hi
+    for _ in range(config.bisection_iters):
+        if hi - lo <= 1e-13 * max(1.0, hi):
+            break
+        mid = 0.5 * (lo + hi)
+        v_mid, err_mid = yield mid
+        if left(v_mid):
+            lo = mid
+        else:
+            hi, v, err = mid, v_mid, err_mid
+    tol = max(tol, 8.0 * err)
+    if abs(v - target) <= tol:
+        return hi, v, err
+    raise InfeasibleInversionError(
+        f"Psi{side}({hi:.12g}) = {v:.12g} cannot reach target "
+        f"{target:.12g} within tolerance {tol:.3g}: the Psi function jumps "
+        "across the target (degenerate or discontinuous case)")
 
 
-def invert_psi2(payoff: Payoff, params: MarketParams, loss: LossSpec,
-                target: float, config: Optional[SolveConfig] = None,
-                mc: Optional[McConfig] = None) -> float:
-    """Smallest c with Psi2(c) = target; Psi2 is nonincreasing in c."""
-    config = config or SolveConfig()
-    target = float(target)
-    _p1, _e1, psi2_full, e2 = _edges(payoff, params, loss, mc)
-    edge_tol = _EDGE_TOL * max(1.0, psi2_full) + 4.0 * e2
-    if target > psi2_full + edge_tol:
-        raise OutOfRangeError(
-            f"target {target!r} exceeds Psi2(0) = {psi2_full!r}")
-    if target < -edge_tol:
-        raise OutOfRangeError(f"target {target!r} is negative")
-    if target >= psi2_full:
-        return 0.0
-    ev = _Evaluator(payoff, params, loss, mc)
-    return _one(_bisect(ev, 2, [max(target, 0.0)], increasing=False,
-                        config=config, scale=psi2_full))
-
-
-def invert_psi1(payoff: Payoff, params: MarketParams, loss: LossSpec,
-                target: float, config: Optional[SolveConfig] = None,
-                mc: Optional[McConfig] = None) -> float:
-    """Smallest c with Psi1(c) = target.
-
-    Linear Psi1 is nonincreasing (target descends from Psi1(0) = E[H]);
-    power Psi1 is nondecreasing (target climbs from 0 to E[l(H)]).
-    """
-    config = config or SolveConfig()
-    target = float(target)
-    psi1_edge, e1, _p2, _e2 = _edges(payoff, params, loss, mc)
-    edge_tol = _EDGE_TOL * max(1.0, psi1_edge) + 4.0 * e1
-    if target > psi1_edge + edge_tol:
-        raise OutOfRangeError(
-            f"target {target!r} exceeds the Psi1 range edge {psi1_edge!r}")
-    if target < -edge_tol:
-        raise OutOfRangeError(f"target {target!r} is negative")
-    ev = _Evaluator(payoff, params, loss, mc)
-    if loss.kind == LINEAR:
-        if target >= psi1_edge:
-            return 0.0
-        return _one(_bisect(ev, 1, [max(target, 0.0)], increasing=False,
-                            config=config, scale=psi1_edge))
-    if target <= 0.0:
-        return 0.0
-    return _one(_bisect(ev, 1, [min(target, psi1_edge)], increasing=True,
-                        config=config, scale=psi1_edge))
+def _bisect(ev: _Evaluator, side: int, targets: dict, increasing: bool,
+            config: SolveConfig, scale: float, out: list) -> dict:
+    """{point: (c, Psi_side(c), err)} for the {point: target} solves that
+    found their c; a solve that raised records its ShortfallHedgeError on
+    out[point].  The points' _predicate_bisection solves run in lockstep:
+    each step reads Psi_side once, at the distinct c's of the solves still
+    running, and a solve that returns or raises drops out."""
+    tol = max(config.abs_tol_target * max(1.0, scale),
+              1e-7 * max(1.0, scale) if ev.method == METHOD_MC else 0.0)
+    solves = {i: _predicate_bisection(side, float(t), increasing, config, tol)
+              for i, t in targets.items()}
+    at = {i: next(solve) for i, solve in solves.items()}
+    solved = {}
+    while at:
+        vals, errs, failed = _read(ev, list(at.values()), side)
+        next_at = {}
+        for j, i in enumerate(at):
+            try:
+                next_at[i] = (solves[i].send((vals[j], errs[j]))
+                              if failed[j] is None
+                              else solves[i].throw(failed[j]))
+            except StopIteration as done:
+                solved[i] = done.value
+            except ShortfallHedgeError as exc:
+                out[i] = exc
+        at = next_at
+    return solved
 
 
 def _phi1_impl(payoff: Payoff, params: MarketParams, loss: LossSpec, xs,
@@ -341,10 +283,10 @@ def _phi1_impl(payoff: Payoff, params: MarketParams, loss: LossSpec, xs,
     the ShortfallHedgeError that x's solve raised.
 
     cost_err is the standard error of the engine's discounted Psi2 at c,
-    the capital the solution spends: read from the solve's sample on the
-    MC route, 0 on the quadrature route and at the edges x = 0 and
-    x >= p(H).  An error of a step every point shares goes to every point
-    that reached it.
+    the capital the solution spends: the error of the solve's own read of
+    Psi2 at c on the MC route, 0 on the quadrature route and at the edges
+    x = 0 and x >= p(H).  An error of a step every point shares goes to
+    every point that reached it.
     """
     config = config or SolveConfig()
     out: list = [None] * len(xs)
@@ -369,25 +311,21 @@ def _phi1_impl(payoff: Payoff, params: MarketParams, loss: LossSpec, xs,
         if todo:
             ev = _Evaluator(payoff, params, loss, mc)
             growth = math.exp(params.r * params.T)
-            solved = _solved(out, todo, _bisect(
-                ev, 2, [growth * x for x in todo.values()], increasing=False,
-                config=config, scale=growth * p_h))
-            at = list(solved.values())
-            cost_errs, bad2 = np.zeros(len(at)), [None] * len(at)
-            if ev.method == METHOD_MC:
-                _v2, cost_errs, bad2 = _read(ev, at, 2)
-                cost_errs = cost_errs / growth
-            v1, err1, bad1 = _read(ev, at, 1)
-            for j, (i, c) in enumerate(solved.items()):
-                if bad2[j] is not None or bad1[j] is not None:
-                    out[i] = bad2[j] if bad2[j] is not None else bad1[j]
+            solved = _bisect(
+                ev, 2, {i: growth * x for i, x in todo.items()},
+                increasing=False, config=config, scale=growth * p_h, out=out)
+            v1, err1, bad = _read(ev, [c for c, _v, _e in solved.values()], 1)
+            for j, (i, (c, _v2, err2)) in enumerate(solved.items()):
+                cost_err = (float(err2 / growth) if ev.method == METHOD_MC
+                            else 0.0)
+                if bad[j] is not None:
+                    out[i] = bad[j]
                 elif loss.kind == LINEAR:
                     out[i] = (max(psi1_edge - float(v1[j]), 0.0), c,
-                              e_edge + float(err1[j]), method,
-                              float(cost_errs[j]))
+                              e_edge + float(err1[j]), method, cost_err)
                 else:
                     out[i] = (float(v1[j]), c, float(err1[j]), method,
-                              float(cost_errs[j]))
+                              cost_err)
     except ShortfallHedgeError as exc:
         out = [exc if got is None else got for got in out]
     return out
@@ -437,13 +375,12 @@ def _phi2_impl(payoff: Payoff, params: MarketParams, loss: LossSpec, vs,
                 todo[i] = v
         if todo:
             ev = _Evaluator(payoff, params, loss, mc)
-            targets = [psi1_edge - v if loss.kind == LINEAR else v
-                       for v in todo.values()]
-            solved = _solved(out, todo, _bisect(
-                ev, 1, targets, increasing=(loss.kind == POWER),
-                config=config, scale=psi1_edge))
-            v2, err2, bad = _read(ev, list(solved.values()), 2)
-            for j, (i, c) in enumerate(solved.items()):
+            targets = {i: psi1_edge - v if loss.kind == LINEAR else v
+                       for i, v in todo.items()}
+            solved = _bisect(ev, 1, targets, increasing=(loss.kind == POWER),
+                             config=config, scale=psi1_edge, out=out)
+            v2, err2, bad = _read(ev, [c for c, _v, _e in solved.values()], 2)
+            for j, (i, (c, _v1, _e1)) in enumerate(solved.items()):
                 out[i] = bad[j] if bad[j] is not None else (
                     disc * float(v2[j]), c, disc * float(err2[j]), method)
     except ShortfallHedgeError as exc:

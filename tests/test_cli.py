@@ -110,6 +110,23 @@ def test_validation_lists_every_field(tmp_path, capsys):
         assert needle in err, needle
 
 
+@pytest.mark.parametrize("literal", ["1e400", "NaN", "-Infinity"])
+@pytest.mark.parametrize("section, key", [
+    ("solver", "bisection_iters"), ("solver", "max_bracket_expansions"),
+    ("mc", "n_paths"), ("mc", "seed"), ("solver", "abs_tol_target")])
+def test_non_finite_numbers_rejected(tmp_path, capsys, section, key, literal):
+    # json reads 1e400, NaN and Infinity as floats that int() cannot take
+    # and that would make an infinite tolerance: a listed violation each
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(SYMMETRIC, **{section: {key: "@"}}))
+                    .replace('"@"', literal))
+    rc = main(["phi1", "--config", str(path), "--x", "0.5*price"])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert err and all(line.startswith("error: ") for line in err)
+    assert any(f"{section}.{key}: must be finite" in line for line in err)
+
+
 def test_missing_sections_rejected(tmp_path, capsys):
     rc = main(["price", "--config", _write(tmp_path, {"market": SYMMETRIC["market"]})])
     err = capsys.readouterr().err

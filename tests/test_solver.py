@@ -16,8 +16,7 @@ from shortfall_hedge.payoffs import (CUSTOM, DIGITAL, OUTPERFORMANCE, Payoff,
                                      QUANTO_DOMESTIC, QUANTO_FOREIGN, SPREAD)
 from shortfall_hedge.psi import LINEAR, LossSpec, POWER, psi_linear, psi_power
 from shortfall_hedge.solver import (SolveConfig, _edges, _phi1_impl,
-                                    _phi2_impl, curve, invert_psi1,
-                                    invert_psi2, phi1, phi2, price)
+                                    _phi2_impl, curve, phi1, phi2, price)
 
 LIN = LossSpec(LINEAR)
 P2 = LossSpec(POWER, 2.0)
@@ -43,47 +42,46 @@ def test_price_is_discounted_psi2_at_zero():
         assert price(payoff, params) == pytest.approx(want, rel=1e-12)
 
 
-def test_invert_psi2_round_trip():
+def test_phi1_recovers_c_of_psi2():
+    # phi1 at x = e^{-rT} Psi2(c0) solves Psi2(c) = Psi2(c0)
     params = desk_params()
+    disc = math.exp(-params.r * params.T)
     payoff = Payoff(DIGITAL, 10.0)
     for c0 in (0.6, 1.2, 2.5):
-        target = psi_linear(payoff, params, c=c0).psi2
-        c = invert_psi2(payoff, params, LIN, target)
-        assert abs(c - c0) <= 1e-6 * c0
+        x = disc * psi_linear(payoff, params, c=c0).psi2
+        assert abs(phi1(payoff, params, LIN, x)[1] - c0) <= 1e-6 * c0
     sp = Payoff(SPREAD, 5.0)
-    target = psi_power(sp, params, c=30.0, p=2.0).psi2
-    c = invert_psi2(sp, params, P2, target)
-    assert abs(c - 30.0) <= 1e-5 * 30.0
+    x = disc * psi_power(sp, params, c=30.0, p=2.0).psi2
+    assert abs(phi1(sp, params, P2, x)[1] - 30.0) <= 1e-5 * 30.0
 
 
-def test_invert_psi1_round_trip_both_monotonicities():
+def test_phi2_recovers_c_of_psi1_both_monotonicities():
     params = desk_params()
-    qd = Payoff(QUANTO_DOMESTIC, 100.0)
-    target = psi_power(qd, params, c=50.0, p=2.0).psi1  # nondecreasing side
-    assert abs(invert_psi1(qd, params, P2, target) - 50.0) <= 1e-5 * 50.0
-    dig = Payoff(DIGITAL, 10.0)
-    target = psi_linear(dig, params, c=1.4).psi1  # nonincreasing side
-    assert abs(invert_psi1(dig, params, LIN, target) - 1.4) <= 1e-6 * 1.4
+    dig = Payoff(DIGITAL, 10.0)  # linear Psi1 is nonincreasing
+    v = (psi_linear(dig, params, c=0.0).psi1
+         - psi_linear(dig, params, c=1.4).psi1)
+    assert abs(phi2(dig, params, LIN, v)[1] - 1.4) <= 1e-6 * 1.4
+    qd = Payoff(QUANTO_DOMESTIC, 100.0)  # power Psi1 is nondecreasing
+    v = psi_power(qd, params, c=50.0, p=2.0).psi1
+    assert abs(phi2(qd, params, P2, v)[1] - 50.0) <= 1e-5 * 50.0
 
 
-def test_invert_c_grows_as_target_shrinks():
+def test_c_grows_as_capital_shrinks():
     params = desk_params()
     payoff = Payoff(SPREAD, 5.0)
-    full = psi_linear(payoff, params, c=0.0).psi2
-    cs = [invert_psi2(payoff, params, LIN, f * full) for f in (0.8, 0.4, 0.1)]
+    p_h = price(payoff, params)
+    cs = [phi1(payoff, params, LIN, f * p_h)[1] for f in (0.8, 0.4, 0.1)]
     assert cs[0] < cs[1] < cs[2]
 
 
-def test_invert_rejects_unreachable_targets():
+def test_phi_rejects_negative_inputs():
     params = desk_params()
     payoff = Payoff(DIGITAL, 10.0)
-    full = psi_linear(payoff, params, c=0.0).psi2
-    with pytest.raises(OutOfRangeError):
-        invert_psi2(payoff, params, LIN, 1.5 * full)
-    with pytest.raises(OutOfRangeError):
-        invert_psi2(payoff, params, LIN, -0.3)
-    with pytest.raises(OutOfRangeError):
-        invert_psi1(payoff, params, P2, 1e9)
+    for loss in (LIN, P2):
+        with pytest.raises(OutOfRangeError):
+            phi1(payoff, params, loss, -0.3)
+        with pytest.raises(OutOfRangeError):
+            phi2(payoff, params, loss, -0.3)
 
 
 def test_phi1_edges_and_budget_feasibility():
@@ -273,7 +271,28 @@ def test_curve_reads_psi_once_per_lockstep_step(monkeypatch):
     rc = curve(payoff, params, LIN, "phi2", list(np.linspace(0.0, 0.95, 21)
                                                   * top))
     assert all(p.error is None for p in rc.points)
-    assert len(calls) <= 70
+    assert len(calls) <= 55
+
+
+@pytest.mark.parametrize("loss", (LIN, P2), ids=lambda l: l.kind)
+@pytest.mark.parametrize("payoff", DESK_PAYOFFS, ids=lambda p: p.kind)
+def test_one_point_solve_reads_each_c_once(payoff, loss, monkeypatch):
+    # the check at the answer uses the value its bisection already read
+    params = desk_params()
+    p_h, edge = price(payoff, params), _edges(payoff, params, loss, None)[0]
+    reads = []
+    real = solver._psi_side
+
+    def counting(payoff, params, loss, c, side, *args, **kwargs):
+        reads.extend((side, ci) for ci in np.atleast_1d(c).tolist())
+        return real(payoff, params, loss, c, side, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_psi_side", counting)
+    for solve, side, top in ((phi1, 2, p_h), (phi2, 1, edge)):
+        reads.clear()
+        solve(payoff, params, loss, 0.5 * top)
+        cs = [c for s, c in reads if s == side]
+        assert len(cs) > 2 and len(set(cs)) == len(cs)
 
 
 def test_mc_fallback_route_for_violated_signs():
@@ -304,5 +323,7 @@ def test_heavy_tail_rejected():
 def test_solve_config_validation():
     with pytest.raises(ValidationError):
         SolveConfig(abs_tol_target=0.0)
+    with pytest.raises(ValidationError):  # would switch the check off
+        SolveConfig(abs_tol_target=math.inf)
     with pytest.raises(ValidationError):
         SolveConfig(bisection_iters=0)
