@@ -21,8 +21,7 @@ from .mc import (DiscreteState, McConfig, VerifyReport, brute_force_np,
 from .payoffs import (CUSTOM, DIGITAL, KINDS, OUTPERFORMANCE,
                       QUANTO_DOMESTIC, QUANTO_FOREIGN, SPREAD, Payoff,
                       UniquenessReport, evaluate, uniqueness_check)
-from .psi import (LINEAR, POWER, LossSpec, PsiPair, SpreadRegions, psi_linear,
-                  psi_mc, psi_power, spread_region_boundary)
+from .psi import LINEAR, POWER, LossSpec, PsiPair, psi_linear, psi_mc, psi_power
 from .solver import (CurvePoint, RiskCurve, SolveConfig, curve, phi1, phi2,
                      price)
 
@@ -41,8 +40,8 @@ __all__ = [
     "CUSTOM", "DIGITAL", "KINDS", "OUTPERFORMANCE", "QUANTO_DOMESTIC",
     "QUANTO_FOREIGN", "SPREAD", "Payoff", "UniquenessReport", "evaluate",
     "uniqueness_check",
-    "LINEAR", "POWER", "LossSpec", "PsiPair", "SpreadRegions", "psi_linear",
-    "psi_mc", "psi_power", "spread_region_boundary",
+    "LINEAR", "POWER", "LossSpec", "PsiPair", "psi_linear", "psi_mc",
+    "psi_power",
     "CurvePoint", "RiskCurve", "SolveConfig", "curve", "phi1", "phi2",
     "price",
     "__version__",

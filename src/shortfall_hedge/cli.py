@@ -10,13 +10,18 @@ Commands
     curve   phi1 or phi2 over a grid                   (curve phi1 --grid a:b:n)
     verify  engine risk vs direct simulation           (--x)
 
-The config file is strict JSON: sections market, payoff, loss are
-required, solver, mc, output optional, and unknown keys anywhere are
-rejected.  Numeric options accept arithmetic over the symbols p(H),
+The config file is strict JSON in the format of _SCHEMA: sections market,
+payoff, loss are required, solver, mc, output optional, unknown keys
+anywhere are rejected, integer fields take whole numbers only and mc.seed
+must be >= 0.  Numeric options accept arithmetic over the symbols p(H),
 price, E[H] and E[l(H)], e.g. --x 0.5*price or --grid 0:p(H):21.
 Every artifact embeds the resolved config and seed; CSV carries them as
 '#' comment lines, JSON as a "config" object that parses back to the
 identical run configuration.  Floats print with 12 significant digits.
+Each command makes one table (a header and rows); the CSV prints it and
+the JSON "results" are derived from it.  Errors exit with the code of
+their type in _EXIT_CODES: 2 for an invalid config, option or an
+unwritable --out.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .errors import (AssumptionViolatedError, HeavyTailError,
@@ -36,13 +41,56 @@ from .errors import (AssumptionViolatedError, HeavyTailError,
                      UnsupportedClosedFormError, ValidationError)
 from .market import MarketParams
 from .mc import McConfig, verify_risk
-from .payoffs import CUSTOM, KINDS, Payoff
-from .psi import LINEAR, POWER, LossSpec, psi_linear, psi_power
+from .payoffs import CUSTOM, DIGITAL, KINDS, Payoff
+from .psi import LINEAR, POWER, LossSpec, _psi_pair
 from .solver import (SolveConfig, _edges, _one, _phi1_impl, _phi2_impl,
                      curve, price)
 
 _FORMATS = ("csv", "json")
-_DEFAULT_MC = McConfig(n_paths=200_000, seed=1, antithetic=True)
+
+
+@dataclass(frozen=True)
+class Output:
+    """Where the artifact goes (None: stdout) and in which format."""
+
+    path: Optional[str] = None
+    format: str = "csv"
+
+
+# The JSON types of config values, named as their error messages say them;
+# a tuple type is the set of strings a key may take.
+_PAIR = "a list of two numbers"
+_NUM = "a number"
+_INT = "an integer"
+_BOOL = "a boolean"
+_PATH = "a string or null"
+
+# The config format: section -> key -> type.  The keys are the fields of the
+# section's part of RunConfig; parse_config reads them and to_dict writes them.
+_SCHEMA = {
+    "market": {"s0": _PAIR, "alpha": _PAIR, "sigma": _PAIR, "rho": _NUM,
+               "r": _NUM, "T": _NUM},
+    "payoff": {"kind": tuple(k for k in KINDS if k != CUSTOM),
+               "strike": _NUM},
+    "loss": {"kind": (LINEAR, POWER), "p": _NUM},
+    "solver": {"abs_tol_target": _NUM, "max_bracket_expansions": _INT,
+               "bisection_iters": _INT},
+    "mc": {"n_paths": _INT, "seed": _INT, "antithetic": _BOOL},
+    "output": {"path": _PATH, "format": _FORMATS},
+}
+_REQUIRED = ("market", "payoff", "loss")
+# Each section is built from these by dataclasses.replace with the fields the
+# file got right: defaults for the optional sections, valid stand-ins for the
+# required ones.  A stand-in value of None marks a key the file may omit.
+_START = {
+    "market": MarketParams(s0=(1.0, 1.0), alpha=(0.0, 0.0), sigma=(1.0, 1.0),
+                           rho=0.0, r=0.0, T=1.0),
+    "payoff": Payoff(DIGITAL, 1.0),
+    "loss": LossSpec(LINEAR),
+    "solver": SolveConfig(),
+    "mc": McConfig(n_paths=200_000, seed=1, antithetic=True),
+    "output": Output(),
+}
 
 
 @dataclass(frozen=True)
@@ -54,185 +102,103 @@ class RunConfig:
     loss: LossSpec
     solver: SolveConfig
     mc: McConfig
-    out_path: Optional[str]
-    out_format: str
+    output: Output
 
     def to_dict(self) -> dict:
-        loss: dict = {"kind": self.loss.kind}
-        if self.loss.kind == POWER:
-            loss["p"] = self.loss.p
-        return {
-            "market": {
-                "s0": list(self.market.s0),
-                "alpha": list(self.market.alpha),
-                "sigma": list(self.market.sigma),
-                "rho": self.market.rho,
-                "r": self.market.r,
-                "T": self.market.T,
-            },
-            "payoff": {"kind": self.payoff.kind, "strike": self.payoff.strike},
-            "loss": loss,
-            "solver": {
-                "abs_tol_target": self.solver.abs_tol_target,
-                "max_bracket_expansions": self.solver.max_bracket_expansions,
-                "bisection_iters": self.solver.bisection_iters,
-            },
-            "mc": {
-                "n_paths": self.mc.n_paths,
-                "seed": self.mc.seed,
-                "antithetic": self.mc.antithetic,
-            },
-            "output": {"path": self.out_path, "format": self.out_format},
-        }
+        """The config as JSON values, in the format that parse_config reads;
+        a None value is left out unless its type admits null."""
+        doc = {}
+        for name, keys in _SCHEMA.items():
+            part = getattr(self, name)
+            doc[name] = {}
+            for key, kind in keys.items():
+                v = getattr(part, key)
+                if v is not None or kind == _PATH:
+                    doc[name][key] = list(v) if kind == _PAIR else v
+        return doc
 
 
 def _is_num(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _reject_unknown(section: dict, name: str, allowed: set, bad: list):
-    for key in section:
-        if key not in allowed:
-            bad.append(f"{name}.{key}: unknown key")
-
-
-def _pair(section: dict, name: str, key: str, bad: list):
-    v = section.get(key)
-    if not (isinstance(v, list) and len(v) == 2 and all(_is_num(x) for x in v)):
-        bad.append(f"{name}.{key}: must be a list of two numbers, got {v!r}")
-        return (1.0, 1.0)
-    return (float(v[0]), float(v[1]))
-
-
-def _num(section: dict, name: str, key: str, bad: list, default=None):
-    if key not in section:
-        if default is None:
-            bad.append(f"{name}.{key}: missing required key")
-            return 1.0
-        return default
-    v = section[key]
-    if not _is_num(v):
-        bad.append(f"{name}.{key}: must be a number, got {v!r}")
-        return 1.0
-    if not math.isfinite(v):
-        bad.append(f"{name}.{key}: must be finite, got {v!r}")
-        return 1.0
-    return float(v)
+def _convert(kind, v):
+    """(value, None) for a JSON value v of the config type kind, else
+    (None, what is wrong with it)."""
+    if isinstance(kind, tuple):
+        if v in kind:
+            return v, None
+        return None, f"must be one of {', '.join(kind)}, got {v!r}"
+    if kind == _PAIR:
+        if isinstance(v, list) and len(v) == 2 and all(map(_is_num, v)):
+            return (float(v[0]), float(v[1])), None
+    elif kind == _BOOL:
+        if isinstance(v, bool):
+            return v, None
+    elif kind == _PATH:
+        if v is None or isinstance(v, str):
+            return v, None
+    elif _is_num(v):
+        if kind == _INT and isinstance(v, int):
+            return v, None
+        try:
+            f = float(v)
+        except OverflowError:  # an integer literal beyond the float range
+            f = math.inf
+        if not math.isfinite(f):
+            return None, f"must be finite, got {v!r}"
+        if kind == _NUM:
+            return f, None
+        if f == int(f):
+            return int(f), None
+    return None, f"must be {kind}, got {v!r}"
 
 
 def parse_config(data: dict) -> RunConfig:
     """Build a RunConfig from a parsed JSON object, strictly.
 
-    Collects every violation (unknown keys, missing sections, type and
-    invariant failures) into one ValidationError.
+    Collects every violation (unknown keys, missing sections and keys,
+    types, and the invariants of each part's constructor) into one
+    ValidationError, one line per wrong field.
     """
-    bad: list = []
     if not isinstance(data, dict):
         raise ValidationError(["config: top level must be a JSON object"])
-    _reject_unknown(data, "config",
-                    {"market", "payoff", "loss", "solver", "mc", "output"}, bad)
-    sections = {}
-    for name in ("market", "payoff", "loss", "solver", "mc", "output"):
-        sec = data.get(name)
-        if sec is None:
-            if name in ("market", "payoff", "loss"):
-                bad.append(f"{name}: missing required section")
-            sections[name] = {}
-        elif not isinstance(sec, dict):
-            bad.append(f"{name}: must be a JSON object")
-            sections[name] = {}
-        else:
-            sections[name] = sec
-
-    m = sections["market"]
-    _reject_unknown(m, "market", {"s0", "alpha", "sigma", "rho", "r", "T"}, bad)
-    market_args = dict(
-        s0=_pair(m, "market", "s0", bad),
-        alpha=_pair(m, "market", "alpha", bad),
-        sigma=_pair(m, "market", "sigma", bad),
-        rho=_num(m, "market", "rho", bad),
-        r=_num(m, "market", "r", bad),
-        T=_num(m, "market", "T", bad),
-    )
-
-    po = sections["payoff"]
-    _reject_unknown(po, "payoff", {"kind", "strike"}, bad)
-    po_kind = po.get("kind")
-    if po_kind == CUSTOM:
-        bad.append("payoff.kind: Custom payoffs need a Python callable and "
-                   "cannot be built from a config file")
-    elif po_kind not in KINDS:
-        named = ", ".join(k for k in KINDS if k != CUSTOM)
-        bad.append(f"payoff.kind: must be one of {named}, got {po_kind!r}")
-    po_strike = _num(po, "payoff", "strike", bad)
-
-    lo = sections["loss"]
-    _reject_unknown(lo, "loss", {"kind", "p"}, bad)
-    lo_kind = lo.get("kind")
-    if lo_kind not in (LINEAR, POWER):
-        bad.append(f"loss.kind: must be '{LINEAR}' or '{POWER}', got {lo_kind!r}")
-    lo_p = None
-    if lo_kind == POWER:
-        lo_p = _num(lo, "loss", "p", bad)
-    elif "p" in lo:
-        bad.append("loss.p: only valid for power loss")
-
-    so = sections["solver"]
-    _reject_unknown(so, "solver",
-                    {"abs_tol_target", "max_bracket_expansions",
-                     "bisection_iters"}, bad)
-    dflt = SolveConfig()
-    solver_args = dict(
-        abs_tol_target=_num(so, "solver", "abs_tol_target", bad,
-                            dflt.abs_tol_target),
-        max_bracket_expansions=int(_num(so, "solver", "max_bracket_expansions",
-                                        bad, dflt.max_bracket_expansions)),
-        bisection_iters=int(_num(so, "solver", "bisection_iters", bad,
-                                 dflt.bisection_iters)),
-    )
-
-    mcd = sections["mc"]
-    _reject_unknown(mcd, "mc", {"n_paths", "seed", "antithetic"}, bad)
-    anti = mcd.get("antithetic", _DEFAULT_MC.antithetic)
-    if not isinstance(anti, bool):
-        bad.append(f"mc.antithetic: must be a boolean, got {anti!r}")
-        anti = True
-    mc_args = dict(
-        n_paths=int(_num(mcd, "mc", "n_paths", bad, _DEFAULT_MC.n_paths)),
-        seed=int(_num(mcd, "mc", "seed", bad, _DEFAULT_MC.seed)),
-        antithetic=anti,
-    )
-
-    out = sections["output"]
-    _reject_unknown(out, "output", {"path", "format"}, bad)
-    out_path = out.get("path")
-    if out_path is not None and not isinstance(out_path, str):
-        bad.append(f"output.path: must be a string, got {out_path!r}")
-        out_path = None
-    out_format = out.get("format", "csv")
-    if out_format not in _FORMATS:
-        bad.append(f"output.format: must be 'csv' or 'json', got {out_format!r}")
-        out_format = "csv"
-
+    bad = [f"config.{key}: unknown key" for key in data if key not in _SCHEMA]
     parts = {}
-    for label, ctor, kwargs in (
-            ("market", MarketParams, market_args),
-            ("payoff", Payoff, dict(kind=po_kind if po_kind in KINDS
-                                    and po_kind != CUSTOM else "Digital",
-                                    strike=po_strike)),
-            ("loss", LossSpec, dict(kind=lo_kind if lo_kind in (LINEAR, POWER)
-                                    else LINEAR, p=lo_p)),
-            ("solver", SolveConfig, solver_args),
-            ("mc", McConfig, mc_args)):
+    for name, keys in _SCHEMA.items():
+        start, sec = _START[name], data.get(name)
+        if not isinstance(sec, dict):
+            if sec is not None:
+                bad.append(f"{name}: must be a JSON object")
+            elif name in _REQUIRED:
+                bad.append(f"{name}: missing required section")
+            parts[name] = start
+            continue
+        bad.extend(f"{name}.{key}: unknown key" for key in sec
+                   if key not in keys)
+        good, wrong = {}, []
+        for key, kind in keys.items():
+            if key in sec:
+                value, why = _convert(kind, sec[key])
+            elif name in _REQUIRED and getattr(start, key) is not None:
+                value, why = None, "missing required key"
+            else:
+                continue
+            if why:
+                wrong.append(f"{name}.{key}")
+                bad.append(f"{name}.{key}: {why}")
+            else:
+                good[key] = value
         try:
-            parts[label] = ctor(**kwargs)
+            parts[name] = replace(start, **good)
         except ValidationError as exc:
-            bad.extend(f"{label}.{v}" for v in exc.violations)
+            for v in exc.violations:
+                v = v if v.startswith(f"{name}.") else f"{name}.{v}"
+                if v.split(":")[0].split("[")[0] not in wrong:
+                    bad.append(v)
     if bad:
         raise ValidationError(bad)
-    return RunConfig(market=parts["market"], payoff=parts["payoff"],
-                     loss=parts["loss"], solver=parts["solver"],
-                     mc=parts["mc"], out_path=out_path, out_format=out_format)
+    return RunConfig(**parts)
 
 
 def load_config(path: str) -> RunConfig:
@@ -241,7 +207,7 @@ def load_config(path: str) -> RunConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ValidationError([f"config: cannot read {path!r}: {exc}"])
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # incl. UnicodeDecodeError
         raise ValidationError([f"config: {path!r} is not valid JSON: {exc}"])
     return parse_config(data)
 
@@ -328,13 +294,7 @@ def resolve_grid(spec: str, symbols: _Symbols) -> list:
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return f"{v:.12g}"
-    return str(v)
+    return f"{v:.12g}" if isinstance(v, float) else str(v)
 
 
 def _sanitize(v):
@@ -344,107 +304,88 @@ def _sanitize(v):
     return v
 
 
-def _render(command: str, config: RunConfig, header: list, rows: list,
-            results, comments: Optional[list] = None) -> str:
-    if config.out_format == "json":
+_KEY_VALUE = ["key", "value"]
+_POINT = ["input", "value", "c", "method", "err_estimate"]
+
+
+def _run_price(config: RunConfig, symbols: _Symbols, options):
+    return _KEY_VALUE, [["price", price(config.payoff, config.market,
+                                        config.mc)]], None
+
+
+def _run_psi(config: RunConfig, symbols: _Symbols, options):
+    c = resolve_expr(options.c or "0", symbols)
+    pair = _psi_pair(config.payoff, config.market, config.loss, c)
+    return (["c", "psi1", "psi2", "method", "err_estimate"],
+            [[c, pair.psi1, pair.psi2, pair.method, pair.err_estimate]], None)
+
+
+def _run_phi(impl, arg: str):
+    """The handler of phi1 (impl _phi1_impl, option --x) or phi2."""
+    def handler(config: RunConfig, symbols: _Symbols, options):
+        g = resolve_expr(getattr(options, arg), symbols)
+        value, c, err, method = _one(impl(
+            config.payoff, config.market, config.loss, [g], config.solver,
+            config.mc))[:4]
+        return _POINT, [[g, value, c, method, err]], None
+    return handler
+
+
+def _run_curve(config: RunConfig, symbols: _Symbols, options):
+    grid = resolve_grid(options.grid, symbols)
+    rc = curve(config.payoff, config.market, config.loss, options.kind, grid,
+               config.solver, config.mc)
+    return (_POINT, [[p.input, p.value, p.c, p.method, p.err_estimate]
+                     for p in rc.points], [p.error for p in rc.points])
+
+
+def _run_verify(config: RunConfig, symbols: _Symbols, options):
+    x = resolve_expr(options.x, symbols)
+    rep = verify_risk(config.payoff, config.market, config.loss, x, config.mc)
+    rows = [[f.name, getattr(rep, f.name)] for f in fields(rep)]
+    return _KEY_VALUE, rows + [["ok", rep.ok]], None
+
+
+# command -> handler(config, symbols, options) returning the command's table:
+# (header, rows, errors), errors a per-row list for curve, else None
+_COMMANDS = {"price": _run_price, "psi": _run_psi,
+             "phi1": _run_phi(_phi1_impl, "x"),
+             "phi2": _run_phi(_phi2_impl, "v"),
+             "curve": _run_curve, "verify": _run_verify}
+
+
+def _results(header: list, rows: list, errors: Optional[list], options):
+    """The JSON results of a table: a dict of a key,value table, the object
+    of a single row, or a curve's kind and points (each row's object plus
+    its error)."""
+    if header == _KEY_VALUE:
+        return {k: _sanitize(v) for k, v in rows}
+    objs = [{h: _sanitize(v) for h, v in zip(header, row)} for row in rows]
+    if errors is None:
+        return objs[0]
+    return {"kind": options.kind,
+            "points": [dict(o, error=e) for o, e in zip(objs, errors)]}
+
+
+def run(command: str, config: RunConfig, options) -> str:
+    """Execute one command against a resolved config; returns the artifact
+    text (CSV or JSON per config.output.format)."""
+    header, rows, errors = _COMMANDS[command](config, _Symbols(config),
+                                              options)
+    if config.output.format == "json":
         doc = {"command": command, "seed": config.mc.seed,
-               "config": config.to_dict(), "results": results}
+               "config": config.to_dict(),
+               "results": _results(header, rows, errors, options)}
         return json.dumps(doc, indent=2) + "\n"
     lines = [f"# command: {command}",
              f"# seed: {config.mc.seed}",
              "# config: " + json.dumps(config.to_dict(),
                                        separators=(",", ":"))]
-    lines.extend(f"# {c}" for c in (comments or []))
+    lines.extend(f"# failed input={_fmt(row[0])}: {e}"
+                 for row, e in zip(rows, errors or ()) if e)
     lines.append(",".join(header))
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def _run_price(config: RunConfig, symbols: _Symbols, options) -> str:
-    v = price(config.payoff, config.market, config.mc)
-    return _render("price", config, ["key", "value"], [["price", v]],
-                   {"price": _sanitize(v)})
-
-
-def _run_psi(config: RunConfig, symbols: _Symbols, options) -> str:
-    c = resolve_expr(getattr(options, "c", None) or "0", symbols)
-    if config.loss.kind == LINEAR:
-        pair = psi_linear(config.payoff, config.market, c=c)
-    else:
-        pair = psi_power(config.payoff, config.market, c=c, p=config.loss.p)
-    row = [c, pair.psi1, pair.psi2, pair.method, pair.err_estimate]
-    results = {"c": _sanitize(c), "psi1": _sanitize(pair.psi1),
-               "psi2": _sanitize(pair.psi2), "method": pair.method,
-               "err_estimate": _sanitize(pair.err_estimate)}
-    return _render("psi", config,
-                   ["c", "psi1", "psi2", "method", "err_estimate"], [row],
-                   results)
-
-
-def _run_phi(command: str, config: RunConfig, symbols: _Symbols,
-             options) -> str:
-    if command == "phi1":
-        g = resolve_expr(options.x, symbols)
-        value, c, err, method = _one(_phi1_impl(
-            config.payoff, config.market, config.loss, [g], config.solver,
-            config.mc))[:4]
-    else:
-        g = resolve_expr(options.v, symbols)
-        value, c, err, method = _one(_phi2_impl(
-            config.payoff, config.market, config.loss, [g], config.solver,
-            config.mc))
-    row = [g, value, c, method, err]
-    results = {"input": _sanitize(g), "value": _sanitize(value),
-               "c": _sanitize(c), "method": method,
-               "err_estimate": _sanitize(err)}
-    return _render(command, config,
-                   ["input", "value", "c", "method", "err_estimate"], [row],
-                   results)
-
-
-def _run_curve(config: RunConfig, symbols: _Symbols, options) -> str:
-    grid = resolve_grid(options.grid, symbols)
-    rc = curve(config.payoff, config.market, config.loss, options.kind, grid,
-               config.solver, config.mc)
-    rows = [[p.input, p.value, p.c, p.method, p.err_estimate]
-            for p in rc.points]
-    comments = [f"failed input={_fmt(p.input)}: {p.error}"
-                for p in rc.points if p.error]
-    points = [{"input": _sanitize(p.input), "value": _sanitize(p.value),
-               "c": _sanitize(p.c), "method": p.method,
-               "err_estimate": _sanitize(p.err_estimate),
-               "error": p.error} for p in rc.points]
-    results = {"kind": rc.kind, "points": points}
-    return _render("curve", config,
-                   ["input", "value", "c", "method", "err_estimate"], rows,
-                   results, comments)
-
-
-def _run_verify(config: RunConfig, symbols: _Symbols, options) -> str:
-    x = resolve_expr(options.x, symbols)
-    rep = verify_risk(config.payoff, config.market, config.loss, x, config.mc)
-    fields = [("x", rep.x), ("price", rep.price), ("c", rep.c),
-              ("engine_risk", rep.engine_risk), ("mc_risk", rep.mc_risk),
-              ("mc_risk_se", rep.mc_risk_se), ("mc_cost", rep.mc_cost),
-              ("mc_cost_se", rep.mc_cost_se), ("risk_ok", rep.risk_ok),
-              ("cost_ok", rep.cost_ok), ("ok", rep.ok)]
-    results = {k: _sanitize(v) for k, v in fields}
-    return _render("verify", config, ["key", "value"],
-                   [[k, v] for k, v in fields], results)
-
-
-_COMMANDS = {"price": _run_price, "psi": _run_psi, "phi1": _run_phi,
-             "phi2": _run_phi, "curve": _run_curve, "verify": _run_verify}
-
-
-def run(command: str, config: RunConfig, options) -> str:
-    """Execute one command against a resolved config; returns the artifact
-    text (CSV or JSON per config.out_format)."""
-    symbols = _Symbols(config)
-    handler = _COMMANDS[command]
-    if command in ("phi1", "phi2"):
-        return handler(command, config, symbols, options)
-    return handler(config, symbols, options)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -481,16 +422,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: RunConfig, options) -> RunConfig:
-    mc = config.mc
-    if options.seed is not None:
-        mc = McConfig(n_paths=mc.n_paths, seed=options.seed,
-                      antithetic=mc.antithetic)
-    out_path = options.out if options.out is not None else config.out_path
-    out_format = options.format if options.format is not None \
-        else config.out_format
-    return RunConfig(market=config.market, payoff=config.payoff,
-                     loss=config.loss, solver=config.solver, mc=mc,
-                     out_path=out_path, out_format=out_format)
+    mc = config.mc if options.seed is None else replace(config.mc,
+                                                         seed=options.seed)
+    output = Output(config.output.path if options.out is None else options.out,
+                    options.format or config.output.format)
+    return replace(config, mc=mc, output=output)
+
+
+# error type -> exit code, first match wins (ValidationError before its base)
+_EXIT_CODES = (
+    (ValidationError, 2),
+    (AssumptionViolatedError, 3),
+    ((OutOfRangeError, InfeasibleInversionError), 4),
+    (HeavyTailError, 5),
+    ((PayoffContractError, UnsupportedClosedFormError), 6),
+    (NanGuardError, 7),
+    (ShortfallHedgeError, 1),
+)
 
 
 def main(argv=None) -> int:
@@ -498,34 +446,21 @@ def main(argv=None) -> int:
     try:
         config = _apply_overrides(load_config(options.config), options)
         text = run(options.command, config, options)
-        if config.out_path:
-            with open(config.out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
+        if not config.output.path:
             sys.stdout.write(text)
+            return 0
+        try:
+            with open(config.output.path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError([f"output.path: cannot write "
+                                   f"{config.output.path!r}: {exc}"])
         return 0
-    except ValidationError as exc:
-        for v in exc.violations:
-            print(f"error: {v}", file=sys.stderr)
-        return 2
-    except AssumptionViolatedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (OutOfRangeError, InfeasibleInversionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except HeavyTailError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except (PayoffContractError, UnsupportedClosedFormError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
-    except NanGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 7
     except ShortfallHedgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        for line in getattr(exc, "violations", [exc]):
+            print(f"error: {line}", file=sys.stderr)
+        return next(code for kinds, code in _EXIT_CODES
+                    if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

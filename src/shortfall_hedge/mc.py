@@ -25,7 +25,8 @@ from .psi import LINEAR, POWER, LossSpec, _nan_guard
 
 @dataclass(frozen=True)
 class McConfig:
-    """Path count, seed, and antithetic switch; n_paths >= 1e4 for oracle use."""
+    """Path count, seed, and antithetic switch; n_paths >= 1e4 for oracle
+    use, seed >= 0 (numpy seeds take no negative integer)."""
 
     n_paths: int
     seed: int
@@ -33,10 +34,12 @@ class McConfig:
 
     def __post_init__(self):
         bad = []
-        if self.n_paths < 2:
-            bad.append(f"n_paths: must be >= 2, got {self.n_paths!r}")
-        if not isinstance(self.seed, int):
-            bad.append(f"seed: must be an integer, got {self.seed!r}")
+        for name, least in (("n_paths", 2), ("seed", 0)):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool):
+                bad.append(f"{name}: must be an integer, got {v!r}")
+            elif v < least:
+                bad.append(f"{name}: must be >= {least}, got {v!r}")
         if bad:
             raise ValidationError(bad)
 

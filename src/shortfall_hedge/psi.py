@@ -140,11 +140,8 @@ class _Ctx:
     trunc_sd: float
 
 
-def _make_ctx(payoff: Payoff, params: MarketParams,
-              constants: Optional[MeasureConstants],
-              trunc_sd: float) -> _Ctx:
-    cons = constants if constants is not None else payoff_constants(
-        payoff, params)
+def _make_ctx(payoff: Payoff, params: MarketParams, trunc_sd: float) -> _Ctx:
+    cons = payoff_constants(payoff, params)
     sg1, sg2 = params.sigma
     t = params.T
     sd = math.sqrt(t)
@@ -843,8 +840,7 @@ def _sign_guard_power(payoff: Payoff, ctx: _Ctx, p: float):
 
 
 def _psi_side(payoff: Payoff, params: MarketParams, loss: LossSpec, c,
-              side: int, constants: Optional[MeasureConstants] = None,
-              trunc_sd: float = TRUNC_SD):
+              side: int, trunc_sd: float = TRUNC_SD):
     """(values, errs) of Psi1 (side=1) or Psi2 (side=2) by quadrature, as
     arrays over the 1-d array of c.
 
@@ -858,7 +854,7 @@ def _psi_side(payoff: Payoff, params: MarketParams, loss: LossSpec, c,
     if payoff.kind == CUSTOM:
         raise UnsupportedClosedFormError(
             "custom payoffs have no closed-form Psi; use psi_mc")
-    ctx = _make_ctx(payoff, params, constants, trunc_sd)
+    ctx = _make_ctx(payoff, params, trunc_sd)
     if loss.kind == LINEAR:
         v, e = _LINEAR_SIDES[payoff.kind](ctx, c, side == 2)
         return np.maximum(v, 0.0), e
@@ -892,58 +888,30 @@ def _fmt_c(c) -> str:
     return ", ".join(f"{ci:g}" for ci in c)
 
 
-def _psi_pair(payoff: Payoff, params: MarketParams, loss: LossSpec, c,
-              constants: Optional[MeasureConstants],
-              trunc_sd: float) -> PsiPair:
+def _psi_pair(payoff: Payoff, params: MarketParams, loss: LossSpec,
+              c) -> PsiPair:
     c = _validate_c(c)
-    v1, e1 = _psi_side(payoff, params, loss, [c], 1, constants, trunc_sd)
-    v2, e2 = _psi_side(payoff, params, loss, [c], 2, constants, trunc_sd)
+    v1, e1 = _psi_side(payoff, params, loss, [c], 1)
+    v2, e2 = _psi_side(payoff, params, loss, [c], 2)
     return PsiPair(psi1=float(v1[0]), psi2=float(v2[0]), c=c,
                    method="quadrature", err_estimate=float(e1[0] + e2[0]))
 
 
 def psi_linear(payoff: Payoff, params: MarketParams,
-               constants: Optional[MeasureConstants] = None, c: float = 0.0,
-               *, trunc_sd: float = TRUNC_SD) -> PsiPair:
+               c: float = 0.0) -> PsiPair:
     """(Psi1(c), Psi2(c)) for linear loss by closed-form quadrature."""
-    return _psi_pair(payoff, params, LossSpec(LINEAR), c, constants, trunc_sd)
+    return _psi_pair(payoff, params, LossSpec(LINEAR), c)
 
 
-def psi_power(payoff: Payoff, params: MarketParams,
-              constants: Optional[MeasureConstants] = None, c: float = 0.0,
-              p: float = 2.0, *, trunc_sd: float = TRUNC_SD) -> PsiPair:
+def psi_power(payoff: Payoff, params: MarketParams, c: float = 0.0,
+              p: float = 2.0) -> PsiPair:
     """(Psi1^p(c), Psi2^p(c)) for power loss by closed-form quadrature.
 
     p must be finite and above 1 (ValidationError otherwise).
     Payoff-specific sign conditions are checked first; a violation raises
     AssumptionViolatedError naming the condition (psi_mc remains available).
     """
-    return _psi_pair(payoff, params, LossSpec(POWER, p), c, constants,
-                     trunc_sd)
-
-
-@dataclass(frozen=True)
-class SpreadRegions:
-    """Row sections of the spread power-loss regions at one y.
-
-    a_set is the success section [x*, inf); b_set = [d(y), x*) is where the
-    payoff is positive but unhedged.
-    """
-
-    a_set: tuple[float, float]
-    b_set: tuple[float, float]
-
-
-def spread_region_boundary(constants: MeasureConstants, params: MarketParams,
-                           c: float, p: float, y: float) -> SpreadRegions:
-    """Split the row at W2 = y into the success and shortfall x-intervals."""
-    c = _validate_c(c)
-    payoff = Payoff(SPREAD, strike=constants.strike)
-    ctx = _make_ctx(payoff, params, constants, TRUNC_SD)
-    x_star, d_y = _spread_xstar(ctx, _lnc(c), float(p), np.array([float(y)]),
-                                False)
-    return SpreadRegions(a_set=(float(x_star[0]), math.inf),
-                         b_set=(float(d_y[0]), float(x_star[0])))
+    return _psi_pair(payoff, params, LossSpec(POWER, p), c)
 
 
 def _prefix(x: np.ndarray) -> np.ndarray:
@@ -1085,13 +1053,11 @@ class _McTable:
     """
 
     def __init__(self, payoff: Payoff, params: MarketParams, loss: LossSpec,
-                 n: int, seed: int,
-                 constants: Optional[MeasureConstants] = None):
+                 n: int, seed: int):
         if n < 10 ** 4:
             raise ValidationError(
                 [f"n: Monte Carlo oracle use requires n >= 1e4, got {n}"])
-        cons = constants if constants is not None else payoff_constants(
-            payoff, params)
+        cons = payoff_constants(payoff, params)
         law = GaussianLaw(2, np.zeros(2), params.wiener_cov)
         draws = sample(law, 2 * n, seed)
         self.sides = {
@@ -1141,8 +1107,7 @@ class _McTable:
 
 
 def psi_mc(payoff: Payoff, params: MarketParams, loss: LossSpec, c: float,
-           n: int, seed: int,
-           constants: Optional[MeasureConstants] = None) -> PsiPair:
+           n: int, seed: int) -> PsiPair:
     """Unbiased Monte Carlo estimate of (Psi1, Psi2) at c.
 
     Works for every payoff (including Custom) and for parameter regions
@@ -1150,7 +1115,7 @@ def psi_mc(payoff: Payoff, params: MarketParams, loss: LossSpec, c: float,
     martingale measure directly.
     """
     c = _validate_c(c)
-    table = _McTable(payoff, params, loss, n, seed, constants)
+    table = _McTable(payoff, params, loss, n, seed)
     psi1, se1 = table.side(c, 1)
     psi2, se2 = table.side(c, 2)
     return PsiPair(psi1=psi1, psi2=psi2, c=c, method="monte-carlo",

@@ -44,7 +44,7 @@ from .errors import (AssumptionViolatedError, HeavyTailError,
                      ShortfallHedgeError, ValidationError)
 from .market import MarketParams
 from .mc import McConfig
-from .payoffs import CUSTOM, Payoff, payoff_constants
+from .payoffs import CUSTOM, Payoff
 from .psi import (LINEAR, POWER, LossSpec, _make_ctx, _McTable, _psi_side,
                   _sign_guard_power)
 
@@ -68,10 +68,12 @@ class SolveConfig:
         if not 0 < self.abs_tol_target < math.inf:
             bad.append("abs_tol_target: must be positive and finite, got "
                        f"{self.abs_tol_target!r}")
-        if self.max_bracket_expansions < 1:
-            bad.append("max_bracket_expansions: must be >= 1")
-        if self.bisection_iters < 1:
-            bad.append("bisection_iters: must be >= 1")
+        for name in ("max_bracket_expansions", "bisection_iters"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool):
+                bad.append(f"{name}: must be an integer, got {v!r}")
+            elif v < 1:
+                bad.append(f"{name}: must be >= 1, got {v!r}")
         if bad:
             raise ValidationError(bad)
 
@@ -99,7 +101,7 @@ def _route_method(payoff: Payoff, params: MarketParams, loss: LossSpec) -> str:
         return METHOD_MC
     if loss.kind == POWER:
         try:
-            _sign_guard_power(payoff, _make_ctx(payoff, params, None, 10.0),
+            _sign_guard_power(payoff, _make_ctx(payoff, params, 10.0),
                               loss.p)
         except AssumptionViolatedError:
             return METHOD_MC
@@ -118,18 +120,15 @@ class _Evaluator:
         self.payoff = payoff
         self.params = params
         self.loss = loss
-        self.constants = payoff_constants(payoff, params)
         self.method = _route_method(payoff, params, loss)
         if self.method == METHOD_MC:
             mc = mc or _FALLBACK_MC
-            self._table = _McTable(payoff, params, loss, mc.n_paths, mc.seed,
-                                   self.constants)
+            self._table = _McTable(payoff, params, loss, mc.n_paths, mc.seed)
 
     def side(self, c, side: int):
         """(values, errs) of Psi_side at each c of an array."""
         if self.method == METHOD_QUAD:
-            return _psi_side(self.payoff, self.params, self.loss, c, side,
-                             self.constants)
+            return _psi_side(self.payoff, self.params, self.loss, c, side)
         v, e = self._table.side(c, side)
         return np.maximum(v, 0.0), e
 

@@ -127,6 +127,88 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, section, key, literal):
     assert any(f"{section}.{key}: must be finite" in line for line in err)
 
 
+@pytest.mark.parametrize("section, key", [
+    ("solver", "max_bracket_expansions"), ("solver", "bisection_iters"),
+    ("mc", "n_paths"), ("mc", "seed")])
+def test_integer_fields_take_whole_numbers(tmp_path, capsys, section, key):
+    # a fractional value is refused, not truncated by int()
+    doc = dict(SYMMETRIC, **{section: {key: 20000.5}})
+    assert main(["price", "--config", _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {section}.{key}: must be an integer, got 20000.5"]
+    # an integral float such as 2e4 is a whole number
+    got = getattr(getattr(parse_config(dict(SYMMETRIC, **{section: {key: 2e4}})),
+                          section), key)
+    assert got == 20000 and type(got) is int
+
+
+def test_negative_seed_rejected(tmp_path, capsys):
+    # numpy takes no negative seed: a listed violation, not numpy's ValueError
+    doc = dict(SYMMETRIC, mc={"n_paths": 20000, "seed": -1})
+    assert main(["verify", "--config", _write(tmp_path, doc),
+                 "--x", "0.5*price"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: mc.seed: must be >= 0, got -1"]
+    assert main(["verify", "--config", _write(tmp_path, SYMMETRIC, "ok.json"),
+                 "--x", "0.5*price", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: seed: must be >= 0, got -1"]
+
+
+def test_every_violation_listed_once(tmp_path, capsys):
+    # one wrong value per config field: each is named once, with no doubled
+    # section prefix and no message about a value the file did not hold
+    bad = {
+        "market": {"s0": [100.0, -1.0], "alpha": [0.08, "x"],
+                   "sigma": [0.2, 0.0], "rho": 2.0, "r": "x", "T": -1.0,
+                   "extra": 1},
+        "payoff": {"kind": "Custom", "strike": -3.0},
+        "loss": {"kind": "quadratic", "p": "two"},
+        "solver": {"abs_tol_target": 0.0, "max_bracket_expansions": 0,
+                   "bisection_iters": 2.5},
+        "mc": {"n_paths": 1, "seed": -1, "antithetic": "yes"},
+        "output": {"path": 3, "format": "xml"},
+        "junk": {},
+    }
+    assert main(["price", "--config", _write(tmp_path, bad)]) == 2
+    assert set(capsys.readouterr().err.splitlines()) == {f"error: {v}" for v in (
+        "config.junk: unknown key",
+        "market.extra: unknown key",
+        "market.s0[1]: must be a positive finite real, got -1.0",
+        "market.alpha: must be a list of two numbers, got [0.08, 'x']",
+        "market.sigma[1]: must be a positive finite real, got 0.0",
+        "market.rho: must satisfy |rho| <= 0.9999 (Q positive definite), "
+        "got 2.0",
+        "market.r: must be a number, got 'x'",
+        "market.T: must be a positive finite real, got -1.0",
+        "payoff.kind: must be one of Digital, QuantoDomestic, QuantoForeign, "
+        "Outperformance, Spread, got 'Custom'",
+        "payoff.strike: must be a positive real, got -3.0",
+        "loss.kind: must be one of linear, power, got 'quadratic'",
+        "loss.p: must be a number, got 'two'",
+        "solver.abs_tol_target: must be positive and finite, got 0.0",
+        "solver.max_bracket_expansions: must be >= 1, got 0",
+        "solver.bisection_iters: must be an integer, got 2.5",
+        "mc.n_paths: must be >= 2, got 1",
+        "mc.seed: must be >= 0, got -1",
+        "mc.antithetic: must be a boolean, got 'yes'",
+        "output.path: must be a string or null, got 3",
+        "output.format: must be one of csv, json, got 'xml'")}
+
+
+def test_config_echo_format():
+    # the format of the '# config:' line and of the JSON "config" object
+    assert json.dumps(parse_config(DESK).to_dict()) == (
+        '{"market": {"s0": [100.0, 95.0], "alpha": [0.08, 0.05], '
+        '"sigma": [0.2, 0.3], "rho": -0.5, "r": 0.02, "T": 1.0}, '
+        '"payoff": {"kind": "Spread", "strike": 5.0}, '
+        '"loss": {"kind": "power", "p": 2.0}, '
+        '"solver": {"abs_tol_target": 1e-09, "max_bracket_expansions": 200, '
+        '"bisection_iters": 200}, '
+        '"mc": {"n_paths": 200000, "seed": 1, "antithetic": true}, '
+        '"output": {"path": null, "format": "csv"}}')
+
+
 def test_missing_sections_rejected(tmp_path, capsys):
     rc = main(["price", "--config", _write(tmp_path, {"market": SYMMETRIC["market"]})])
     err = capsys.readouterr().err
@@ -230,6 +312,25 @@ def test_config_file_problems(tmp_path, capsys):
     bad_json.write_text("{not json")
     assert main(["price", "--config", str(bad_json)]) == 2
     capsys.readouterr()
+    # too deeply nested for the decoder, and not UTF-8: listed, no traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"market": "\xe9"}')
+    for path in (deep, latin):
+        assert main(["price", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config: ")
+
+
+def test_unwritable_out_path(tmp_path, capsys):
+    # the artifact's file cannot be created: exit 2 naming the path
+    target = str(tmp_path / "missing" / "a.csv")
+    assert main(["price", "--config", _write(tmp_path, SYMMETRIC),
+                 "--out", target]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: output.path: cannot write {target!r}: ")
 
 
 def test_custom_kind_rejected_in_config(tmp_path, capsys):

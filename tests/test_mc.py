@@ -76,6 +76,14 @@ def test_mc_config_validation():
         McConfig(1, seed=0)
     with pytest.raises(ValidationError):
         McConfig(1000, seed=1.5)
+    # numpy takes no negative seed; integer fields hold integers
+    for bad in (dict(seed=-1), dict(n_paths=20_000.0), dict(n_paths=True),
+                dict(seed=True), dict(seed="1")):
+        with pytest.raises(ValidationError):
+            McConfig(**dict(dict(n_paths=20_000, seed=1), **bad))
+    with pytest.raises(ValidationError):
+        verify_risk(Payoff(DIGITAL, 10.0), desk_params(), LossSpec(LINEAR),
+                    1.0, McConfig(20_000, seed=-1))
 
 
 def test_discretize_invariants():

@@ -20,7 +20,7 @@ from shortfall_hedge.payoffs import (CUSTOM, DIGITAL, OUTPERFORMANCE, Payoff,
                                      evaluate)
 import shortfall_hedge.psi as psi_mod
 from shortfall_hedge.psi import (LINEAR, LossSpec, POWER, psi_linear, psi_mc,
-                                 psi_power, spread_region_boundary)
+                                 psi_power)
 
 
 def _mc_expectations(payoff, params, n=200_000, seed=42):
@@ -179,12 +179,13 @@ def test_spread_region_boundary_membership():
         lncz = math.log(c) - cons.a1 * x - cons.a2 * y - cons.b_cap * t
         return kappa * lncz - math.log(h)
 
+    ctx = psi_mod._make_ctx(payoff, params, psi_mod.TRUNC_SD)
     rng = np.random.default_rng(12)
     for y in rng.normal(scale=math.sqrt(t), size=12):
-        regions = spread_region_boundary(cons, params, c, p, float(y))
-        x_star = regions.a_set[0]
-        d_y = regions.b_set[0]
-        assert regions.b_set[1] == x_star
+        # the row at W2 = y splits at x* into shortfall [d(y), x*) and
+        # success [x*, inf)
+        x_star, d_y = (float(v[0]) for v in psi_mod._spread_xstar(
+            ctx, math.log(c), p, np.array([float(y)]), False))
         # the payoff root: S1(d_y) - S2(y) - K = 0
         assert terminal_price(params, 1, d_y) - terminal_price(
             params, 2, y) - payoff.strike == pytest.approx(0.0, abs=1e-6)

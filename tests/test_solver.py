@@ -327,3 +327,9 @@ def test_solve_config_validation():
         SolveConfig(abs_tol_target=math.inf)
     with pytest.raises(ValidationError):
         SolveConfig(bisection_iters=0)
+    # integer fields hold integers: 2.5 is not truncated to 2
+    for bad in (dict(bisection_iters=2.5), dict(bisection_iters=True),
+                dict(max_bracket_expansions=3.0),
+                dict(max_bracket_expansions="3")):
+        with pytest.raises(ValidationError):
+            SolveConfig(**bad)
