@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -20,13 +19,16 @@ from .errors import ValidationError
 from .market import (UNDER_P, UNDER_PTILDE, MarketParams, _check_measure,
                      radon_nikodym, terminal_price)
 from .payoffs import CUSTOM, Payoff, evaluate, payoff_constants
-from .psi import LINEAR, POWER, LossSpec, _nan_guard
+from .psi import LINEAR, LossSpec, _nan_guard
+
+_MAX_PATHS = 10 ** 8
 
 
 @dataclass(frozen=True)
 class McConfig:
     """Path count, seed, and antithetic switch; n_paths >= 1e4 for oracle
-    use, seed >= 0 (numpy seeds take no negative integer)."""
+    use and at most _MAX_PATHS (the draws alone take 32 bytes a path),
+    seed >= 0 (numpy seeds take no negative integer)."""
 
     n_paths: int
     seed: int
@@ -34,12 +36,15 @@ class McConfig:
 
     def __post_init__(self):
         bad = []
-        for name, least in (("n_paths", 2), ("seed", 0)):
+        for name, least, most in (("n_paths", 2, _MAX_PATHS),
+                                  ("seed", 0, math.inf)):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool):
                 bad.append(f"{name}: must be an integer, got {v!r}")
             elif v < least:
                 bad.append(f"{name}: must be >= {least}, got {v!r}")
+            elif v > most:
+                bad.append(f"{name}: must be <= {most}, got {v!r}")
         if bad:
             raise ValidationError(bad)
 

@@ -111,6 +111,17 @@ def _each(fn, c) -> np.ndarray:
     return np.array([fn(float(ci)) for ci in c], dtype=float)
 
 
+# the sides marked by _one_c_at_a_time (see _is_one_c_side)
+_ONE_C_SIDES = set()
+
+
+def _one_c_at_a_time(side_fn):
+    """Mark a side whose c's run one after another: a read of k c's costs
+    about k one-c reads, so the solver reads no c ahead on it."""
+    _ONE_C_SIDES.add(side_fn)
+    return side_fn
+
+
 def _c_weight(c, q: float, b: float, t: float) -> np.ndarray:
     """c^q e^(-q b t) at each c, 0 at c = inf, in Python floats."""
     return _each(lambda ci: 0.0 if math.isinf(ci)
@@ -222,6 +233,7 @@ def _digital_linear_one(ctx: _Ctx, c: float, tilde: bool):
     return ctx.k * rect_upper_prob(law, (thr_b, big_l)), ctx.k * RECT_ERR
 
 
+@_one_c_at_a_time
 def _digital_linear_side(ctx: _Ctx, c, tilde: bool):
     # closed form, no quadrature: one c at a time
     return _each(lambda ci: _digital_linear_one(ctx, ci, tilde), c).T
@@ -737,6 +749,7 @@ def _spread_shortfall_rows(ctx: _Ctx, p: float, d_y, s2k, m_c, t_hi):
     return out
 
 
+@_one_c_at_a_time
 def _spread_power_psi1(ctx: _Ctx, c, p: float):
     _check_spread_power(ctx)
     a1, a2 = ctx.cons.a1, ctx.cons.a2
@@ -882,6 +895,15 @@ def _psi_side(payoff: Payoff, params: MarketParams, loss: LossSpec, c,
                 f"Psi{side} at p = {loss.p:g}, c = {_fmt_c(c[bad])}: a "
                 "power-loss term overflows")
     return np.maximum(v, 0.0), e
+
+
+def _is_one_c_side(payoff: Payoff, loss: LossSpec, side: int) -> bool:
+    """Whether _psi_side runs the c's of this side one after another."""
+    if loss.kind == LINEAR:
+        fn = _LINEAR_SIDES.get(payoff.kind)
+    else:
+        fn = (_POWER_PSI1 if side == 1 else _POWER_PSI2).get(payoff.kind)
+    return fn in _ONE_C_SIDES
 
 
 def _fmt_c(c) -> str:

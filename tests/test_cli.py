@@ -155,6 +155,17 @@ def test_negative_seed_rejected(tmp_path, capsys):
         "error: seed: must be >= 0, got -1"]
 
 
+def test_huge_path_count_rejected(tmp_path, capsys):
+    # 1e30 paths reached numpy's raw "Maximum allowed dimension exceeded",
+    # and about 1e10 would try to allocate hundreds of GB first
+    doc = dict(SYMMETRIC, mc={"n_paths": 1e30, "seed": 1})
+    assert main(["verify", "--config", _write(tmp_path, doc),
+                 "--x", "0.5*price"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: mc.n_paths: must be <= 100000000, got "
+        f"{int(1e30)}"]
+
+
 def test_every_violation_listed_once(tmp_path, capsys):
     # one wrong value per config field: each is named once, with no doubled
     # section prefix and no message about a value the file did not hold

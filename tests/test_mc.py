@@ -77,8 +77,11 @@ def test_mc_config_validation():
     with pytest.raises(ValidationError):
         McConfig(1000, seed=1.5)
     # numpy takes no negative seed; integer fields hold integers
+    # an unbounded path count would try to allocate its draws; only
+    # rejected counts are built here
     for bad in (dict(seed=-1), dict(n_paths=20_000.0), dict(n_paths=True),
-                dict(seed=True), dict(seed="1")):
+                dict(seed=True), dict(seed="1"), dict(n_paths=10 ** 8 + 1),
+                dict(n_paths=10 ** 30)):
         with pytest.raises(ValidationError):
             McConfig(**dict(dict(n_paths=20_000, seed=1), **bad))
     with pytest.raises(ValidationError):

@@ -274,25 +274,98 @@ def test_curve_reads_psi_once_per_lockstep_step(monkeypatch):
     assert len(calls) <= 55
 
 
+# the sides whose c's run one after another: no c is read ahead on them
+ONE_C_SIDES = {(DIGITAL, LINEAR, 1), (DIGITAL, LINEAR, 2), (SPREAD, POWER, 1)}
+
+
 @pytest.mark.parametrize("loss", (LIN, P2), ids=lambda l: l.kind)
 @pytest.mark.parametrize("payoff", DESK_PAYOFFS, ids=lambda p: p.kind)
 def test_one_point_solve_reads_each_c_once(payoff, loss, monkeypatch):
-    # the check at the answer uses the value its bisection already read
+    # the check at the answer uses the value its bisection already read,
+    # and a single solve reads 4 bisection levels ahead in each call
     params = desk_params()
-    p_h, edge = price(payoff, params), _edges(payoff, params, loss, None)[0]
+    # the cached price and edges, filled under the solver's own cache keys
+    p_h = price(payoff, params, None)
+    edge = _edges(payoff, params, loss, None)[0]
     reads = []
     real = solver._psi_side
 
     def counting(payoff, params, loss, c, side, *args, **kwargs):
-        reads.extend((side, ci) for ci in np.atleast_1d(c).tolist())
+        reads.append((side, np.atleast_1d(c).tolist()))
         return real(payoff, params, loss, c, side, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_psi_side", counting)
     for solve, side, top in ((phi1, 2, p_h), (phi2, 1, edge)):
         reads.clear()
         solve(payoff, params, loss, 0.5 * top)
-        cs = [c for s, c in reads if s == side]
+        cs = [c for s, batch in reads if s == side for c in batch]
         assert len(cs) > 2 and len(set(cs)) == len(cs)
+        if (payoff.kind, loss.kind, side) in ONE_C_SIDES:
+            assert all(len(batch) == 1 for s, batch in reads if s == side)
+        else:
+            assert len(reads) <= 16
+            assert all(len(batch) <= 15 for _s, batch in reads)
+
+
+@pytest.mark.parametrize("loss", (LIN, P2), ids=lambda l: l.kind)
+@pytest.mark.parametrize("payoff", DESK_PAYOFFS, ids=lambda p: p.kind)
+def test_read_ahead_keeps_every_bit(payoff, loss, monkeypatch):
+    # reading ahead reads the c's plain bisection would read, and no other
+    # value of a solve: depth 1 is plain bisection, the same tuples
+    params = desk_params()
+    p_h = price(payoff, params)
+
+    def solves():
+        got = []
+        for f in (0.1, 0.5, 0.9):
+            r1 = _phi1_impl(payoff, params, loss, [f * p_h], None, None)[0]
+            got += [r1, _phi2_impl(payoff, params, loss, [r1[0]], None,
+                                   None)[0]]
+        return got
+
+    read_ahead = solves()
+    monkeypatch.setattr(solver, "_read_ahead_depth", lambda n_live: 1)
+    assert solves() == read_ahead
+
+
+def _failing_above(limit, raised):
+    real = solver._psi_side
+
+    def failing(payoff, params, loss, c, side, *args, **kwargs):
+        top = float(np.max(c))
+        if top > limit:
+            raised.append(top)
+            raise HeavyTailError(f"c = {top!r} is above the limit")
+        return real(payoff, params, loss, c, side, *args, **kwargs)
+
+    return failing
+
+
+def test_read_ahead_failures_stay_unseen(monkeypatch):
+    # a read-ahead c that fails raises only in a solve that reaches it
+    params = desk_params()
+    payoff = Payoff(QUANTO_DOMESTIC, 100.0)
+    x = 0.5 * price(payoff, params)
+    clean = _phi1_impl(payoff, params, LIN, [x], None, None)
+    c = clean[0][1]
+    # the doublings end at the first power of 2 at or above c, and only
+    # the read-ahead doublings go beyond it
+    limit = 2.0 ** math.ceil(math.log2(c))
+    raised = []
+    monkeypatch.setattr(solver, "_psi_side", _failing_above(limit, raised))
+    assert _phi1_impl(payoff, params, LIN, [x], None, None) == clean
+    assert raised
+    # below the solved c the solve raises the error plain bisection raises
+    monkeypatch.setattr(solver, "_psi_side", _failing_above(0.5 * limit, []))
+
+    def error():
+        with pytest.raises(HeavyTailError) as exc:
+            phi1(payoff, params, LIN, x)
+        return str(exc.value)
+
+    read_ahead = error()
+    monkeypatch.setattr(solver, "_read_ahead_depth", lambda n_live: 1)
+    assert error() == read_ahead
 
 
 def test_mc_fallback_route_for_violated_signs():
