@@ -13,9 +13,11 @@ in closed form by Owen's T (gaussian.rect_upper_prob, err_estimate a 4 eps
 rounding bound).  Every other expectation reduces to an outer 1-d adaptive
 integral whose inner integral is the closed form E[e^(gamma Y) 1{lo<=Y<=hi}]
 for a conditional normal Y, except the spread/power shortfall term, whose
-inner integrand (S1 - S2 - K)^p has no tilt representation and is
-integrated numerically after the substitution x = d(y) + t^4 that removes
-the algebraic edge.
+inner integrand (S1 - S2 - K)^p has no tilt representation.  It runs on a
+fixed K15 rule in t, x = d(y) + t^4 (which removes the algebraic edge at
+the payoff root d(y)), with 4 W / (3 sd) panels for a row width W and the
+conditional sd, clipped to 4..24.  Its upper limit, the region boundary
+x*(y), is a root found by Newton's method in w = ln(S1 - S2 - K).
 
 _psi_side is the one quadrature entry point, and it takes an array of c:
 every side integrates one interval per c in one integrate_batch call, its
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import expit, ndtr
 
 from ._quad import integrate_batch, integrate_rows
 from .errors import (AssumptionViolatedError, HeavyTailError, NanGuardError,
@@ -55,11 +57,11 @@ _SIGN_TOL = 1e-14
 # Gaussian integrals are truncated at +/-TRUNC_SD marginal standard
 # deviations (truncated mass < 1e-23, the documented error floor)
 TRUNC_SD = 10.0
-_INNER_PANELS_MIN = 16
-_INNER_PANELS_MAX = 96
+_INNER_PANELS_MIN = 4
+_INNER_PANELS_MAX = 24
 # abscissae per inner-integral chunk: 16384 doubles (128 KiB) per temporary
-# stay in the heap and the L2 cache; a temporary of all rows (up to
-# 120 x 96 x 15, 1.4 MB) is mapped and unmapped again on every call
+# stay in the heap and the L2 cache; a temporary of all rows (120 x 24 x 15,
+# 346 KB, in a first outer round) is mapped and unmapped again on every call
 _INNER_CHUNK_POINTS = 16384
 
 
@@ -662,72 +664,57 @@ def _check_spread_power(ctx: _Ctx):
             "use the Monte Carlo route")
 
 
-def _spread_d_of_y(ctx: _Ctx, y, tilde: bool):
-    _bs, m1, m2, _suf = _side_fields(ctx, tilde)
-    s10, s20 = ctx.params.s0
-    sg1, sg2 = ctx.params.sigma
-    s2v = s20 * np.exp(m2 + sg2 * np.asarray(y, dtype=float))
-    return (np.log((s2v + ctx.k) / s10) - m1) / sg1, s2v
-
-
 def _spread_xstar(ctx: _Ctx, lnc, p: float, y, tilde: bool):
-    """Unique crossing x*(y) of c^k Z~^k = S1(x) - S2(y) - K, above d(y).
+    """(x*(y), d(y), S2(y) + K) per row: x* is the unique crossing of
+    c^k Z~^k = S1(x) - S2(y) - K above the payoff root d(y).
 
-    lnc = ln c, per row or one for all.  Vectorized bisection to 1e-12
-    absolute in x, row by row.  c = 0 gives d(y); c = inf gives +inf.
+    lnc = ln c, per row or one for all.  Newton's method in
+    w = ln(S1(x) - S2(y) - K), where the crossing is the root of
+
+        h(w) = k (ln c - A2 y - B T) - k A1 x(w) - w,
+        x(w) = d(y) + ln(1 + e^w / (S2(y) + K)) / sigma1,
+
+    concave and decreasing, with slope in [-1 - k A1 / sigma1, -1].  From
+    w0 = k (ln c - A2 y - B T) - k A1 d(y), right of the root, the iterates
+    descend to it monotonically.  A row stops on its own, once |h| is at
+    rounding level or a step no longer descends, so its x* does not
+    depend on the other rows.  c = 0 gives d(y); c = inf gives +inf.
     """
-    _check_spread_power(ctx)
-    bs, m1, _m2, _suf = _side_fields(ctx, tilde)
+    bs, m1, m2, _suf = _side_fields(ctx, tilde)
+    sg1, sg2 = ctx.params.sigma
     y = np.asarray(y, dtype=float)
-    d_y, s2v = _spread_d_of_y(ctx, y, tilde)
+    s2k = ctx.params.s0[1] * np.exp(m2 + sg2 * y) + ctx.k
+    d_y = (np.log(s2k / ctx.params.s0[0]) - m1) / sg1
     lnc = np.broadcast_to(np.asarray(lnc, dtype=float), d_y.shape)
     x_star = np.where(lnc == -np.inf, d_y, np.inf)
-    rows = np.isfinite(lnc)
-    if not rows.any():
-        return x_star, d_y
-    kap = 1.0 / (p - 1.0)
-    a1, a2, t = ctx.cons.a1, ctx.cons.a2, ctx.cons.T
-    s10 = ctx.params.s0[0]
-    sg1 = ctx.params.sigma[0]
-    lnc_r, y_r, d_r, s2v_r = lnc[rows], y[rows], d_y[rows], s2v[rows]
-
-    def h(x):
-        # decreasing in x: left side is the kappa-log of c Z~, right side
-        # the log payoff; h > 0 means x is left of the crossing
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            lhs = kap * (lnc_r - a1 * x - a2 * y_r - bs * t)
-            gap = s10 * np.exp(m1 + sg1 * x) - s2v_r - ctx.k
-            rhs = np.where(gap > 0, np.log(np.maximum(gap, 1e-300)), -np.inf)
-        return lhs - rhs
-
-    lo = d_r.copy()
-    width = np.full_like(d_r, 1.0)
-    hi = d_r + width
-    for _ in range(80):
-        mask = h(hi) > 0
-        if not mask.any():
+    rows = np.flatnonzero(np.isfinite(lnc))
+    ka1 = ctx.cons.a1 / (p - 1.0)
+    base = (lnc[rows] - ctx.cons.a2 * y[rows] - bs * ctx.cons.T) / (p - 1.0)
+    d_r, ln_s = d_y[rows], np.log(s2k[rows])
+    w = base - ka1 * d_r
+    for _ in range(50):  # 3-6 steps a row; the cap is a guard
+        x = d_r + np.logaddexp(0.0, w - ln_s) / sg1
+        x_star[rows] = x
+        h = base - ka1 * x - w
+        w_next = w + h / (1.0 + ka1 * expit(w - ln_s) / sg1)
+        # |h| within 4 eps of the size of its terms, or no descent
+        live = ((np.abs(h) > 8.9e-16 * (np.abs(base) + ka1 * np.abs(x)
+                                        + np.abs(w) + 1.0)) & (w_next < w))
+        if not live.any():
             break
-        width = np.where(mask, width * 2.0, width)
-        hi = np.where(mask, d_r + width, hi)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        above = h(mid) > 0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    x_star[rows] = 0.5 * (lo + hi)
-    return x_star, d_y
+        rows, base, d_r, ln_s = rows[live], base[live], d_r[live], ln_s[live]
+        w = w_next[live]
+    return x_star, d_y, s2k
 
 
 def _spread_shortfall_rows(ctx: _Ctx, p: float, d_y, s2k, m_c, t_hi):
     """Inner integral of (S1 - S2 - K)^p over [d(y), d(y) + t_hi^4] under
     the conditional law of W1, row-wise after x = d(y) + t^4.  The panel
     count follows the widest of the given rows."""
-    s10 = ctx.params.s0[0]
-    sg1 = ctx.params.sigma[0]
-    cond_sd = ctx.cond_sd
+    s10, sg1, cond_sd = ctx.params.s0[0], ctx.params.sigma[0], ctx.cond_sd
     n_panels = int(np.clip(
         math.ceil(4.0 * float(np.max(t_hi, initial=0.0)) ** 4
-                  / (0.75 * cond_sd)),
+                  / (3.0 * cond_sd)),
         _INNER_PANELS_MIN, _INNER_PANELS_MAX))
 
     # rows in chunks: a row's value does not depend on the other rows
@@ -751,17 +738,15 @@ def _spread_shortfall_rows(ctx: _Ctx, p: float, d_y, s2k, m_c, t_hi):
 
 @_one_c_at_a_time
 def _spread_power_psi1(ctx: _Ctx, c, p: float):
-    _check_spread_power(ctx)
     a1, a2 = ctx.cons.a1, ctx.cons.a2
-    sg1, sg2 = ctx.params.sigma
-    rho, sd, cond_sd, k, t = ctx.rho, ctx.sd, ctx.cond_sd, ctx.k, ctx.cons.T
+    sg1 = ctx.params.sigma[0]
+    rho, sd, cond_sd, t = ctx.rho, ctx.sd, ctx.cond_sd, ctx.cons.T
     q = p / (p - 1.0)
-    b_cap = ctx.cons.b_cap
     lnc = _each(_lnc, c)
-    coef2 = _c_weight(c, q, b_cap, t)
+    coef2 = _c_weight(c, q, ctx.cons.b_cap, t)
 
     def f(y, ids):
-        x_star, d_y = _spread_xstar(ctx, lnc[ids], p, y, False)
+        x_star, d_y, s2k = _spread_xstar(ctx, lnc[ids], p, y, False)
         m_c = rho * y
         # inner cap: beyond the tilt-shifted conditional tail the p-th power
         # of the gap carries negligible mass
@@ -769,7 +754,6 @@ def _spread_power_psi1(ctx: _Ctx, c, p: float):
                               np.maximum(d_y, m_c + p * sg1 * cond_sd ** 2
                                          + (ctx.trunc_sd + 2.0) * cond_sd))
         t_hi = np.maximum(hi_inner - d_y, 0.0) ** 0.25
-        s2k = np.exp(ctx.m2p + sg2 * y) * ctx.params.s0[1] + k
         # one c at a time, so that each c's panel count and temporaries are
         # those of a one-c call
         t1 = np.empty_like(y)
@@ -788,24 +772,20 @@ def _spread_power_psi1(ctx: _Ctx, c, p: float):
 
 
 def _spread_power_psi2(ctx: _Ctx, c, p: float):
-    _check_spread_power(ctx)
     a1, a2 = ctx.cons.a1, ctx.cons.a2
-    sg1 = ctx.params.sigma[0]
-    s10 = ctx.params.s0[0]
-    rho, sd, cond_sd, k, t = ctx.rho, ctx.sd, ctx.cond_sd, ctx.k, ctx.cons.T
+    sg1, s10 = ctx.params.sigma[0], ctx.params.s0[0]
+    rho, sd, cond_sd, t = ctx.rho, ctx.sd, ctx.cond_sd, ctx.cons.T
     kap = 1.0 / (p - 1.0)
-    b_tilde = ctx.cons.b_cap_tilde
     lnc = _each(_lnc, c)
-    coef2 = _c_weight(c, kap, b_tilde, t)
+    coef2 = _c_weight(c, kap, ctx.cons.b_cap_tilde, t)
     _bs, m1, _m2, _suf = _side_fields(ctx, True)
 
     def f(y, ids):
-        x_star, _d_y = _spread_xstar(ctx, lnc[ids], p, y, True)
-        _dd, s2v = _spread_d_of_y(ctx, y, True)
+        x_star, _d_y, s2k = _spread_xstar(ctx, lnc[ids], p, y, True)
         m_c = rho * y
         t1 = s10 * np.exp(m1) * tilted_interval_mass(sg1, m_c, cond_sd,
                                                      x_star, np.inf)
-        t2 = (s2v + k) * tilted_interval_mass(0.0, m_c, cond_sd, x_star, np.inf)
+        t2 = s2k * tilted_interval_mass(0.0, m_c, cond_sd, x_star, np.inf)
         t3 = coef2[ids] * np.exp(-kap * a2 * y) * tilted_interval_mass(
             -kap * a1, m_c, cond_sd, x_star, np.inf)
         return _phi(y, sd) * (t1 - t2 - t3)

@@ -38,9 +38,9 @@ bisected function stays deterministic and pathwise monotone in c.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -172,11 +172,25 @@ def _one(results: list):
     return got
 
 
-@lru_cache(maxsize=256)
+def _cached_on(key):
+    """lru_cache keyed on key(*args): the arguments as far as they can move
+    the value, so that equivalent calls share one entry."""
+    def wrap(fn):
+        cached = functools.lru_cache(maxsize=256)(fn)
+        call = functools.wraps(fn)(lambda *a, **kw: cached(*key(*a, **kw)))
+        call.cache_info = cached.cache_info
+        return call
+    return wrap
+
+
+@_cached_on(lambda payoff, params, loss, mc: (
+    payoff, params, loss,
+    mc if _route_method(payoff, params, loss) == METHOD_MC else None))
 def _edges(payoff: Payoff, params: MarketParams, loss: LossSpec,
            mc: Optional[McConfig]):
     """(Psi1 edge, err, Psi2(0), err); the Psi1 edge is E[H] for linear loss
-    and the ceiling E[l(H)] = Psi1^p(inf) for power loss."""
+    and the ceiling E[l(H)] = Psi1^p(inf) for power loss.  Cached per
+    contract, and per mc only on the Monte Carlo route."""
     ev = _Evaluator(payoff, params, loss, mc)
     c_edge = 0.0 if loss.kind == LINEAR else math.inf
     (p1,), (e1,) = ev.side([c_edge], 1)
@@ -184,10 +198,12 @@ def _edges(payoff: Payoff, params: MarketParams, loss: LossSpec,
     return float(p1), float(e1), float(p2), float(e2)
 
 
-@lru_cache(maxsize=256)
+@_cached_on(lambda payoff, params, mc=None: (
+    payoff, params, mc if payoff.kind == CUSTOM else None))
 def price(payoff: Payoff, params: MarketParams,
           mc: Optional[McConfig] = None) -> float:
-    """p(H) = e^{-rT} E~[H], computed once per (payoff, params, mc).
+    """p(H) = e^{-rT} E~[H], computed once per contract, and per mc only
+    for Custom payoffs.
 
     Quadrature for named payoffs, with a numerical integrability check:
     widening the Gaussian truncation from 10 to 12 sd must move the value

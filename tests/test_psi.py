@@ -168,32 +168,70 @@ def test_spread_region_boundary_membership():
     c, p = 25.0, 2.0
     kappa = 1.0 / (p - 1.0)
     t = params.T
+    ctx = psi_mod._make_ctx(payoff, params, psi_mod.TRUNC_SD)
 
-    def log_ratio(x, y):
+    def log_ratio(x, y, under):
         # kappa ln(c Z~) - ln H, negative exactly on the success set
-        s1 = terminal_price(params, 1, x)
-        s2 = terminal_price(params, 2, y)
+        s1 = terminal_price(params, 1, x, under)
+        s2 = terminal_price(params, 2, y, under)
         h = s1 - s2 - payoff.strike
         if h <= 0:
             return math.inf
-        lncz = math.log(c) - cons.a1 * x - cons.a2 * y - cons.b_cap * t
+        b_cap = cons.b_cap if under == UNDER_P else cons.b_cap_tilde
+        lncz = math.log(c) - cons.a1 * x - cons.a2 * y - b_cap * t
         return kappa * lncz - math.log(h)
 
-    ctx = psi_mod._make_ctx(payoff, params, psi_mod.TRUNC_SD)
     rng = np.random.default_rng(12)
     for y in rng.normal(scale=math.sqrt(t), size=12):
-        # the row at W2 = y splits at x* into shortfall [d(y), x*) and
-        # success [x*, inf)
-        x_star, d_y = (float(v[0]) for v in psi_mod._spread_xstar(
-            ctx, math.log(c), p, np.array([float(y)]), False))
-        # the payoff root: S1(d_y) - S2(y) - K = 0
-        assert terminal_price(params, 1, d_y) - terminal_price(
-            params, 2, y) - payoff.strike == pytest.approx(0.0, abs=1e-6)
-        if math.isfinite(x_star):
-            eps = 1e-6 * max(1.0, abs(x_star))
-            assert log_ratio(x_star + eps, y) < 0.0
+        for under in (UNDER_P, UNDER_PTILDE):
+            # the row at W2 = y splits at x* into shortfall [d(y), x*) and
+            # success [x*, inf)
+            x_star, d_y, _s2k = (float(v[0]) for v in psi_mod._spread_xstar(
+                ctx, math.log(c), p, np.array([float(y)]),
+                under == UNDER_PTILDE))
+            # the payoff root: S1(d_y) - S2(y) - K = 0
+            assert terminal_price(params, 1, d_y, under) - terminal_price(
+                params, 2, y, under) - payoff.strike == pytest.approx(
+                    0.0, abs=1e-6)
+            assert math.isfinite(x_star)
+            eps = 1e-12 * max(1.0, abs(x_star))
+            assert log_ratio(x_star + eps, y, under) < 0.0
             if x_star - eps > d_y:
-                assert log_ratio(x_star - eps, y) > 0.0
+                assert log_ratio(x_star - eps, y, under) > 0.0
+
+
+@pytest.mark.parametrize("tilde", (False, True))
+def test_spread_xstar_of_a_row_does_not_depend_on_its_batch(tilde):
+    # each row runs its own Newton iterates and stops on its own test
+    params = desk_params()
+    ctx = psi_mod._make_ctx(Payoff(SPREAD, 5.0), params, psi_mod.TRUNC_SD)
+    rng = np.random.default_rng(5)
+    y = rng.uniform(-10.0, 10.0, 400)
+    lnc = rng.uniform(-20.0, 30.0, 400)
+    lnc[:3] = -math.inf, math.inf, 0.0
+    p = 2.0 if tilde else 3.0
+    batch = psi_mod._spread_xstar(ctx, lnc, p, y, tilde)
+    for i in range(y.size):
+        alone = psi_mod._spread_xstar(ctx, lnc[i:i + 1], p, y[i:i + 1], tilde)
+        for got, want in zip(alone, batch):
+            assert got[0] == want[i]
+
+
+@pytest.mark.parametrize("rho", (-0.5, 0.6))
+def test_spread_power_psi1_matches_a_fine_inner_rule(rho, monkeypatch):
+    # the inner shortfall rule against 1536 panels per row, well inside the
+    # outer quadrature's error estimate
+    params = desk_params(rho=rho)
+    payoff = Payoff(SPREAD, 5.0)
+    cs = np.exp(np.linspace(-6.0, 12.0, 7))
+    for p in (1.5, 2.0, 3.0):
+        loss = LossSpec(POWER, p)
+        got, err = psi_mod._psi_side(payoff, params, loss, cs, 1)
+        with monkeypatch.context() as m:
+            m.setattr(psi_mod, "_INNER_PANELS_MIN", 1536)
+            m.setattr(psi_mod, "_INNER_PANELS_MAX", 1536)
+            ref, _err = psi_mod._psi_side(payoff, params, loss, cs, 1)
+        assert (np.abs(got - ref) <= err).all(), (p, got - ref, err)
 
 
 def test_spread_power_inner_chunks_keep_the_bits(monkeypatch):

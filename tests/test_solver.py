@@ -42,6 +42,37 @@ def test_price_is_discounted_psi2_at_zero():
         assert price(payoff, params) == pytest.approx(want, rel=1e-12)
 
 
+def test_price_and_edges_are_cached_once_per_contract(monkeypatch):
+    # mc moves a price only for Custom payoffs, and the edges only on the
+    # Monte Carlo route: a named contract fills one entry of each
+    params = desk_params(rho=0.15)
+    payoff = Payoff(QUANTO_DOMESTIC, 101.0)
+    mc = McConfig(20_000, seed=3)
+    reads = []
+    real = solver._psi_side
+
+    def counting(*args, **kwargs):
+        reads.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_psi_side", counting)
+    misses = price.cache_info().misses
+    got = {price(payoff, params), price(payoff, params, None),
+           price(payoff, params, mc), price(payoff, params, mc=None)}
+    assert len(got) == 1 and price.cache_info().misses == misses + 1
+    assert len(reads) == 2  # Psi2(0) at 10 and at 12 sd, once
+    misses = _edges.cache_info().misses
+    assert _edges(payoff, params, LIN, None) == _edges(payoff, params, LIN, mc)
+    assert _edges.cache_info().misses == misses + 1
+    basket = Payoff(CUSTOM, custom_eval=lambda s1, s2: np.maximum(
+        0.5 * s1 + 0.5 * s2 - 95.0, 0.0))
+    misses = price.cache_info().misses
+    price(basket, params, mc)
+    price(basket, params, McConfig(20_000, seed=4))
+    price(basket, params, mc)
+    assert price.cache_info().misses == misses + 2
+
+
 def test_phi1_recovers_c_of_psi2():
     # phi1 at x = e^{-rT} Psi2(c0) solves Psi2(c) = Psi2(c0)
     params = desk_params()
