@@ -47,6 +47,8 @@ from .solver import (SolveConfig, _edges, _one, _phi1_impl, _phi2_impl,
                      curve, price)
 
 _FORMATS = ("csv", "json")
+# the most points a --grid may ask for
+_GRID_MAX_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -270,19 +272,22 @@ def resolve_expr(expr: str, symbols: _Symbols) -> float:
 
 
 def resolve_grid(spec: str, symbols: _Symbols) -> list:
-    """Parse 'start:stop:count' into an inclusive evenly spaced grid."""
+    """Parse 'start:stop:count' into an inclusive evenly spaced grid of
+    1 to _GRID_MAX_POINTS points; the count is checked before the bounds
+    are resolved."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValidationError(
             [f"grid {spec!r}: expected start:stop:count"])
-    lo = resolve_expr(parts[0], symbols)
-    hi = resolve_expr(parts[1], symbols)
     try:
         n = int(parts[2])
     except ValueError:
         raise ValidationError([f"grid {spec!r}: count must be an integer"])
-    if n < 1:
-        raise ValidationError([f"grid {spec!r}: count must be >= 1"])
+    if not 1 <= n <= _GRID_MAX_POINTS:
+        raise ValidationError([f"grid {spec!r}: count must be between 1 "
+                               f"and {_GRID_MAX_POINTS}"])
+    lo = resolve_expr(parts[0], symbols)
+    hi = resolve_expr(parts[1], symbols)
     if n == 1:
         return [lo]
     step = (hi - lo) / (n - 1)

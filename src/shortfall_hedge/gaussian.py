@@ -61,10 +61,12 @@ class GaussianLaw:
         return np.sqrt(np.diag(self.cov))
 
 
-def rect_upper_prob(law: GaussianLaw, lower) -> float:
+def rect_upper_prob(law: GaussianLaw, lower):
     """P(X1 >= lower[0], X2 >= lower[1]) for a bivariate law, in closed form.
 
-    Either bound may be +/-inf.  With the standardised bounds h, k and the
+    The bounds may be arrays (broadcast together), each element of the
+    result the bits of a scalar call, which returns a Python float.  Either
+    bound may be +/-inf.  With the standardised bounds h, k and the
     correlation rho, Owen's (1956) T function gives
 
         P = (Phi(-h) + Phi(-k)) / 2 - T(h, a_h) - T(k, a_k) - beta,
@@ -74,33 +76,32 @@ def rect_upper_prob(law: GaussianLaw, lower) -> float:
     signs are read from h and k themselves, never from h*k, which underflows;
     a zero bound counts as positive, so a_h = +/-inf with the sign of k at
     h = 0 (k/h would let -0.0 flip it), and h = k = 0 is the quadrant
-    1/4 + asin(rho) / (2 pi).  The absolute rounding error is within RECT_ERR.
+    1/4 + asin(rho) / (2 pi); k/h may overflow to inf, its limit.  The
+    absolute rounding error is within RECT_ERR.
     """
     if law.dim != 2:
         raise DegenerateLawError("rect_upper_prob requires a bivariate law")
-    l1, l2 = (float(v) for v in lower)
+    l1, l2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in lower))
     m1, m2 = (float(v) for v in law.mean)
     s1, s2 = (float(v) for v in law.marginal_sd)
-    if l1 == -math.inf and l2 == -math.inf:
-        return 1.0
-    if l1 == -math.inf:
-        return float(ndtr((m2 - l2) / s2))
-    if l2 == -math.inf:
-        return float(ndtr((m1 - l1) / s1))
-    if l1 == math.inf or l2 == math.inf:
-        return 0.0
-    h = (l1 - m1) / s1
-    k = (l2 - m2) / s2
     rho = float(law.cov[0, 1]) / (s1 * s2)
-    if h == 0.0 and k == 0.0:
-        return 0.25 + math.asin(rho) / (2.0 * math.pi)
     root = math.sqrt((1.0 - rho) * (1.0 + rho))
-    a_h = math.copysign(math.inf, k) if h == 0.0 else (k / h - rho) / root
-    a_k = math.copysign(math.inf, h) if k == 0.0 else (h / k - rho) / root
-    beta = 0.5 if (h >= 0.0) != (k >= 0.0) else 0.0
-    prob = (0.5 * (ndtr(-h) + ndtr(-k)) - owens_t(h, a_h) - owens_t(k, a_k)
-            - beta)
-    return float(np.clip(prob, 0.0, 1.0))
+    # the formula at every element, then the special cases, earliest last
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        h = (l1 - m1) / s1
+        k = (l2 - m2) / s2
+        a_h = np.where(h == 0.0, np.copysign(np.inf, k), (k / h - rho) / root)
+        a_k = np.where(k == 0.0, np.copysign(np.inf, h), (h / k - rho) / root)
+        beta = np.where((h >= 0.0) != (k >= 0.0), 0.5, 0.0)
+        prob = np.clip(0.5 * (ndtr(-h) + ndtr(-k)) - owens_t(h, a_h)
+                       - owens_t(k, a_k) - beta, 0.0, 1.0)
+        prob = np.where((h == 0.0) & (k == 0.0),
+                        0.25 + math.asin(rho) / (2.0 * math.pi), prob)
+        prob = np.where((l1 == math.inf) | (l2 == math.inf), 0.0, prob)
+        prob = np.where(l2 == -math.inf, ndtr((m1 - l1) / s1), prob)
+        prob = np.where(l1 == -math.inf, ndtr((m2 - l2) / s2), prob)
+        prob = np.where((l1 == -math.inf) & (l2 == -math.inf), 1.0, prob)
+    return float(prob) if prob.ndim == 0 else prob
 
 
 def sample(law: GaussianLaw, n: int, seed: int) -> np.ndarray:

@@ -21,14 +21,18 @@ x*(y), is a root found by Newton's method in w = ln(S1 - S2 - K).
 
 _psi_side is the one quadrature entry point, and it takes an array of c:
 every side integrates one interval per c in one integrate_batch call, its
-integrand indexing the per-c constants by interval id.  Per-c constants
+integrand indexing the per-c constants by interval id (the digital's
+orthants take the c's in one rect_upper_prob call).  Per-c constants
 (ln c, c^q) are taken in Python floats, and integrate_batch sums each
 interval on its own, so a value does not depend on the other c's of the
-call.  psi_linear and psi_power call it at one c, once per side.
+call.  Only Spread/power Psi1 runs its c's one after another
+(_is_one_c_side).  psi_linear and psi_power call it at one c, once per
+side.
 
-Monte Carlo twins of both functions (psi_mc) sample W_T under P and W~_T
-under P~ directly and work for every payoff, including Custom and the
-parameter regions where a closed-form sign condition fails.
+Monte Carlo twins of both functions (psi_mc, and _McTable for arrays of
+c) sample W_T under P and W~_T under P~ directly and work for every
+payoff, including Custom and the parameter regions where a closed-form
+sign condition fails.
 """
 
 from __future__ import annotations
@@ -113,17 +117,6 @@ def _each(fn, c) -> np.ndarray:
     return np.array([fn(float(ci)) for ci in c], dtype=float)
 
 
-# the sides marked by _one_c_at_a_time (see _is_one_c_side)
-_ONE_C_SIDES = set()
-
-
-def _one_c_at_a_time(side_fn):
-    """Mark a side whose c's run one after another: a read of k c's costs
-    about k one-c reads, so the solver reads no c ahead on it."""
-    _ONE_C_SIDES.add(side_fn)
-    return side_fn
-
-
 def _c_weight(c, q: float, b: float, t: float) -> np.ndarray:
     """c^q e^(-q b t) at each c, 0 at c = inf, in Python floats."""
     return _each(lambda ci: 0.0 if math.isinf(ci)
@@ -197,12 +190,20 @@ def _half_line(a: float, rest, big_l):
 
 
 def _digital_xy(ctx: _Ctx):
-    """Joint data of X = s1.W1 - s2.W2 and Y = A1.W1 + A2.W2 (zero mean)."""
+    """(cov, sd of X, lam) of X = s1.W1 - s2.W2 and Y = A1.W1 + A2.W2 (zero
+    mean).  lam is 0.0 where A = 0 (Z~ is constant), A1/s1 where A is
+    parallel to (s1, -s2) (Y = lam X: A_c is a half-line in X), else None."""
     sg1, sg2 = ctx.params.sigma
     a1, a2 = ctx.cons.a1, ctx.cons.a2
     m = np.array([[sg1, -sg2], [a1, a2]])
     cov = m @ ctx.params.wiener_cov @ m.T
-    return cov
+    amax = max(abs(a1), abs(a2))
+    lam = None
+    if amax <= _SIGN_TOL:
+        lam = 0.0
+    elif abs(sg1 * a2 + sg2 * a1) <= _SIGN_TOL * max(sg1, sg2) * amax:
+        lam = a1 / sg1
+    return cov, math.sqrt(cov[0, 0]), lam
 
 
 # ---------------------------------------------------------------------------
@@ -210,35 +211,25 @@ def _digital_xy(ctx: _Ctx):
 # at each c of an array; c = inf gives an empty interval (A_c is empty)
 # ---------------------------------------------------------------------------
 
-def _digital_linear_one(ctx: _Ctx, c: float, tilde: bool):
+def _digital_linear_side(ctx: _Ctx, c, tilde: bool):
+    # closed form, no quadrature
     bs, _m1, _m2, suf = _side_fields(ctx, tilde)
     thr_b = ctx.cons.thresholds["b" + suf]
-    big_l = _lnc(c) - bs * ctx.cons.T
-    a1, a2 = ctx.cons.a1, ctx.cons.a2
-    sg1, sg2 = ctx.params.sigma
-    cov = _digital_xy(ctx)
-    sd_x = math.sqrt(cov[0, 0])
-    amax = max(abs(a1), abs(a2))
-    if amax <= _SIGN_TOL:
-        val = ctx.k * _norm_sf(thr_b / sd_x) if c <= 1.0 else 0.0
-        return val, 0.0
-    det = sg1 * a2 + sg2 * a1
-    if abs(det) <= _SIGN_TOL * max(sg1, sg2) * amax:
-        lam = a1 / sg1
+    big_l = _each(_lnc, c) - bs * ctx.cons.T
+    cov, sd_x, lam = _digital_xy(ctx)
+    exact = np.zeros(c.size)
+    if lam == 0.0:
+        return np.where(c <= 1.0, ctx.k * _norm_sf(thr_b / sd_x), 0.0), exact
+    if lam is not None:
         if lam > 0:
-            lo = max(thr_b, big_l / lam)
-            return ctx.k * _norm_sf(lo / sd_x), 0.0
-        hi = big_l / lam
-        mass = max(0.0, float(ndtr(hi / sd_x) - ndtr(thr_b / sd_x)))
-        return ctx.k * mass, 0.0
+            lo = np.maximum(thr_b, big_l / lam)
+            return ctx.k * ndtr(-(lo / sd_x)), exact
+        mass = ndtr(big_l / lam / sd_x) - ndtr(thr_b / sd_x)
+        # np.where, not np.maximum, which keeps a -0.0
+        return ctx.k * np.where(mass > 0.0, mass, 0.0), exact
     law = GaussianLaw(2, np.zeros(2), cov)
-    return ctx.k * rect_upper_prob(law, (thr_b, big_l)), ctx.k * RECT_ERR
-
-
-@_one_c_at_a_time
-def _digital_linear_side(ctx: _Ctx, c, tilde: bool):
-    # closed form, no quadrature: one c at a time
-    return _each(lambda ci: _digital_linear_one(ctx, ci, tilde), c).T
+    return (ctx.k * rect_upper_prob(law, (thr_b, big_l)),
+            np.full(c.size, ctx.k * RECT_ERR))
 
 
 def _qd_linear_side(ctx: _Ctx, c, tilde: bool):
@@ -341,29 +332,24 @@ _LINEAR_SIDES = {
 
 # ---------------------------------------------------------------------------
 # power loss, at each c of an array: Psi1 sides see 0 < c <= inf, Psi2
-# sides 0 < c < inf (_psi_side settles the other c's).  A term weighted by
-# coef2 is skipped, by mask, where coef2 is 0: at c = inf it is 0 * inf.
+# sides 0 < c < inf (_psi_side settles the other c's, and checks the sign
+# condition first).  A term weighted by coef2 is skipped, by mask, where
+# coef2 is 0: at c = inf it is 0 * inf.
 # ---------------------------------------------------------------------------
 
 def _digital_power_psi1(ctx: _Ctx, c, p: float):
-    a1, a2 = ctx.cons.a1, ctx.cons.a2
-    sg1, sg2 = ctx.params.sigma
     k, t = ctx.k, ctx.cons.T
     b_cap = ctx.cons.b_cap
     thr_b = ctx.cons.thresholds["b"]
     q = p / (p - 1.0)
-    cov = _digital_xy(ctx)
-    sd_x = math.sqrt(cov[0, 0])
+    cov, sd_x, lam = _digital_xy(ctx)
     p_b = _norm_sf(thr_b / sd_x)
-    amax = max(abs(a1), abs(a2))
-    if amax <= _SIGN_TOL:
+    if lam == 0.0:
         scaled = _each(lambda ci: k ** p if ci > k ** (p - 1.0) else ci ** q, c)
         return (scaled / p) * p_b, np.zeros(c.size)
     u_c = _each(_lnc, c) - (p - 1.0) * math.log(k) - b_cap * t
     w = _c_weight(c, q, b_cap, t) / p
-    det = sg1 * a2 + sg2 * a1
-    if abs(det) <= _SIGN_TOL * max(sg1, sg2) * amax:
-        lam = a1 / sg1
+    if lam is not None:
         cut = np.maximum(thr_b, u_c / lam)
         if lam > 0:
             a_lo, a_hi, c_lo, c_hi = cut, np.inf, thr_b, cut
@@ -373,8 +359,7 @@ def _digital_power_psi1(ctx: _Ctx, c, p: float):
         term2 = w * tilted_interval_mass(-q * lam, 0.0, sd_x, a_lo, a_hi)
         return term1 + term2, np.zeros(c.size)
     law = GaussianLaw(2, np.zeros(2), cov)
-    val = (k ** p / p) * (p_b - _each(
-        lambda u: rect_upper_prob(law, (thr_b, u)), u_c))
+    val = (k ** p / p) * (p_b - rect_upper_prob(law, (thr_b, u_c)))
     err = np.full(c.size, (k ** p / p) * RECT_ERR)
     coef = cov[0, 1] / cov[0, 0]
     s_yx = math.sqrt(max(cov[1, 1] - coef * cov[0, 1], 0.0))
@@ -389,24 +374,18 @@ def _digital_power_psi1(ctx: _Ctx, c, p: float):
 
 
 def _digital_power_psi2(ctx: _Ctx, c, p: float):
-    a1, a2 = ctx.cons.a1, ctx.cons.a2
-    sg1, sg2 = ctx.params.sigma
     k, t = ctx.k, ctx.cons.T
     b_tilde = ctx.cons.b_cap_tilde
     thr_b = ctx.cons.thresholds["b_tilde"]
     kap = 1.0 / (p - 1.0)
-    cov = _digital_xy(ctx)
-    sd_x = math.sqrt(cov[0, 0])
-    amax = max(abs(a1), abs(a2))
-    if amax <= _SIGN_TOL:
+    cov, sd_x, lam = _digital_xy(ctx)
+    if lam == 0.0:
         p_b = _norm_sf(thr_b / sd_x)
         return _each(lambda ci: max(k - ci ** kap, 0.0) * p_b, c), \
             np.zeros(c.size)
     u_c = _each(_lnc, c) - (p - 1.0) * math.log(k) - b_tilde * t
     w = _c_weight(c, kap, b_tilde, t)
-    det = sg1 * a2 + sg2 * a1
-    if abs(det) <= _SIGN_TOL * max(sg1, sg2) * amax:
-        lam = a1 / sg1
+    if lam is not None:
         if lam > 0:
             a_lo, a_hi = np.maximum(thr_b, u_c / lam), np.inf
         else:
@@ -415,7 +394,7 @@ def _digital_power_psi2(ctx: _Ctx, c, p: float):
         val = val - w * tilted_interval_mass(-kap * lam, 0.0, sd_x, a_lo, a_hi)
         return val, np.zeros(c.size)
     law = GaussianLaw(2, np.zeros(2), cov)
-    pj = _each(lambda u: rect_upper_prob(law, (thr_b, u)), u_c)
+    pj = rect_upper_prob(law, (thr_b, u_c))
     coef = cov[0, 1] / cov[0, 0]
     s_yx = math.sqrt(max(cov[1, 1] - coef * cov[0, 1], 0.0))
 
@@ -438,7 +417,6 @@ def _check_qd_power(ctx: _Ctx, p: float):
         raise AssumptionViolatedError(
             "quanto-domestic power loss requires A2/(p-1) + sigma2 > 0 "
             f"(got {beta:.6g}); use the Monte Carlo route")
-    return beta
 
 
 def _qd_power_boundary(ctx: _Ctx, lnc, p: float, tilde: bool, x):
@@ -459,7 +437,6 @@ def _qd_power_boundary(ctx: _Ctx, lnc, p: float, tilde: bool, x):
 
 
 def _qd_power_psi1(ctx: _Ctx, c, p: float):
-    _check_qd_power(ctx, p)
     thr_a1 = ctx.cons.thresholds["a1"]
     a1, a2 = ctx.cons.a1, ctx.cons.a2
     sg1, sg2 = ctx.params.sigma
@@ -487,7 +464,6 @@ def _qd_power_psi1(ctx: _Ctx, c, p: float):
 
 
 def _qd_power_psi2(ctx: _Ctx, c, p: float):
-    _check_qd_power(ctx, p)
     thr_a1 = ctx.cons.thresholds["a1_tilde"]
     a1, a2 = ctx.cons.a1, ctx.cons.a2
     sg1, sg2 = ctx.params.sigma
@@ -610,7 +586,6 @@ def _check_outp_power(ctx: _Ctx):
 
 def _outp_power_side(ctx: _Ctx, c, p: float, tilde: bool):
     """Either Psi1^p (tilde=False) or Psi2^p (tilde=True)."""
-    _check_outp_power(ctx)
     bs, m1, m2, suf = _side_fields(ctx, tilde)
     thr = ctx.cons.thresholds
     thr_a1, thr_a2, thr_b = thr["a1" + suf], thr["a2" + suf], thr["b" + suf]
@@ -736,7 +711,6 @@ def _spread_shortfall_rows(ctx: _Ctx, p: float, d_y, s2k, m_c, t_hi):
     return out
 
 
-@_one_c_at_a_time
 def _spread_power_psi1(ctx: _Ctx, c, p: float):
     a1, a2 = ctx.cons.a1, ctx.cons.a2
     sg1 = ctx.params.sigma[0]
@@ -878,12 +852,10 @@ def _psi_side(payoff: Payoff, params: MarketParams, loss: LossSpec, c,
 
 
 def _is_one_c_side(payoff: Payoff, loss: LossSpec, side: int) -> bool:
-    """Whether _psi_side runs the c's of this side one after another."""
-    if loss.kind == LINEAR:
-        fn = _LINEAR_SIDES.get(payoff.kind)
-    else:
-        fn = (_POWER_PSI1 if side == 1 else _POWER_PSI2).get(payoff.kind)
-    return fn in _ONE_C_SIDES
+    """Whether _psi_side runs the c's of this side one after another, so
+    that a read of k c's costs about k one-c reads: Spread/power Psi1,
+    whose inner panel count is that of a one-c call, and no other side."""
+    return (payoff.kind, loss.kind, side) == (SPREAD, POWER, 1)
 
 
 def _fmt_c(c) -> str:
@@ -1099,13 +1071,10 @@ class _McTable:
                        h, np.exp(ln_z, out=ln_z))
 
     def side(self, c, side: int):
-        """(Psi_side(c), standard error) at a validated c, or arrays of both
-        at each c of an array, read in its order."""
-        cs = np.atleast_1d(np.asarray(c, dtype=float))
-        v, e = self.sides[side].value(cs, _each(_lnc, cs))
-        if np.ndim(c) == 0:
-            return float(v[0]), float(e[0])
-        return v, e
+        """(Psi_side, standard errors) at each validated c of an array, read
+        in its order."""
+        c = np.asarray(c, dtype=float)
+        return self.sides[side].value(c, _each(_lnc, c))
 
 
 def psi_mc(payoff: Payoff, params: MarketParams, loss: LossSpec, c: float,
@@ -1118,7 +1087,7 @@ def psi_mc(payoff: Payoff, params: MarketParams, loss: LossSpec, c: float,
     """
     c = _validate_c(c)
     table = _McTable(payoff, params, loss, n, seed)
-    psi1, se1 = table.side(c, 1)
-    psi2, se2 = table.side(c, 2)
-    return PsiPair(psi1=psi1, psi2=psi2, c=c, method="monte-carlo",
-                   err_estimate=max(se1, se2))
+    (psi1,), (se1,) = table.side([c], 1)
+    (psi2,), (se2,) = table.side([c], 2)
+    return PsiPair(psi1=float(psi1), psi2=float(psi2), c=c,
+                   method="monte-carlo", err_estimate=float(max(se1, se2)))

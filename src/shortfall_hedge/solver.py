@@ -33,7 +33,8 @@ curve solves its whole grid at once, on one thread.
 Named payoffs evaluate Psi by quadrature; Custom payoffs, and power-loss
 cases whose closed-form sign condition fails, fall back to the Monte Carlo
 table (psi._McTable): one sample with a fixed (n, seed) per solve, so the
-bisected function stays deterministic and pathwise monotone in c.
+bisected function stays deterministic and pathwise monotone in c.  Both
+routes read ahead, except on Spread/power Psi1 by quadrature.
 """
 
 from __future__ import annotations
@@ -323,16 +324,18 @@ def _bisect(ev: _Evaluator, side: int, targets: dict, increasing: bool,
     floats its solve would compute, and a Psi value does not depend on the
     other c's of its read, so every solve runs the steps and sees the
     values it would see alone; a c whose read failed raises only in a solve
-    that reaches it.  Sides that run their c's one after another, and the
-    Monte Carlo route, whose values depend on the read order, read only
-    the c's of the step (depth 1).  At depth 1 the memo answers nothing:
-    the solves run in lockstep from the same doublings, so a c that two
-    solves read is read by both at the same step.
+    that reaches it.  On the Monte Carlo route a side's first finite c is
+    1.0 at every depth, so its switch from masked means to prefix sums (see
+    psi._McSide) comes at the same c.  Spread/power Psi1 by quadrature,
+    which runs its c's one after another, reads only the c's of the step
+    (depth 1).  At depth 1 the memo answers nothing: the solves run in
+    lockstep from the same doublings, so a c that two solves read is read
+    by both at the same step.
     """
     tol = max(config.abs_tol_target * max(1.0, scale),
               1e-7 * max(1.0, scale) if ev.method == METHOD_MC else 0.0)
-    read_ahead = (ev.method == METHOD_QUAD
-                  and not _is_one_c_side(ev.payoff, ev.loss, side))
+    read_ahead = (ev.method == METHOD_MC
+                  or not _is_one_c_side(ev.payoff, ev.loss, side))
     solves = {i: _predicate_bisection(side, float(t), increasing, config, tol)
               for i, t in targets.items()}
     at = {i: next(solve) for i, solve in solves.items()}

@@ -8,7 +8,8 @@ import warnings
 
 import pytest
 
-from shortfall_hedge.cli import main, parse_config
+from shortfall_hedge.cli import (_GRID_MAX_POINTS, main, parse_config,
+                                 resolve_grid)
 
 SYMMETRIC = {
     "market": {"s0": [100.0, 100.0], "alpha": [0.05, 0.05],
@@ -314,6 +315,19 @@ def test_curve_grid_validation(tmp_path, capsys):
     assert main(["curve", "phi1", "--config", cfg, "--grid", "0:1:0"]) == 2
     assert main(["curve", "phi1", "--config", cfg, "--grid", "0:1:x"]) == 2
     capsys.readouterr()
+
+
+def test_curve_grid_size_cap(tmp_path, capsys):
+    # a count above the cap exits 2 with one error line, before any solve
+    cfg = _write(tmp_path, SYMMETRIC)
+    for count in (_GRID_MAX_POINTS + 1, 1_000_000_000):
+        assert main(["curve", "phi1", "--config", cfg, "--grid",
+                     f"0:1:{count}"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(_GRID_MAX_POINTS) in err[0]
+    top = resolve_grid(f"0:1:{_GRID_MAX_POINTS}", None)
+    assert len(top) == _GRID_MAX_POINTS and top[-1] == 1.0
 
 
 def test_config_file_problems(tmp_path, capsys):

@@ -86,6 +86,26 @@ def test_rect_monotone_in_thresholds(rho, l1, l2, bump):
     assert shrunk <= base + 1e-12
 
 
+def test_rect_array_bounds_match_scalar_calls_bit_for_bit():
+    # infinite, signed-zero and subnormal bounds, h = k = 0 and opposite
+    # signs, each element against its own scalar call
+    bounds = [-np.inf, np.inf, 0.0, -0.0, 5e-324, -2.2e-311, 0.4, -1.3, 6.0]
+    l1, l2 = (a.ravel() for a in np.meshgrid(bounds, bounds, indexing="ij"))
+    for rho in (-0.95, 0.0, 0.7):
+        for law in (_std_bvn(rho),
+                    GaussianLaw(2, [0.4, -1.3], [[4.0, 2.0 * rho],
+                                                  [2.0 * rho, 1.0]])):
+            got = rect_upper_prob(law, (l1, l2))
+            assert got.shape == l1.shape
+            want = [rect_upper_prob(law, (a, b)) for a, b in zip(l1, l2)]
+            assert all(type(w) is float for w in want)
+            assert [float(g).hex() for g in got] == [w.hex() for w in want]
+    # one bound may be an array and the other a scalar
+    law = _std_bvn(0.7)
+    assert np.array_equal(rect_upper_prob(law, (0.4, l2)),
+                          rect_upper_prob(law, (np.full(l2.size, 0.4), l2)))
+
+
 def _rect_by_quadrature(law: GaussianLaw, lower):
     """(P(X1 >= l1, X2 >= l2), error) by outer adaptive quadrature of the
     conditional tail of X1 given X2 over +/-10 sd: an independent route."""

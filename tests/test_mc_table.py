@@ -11,7 +11,7 @@ from conftest import desk_params
 from shortfall_hedge import psi
 from shortfall_hedge.errors import NanGuardError
 from shortfall_hedge.mc import McConfig
-from shortfall_hedge.payoffs import CUSTOM, Payoff
+from shortfall_hedge.payoffs import CUSTOM, SPREAD, Payoff
 from shortfall_hedge.psi import LINEAR, POWER, LossSpec, _lnc, _McTable, psi_mc
 from shortfall_hedge.solver import phi1, phi2, price
 
@@ -31,6 +31,12 @@ def _close(a: float, b: float) -> bool:
     if abs(a) < 1e-9:
         return abs(a - b) <= 1e-9
     return abs(a - b) <= 1e-12 * abs(a)
+
+
+def _at(table: _McTable, c: float, side: int) -> tuple:
+    """(Psi_side(c), standard error) from a one-c array read."""
+    (v,), (e,) = table.side([c], side)
+    return float(v), float(e)
 
 
 def _near_keys(neg_key: np.ndarray) -> list:
@@ -60,18 +66,18 @@ def test_sorted_table_matches_masked_means(loss):
         assert np.isin([-_lnc(c) for c in cs], neg_key).any()
         for c in cs:
             want = masked.sides[side]._masked(c, _lnc(c))
-            got = table.side(c, side)
+            got = _at(table, c, side)
             assert _close(want[0], got[0]), (side, c, want, got)
             assert _close(want[1], got[1]), (side, c, want, got)
 
 
 def test_table_sorts_each_side_at_its_second_finite_c():
     table = _McTable(_basket(), PARAMS, LossSpec(POWER, 2.0), 10_000, 3)
-    first = table.side(1.5, 2)
-    table.side(0.0, 2)
-    table.side(math.inf, 2)
+    first = _at(table, 1.5, 2)
+    _at(table, 0.0, 2)
+    _at(table, math.inf, 2)
     assert table.sides[2].neg_key is None  # the edges need no sort
-    assert table.side(1.5, 2) == pytest.approx(first, rel=1e-12)
+    assert _at(table, 1.5, 2) == pytest.approx(first, rel=1e-12)
     assert table.sides[2].neg_key is not None and table.sides[2].h is None
     assert table.sides[1].neg_key is None  # the other side stays unsorted
 
@@ -94,6 +100,33 @@ def test_one_sample_per_solve(loss, monkeypatch):
     assert calls == [40_000]
     phi2(payoff, PARAMS, loss, risk, mc=mc)
     assert calls == [40_000, 40_000]
+
+
+@pytest.mark.parametrize("payoff, params, loss", (
+    (_basket(), PARAMS, LOSSES[0]),
+    (_basket(), PARAMS, LOSSES[1]),
+    # A1 < 0: the spread's power sign condition fails
+    (Payoff(SPREAD, 5.0), desk_params(alpha=(-0.04, 0.05)), LOSSES[1]),
+), ids=("basket-linear", "basket-power", "spread-power"))
+def test_mc_solve_reads_ahead(payoff, params, loss, monkeypatch):
+    # the Monte Carlo route reads 4 bisection levels ahead, as quadrature
+    # does: a single solve makes at most 16 table reads of at most 15 c's
+    mc = McConfig(20_000, seed=3)
+    x = 0.5 * price(payoff, params, mc)
+    risk, _ = phi1(payoff, params, loss, x, mc=mc)  # fills price and edges
+    reads = []
+    real = _McTable.side
+
+    def counting(table, c, side):
+        reads.append(len(c))
+        return real(table, c, side)
+
+    monkeypatch.setattr(_McTable, "side", counting)
+    for solve, arg in ((phi1, x), (phi2, risk)):
+        reads.clear()
+        solve(payoff, params, loss, arg, mc=mc)
+        assert 2 < len(reads) <= 16
+        assert max(reads) <= 15
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")  # se of p(H)

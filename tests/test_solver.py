@@ -305,8 +305,8 @@ def test_curve_reads_psi_once_per_lockstep_step(monkeypatch):
     assert len(calls) <= 55
 
 
-# the sides whose c's run one after another: no c is read ahead on them
-ONE_C_SIDES = {(DIGITAL, LINEAR, 1), (DIGITAL, LINEAR, 2), (SPREAD, POWER, 1)}
+# the one side whose c's run one after another: no c is read ahead on it
+ONE_C_SIDES = {(SPREAD, POWER, 1)}
 
 
 @pytest.mark.parametrize("loss", (LIN, P2), ids=lambda l: l.kind)
@@ -338,20 +338,31 @@ def test_one_point_solve_reads_each_c_once(payoff, loss, monkeypatch):
             assert all(len(batch) <= 15 for _s, batch in reads)
 
 
+BASKET = Payoff(CUSTOM, custom_eval=lambda s1, s2:
+                np.maximum(0.5 * (s1 + s2) - 95.0, 0.0))
+
+
 @pytest.mark.parametrize("loss", (LIN, P2), ids=lambda l: l.kind)
-@pytest.mark.parametrize("payoff", DESK_PAYOFFS, ids=lambda p: p.kind)
+@pytest.mark.parametrize("payoff", DESK_PAYOFFS + (BASKET,),
+                         ids=lambda p: p.kind)
 def test_read_ahead_keeps_every_bit(payoff, loss, monkeypatch):
     # reading ahead reads the c's plain bisection would read, and no other
-    # value of a solve: depth 1 is plain bisection, the same tuples
+    # value of a solve: depth 1 is plain bisection, the same tuples.  On
+    # the Monte Carlo route also an 11-point curve, whose last running
+    # points read ahead.
     params = desk_params()
-    p_h = price(payoff, params)
+    mc = McConfig(20_000, seed=3) if payoff.kind == CUSTOM else None
+    p_h = price(payoff, params, mc)
 
     def solves():
         got = []
         for f in (0.1, 0.5, 0.9):
-            r1 = _phi1_impl(payoff, params, loss, [f * p_h], None, None)[0]
+            r1 = _phi1_impl(payoff, params, loss, [f * p_h], None, mc)[0]
             got += [r1, _phi2_impl(payoff, params, loss, [r1[0]], None,
-                                   None)[0]]
+                                   mc)[0]]
+        if mc is not None:
+            got.append(curve(payoff, params, loss, "phi1",
+                             list(np.linspace(0.0, 1.0, 11) * p_h), mc=mc))
         return got
 
     read_ahead = solves()
