@@ -26,9 +26,9 @@ _MAX_PATHS = 10 ** 8
 
 @dataclass(frozen=True)
 class McConfig:
-    """Path count, seed, and antithetic switch; n_paths >= 1e4 for oracle
-    use and at most _MAX_PATHS (the draws alone take 32 bytes a path),
-    seed >= 0 (numpy seeds take no negative integer)."""
+    """Path count, seed, and antithetic switch; n_paths >= 1e4 (the oracle
+    floor of psi._McTable) and at most _MAX_PATHS (the draws alone take 32
+    bytes a path), seed >= 0 (numpy seeds take no negative integer)."""
 
     n_paths: int
     seed: int
@@ -36,7 +36,7 @@ class McConfig:
 
     def __post_init__(self):
         bad = []
-        for name, least, most in (("n_paths", 2, _MAX_PATHS),
+        for name, least, most in (("n_paths", 10 ** 4, _MAX_PATHS),
                                   ("seed", 0, math.inf)):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool):

@@ -8,16 +8,26 @@ uses A_c = {c Z~ <= H^(p-1)}.  Definitions:
                        + (1/p) E[(c Z~)^(p/(p-1)) 1_Ac]
              Psi2(c) = E~[(H - (c Z~)^(1/(p-1))) 1_Ac]
 
-The digital's indicator terms are bivariate normal orthant probabilities,
-in closed form by Owen's T (gaussian.rect_upper_prob, err_estimate a 4 eps
-rounding bound).  Every other expectation reduces to an outer 1-d adaptive
-integral whose inner integral is the closed form E[e^(gamma Y) 1{lo<=Y<=hi}]
-for a conditional normal Y, except the spread/power shortfall term, whose
-inner integrand (S1 - S2 - K)^p has no tilt representation.  It runs on a
-fixed K15 rule in t, x = d(y) + t^4 (which removes the algebraic edge at
-the payoff root d(y)), with 4 W / (3 sd) panels for a row width W and the
-conditional sd, clipped to 4..24.  Its upper limit, the region boundary
-x*(y), is a root found by Newton's method in w = ln(S1 - S2 - K).
+Each side integrates one of four payoff shapes:
+
+- Digital: orthants.  Its indicator terms are bivariate normal orthant
+  probabilities, in closed form by Owen's T (gaussian.rect_upper_prob,
+  err_estimate a 4 eps rounding bound); the power-loss hedged term adds
+  one outer integral.
+- Product-form regions (_region_side): H = F(o) e^(tau s) on {s <= cap(o)}
+  for a Gaussian outer o and inner s | o, so A_c is a half-line in s and
+  each term is F times a closed-form tilted interval mass.  QuantoDomestic
+  is one region, Outperformance two (S1 >= S2 and S2 >= S1), and
+  QuantoForeign under power loss one region in the (U, Z) coordinates of
+  _qf_uz.  _region_side states the formula.
+- The S1-call side (_s1_call_side): H = (S1 - K(y))^+ with K(y) = K/S2
+  for QuantoForeign and S2 + K for Spread, under linear loss.
+- Spread/power: the inner shortfall (S1 - S2 - K)^p has no tilt form.  It
+  runs on a fixed K15 rule in t, x = d(y) + t^4 (which removes the
+  algebraic edge at the payoff root d(y)), with 4 W / (3 sd) panels for a
+  row width W and the conditional sd, clipped to 4..24.  Its upper limit,
+  the region boundary x*(y), is a root found by Newton's method in
+  w = ln(S1 - S2 - K).
 
 _psi_side is the one quadrature entry point, and it takes an array of c:
 every side integrates one interval per c in one integrate_batch call, its
@@ -39,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import expit, ndtr
@@ -232,102 +242,37 @@ def _digital_linear_side(ctx: _Ctx, c, tilde: bool):
             np.full(c.size, ctx.k * RECT_ERR))
 
 
-def _qd_linear_side(ctx: _Ctx, c, tilde: bool):
-    bs, m1, m2, suf = _side_fields(ctx, tilde)
-    thr_a1 = ctx.cons.thresholds["a1" + suf]
-    big_l = _each(_lnc, c) - bs * ctx.cons.T
-    a1, a2 = ctx.cons.a1, ctx.cons.a2
-    sg1, sg2 = ctx.params.sigma
-    s10, s20 = ctx.params.s0
-    rho, sd, cond_sd, k = ctx.rho, ctx.sd, ctx.cond_sd, ctx.k
+def _s1_call_side(ctx: _Ctx, c, tilde: bool, strike_of):
+    """H = (S1 - K(y))^+ under linear loss: outer y = W2, inner W1 | y.
 
-    def f(x, ids):
-        g = np.maximum(s10 * np.exp(m1 + sg1 * x) - k, 0.0)
-        lo_y, hi_y = _half_line(a2, a1 * x, big_l[ids])
-        mass = tilted_interval_mass(sg2, rho * x, cond_sd, lo_y, hi_y)
-        return _phi(x, sd) * g * s20 * np.exp(m2) * mass
-
-    return _integrate(f, max(thr_a1, -ctx.cap), ctx.cap, big_l < math.inf)
-
-
-def _qf_linear_side(ctx: _Ctx, c, tilde: bool):
-    bs, m1, m2, suf = _side_fields(ctx, tilde)
-    thr_d = ctx.cons.thresholds["d" + suf]
-    big_l = _each(_lnc, c) - bs * ctx.cons.T
-    a1, a2 = ctx.cons.a1, ctx.cons.a2
-    sg1, sg2 = ctx.params.sigma
-    s10, s20 = ctx.params.s0
-    rho, sd, cond_sd, k = ctx.rho, ctx.sd, ctx.cond_sd, ctx.k
-
-    def f(y, ids):
-        lo_x, hi_x = _half_line(a1, a2 * y, big_l[ids])
-        lo_x = np.maximum(lo_x, (thr_d - sg2 * y) / sg1)
-        m_c = rho * y
-        t1 = s10 * np.exp(m1) * tilted_interval_mass(sg1, m_c, cond_sd, lo_x, hi_x)
-        t2 = (k / s20) * np.exp(-m2 - sg2 * y) * tilted_interval_mass(
-            0.0, m_c, cond_sd, lo_x, hi_x)
-        return _phi(y, sd) * (t1 - t2)
-
-    return _integrate(f, -ctx.cap, ctx.cap, big_l < math.inf)
-
-
-def _outp_linear_side(ctx: _Ctx, c, tilde: bool):
-    bs, m1, m2, suf = _side_fields(ctx, tilde)
-    thr = ctx.cons.thresholds
-    thr_a1, thr_a2, thr_b = thr["a1" + suf], thr["a2" + suf], thr["b" + suf]
-    big_l = _each(_lnc, c) - bs * ctx.cons.T
-    a1, a2 = ctx.cons.a1, ctx.cons.a2
-    sg1, sg2 = ctx.params.sigma
-    s10, s20 = ctx.params.s0
-    rho, sd, cond_sd, k = ctx.rho, ctx.sd, ctx.cond_sd, ctx.k
-    live = big_l < math.inf
-
-    def f_r1(x, ids):
-        g = np.maximum(s10 * np.exp(m1 + sg1 * x) - k, 0.0)
-        lo_y, hi_y = _half_line(a2, a1 * x, big_l[ids])
-        hi_y = np.minimum(hi_y, (sg1 * x - thr_b) / sg2)
-        mass = tilted_interval_mass(0.0, rho * x, cond_sd, lo_y, hi_y)
-        return _phi(x, sd) * g * mass
-
-    def f_r2(y, ids):
-        g = np.maximum(s20 * np.exp(m2 + sg2 * y) - k, 0.0)
-        lo_x, hi_x = _half_line(a1, a2 * y, big_l[ids])
-        hi_x = np.minimum(hi_x, (sg2 * y + thr_b) / sg1)
-        mass = tilted_interval_mass(0.0, rho * y, cond_sd, lo_x, hi_x)
-        return _phi(y, sd) * g * mass
-
-    v1, e1 = _integrate(f_r1, max(thr_a1, -ctx.cap), ctx.cap, live)
-    v2, e2 = _integrate(f_r2, max(thr_a2, -ctx.cap), ctx.cap, live)
-    return v1 + v2, e1 + e2
-
-
-def _spread_linear_side(ctx: _Ctx, c, tilde: bool):
+    strike_of(ctx, m2, y) is the strike K(y) per row, for the S2 drift m2.
+    """
     bs, m1, m2, _suf = _side_fields(ctx, tilde)
     big_l = _each(_lnc, c) - bs * ctx.cons.T
     a1, a2 = ctx.cons.a1, ctx.cons.a2
-    sg1, sg2 = ctx.params.sigma
-    s10, s20 = ctx.params.s0
-    rho, sd, cond_sd, k = ctx.rho, ctx.sd, ctx.cond_sd, ctx.k
+    sg1, s10 = ctx.params.sigma[0], ctx.params.s0[0]
+    rho, sd, cond_sd = ctx.rho, ctx.sd, ctx.cond_sd
 
     def f(y, ids):
-        s2v = s20 * np.exp(m2 + sg2 * y)
+        k_y = strike_of(ctx, m2, y)
         lo_x, hi_x = _half_line(a1, a2 * y, big_l[ids])
-        lo_x = np.maximum(lo_x, (np.log((s2v + k) / s10) - m1) / sg1)
+        lo_x = np.maximum(lo_x, (np.log(k_y / s10) - m1) / sg1)
         m_c = rho * y
         t1 = s10 * np.exp(m1) * tilted_interval_mass(sg1, m_c, cond_sd, lo_x, hi_x)
-        t2 = (s2v + k) * tilted_interval_mass(0.0, m_c, cond_sd, lo_x, hi_x)
+        t2 = k_y * tilted_interval_mass(0.0, m_c, cond_sd, lo_x, hi_x)
         return _phi(y, sd) * (t1 - t2)
 
     return _integrate(f, -ctx.cap, ctx.cap, big_l < math.inf)
 
 
-_LINEAR_SIDES = {
-    DIGITAL: _digital_linear_side,
-    QUANTO_DOMESTIC: _qd_linear_side,
-    QUANTO_FOREIGN: _qf_linear_side,
-    OUTPERFORMANCE: _outp_linear_side,
-    SPREAD: _spread_linear_side,
-}
+def _qf_strike(ctx: _Ctx, m2: float, y):
+    """K / S2(y): QuantoForeign is (S1 - K/S2)^+."""
+    return (ctx.k / ctx.params.s0[1]) * np.exp(-m2 - ctx.params.sigma[1] * y)
+
+
+def _spread_strike(ctx: _Ctx, m2: float, y):
+    """S2(y) + K: Spread is (S1 - S2 - K)^+."""
+    return ctx.params.s0[1] * np.exp(m2 + ctx.params.sigma[1] * y) + ctx.k
 
 
 # ---------------------------------------------------------------------------
@@ -405,238 +350,6 @@ def _digital_power_psi2(ctx: _Ctx, c, p: float):
     vals, errs = _integrate(f, max(thr_b, -ctx.trunc_sd * sd_x),
                             ctx.trunc_sd * sd_x, c < math.inf)
     return k * pj - w * vals, k * RECT_ERR + w * errs
-
-
-def _qd_beta(ctx: _Ctx, p: float) -> float:
-    return ctx.cons.a2 / (p - 1.0) + ctx.params.sigma[1]
-
-
-def _check_qd_power(ctx: _Ctx, p: float):
-    beta = _qd_beta(ctx, p)
-    if beta <= 0:
-        raise AssumptionViolatedError(
-            "quanto-domestic power loss requires A2/(p-1) + sigma2 > 0 "
-            f"(got {beta:.6g}); use the Monte Carlo route")
-
-
-def _qd_power_boundary(ctx: _Ctx, lnc, p: float, tilde: bool, x):
-    """Row boundary w(x) at ln c = lnc (elementwise with x): the success
-    region is {y >= w(x)}."""
-    bs, m1, m2, _suf = _side_fields(ctx, tilde)
-    kap = 1.0 / (p - 1.0)
-    beta = _qd_beta(ctx, p)
-    s10, s20 = ctx.params.s0
-    sg1 = ctx.params.sigma[0]
-    a1, t = ctx.cons.a1, ctx.cons.T
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g = s10 * np.exp(m1 + sg1 * x) - ctx.k
-        ln_g = np.where(g > 0, np.log(np.maximum(g, 1e-300)), -np.inf)
-        num = (ln_g + math.log(s20) + m2 - kap * lnc
-               + kap * a1 * x + kap * bs * t)
-    return -num / beta
-
-
-def _qd_power_psi1(ctx: _Ctx, c, p: float):
-    thr_a1 = ctx.cons.thresholds["a1"]
-    a1, a2 = ctx.cons.a1, ctx.cons.a2
-    sg1, sg2 = ctx.params.sigma
-    s10, s20 = ctx.params.s0
-    rho, sd, cond_sd, k, t = ctx.rho, ctx.sd, ctx.cond_sd, ctx.k, ctx.cons.T
-    q = p / (p - 1.0)
-    b_cap = ctx.cons.b_cap
-    c_p = (s20 * math.exp(ctx.m2p)) ** p
-    lnc = _each(_lnc, c)
-    coef2 = _c_weight(c, q, b_cap, t)
-
-    def f(x, ids):
-        w = _qd_power_boundary(ctx, lnc[ids], p, False, x)
-        g = np.maximum(s10 * np.exp(ctx.m1p + sg1 * x) - k, 0.0)
-        t1 = c_p * g ** p * tilted_interval_mass(p * sg2, rho * x, cond_sd,
-                                                 -np.inf, w)
-        c2 = coef2[ids]
-        out = np.where(c2 != 0.0, t1 + c2 * np.exp(-q * a1 * x)
-                       * tilted_interval_mass(-q * a2, rho * x, cond_sd, w,
-                                              np.inf), t1)
-        return _phi(x, sd) * out / p
-
-    return _integrate(f, max(thr_a1, -ctx.cap), ctx.cap,
-                      np.full(c.size, True))
-
-
-def _qd_power_psi2(ctx: _Ctx, c, p: float):
-    thr_a1 = ctx.cons.thresholds["a1_tilde"]
-    a1, a2 = ctx.cons.a1, ctx.cons.a2
-    sg1, sg2 = ctx.params.sigma
-    s10, s20 = ctx.params.s0
-    rho, sd, cond_sd, k, t = ctx.rho, ctx.sd, ctx.cond_sd, ctx.k, ctx.cons.T
-    kap = 1.0 / (p - 1.0)
-    b_tilde = ctx.cons.b_cap_tilde
-    lnc = _each(_lnc, c)
-    coef = _c_weight(c, kap, b_tilde, t)
-
-    def f(x, ids):
-        w = _qd_power_boundary(ctx, lnc[ids], p, True, x)
-        g = np.maximum(s10 * np.exp(ctx.m1q + sg1 * x) - k, 0.0)
-        t1 = s20 * math.exp(ctx.m2q) * g * tilted_interval_mass(
-            sg2, rho * x, cond_sd, w, np.inf)
-        t2 = coef[ids] * np.exp(-kap * a1 * x) * tilted_interval_mass(
-            -kap * a2, rho * x, cond_sd, w, np.inf)
-        return _phi(x, sd) * (t1 - t2)
-
-    return _integrate(f, max(thr_a1, -ctx.cap), ctx.cap,
-                      np.full(c.size, True))
-
-
-def _qf_uz(ctx: _Ctx, p: float):
-    """(U, Z) coordinates for the quanto-foreign power regions.
-
-    U = (A1/(p-1)) W1 + (A2/(p-1) - sigma2) W2, Z = sigma1 W1 + sigma2 W2.
-    Returns the conditional data of U | Z and the Y-recovery coefficients.
-    """
-    a1, a2 = ctx.cons.a1, ctx.cons.a2
-    sg1, sg2 = ctx.params.sigma
-    kap = 1.0 / (p - 1.0)
-    m = np.array([[kap * a1, kap * a2 - sg2], [sg1, sg2]])
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    scale = max(abs(m[0, 0]), abs(m[0, 1]), _SIGN_TOL) * max(sg1, sg2)
-    if abs(det) <= 1e-12 * scale:
-        raise AssumptionViolatedError(
-            "quanto-foreign power loss requires the (U, Z) transform "
-            "U = (A1/(p-1))W1 + (A2/(p-1) - sigma2)W2, Z = sigma1 W1 + sigma2 W2 "
-            "to be nonsingular; use the Monte Carlo route")
-    cov = m @ ctx.params.wiener_cov @ m.T
-    inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
-    g_u = a1 * inv[0, 0] + a2 * inv[1, 0]
-    g_z = a1 * inv[0, 1] + a2 * inv[1, 1]
-    sd_z = math.sqrt(cov[1, 1])
-    coef_uz = cov[0, 1] / cov[1, 1]
-    sd_u_z = math.sqrt(max(cov[0, 0] - coef_uz * cov[0, 1], 0.0))
-    return inv, g_u, g_z, sd_z, coef_uz, sd_u_z
-
-
-def _qf_power_psi1(ctx: _Ctx, c, p: float):
-    inv, g_u, g_z, sd_z, coef_uz, sd_u_z = _qf_uz(ctx, p)
-    s10, s20 = ctx.params.s0
-    sg2 = ctx.params.sigma[1]
-    k, t = ctx.k, ctx.cons.T
-    thr_d = ctx.cons.thresholds["d"]
-    kap, q = 1.0 / (p - 1.0), p / (p - 1.0)
-    b_cap = ctx.cons.b_cap
-    k21, k22 = inv[1, 0], inv[1, 1]
-    ln_d = kap * _each(_lnc, c) + math.log(s20) + ctx.m2p - kap * b_cap * t
-    c1 = s20 ** (-p) * math.exp(-p * ctx.m2p) / p
-    coef2 = _c_weight(c, q, b_cap, t) / p
-
-    def f(z, ids):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            n_z = s10 * s20 * np.exp(ctx.m1p + ctx.m2p + z) - k
-            n_z = np.maximum(n_z, 0.0)
-            v = np.where(n_z > 0, ln_d[ids] - np.log(np.maximum(n_z, 1e-300)),
-                         np.inf)
-        m_u = coef_uz * z
-        t1 = c1 * n_z ** p * np.exp(-p * sg2 * k22 * z) * tilted_interval_mass(
-            -p * sg2 * k21, m_u, sd_u_z, -np.inf, v)
-        c2 = coef2[ids]
-        out = np.where(c2 != 0.0, t1 + c2 * np.exp(-q * g_z * z)
-                       * tilted_interval_mass(-q * g_u, m_u, sd_u_z, v,
-                                              np.inf), t1)
-        return _phi(z, sd_z) * out
-
-    return _integrate(f, max(thr_d, -ctx.trunc_sd * sd_z),
-                      ctx.trunc_sd * sd_z, np.full(c.size, True))
-
-
-def _qf_power_psi2(ctx: _Ctx, c, p: float):
-    inv, g_u, g_z, sd_z, coef_uz, sd_u_z = _qf_uz(ctx, p)
-    s10, s20 = ctx.params.s0
-    sg2 = ctx.params.sigma[1]
-    k, t = ctx.k, ctx.cons.T
-    thr_d = ctx.cons.thresholds["d_tilde"]
-    kap = 1.0 / (p - 1.0)
-    b_tilde = ctx.cons.b_cap_tilde
-    k21, k22 = inv[1, 0], inv[1, 1]
-    ln_d = kap * _each(_lnc, c) + math.log(s20) + ctx.m2q - kap * b_tilde * t
-    c1 = 1.0 / (s20 * math.exp(ctx.m2q))
-    coef2 = _c_weight(c, kap, b_tilde, t)
-
-    def f(z, ids):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            n_z = s10 * s20 * np.exp(ctx.m1q + ctx.m2q + z) - k
-            n_z = np.maximum(n_z, 0.0)
-            v = np.where(n_z > 0, ln_d[ids] - np.log(np.maximum(n_z, 1e-300)),
-                         np.inf)
-        m_u = coef_uz * z
-        t1 = c1 * n_z * np.exp(-sg2 * k22 * z) * tilted_interval_mass(
-            -sg2 * k21, m_u, sd_u_z, v, np.inf)
-        t2 = coef2[ids] * np.exp(-kap * g_z * z) * tilted_interval_mass(
-            -kap * g_u, m_u, sd_u_z, v, np.inf)
-        return _phi(z, sd_z) * (t1 - t2)
-
-    return _integrate(f, max(thr_d, -ctx.trunc_sd * sd_z),
-                      ctx.trunc_sd * sd_z, np.full(c.size, True))
-
-
-def _check_outp_power(ctx: _Ctx):
-    a1, a2 = ctx.cons.a1, ctx.cons.a2
-    if a1 <= _SIGN_TOL or a2 <= _SIGN_TOL:
-        raise AssumptionViolatedError(
-            "outperformance power loss requires A1 > 0 and A2 > 0 "
-            f"(got A1={a1:.6g}, A2={a2:.6g}); use the Monte Carlo route")
-
-
-def _outp_power_side(ctx: _Ctx, c, p: float, tilde: bool):
-    """Either Psi1^p (tilde=False) or Psi2^p (tilde=True)."""
-    bs, m1, m2, suf = _side_fields(ctx, tilde)
-    thr = ctx.cons.thresholds
-    thr_a1, thr_a2, thr_b = thr["a1" + suf], thr["a2" + suf], thr["b" + suf]
-    a1, a2 = ctx.cons.a1, ctx.cons.a2
-    sg1, sg2 = ctx.params.sigma
-    s10, s20 = ctx.params.s0
-    rho, sd, cond_sd, k, t = ctx.rho, ctx.sd, ctx.cond_sd, ctx.k, ctx.cons.T
-    kap, q = 1.0 / (p - 1.0), p / (p - 1.0)
-    lnc = _each(_lnc, c)
-    coef2 = _c_weight(c, kap, bs, t) if tilde else _c_weight(c, q, bs, t)
-
-    def region(outer, ids, own_a, other_a, own_sg, other_sg, s0_own, m_own,
-               thr_cap):
-        g = np.maximum(s0_own * np.exp(m_own + own_sg * outer) - k, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ln_g = np.where(g > 0, np.log(np.maximum(g, 1e-300)), -np.inf)
-            v = (lnc[ids] - (p - 1.0) * ln_g - own_a * outer - bs * t) / other_a
-        cap = (own_sg * outer - thr_cap) / other_sg
-        m_c = rho * outer
-        c2 = coef2[ids]
-        if tilde:
-            t1 = g * tilted_interval_mass(0.0, m_c, cond_sd, v, cap)
-            t2 = c2 * np.exp(-kap * own_a * outer) * tilted_interval_mass(
-                -kap * other_a, m_c, cond_sd, v, cap)
-            return _phi(outer, sd) * (t1 - t2)
-        t1 = g ** p * tilted_interval_mass(0.0, m_c, cond_sd, -np.inf,
-                                           np.minimum(v, cap))
-        out = np.where(c2 != 0.0, t1 + c2 * np.exp(-q * own_a * outer)
-                       * tilted_interval_mass(-q * other_a, m_c, cond_sd, v,
-                                              cap), t1)
-        return _phi(outer, sd) * out / p
-
-    def f_r1(x, ids):
-        return region(x, ids, a1, a2, sg1, sg2, s10, m1, thr_b)
-
-    def f_r2(y, ids):
-        # region 2 constraint is sigma1 x - sigma2 y < b, i.e. x < (sigma2 y + b)/sigma1
-        return region(y, ids, a2, a1, sg2, sg1, s20, m2, -thr_b)
-
-    live = np.full(c.size, True)
-    v1, e1 = _integrate(f_r1, max(thr_a1, -ctx.cap), ctx.cap, live)
-    v2, e2 = _integrate(f_r2, max(thr_a2, -ctx.cap), ctx.cap, live)
-    return v1 + v2, e1 + e2
-
-
-def _check_spread_power(ctx: _Ctx):
-    if ctx.cons.a1 <= _SIGN_TOL:
-        raise AssumptionViolatedError(
-            "spread power loss requires A1 > 0 (the region boundary in x is "
-            f"then a single crossing; got A1={ctx.cons.a1:.6g}); "
-            "use the Monte Carlo route")
 
 
 def _spread_xstar(ctx: _Ctx, lnc, p: float, y, tilde: bool):
@@ -767,20 +480,202 @@ def _spread_power_psi2(ctx: _Ctx, c, p: float):
     return _integrate(f, -ctx.cap, ctx.cap, np.full(c.size, True))
 
 
-_POWER_PSI1 = {
-    DIGITAL: _digital_power_psi1,
-    QUANTO_DOMESTIC: _qd_power_psi1,
-    QUANTO_FOREIGN: _qf_power_psi1,
-    OUTPERFORMANCE: lambda ctx, c, p: _outp_power_side(ctx, c, p, False),
-    SPREAD: _spread_power_psi1,
+# ---------------------------------------------------------------------------
+# product-form regions, either loss: QuantoDomestic, Outperformance, and
+# QuantoForeign under power loss.  _sign_guard_power checks, before any
+# read, the sign condition that keeps the power denominator positive.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Region:
+    """H = F(o) e^(tau s) on {s <= cap(o)}, where the outer o ~ N(0, o_sd^2)
+    runs over [lo, hi], the inner s | o ~ N(slope o, s_sd^2), and Z~ =
+    e^(-a_o o - a_s s - BT).  f and cap map an array of o to F(o) and to
+    cap(o); cap None is no cap."""
+
+    lo: float
+    hi: float
+    o_sd: float
+    slope: float
+    s_sd: float
+    a_o: float
+    a_s: float
+    tau: float
+    f: Callable
+    cap: Optional[Callable] = None
+
+
+def _region_side(ctx: _Ctx, c, region: _Region, p: Optional[float],
+                 tilde: bool):
+    """One side over one region at each c; p None is linear loss.
+
+    With TIM(g; lo, hi) = E[e^(g s) 1{lo <= s <= hi} | o] (the inner
+    tilted_interval_mass), a row is
+
+        linear:  F TIM(tau) over A_c = {a_s s + a_o o >= ln c - BT}, s <= cap
+        power:   A_c = {s >= v},  v = (ln c - a_o o - BT - (p-1) ln F)
+                                      / ((p-1) tau + a_s)
+           Psi1: (F^p TIM(p tau; -inf, min(v, cap))
+                  + c^q e^(-qBT) e^(-q a_o o) TIM(-q a_s; v, cap)) / p
+           Psi2: F TIM(tau; v, cap)
+                  - c^kap e^(-kap BT) e^(-kap a_o o) TIM(-kap a_s; v, cap)
+
+    The c-weighted Psi1 term is skipped, by mask, where its weight is 0: at
+    c = inf it is 0 * inf.
+    """
+    r = region
+    bs, t = _side_fields(ctx, tilde)[0], ctx.cons.T
+    bt = bs * t
+    if p is None:
+        big_l = _each(_lnc, c) - bt
+
+        def f(o, ids):
+            big_f = r.f(o)
+            lo_s, hi_s = _half_line(r.a_s, r.a_o * o, big_l[ids])
+            if r.cap is not None:
+                hi_s = np.minimum(hi_s, r.cap(o))
+            mass = tilted_interval_mass(r.tau, r.slope * o, r.s_sd, lo_s, hi_s)
+            return _phi(o, r.o_sd) * big_f * mass
+
+        return _integrate(f, r.lo, r.hi, big_l < math.inf)
+
+    e_c = 1.0 / (p - 1.0) if tilde else p / (p - 1.0)
+    lnc = _each(_lnc, c)
+    coef2 = _c_weight(c, e_c, bs, t)
+    den = (p - 1.0) * r.tau + r.a_s
+
+    def f(o, ids):
+        big_f = r.f(o)
+        with np.errstate(divide="ignore"):
+            v = (lnc[ids] - r.a_o * o - bt - (p - 1.0) * np.log(big_f)) / den
+        cap = np.inf if r.cap is None else r.cap(o)
+        m_s = r.slope * o
+        c2 = coef2[ids]
+        t2 = c2 * np.exp(-e_c * r.a_o * o) * tilted_interval_mass(
+            -e_c * r.a_s, m_s, r.s_sd, v, cap)
+        if tilde:
+            t1 = big_f * tilted_interval_mass(r.tau, m_s, r.s_sd, v, cap)
+            return _phi(o, r.o_sd) * (t1 - t2)
+        hi = v if r.cap is None else np.minimum(v, cap)
+        t1 = big_f ** p * tilted_interval_mass(p * r.tau, m_s, r.s_sd,
+                                               -np.inf, hi)
+        return _phi(o, r.o_sd) * np.where(c2 != 0.0, t1 + t2, t1) / p
+
+    return _integrate(f, r.lo, r.hi, np.full(c.size, True))
+
+
+def _qd_regions(ctx: _Ctx, p: Optional[float], tilde: bool):
+    """QuantoDomestic, s2 e^(m2 + sigma2 W2) (S1 - K)^+: o = W1, s = W2,
+    tau = sigma2; the power denominator is (p-1)(A2/(p-1) + sigma2)."""
+    _bs, m1, m2, suf = _side_fields(ctx, tilde)
+    sg1, sg2 = ctx.params.sigma
+    s10, s20 = ctx.params.s0
+    coef, k = s20 * math.exp(m2), ctx.k
+    return (_Region(
+        lo=max(ctx.cons.thresholds["a1" + suf], -ctx.cap), hi=ctx.cap,
+        o_sd=ctx.sd, slope=ctx.rho, s_sd=ctx.cond_sd,
+        a_o=ctx.cons.a1, a_s=ctx.cons.a2, tau=sg2,
+        f=lambda x: coef * np.maximum(s10 * np.exp(m1 + sg1 * x) - k, 0.0)),)
+
+
+def _qf_uz(ctx: _Ctx, p: float):
+    """(U, Z) coordinates for the quanto-foreign power regions.
+
+    U = (A1/(p-1)) W1 + (A2/(p-1) - sigma2) W2, Z = sigma1 W1 + sigma2 W2.
+    Returns the conditional data of U | Z and the Y-recovery coefficients.
+    """
+    a1, a2 = ctx.cons.a1, ctx.cons.a2
+    sg1, sg2 = ctx.params.sigma
+    kap = 1.0 / (p - 1.0)
+    m = np.array([[kap * a1, kap * a2 - sg2], [sg1, sg2]])
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    scale = max(abs(m[0, 0]), abs(m[0, 1]), _SIGN_TOL) * max(sg1, sg2)
+    if abs(det) <= 1e-12 * scale:
+        raise AssumptionViolatedError(
+            "quanto-foreign power loss requires the (U, Z) transform "
+            "U = (A1/(p-1))W1 + (A2/(p-1) - sigma2)W2, Z = sigma1 W1 + sigma2 W2 "
+            "to be nonsingular; use the Monte Carlo route")
+    cov = m @ ctx.params.wiener_cov @ m.T
+    inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
+    g_u = a1 * inv[0, 0] + a2 * inv[1, 0]
+    g_z = a1 * inv[0, 1] + a2 * inv[1, 1]
+    sd_z = math.sqrt(cov[1, 1])
+    coef_uz = cov[0, 1] / cov[1, 1]
+    sd_u_z = math.sqrt(max(cov[0, 0] - coef_uz * cov[0, 1], 0.0))
+    return inv, g_u, g_z, sd_z, coef_uz, sd_u_z
+
+
+def _qf_regions(ctx: _Ctx, p: float, tilde: bool):
+    """QuantoForeign under power loss, (S1 S2 - K)^+ / S2, in the (U, Z)
+    coordinates of _qf_uz: o = Z, s = U.  With W2 = k21 U + k22 Z, F carries
+    the Z part of 1/S2 and tau = -sigma2 k21; the power denominator
+    (p-1) tau + g_u is p - 1."""
+    inv, g_u, g_z, sd_z, coef_uz, sd_u_z = _qf_uz(ctx, p)
+    _bs, m1, m2, suf = _side_fields(ctx, tilde)
+    s10, s20 = ctx.params.s0
+    sg2, k = ctx.params.sigma[1], ctx.k
+    k21, k22 = inv[1, 0], inv[1, 1]
+    per_s2 = 1.0 / (s20 * math.exp(m2))
+
+    def big_f(z):
+        n_z = np.maximum(s10 * s20 * np.exp(m1 + m2 + z) - k, 0.0)
+        return n_z * np.exp(-sg2 * k22 * z) * per_s2
+
+    return (_Region(
+        lo=max(ctx.cons.thresholds["d" + suf], -ctx.trunc_sd * sd_z),
+        hi=ctx.trunc_sd * sd_z, o_sd=sd_z, slope=coef_uz, s_sd=sd_u_z,
+        a_o=g_z, a_s=g_u, tau=-sg2 * k21, f=big_f),)
+
+
+def _outp_regions(ctx: _Ctx, p: Optional[float], tilde: bool):
+    """Outperformance, (max(S1, S2) - K)^+: the region S1 >= S2 (o = W1,
+    s = W2) and the region S2 >= S1 (o = W2, s = W1), each with tau = 0,
+    so the power denominator is A2 or A1."""
+    _bs, m1, m2, suf = _side_fields(ctx, tilde)
+    thr = ctx.cons.thresholds
+    thr_b, k = thr["b" + suf], ctx.k
+    a1, a2 = ctx.cons.a1, ctx.cons.a2
+    sg1, sg2 = ctx.params.sigma
+    s10, s20 = ctx.params.s0
+    common = dict(hi=ctx.cap, o_sd=ctx.sd, slope=ctx.rho, s_sd=ctx.cond_sd,
+                  tau=0.0)
+    return (
+        _Region(lo=max(thr["a1" + suf], -ctx.cap), a_o=a1, a_s=a2,
+                f=lambda x: np.maximum(s10 * np.exp(m1 + sg1 * x) - k, 0.0),
+                cap=lambda x: (sg1 * x - thr_b) / sg2, **common),
+        _Region(lo=max(thr["a2" + suf], -ctx.cap), a_o=a2, a_s=a1,
+                f=lambda y: np.maximum(s20 * np.exp(m2 + sg2 * y) - k, 0.0),
+                cap=lambda y: (sg2 * y + thr_b) / sg1, **common))
+
+
+_REGIONS = {
+    QUANTO_DOMESTIC: _qd_regions,
+    QUANTO_FOREIGN: _qf_regions,
+    OUTPERFORMANCE: _outp_regions,
 }
-_POWER_PSI2 = {
-    DIGITAL: _digital_power_psi2,
-    QUANTO_DOMESTIC: _qd_power_psi2,
-    QUANTO_FOREIGN: _qf_power_psi2,
-    OUTPERFORMANCE: lambda ctx, c, p: _outp_power_side(ctx, c, p, True),
-    SPREAD: _spread_power_psi2,
+_S1_CALL_STRIKES = {QUANTO_FOREIGN: _qf_strike, SPREAD: _spread_strike}
+_OWN_POWER_SIDES = {
+    DIGITAL: (_digital_power_psi1, _digital_power_psi2),
+    SPREAD: (_spread_power_psi1, _spread_power_psi2),
 }
+
+
+def _closed_side(ctx: _Ctx, kind: str, c, p: Optional[float], tilde: bool):
+    """(values, errs) of one side at each c, by the payoff's shape; p None
+    is linear loss.  Digital/linear is orthants, QuantoForeign/linear and
+    Spread/linear the S1-call side, Digital/power and Spread/power their
+    own kernels, and every other side a sum over product-form regions."""
+    if kind == DIGITAL and p is None:
+        return _digital_linear_side(ctx, c, tilde)
+    if p is not None and kind in _OWN_POWER_SIDES:
+        psi1, psi2 = _OWN_POWER_SIDES[kind]
+        return (psi2 if tilde else psi1)(ctx, c, p)
+    if p is None and kind in _S1_CALL_STRIKES:
+        return _s1_call_side(ctx, c, tilde, _S1_CALL_STRIKES[kind])
+    # one region is its own value; two regions add, v1 + v2
+    v, e = np.sum([_region_side(ctx, c, r, p, tilde)
+                   for r in _REGIONS[kind](ctx, p, tilde)], axis=0)
+    return v, e
 
 
 # ---------------------------------------------------------------------------
@@ -795,15 +690,28 @@ def _validate_c(c) -> float:
 
 
 def _sign_guard_power(payoff: Payoff, ctx: _Ctx, p: float):
-    """Raise the payoff's sign-condition error regardless of the c branch."""
+    """Raise the payoff's sign-condition error regardless of the c branch.
+    Each condition keeps a region's power denominator positive, or, for
+    the spread, makes its region boundary a single crossing."""
+    a1, a2 = ctx.cons.a1, ctx.cons.a2
     if payoff.kind == QUANTO_DOMESTIC:
-        _check_qd_power(ctx, p)
+        beta = a2 / (p - 1.0) + ctx.params.sigma[1]
+        if beta <= 0:
+            raise AssumptionViolatedError(
+                "quanto-domestic power loss requires A2/(p-1) + sigma2 > 0 "
+                f"(got {beta:.6g}); use the Monte Carlo route")
     elif payoff.kind == QUANTO_FOREIGN:
         _qf_uz(ctx, p)
     elif payoff.kind == OUTPERFORMANCE:
-        _check_outp_power(ctx)
-    elif payoff.kind == SPREAD:
-        _check_spread_power(ctx)
+        if a1 <= _SIGN_TOL or a2 <= _SIGN_TOL:
+            raise AssumptionViolatedError(
+                "outperformance power loss requires A1 > 0 and A2 > 0 "
+                f"(got A1={a1:.6g}, A2={a2:.6g}); use the Monte Carlo route")
+    elif payoff.kind == SPREAD and a1 <= _SIGN_TOL:
+        raise AssumptionViolatedError(
+            "spread power loss requires A1 > 0 (the region boundary in x is "
+            f"then a single crossing; got A1={a1:.6g}); "
+            "use the Monte Carlo route")
 
 
 def _psi_side(payoff: Payoff, params: MarketParams, loss: LossSpec, c,
@@ -823,22 +731,22 @@ def _psi_side(payoff: Payoff, params: MarketParams, loss: LossSpec, c,
             "custom payoffs have no closed-form Psi; use psi_mc")
     ctx = _make_ctx(payoff, params, trunc_sd)
     if loss.kind == LINEAR:
-        v, e = _LINEAR_SIDES[payoff.kind](ctx, c, side == 2)
+        v, e = _closed_side(ctx, payoff.kind, c, None, side == 2)
         return np.maximum(v, 0.0), e
     _sign_guard_power(payoff, ctx, loss.p)
     v, e = np.zeros(c.size), np.zeros(c.size)
     at0 = c == 0.0
     if side == 2 and at0.any():
-        v[at0], e[at0] = _LINEAR_SIDES[payoff.kind](ctx, c[at0], True)
+        v[at0], e[at0] = _closed_side(ctx, payoff.kind, c[at0], None, True)
     # Psi1(0) = 0 and Psi2(inf) = 0: A_0 is everything, A_inf empty
     rest = ~at0 if side == 1 else ~at0 & (c < math.inf)
     if rest.any():
-        table = _POWER_PSI1 if side == 1 else _POWER_PSI2
         try:
             # an overflowing term is reported below, or by integrate_batch
             # as a non-finite integrand, not as a RuntimeWarning
             with np.errstate(over="ignore", invalid="ignore"):
-                v[rest], e[rest] = table[payoff.kind](ctx, c[rest], loss.p)
+                v[rest], e[rest] = _closed_side(ctx, payoff.kind, c[rest],
+                                                loss.p, side == 2)
         except OverflowError:
             raise HeavyTailError(
                 f"Psi{side} at p = {loss.p:g}, c = {_fmt_c(c[rest])}: a "

@@ -167,6 +167,16 @@ def test_huge_path_count_rejected(tmp_path, capsys):
         f"{int(1e30)}"]
 
 
+def test_path_count_below_the_floor_rejected(tmp_path, capsys):
+    # 2 paths ran with numpy's "Degrees of freedom <= 0" warnings and a nan
+    # mc_risk_se; the Monte Carlo estimates need at least 1e4
+    doc = dict(SYMMETRIC, mc={"n_paths": 2, "seed": 1})
+    assert main(["verify", "--config", _write(tmp_path, doc),
+                 "--x", "0.5*price"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: mc.n_paths: must be >= 10000, got 2"]
+
+
 def test_every_violation_listed_once(tmp_path, capsys):
     # one wrong value per config field: each is named once, with no doubled
     # section prefix and no message about a value the file did not hold
@@ -201,7 +211,7 @@ def test_every_violation_listed_once(tmp_path, capsys):
         "solver.abs_tol_target: must be positive and finite, got 0.0",
         "solver.max_bracket_expansions: must be >= 1, got 0",
         "solver.bisection_iters: must be an integer, got 2.5",
-        "mc.n_paths: must be >= 2, got 1",
+        "mc.n_paths: must be >= 10000, got 1",
         "mc.seed: must be >= 0, got -1",
         "mc.antithetic: must be a boolean, got 'yes'",
         "output.path: must be a string or null, got 3",

@@ -81,7 +81,7 @@ def test_mc_config_validation():
     # rejected counts are built here
     for bad in (dict(seed=-1), dict(n_paths=20_000.0), dict(n_paths=True),
                 dict(seed=True), dict(seed="1"), dict(n_paths=10 ** 8 + 1),
-                dict(n_paths=10 ** 30)):
+                dict(n_paths=10 ** 30), dict(n_paths=9_999)):
         with pytest.raises(ValidationError):
             McConfig(**dict(dict(n_paths=20_000, seed=1), **bad))
     with pytest.raises(ValidationError):

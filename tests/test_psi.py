@@ -93,6 +93,35 @@ def test_psi_mc_agrees_with_quadrature():
         assert abs(quad.psi2 - mc.psi2) <= 3.0 * mc.err_estimate + 1e-9, payoff.kind
 
 
+_REGION_AND_CALL_CASES = [
+    (payoff, loss)
+    for payoff in DESK_PAYOFFS if payoff.kind != DIGITAL
+    for loss in (LossSpec(LINEAR), LossSpec(POWER, 1.5), LossSpec(POWER, 2.0),
+                 LossSpec(POWER, 3.0))
+    if not (payoff.kind == SPREAD and loss.kind == POWER)]
+
+
+@pytest.mark.parametrize("rho", (-0.5, 0.6))
+@pytest.mark.parametrize("payoff,loss", _REGION_AND_CALL_CASES,
+                         ids=lambda v: getattr(v, "kind", None) if
+                         isinstance(v, Payoff) else str(v.p or "linear"))
+def test_region_and_s1_call_sides_match_monte_carlo(payoff, loss, rho):
+    # an oracle independent of the quadrature's integrands: the product-form
+    # region sides (QuantoDomestic, Outperformance, QuantoForeign/power) and
+    # the S1-call side (QuantoForeign/linear, Spread/linear) against one
+    # seeded Monte Carlo table per case
+    params = desk_params(rho)
+    cs = [0.5, 1.0, 2.0] if loss.kind == LINEAR else [0.3, 3.0, 30.0]
+    table = psi_mod._McTable(payoff, params, loss, 200_000, seed=7)
+    for side in (1, 2):
+        try:
+            quad, err = psi_mod._psi_side(payoff, params, loss, cs, side)
+        except AssumptionViolatedError:
+            pytest.skip("sign condition fails: the closed form refuses")
+        mc, se = table.side(cs, side)
+        assert np.all(np.abs(quad - mc) <= 5.0 * se + err), (side, quad, mc, se)
+
+
 def test_monotone_in_c():
     params = desk_params(rho=0.6)
     grid = np.exp(np.linspace(-4.0, 4.0, 20))
