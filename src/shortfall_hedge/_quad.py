@@ -7,7 +7,7 @@ too slow here: outer nodes of the nested integrals in `psi` can each carry
 an inner integral of their own.
 
 Panels are accepted when the 7-point Gauss vs 15-point Kronrod difference
-falls below max(rel_tol * |panel|, floor), with the floor tied to the
+falls below max(_REL_TOL * |panel|, floor), with the floor tied to the
 running estimate of each interval's total so negligible-mass tail panels
 do not force refinement.  Accepted panel errors are summed per interval and
 reported; refinement is capped, never raised on.  A non-finite integrand
@@ -56,8 +56,15 @@ for _i, _w in _G_AT.items():
 del _i, _w
 
 
-def integrate_batch(f, lo, hi, rel_tol=1e-9, abs_floor=1e-15,
-                    initial_panels=8, max_rounds=40):
+# the accept rule and the refinement budget of integrate_batch, read at
+# each call (a tight reference run may set them for a while)
+_REL_TOL = 1e-9
+_ABS_FLOOR = 1e-15
+_INITIAL_PANELS = 8
+_MAX_ROUNDS = 40
+
+
+def integrate_batch(f, lo, hi):
     """Integrate f over each [lo[i], hi[i]] with per-panel adaptive G7/K15.
 
     f(x, ids) receives a flat array of abscissae and the interval index of
@@ -83,14 +90,14 @@ def integrate_batch(f, lo, hi, rel_tol=1e-9, abs_floor=1e-15,
 
     idx_live = np.nonzero(live)[0]
     m = idx_live.size
-    step = width[idx_live] / initial_panels
-    ids = np.repeat(idx_live, initial_panels)
-    k = np.tile(np.arange(initial_panels), m)
-    a = lo[ids] + step[np.repeat(np.arange(m), initial_panels)] * k
-    b = a + step[np.repeat(np.arange(m), initial_panels)]
+    step = width[idx_live] / _INITIAL_PANELS
+    ids = np.repeat(idx_live, _INITIAL_PANELS)
+    k = np.tile(np.arange(_INITIAL_PANELS), m)
+    a = lo[ids] + step[np.repeat(np.arange(m), _INITIAL_PANELS)] * k
+    b = a + step[np.repeat(np.arange(m), _INITIAL_PANELS)]
 
     scale = np.zeros(n)  # running |integral| estimate per interval
-    for rnd in range(max_rounds):
+    for rnd in range(_MAX_ROUNDS):
         c = 0.5 * (a + b)
         h = 0.5 * (b - a)
         x = (c[:, None] + h[:, None] * NODES[None, :]).ravel()
@@ -113,9 +120,9 @@ def integrate_batch(f, lo, hi, rel_tol=1e-9, abs_floor=1e-15,
         est = vals.copy()
         np.add.at(est, ids, k15)
         scale = np.abs(est)
-        floor = abs_floor + 1e-13 * scale[ids]
-        done = err <= np.maximum(rel_tol * np.abs(k15), floor)
-        if rnd == max_rounds - 1:
+        floor = _ABS_FLOOR + 1e-13 * scale[ids]
+        done = err <= np.maximum(_REL_TOL * np.abs(k15), floor)
+        if rnd == _MAX_ROUNDS - 1:
             done[:] = True
         np.add.at(vals, ids[done], k15[done])
         np.add.at(errs, ids[done], err[done])

@@ -16,8 +16,9 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
 from .errors import ValidationError
+from .gaussian import sample
 from .market import (UNDER_P, UNDER_PTILDE, MarketParams, _check_measure,
-                     radon_nikodym, terminal_price)
+                     radon_nikodym, terminal_price, wiener_law)
 from .payoffs import CUSTOM, Payoff, evaluate, payoff_constants
 from .psi import LINEAR, LossSpec, _nan_guard
 
@@ -49,19 +50,6 @@ class McConfig:
             raise ValidationError(bad)
 
 
-def _chol2(params: MarketParams) -> np.ndarray:
-    t, rho = params.T, params.rho
-    sd = math.sqrt(t)
-    return np.array([[sd, 0.0], [rho * sd, sd * math.sqrt(1.0 - rho * rho)]])
-
-
-def _mean_under(params: MarketParams, under: str) -> np.ndarray:
-    if under == UNDER_P:
-        return np.zeros(2)
-    th1, th2 = params.theta
-    return np.array([-th1 * params.T, -th2 * params.T])
-
-
 def estimate(integrand, params: MarketParams, mc: McConfig,
              under: str = UNDER_P):
     """(mean, std_error) of E[integrand(w1, w2)] under the stated measure.
@@ -71,27 +59,17 @@ def estimate(integrand, params: MarketParams, mc: McConfig,
     over pair means, which keeps it unbiased for the paired estimator.
     """
     _check_measure(under)
-    chol = _chol2(params)
-    mean = _mean_under(params, under)
-    rng = np.random.Generator(np.random.Philox(mc.seed))
-
+    m = (mc.n_paths + 1) // 2 if mc.antithetic else mc.n_paths
+    z = sample(wiener_law(params), m, mc.seed)
+    mean = (np.zeros(2) if under == UNDER_P
+            else -params.T * np.array(params.theta))
+    vals = 0.0
+    for w in (mean + z, mean - z) if mc.antithetic else (mean + z,):
+        vals = vals + _nan_guard(np.asarray(integrand(w[:, 0], w[:, 1]),
+                                            dtype=float), w)
     if mc.antithetic:
-        m = (mc.n_paths + 1) // 2
-        z = rng.standard_normal((m, 2))
-        w_pos = mean + z @ chol.T
-        w_neg = mean - z @ chol.T
-        v_pos = _nan_guard(np.asarray(integrand(w_pos[:, 0], w_pos[:, 1]),
-                                      dtype=float), w_pos)
-        v_neg = _nan_guard(np.asarray(integrand(w_neg[:, 0], w_neg[:, 1]),
-                                      dtype=float), w_neg)
-        pair = 0.5 * (v_pos + v_neg)
-        return float(np.mean(pair)), float(np.std(pair, ddof=1) / math.sqrt(m))
-    z = rng.standard_normal((mc.n_paths, 2))
-    w = mean + z @ chol.T
-    vals = _nan_guard(np.asarray(integrand(w[:, 0], w[:, 1]), dtype=float),
-                      w)
-    return float(np.mean(vals)), float(np.std(vals, ddof=1)
-                                       / math.sqrt(mc.n_paths))
+        vals = 0.5 * vals  # pair means
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(m))
 
 
 @dataclass(frozen=True)
@@ -145,7 +123,7 @@ def discretize(payoff: Payoff, params: MarketParams,
         raise ValidationError([f"n_side: must be >= 2, got {n_side!r}"])
     xi, _ = hermegauss(n_side)
     widths = _voronoi_widths(xi)
-    chol = _chol2(params)
+    chol = np.linalg.cholesky(params.wiener_cov)
     g1, g2 = np.meshgrid(xi, xi, indexing="ij")
     a1, a2 = np.meshgrid(widths, widths, indexing="ij")
     pts = np.column_stack([g1.ravel(), g2.ravel()])
@@ -158,7 +136,7 @@ def discretize(payoff: Payoff, params: MarketParams,
     prob_p = std_normal2(pts) * area
     prob_p /= prob_p.sum()
     # P~ law of the same coordinates is N(-theta T, QT)
-    shift = np.linalg.solve(chol, -_mean_under(params, UNDER_PTILDE))
+    shift = np.linalg.solve(chol, params.T * np.array(params.theta))
     prob_pt = std_normal2(pts + shift) * area
     prob_pt /= prob_pt.sum()
     cons = payoff_constants(payoff, params)

@@ -10,10 +10,14 @@ uses A_c = {c Z~ <= H^(p-1)}.  Definitions:
 
 Each side integrates one of four payoff shapes:
 
-- Digital: orthants.  Its indicator terms are bivariate normal orthant
-  probabilities, in closed form by Owen's T (gaussian.rect_upper_prob,
-  err_estimate a 4 eps rounding bound); the power-loss hedged term adds
-  one outer integral.
+- Digital (_digital_side): orthants of X = sigma1 W1 - sigma2 W2 and
+  Y = A1 W1 + A2 W2.  Three terms, on = P(X >= thr, Y >= u), off =
+  P(X >= thr, Y < u) and tilt = E[e^(-e Y); X >= thr, Y >= u], give every
+  side.  Where GaussianLaw takes their covariance, on is in closed form by
+  Owen's T (gaussian.rect_upper_prob, err_estimate a 4 eps rounding bound)
+  and tilt is one outer integral.  Where it refuses, Y = lam X up to a
+  small conditional sd: each term is a tilted interval mass of X, and the
+  error adds the mass of the band where the sign of Y - u is unknown.
 - Product-form regions (_region_side): H = F(o) e^(tau s) on {s <= cap(o)}
   for a Gaussian outer o and inner s | o, so A_c is a half-line in s and
   each term is F times a closed-form tilted interval mass.  QuantoDomestic
@@ -55,8 +59,9 @@ import numpy as np
 from scipy.special import expit, ndtr
 
 from ._quad import integrate_batch, integrate_rows
-from .errors import (AssumptionViolatedError, HeavyTailError, NanGuardError,
-                     UnsupportedClosedFormError, ValidationError)
+from .errors import (AssumptionViolatedError, DegenerateLawError,
+                     HeavyTailError, NanGuardError, UnsupportedClosedFormError,
+                     ValidationError)
 from .gaussian import (RECT_ERR, GaussianLaw, rect_upper_prob, sample,
                        tilted_interval_mass)
 from .market import UNDER_P, UNDER_PTILDE, MarketParams, MeasureConstants
@@ -176,10 +181,6 @@ def _phi(x, sd):
     return np.exp(-0.5 * (x / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
 
 
-def _norm_sf(x) -> float:
-    return float(ndtr(-np.asarray(x, dtype=float)))
-
-
 def _side_fields(ctx: _Ctx, tilde: bool):
     """(B_side, m1, m2, threshold suffix) for the P or P~ representation."""
     if tilde:
@@ -199,48 +200,94 @@ def _half_line(a: float, rest, big_l):
     return np.where(rest >= big_l, -np.inf, np.inf), np.inf
 
 
-def _digital_xy(ctx: _Ctx):
-    """(cov, sd of X, lam) of X = s1.W1 - s2.W2 and Y = A1.W1 + A2.W2 (zero
-    mean).  lam is 0.0 where A = 0 (Z~ is constant), A1/s1 where A is
-    parallel to (s1, -s2) (Y = lam X: A_c is a half-line in X), else None."""
+# ---------------------------------------------------------------------------
+# Digital, either loss: orthants of X = sigma1 W1 - sigma2 W2, whose event
+# X >= thr is S1 >= S2, and Y = A1 W1 + A2 W2 = -ln Z~ - BT
+# ---------------------------------------------------------------------------
+
+def _digital_side(ctx: _Ctx, c, p: Optional[float], tilde: bool):
+    """One Digital side at each c; p None is linear loss.
+
+    A_c = {Y >= u}, u = ln c - (p-1) ln K - BT (ln c - BT under linear
+    loss).  With e = q = p/(p-1) on Psi1 and kap = 1/(p-1) on Psi2,
+
+        on = P(X >= thr, Y >= u),   off = P(X >= thr, Y < u),
+        tilt = E[e^(-e Y); X >= thr, Y >= u]
+
+    give    linear:  K on
+            Psi1:    (K^p / p) off + (c^q e^(-qBT) / p) tilt
+            Psi2:    K on - c^kap e^(-kap BT) tilt.
+
+    Where GaussianLaw takes the (X, Y) covariance, on is rect_upper_prob
+    and tilt one outer integral of the tilted mass of Y | X.  Where it
+    refuses, Y = lam X up to a conditional sd s_yx (lam = 0 where A = 0),
+    every term is a tilted_interval_mass over an interval of X, and the
+    error adds the mass of the band |lam X - u| <= 8 s_yx.
+    """
+    bs, _m1, _m2, suf = _side_fields(ctx, tilde)
+    k, t = ctx.k, ctx.cons.T
+    thr = ctx.cons.thresholds["b" + suf]
     sg1, sg2 = ctx.params.sigma
-    a1, a2 = ctx.cons.a1, ctx.cons.a2
-    m = np.array([[sg1, -sg2], [a1, a2]])
+    m = np.array([[sg1, -sg2], [ctx.cons.a1, ctx.cons.a2]])
     cov = m @ ctx.params.wiener_cov @ m.T
-    amax = max(abs(a1), abs(a2))
-    lam = None
-    if amax <= _SIGN_TOL:
-        lam = 0.0
-    elif abs(sg1 * a2 + sg2 * a1) <= _SIGN_TOL * max(sg1, sg2) * amax:
-        lam = a1 / sg1
-    return cov, math.sqrt(cov[0, 0]), lam
+    sd_x, lam = math.sqrt(cov[0, 0]), cov[0, 1] / cov[0, 0]
+    ln_k = 0.0 if p is None else (p - 1.0) * math.log(k)
+    u = _each(_lnc, c) - ln_k - bs * t
+    e = 0.0 if p is None else (1.0 if tilde else p) / (p - 1.0)
+    try:
+        law = GaussianLaw(2, np.zeros(2), cov)
+    except DegenerateLawError:
+        GaussianLaw(1, np.zeros(1), cov[:1, :1])  # X itself must be a law
+        # s_yx^2 = det(cov) / var X: the form of the other branch cancels,
+        # and rounds an s_yx below about 1e-8 to 0
+        s_yx = (abs(sg1 * ctx.cons.a2 + sg2 * ctx.cons.a1) * ctx.sd
+                * ctx.cond_sd / sd_x)
+        band = 8.0 * s_yx
+        if lam == 0.0:  # Y is 0 up to s_yx: A_c is all of X >= thr or none
+            cut = np.where(u <= 0.0, -np.inf, np.inf)
+            b_lo, b_hi = np.where(np.abs(u) < band, -np.inf, np.inf), np.inf
+        else:
+            cut = u / lam
+            b_lo, b_hi = np.sort([(u - band) / lam, (u + band) / lam], axis=0)
+        mid = np.maximum(thr, cut)
+        on_x, off_x = ((mid, np.inf), (thr, mid)) if lam >= 0.0 else \
+            ((thr, mid), (mid, np.inf))
+        band_x = (np.maximum(thr, b_lo), b_hi)
+
+        def mass(g, x_range):
+            return tilted_interval_mass(g, 0.0, sd_x, *x_range)
+
+        on, off = mass(0.0, on_x), mass(0.0, off_x)
+        err_on = RECT_ERR + mass(0.0, band_x)
+        # off the band, E[e^(-e Y) | X] = e^(-e lam X + (e s_yx)^2 / 2)
+        g = math.exp(0.5 * (e * s_yx) ** 2)
+        tilt, err_tilt = g * mass(-e * lam, on_x), g * mass(-e * lam, band_x)
+    else:
+        on = rect_upper_prob(law, (thr, u))
+        off = float(ndtr(-thr / sd_x)) - on
+        err_on = np.full(c.size, RECT_ERR)
+        if p is not None:
+            s_yx = math.sqrt(max(cov[1, 1] - lam * cov[0, 1], 0.0))
+
+            def f(x, ids):
+                return _phi(x, sd_x) * tilted_interval_mass(
+                    -e, lam * x, s_yx, u[ids], np.inf)
+
+            tilt, err_tilt = _integrate(f, max(thr, -ctx.trunc_sd * sd_x),
+                                        ctx.trunc_sd * sd_x, c < math.inf)
+    if p is None:
+        return k * on, k * err_on
+    w = _c_weight(c, e, bs, t)
+    if tilde:
+        return k * on - w * tilt, k * err_on + w * err_tilt
+    kp, w = k ** p / p, w / p
+    return kp * off + w * tilt, kp * err_on + w * err_tilt
 
 
 # ---------------------------------------------------------------------------
 # linear loss, one side (tilde=False -> Psi1 under P, tilde=True -> Psi2),
 # at each c of an array; c = inf gives an empty interval (A_c is empty)
 # ---------------------------------------------------------------------------
-
-def _digital_linear_side(ctx: _Ctx, c, tilde: bool):
-    # closed form, no quadrature
-    bs, _m1, _m2, suf = _side_fields(ctx, tilde)
-    thr_b = ctx.cons.thresholds["b" + suf]
-    big_l = _each(_lnc, c) - bs * ctx.cons.T
-    cov, sd_x, lam = _digital_xy(ctx)
-    exact = np.zeros(c.size)
-    if lam == 0.0:
-        return np.where(c <= 1.0, ctx.k * _norm_sf(thr_b / sd_x), 0.0), exact
-    if lam is not None:
-        if lam > 0:
-            lo = np.maximum(thr_b, big_l / lam)
-            return ctx.k * ndtr(-(lo / sd_x)), exact
-        mass = ndtr(big_l / lam / sd_x) - ndtr(thr_b / sd_x)
-        # np.where, not np.maximum, which keeps a -0.0
-        return ctx.k * np.where(mass > 0.0, mass, 0.0), exact
-    law = GaussianLaw(2, np.zeros(2), cov)
-    return (ctx.k * rect_upper_prob(law, (thr_b, big_l)),
-            np.full(c.size, ctx.k * RECT_ERR))
-
 
 def _s1_call_side(ctx: _Ctx, c, tilde: bool, strike_of):
     """H = (S1 - K(y))^+ under linear loss: outer y = W2, inner W1 | y.
@@ -281,76 +328,6 @@ def _spread_strike(ctx: _Ctx, m2: float, y):
 # condition first).  A term weighted by coef2 is skipped, by mask, where
 # coef2 is 0: at c = inf it is 0 * inf.
 # ---------------------------------------------------------------------------
-
-def _digital_power_psi1(ctx: _Ctx, c, p: float):
-    k, t = ctx.k, ctx.cons.T
-    b_cap = ctx.cons.b_cap
-    thr_b = ctx.cons.thresholds["b"]
-    q = p / (p - 1.0)
-    cov, sd_x, lam = _digital_xy(ctx)
-    p_b = _norm_sf(thr_b / sd_x)
-    if lam == 0.0:
-        scaled = _each(lambda ci: k ** p if ci > k ** (p - 1.0) else ci ** q, c)
-        return (scaled / p) * p_b, np.zeros(c.size)
-    u_c = _each(_lnc, c) - (p - 1.0) * math.log(k) - b_cap * t
-    w = _c_weight(c, q, b_cap, t) / p
-    if lam is not None:
-        cut = np.maximum(thr_b, u_c / lam)
-        if lam > 0:
-            a_lo, a_hi, c_lo, c_hi = cut, np.inf, thr_b, cut
-        else:
-            a_lo, a_hi, c_lo, c_hi = thr_b, u_c / lam, cut, np.inf
-        term1 = (k ** p / p) * tilted_interval_mass(0.0, 0.0, sd_x, c_lo, c_hi)
-        term2 = w * tilted_interval_mass(-q * lam, 0.0, sd_x, a_lo, a_hi)
-        return term1 + term2, np.zeros(c.size)
-    law = GaussianLaw(2, np.zeros(2), cov)
-    val = (k ** p / p) * (p_b - rect_upper_prob(law, (thr_b, u_c)))
-    err = np.full(c.size, (k ** p / p) * RECT_ERR)
-    coef = cov[0, 1] / cov[0, 0]
-    s_yx = math.sqrt(max(cov[1, 1] - coef * cov[0, 1], 0.0))
-
-    def f(x, ids):
-        return _phi(x, sd_x) * tilted_interval_mass(
-            -q, coef * x, s_yx, u_c[ids], np.inf)
-
-    vals, errs = _integrate(f, max(thr_b, -ctx.trunc_sd * sd_x),
-                            ctx.trunc_sd * sd_x, c < math.inf)
-    return val + w * vals, err + w * errs
-
-
-def _digital_power_psi2(ctx: _Ctx, c, p: float):
-    k, t = ctx.k, ctx.cons.T
-    b_tilde = ctx.cons.b_cap_tilde
-    thr_b = ctx.cons.thresholds["b_tilde"]
-    kap = 1.0 / (p - 1.0)
-    cov, sd_x, lam = _digital_xy(ctx)
-    if lam == 0.0:
-        p_b = _norm_sf(thr_b / sd_x)
-        return _each(lambda ci: max(k - ci ** kap, 0.0) * p_b, c), \
-            np.zeros(c.size)
-    u_c = _each(_lnc, c) - (p - 1.0) * math.log(k) - b_tilde * t
-    w = _c_weight(c, kap, b_tilde, t)
-    if lam is not None:
-        if lam > 0:
-            a_lo, a_hi = np.maximum(thr_b, u_c / lam), np.inf
-        else:
-            a_lo, a_hi = thr_b, u_c / lam
-        val = k * tilted_interval_mass(0.0, 0.0, sd_x, a_lo, a_hi)
-        val = val - w * tilted_interval_mass(-kap * lam, 0.0, sd_x, a_lo, a_hi)
-        return val, np.zeros(c.size)
-    law = GaussianLaw(2, np.zeros(2), cov)
-    pj = rect_upper_prob(law, (thr_b, u_c))
-    coef = cov[0, 1] / cov[0, 0]
-    s_yx = math.sqrt(max(cov[1, 1] - coef * cov[0, 1], 0.0))
-
-    def f(x, ids):
-        return _phi(x, sd_x) * tilted_interval_mass(-kap, coef * x, s_yx,
-                                                    u_c[ids], np.inf)
-
-    vals, errs = _integrate(f, max(thr_b, -ctx.trunc_sd * sd_x),
-                            ctx.trunc_sd * sd_x, c < math.inf)
-    return k * pj - w * vals, k * RECT_ERR + w * errs
-
 
 def _spread_xstar(ctx: _Ctx, lnc, p: float, y, tilde: bool):
     """(x*(y), d(y), S2(y) + K) per row: x* is the unique crossing of
@@ -654,22 +631,17 @@ _REGIONS = {
     OUTPERFORMANCE: _outp_regions,
 }
 _S1_CALL_STRIKES = {QUANTO_FOREIGN: _qf_strike, SPREAD: _spread_strike}
-_OWN_POWER_SIDES = {
-    DIGITAL: (_digital_power_psi1, _digital_power_psi2),
-    SPREAD: (_spread_power_psi1, _spread_power_psi2),
-}
 
 
 def _closed_side(ctx: _Ctx, kind: str, c, p: Optional[float], tilde: bool):
     """(values, errs) of one side at each c, by the payoff's shape; p None
-    is linear loss.  Digital/linear is orthants, QuantoForeign/linear and
-    Spread/linear the S1-call side, Digital/power and Spread/power their
-    own kernels, and every other side a sum over product-form regions."""
-    if kind == DIGITAL and p is None:
-        return _digital_linear_side(ctx, c, tilde)
-    if p is not None and kind in _OWN_POWER_SIDES:
-        psi1, psi2 = _OWN_POWER_SIDES[kind]
-        return (psi2 if tilde else psi1)(ctx, c, p)
+    is linear loss.  Digital is orthants, QuantoForeign/linear and
+    Spread/linear the S1-call side, Spread/power its own kernels, and every
+    other side a sum over product-form regions."""
+    if kind == DIGITAL:
+        return _digital_side(ctx, c, p, tilde)
+    if kind == SPREAD and p is not None:
+        return (_spread_power_psi2 if tilde else _spread_power_psi1)(ctx, c, p)
     if p is None and kind in _S1_CALL_STRIKES:
         return _s1_call_side(ctx, c, tilde, _S1_CALL_STRIKES[kind])
     # one region is its own value; two regions add, v1 + v2

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
 from conftest import DESK_PAYOFFS, desk_params
@@ -21,6 +23,7 @@ from shortfall_hedge.payoffs import (CUSTOM, DIGITAL, OUTPERFORMANCE, Payoff,
 import shortfall_hedge.psi as psi_mod
 from shortfall_hedge.psi import (LINEAR, LossSpec, POWER, psi_linear, psi_mc,
                                  psi_power)
+from shortfall_hedge.solver import phi1, phi2, price
 
 
 def _mc_expectations(payoff, params, n=200_000, seed=42):
@@ -120,6 +123,93 @@ def test_region_and_s1_call_sides_match_monte_carlo(payoff, loss, rho):
             pytest.skip("sign condition fails: the closed form refuses")
         mc, se = table.side(cs, side)
         assert np.all(np.abs(quad - mc) <= 5.0 * se + err), (side, quad, mc, se)
+
+
+def _parallel_market(t, rho, delta=0.0):
+    """The desk market with drifts that make the density exponent A =
+    t (sigma1, -sigma2) parallel to the Digital's X = sigma1 W1 - sigma2 W2
+    (theta = Q A), so that Y = A1 W1 + A2 W2 = t X; then alpha1 is raised
+    by delta."""
+    (s1, s2), r = (0.2, 0.3), 0.02
+    a1, a2 = t * s1, -t * s2
+    return desk_params(rho, alpha=(r + s1 * (a1 + rho * a2) + delta,
+                                   r + s2 * (rho * a1 + a2)))
+
+
+_DIGITAL_MARKETS = {
+    "desk-0.5": desk_params(-0.5),
+    "desk0.6": desk_params(0.6),
+    "A=0": desk_params(alpha=(0.02, 0.02)),
+    "lam0.8": _parallel_market(0.8, 0.3),
+    "lam-0.6": _parallel_market(-0.6, -0.4),
+}
+
+
+@pytest.mark.parametrize("market", _DIGITAL_MARKETS)
+@pytest.mark.parametrize("loss", (LossSpec(LINEAR), LossSpec(POWER, 1.5),
+                                  LossSpec(POWER, 2.0), LossSpec(POWER, 3.0)),
+                         ids=lambda v: str(v.p or "linear"))
+def test_digital_sides_match_monte_carlo(market, loss):
+    # every branch of the Digital side against one seeded Monte Carlo table
+    # per case: the general orthant law (desk), Y = 0 (A = 0) and Y = lam X
+    # with lam > 0 and lam < 0 (A parallel to (sigma1, -sigma2))
+    params = _DIGITAL_MARKETS[market]
+    payoff = Payoff(DIGITAL, 10.0)
+    cs = [0.5, 1.0, 2.0] if loss.kind == LINEAR else [0.3, 1.0, 3.0]
+    table = psi_mod._McTable(payoff, params, loss, 200_000, seed=7)
+    for side in (1, 2):
+        got, err = psi_mod._psi_side(payoff, params, loss, cs, side)
+        mc, se = table.side(cs, side)
+        assert np.all(np.abs(got - mc) <= 5.0 * se + err), (side, got, mc, se)
+
+
+@pytest.mark.parametrize("t,rho", ((0.8, 0.3), (-0.6, -0.4)))
+@pytest.mark.parametrize("delta", (1e-13, 1e-10, 1e-8, 1e-7))
+def test_near_parallel_digital_solves_within_its_error(t, rho, delta):
+    # A nearly parallel to (sigma1, -sigma2): the (X, Y) covariance has a
+    # Cholesky pivot below GaussianLaw's threshold, and Y = lam X up to a
+    # conditional sd s_yx of at most about 1e-6
+    params = _parallel_market(t, rho, delta)
+    payoff = Payoff(DIGITAL, 10.0)
+    for loss in (LossSpec(LINEAR), LossSpec(POWER, 2.0)):
+        risk, _c = phi1(payoff, params, loss, 0.5 * price(payoff, params))
+        phi2(payoff, params, loss, risk)
+    cons = derive_constants(params, payoff.strike)
+    s1, s2 = params.sigma
+    m = np.array([[s1, -s2], [cons.a1, cons.a2]])
+    cov = m @ params.wiener_cov @ m.T
+    sd_x, lam = math.sqrt(cov[0, 0]), cov[0, 1] / cov[0, 0]
+    # s_yx^2 = det(cov) / var X, with det(cov) = det(m)^2 det(QT)
+    s_yx = (abs(s1 * cons.a2 + s2 * cons.a1) * params.T
+            * math.sqrt(1.0 - rho * rho) / sd_x)
+
+    def integrand(x, u):
+        return (math.exp(-0.5 * (x / sd_x) ** 2)
+                / (sd_x * math.sqrt(2.0 * math.pi))
+                * ndtr((lam * x - u) / s_yx))
+
+    for side, bs, thr in ((1, cons.b_cap, cons.thresholds["b"]),
+                          (2, cons.b_cap_tilde, cons.thresholds["b_tilde"])):
+        # at c_corner the boundary lam x = u meets x = thr, where the band
+        # |lam x - u| <= 8 s_yx of the error bound holds least mass
+        c_corner = math.exp(lam * thr + bs * params.T)
+        cs = [0.5, 0.9, c_corner, 1.1, 2.0]
+        got, err = psi_mod._psi_side(payoff, params, LossSpec(LINEAR), cs,
+                                     side)
+        for c, g, e in zip(cs, got, err):
+            # K * P(X >= thr, Y >= u), with breakpoints around the ramp of
+            # Phi((lam x - u) / s_yx), which is about s_yx / |lam| wide; a
+            # breakpoint within rounding of thr would leave quad a piece a
+            # few ulps wide
+            u = math.log(c) - bs * params.T
+            ramp, hi = 20.0 * s_yx / abs(lam), 12.0 * sd_x
+            cuts = sorted({thr, hi} | {x for x in (u / lam - ramp, u / lam,
+                                                   u / lam + ramp)
+                                       if thr + 1e-14 < x < hi})
+            ref = payoff.strike * sum(
+                quad(integrand, a, b, args=(u,), epsabs=1e-15, epsrel=1e-13,
+                     limit=200)[0] for a, b in zip(cuts, cuts[1:]))
+            assert abs(g - ref) <= e, (side, c, g, ref, e)
 
 
 def test_monotone_in_c():

@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shortfall_hedge._quad as quad_mod
 from shortfall_hedge._quad import integrate_batch, integrate_rows
 
 
@@ -51,6 +52,26 @@ def test_error_estimate_honest_on_oscillation():
                                  np.array([0.0]), np.array([1.0]))
     truth = (1.0 - math.cos(40.0)) / 40.0
     assert abs(vals[0] - truth) <= max(errs[0], 1e-12)
+
+
+def test_integrate_batch_reads_its_rule_at_each_call(monkeypatch):
+    # a tight reference run sets the module constants for a while: one
+    # panel and one round take 15 points and accept the oscillating panel
+    points = []
+
+    def f(x, ids):
+        points.append(x.size)
+        return np.sin(40.0 * x)
+
+    monkeypatch.setattr(quad_mod, "_INITIAL_PANELS", 1)
+    monkeypatch.setattr(quad_mod, "_MAX_ROUNDS", 1)
+    _vals, errs = integrate_batch(f, np.array([0.0]), np.array([1.0]))
+    assert points == [15]
+    assert errs[0] > 1e-3  # accepted on the cap, and its error says so
+    monkeypatch.undo()
+    points.clear()
+    integrate_batch(f, np.array([0.0]), np.array([1.0]))
+    assert points[0] == 8 * 15 and len(points) > 1
 
 
 def test_integrate_rows_matches_exponential():
