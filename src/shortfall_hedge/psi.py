@@ -721,12 +721,12 @@ def _psi_side(payoff: Payoff, params: MarketParams, loss: LossSpec, c,
                                                 loss.p, side == 2)
         except OverflowError:
             raise HeavyTailError(
-                f"Psi{side} at p = {loss.p:g}, c = {_fmt_c(c[rest])}: a "
+                f"Psi{side} at p = {loss.p!r}, c = {_fmt_c(c[rest])}: a "
                 "power-loss term overflows") from None
         bad = ~(np.isfinite(v) & np.isfinite(e))
         if bad.any():
             raise HeavyTailError(
-                f"Psi{side} at p = {loss.p:g}, c = {_fmt_c(c[bad])}: a "
+                f"Psi{side} at p = {loss.p!r}, c = {_fmt_c(c[bad])}: a "
                 "power-loss term overflows")
     return np.maximum(v, 0.0), e
 
@@ -739,7 +739,7 @@ def _is_one_c_side(payoff: Payoff, loss: LossSpec, side: int) -> bool:
 
 
 def _fmt_c(c) -> str:
-    return ", ".join(f"{ci:g}" for ci in c)
+    return ", ".join(repr(float(ci)) for ci in c)
 
 
 def _psi_pair(payoff: Payoff, params: MarketParams, loss: LossSpec,

@@ -21,14 +21,18 @@ reads each c once.  The solve functions take a grid of inputs and drive
 the points' generators in lockstep (_bisect), answering them from a memo
 of the Psi values read so far.  A read takes the c's of the points still
 running (the Psi sides take c-arrays) together with the c's of their next
-steps: the next doublings, or the midpoints of the next levels of the
-bisection tree, as far as 15 c's per read allow.  A single solve so reads
-4 levels ahead, about 13 reads instead of about 50, and a 21-point curve
-reads only its current step until at most 5 points run.  The read-ahead
-c's are the floats the bisection computes and a Psi value does not depend
-on its batch, so every point runs the same steps, with the same values, as
-a plain bisection of it alone.  phi1 and phi2 solve a grid of one point; a
-curve solves its whole grid at once, on one thread.
+steps, as far as 15 c's per read allow: the next doublings, or, once a
+point has a bracket, the midpoints its bisection computes if its answer
+lies at the secant estimate between the bracket ends.  Where the side is
+flat beside the bracket (a Monte Carlo step, a saturated tail) the secant
+says little, and the read takes the next levels of the bisection tree
+instead.  A single solve so makes 5-12 reads instead of about 47, and a
+21-point curve reads only its current step until at most 5 points run.
+The read-ahead c's are the floats the bisection computes and a Psi value
+does not depend on its batch, so the estimate only chooses which c's are
+read: every point runs the same steps, with the same values, as a plain
+bisection of it alone.  phi1 and phi2 solve a grid of one point; a curve
+solves its whole grid at once, on one thread.
 
 Named payoffs evaluate Psi by quadrature; Custom payoffs, and power-loss
 cases whose closed-form sign condition fails, fall back to the Monte Carlo
@@ -39,6 +43,7 @@ routes read ahead, except on Spread/power Psi1 by quadrature.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -300,10 +305,43 @@ def _ahead(c: float, bracket, depth: int) -> list:
     return cs
 
 
+def _secant(memo: dict, bracket, target: float) -> float:
+    """The c where the chord between the bracket ends, both in the memo,
+    meets target.  The predicate differs at the two ends, so their Psi
+    values differ."""
+    lo, hi = bracket
+    v_lo, v_hi = float(memo[lo][0]), float(memo[hi][0])
+    return lo + (target - v_lo) / (v_hi - v_lo) * (hi - lo)
+
+
+def _path(bracket, root: float, n: int) -> list:
+    """The first n midpoints that _predicate_bisection computes below the
+    bracket, down to a closed bracket, if its answer lies at root."""
+    lo, hi = bracket
+    cs = []
+    while len(cs) < n and not _closed(lo, hi):
+        mid = 0.5 * (lo + hi)
+        cs.append(mid)
+        lo, hi = (mid, hi) if mid < root else (lo, mid)
+    return cs
+
+
+def _flat_beside(memo: dict, known: list, lo: float, hi: float) -> bool:
+    """Whether the nearest read c below lo, or above hi, has exactly the
+    Psi value of that bracket end: a step of the Monte Carlo table or a
+    saturated tail, where the secant estimate says little.  known is the
+    sorted list of the memo's c's, lo and hi among them."""
+    below = bisect.bisect_left(known, lo) - 1
+    above = bisect.bisect_right(known, hi)
+    return ((below >= 0 and memo[known[below]][0] == memo[lo][0])
+            or (above < len(known) and memo[known[above]][0] == memo[hi][0]))
+
+
 def _read_ahead_depth(n_live: int) -> int:
     """The largest depth j with n_live (2^j - 1) <= _READ_AHEAD_CS, at
-    least 1: a single solve reads 4 levels at a time, a curve of more than
-    5 running points only the level of its step."""
+    least 1: the doublings, and the tree on a flat side, of a single solve
+    read 4 levels at a time, those of a curve of more than 5 running points
+    only the level of its step.  Depth 1 is plain bisection."""
     j = 1
     while n_live * (2 ** (j + 1) - 1) <= _READ_AHEAD_CS:
         j += 1
@@ -318,14 +356,20 @@ def _bisect(ev: _Evaluator, side: int, targets: dict, increasing: bool,
 
     The points' _predicate_bisection solves run in lockstep and are
     answered from a memo of the Psi_side values read so far.  A step whose
-    c's are all in the memo reads nothing; otherwise one _read fills in the
-    _ahead c's of every running solve at _read_ahead_depth, so a single
-    solve reads once per 4 bisection steps.  A read-ahead c is one of the
-    floats its solve would compute, and a Psi value does not depend on the
-    other c's of its read, so every solve runs the steps and sees the
-    values it would see alone; a c whose read failed raises only in a solve
-    that reaches it.  On the Monte Carlo route a side's first finite c is
-    1.0 at every depth, so its switch from masked means to prefix sums (see
+    c's are all in the memo reads nothing; otherwise one _read fills in,
+    for every running solve at depth = _read_ahead_depth(n_live):
+    - while it doubles, its next depth - 1 doublings (_ahead);
+    - once it has a bracket, at depth > 1, the _path of its next
+      _READ_AHEAD_CS // n_live midpoints toward the _secant estimate of its
+      answer, or, where the side is _flat_beside the bracket, the next
+      depth levels of its bisection tree (_ahead).
+    A single quadrature solve so makes 5-12 reads instead of about 47.  A
+    read-ahead c is one of the floats its solve would compute, and a Psi
+    value does not depend on the other c's of its read, so every solve
+    runs the steps and sees the values it would see alone, whatever the
+    estimate; a c whose read failed raises only in a solve that reaches
+    it.  On the Monte Carlo route a side's first finite c is 1.0 at every
+    depth, so its switch from masked means to prefix sums (see
     psi._McSide) comes at the same c.  Spread/power Psi1 by quadrature,
     which runs its c's one after another, reads only the c's of the step
     (depth 1).  At depth 1 the memo answers nothing: the solves run in
@@ -343,8 +387,17 @@ def _bisect(ev: _Evaluator, side: int, targets: dict, increasing: bool,
     while at:
         if any(c not in memo for c, _bracket in at.values()):
             depth = _read_ahead_depth(len(at)) if read_ahead else 1
-            cs = sorted({ci for c, bracket in at.values()
-                         for ci in _ahead(c, bracket, depth)} - memo.keys())
+            n_path = _READ_AHEAD_CS // len(at)
+            known = sorted(memo)
+            cs = set()
+            for i, (c, bracket) in at.items():
+                if (depth == 1 or bracket is None
+                        or _flat_beside(memo, known, *bracket)):
+                    cs.update(_ahead(c, bracket, depth))
+                else:
+                    root = _secant(memo, bracket, targets[i])
+                    cs.update(_path(bracket, root, n_path))
+            cs = sorted(cs - memo.keys())
             memo.update(zip(cs, zip(*_read(ev, cs, side))))
         next_at = {}
         for i, (c, _bracket) in at.items():

@@ -298,6 +298,17 @@ def test_overflowing_power_loss_exit_code(tmp_path, capsys, recwarn, kind,
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_overflow_message_names_p_and_c_exactly(tmp_path, capsys):
+    # p = 1.0000001 overflows; the message prints the p the engine was
+    # given, not a rounded p = 1 that it would refuse
+    cfg = dict(DESK, payoff={"kind": "QuantoDomestic", "strike": 100.0},
+               loss={"kind": "power", "p": 1.0000001})
+    rc = main(["phi1", "--config", _write(tmp_path, cfg), "--x", "0.5*price"])
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert "at p = 1.0000001, c = 1.0:" in err
+
+
 def test_psi_command_csv(tmp_path, capsys):
     rc = main(["psi", "--config", _write(tmp_path, DESK), "--c", "25"])
     assert rc == 0

@@ -109,8 +109,9 @@ def test_one_sample_per_solve(loss, monkeypatch):
     (Payoff(SPREAD, 5.0), desk_params(alpha=(-0.04, 0.05)), LOSSES[1]),
 ), ids=("basket-linear", "basket-power", "spread-power"))
 def test_mc_solve_reads_ahead(payoff, params, loss, monkeypatch):
-    # the Monte Carlo route reads 4 bisection levels ahead, as quadrature
-    # does: a single solve makes at most 16 table reads of at most 15 c's
+    # the Monte Carlo table is a step function; where it is flat beside a
+    # bracket a solve reads 4 levels of its bisection tree ahead, not its
+    # predicted path: at most 16 table reads of at most 15 c's
     mc = McConfig(20_000, seed=3)
     x = 0.5 * price(payoff, params, mc)
     risk, _ = phi1(payoff, params, loss, x, mc=mc)  # fills price and edges

@@ -313,7 +313,7 @@ ONE_C_SIDES = {(SPREAD, POWER, 1)}
 @pytest.mark.parametrize("payoff", DESK_PAYOFFS, ids=lambda p: p.kind)
 def test_one_point_solve_reads_each_c_once(payoff, loss, monkeypatch):
     # the check at the answer uses the value its bisection already read,
-    # and a single solve reads 4 bisection levels ahead in each call
+    # and a single solve reads up to 15 c's of its predicted path per call
     params = desk_params()
     # the cached price and edges, filled under the solver's own cache keys
     p_h = price(payoff, params, None)
@@ -334,7 +334,7 @@ def test_one_point_solve_reads_each_c_once(payoff, loss, monkeypatch):
         if (payoff.kind, loss.kind, side) in ONE_C_SIDES:
             assert all(len(batch) == 1 for s, batch in reads if s == side)
         else:
-            assert len(reads) <= 16
+            assert len(reads) <= 12
             assert all(len(batch) <= 15 for _s, batch in reads)
 
 
@@ -347,9 +347,10 @@ BASKET = Payoff(CUSTOM, custom_eval=lambda s1, s2:
                          ids=lambda p: p.kind)
 def test_read_ahead_keeps_every_bit(payoff, loss, monkeypatch):
     # reading ahead reads the c's plain bisection would read, and no other
-    # value of a solve: depth 1 is plain bisection, the same tuples.  On
-    # the Monte Carlo route also an 11-point curve, whose last running
-    # points read ahead.
+    # value of a solve: depth 1 is plain bisection, the same tuples.  A
+    # wrong root estimate (the far bracket end) only reads other c's: the
+    # same tuples.  On the Monte Carlo route also an 11-point curve, whose
+    # last running points read ahead.
     params = desk_params()
     mc = McConfig(20_000, seed=3) if payoff.kind == CUSTOM else None
     p_h = price(payoff, params, mc)
@@ -366,6 +367,15 @@ def test_read_ahead_keeps_every_bit(payoff, loss, monkeypatch):
         return got
 
     read_ahead = solves()
+    secant = solver._secant
+
+    def far_end(memo, bracket, target):
+        lo, hi = bracket
+        root = secant(memo, bracket, target)
+        return lo if root - lo > hi - root else hi
+
+    monkeypatch.setattr(solver, "_secant", far_end)
+    assert solves() == read_ahead
     monkeypatch.setattr(solver, "_read_ahead_depth", lambda n_live: 1)
     assert solves() == read_ahead
 
