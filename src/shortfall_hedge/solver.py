@@ -21,18 +21,18 @@ reads each c once.  The solve functions take a grid of inputs and drive
 the points' generators in lockstep (_bisect), answering them from a memo
 of the Psi values read so far.  A read takes the c's of the points still
 running (the Psi sides take c-arrays) together with the c's of their next
-steps, as far as 15 c's per read allow: the next doublings, or, once a
-point has a bracket, the midpoints its bisection computes if its answer
-lies at the secant estimate between the bracket ends.  Where the side is
-flat beside the bracket (a Monte Carlo step, a saturated tail) the secant
-says little, and the read takes the next levels of the bisection tree
-instead.  A single solve so makes 5-12 reads instead of about 47, and a
-21-point curve reads only its current step until at most 5 points run.
-The read-ahead c's are the floats the bisection computes and a Psi value
-does not depend on its batch, so the estimate only chooses which c's are
-read: every point runs the same steps, with the same values, as a plain
-bisection of it alone.  phi1 and phi2 solve a grid of one point; a curve
-solves its whole grid at once, on one thread.
+steps, up to 15 // (points running) c's for each point (_path): the next
+doublings while a point has no bracket; then, on the quadrature route, the
+midpoints its bisection computes if its answer lies at the secant estimate
+between the bracket ends, and on the Monte Carlo route, a step function on
+which a chord predicts nothing, the next levels of its bisection tree.  A
+single solve so makes 5-12 reads by quadrature and 13-14 by Monte Carlo
+instead of about 47, and a curve reads only its current step while more
+than 7 points run.  The read-ahead c's are the floats the bisection
+computes and a Psi value does not depend on its batch, so the estimate
+only chooses which c's are read: every point runs the same steps, with the
+same values, as a plain bisection of it alone.  phi1 and phi2 solve a grid
+of one point; a curve solves its whole grid at once, on one thread.
 
 Named payoffs evaluate Psi by quadrature; Custom payoffs, and power-loss
 cases whose closed-form sign condition fails, fall back to the Monte Carlo
@@ -43,7 +43,6 @@ routes read ahead, except on Spread/power Psi1 by quadrature.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -62,7 +61,7 @@ from .psi import (LINEAR, POWER, LossSpec, _is_one_c_side, _make_ctx,
 
 _FALLBACK_MC = McConfig(n_paths=200_000, seed=1729, antithetic=True)
 _EDGE_TOL = 1e-9
-# the most c's a read-ahead _bisect step asks for (see _read_ahead_depth)
+# the most c's a read-ahead _bisect step asks for (see _path)
 _READ_AHEAD_CS = 15
 
 METHOD_QUAD = "quadrature"
@@ -232,8 +231,9 @@ def price(payoff: Payoff, params: MarketParams,
 
 
 def _closed(lo: float, hi: float) -> bool:
-    """Whether the bracket [lo, hi] is narrow enough to stop bisecting."""
-    return hi - lo <= 1e-13 * max(1.0, hi)
+    """Whether the bracket [lo, hi] is narrow enough to stop bisecting:
+    relative to hi, so that a root at c << 1 is found as closely as any."""
+    return hi - lo <= 1e-13 * hi
 
 
 def _predicate_bisection(side: int, target: float, increasing: bool,
@@ -283,28 +283,6 @@ def _predicate_bisection(side: int, target: float, increasing: bool,
         "across the target (degenerate or discontinuous case)")
 
 
-def _ahead(c: float, bracket, depth: int) -> list:
-    """c and the c's that the next depth - 1 steps of its solve may read,
-    computed as _predicate_bisection computes them: the doublings after c
-    while there is no bracket, else the midpoints of the first depth levels
-    of the bisection tree below the bracket, down to closed brackets."""
-    if bracket is None:
-        cs = [c]
-        for _ in range(depth - 1):
-            cs.append(2.0 * cs[-1] if cs[-1] else 1.0)
-        return cs
-    cs, level = [], [bracket]
-    for _ in range(depth):
-        below = []
-        for lo, hi in level:
-            if not _closed(lo, hi):
-                mid = 0.5 * (lo + hi)
-                cs.append(mid)
-                below += [(lo, mid), (mid, hi)]
-        level = below
-    return cs
-
-
 def _secant(memo: dict, bracket, target: float) -> float:
     """The c where the chord between the bracket ends, both in the memo,
     meets target.  The predicate differs at the two ends, so their Psi
@@ -314,38 +292,30 @@ def _secant(memo: dict, bracket, target: float) -> float:
     return lo + (target - v_lo) / (v_hi - v_lo) * (hi - lo)
 
 
-def _path(bracket, root: float, n: int) -> list:
-    """The first n midpoints that _predicate_bisection computes below the
-    bracket, down to a closed bracket, if its answer lies at root."""
-    lo, hi = bracket
-    cs = []
-    while len(cs) < n and not _closed(lo, hi):
-        mid = 0.5 * (lo + hi)
-        cs.append(mid)
-        lo, hi = (mid, hi) if mid < root else (lo, mid)
+def _path(c: float, bracket, root, n: int) -> list:
+    """c and the c's that the next steps of its solve may read, n at most,
+    computed as _predicate_bisection computes them.  While there is no
+    bracket: c and the doublings after it, as many as a bisection tree of
+    n c's has levels.  Below a bracket, down to closed brackets: the
+    midpoints toward root if its answer lies there, else (root None) the
+    levels of the bisection tree that fit in n c's."""
+    depth = (n + 1).bit_length() - 1
+    if bracket is None:
+        cs = [c]
+        for _ in range(depth - 1):
+            cs.append(2.0 * cs[-1] if cs[-1] else 1.0)
+        return cs
+    cs, level = [], [bracket]
+    for _ in range(depth if root is None else n):
+        below = []
+        for lo, hi in level:
+            if not _closed(lo, hi):
+                mid = 0.5 * (lo + hi)
+                cs.append(mid)
+                below += ([(lo, mid), (mid, hi)] if root is None
+                          else [(mid, hi) if mid < root else (lo, mid)])
+        level = below
     return cs
-
-
-def _flat_beside(memo: dict, known: list, lo: float, hi: float) -> bool:
-    """Whether the nearest read c below lo, or above hi, has exactly the
-    Psi value of that bracket end: a step of the Monte Carlo table or a
-    saturated tail, where the secant estimate says little.  known is the
-    sorted list of the memo's c's, lo and hi among them."""
-    below = bisect.bisect_left(known, lo) - 1
-    above = bisect.bisect_right(known, hi)
-    return ((below >= 0 and memo[known[below]][0] == memo[lo][0])
-            or (above < len(known) and memo[known[above]][0] == memo[hi][0]))
-
-
-def _read_ahead_depth(n_live: int) -> int:
-    """The largest depth j with n_live (2^j - 1) <= _READ_AHEAD_CS, at
-    least 1: the doublings, and the tree on a flat side, of a single solve
-    read 4 levels at a time, those of a curve of more than 5 running points
-    only the level of its step.  Depth 1 is plain bisection."""
-    j = 1
-    while n_live * (2 ** (j + 1) - 1) <= _READ_AHEAD_CS:
-        j += 1
-    return j
 
 
 def _bisect(ev: _Evaluator, side: int, targets: dict, increasing: bool,
@@ -356,47 +326,37 @@ def _bisect(ev: _Evaluator, side: int, targets: dict, increasing: bool,
 
     The points' _predicate_bisection solves run in lockstep and are
     answered from a memo of the Psi_side values read so far.  A step whose
-    c's are all in the memo reads nothing; otherwise one _read fills in,
-    for every running solve at depth = _read_ahead_depth(n_live):
-    - while it doubles, its next depth - 1 doublings (_ahead);
-    - once it has a bracket, at depth > 1, the _path of its next
-      _READ_AHEAD_CS // n_live midpoints toward the _secant estimate of its
-      answer, or, where the side is _flat_beside the bracket, the next
-      depth levels of its bisection tree (_ahead).
-    A single quadrature solve so makes 5-12 reads instead of about 47.  A
-    read-ahead c is one of the floats its solve would compute, and a Psi
-    value does not depend on the other c's of its read, so every solve
-    runs the steps and sees the values it would see alone, whatever the
-    estimate; a c whose read failed raises only in a solve that reaches
-    it.  On the Monte Carlo route a side's first finite c is 1.0 at every
-    depth, so its switch from masked means to prefix sums (see
-    psi._McSide) comes at the same c.  Spread/power Psi1 by quadrature,
-    which runs its c's one after another, reads only the c's of the step
-    (depth 1).  At depth 1 the memo answers nothing: the solves run in
-    lockstep from the same doublings, so a c that two solves read is read
-    by both at the same step.
+    c's are all in the memo reads nothing; otherwise one _read fills in the
+    _path of every running solve, n = _READ_AHEAD_CS // n_live c's each (at
+    least 1): toward the _secant estimate of its answer on the quadrature
+    route, along its bisection tree on the Monte Carlo route.  A read-ahead
+    c is one of the floats its solve would compute, and a Psi value does
+    not depend on the other c's of its read, so every solve runs the steps
+    and sees the values it would see alone, whatever the estimate; a c
+    whose read failed raises only in a solve that reaches it.  On the Monte
+    Carlo route a side's first finite c is 1.0 for every n, so its switch
+    from masked means to prefix sums (see psi._McSide) comes at the same c.
+    Spread/power Psi1 by quadrature, which runs its c's one after another,
+    reads only the c of each step (n = 1).  At n = 1 the memo answers
+    nothing: the solves run in lockstep from the same doublings, so a c
+    that two solves read is read by both at the same step.
     """
     tol = max(config.abs_tol_target * max(1.0, scale),
               1e-7 * max(1.0, scale) if ev.method == METHOD_MC else 0.0)
-    read_ahead = (ev.method == METHOD_MC
-                  or not _is_one_c_side(ev.payoff, ev.loss, side))
+    one_c = (ev.method == METHOD_QUAD
+             and _is_one_c_side(ev.payoff, ev.loss, side))
     solves = {i: _predicate_bisection(side, float(t), increasing, config, tol)
               for i, t in targets.items()}
     at = {i: next(solve) for i, solve in solves.items()}
     memo, solved = {}, {}
     while at:
         if any(c not in memo for c, _bracket in at.values()):
-            depth = _read_ahead_depth(len(at)) if read_ahead else 1
-            n_path = _READ_AHEAD_CS // len(at)
-            known = sorted(memo)
+            n = 1 if one_c else max(1, _READ_AHEAD_CS // len(at))
             cs = set()
             for i, (c, bracket) in at.items():
-                if (depth == 1 or bracket is None
-                        or _flat_beside(memo, known, *bracket)):
-                    cs.update(_ahead(c, bracket, depth))
-                else:
-                    root = _secant(memo, bracket, targets[i])
-                    cs.update(_path(bracket, root, n_path))
+                root = (_secant(memo, bracket, targets[i])
+                        if bracket and ev.method == METHOD_QUAD else None)
+                cs.update(_path(c, bracket, root, n))
             cs = sorted(cs - memo.keys())
             memo.update(zip(cs, zip(*_read(ev, cs, side))))
         next_at = {}

@@ -11,6 +11,7 @@ from conftest import DESK_PAYOFFS, desk_params
 from shortfall_hedge import psi, solver
 from shortfall_hedge.errors import (HeavyTailError, InfeasibleInversionError,
                                     OutOfRangeError, ValidationError)
+from shortfall_hedge.market import MarketParams
 from shortfall_hedge.mc import McConfig
 from shortfall_hedge.payoffs import (CUSTOM, DIGITAL, OUTPERFORMANCE, Payoff,
                                      QUANTO_DOMESTIC, QUANTO_FOREIGN, SPREAD)
@@ -302,7 +303,7 @@ def test_curve_reads_psi_once_per_lockstep_step(monkeypatch):
     rc = curve(payoff, params, LIN, "phi2", list(np.linspace(0.0, 0.95, 21)
                                                   * top))
     assert all(p.error is None for p in rc.points)
-    assert len(calls) <= 55
+    assert len(calls) <= 50
 
 
 # the one side whose c's run one after another: no c is read ahead on it
@@ -334,7 +335,7 @@ def test_one_point_solve_reads_each_c_once(payoff, loss, monkeypatch):
         if (payoff.kind, loss.kind, side) in ONE_C_SIDES:
             assert all(len(batch) == 1 for s, batch in reads if s == side)
         else:
-            assert len(reads) <= 12
+            assert len(reads) <= 9
             assert all(len(batch) <= 15 for _s, batch in reads)
 
 
@@ -347,10 +348,10 @@ BASKET = Payoff(CUSTOM, custom_eval=lambda s1, s2:
                          ids=lambda p: p.kind)
 def test_read_ahead_keeps_every_bit(payoff, loss, monkeypatch):
     # reading ahead reads the c's plain bisection would read, and no other
-    # value of a solve: depth 1 is plain bisection, the same tuples.  A
-    # wrong root estimate (the far bracket end) only reads other c's: the
-    # same tuples.  On the Monte Carlo route also an 11-point curve, whose
-    # last running points read ahead.
+    # value of a solve: one c per read is plain bisection, the same tuples.
+    # A wrong root estimate (the far bracket end), or none (the bisection
+    # tree), only reads other c's: the same tuples.  On the Monte Carlo
+    # route also an 11-point curve, whose last running points read ahead.
     params = desk_params()
     mc = McConfig(20_000, seed=3) if payoff.kind == CUSTOM else None
     p_h = price(payoff, params, mc)
@@ -376,7 +377,9 @@ def test_read_ahead_keeps_every_bit(payoff, loss, monkeypatch):
 
     monkeypatch.setattr(solver, "_secant", far_end)
     assert solves() == read_ahead
-    monkeypatch.setattr(solver, "_read_ahead_depth", lambda n_live: 1)
+    monkeypatch.setattr(solver, "_secant", lambda memo, bracket, target: None)
+    assert solves() == read_ahead
+    monkeypatch.setattr(solver, "_READ_AHEAD_CS", 1)
     assert solves() == read_ahead
 
 
@@ -416,7 +419,7 @@ def test_read_ahead_failures_stay_unseen(monkeypatch):
         return str(exc.value)
 
     read_ahead = error()
-    monkeypatch.setattr(solver, "_read_ahead_depth", lambda n_live: 1)
+    monkeypatch.setattr(solver, "_READ_AHEAD_CS", 1)
     assert error() == read_ahead
 
 
@@ -437,6 +440,43 @@ def test_degenerate_step_is_infeasible_at_interior_x():
     payoff = Payoff(DIGITAL, 10.0)
     with pytest.raises(InfeasibleInversionError):
         phi1(payoff, params, LIN, 0.5 * price(payoff, params))
+
+
+def test_root_far_below_one_solves():
+    # the bracket closes relative to hi: at an absolute width of 1e-13 the
+    # solves of these answers, c = 2e-6 .. 2e-11, stop while still off target
+    params = MarketParams(s0=(149.27, 129.46), alpha=(-0.0993, 0.1754),
+                          sigma=(0.4515, 0.0561), rho=0.2127, r=0.0219, T=3.0)
+    payoff = Payoff(DIGITAL, 19.76)
+    p_h = price(payoff, params)
+    got = [phi1(payoff, params, LIN, f * p_h)
+           for f in (0.5, 0.8, 0.9, 0.95, 0.99)]
+    risks, cs = zip(*got)
+    assert all(0.0 < c < 2e-6 for c in cs) and min(cs) < 1e-10
+    assert list(cs) == sorted(cs, reverse=True)
+    assert list(risks) == sorted(risks, reverse=True) and risks[-1] > 0.0
+
+
+def test_jump_at_zero_is_infeasible_after_bisection_iters(monkeypatch):
+    # a Psi2 that jumps at c = 0+ has no bracket that closes relative to
+    # hi: the solve halves hi bisection_iters times, then rejects the target
+    params = desk_params()
+    payoff = Payoff(QUANTO_DOMESTIC, 100.0)
+    p_h = price(payoff, params)
+    _edges(payoff, params, LIN, None)
+    full = math.exp(params.r * params.T) * p_h
+    reads = []
+
+    def jump(payoff, params, loss, c, side, *args, **kwargs):
+        c = np.asarray(c, dtype=float)
+        reads.extend(c.tolist())
+        return np.where(c == 0.0, full, 0.25 * full), np.zeros_like(c)
+
+    monkeypatch.setattr(solver, "_psi_side", jump)
+    with pytest.raises(InfeasibleInversionError):
+        phi1(payoff, params, LIN, 0.5 * p_h)
+    iters = SolveConfig().bisection_iters
+    assert min(c for c in reads if c > 0.0) == 2.0 ** -iters
 
 
 def test_heavy_tail_rejected():

@@ -1,0 +1,60 @@
+"""Random-market sweep: phi1 and its phi2 round trip over a box of markets,
+payoffs and losses, beyond the desk market every other Phi test runs at."""
+
+from __future__ import annotations
+
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from shortfall_hedge.errors import InfeasibleInversionError, ShortfallHedgeError
+from shortfall_hedge.market import MarketParams
+from shortfall_hedge.payoffs import (DIGITAL, OUTPERFORMANCE, Payoff,
+                                     QUANTO_DOMESTIC, QUANTO_FOREIGN, SPREAD)
+from shortfall_hedge.psi import LINEAR, LossSpec, POWER
+from shortfall_hedge.solver import METHOD_QUAD, _route_method, phi1, phi2, price
+
+
+def _strike(kind: str, s0, m: float) -> float:
+    """A strike near the money; m in [0.8, 1.2] is its moneyness."""
+    s1, s2 = s0
+    return {DIGITAL: 10.0 * m,  # the amount paid, not a level
+            QUANTO_DOMESTIC: m * s1,
+            QUANTO_FOREIGN: m * s1 * s2,
+            OUTPERFORMANCE: m * max(s1, s2),
+            SPREAD: max(s1 - s2, 0.0) + 0.1 * m * s1}[kind]
+
+
+# |theta_i| >= 0.05: at theta = 0 the density Z~ is 1, Psi is a step
+# function and InfeasibleInversionError is the right answer (see
+# test_degenerate_step_is_infeasible_at_interior_x)
+THETA = st.floats(0.05, 0.5).flatmap(lambda t: st.sampled_from((t, -t)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kind=st.sampled_from((DIGITAL, QUANTO_DOMESTIC, QUANTO_FOREIGN,
+                             OUTPERFORMANCE, SPREAD)),
+       m=st.floats(0.8, 1.2),
+       s0=st.tuples(st.floats(50.0, 150.0), st.floats(50.0, 150.0)),
+       sigma=st.tuples(st.floats(0.05, 0.8), st.floats(0.05, 0.8)),
+       theta=st.tuples(THETA, THETA),
+       rho=st.floats(-0.95, 0.95), r=st.floats(0.0, 0.05),
+       T=st.sampled_from((0.25, 1.0, 3.0)),
+       p=st.sampled_from((None, 1.2, 1.5, 2.0, 3.0)),
+       u=st.floats(0.05, 0.95))
+def test_random_markets_solve_or_raise_typed_errors(kind, m, s0, sigma, theta,
+                                                    rho, r, T, p, u):
+    # only typed errors escape, and a quadrature solve of a target inside
+    # (0, p(H)) inverts a continuous Psi2, so it is never infeasible
+    alpha = tuple(r + s * t for s, t in zip(sigma, theta))
+    params = MarketParams(s0=s0, alpha=alpha, sigma=sigma, rho=rho, r=r, T=T)
+    payoff = Payoff(kind, _strike(kind, s0, m))
+    loss = LossSpec(LINEAR) if p is None else LossSpec(POWER, p)
+    method = _route_method(payoff, params, loss)
+    event(f"route: {method}")
+    try:
+        risk, _c = phi1(payoff, params, loss, u * price(payoff, params))
+        phi2(payoff, params, loss, risk)
+    except InfeasibleInversionError:
+        assert method != METHOD_QUAD, "a continuous Psi side jumped"
+    except ShortfallHedgeError as exc:
+        event(f"raised: {type(exc).__name__}")
