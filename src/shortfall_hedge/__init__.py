@@ -16,11 +16,10 @@ from .gaussian import GaussianLaw, rect_upper_prob, sample
 from .market import (UNDER_P, UNDER_PTILDE, MarketParams, MeasureConstants,
                      derive_constants, radon_nikodym, terminal_price,
                      wiener_law)
-from .mc import (DiscreteState, McConfig, VerifyReport, brute_force_np,
-                 discretize, estimate, verify_risk)
+from .mc import McConfig, VerifyReport, estimate, verify_risk
 from .payoffs import (CUSTOM, DIGITAL, KINDS, OUTPERFORMANCE,
                       QUANTO_DOMESTIC, QUANTO_FOREIGN, SPREAD, Payoff,
-                      UniquenessReport, evaluate, uniqueness_check)
+                      evaluate)
 from .psi import LINEAR, POWER, LossSpec, PsiPair, psi_linear, psi_mc, psi_power
 from .solver import (CurvePoint, RiskCurve, SolveConfig, curve, phi1, phi2,
                      price)
@@ -35,11 +34,9 @@ __all__ = [
     "GaussianLaw", "rect_upper_prob", "sample",
     "UNDER_P", "UNDER_PTILDE", "MarketParams", "MeasureConstants",
     "derive_constants", "radon_nikodym", "terminal_price", "wiener_law",
-    "DiscreteState", "McConfig", "VerifyReport", "brute_force_np",
-    "discretize", "estimate", "verify_risk",
+    "McConfig", "VerifyReport", "estimate", "verify_risk",
     "CUSTOM", "DIGITAL", "KINDS", "OUTPERFORMANCE", "QUANTO_DOMESTIC",
-    "QUANTO_FOREIGN", "SPREAD", "Payoff", "UniquenessReport", "evaluate",
-    "uniqueness_check",
+    "QUANTO_FOREIGN", "SPREAD", "Payoff", "evaluate",
     "LINEAR", "POWER", "LossSpec", "PsiPair", "psi_linear", "psi_mc",
     "psi_power",
     "CurvePoint", "RiskCurve", "SolveConfig", "curve", "phi1", "phi2",

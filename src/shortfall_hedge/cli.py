@@ -214,26 +214,12 @@ def load_config(path: str) -> RunConfig:
     return parse_config(data)
 
 
-class _Symbols:
-    """Lazy values for the expression symbols, computed at most once."""
-
-    def __init__(self, config: RunConfig):
-        self.config = config
-        self._cache: dict[str, float] = {}
-
-    def value(self, name: str) -> float:
-        got = self._cache.get(name)
-        if got is None:
-            cfg = self.config
-            if name in ("p(H)", "price"):
-                got = price(cfg.payoff, cfg.market, cfg.mc)
-            elif name == "E[H]":
-                got = _edges(cfg.payoff, cfg.market, LossSpec(LINEAR),
-                             cfg.mc)[0]
-            else:  # E[l(H)]
-                got = _edges(cfg.payoff, cfg.market, cfg.loss, cfg.mc)[0]
-            self._cache[name] = got
-        return got
+def _symbol(config: RunConfig, name: str) -> float:
+    """The value of an expression symbol; price and _edges memoise it."""
+    if name in ("p(H)", "price"):
+        return price(config.payoff, config.market, config.mc)
+    loss = LossSpec(LINEAR) if name == "E[H]" else config.loss  # E[l(H)]
+    return _edges(config.payoff, config.market, loss, config.mc)[0]
 
 
 _SYMBOL_TOKENS = ("E[l(H)]", "E[H]", "p(H)", "price")
@@ -255,12 +241,12 @@ def _arith(node) -> float:
                      "price, E[H], E[l(H)] are allowed")
 
 
-def resolve_expr(expr: str, symbols: _Symbols) -> float:
+def resolve_expr(expr: str, config: RunConfig) -> float:
     """Evaluate an arithmetic expression over numbers and the named symbols."""
     s = expr
     for token in _SYMBOL_TOKENS:
         if token in s:
-            s = s.replace(token, f"({symbols.value(token):.17g})")
+            s = s.replace(token, f"({_symbol(config, token):.17g})")
     try:
         v = _arith(ast.parse(s.strip(), mode="eval").body)
     except (SyntaxError, ValueError, ZeroDivisionError, OverflowError,
@@ -271,7 +257,7 @@ def resolve_expr(expr: str, symbols: _Symbols) -> float:
     return v
 
 
-def resolve_grid(spec: str, symbols: _Symbols) -> list:
+def resolve_grid(spec: str, config: RunConfig) -> list:
     """Parse 'start:stop:count' into an inclusive evenly spaced grid of
     1 to _GRID_MAX_POINTS points; the count is checked before the bounds
     are resolved."""
@@ -286,8 +272,8 @@ def resolve_grid(spec: str, symbols: _Symbols) -> list:
     if not 1 <= n <= _GRID_MAX_POINTS:
         raise ValidationError([f"grid {spec!r}: count must be between 1 "
                                f"and {_GRID_MAX_POINTS}"])
-    lo = resolve_expr(parts[0], symbols)
-    hi = resolve_expr(parts[1], symbols)
+    lo = resolve_expr(parts[0], config)
+    hi = resolve_expr(parts[1], config)
     if n == 1:
         return [lo]
     step = (hi - lo) / (n - 1)
@@ -313,13 +299,13 @@ _KEY_VALUE = ["key", "value"]
 _POINT = ["input", "value", "c", "method", "err_estimate"]
 
 
-def _run_price(config: RunConfig, symbols: _Symbols, options):
+def _run_price(config: RunConfig, options):
     return _KEY_VALUE, [["price", price(config.payoff, config.market,
                                         config.mc)]], None
 
 
-def _run_psi(config: RunConfig, symbols: _Symbols, options):
-    c = resolve_expr(options.c or "0", symbols)
+def _run_psi(config: RunConfig, options):
+    c = resolve_expr(options.c or "0", config)
     pair = _psi_pair(config.payoff, config.market, config.loss, c)
     return (["c", "psi1", "psi2", "method", "err_estimate"],
             [[c, pair.psi1, pair.psi2, pair.method, pair.err_estimate]], None)
@@ -327,8 +313,8 @@ def _run_psi(config: RunConfig, symbols: _Symbols, options):
 
 def _run_phi(impl, arg: str):
     """The handler of phi1 (impl _phi1_impl, option --x) or phi2."""
-    def handler(config: RunConfig, symbols: _Symbols, options):
-        g = resolve_expr(getattr(options, arg), symbols)
+    def handler(config: RunConfig, options):
+        g = resolve_expr(getattr(options, arg), config)
         value, c, err, method = _one(impl(
             config.payoff, config.market, config.loss, [g], config.solver,
             config.mc))[:4]
@@ -336,22 +322,22 @@ def _run_phi(impl, arg: str):
     return handler
 
 
-def _run_curve(config: RunConfig, symbols: _Symbols, options):
-    grid = resolve_grid(options.grid, symbols)
+def _run_curve(config: RunConfig, options):
+    grid = resolve_grid(options.grid, config)
     rc = curve(config.payoff, config.market, config.loss, options.kind, grid,
                config.solver, config.mc)
     return (_POINT, [[p.input, p.value, p.c, p.method, p.err_estimate]
                      for p in rc.points], [p.error for p in rc.points])
 
 
-def _run_verify(config: RunConfig, symbols: _Symbols, options):
-    x = resolve_expr(options.x, symbols)
+def _run_verify(config: RunConfig, options):
+    x = resolve_expr(options.x, config)
     rep = verify_risk(config.payoff, config.market, config.loss, x, config.mc)
     rows = [[f.name, getattr(rep, f.name)] for f in fields(rep)]
     return _KEY_VALUE, rows + [["ok", rep.ok]], None
 
 
-# command -> handler(config, symbols, options) returning the command's table:
+# command -> handler(config, options) returning the command's table:
 # (header, rows, errors), errors a per-row list for curve, else None
 _COMMANDS = {"price": _run_price, "psi": _run_psi,
              "phi1": _run_phi(_phi1_impl, "x"),
@@ -375,8 +361,7 @@ def _results(header: list, rows: list, errors: Optional[list], options):
 def run(command: str, config: RunConfig, options) -> str:
     """Execute one command against a resolved config; returns the artifact
     text (CSV or JSON per config.output.format)."""
-    header, rows, errors = _COMMANDS[command](config, _Symbols(config),
-                                              options)
+    header, rows, errors = _COMMANDS[command](config, options)
     if config.output.format == "json":
         doc = {"command": command, "seed": config.mc.seed,
                "config": config.to_dict(),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, owens_t
 
-from .errors import DegenerateLawError
+from .errors import DegenerateLawError, ValidationError
 
 _PIVOT_THRESHOLD = 1e-12
 _SYM_TOL = 1e-12
@@ -107,7 +107,7 @@ def rect_upper_prob(law: GaussianLaw, lower):
 def sample(law: GaussianLaw, n: int, seed: int) -> np.ndarray:
     """n deterministic draws via the Cholesky factor and a Philox stream."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValidationError([f"n: must be >= 1, got {n!r}"])
     rng = np.random.Generator(np.random.Philox(seed))
     z = rng.standard_normal((n, law.dim))
     return law.mean + z @ law._chol.T

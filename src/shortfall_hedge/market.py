@@ -107,7 +107,6 @@ class MeasureConstants:
     thresholds: Mapping[str, float]
     theta: tuple[float, float]
     T: float
-    strike: float
 
 
 def _ln(v: float) -> float:
@@ -153,7 +152,7 @@ def derive_constants(params: MarketParams, strike: float) -> MeasureConstants:
     }
     return MeasureConstants(a1=a1, a2=a2, b_cap=b_cap, b_cap_tilde=b_cap_tilde,
                             thresholds=MappingProxyType(thresholds),
-                            theta=(th1, th2), T=t, strike=strike)
+                            theta=(th1, th2), T=t)
 
 
 def radon_nikodym(constants: MeasureConstants, w1, w2, under: str = UNDER_P):
@@ -182,7 +181,7 @@ def terminal_price(params: MarketParams, asset: int, w, under: str = UNDER_P):
     return float(out) if out.ndim == 0 else out
 
 
-def wiener_law(params: MarketParams, under: str = UNDER_P) -> GaussianLaw:
-    """Law of the terminal Wiener pair in its own coordinates: N2(0, QT)."""
-    _check_measure(under)
+def wiener_law(params: MarketParams) -> GaussianLaw:
+    """Law of the terminal Wiener pair in its own coordinates: N2(0, QT),
+    under either measure."""
     return GaussianLaw(2, np.zeros(2), params.wiener_cov)

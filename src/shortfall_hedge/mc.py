@@ -1,4 +1,4 @@
-"""Monte Carlo oracles and a brute-force Neyman-Pearson check.
+"""Monte Carlo estimates, and the check of a phi1 solution by simulation.
 
 Everything here treats (w1, w2) as the terminal coordinates of the
 P-Brownian pair: integrands are written once, in P coordinates, and the
@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 
 from .errors import ValidationError
 from .gaussian import sample
@@ -70,113 +69,6 @@ def estimate(integrand, params: MarketParams, mc: McConfig,
     if mc.antithetic:
         vals = 0.5 * vals  # pair means
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(m))
-
-
-@dataclass(frozen=True)
-class DiscreteState:
-    """Probability-weighted state grid for the brute-force test problem.
-
-    Parallel arrays over cells: coordinates, cell mass under each measure
-    (each summing to 1), payoff value, and the exact density Z~ at the
-    node.  The discrete prob_ptilde/prob_p ratio approximates z up to the
-    two renormalization constants.
-    """
-
-    w1: np.ndarray
-    w2: np.ndarray
-    prob_p: np.ndarray
-    prob_ptilde: np.ndarray
-    h: np.ndarray
-    z: np.ndarray
-
-    def __post_init__(self):
-        n = self.w1.shape[0]
-        for name in ("w2", "prob_p", "prob_ptilde", "h", "z"):
-            if getattr(self, name).shape != (n,):
-                raise ValidationError([f"{name}: parallel arrays must share shape"])
-        for name in ("prob_p", "prob_ptilde"):
-            s = float(np.sum(getattr(self, name)))
-            if abs(s - 1.0) > 1e-9:
-                raise ValidationError(
-                    [f"{name}: cell masses must sum to 1 +- 1e-9, got {s!r}"])
-        for arr in (self.w1, self.w2, self.prob_p, self.prob_ptilde,
-                    self.h, self.z):
-            arr.setflags(write=False)
-
-
-def _voronoi_widths(nodes: np.ndarray) -> np.ndarray:
-    mids = 0.5 * (nodes[1:] + nodes[:-1])
-    left = np.concatenate([[nodes[0] - (mids[0] - nodes[0])], mids])
-    right = np.concatenate([mids, [nodes[-1] + (nodes[-1] - mids[-1])]])
-    return right - left
-
-
-def discretize(payoff: Payoff, params: MarketParams,
-               n_side: int = 40) -> DiscreteState:
-    """Tensor grid of Gauss-Hermite nodes with Voronoi cell masses.
-
-    Cell mass is density x cell area in the standardized coordinates,
-    renormalized per measure, so both measures live on the same cells and
-    their mass ratio tracks the density Z~.
-    """
-    if n_side < 2:
-        raise ValidationError([f"n_side: must be >= 2, got {n_side!r}"])
-    xi, _ = hermegauss(n_side)
-    widths = _voronoi_widths(xi)
-    chol = np.linalg.cholesky(params.wiener_cov)
-    g1, g2 = np.meshgrid(xi, xi, indexing="ij")
-    a1, a2 = np.meshgrid(widths, widths, indexing="ij")
-    pts = np.column_stack([g1.ravel(), g2.ravel()])
-    area = (a1 * a2).ravel()
-    w = pts @ chol.T
-
-    def std_normal2(u):
-        return np.exp(-0.5 * np.sum(u * u, axis=1)) / (2.0 * math.pi)
-
-    prob_p = std_normal2(pts) * area
-    prob_p /= prob_p.sum()
-    # P~ law of the same coordinates is N(-theta T, QT)
-    shift = np.linalg.solve(chol, params.T * np.array(params.theta))
-    prob_pt = std_normal2(pts + shift) * area
-    prob_pt /= prob_pt.sum()
-    cons = payoff_constants(payoff, params)
-    s1 = terminal_price(params, 1, w[:, 0], UNDER_P)
-    s2 = terminal_price(params, 2, w[:, 1], UNDER_P)
-    h = np.asarray(evaluate(payoff, s1, s2), dtype=float)
-    z = np.asarray(radon_nikodym(cons, w[:, 0], w[:, 1], UNDER_P), dtype=float)
-    return DiscreteState(w1=w[:, 0].copy(), w2=w[:, 1].copy(),
-                         prob_p=prob_p, prob_ptilde=prob_pt, h=h, z=z)
-
-
-def brute_force_np(discrete: DiscreteState, budget: float):
-    """Best achievable P1-mass of a randomized test with P2-mass <= budget.
-
-    P1 and P2 are the H-weighted normalizations of prob_p and prob_ptilde
-    (success and cost measures of the testing problem).  Cells are taken
-    greedily by likelihood ratio dP1/dP2 -- i.e. by z ascending -- with a
-    fractional last cell.  Returns (mass, indices of fully chosen cells).
-    """
-    budget = float(budget)
-    if not 0.0 <= budget <= 1.0:
-        raise ValidationError([f"budget: must lie in [0, 1], got {budget!r}"])
-    s1 = float(np.sum(discrete.h * discrete.prob_p))
-    s2 = float(np.sum(discrete.h * discrete.prob_ptilde))
-    if s1 <= 0.0 or s2 <= 0.0:
-        return 0.0, np.empty(0, dtype=int)
-    p1 = discrete.h * discrete.prob_p / s1
-    p2 = discrete.h * discrete.prob_ptilde / s2
-    cells = np.flatnonzero(discrete.h > 0)
-    order = cells[np.argsort(discrete.z[cells], kind="stable")]
-    cum2 = np.cumsum(p2[order])
-    k = int(np.searchsorted(cum2, budget * (1.0 + 1e-15), side="right"))
-    mass = float(np.sum(p1[order[:k]]))
-    if k < order.size:
-        spent = float(cum2[k - 1]) if k > 0 else 0.0
-        cell = order[k]
-        if p2[cell] > 0:
-            frac = min(max((budget - spent) / float(p2[cell]), 0.0), 1.0)
-            mass += frac * float(p1[cell])
-    return min(mass, 1.0), order[:k]
 
 
 def _modified_claim(payoff: Payoff, params: MarketParams, loss: LossSpec,

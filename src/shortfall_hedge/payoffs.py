@@ -1,8 +1,8 @@
 """Contract types: five named two-asset payoffs plus a custom hook.
 
-Pathwise evaluation H(S1_T, S2_T) and per-payoff structural data (the
-strict-monotonicity conditions the Psi inversion relies on).  A Digital tie
-S1 = S2 pays the full amount K (the indicator uses >=).
+Pathwise evaluation H(S1_T, S2_T) and the measure constants at a payoff's
+strike.  A Digital tie S1 = S2 pays the full amount K (the indicator uses
+>=).
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ OUTPERFORMANCE = "Outperformance"
 SPREAD = "Spread"
 CUSTOM = "Custom"
 KINDS = (DIGITAL, QUANTO_DOMESTIC, QUANTO_FOREIGN, OUTPERFORMANCE, SPREAD, CUSTOM)
-
-_PARALLEL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -52,15 +50,6 @@ class Payoff:
         if bad:
             raise ValidationError(bad)
         object.__setattr__(self, "strike", float(self.strike))
-
-
-@dataclass(frozen=True)
-class UniquenessReport:
-    """Whether strict monotonicity of Psi1/Psi2 in c is guaranteed."""
-
-    psi1_strictly_monotone: bool
-    psi2_strictly_monotone: bool
-    reason: str
 
 
 def payoff_constants(payoff: Payoff, params: MarketParams) -> MeasureConstants:
@@ -98,48 +87,3 @@ def evaluate(payoff: Payoff, s1, s2):
             raise PayoffContractError(
                 f"custom payoff returned a negative value at sample {i}")
     return float(out) if out.ndim == 0 else out
-
-
-def _direction_vector(kind: str, params: MarketParams):
-    sg1, sg2 = params.sigma
-    return {
-        DIGITAL: (sg1, -sg2),
-        QUANTO_DOMESTIC: (sg1, 0.0),
-        QUANTO_FOREIGN: (sg1, sg2),
-    }.get(kind)
-
-
-def uniqueness_check(payoff: Payoff, params: MarketParams) -> UniquenessReport:
-    """Report whether strict monotonicity of Psi1, Psi2 in c is guaranteed.
-
-    The guarantee exists when the payoff's direction vector is not parallel
-    to (A1, A2); it is known for Digital, QuantoDomestic and QuantoForeign.
-    A vanishing (A1, A2) counts as parallel (the measure change degenerates
-    and Psi becomes a step function).  For the remaining kinds no condition
-    is known and the solver falls back to left-endpoint selection.
-    """
-    vec = _direction_vector(payoff.kind, params)
-    if vec is None:
-        return UniquenessReport(
-            False, False,
-            "strict monotonicity not established for this payoff kind; "
-            "inversion uses left-endpoint selection")
-    strike = payoff.strike if payoff.strike > 0 else 1.0
-    cons = derive_constants(params, strike)
-    a = (cons.a1, cons.a2)
-    scale = max(abs(a[0]), abs(a[1]))
-    if scale <= _PARALLEL_TOL:
-        return UniquenessReport(
-            False, False,
-            "(A1, A2) = (0, 0): the measure change is degenerate and Psi is "
-            "a step function in c")
-    cross = vec[0] * a[1] - vec[1] * a[0]
-    norm = max(abs(vec[0]), abs(vec[1])) * scale
-    if abs(cross) <= _PARALLEL_TOL * norm:
-        return UniquenessReport(
-            False, False,
-            f"direction vector {vec} is parallel to (A1, A2) = {a}; strict "
-            "monotonicity is not guaranteed")
-    return UniquenessReport(
-        True, True,
-        f"direction vector {vec} is not parallel to (A1, A2) = {a}")

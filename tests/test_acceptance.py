@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from conftest import DESK_PAYOFFS, desk_params
+from oracles import brute_force_np, discretize, uniqueness_check
 from shortfall_hedge.errors import AssumptionViolatedError
 from shortfall_hedge.gaussian import sample
 from shortfall_hedge.market import (UNDER_P, UNDER_PTILDE, derive_constants,
                                     radon_nikodym, terminal_price, wiener_law)
-from shortfall_hedge.mc import McConfig, brute_force_np, discretize, estimate, verify_risk
+from shortfall_hedge.mc import McConfig, estimate, verify_risk
 from shortfall_hedge.payoffs import (DIGITAL, OUTPERFORMANCE, Payoff, QUANTO_DOMESTIC,
-                                     SPREAD, evaluate, uniqueness_check)
+                                     SPREAD, evaluate)
 from shortfall_hedge.psi import (LINEAR, LossSpec, POWER, psi_linear, psi_mc,
                                  psi_power)
 from shortfall_hedge.solver import phi1, phi2, price

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from shortfall_hedge._quad import integrate_batch
-from shortfall_hedge.errors import DegenerateLawError
+from shortfall_hedge.errors import DegenerateLawError, ValidationError
 from shortfall_hedge.gaussian import (GaussianLaw, rect_upper_prob, sample,
                                       tilted_interval_mass)
 
@@ -150,6 +150,13 @@ def test_sample_seeded_and_moments():
     assert a.shape == (50_000, 2)
     assert np.all(np.abs(a.mean(axis=0) - law.mean) <= 0.02)
     assert abs(np.cov(a.T)[0, 1] - 0.3) <= 0.02
+
+
+def test_sample_rejects_an_empty_draw_with_a_typed_error():
+    law = GaussianLaw(2, [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+    for n in (0, -3):
+        with pytest.raises(ValidationError, match=r"n: must be >= 1"):
+            sample(law, n, seed=1)
 
 
 def test_degenerate_covariance_rejected():

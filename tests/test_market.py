@@ -88,7 +88,7 @@ def test_radon_nikodym_measure_coordinates_agree():
 def test_martingale_pricing_of_asset_one():
     # E~[e^{-rT} S^1_T] = S^1_0 within 3 SE
     params = desk_params(rho=0.6)
-    w = sample(wiener_law(params, UNDER_PTILDE), 400_000, seed=11)
+    w = sample(wiener_law(params), 400_000, seed=11)
     s1 = terminal_price(params, 1, w[:, 0], UNDER_PTILDE)
     disc = math.exp(-params.r * params.T) * s1
     se = disc.std(ddof=1) / math.sqrt(disc.size)

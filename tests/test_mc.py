@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from conftest import desk_params
+from oracles import DiscreteState, brute_force_np, discretize
 from shortfall_hedge.errors import NanGuardError, ValidationError
 from shortfall_hedge.market import (UNDER_P, UNDER_PTILDE, derive_constants,
                                     radon_nikodym, terminal_price)
-from shortfall_hedge.mc import (DiscreteState, McConfig, brute_force_np,
-                                discretize, estimate, verify_risk)
+from shortfall_hedge.mc import McConfig, estimate, verify_risk
 from shortfall_hedge.payoffs import (CUSTOM, DIGITAL, Payoff,
                                      QUANTO_DOMESTIC, SPREAD)
 from shortfall_hedge.psi import LINEAR, LossSpec, POWER

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import desk_params
+from oracles import uniqueness_check
 from shortfall_hedge.errors import PayoffContractError, ValidationError
 from shortfall_hedge.payoffs import (CUSTOM, DIGITAL, OUTPERFORMANCE, Payoff,
                                      QUANTO_DOMESTIC, QUANTO_FOREIGN, SPREAD,
-                                     evaluate, uniqueness_check)
+                                     evaluate)
 
 
 def test_named_payoff_values():

@@ -31,7 +31,7 @@ def _mc_expectations(payoff, params, n=200_000, seed=42):
     out = []
     for under in (UNDER_P, UNDER_PTILDE):
         # each measure's own Wiener coordinates are centred: N(0, QT)
-        w = sample(wiener_law(params, under), n, seed)
+        w = sample(wiener_law(params), n, seed)
         s1 = terminal_price(params, 1, w[:, 0], under)
         s2 = terminal_price(params, 2, w[:, 1], under)
         h = np.asarray(evaluate(payoff, s1, s2), dtype=float)
