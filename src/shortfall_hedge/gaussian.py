@@ -133,9 +133,9 @@ def tilted_interval_mass(gamma, m, s, lo, hi):
         beta = np.where(np.isposinf(hi), np.inf, beta)
         upper_tail = (np.where(np.isinf(alpha), 0.0, alpha)
                       + np.where(np.isinf(beta), 0.0, beta)) > 0
-        diff = np.where(upper_tail,
-                        ndtr(-np.minimum(alpha, beta)) - ndtr(-np.maximum(alpha, beta)),
-                        ndtr(np.maximum(alpha, beta)) - ndtr(np.minimum(alpha, beta)))
+        low, high = np.minimum(alpha, beta), np.maximum(alpha, beta)
+        diff = (ndtr(np.where(upper_tail, -low, high))
+                - ndtr(np.where(upper_tail, -high, low)))
         diff = np.where(beta <= alpha, 0.0, diff)
         factor = np.exp(gamma * m + 0.5 * (gamma * s) ** 2)
         out = np.where(diff <= 0.0, 0.0, factor * diff)

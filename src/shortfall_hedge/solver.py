@@ -10,34 +10,37 @@ region parameter c:
               then cost = e^{-rT} Psi2(c)
 
 Psi2 and linear Psi1 are nonincreasing in c, power Psi1 nondecreasing, so
-each equation is solved by bracketed bisection on a sign predicate; where
-the function is flat at the target level the returned c is the infimum of
-the solution set (the predicate flips exactly at the left endpoint).
+each equation is solved on a sign predicate, in u = ln c: a walk from c = 1
+finds a bracket, and Chandrupatla's (1997) derivative-free hybrid of
+inverse quadratic interpolation and bisection closes it; where the function
+is flat at the target level the returned c is the infimum of the solution
+set (the predicate flips exactly at the left endpoint).  On the Monte Carlo
+route Psi is a step function, on which an interpolant predicts nothing, and
+every step bisects ln c.
 
-Each point's bisection is one generator, _predicate_bisection: plain code
-that yields every c it reads, with its bracket, and is sent Psi(c) back.
-The check at the end uses the value already read at the answer, so a solve
-reads each c once.  The solve functions take a grid of inputs and drive
-the points' generators in lockstep (_bisect), answering them from a memo
-of the Psi values read so far.  A read takes the c's of the points still
-running (the Psi sides take c-arrays) together with the c's of their next
-steps, up to 15 // (points running) c's for each point (_path): the next
-doublings while a point has no bracket; then, on the quadrature route, the
-midpoints its bisection computes if its answer lies at the secant estimate
-between the bracket ends, and on the Monte Carlo route, a step function on
-which a chord predicts nothing, the next levels of its bisection tree.  A
-single solve so makes 5-12 reads by quadrature and 13-14 by Monte Carlo
-instead of about 47, and a curve reads only its current step while more
-than 7 points run.  The read-ahead c's are the floats the bisection
-computes and a Psi value does not depend on its batch, so the estimate
-only chooses which c's are read: every point runs the same steps, with the
-same values, as a plain bisection of it alone.  phi1 and phi2 solve a grid
-of one point; a curve solves its whole grid at once, on one thread.
+Each point's solve is one generator, _predicate_bisection: plain code that
+yields every c it reads and is sent Psi(c) back.  The check at the end uses
+the value already read at the answer, so a solve reads each c once.  The
+solve functions take a grid of inputs and drive the points' generators in
+lockstep (_bisect), answering them from a memo of the Psi values read so
+far.  With each c a solve also yields a function that lists the c's its
+next steps compute without a new Psi value: the walk's next steps (both
+ways, up to 2^+-7, while the direction is unknown), and once bracketed the
+midpoint and the two clamped points of either new bracket, or on the Monte
+Carlo route the levels of the bisection tree.  A read takes every running
+point's c and the first 15 // (points running) - 1 of its listed c's (the
+Psi sides take c-arrays).  A single solve so makes 5-10 reads of 37-59 c's
+by quadrature and 12 by Monte Carlo, and a 21-point curve 12-23 reads
+instead of about 50.  The read-ahead c's are floats the solve computes and
+a Psi value does not depend on its batch, so read-ahead only chooses which
+c's are read: every point runs the same steps, with the same values, as it
+does alone.  phi1 and phi2 solve a grid of one point; a curve solves its
+whole grid at once, on one thread.
 
 Named payoffs evaluate Psi by quadrature; Custom payoffs, and power-loss
 cases whose closed-form sign condition fails, fall back to the Monte Carlo
 table (psi._McTable): one sample with a fixed (n, seed) per solve, so the
-bisected function stays deterministic and pathwise monotone in c.  Both
+inverted function stays deterministic and pathwise monotone in c.  Both
 routes read ahead, except on Spread/power Psi1 by quadrature.
 """
 
@@ -46,7 +49,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -61,7 +64,7 @@ from .psi import (LINEAR, POWER, LossSpec, _is_one_c_side, _make_ctx,
 
 _FALLBACK_MC = McConfig(n_paths=200_000, seed=1729, antithetic=True)
 _EDGE_TOL = 1e-9
-# the most c's a read-ahead _bisect step asks for (see _path)
+# the most c's one solve asks a _bisect read for (see _ahead)
 _READ_AHEAD_CS = 15
 
 METHOD_QUAD = "quadrature"
@@ -70,7 +73,9 @@ METHOD_MC = "monte-carlo"
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Root-finding budget for the Psi inversions."""
+    """Root-finding budget for the Psi inversions: the target tolerance of
+    the final check, the most walk steps that look for a bracket, and the
+    most steps that close it."""
 
     abs_tol_target: float = 1e-9
     max_bracket_expansions: int = 200
@@ -146,27 +151,26 @@ class _Evaluator:
         return np.maximum(v, 0.0), e
 
 
-def _read(ev: _Evaluator, c, side: int):
-    """(values, errs, failures) of Psi_side at each c, in one call over the
-    distinct c's.  If that call raises, each distinct c is read alone, so
-    that failures[i] is the ShortfallHedgeError of c[i] alone (else None)
+def _read(ev: _Evaluator, c, side: int) -> dict:
+    """{c: (Psi_side(c), err, failure)} over the distinct c's of c, read in
+    their order in one call.  If that call raises, each c is read alone, so
+    that a failure is the ShortfallHedgeError of that c alone (else None)
     and the other c's keep their values."""
-    cs = np.array(sorted(set(c)), dtype=float)
-    pos = {ci: j for j, ci in enumerate(cs.tolist())}
-    where = [pos[ci] for ci in c]
-    failed = [None] * cs.size
-    if not cs.size:
-        return cs, cs, failed
+    cs = list(dict.fromkeys(c))
+    failed = [None] * len(cs)
+    if not cs:
+        return {}
     try:
-        v, e = ev.side(cs, side)
+        v, e = ev.side(np.array(cs, dtype=float), side)
     except ShortfallHedgeError:
-        v, e = np.full(cs.size, math.nan), np.full(cs.size, math.nan)
-        for j in range(cs.size):
+        v, e = np.full(len(cs), math.nan), np.full(len(cs), math.nan)
+        for j, cj in enumerate(cs):
             try:
-                (v[j],), (e[j],) = ev.side(cs[j:j + 1], side)
+                (v[j],), (e[j],) = ev.side(np.array([cj]), side)
             except ShortfallHedgeError as exc:
                 failed[j] = exc
-    return v[where], e[where], [failed[j] for j in where]
+    return {cj: (float(v[j]), float(e[j]), failed[j])
+            for j, cj in enumerate(cs)}
 
 
 def _one(results: list):
@@ -231,91 +235,167 @@ def price(payoff: Payoff, params: MarketParams,
 
 
 def _closed(lo: float, hi: float) -> bool:
-    """Whether the bracket [lo, hi] is narrow enough to stop bisecting:
+    """Whether the bracket [lo, hi] is narrow enough to stop stepping:
     relative to hi, so that a root at c << 1 is found as closely as any."""
     return hi - lo <= 1e-13 * hi
 
 
+def _walk(up: bool, steps: int) -> list:
+    """The c's of the walk from c = 1, up or down, steps of them at most:
+    2^(+-k) for k = 1..7, then steps in ln c that double each time (2^(+-9),
+    2^(+-13), 2^(+-21), ...), up to the largest power of 2, 2^1023, or down
+    to the smallest normal float, 2^-1022 (sys.float_info.min)."""
+    top = 1023 if up else 1022
+    cs, e, step = [], 0, 1
+    while len(cs) < steps and e < top:
+        step *= 2 if len(cs) >= 7 else 1
+        e = min(e + step, top)
+        cs.append(math.ldexp(1.0, e if up else -e))
+    return cs
+
+
+def _tl(lo: float, hi: float) -> float:
+    """Chandrupatla's clamp t_l: the fraction of [lo, hi] in ln c that is
+    half the width at which _closed stops, so that a step that close to an
+    end closes the bracket when the root lies between."""
+    return min(0.5, 0.5e-13 / math.log(hi / lo))
+
+
+def _at(lo: float, hi: float, s: float) -> float:
+    """The c at fraction s of [lo, hi] in ln c, counted from the nearer end
+    so that a step next to either end keeps its distance from it."""
+    span = math.log(hi / lo)
+    if s <= 0.5:
+        return lo * math.exp(s * span)
+    return hi * math.exp((s - 1.0) * span)
+
+
+class _Point(NamedTuple):
+    """A c a solve has read: Psi(c) = v with its err, and f = Psi - target
+    signed to be negative exactly left of the answer."""
+
+    c: float
+    f: float
+    v: float
+    err: float
+
+
+def _chandrupatla(a: _Point, b: _Point, third: Optional[_Point]) -> float:
+    """Chandrupatla's (1997) step from the newest point a toward the other
+    end b of the bracket, as a fraction t of [a, b] in ln c.
+
+    third is the point that a displaced (None before the first step).
+    Inverse quadratic interpolation through a, b and third where his
+    (xi, Phi) test finds it monotone over the bracket, else t = 1/2; also
+    t = 1/2 when f(a) = 0, so that a stretch of Psi flat at the target
+    bisects to its left edge.
+    """
+    if third is None or a.f == 0.0:
+        return 0.5
+    (ca, fa), (cb, fb), (cc, fc) = a[:2], b[:2], third[:2]
+    xi = math.log(ca / cb) / math.log(cc / cb)
+    phi = (fa - fb) / (fc - fb)
+    if not (phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi):
+        return 0.5
+    alpha = math.log(cc / ca) / math.log(cb / ca)
+    return (fa / (fb - fa) * fc / (fb - fc)
+            + alpha * fa / (fc - fa) * fb / (fc - fb))
+
+
+def _ahead(lo: float, x: float, hi: float, interpolate: bool) -> list:
+    """The c's that the step after a read at x in (lo, hi) computes without
+    x's value, whichever side of the answer x lies on, _READ_AHEAD_CS - 1 at
+    most: with interpolation, the two clamped points and the midpoint of
+    each new bracket; without, the levels of the bisection tree below x."""
+    cs, level = [], [(lo, x), (x, hi)]
+    while level and len(cs) < _READ_AHEAD_CS - 1:
+        below = []
+        for a, b in level:
+            if _closed(a, b):
+                continue
+            if interpolate:
+                tl = _tl(a, b)
+                cs += [_at(a, b, tl), _at(a, b, 1.0 - tl), _at(a, b, 0.5)]
+            else:
+                mid = _at(a, b, 0.5)
+                cs.append(mid)
+                below += [(a, mid), (mid, b)]
+        level = below
+    return cs[:_READ_AHEAD_CS - 1]
+
+
 def _predicate_bisection(side: int, target: float, increasing: bool,
-                         config: SolveConfig, tol: float):
+                         config: SolveConfig, tol: float, interpolate: bool):
     """One point's solve: the infimum c of {c : Psi_side(c) reaches target}.
 
-    A generator: it yields each c it reads with its bracket (lo, hi), None
-    while no hi is known, is sent (Psi_side(c), err) and returns
-    (c, Psi_side(c), err).  The predicate is True strictly left of the
-    answer: Psi > target for a nonincreasing side, Psi < target for a
-    nondecreasing one.  It runs the predicate at c = 0, doublings from
-    hi = 1, midpoints until the bracket is _closed, and a check that the
-    value already read at hi is the target within max(tol, 8 err).
-    """
-    def left(v):
-        return v < target if increasing else v > target
+    A generator: it yields (c, ahead), the c it reads now and a function
+    that lists the c's its next steps compute without a new Psi value, is
+    sent (Psi_side(c), err) and returns (c, Psi_side(c), err).
+    With f = Psi - target for a nondecreasing side and target - Psi for a
+    nonincreasing one (_Point), the predicate "f < 0" is True exactly left
+    of the answer.
 
-    v, err = yield 0.0, None
-    if not left(v):
+    It reads c = 0, then walks from c = 1 (_walk) up while f < 0 or down
+    while f >= 0, max_bracket_expansions steps at most; until then it reads
+    ahead the walk's next steps, both ways while the direction is unknown.
+    A bracket found, it takes bisection_iters steps at most until the
+    bracket is _closed: Chandrupatla's (_chandrupatla) if interpolate, else
+    bisection in ln c, each clamped to [t_l, 1 - t_l] of the bracket (_tl)
+    and placed by _at.  The answer is the bracket's right end hi, and a
+    check that the value already read there is the target within
+    max(tol, 8 err).  A walk up that finds no bracket raises; a walk down
+    that finds none checks its last c.
+    """
+    def point(c, v, err):
+        return _Point(c, v - target if increasing else target - v, v, err)
+
+    def checked(hi: _Point):
+        within = max(tol, 8.0 * hi.err)
+        if abs(hi.v - target) <= within:
+            return hi.c, hi.v, hi.err
+        raise InfeasibleInversionError(
+            f"Psi{side}({hi.c:.12g}) = {hi.v:.12g} cannot reach target "
+            f"{target:.12g} within tolerance {within:.3g}: the Psi function "
+            "jumps across the target (degenerate or discontinuous case)")
+
+    ups = _walk(True, config.max_bracket_expansions)
+    downs = _walk(False, config.max_bracket_expansions)
+    both = [c for pair in zip(ups, downs) for c in pair]
+    v, err = yield 0.0, lambda: [1.0] + both
+    if point(0.0, v, err).f >= 0.0:
         return 0.0, v, err
-    lo, hi = 0.0, 1.0
-    v, err = yield hi, None
-    doublings = 0
-    while left(v):
-        doublings += 1
-        if doublings > config.max_bracket_expansions:
+    last = point(1.0, *(yield 1.0, lambda: both))
+    walk = ups if last.f < 0.0 else downs
+    for k, c in enumerate(walk):
+        # the next step: the walk's next c, or the bracket's midpoint
+        a = point(c, *(yield c, lambda: walk[k + 1:k + 2] + [
+            _at(min(c, last.c), max(c, last.c), 0.5)]))
+        if (a.f < 0.0) != (last.f < 0.0):
+            break
+        last = a
+    else:
+        if walk is ups:
             raise InfeasibleInversionError(
                 f"could not bracket the Psi{side} inversion target "
-                f"{target!r} within {config.max_bracket_expansions} doublings")
-        lo, hi = hi, 2.0 * hi
-        v, err = yield hi, None
+                f"{target!r} within {len(ups)} walk steps up to "
+                f"c = {last.c!r}")
+        return checked(last)
+    b, third = last, None
     for _ in range(config.bisection_iters):
+        lo, hi = (a.c, b.c) if a.f < 0.0 else (b.c, a.c)
         if _closed(lo, hi):
             break
-        mid = 0.5 * (lo + hi)
-        v_mid, err_mid = yield mid, (lo, hi)
-        if left(v_mid):
-            lo = mid
+        t = _chandrupatla(a, b, third) if interpolate else 0.5
+        tl = _tl(lo, hi)
+        x = _at(lo, hi, min(1.0 - tl, max(tl, t if a.f < 0.0 else 1.0 - t)))
+        new = point(x, *(yield x, functools.partial(_ahead, lo, x, hi,
+                                                    interpolate)))
+        if (new.f < 0.0) == (a.f < 0.0):
+            third = a
         else:
-            hi, v, err = mid, v_mid, err_mid
-    tol = max(tol, 8.0 * err)
-    if abs(v - target) <= tol:
-        return hi, v, err
-    raise InfeasibleInversionError(
-        f"Psi{side}({hi:.12g}) = {v:.12g} cannot reach target "
-        f"{target:.12g} within tolerance {tol:.3g}: the Psi function jumps "
-        "across the target (degenerate or discontinuous case)")
-
-
-def _secant(memo: dict, bracket, target: float) -> float:
-    """The c where the chord between the bracket ends, both in the memo,
-    meets target.  The predicate differs at the two ends, so their Psi
-    values differ."""
-    lo, hi = bracket
-    v_lo, v_hi = float(memo[lo][0]), float(memo[hi][0])
-    return lo + (target - v_lo) / (v_hi - v_lo) * (hi - lo)
-
-
-def _path(c: float, bracket, root, n: int) -> list:
-    """c and the c's that the next steps of its solve may read, n at most,
-    computed as _predicate_bisection computes them.  While there is no
-    bracket: c and the doublings after it, as many as a bisection tree of
-    n c's has levels.  Below a bracket, down to closed brackets: the
-    midpoints toward root if its answer lies there, else (root None) the
-    levels of the bisection tree that fit in n c's."""
-    depth = (n + 1).bit_length() - 1
-    if bracket is None:
-        cs = [c]
-        for _ in range(depth - 1):
-            cs.append(2.0 * cs[-1] if cs[-1] else 1.0)
-        return cs
-    cs, level = [], [bracket]
-    for _ in range(depth if root is None else n):
-        below = []
-        for lo, hi in level:
-            if not _closed(lo, hi):
-                mid = 0.5 * (lo + hi)
-                cs.append(mid)
-                below += ([(lo, mid), (mid, hi)] if root is None
-                          else [(mid, hi) if mid < root else (lo, mid)])
-        level = below
-    return cs
+            third, b = b, a
+        a = new
+    return checked(a if a.f >= 0.0 else b)
 
 
 def _bisect(ev: _Evaluator, side: int, targets: dict, increasing: bool,
@@ -325,42 +405,42 @@ def _bisect(ev: _Evaluator, side: int, targets: dict, increasing: bool,
     out[point].
 
     The points' _predicate_bisection solves run in lockstep and are
-    answered from a memo of the Psi_side values read so far.  A step whose
-    c's are all in the memo reads nothing; otherwise one _read fills in the
-    _path of every running solve, n = _READ_AHEAD_CS // n_live c's each (at
-    least 1): toward the _secant estimate of its answer on the quadrature
-    route, along its bisection tree on the Monte Carlo route.  A read-ahead
-    c is one of the floats its solve would compute, and a Psi value does
-    not depend on the other c's of its read, so every solve runs the steps
-    and sees the values it would see alone, whatever the estimate; a c
-    whose read failed raises only in a solve that reaches it.  On the Monte
-    Carlo route a side's first finite c is 1.0 for every n, so its switch
-    from masked means to prefix sums (see psi._McSide) comes at the same c.
-    Spread/power Psi1 by quadrature, which runs its c's one after another,
-    reads only the c of each step (n = 1).  At n = 1 the memo answers
-    nothing: the solves run in lockstep from the same doublings, so a c
+    answered from a memo of the Psi_side values read so far: Chandrupatla
+    steps on the quadrature route, bisection in ln c on the Monte Carlo
+    route, where Psi is a step function on which an interpolant predicts
+    nothing.  A step whose c's are all in the memo reads nothing; otherwise
+    one _read takes, from every running solve, its current c and the first
+    n - 1 of the c's its next steps compute without a new value, n =
+    _READ_AHEAD_CS // n_live (at least 1).  Those are the floats the
+    solve computes, and a Psi value does not depend on the other c's of its
+    read, so every solve runs the steps and sees the values it would see
+    alone; a c whose read failed raises only in a solve that reaches it.
+    A read takes its c's in the order the solves yield them, so on the
+    Monte Carlo route a side's first finite c is 1.0 for every n, and its
+    switch from masked means to prefix sums (see psi._McSide) comes at the
+    same c.  Spread/power Psi1 by quadrature, which runs its c's one after
+    another, reads only the c of each step (n = 1).  At n = 1 the memo
+    answers nothing: the solves run in lockstep from the same walk, so a c
     that two solves read is read by both at the same step.
     """
     tol = max(config.abs_tol_target * max(1.0, scale),
               1e-7 * max(1.0, scale) if ev.method == METHOD_MC else 0.0)
     one_c = (ev.method == METHOD_QUAD
              and _is_one_c_side(ev.payoff, ev.loss, side))
-    solves = {i: _predicate_bisection(side, float(t), increasing, config, tol)
+    solves = {i: _predicate_bisection(side, float(t), increasing, config, tol,
+                                      ev.method == METHOD_QUAD)
               for i, t in targets.items()}
     at = {i: next(solve) for i, solve in solves.items()}
     memo, solved = {}, {}
     while at:
-        if any(c not in memo for c, _bracket in at.values()):
+        if any(c not in memo for c, _next in at.values()):
             n = 1 if one_c else max(1, _READ_AHEAD_CS // len(at))
-            cs = set()
-            for i, (c, bracket) in at.items():
-                root = (_secant(memo, bracket, targets[i])
-                        if bracket and ev.method == METHOD_QUAD else None)
-                cs.update(_path(c, bracket, root, n))
-            cs = sorted(cs - memo.keys())
-            memo.update(zip(cs, zip(*_read(ev, cs, side))))
+            cs = []
+            for c, next_cs in at.values():
+                cs += [c] + (next_cs()[:n - 1] if n > 1 else [])
+            memo.update(_read(ev, [c for c in cs if c not in memo], side))
         next_at = {}
-        for i, (c, _bracket) in at.items():
+        for i, (c, _next) in at.items():
             v, err, failed = memo[c]
             try:
                 next_at[i] = (solves[i].send((v, err)) if failed is None
@@ -410,18 +490,17 @@ def _phi1_impl(payoff: Payoff, params: MarketParams, loss: LossSpec, xs,
             solved = _bisect(
                 ev, 2, {i: growth * x for i, x in todo.items()},
                 increasing=False, config=config, scale=growth * p_h, out=out)
-            v1, err1, bad = _read(ev, [c for c, _v, _e in solved.values()], 1)
-            for j, (i, (c, _v2, err2)) in enumerate(solved.items()):
-                cost_err = (float(err2 / growth) if ev.method == METHOD_MC
-                            else 0.0)
-                if bad[j] is not None:
-                    out[i] = bad[j]
+            got = _read(ev, sorted(c for c, _v, _e in solved.values()), 1)
+            for i, (c, _v2, err2) in solved.items():
+                v1, err1, bad = got[c]
+                cost_err = err2 / growth if ev.method == METHOD_MC else 0.0
+                if bad is not None:
+                    out[i] = bad
                 elif loss.kind == LINEAR:
-                    out[i] = (max(psi1_edge - float(v1[j]), 0.0), c,
-                              e_edge + float(err1[j]), method, cost_err)
+                    out[i] = (max(psi1_edge - v1, 0.0), c, e_edge + err1,
+                              method, cost_err)
                 else:
-                    out[i] = (float(v1[j]), c, float(err1[j]), method,
-                              cost_err)
+                    out[i] = (v1, c, err1, method, cost_err)
     except ShortfallHedgeError as exc:
         out = [exc if got is None else got for got in out]
     return out
@@ -475,10 +554,11 @@ def _phi2_impl(payoff: Payoff, params: MarketParams, loss: LossSpec, vs,
                        for i, v in todo.items()}
             solved = _bisect(ev, 1, targets, increasing=(loss.kind == POWER),
                              config=config, scale=psi1_edge, out=out)
-            v2, err2, bad = _read(ev, [c for c, _v, _e in solved.values()], 2)
-            for j, (i, (c, _v1, _e1)) in enumerate(solved.items()):
-                out[i] = bad[j] if bad[j] is not None else (
-                    disc * float(v2[j]), c, disc * float(err2[j]), method)
+            got = _read(ev, sorted(c for c, _v, _e in solved.values()), 2)
+            for i, (c, _v1, _e1) in solved.items():
+                v2, err2, bad = got[c]
+                out[i] = bad if bad is not None else (
+                    disc * v2, c, disc * err2, method)
     except ShortfallHedgeError as exc:
         out = [exc if got is None else got for got in out]
     return out

@@ -4,7 +4,12 @@ No engine code calls these, so they live beside the tests:
 
 - a discretized Neyman-Pearson problem (`discretize`) and its greedy
   likelihood-ratio solution with a fractional last cell (`brute_force_np`);
-- the strict-monotonicity report of Psi1/Psi2 in c (`uniqueness_check`).
+- the strict-monotonicity report of Psi1/Psi2 in c (`uniqueness_check`);
+- a plain predicate bisection in ln c, one c per read, that the solver's
+  Chandrupatla steps must agree with (`ln_c_bisection`);
+- `gaussian.tilted_interval_mass` in its four-ndtr form
+  (`tilted_interval_mass_four_ndtr`), which the two-ndtr form must equal
+  bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
+from scipy.special import ndtr
 
 from shortfall_hedge.errors import ValidationError
 from shortfall_hedge.market import (UNDER_P, MarketParams, derive_constants,
@@ -183,3 +189,59 @@ def uniqueness_check(payoff: Payoff, params: MarketParams) -> UniquenessReport:
     return UniquenessReport(
         True, True,
         f"direction vector {vec} is not parallel to (A1, A2) = {a}")
+
+
+def ln_c_bisection(psi, target: float, increasing: bool):
+    """(c, Psi(c), err): the infimum c where psi reaches target, by plain
+    predicate bisection in ln c, one c per read.
+
+    psi(c) returns (Psi(c), err) of a monotone side: nondecreasing if
+    increasing, else nonincreasing.  The predicate "left" is Psi < target
+    (increasing) or Psi > target.  Not left at c = 0 answers 0; otherwise
+    powers of 2 from c = 1 bracket the answer, and the geometric mean of
+    the ends replaces the end with its predicate until hi - lo <= 1e-13 hi.
+    """
+    def left(c):
+        v = psi(c)[0]
+        return v < target if increasing else v > target
+
+    if not left(0.0):
+        return (0.0, *psi(0.0))
+    hi = 1.0
+    while left(hi):
+        hi *= 2.0
+    lo = 0.5 * hi
+    while not left(lo):
+        lo, hi = 0.5 * lo, lo
+    while hi - lo > 1e-13 * hi:
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if left(mid):
+            lo = mid
+        else:
+            hi = mid
+    return (hi, *psi(hi))
+
+
+def tilted_interval_mass_four_ndtr(gamma, m, s, lo, hi):
+    """gaussian.tilted_interval_mass as written with four ndtr calls: the
+    Phi difference on both tails, one of them kept."""
+    gamma = np.asarray(gamma, dtype=float)
+    m = np.asarray(m, dtype=float)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        alpha = (lo - m) / s - gamma * s
+        beta = (hi - m) / s - gamma * s
+        alpha = np.where(np.isneginf(lo), -np.inf, alpha)
+        beta = np.where(np.isposinf(hi), np.inf, beta)
+        upper_tail = (np.where(np.isinf(alpha), 0.0, alpha)
+                      + np.where(np.isinf(beta), 0.0, beta)) > 0
+        diff = np.where(
+            upper_tail,
+            ndtr(-np.minimum(alpha, beta)) - ndtr(-np.maximum(alpha, beta)),
+            ndtr(np.maximum(alpha, beta)) - ndtr(np.minimum(alpha, beta)))
+        diff = np.where(beta <= alpha, 0.0, diff)
+        factor = np.exp(gamma * m + 0.5 * (gamma * s) ** 2)
+        out = np.where(diff <= 0.0, 0.0, factor * diff)
+        out = np.where(hi <= lo, 0.0, out)
+    return out

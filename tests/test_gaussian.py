@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from oracles import tilted_interval_mass_four_ndtr
 from shortfall_hedge._quad import integrate_batch
 from shortfall_hedge.errors import DegenerateLawError, ValidationError
 from shortfall_hedge.gaussian import (GaussianLaw, rect_upper_prob, sample,
@@ -54,6 +55,24 @@ def test_tilted_interval_mass_vs_quadrature():
     want, _ = integrate_batch(integrand, np.array([lo]), np.array([hi]))
     got = tilted_interval_mass(gamma, m, s, lo, hi)
     assert abs(float(got) - want[0]) <= 1e-10 * want[0]
+
+
+def test_tilted_interval_mass_equals_its_four_ndtr_form_bitwise():
+    # two ndtr calls on the arguments of the kept tail, not four: the same
+    # bits, also at infinite bounds and on empty and reversed intervals
+    rng = np.random.default_rng(7)
+    n = 200_000
+    gamma = rng.normal(0.0, 3.0, n)
+    m = rng.normal(0.0, 2.0, n)
+    lo = rng.normal(0.0, 4.0, n)
+    hi = lo + rng.normal(0.5, 2.0, n)
+    lo[::7], hi[::11] = -np.inf, np.inf
+    lo[::13], hi[::17] = np.inf, -np.inf
+    hi[::19] = lo[::19]
+    for s in (0.05, 0.7, 2.5):
+        got = tilted_interval_mass(gamma, m, s, lo, hi)
+        want = tilted_interval_mass_four_ndtr(gamma, m, s, lo, hi)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_tilted_interval_mass_overflow_is_zero_not_nan():

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import DESK_PAYOFFS, desk_params
+from oracles import ln_c_bisection
 from shortfall_hedge import psi, solver
 from shortfall_hedge.errors import (HeavyTailError, InfeasibleInversionError,
                                     OutOfRangeError, ValidationError)
@@ -16,7 +18,7 @@ from shortfall_hedge.mc import McConfig
 from shortfall_hedge.payoffs import (CUSTOM, DIGITAL, OUTPERFORMANCE, Payoff,
                                      QUANTO_DOMESTIC, QUANTO_FOREIGN, SPREAD)
 from shortfall_hedge.psi import LINEAR, LossSpec, POWER, psi_linear, psi_power
-from shortfall_hedge.solver import (SolveConfig, _edges, _phi1_impl,
+from shortfall_hedge.solver import (SolveConfig, _edges, _one, _phi1_impl,
                                     _phi2_impl, curve, phi1, phi2, price)
 
 LIN = LossSpec(LINEAR)
@@ -287,7 +289,7 @@ def test_curve_psi_failures_stay_per_point(monkeypatch):
 
 
 def test_curve_reads_psi_once_per_lockstep_step(monkeypatch):
-    # 21 points share every step: about 50 reads, not 21 solves of 46 each
+    # 21 points share every step: 14 reads, not 21 solves of 7 each
     params = desk_params()
     payoff = Payoff(QUANTO_FOREIGN, 9500.0)
     top = _edges(payoff, params, LIN, None)[0]
@@ -303,7 +305,7 @@ def test_curve_reads_psi_once_per_lockstep_step(monkeypatch):
     rc = curve(payoff, params, LIN, "phi2", list(np.linspace(0.0, 0.95, 21)
                                                   * top))
     assert all(p.error is None for p in rc.points)
-    assert len(calls) <= 50
+    assert len(calls) <= 16
 
 
 # the one side whose c's run one after another: no c is read ahead on it
@@ -313,8 +315,8 @@ ONE_C_SIDES = {(SPREAD, POWER, 1)}
 @pytest.mark.parametrize("loss", (LIN, P2), ids=lambda l: l.kind)
 @pytest.mark.parametrize("payoff", DESK_PAYOFFS, ids=lambda p: p.kind)
 def test_one_point_solve_reads_each_c_once(payoff, loss, monkeypatch):
-    # the check at the answer uses the value its bisection already read,
-    # and a single solve reads up to 15 c's of its predicted path per call
+    # the check at the answer uses the value its steps already read, and a
+    # single solve reads up to 15 c's that its next steps may compute
     params = desk_params()
     # the cached price and edges, filled under the solver's own cache keys
     p_h = price(payoff, params, None)
@@ -347,11 +349,10 @@ BASKET = Payoff(CUSTOM, custom_eval=lambda s1, s2:
 @pytest.mark.parametrize("payoff", DESK_PAYOFFS + (BASKET,),
                          ids=lambda p: p.kind)
 def test_read_ahead_keeps_every_bit(payoff, loss, monkeypatch):
-    # reading ahead reads the c's plain bisection would read, and no other
-    # value of a solve: one c per read is plain bisection, the same tuples.
-    # A wrong root estimate (the far bracket end), or none (the bisection
-    # tree), only reads other c's: the same tuples.  On the Monte Carlo
-    # route also an 11-point curve, whose last running points read ahead.
+    # reading ahead reads c's that the solve's own steps compute, and
+    # changes no value it sees: one c per read, or three, run the same
+    # steps and give the same tuples.  On the Monte Carlo route also an
+    # 11-point curve, whose last running points read ahead.
     params = desk_params()
     mc = McConfig(20_000, seed=3) if payoff.kind == CUSTOM else None
     p_h = price(payoff, params, mc)
@@ -368,19 +369,9 @@ def test_read_ahead_keeps_every_bit(payoff, loss, monkeypatch):
         return got
 
     read_ahead = solves()
-    secant = solver._secant
-
-    def far_end(memo, bracket, target):
-        lo, hi = bracket
-        root = secant(memo, bracket, target)
-        return lo if root - lo > hi - root else hi
-
-    monkeypatch.setattr(solver, "_secant", far_end)
-    assert solves() == read_ahead
-    monkeypatch.setattr(solver, "_secant", lambda memo, bracket, target: None)
-    assert solves() == read_ahead
-    monkeypatch.setattr(solver, "_READ_AHEAD_CS", 1)
-    assert solves() == read_ahead
+    for n in (1, 3):
+        monkeypatch.setattr(solver, "_READ_AHEAD_CS", n)
+        assert solves() == read_ahead
 
 
 def _failing_above(limit, raised):
@@ -403,14 +394,17 @@ def test_read_ahead_failures_stay_unseen(monkeypatch):
     x = 0.5 * price(payoff, params)
     clean = _phi1_impl(payoff, params, LIN, [x], None, None)
     c = clean[0][1]
-    # the doublings end at the first power of 2 at or above c, and only
-    # the read-ahead doublings go beyond it
+    # below 2^7 the walk up from c = 1 takes unit steps in log2 c: it ends
+    # at the first power of 2 at or above c, and only the walk points read
+    # ahead go beyond it
+    assert 1.0 < c < 2.0 ** 7
     limit = 2.0 ** math.ceil(math.log2(c))
     raised = []
     monkeypatch.setattr(solver, "_psi_side", _failing_above(limit, raised))
     assert _phi1_impl(payoff, params, LIN, [x], None, None) == clean
     assert raised
-    # below the solved c the solve raises the error plain bisection raises
+    # below the solved c the solve raises the error a solve that reads
+    # one c at a time raises
     monkeypatch.setattr(solver, "_psi_side", _failing_above(0.5 * limit, []))
 
     def error():
@@ -457,9 +451,10 @@ def test_root_far_below_one_solves():
     assert list(risks) == sorted(risks, reverse=True) and risks[-1] > 0.0
 
 
-def test_jump_at_zero_is_infeasible_after_bisection_iters(monkeypatch):
-    # a Psi2 that jumps at c = 0+ has no bracket that closes relative to
-    # hi: the solve halves hi bisection_iters times, then rejects the target
+def test_jump_at_zero_is_infeasible_at_the_walk_floor(monkeypatch):
+    # a Psi2 that jumps at c = 0+ is never bracketed: the walk down from
+    # c = 1 ends at its floor, the smallest normal float, and the check
+    # there rejects the target
     params = desk_params()
     payoff = Payoff(QUANTO_DOMESTIC, 100.0)
     p_h = price(payoff, params)
@@ -475,8 +470,52 @@ def test_jump_at_zero_is_infeasible_after_bisection_iters(monkeypatch):
     monkeypatch.setattr(solver, "_psi_side", jump)
     with pytest.raises(InfeasibleInversionError):
         phi1(payoff, params, LIN, 0.5 * p_h)
-    iters = SolveConfig().bisection_iters
-    assert min(c for c in reads if c > 0.0) == 2.0 ** -iters
+    assert min(c for c in reads if c > 0.0) == sys.float_info.min
+
+
+def test_root_below_2_to_the_minus_200_solves():
+    # the walk's steps grow beyond 2^-7, so roots down to 2^-1022 are in
+    # reach: here Psi2(1e-62) = 3.30 and Psi2(6.2e-61) = 2.487 straddle the
+    # target 2.5, below 2^-200
+    params = MarketParams(s0=(50.0, 50.0), alpha=(1.0, -1.5),
+                          sigma=(0.5, 0.5), rho=0.875, r=0.0, T=3.0)
+    payoff = Payoff(DIGITAL, 10.0)
+    p_h = price(payoff, params)
+    risk, c = _one(_phi1_impl(payoff, params, LIN, [0.5 * p_h], None,
+                              None))[:2]
+    assert 1e-62 < c < 6.2e-61
+    (v2,), (e2,) = psi._psi_side(payoff, params, LIN, [c], 2)
+    assert abs(v2 - 0.5 * p_h) <= max(1e-9 * p_h, 8.0 * e2)
+    assert 0.0 <= risk <= _edges(payoff, params, LIN, None)[0]
+
+
+@pytest.mark.parametrize("rho", (-0.5, 0.6))
+@pytest.mark.parametrize("loss", (LIN, P2), ids=lambda l: l.kind)
+@pytest.mark.parametrize("payoff", DESK_PAYOFFS, ids=lambda p: p.kind)
+def test_solves_match_a_plain_ln_c_bisection(payoff, loss, rho):
+    # Chandrupatla steps end in the bracket a plain bisection in ln c ends
+    # in: the same c within 2e-13, on either route
+    params = desk_params(rho=rho)
+    p_h = price(payoff, params)
+    edge = _edges(payoff, params, loss, None)[0]
+    growth = math.exp(params.r * params.T)
+    ev = solver._Evaluator(payoff, params, loss, None)
+
+    def psi_at(side):
+        def read(c):
+            (v,), (e,) = ev.side(np.array([c]), side)
+            return float(v), float(e)
+        return read
+
+    tol = SolveConfig().abs_tol_target * max(1.0, edge)
+    for f in (0.05, 0.5, 0.95):
+        risk, c, err = _one(_phi1_impl(payoff, params, loss, [f * p_h],
+                                       None, None))[:3]
+        c_ref = ln_c_bisection(psi_at(2), growth * f * p_h, False)[0]
+        assert abs(c - c_ref) <= 2e-13 * c_ref
+        v1 = psi_at(1)(c_ref)[0]
+        ref = max(edge - v1, 0.0) if loss.kind == LINEAR else v1
+        assert abs(risk - ref) <= err + tol
 
 
 def test_heavy_tail_rejected():
