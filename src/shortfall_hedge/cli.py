@@ -13,8 +13,11 @@ Commands
 The config file is strict JSON in the format of _SCHEMA: sections market,
 payoff, loss are required, solver, mc, output optional, unknown keys
 anywhere are rejected, integer fields take whole numbers only and mc.seed
-must be >= 0.  Numeric options accept arithmetic over the symbols p(H),
-price, E[H] and E[l(H)], e.g. --x 0.5*price or --grid 0:p(H):21.
+must be >= 0.  The mc section sets only verify's simulation: where a
+named payoff leaves quadrature, the engine solves on its own Monte Carlo
+sample, as verify_risk's engine does.  Numeric options accept arithmetic
+over the symbols p(H), price, E[H] and E[l(H)], e.g. --x 0.5*price or
+--grid 0:p(H):21.
 Every artifact embeds the resolved config and seed; CSV carries them as
 '#' comment lines, JSON as a "config" object that parses back to the
 identical run configuration.  Floats print with 12 significant digits.
@@ -64,7 +67,6 @@ class Output:
 _PAIR = "a list of two numbers"
 _NUM = "a number"
 _INT = "an integer"
-_BOOL = "a boolean"
 _PATH = "a string or null"
 
 # The config format: section -> key -> type.  The keys are the fields of the
@@ -75,9 +77,8 @@ _SCHEMA = {
     "payoff": {"kind": tuple(k for k in KINDS if k != CUSTOM),
                "strike": _NUM},
     "loss": {"kind": (LINEAR, POWER), "p": _NUM},
-    "solver": {"abs_tol_target": _NUM, "max_bracket_expansions": _INT,
-               "bisection_iters": _INT},
-    "mc": {"n_paths": _INT, "seed": _INT, "antithetic": _BOOL},
+    "solver": {"abs_tol_target": _NUM},
+    "mc": {"n_paths": _INT, "seed": _INT},
     "output": {"path": _PATH, "format": _FORMATS},
 }
 _REQUIRED = ("market", "payoff", "loss")
@@ -90,7 +91,7 @@ _START = {
     "payoff": Payoff(DIGITAL, 1.0),
     "loss": LossSpec(LINEAR),
     "solver": SolveConfig(),
-    "mc": McConfig(n_paths=200_000, seed=1, antithetic=True),
+    "mc": McConfig(n_paths=200_000, seed=1),
     "output": Output(),
 }
 
@@ -134,9 +135,6 @@ def _convert(kind, v):
     if kind == _PAIR:
         if isinstance(v, list) and len(v) == 2 and all(map(_is_num, v)):
             return (float(v[0]), float(v[1])), None
-    elif kind == _BOOL:
-        if isinstance(v, bool):
-            return v, None
     elif kind == _PATH:
         if v is None or isinstance(v, str):
             return v, None
@@ -217,9 +215,9 @@ def load_config(path: str) -> RunConfig:
 def _symbol(config: RunConfig, name: str) -> float:
     """The value of an expression symbol; price and _edges memoise it."""
     if name in ("p(H)", "price"):
-        return price(config.payoff, config.market, config.mc)
+        return price(config.payoff, config.market)
     loss = LossSpec(LINEAR) if name == "E[H]" else config.loss  # E[l(H)]
-    return _edges(config.payoff, config.market, loss, config.mc)[0]
+    return _edges(config.payoff, config.market, loss, None)[0]
 
 
 _SYMBOL_TOKENS = ("E[l(H)]", "E[H]", "p(H)", "price")
@@ -300,8 +298,7 @@ _POINT = ["input", "value", "c", "method", "err_estimate"]
 
 
 def _run_price(config: RunConfig, options):
-    return _KEY_VALUE, [["price", price(config.payoff, config.market,
-                                        config.mc)]], None
+    return _KEY_VALUE, [["price", price(config.payoff, config.market)]], None
 
 
 def _run_psi(config: RunConfig, options):
@@ -317,7 +314,7 @@ def _run_phi(impl, arg: str):
         g = resolve_expr(getattr(options, arg), config)
         value, c, err, method = _one(impl(
             config.payoff, config.market, config.loss, [g], config.solver,
-            config.mc))[:4]
+            mc=None))[:4]
         return _POINT, [[g, value, c, method, err]], None
     return handler
 
@@ -325,7 +322,7 @@ def _run_phi(impl, arg: str):
 def _run_curve(config: RunConfig, options):
     grid = resolve_grid(options.grid, config)
     rc = curve(config.payoff, config.market, config.loss, options.kind, grid,
-               config.solver, config.mc)
+               config.solver)
     return (_POINT, [[p.input, p.value, p.c, p.method, p.err_estimate]
                      for p in rc.points], [p.error for p in rc.points])
 

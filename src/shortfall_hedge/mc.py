@@ -26,13 +26,13 @@ _MAX_PATHS = 10 ** 8
 
 @dataclass(frozen=True)
 class McConfig:
-    """Path count, seed, and antithetic switch; n_paths >= 1e4 (the oracle
-    floor of psi._McTable) and at most _MAX_PATHS (the draws alone take 32
-    bytes a path), seed >= 0 (numpy seeds take no negative integer)."""
+    """Path count and seed of a Monte Carlo sample, for estimate, psi_mc
+    and the engine's Monte Carlo route: n_paths >= 1e4 (the oracle floor)
+    and at most _MAX_PATHS (the draws alone take 32 bytes a path), seed >= 0
+    (numpy seeds take no negative integer)."""
 
     n_paths: int
     seed: int
-    antithetic: bool = True
 
     def __post_init__(self):
         bad = []
@@ -54,20 +54,21 @@ def estimate(integrand, params: MarketParams, mc: McConfig,
     """(mean, std_error) of E[integrand(w1, w2)] under the stated measure.
 
     integrand must be a pure vectorized function of the P-Brownian
-    coordinates.  With antithetic pairing the standard error is computed
-    over pair means, which keeps it unbiased for the paired estimator.
+    coordinates.  The paths come in antithetic pairs (z, -z) about the
+    measure's mean, ceil(n_paths / 2) of them, and the standard error is
+    computed over pair means, which keeps it unbiased for the paired
+    estimator.
     """
     _check_measure(under)
-    m = (mc.n_paths + 1) // 2 if mc.antithetic else mc.n_paths
+    m = (mc.n_paths + 1) // 2
     z = sample(wiener_law(params), m, mc.seed)
     mean = (np.zeros(2) if under == UNDER_P
             else -params.T * np.array(params.theta))
     vals = 0.0
-    for w in (mean + z, mean - z) if mc.antithetic else (mean + z,):
+    for w in (mean + z, mean - z):
         vals = vals + _nan_guard(np.asarray(integrand(w[:, 0], w[:, 1]),
                                             dtype=float), w)
-    if mc.antithetic:
-        vals = 0.5 * vals  # pair means
+    vals = 0.5 * vals  # pair means
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(m))
 
 

@@ -908,9 +908,6 @@ class _McTable:
 
     def __init__(self, payoff: Payoff, params: MarketParams, loss: LossSpec,
                  n: int, seed: int):
-        if n < 10 ** 4:
-            raise ValidationError(
-                [f"n: Monte Carlo oracle use requires n >= 1e4, got {n}"])
         cons = payoff_constants(payoff, params)
         law = GaussianLaw(2, np.zeros(2), params.wiener_cov)
         draws = sample(law, 2 * n, seed)
@@ -963,10 +960,13 @@ def psi_mc(payoff: Payoff, params: MarketParams, loss: LossSpec, c: float,
 
     Works for every payoff (including Custom) and for parameter regions
     where a closed-form sign condition fails; Psi2 samples W~_T under the
-    martingale measure directly.
+    martingale measure directly.  (n, seed) obey McConfig's rules.
     """
+    from .mc import McConfig  # mc imports this module
+
     c = _validate_c(c)
-    table = _McTable(payoff, params, loss, n, seed)
+    mc = McConfig(n, seed)
+    table = _McTable(payoff, params, loss, mc.n_paths, mc.seed)
     (psi1,), (se1,) = table.side([c], 1)
     (psi2,), (se2,) = table.side([c], 2)
     return PsiPair(psi1=float(psi1), psi2=float(psi2), c=c,

@@ -62,10 +62,13 @@ from .payoffs import CUSTOM, Payoff
 from .psi import (LINEAR, POWER, LossSpec, _is_one_c_side, _make_ctx,
                   _McTable, _psi_side, _sign_guard_power)
 
-_FALLBACK_MC = McConfig(n_paths=200_000, seed=1729, antithetic=True)
+_FALLBACK_MC = McConfig(n_paths=200_000, seed=1729)
 _EDGE_TOL = 1e-9
 # the most c's one solve asks a _bisect read for (see _ahead)
 _READ_AHEAD_CS = 15
+# the most steps that close a bracket, a guard against a hang: a bracket
+# within the float range closes in far fewer
+_MAX_STEPS = 200
 
 METHOD_QUAD = "quadrature"
 METHOD_MC = "monte-carlo"
@@ -73,27 +76,17 @@ METHOD_MC = "monte-carlo"
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Root-finding budget for the Psi inversions: the target tolerance of
-    the final check, the most walk steps that look for a bracket, and the
-    most steps that close it."""
+    """The target tolerance of the check at the end of a Psi inversion.
+    The inversion's step budgets are fixed: its walk ends at the float
+    range (_walk), and _MAX_STEPS steps at most close a bracket."""
 
     abs_tol_target: float = 1e-9
-    max_bracket_expansions: int = 200
-    bisection_iters: int = 200
 
     def __post_init__(self):
-        bad = []
         if not 0 < self.abs_tol_target < math.inf:
-            bad.append("abs_tol_target: must be positive and finite, got "
-                       f"{self.abs_tol_target!r}")
-        for name in ("max_bracket_expansions", "bisection_iters"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                bad.append(f"{name}: must be an integer, got {v!r}")
-            elif v < 1:
-                bad.append(f"{name}: must be >= 1, got {v!r}")
-        if bad:
-            raise ValidationError(bad)
+            raise ValidationError([
+                "abs_tol_target: must be positive and finite, got "
+                f"{self.abs_tol_target!r}"])
 
 
 @dataclass(frozen=True)
@@ -240,14 +233,14 @@ def _closed(lo: float, hi: float) -> bool:
     return hi - lo <= 1e-13 * hi
 
 
-def _walk(up: bool, steps: int) -> list:
-    """The c's of the walk from c = 1, up or down, steps of them at most:
-    2^(+-k) for k = 1..7, then steps in ln c that double each time (2^(+-9),
-    2^(+-13), 2^(+-21), ...), up to the largest power of 2, 2^1023, or down
-    to the smallest normal float, 2^-1022 (sys.float_info.min)."""
+def _walk(up: bool) -> list:
+    """The 16 c's of the walk from c = 1, up or down: 2^(+-k) for
+    k = 1..7, then steps in ln c that double each time (2^(+-9), 2^(+-13),
+    2^(+-21), ...), up to the largest power of 2, 2^1023, or down to the
+    smallest normal float, 2^-1022 (sys.float_info.min)."""
     top = 1023 if up else 1022
     cs, e, step = [], 0, 1
-    while len(cs) < steps and e < top:
+    while e < top:
         step *= 2 if len(cs) >= 7 else 1
         e = min(e + step, top)
         cs.append(math.ldexp(1.0, e if up else -e))
@@ -325,7 +318,7 @@ def _ahead(lo: float, x: float, hi: float, interpolate: bool) -> list:
 
 
 def _predicate_bisection(side: int, target: float, increasing: bool,
-                         config: SolveConfig, tol: float, interpolate: bool):
+                         tol: float, interpolate: bool):
     """One point's solve: the infimum c of {c : Psi_side(c) reaches target}.
 
     A generator: it yields (c, ahead), the c it reads now and a function
@@ -336,9 +329,9 @@ def _predicate_bisection(side: int, target: float, increasing: bool,
     of the answer.
 
     It reads c = 0, then walks from c = 1 (_walk) up while f < 0 or down
-    while f >= 0, max_bracket_expansions steps at most; until then it reads
-    ahead the walk's next steps, both ways while the direction is unknown.
-    A bracket found, it takes bisection_iters steps at most until the
+    while f >= 0, to the end of the float range at most; until then it
+    reads ahead the walk's next steps, both ways while the direction is
+    unknown.  A bracket found, it takes _MAX_STEPS steps at most until the
     bracket is _closed: Chandrupatla's (_chandrupatla) if interpolate, else
     bisection in ln c, each clamped to [t_l, 1 - t_l] of the bracket (_tl)
     and placed by _at.  The answer is the bracket's right end hi, and a
@@ -358,8 +351,7 @@ def _predicate_bisection(side: int, target: float, increasing: bool,
             f"{target:.12g} within tolerance {within:.3g}: the Psi function "
             "jumps across the target (degenerate or discontinuous case)")
 
-    ups = _walk(True, config.max_bracket_expansions)
-    downs = _walk(False, config.max_bracket_expansions)
+    ups, downs = _walk(True), _walk(False)
     both = [c for pair in zip(ups, downs) for c in pair]
     v, err = yield 0.0, lambda: [1.0] + both
     if point(0.0, v, err).f >= 0.0:
@@ -381,7 +373,7 @@ def _predicate_bisection(side: int, target: float, increasing: bool,
                 f"c = {last.c!r}")
         return checked(last)
     b, third = last, None
-    for _ in range(config.bisection_iters):
+    for _ in range(_MAX_STEPS):
         lo, hi = (a.c, b.c) if a.f < 0.0 else (b.c, a.c)
         if _closed(lo, hi):
             break
@@ -427,7 +419,7 @@ def _bisect(ev: _Evaluator, side: int, targets: dict, increasing: bool,
               1e-7 * max(1.0, scale) if ev.method == METHOD_MC else 0.0)
     one_c = (ev.method == METHOD_QUAD
              and _is_one_c_side(ev.payoff, ev.loss, side))
-    solves = {i: _predicate_bisection(side, float(t), increasing, config, tol,
+    solves = {i: _predicate_bisection(side, float(t), increasing, tol,
                                       ev.method == METHOD_QUAD)
               for i, t in targets.items()}
     at = {i: next(solve) for i, solve in solves.items()}

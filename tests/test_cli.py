@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import pathlib
 import warnings
 
 import pytest
@@ -113,7 +114,6 @@ def test_validation_lists_every_field(tmp_path, capsys):
 
 @pytest.mark.parametrize("literal", ["1e400", "NaN", "-Infinity"])
 @pytest.mark.parametrize("section, key", [
-    ("solver", "bisection_iters"), ("solver", "max_bracket_expansions"),
     ("mc", "n_paths"), ("mc", "seed"), ("solver", "abs_tol_target")])
 def test_non_finite_numbers_rejected(tmp_path, capsys, section, key, literal):
     # json reads 1e400, NaN and Infinity as floats that int() cannot take
@@ -128,9 +128,7 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, section, key, literal):
     assert any(f"{section}.{key}: must be finite" in line for line in err)
 
 
-@pytest.mark.parametrize("section, key", [
-    ("solver", "max_bracket_expansions"), ("solver", "bisection_iters"),
-    ("mc", "n_paths"), ("mc", "seed")])
+@pytest.mark.parametrize("section, key", [("mc", "n_paths"), ("mc", "seed")])
 def test_integer_fields_take_whole_numbers(tmp_path, capsys, section, key):
     # a fractional value is refused, not truncated by int()
     doc = dict(SYMMETRIC, **{section: {key: 20000.5}})
@@ -186,9 +184,10 @@ def test_every_violation_listed_once(tmp_path, capsys):
                    "extra": 1},
         "payoff": {"kind": "Custom", "strike": -3.0},
         "loss": {"kind": "quadratic", "p": "two"},
-        "solver": {"abs_tol_target": 0.0, "max_bracket_expansions": 0,
-                   "bisection_iters": 2.5},
-        "mc": {"n_paths": 1, "seed": -1, "antithetic": "yes"},
+        # the last keys of solver and mc are removed options
+        "solver": {"abs_tol_target": 0.0, "bisection_iters": 200,
+                   "max_bracket_expansions": 200},
+        "mc": {"n_paths": 1, "seed": -1, "antithetic": True},
         "output": {"path": 3, "format": "xml"},
         "junk": {},
     }
@@ -209,13 +208,21 @@ def test_every_violation_listed_once(tmp_path, capsys):
         "loss.kind: must be one of linear, power, got 'quadratic'",
         "loss.p: must be a number, got 'two'",
         "solver.abs_tol_target: must be positive and finite, got 0.0",
-        "solver.max_bracket_expansions: must be >= 1, got 0",
-        "solver.bisection_iters: must be an integer, got 2.5",
+        "solver.bisection_iters: unknown key",
+        "solver.max_bracket_expansions: unknown key",
         "mc.n_paths: must be >= 10000, got 1",
         "mc.seed: must be >= 0, got -1",
-        "mc.antithetic: must be a boolean, got 'yes'",
+        "mc.antithetic: unknown key",
         "output.path: must be a string or null, got 3",
         "output.format: must be one of csv, json, got 'xml'")}
+
+
+def test_readme_config_example_parses():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(json.loads(example))
+    assert cfg.payoff.kind == "Spread" and cfg.mc.n_paths == 200_000
 
 
 def test_config_echo_format():
@@ -225,9 +232,8 @@ def test_config_echo_format():
         '"sigma": [0.2, 0.3], "rho": -0.5, "r": 0.02, "T": 1.0}, '
         '"payoff": {"kind": "Spread", "strike": 5.0}, '
         '"loss": {"kind": "power", "p": 2.0}, '
-        '"solver": {"abs_tol_target": 1e-09, "max_bracket_expansions": 200, '
-        '"bisection_iters": 200}, '
-        '"mc": {"n_paths": 200000, "seed": 1, "antithetic": true}, '
+        '"solver": {"abs_tol_target": 1e-09}, '
+        '"mc": {"n_paths": 200000, "seed": 1}, '
         '"output": {"path": null, "format": "csv"}}')
 
 
@@ -319,8 +325,7 @@ def test_psi_command_csv(tmp_path, capsys):
 
 
 def test_verify_command(tmp_path, capsys):
-    small = dict(SYMMETRIC, mc={"n_paths": 60_000, "seed": 4,
-                                "antithetic": True})
+    small = dict(SYMMETRIC, mc={"n_paths": 60_000, "seed": 4})
     rc = main(["verify", "--config", _write(tmp_path, small),
                "--x", "0.5*price"])
     assert rc == 0
@@ -328,6 +333,23 @@ def test_verify_command(tmp_path, capsys):
     table = {r[0]: r[1] for r in rows}
     assert table["ok"] == "true"
     assert table["risk_ok"] == "true" and table["cost_ok"] == "true"
+
+
+def test_phi1_and_verify_check_the_same_fallback_solve(tmp_path, capsys):
+    # Outperformance/power at rho = 0.6 fails its sign condition and solves
+    # by Monte Carlo: phi1 prints the solve that verify checks, not one on
+    # the mc section's sample
+    doc = dict(DESK, market=dict(DESK["market"], rho=0.6),
+               payoff={"kind": "Outperformance", "strike": 100.0},
+               mc={"n_paths": 20000, "seed": 1})
+    cfg = _write(tmp_path, doc)
+    args = ["--config", cfg, "--x", "0.5*p(H)", "--format", "json"]
+    assert main(["phi1"] + args) == 0
+    phi = json.loads(capsys.readouterr().out)["results"]
+    assert main(["verify"] + args) == 0
+    rep = json.loads(capsys.readouterr().out)["results"]
+    assert phi["method"] == "monte-carlo"
+    assert (phi["value"], phi["c"]) == (rep["engine_risk"], rep["c"])
 
 
 def test_curve_grid_validation(tmp_path, capsys):

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from conftest import desk_params
 from oracles import DiscreteState, brute_force_np, discretize
@@ -47,16 +48,20 @@ def test_estimate_martingale_pricing_under_ptilde():
     assert abs(mean - params.s0[0]) <= 3.0 * se
 
 
-def test_antithetic_agrees_with_plain():
+def test_estimate_matches_black_scholes_call():
+    # E_P[(S1_T - K)^+] in closed form: Black-Scholes with the drift alpha1
     params = desk_params()
+    s0, k = params.s0[0], 100.0
+    a, sig, t = params.alpha[0], params.sigma[0], params.T
 
     def f(w1, w2):
-        return np.maximum(terminal_price(params, 1, w1) - 100.0, 0.0)
+        return np.maximum(terminal_price(params, 1, w1) - k, 0.0)
 
-    m_anti, se_anti = estimate(f, params, McConfig(200_000, seed=5, antithetic=True))
-    m_plain, se_plain = estimate(f, params, McConfig(200_000, seed=6, antithetic=False))
-    assert abs(m_anti - m_plain) <= 3.0 * math.hypot(se_anti, se_plain)
-    assert se_anti < se_plain  # pairing cancels the monotone part
+    d1 = (math.log(s0 / k) + (a + 0.5 * sig ** 2) * t) / (sig * math.sqrt(t))
+    d2 = d1 - sig * math.sqrt(t)
+    exact = s0 * math.exp(a * t) * ndtr(d1) - k * ndtr(d2)
+    mean, se = estimate(f, params, McConfig(200_000, seed=5))
+    assert abs(mean - exact) <= 3.0 * se
 
 
 def test_estimate_reproducible_and_guarded():

@@ -398,9 +398,14 @@ def test_degenerate_measure_makes_psi_a_step():
 
 def test_psi_mc_contracts():
     params = desk_params()
-    with pytest.raises(ValidationError):
-        psi_mc(Payoff(DIGITAL, 10.0), params, LossSpec(LINEAR), 1.0,
-               n=100, seed=1)
+    # (n, seed) obey McConfig's rules: a listed violation, not numpy's raw
+    # ValueError or TypeError, and no sample for a seed of True; an n above
+    # the 1e8 cap is rejected before its draws are allocated
+    for n, seed in ((100, 1), (20_000, -1), (20_000.5, 1), (20_000, 1.5),
+                    (20_000, True), (10 ** 8 + 1, 1)):
+        with pytest.raises(ValidationError):
+            psi_mc(Payoff(DIGITAL, 10.0), params, LossSpec(LINEAR), 1.0,
+                   n=n, seed=seed)
     zero = Payoff(CUSTOM, custom_eval=lambda s1, s2: np.zeros_like(s1))
     pair = psi_mc(zero, params, LossSpec(POWER, 2.0), 1.0, n=10_000, seed=1)
     assert pair.psi1 == 0.0 and pair.psi2 == 0.0

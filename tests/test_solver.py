@@ -529,11 +529,14 @@ def test_solve_config_validation():
         SolveConfig(abs_tol_target=0.0)
     with pytest.raises(ValidationError):  # would switch the check off
         SolveConfig(abs_tol_target=math.inf)
-    with pytest.raises(ValidationError):
-        SolveConfig(bisection_iters=0)
-    # integer fields hold integers: 2.5 is not truncated to 2
-    for bad in (dict(bisection_iters=2.5), dict(bisection_iters=True),
-                dict(max_bracket_expansions=3.0),
-                dict(max_bracket_expansions="3")):
-        with pytest.raises(ValidationError):
-            SolveConfig(**bad)
+
+
+@pytest.mark.parametrize("up, end", [(True, 2.0 ** 1023),
+                                     (False, sys.float_info.min)],
+                         ids=["up", "down"])
+def test_walk_ends_at_the_float_range(up, end):
+    # 2^(+-1) .. 2^(+-7), then steps in log2 c that double, in 16 steps
+    # each way to the largest power of 2 or the smallest normal float
+    steps = (1, 2, 3, 4, 5, 6, 7, 9, 13, 21, 37, 69, 133, 261, 517)
+    assert solver._walk(up) == [2.0 ** (e if up else -e)
+                                for e in steps] + [end]
