@@ -11,11 +11,11 @@ Commands
     verify  engine risk vs direct simulation           (--x)
 
 The config file is strict JSON in the format of _SCHEMA: sections market,
-payoff, loss are required, solver, mc, output optional, unknown keys
-anywhere are rejected, integer fields take whole numbers only and mc.seed
-must be >= 0.  The mc section sets only verify's simulation: where a
-named payoff leaves quadrature, the engine solves on its own Monte Carlo
-sample, as verify_risk's engine does.  Numeric options accept arithmetic
+payoff, loss are required, mc and output optional, unknown keys anywhere
+are rejected, integer fields take whole numbers only and mc.seed must be
+>= 0.  The mc section sets only verify's simulation: where a named payoff
+leaves quadrature, the engine solves on its own Monte Carlo sample, in
+verify too.  Numeric options accept arithmetic
 over the symbols p(H), price, E[H] and E[l(H)], e.g. --x 0.5*price or
 --grid 0:p(H):21.
 Every artifact embeds the resolved config and seed; CSV carries them as
@@ -46,8 +46,7 @@ from .market import MarketParams
 from .mc import McConfig, verify_risk
 from .payoffs import CUSTOM, DIGITAL, KINDS, Payoff
 from .psi import LINEAR, POWER, LossSpec, _psi_pair
-from .solver import (SolveConfig, _edges, _one, _phi1_impl, _phi2_impl,
-                     curve, price)
+from .solver import _edges, _one, _phi1_impl, _phi2_impl, curve, price
 
 _FORMATS = ("csv", "json")
 # the most points a --grid may ask for
@@ -77,7 +76,6 @@ _SCHEMA = {
     "payoff": {"kind": tuple(k for k in KINDS if k != CUSTOM),
                "strike": _NUM},
     "loss": {"kind": (LINEAR, POWER), "p": _NUM},
-    "solver": {"abs_tol_target": _NUM},
     "mc": {"n_paths": _INT, "seed": _INT},
     "output": {"path": _PATH, "format": _FORMATS},
 }
@@ -90,7 +88,6 @@ _START = {
                            rho=0.0, r=0.0, T=1.0),
     "payoff": Payoff(DIGITAL, 1.0),
     "loss": LossSpec(LINEAR),
-    "solver": SolveConfig(),
     "mc": McConfig(n_paths=200_000, seed=1),
     "output": Output(),
 }
@@ -103,7 +100,6 @@ class RunConfig:
     market: MarketParams
     payoff: Payoff
     loss: LossSpec
-    solver: SolveConfig
     mc: McConfig
     output: Output
 
@@ -313,16 +309,14 @@ def _run_phi(impl, arg: str):
     def handler(config: RunConfig, options):
         g = resolve_expr(getattr(options, arg), config)
         value, c, err, method = _one(impl(
-            config.payoff, config.market, config.loss, [g], config.solver,
-            mc=None))[:4]
+            config.payoff, config.market, config.loss, [g], None))[:4]
         return _POINT, [[g, value, c, method, err]], None
     return handler
 
 
 def _run_curve(config: RunConfig, options):
     grid = resolve_grid(options.grid, config)
-    rc = curve(config.payoff, config.market, config.loss, options.kind, grid,
-               config.solver)
+    rc = curve(config.payoff, config.market, config.loss, options.kind, grid)
     return (_POINT, [[p.input, p.value, p.c, p.method, p.err_estimate]
                      for p in rc.points], [p.error for p in rc.points])
 

@@ -18,7 +18,7 @@ from .errors import ValidationError
 from .gaussian import sample
 from .market import (UNDER_P, UNDER_PTILDE, MarketParams, _check_measure,
                      radon_nikodym, terminal_price, wiener_law)
-from .payoffs import CUSTOM, Payoff, evaluate, payoff_constants
+from .payoffs import Payoff, evaluate, payoff_constants
 from .psi import LINEAR, LossSpec, _nan_guard
 
 _MAX_PATHS = 10 ** 8
@@ -124,13 +124,12 @@ def verify_risk(payoff: Payoff, params: MarketParams, loss: LossSpec,
     must not exceed x and must bind when x < p(H).  Each comparison allows
     3 combined standard errors: the simulation's and, on the engine's
     Monte Carlo route, the engine's own (of the risk, and of the capital
-    it spends at c).
+    it spends at c).  The engine solves as phi1(..., mc=mc) does.
     """
     from .solver import _one, _phi1_impl, price
 
-    engine_mc = None if payoff.kind != CUSTOM else mc
     engine_risk, c, risk_err, _method, cost_err = _one(_phi1_impl(
-        payoff, params, loss, [x], None, engine_mc))
+        payoff, params, loss, [x], mc))
     p_h = price(payoff, params, mc)
 
     def shortfall_loss(w1, w2):

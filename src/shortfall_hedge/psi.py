@@ -947,11 +947,24 @@ class _McTable:
         return _McSide("power1" if under == UNDER_P else "power2", n, p, key,
                        h, np.exp(ln_z, out=ln_z))
 
+    @np.errstate(all="ignore")
     def side(self, c, side: int):
         """(Psi_side, standard errors) at each validated c of an array, read
-        in its order."""
+        in its order.  A weight c^q or c^kap past the float range, as on
+        the quadrature route, or a value that is not finite raises
+        HeavyTailError."""
         c = np.asarray(c, dtype=float)
-        return self.sides[side].value(c, _each(_lnc, c))
+        try:
+            v, e = self.sides[side].value(c, _each(_lnc, c))
+        except OverflowError:
+            raise HeavyTailError(
+                f"Monte Carlo Psi{side} at c = {_fmt_c(c)}: a power-loss "
+                "weight overflows") from None
+        bad = ~np.isfinite(v)
+        if bad.any():
+            raise HeavyTailError(f"Monte Carlo Psi{side} at c = {_fmt_c(c[bad])}"
+                                 ": the sum over the paths overflows")
+        return v, e
 
 
 def psi_mc(payoff: Payoff, params: MarketParams, loss: LossSpec, c: float,

@@ -40,8 +40,9 @@ whole grid at once, on one thread.
 Named payoffs evaluate Psi by quadrature; Custom payoffs, and power-loss
 cases whose closed-form sign condition fails, fall back to the Monte Carlo
 table (psi._McTable): one sample with a fixed (n, seed) per solve, so the
-inverted function stays deterministic and pathwise monotone in c.  Both
-routes read ahead, except on Spread/power Psi1 by quadrature.
+inverted function stays deterministic and pathwise monotone in c; a named
+payoff's sample is _FALLBACK_MC.  Both routes read ahead, except on
+Spread/power Psi1 by quadrature.
 """
 
 from __future__ import annotations
@@ -74,19 +75,11 @@ METHOD_QUAD = "quadrature"
 METHOD_MC = "monte-carlo"
 
 
-@dataclass(frozen=True)
 class SolveConfig:
-    """The target tolerance of the check at the end of a Psi inversion.
-    The inversion's step budgets are fixed: its walk ends at the float
-    range (_walk), and _MAX_STEPS steps at most close a bracket."""
+    """The fixed tolerance of the check that ends a Psi inversion (_bisect),
+    a class only because the benchmark reads SolveConfig().abs_tol_target."""
 
-    abs_tol_target: float = 1e-9
-
-    def __post_init__(self):
-        if not 0 < self.abs_tol_target < math.inf:
-            raise ValidationError([
-                "abs_tol_target: must be positive and finite, got "
-                f"{self.abs_tol_target!r}"])
+    abs_tol_target = 1e-9
 
 
 @dataclass(frozen=True)
@@ -123,7 +116,8 @@ class _Evaluator:
     """One-sided Psi evaluation with a fixed route (quadrature or MC).
 
     On the MC route it owns one _McTable: one seeded sample for the whole
-    solve, dropped with the evaluator.
+    solve, dropped with the evaluator: mc for a Custom payoff, else (or
+    where mc is None) _FALLBACK_MC.
     """
 
     def __init__(self, payoff: Payoff, params: MarketParams, loss: LossSpec,
@@ -133,7 +127,7 @@ class _Evaluator:
         self.loss = loss
         self.method = _route_method(payoff, params, loss)
         if self.method == METHOD_MC:
-            mc = mc or _FALLBACK_MC
+            mc = mc if payoff.kind == CUSTOM and mc else _FALLBACK_MC
             self._table = _McTable(payoff, params, loss, mc.n_paths, mc.seed)
 
     def side(self, c, side: int):
@@ -186,13 +180,12 @@ def _cached_on(key):
 
 
 @_cached_on(lambda payoff, params, loss, mc: (
-    payoff, params, loss,
-    mc if _route_method(payoff, params, loss) == METHOD_MC else None))
+    payoff, params, loss, mc if payoff.kind == CUSTOM else None))
 def _edges(payoff: Payoff, params: MarketParams, loss: LossSpec,
            mc: Optional[McConfig]):
     """(Psi1 edge, err, Psi2(0), err); the Psi1 edge is E[H] for linear loss
     and the ceiling E[l(H)] = Psi1^p(inf) for power loss.  Cached per
-    contract, and per mc only on the Monte Carlo route."""
+    contract, and per mc only for Custom payoffs."""
     ev = _Evaluator(payoff, params, loss, mc)
     c_edge = 0.0 if loss.kind == LINEAR else math.inf
     (p1,), (e1,) = ev.side([c_edge], 1)
@@ -210,13 +203,12 @@ def price(payoff: Payoff, params: MarketParams,
     Quadrature for named payoffs, with a numerical integrability check:
     widening the Gaussian truncation from 10 to 12 sd must move the value
     by less than 1e-6 relative, else the tail is declared too heavy.
-    Custom payoffs price by Monte Carlo.
+    Custom payoffs price by Monte Carlo: Psi2(0) of their linear _edges.
     """
     disc = math.exp(-params.r * params.T)
-    if payoff.kind == CUSTOM:
-        ev = _Evaluator(payoff, params, LossSpec(LINEAR), mc)
-        return disc * float(ev.side([0.0], 2)[0][0])
     loss = LossSpec(LINEAR)
+    if payoff.kind == CUSTOM:
+        return disc * _edges(payoff, params, loss, mc)[2]
     v10 = float(_psi_side(payoff, params, loss, [0.0], 2, trunc_sd=10.0)[0][0])
     v12 = float(_psi_side(payoff, params, loss, [0.0], 2, trunc_sd=12.0)[0][0])
     if abs(v12 - v10) > 1e-6 * max(abs(v12), 1e-300):
@@ -391,7 +383,7 @@ def _predicate_bisection(side: int, target: float, increasing: bool,
 
 
 def _bisect(ev: _Evaluator, side: int, targets: dict, increasing: bool,
-            config: SolveConfig, scale: float, out: list) -> dict:
+            scale: float, out: list) -> dict:
     """{point: (c, Psi_side(c), err)} for the {point: target} solves that
     found their c; a solve that raised records its ShortfallHedgeError on
     out[point].
@@ -415,7 +407,7 @@ def _bisect(ev: _Evaluator, side: int, targets: dict, increasing: bool,
     answers nothing: the solves run in lockstep from the same walk, so a c
     that two solves read is read by both at the same step.
     """
-    tol = max(config.abs_tol_target * max(1.0, scale),
+    tol = max(SolveConfig.abs_tol_target * max(1.0, scale),
               1e-7 * max(1.0, scale) if ev.method == METHOD_MC else 0.0)
     one_c = (ev.method == METHOD_QUAD
              and _is_one_c_side(ev.payoff, ev.loss, side))
@@ -446,7 +438,7 @@ def _bisect(ev: _Evaluator, side: int, targets: dict, increasing: bool,
 
 
 def _phi1_impl(payoff: Payoff, params: MarketParams, loss: LossSpec, xs,
-               config: Optional[SolveConfig], mc: Optional[McConfig]) -> list:
+               mc: Optional[McConfig]) -> list:
     """Per capital x of the grid xs: (risk, c, err, method, cost_err), or
     the ShortfallHedgeError that x's solve raised.
 
@@ -456,7 +448,6 @@ def _phi1_impl(payoff: Payoff, params: MarketParams, loss: LossSpec, xs,
     x = 0 and x >= p(H).  An error of a step every point shares goes to
     every point that reached it.
     """
-    config = config or SolveConfig()
     out: list = [None] * len(xs)
     try:
         method = _route_method(payoff, params, loss)
@@ -481,7 +472,7 @@ def _phi1_impl(payoff: Payoff, params: MarketParams, loss: LossSpec, xs,
             growth = math.exp(params.r * params.T)
             solved = _bisect(
                 ev, 2, {i: growth * x for i, x in todo.items()},
-                increasing=False, config=config, scale=growth * p_h, out=out)
+                increasing=False, scale=growth * p_h, out=out)
             got = _read(ev, sorted(c for c, _v, _e in solved.values()), 1)
             for i, (c, _v2, err2) in solved.items():
                 v1, err1, bad = got[c]
@@ -498,26 +489,24 @@ def _phi1_impl(payoff: Payoff, params: MarketParams, loss: LossSpec, xs,
     return out
 
 
-def phi1(payoff: Payoff, params: MarketParams, loss: LossSpec, x: float,
-         config: Optional[SolveConfig] = None,
+def phi1(payoff: Payoff, params: MarketParams, loss: LossSpec, x: float, *,
          mc: Optional[McConfig] = None) -> tuple[float, float]:
     """(minimal shortfall risk at capital x, region parameter c).
 
     x >= p(H) affords a full hedge: risk 0 with c = 0 (A_c is everything).
     x = 0 hedges nothing: the full E[l(H)] with the empty-region sentinel
     c = inf.  The modified claim identified by c is H 1_{A_c} (linear) or
-    (H - (c Z~_T)^{1/(p-1)})^+ (power).
+    (H - (c Z~_T)^{1/(p-1)})^+ (power).  mc is the sample of a Custom
+    payoff only (see _Evaluator).
     """
-    risk, c = _one(_phi1_impl(payoff, params, loss, [x], config, mc))[:2]
+    risk, c = _one(_phi1_impl(payoff, params, loss, [x], mc))[:2]
     return risk, c
 
 
 def _phi2_impl(payoff: Payoff, params: MarketParams, loss: LossSpec, vs,
-               config: Optional[SolveConfig],
                mc: Optional[McConfig]) -> list:
     """Per risk bound v of the grid vs: (cost, c, err, method), or the
     ShortfallHedgeError that v's solve raised."""
-    config = config or SolveConfig()
     out: list = [None] * len(vs)
     try:
         method = _route_method(payoff, params, loss)
@@ -545,7 +534,7 @@ def _phi2_impl(payoff: Payoff, params: MarketParams, loss: LossSpec, vs,
             targets = {i: psi1_edge - v if loss.kind == LINEAR else v
                        for i, v in todo.items()}
             solved = _bisect(ev, 1, targets, increasing=(loss.kind == POWER),
-                             config=config, scale=psi1_edge, out=out)
+                             scale=psi1_edge, out=out)
             got = _read(ev, sorted(c for c, _v, _e in solved.values()), 2)
             for i, (c, _v1, _e1) in solved.items():
                 v2, err2, bad = got[c]
@@ -556,26 +545,24 @@ def _phi2_impl(payoff: Payoff, params: MarketParams, loss: LossSpec, vs,
     return out
 
 
-def phi2(payoff: Payoff, params: MarketParams, loss: LossSpec, v: float,
-         config: Optional[SolveConfig] = None,
+def phi2(payoff: Payoff, params: MarketParams, loss: LossSpec, v: float, *,
          mc: Optional[McConfig] = None) -> tuple[float, float]:
     """(cheapest capital whose minimal risk is at most v, parameter c).
 
     v = 0 requires the full price p(H) (c = 0); v at or above the risk
     ceiling (E[H] linear, E[l(H)] power) costs nothing, reported with the
-    empty-region sentinel c = inf.
+    empty-region sentinel c = inf.  mc is as in phi1.
     """
-    cost, c, _err, _method = _one(_phi2_impl(payoff, params, loss, [v],
-                                             config, mc))
+    cost, c, _err, _method = _one(_phi2_impl(payoff, params, loss, [v], mc))
     return cost, c
 
 
 def curve(payoff: Payoff, params: MarketParams, loss: LossSpec, kind: str,
-          grid, config: Optional[SolveConfig] = None,
-          mc: Optional[McConfig] = None) -> RiskCurve:
+          grid, *, mc: Optional[McConfig] = None) -> RiskCurve:
     """phi1/phi2 over a sorted grid, all points solved in lockstep; each
     point's value is that of its one-point solve.  Failures are recorded
-    on the point (value and c become NaN) instead of aborting the curve."""
+    on the point (value and c become NaN) instead of aborting the curve.
+    mc is as in phi1."""
     if kind not in ("phi1", "phi2"):
         raise ValidationError([f"kind: must be 'phi1' or 'phi2', got {kind!r}"])
     grid = [float(g) for g in grid]
@@ -587,7 +574,7 @@ def curve(payoff: Payoff, params: MarketParams, loss: LossSpec, kind: str,
         raise ValidationError(["grid: points must be sorted ascending"])
     impl = _phi1_impl if kind == "phi1" else _phi2_impl
     points = []
-    for g, got in zip(grid, impl(payoff, params, loss, grid, config, mc)):
+    for g, got in zip(grid, impl(payoff, params, loss, grid, mc)):
         if isinstance(got, ShortfallHedgeError):
             points.append(CurvePoint(
                 input=g, value=math.nan, c=math.nan,

@@ -113,11 +113,10 @@ def test_validation_lists_every_field(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("literal", ["1e400", "NaN", "-Infinity"])
-@pytest.mark.parametrize("section, key", [
-    ("mc", "n_paths"), ("mc", "seed"), ("solver", "abs_tol_target")])
+@pytest.mark.parametrize("section, key", [("mc", "n_paths"), ("mc", "seed")])
 def test_non_finite_numbers_rejected(tmp_path, capsys, section, key, literal):
-    # json reads 1e400, NaN and Infinity as floats that int() cannot take
-    # and that would make an infinite tolerance: a listed violation each
+    # json reads 1e400, NaN and Infinity as floats that int() cannot take:
+    # a listed violation each
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(SYMMETRIC, **{section: {key: "@"}}))
                     .replace('"@"', literal))
@@ -184,9 +183,8 @@ def test_every_violation_listed_once(tmp_path, capsys):
                    "extra": 1},
         "payoff": {"kind": "Custom", "strike": -3.0},
         "loss": {"kind": "quadratic", "p": "two"},
-        # the last keys of solver and mc are removed options
-        "solver": {"abs_tol_target": 0.0, "bisection_iters": 200,
-                   "max_bracket_expansions": 200},
+        # the solver section and the last key of mc are removed options
+        "solver": {"abs_tol_target": 0.0, "bisection_iters": 200},
         "mc": {"n_paths": 1, "seed": -1, "antithetic": True},
         "output": {"path": 3, "format": "xml"},
         "junk": {},
@@ -194,6 +192,7 @@ def test_every_violation_listed_once(tmp_path, capsys):
     assert main(["price", "--config", _write(tmp_path, bad)]) == 2
     assert set(capsys.readouterr().err.splitlines()) == {f"error: {v}" for v in (
         "config.junk: unknown key",
+        "config.solver: unknown key",
         "market.extra: unknown key",
         "market.s0[1]: must be a positive finite real, got -1.0",
         "market.alpha: must be a list of two numbers, got [0.08, 'x']",
@@ -207,9 +206,6 @@ def test_every_violation_listed_once(tmp_path, capsys):
         "payoff.strike: must be a positive real, got -3.0",
         "loss.kind: must be one of linear, power, got 'quadratic'",
         "loss.p: must be a number, got 'two'",
-        "solver.abs_tol_target: must be positive and finite, got 0.0",
-        "solver.bisection_iters: unknown key",
-        "solver.max_bracket_expansions: unknown key",
         "mc.n_paths: must be >= 10000, got 1",
         "mc.seed: must be >= 0, got -1",
         "mc.antithetic: unknown key",
@@ -232,7 +228,6 @@ def test_config_echo_format():
         '"sigma": [0.2, 0.3], "rho": -0.5, "r": 0.02, "T": 1.0}, '
         '"payoff": {"kind": "Spread", "strike": 5.0}, '
         '"loss": {"kind": "power", "p": 2.0}, '
-        '"solver": {"abs_tol_target": 1e-09}, '
         '"mc": {"n_paths": 200000, "seed": 1}, '
         '"output": {"path": null, "format": "csv"}}')
 
@@ -283,6 +278,23 @@ def test_heavy_tail_exit_code(tmp_path, capsys):
     rc = main(["price", "--config", _write(tmp_path, cfg)])
     assert rc == 5
     assert "tail" in capsys.readouterr().err
+
+
+def test_fallback_weight_past_the_float_range(tmp_path, capsys, recwarn):
+    # Outperformance/power at alpha1 = 5.4 fails its sign condition; the
+    # phi2 root on the Monte Carlo route lies past c = 1e154, where c^2
+    # overflows a float: the heavy-tail exit code and one error line, no
+    # traceback or warning
+    warnings.simplefilter("always")
+    cfg = dict(DESK, market=dict(DESK["market"], alpha=[5.4, 0.0], rho=0.0),
+               payoff={"kind": "Outperformance", "strike": 100.0})
+    rc = main(["phi2", "--config", _write(tmp_path, cfg), "--v",
+               "0.5*E[l(H)]", "--format", "json"])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: Monte Carlo Psi1 at c = ")
+    assert err.endswith(": a power-loss weight overflows\n")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("kind, strike", [

@@ -14,7 +14,7 @@ from shortfall_hedge.errors import NanGuardError, ValidationError
 from shortfall_hedge.market import (UNDER_P, UNDER_PTILDE, derive_constants,
                                     radon_nikodym, terminal_price)
 from shortfall_hedge.mc import McConfig, estimate, verify_risk
-from shortfall_hedge.payoffs import (CUSTOM, DIGITAL, Payoff,
+from shortfall_hedge.payoffs import (CUSTOM, DIGITAL, OUTPERFORMANCE, Payoff,
                                      QUANTO_DOMESTIC, SPREAD)
 from shortfall_hedge.psi import LINEAR, LossSpec, POWER
 from shortfall_hedge.solver import phi1, price
@@ -170,6 +170,21 @@ def test_verify_risk_accepts_engine_solution():
         phi1(payoff, params, LossSpec(LINEAR), x)[0], rel=1e-12)
     rep2 = verify_risk(payoff, params, LossSpec(POWER, 2.0), x, mc)
     assert rep2.ok
+
+
+def test_named_fallback_solves_on_the_engines_sample():
+    # Outperformance/power at rho = 0.6 fails its sign condition and leaves
+    # quadrature: phi1 solves on the engine's own sample whatever mc says,
+    # the solve that verify_risk checks
+    params = desk_params(rho=0.6)
+    payoff = Payoff(OUTPERFORMANCE, 100.0)
+    loss = LossSpec(POWER, 2.0)
+    mc = McConfig(20_000, seed=1)
+    x = 0.5 * price(payoff, params)
+    got = phi1(payoff, params, loss, x, mc=mc)
+    assert got == phi1(payoff, params, loss, x)
+    rep = verify_risk(payoff, params, loss, x, mc)
+    assert got == (rep.engine_risk, rep.c)
 
 
 @pytest.mark.parametrize("h_fn, seed, u", [

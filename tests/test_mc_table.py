@@ -9,9 +9,9 @@ import pytest
 
 from conftest import desk_params
 from shortfall_hedge import psi
-from shortfall_hedge.errors import NanGuardError
+from shortfall_hedge.errors import HeavyTailError, NanGuardError
 from shortfall_hedge.mc import McConfig
-from shortfall_hedge.payoffs import CUSTOM, SPREAD, Payoff
+from shortfall_hedge.payoffs import CUSTOM, QUANTO_DOMESTIC, SPREAD, Payoff
 from shortfall_hedge.psi import LINEAR, POWER, LossSpec, _lnc, _McTable, psi_mc
 from shortfall_hedge.solver import phi1, phi2, price
 
@@ -145,3 +145,38 @@ def test_non_finite_loss_term_raises_nan_guard():
             solve()
         assert info.value.index == 0
         assert all(math.isfinite(w) for w in info.value.w)
+
+
+def test_power_weight_past_the_float_range_raises_heavy_tail(recwarn):
+    # at alpha1 = 5.4 the phi2 root lies near c = 4e155, where the weight
+    # c^q of the prefix sums overflows a float: HeavyTailError naming the
+    # side and c, as on the quadrature route, not a raw OverflowError
+    params = desk_params(alpha=(5.4, 0.05), rho=0.0)
+    loss = LossSpec(POWER, 2.0)
+    custom = Payoff(CUSTOM, custom_eval=lambda s1, s2:
+                    (s1 >= s2).astype(float))
+    mc = McConfig(20_000, seed=1)
+    top = phi1(custom, params, loss, 0.0, mc=mc)[0]
+    with pytest.raises(HeavyTailError, match=r"Monte Carlo Psi1 at c = "
+                       r"4\.29\d*e\+155: a power-loss weight overflows"):
+        phi2(custom, params, loss, 0.5 * top, mc=mc)
+    quanto = Payoff(QUANTO_DOMESTIC, strike=100.0)
+    top = phi1(quanto, params, loss, 0.0)[0]
+    with pytest.raises(HeavyTailError, match=r"power-loss term overflows"):
+        phi2(quanto, params, loss, 0.5 * top)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_overflowing_psi_sum_raises_heavy_tail(recwarn):
+    # each path's H^2 is finite, their sum over the paths is not: a Psi
+    # value that is not finite is a HeavyTailError naming side and c, with
+    # no RuntimeWarning on the way
+    huge = Payoff(CUSTOM, custom_eval=lambda s1, s2:
+                  1e151 * np.maximum(s1 - 100.0, 0.0))
+    mc = McConfig(20_000, seed=1)
+    loss = LossSpec(POWER, 2.0)
+    for solve in (lambda: phi1(huge, PARAMS, loss, 0.0, mc=mc),
+                  lambda: phi2(huge, PARAMS, loss, 1e300, mc=mc)):
+        with pytest.raises(HeavyTailError, match=r"Psi1 at c = inf"):
+            solve()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -46,8 +46,8 @@ def test_price_is_discounted_psi2_at_zero():
 
 
 def test_price_and_edges_are_cached_once_per_contract(monkeypatch):
-    # mc moves a price only for Custom payoffs, and the edges only on the
-    # Monte Carlo route: a named contract fills one entry of each
+    # mc moves a price and the edges only for Custom payoffs: a named
+    # contract fills one entry of each
     params = desk_params(rho=0.15)
     payoff = Payoff(QUANTO_DOMESTIC, 101.0)
     mc = McConfig(20_000, seed=3)
@@ -223,7 +223,7 @@ def test_curve_points_equal_one_point_solves(payoff, loss):
         grid = [f * top for f in (0.0, 0.2, 0.5, 0.8)]
         rc = curve(payoff, params, loss, kind, grid)
         for g, pt in zip(grid, rc.points):
-            got = impl(payoff, params, loss, [g], None, None)[0]
+            got = impl(payoff, params, loss, [g], None)[0]
             assert pt.error is None
             assert (pt.value, pt.c, pt.err_estimate, pt.method) == got[:4]
 
@@ -254,10 +254,33 @@ def test_custom_curve_draws_one_sample(kind, loss, monkeypatch):
     rc = curve(payoff, params, loss, kind, grid, mc=mc)
     assert calls == [40_000]
     for g, pt in zip(grid, rc.points):
-        value, c, err, method = impl(payoff, params, loss, [g], None, mc)[0][:4]
+        value, c, err, method = impl(payoff, params, loss, [g], mc)[0][:4]
         assert pt.error is None and pt.c == c and pt.method == method
         assert pt.value == pytest.approx(value, rel=1e-12)
         assert pt.err_estimate == pytest.approx(err, rel=1e-12)
+
+
+def test_custom_price_and_linear_solve_share_one_sample(monkeypatch):
+    # a Custom price is the Psi2(0) of the contract's linear edges entry:
+    # price and then phi1 at x = 0 draw one sample, not one each
+    params = desk_params(rho=0.15)
+    mc = McConfig(20_000, seed=11)
+    calls = []
+    real = psi.sample
+
+    def counting(law, n, seed):
+        calls.append(n)
+        return real(law, n, seed)
+
+    monkeypatch.setattr(psi, "sample", counting)
+    basket = _basket()
+    p_h = price(basket, params, mc)
+    risk, c = phi1(basket, params, LIN, 0.0, mc=mc)
+    assert calls == [40_000]
+    ev = solver._Evaluator(basket, params, LIN, mc)
+    disc = math.exp(-params.r * params.T)
+    assert p_h == disc * float(ev.side([0.0], 2)[0][0])
+    assert (risk, c) == (_edges(basket, params, LIN, mc)[0], math.inf)
 
 
 def test_curve_psi_failures_stay_per_point(monkeypatch):
@@ -360,9 +383,8 @@ def test_read_ahead_keeps_every_bit(payoff, loss, monkeypatch):
     def solves():
         got = []
         for f in (0.1, 0.5, 0.9):
-            r1 = _phi1_impl(payoff, params, loss, [f * p_h], None, mc)[0]
-            got += [r1, _phi2_impl(payoff, params, loss, [r1[0]], None,
-                                   mc)[0]]
+            r1 = _phi1_impl(payoff, params, loss, [f * p_h], mc)[0]
+            got += [r1, _phi2_impl(payoff, params, loss, [r1[0]], mc)[0]]
         if mc is not None:
             got.append(curve(payoff, params, loss, "phi1",
                              list(np.linspace(0.0, 1.0, 11) * p_h), mc=mc))
@@ -392,7 +414,7 @@ def test_read_ahead_failures_stay_unseen(monkeypatch):
     params = desk_params()
     payoff = Payoff(QUANTO_DOMESTIC, 100.0)
     x = 0.5 * price(payoff, params)
-    clean = _phi1_impl(payoff, params, LIN, [x], None, None)
+    clean = _phi1_impl(payoff, params, LIN, [x], None)
     c = clean[0][1]
     # below 2^7 the walk up from c = 1 takes unit steps in log2 c: it ends
     # at the first power of 2 at or above c, and only the walk points read
@@ -401,7 +423,7 @@ def test_read_ahead_failures_stay_unseen(monkeypatch):
     limit = 2.0 ** math.ceil(math.log2(c))
     raised = []
     monkeypatch.setattr(solver, "_psi_side", _failing_above(limit, raised))
-    assert _phi1_impl(payoff, params, LIN, [x], None, None) == clean
+    assert _phi1_impl(payoff, params, LIN, [x], None) == clean
     assert raised
     # below the solved c the solve raises the error a solve that reads
     # one c at a time raises
@@ -481,8 +503,7 @@ def test_root_below_2_to_the_minus_200_solves():
                           sigma=(0.5, 0.5), rho=0.875, r=0.0, T=3.0)
     payoff = Payoff(DIGITAL, 10.0)
     p_h = price(payoff, params)
-    risk, c = _one(_phi1_impl(payoff, params, LIN, [0.5 * p_h], None,
-                              None))[:2]
+    risk, c = _one(_phi1_impl(payoff, params, LIN, [0.5 * p_h], None))[:2]
     assert 1e-62 < c < 6.2e-61
     (v2,), (e2,) = psi._psi_side(payoff, params, LIN, [c], 2)
     assert abs(v2 - 0.5 * p_h) <= max(1e-9 * p_h, 8.0 * e2)
@@ -510,7 +531,7 @@ def test_solves_match_a_plain_ln_c_bisection(payoff, loss, rho):
     tol = SolveConfig().abs_tol_target * max(1.0, edge)
     for f in (0.05, 0.5, 0.95):
         risk, c, err = _one(_phi1_impl(payoff, params, loss, [f * p_h],
-                                       None, None))[:3]
+                                       None))[:3]
         c_ref = ln_c_bisection(psi_at(2), growth * f * p_h, False)[0]
         assert abs(c - c_ref) <= 2e-13 * c_ref
         v1 = psi_at(1)(c_ref)[0]
@@ -524,11 +545,24 @@ def test_heavy_tail_rejected():
         price(Payoff(QUANTO_DOMESTIC, 100.0), params)
 
 
-def test_solve_config_validation():
-    with pytest.raises(ValidationError):
-        SolveConfig(abs_tol_target=0.0)
-    with pytest.raises(ValidationError):  # would switch the check off
-        SolveConfig(abs_tol_target=math.inf)
+def test_solve_config_is_a_constant():
+    # the inversion tolerance is fixed: SolveConfig takes no argument and
+    # only names it
+    assert SolveConfig().abs_tol_target == 1e-9
+    with pytest.raises(TypeError):
+        SolveConfig(abs_tol_target=1e-6)
+
+
+def test_mc_is_keyword_only():
+    # a fifth positional argument is a TypeError, never read as a sample
+    params = desk_params()
+    payoff = Payoff(DIGITAL, 10.0)
+    with pytest.raises(TypeError):
+        phi1(payoff, params, LIN, 1.0, SolveConfig())
+    with pytest.raises(TypeError):
+        phi2(payoff, params, LIN, 1.0, SolveConfig())
+    with pytest.raises(TypeError):
+        curve(payoff, params, LIN, "phi1", [1.0], SolveConfig())
 
 
 @pytest.mark.parametrize("up, end", [(True, 2.0 ** 1023),
