@@ -64,7 +64,8 @@ from .errors import (AssumptionViolatedError, DegenerateLawError,
                      ValidationError)
 from .gaussian import (RECT_ERR, GaussianLaw, rect_upper_prob, sample,
                        tilted_interval_mass)
-from .market import UNDER_P, UNDER_PTILDE, MarketParams, MeasureConstants
+from .market import (UNDER_P, UNDER_PTILDE, MarketParams,
+                     MeasureConstants, wiener_law)
 from .payoffs import (CUSTOM, DIGITAL, OUTPERFORMANCE, QUANTO_DOMESTIC,
                       QUANTO_FOREIGN, SPREAD, Payoff, evaluate,
                       payoff_constants)
@@ -795,11 +796,14 @@ def _nan_guard(vals: np.ndarray, w: np.ndarray, offset: int = 0) -> np.ndarray:
 class _McSide:
     """Per-path terms of one Psi side; a path is in A_c iff ln c <= key.
 
-    Until the side is asked for a second finite c, a value is a masked mean
-    over the unsorted paths.  The second finite c sorts the paths once by
-    descending key, keeps prefix (and, for the power shortfall term, suffix)
-    sums of each term and of its square, and drops the per-path arrays;
-    every later value is read at k = #{key >= ln c}, found by binary search.
+    It holds only the paths with H > 0: the others add +0.0 to every sum,
+    and the means and the standard errors still divide by n, the full path
+    count.  Its first finite c sorts the paths once by descending key,
+    keeps prefix (and, for the power shortfall term, suffix) sums of each
+    term and of its square, and drops the per-path arrays; every finite c
+    is read from those sums at k = #{key >= ln c}, found by binary search.
+    A read that holds only c = 0 and c = inf, before any sort, takes the
+    totals of the H terms, as the c-weighted Z~ terms vanish there.
 
     kind "linear":  H 1_Ac
          "power1":  (H^p 1_{Ac^c} + (c Z~)^q 1_Ac) / p,   q = p/(p-1)
@@ -815,44 +819,24 @@ class _McSide:
         self.zt = zt    # Z~ (power only)
         self.neg_key = None  # -key ascending, once sorted
         self.sums = ()
-        self._finite_seen = 0
 
     def value(self, c, lnc):
-        """(means, standard errors) of the side's terms at each c, taken in
-        order: the c's before the sort are masked means, one at a time."""
-        v, e = np.empty(c.size), np.empty(c.size)
-        for i in range(c.size):
-            if self.neg_key is None and 0.0 < c[i] < math.inf:
-                self._finite_seen += 1
-                if self._finite_seen > 1:
-                    self._sort()
-            if self.neg_key is not None:
-                v[i:], e[i:] = self._from_sums(c[i:], lnc[i:])
-                break
-            v[i], e[i] = self._masked(c[i], lnc[i])
-        return v, e
+        """(means, standard errors) of the side's terms at each c."""
+        if self.neg_key is None:
+            if np.all((c == 0.0) | (c == math.inf)):
+                return self._from_totals(c)
+            self._sort()
+        return self._from_sums(c, lnc)
 
-    def _masked(self, c, lnc):
-        ind = lnc <= self.key
-        finite = 0.0 < c < math.inf
-        if self.kind == "linear":
-            x = self.h * ind
-        elif self.kind == "power1":
-            p = self.p
-            x = np.where(ind, 0.0, self.h) / p
-            hedged = np.zeros_like(x)
-            if finite:
-                hedged[ind] = (c * self.zt[ind]) ** (p / (p - 1.0)) / p
-            x = x + hedged
-        else:
-            x = np.zeros_like(self.h)
-            if c == 0.0:
-                x = self.h * ind
-            elif finite:
-                kap = 1.0 / (self.p - 1.0)
-                x[ind] = self.h[ind] - (c * self.zt[ind]) ** kap
-        return (float(np.mean(x)),
-                float(np.std(x, ddof=1) / math.sqrt(self.n)))
+    def _from_totals(self, c):
+        # the H terms count on A_c, all paths at c = 0 and none at c = inf,
+        # and the power1 shortfall term H^p off A_c
+        full = (c == 0.0) != (self.kind == "power1")
+        s = np.where(full, np.sum(self.h), 0.0)
+        s2 = np.where(full, np.sum(self.h * self.h), 0.0)
+        if self.kind == "power1":
+            s, s2 = s / self.p, s2 / (self.p * self.p)
+        return self._stats(s, s2)
 
     def _sort(self):
         # unsorted arrays are dropped as soon as they are gathered, and the
@@ -876,7 +860,7 @@ class _McSide:
 
     def _from_sums(self, c, lnc):
         k = np.searchsorted(self.neg_key, -lnc, side="right")
-        n, p = self.n, self.p
+        p = self.p
         if self.kind == "linear":
             s, s2 = self.sums[0][k], self.sums[1][k]
         elif self.kind == "power1":
@@ -890,6 +874,12 @@ class _McSide:
             ck = _each(lambda ci: ci ** (1.0 / (p - 1.0)), np.where(k > 0, c, 0.0))
             s = np.where(k > 0, hs[k] - ck * us[k], 0.0)
             s2 = np.where(k > 0, h2[k] - 2.0 * ck * hu[k] + ck * ck * u2[k], 0.0)
+        return self._stats(s, s2)
+
+    def _stats(self, s, s2):
+        """(means, standard errors) from the sums of the terms and of their
+        squares over the n paths."""
+        n = self.n
         var = np.maximum(s2 - s * s / n, 0.0) / (n - 1)
         return s / n, np.sqrt(var) / math.sqrt(n)
 
@@ -898,19 +888,18 @@ class _McTable:
     """Psi1 and Psi2 of one contract from one seeded Monte Carlo sample.
 
     sample(law, 2n, seed) is drawn once: rows [:n] are W_T under P and give
-    Psi1, rows [n:] are W~_T under P~ and give Psi2.  Each path keeps its
-    terms and its key, a1 w1 + a2 w2 + bT = -ln Z~ for linear loss and
-    (p-1) ln H - ln Z~ (-inf where H = 0) for power loss, so A_c is the
+    Psi1, rows [n:] are W~_T under P~ and give Psi2.  Each side keeps the
+    terms and the key of its paths with H > 0, a1 w1 + a2 w2 + bT = -ln Z~
+    for linear loss and (p-1) ln H - ln Z~ for power loss, so A_c is the
     superlevel set {key >= ln c} and Psi is monotone in c pathwise.  Each
-    side sorts itself lazily (see _McSide).  A path whose loss term is not
-    finite raises NanGuardError with its coordinates.
+    side sorts itself at its first finite c (see _McSide).  A path whose
+    loss term is not finite raises NanGuardError with its coordinates.
     """
 
     def __init__(self, payoff: Payoff, params: MarketParams, loss: LossSpec,
                  n: int, seed: int):
         cons = payoff_constants(payoff, params)
-        law = GaussianLaw(2, np.zeros(2), params.wiener_cov)
-        draws = sample(law, 2 * n, seed)
+        draws = sample(wiener_law(params), 2 * n, seed)
         self.sides = {
             1: self._side(payoff, params, loss, cons, draws[:n], UNDER_P, 0),
             2: self._side(payoff, params, loss, cons, draws[n:],
@@ -932,27 +921,29 @@ class _McTable:
         ln_z -= cons.a2 * w[:, 1]
         ln_z -= b * t
         n = w.shape[0]
-        if loss.kind == LINEAR:
-            _nan_guard(h, w, offset)
-            return _McSide("linear", n, None, np.negative(ln_z, out=ln_z), h)
-        p = loss.p
-        with np.errstate(divide="ignore"):
-            key = np.where(h > 0, np.log(np.maximum(h, 1e-300)), -np.inf)
-        key *= p - 1.0
-        key -= ln_z
-        if under == UNDER_P:
+        terms = h
+        if loss.kind == POWER and under == UNDER_P:
             with np.errstate(over="ignore"):  # _nan_guard reports the overflow
-                h = h ** p  # the shortfall loss term, p * l(H)
-        _nan_guard(h, w, offset)
-        return _McSide("power1" if under == UNDER_P else "power2", n, p, key,
-                       h, np.exp(ln_z, out=ln_z))
+                terms = h ** loss.p  # the shortfall loss term, p * l(H)
+        _nan_guard(terms, w, offset)
+        # every path is guarded, but only those with H > 0 add to a sum;
+        # gathered by index, which is faster than by a boolean mask
+        keep = np.flatnonzero(h > 0)
+        terms, ln_z = terms.take(keep), ln_z.take(keep)
+        if loss.kind == LINEAR:
+            return _McSide("linear", n, None, np.negative(ln_z, out=ln_z),
+                           terms)
+        key = np.log(h.take(keep))
+        key *= loss.p - 1.0
+        key -= ln_z
+        return _McSide("power1" if under == UNDER_P else "power2", n, loss.p,
+                       key, terms, np.exp(ln_z, out=ln_z))
 
     @np.errstate(all="ignore")
     def side(self, c, side: int):
-        """(Psi_side, standard errors) at each validated c of an array, read
-        in its order.  A weight c^q or c^kap past the float range, as on
-        the quadrature route, or a value that is not finite raises
-        HeavyTailError."""
+        """(Psi_side, standard errors) at each validated c of an array.  A
+        weight c^q or c^kap past the float range, as on the quadrature
+        route, or a value that is not finite raises HeavyTailError."""
         c = np.asarray(c, dtype=float)
         try:
             v, e = self.sides[side].value(c, _each(_lnc, c))

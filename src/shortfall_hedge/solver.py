@@ -140,9 +140,9 @@ class _Evaluator:
 
 def _read(ev: _Evaluator, c, side: int) -> dict:
     """{c: (Psi_side(c), err, failure)} over the distinct c's of c, read in
-    their order in one call.  If that call raises, each c is read alone, so
-    that a failure is the ShortfallHedgeError of that c alone (else None)
-    and the other c's keep their values."""
+    one call.  If that call raises, each c is read alone, so that a failure
+    is the ShortfallHedgeError of that c alone (else None) and the other
+    c's keep their values."""
     cs = list(dict.fromkeys(c))
     failed = [None] * len(cs)
     if not cs:
@@ -399,13 +399,10 @@ def _bisect(ev: _Evaluator, side: int, targets: dict, increasing: bool,
     solve computes, and a Psi value does not depend on the other c's of its
     read, so every solve runs the steps and sees the values it would see
     alone; a c whose read failed raises only in a solve that reaches it.
-    A read takes its c's in the order the solves yield them, so on the
-    Monte Carlo route a side's first finite c is 1.0 for every n, and its
-    switch from masked means to prefix sums (see psi._McSide) comes at the
-    same c.  Spread/power Psi1 by quadrature, which runs its c's one after
-    another, reads only the c of each step (n = 1).  At n = 1 the memo
-    answers nothing: the solves run in lockstep from the same walk, so a c
-    that two solves read is read by both at the same step.
+    Spread/power Psi1 by quadrature, which runs its c's one after another,
+    reads only the c of each step (n = 1).  At n = 1 the memo answers
+    nothing: the solves run in lockstep from the same walk, so a c that two
+    solves read is read by both at the same step.
     """
     tol = max(SolveConfig.abs_tol_target * max(1.0, scale),
               1e-7 * max(1.0, scale) if ev.method == METHOD_MC else 0.0)

@@ -9,7 +9,10 @@ No engine code calls these, so they live beside the tests:
   Chandrupatla steps must agree with (`ln_c_bisection`);
 - `gaussian.tilted_interval_mass` in its four-ndtr form
   (`tilted_interval_mass_four_ndtr`), which the two-ndtr form must equal
-  bit for bit.
+  bit for bit;
+- the Monte Carlo Psi sides as masked means over the full sample,
+  zero-payoff paths included (`mc_masked_means`), which the sorted
+  prefix sums of `psi._McTable` must agree with.
 """
 
 from __future__ import annotations
@@ -22,10 +25,13 @@ from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import ndtr
 
 from shortfall_hedge.errors import ValidationError
-from shortfall_hedge.market import (UNDER_P, MarketParams, derive_constants,
-                                    radon_nikodym, terminal_price)
+from shortfall_hedge.gaussian import sample
+from shortfall_hedge.market import (UNDER_P, UNDER_PTILDE, MarketParams,
+                                    derive_constants, radon_nikodym,
+                                    terminal_price, wiener_law)
 from shortfall_hedge.payoffs import (DIGITAL, QUANTO_DOMESTIC, QUANTO_FOREIGN,
                                      Payoff, evaluate, payoff_constants)
+from shortfall_hedge.psi import LINEAR, LossSpec
 
 _PARALLEL_TOL = 1e-12
 
@@ -245,3 +251,55 @@ def tilted_interval_mass_four_ndtr(gamma, m, s, lo, hi):
         out = np.where(diff <= 0.0, 0.0, factor * diff)
         out = np.where(hi <= lo, 0.0, out)
     return out
+
+
+def mc_masked_means(payoff: Payoff, params: MarketParams, loss: LossSpec,
+                    n: int, seed: int):
+    """psi(side, c) -> (Psi_side(c), standard error) as a masked mean over
+    every path of the sample psi._McTable draws for (n, seed), zero-payoff
+    paths included: a path's term at c is taken from its own indicator of
+    A_c, and the error is the two-pass sample sd over sqrt(n).
+
+    Rows [:n] of sample(wiener_law, 2n, seed) are W_T under P (Psi1), rows
+    [n:] W~_T under P~ (Psi2).  A path is in A_c iff ln c <= key, with
+    key = -ln Z~ for linear loss and (p-1) ln H - ln Z~ (-inf at H = 0)
+    for power loss; ln Z~ = -a1 w1 - a2 w2 - bT is formed in the table's
+    order of operations, so that a c on a key is in A_c for both.
+    """
+    cons = payoff_constants(payoff, params)
+    draws = sample(wiener_law(params), 2 * n, seed)
+    paths = {}
+    for side, w, under in ((1, draws[:n], UNDER_P),
+                           (2, draws[n:], UNDER_PTILDE)):
+        s1 = terminal_price(params, 1, w[:, 0], under)
+        s2 = terminal_price(params, 2, w[:, 1], under)
+        h = np.asarray(evaluate(payoff, s1, s2), dtype=float)
+        b = cons.b_cap if under == UNDER_P else cons.b_cap_tilde
+        ln_z = -cons.a1 * w[:, 0] - cons.a2 * w[:, 1] - b * cons.T
+        if loss.kind == LINEAR:
+            key = -ln_z
+        else:
+            with np.errstate(divide="ignore"):
+                key = np.log(h) * (loss.p - 1.0) - ln_z
+        paths[side] = (h, key, np.exp(ln_z))
+
+    def psi(side: int, c: float):
+        h, key, z = paths[side]
+        ln_c = -math.inf if c == 0.0 else math.log(c)
+        ind = ln_c <= key
+        finite = 0.0 < c < math.inf
+        x = np.zeros(n)
+        if loss.kind == LINEAR:
+            x[ind] = h[ind]
+        elif side == 1:
+            p = loss.p
+            x[~ind] = h[~ind] ** p / p
+            if finite:
+                x[ind] = (c * z[ind]) ** (p / (p - 1.0)) / p
+        elif c == 0.0:
+            x[:] = h
+        elif finite:
+            x[ind] = h[ind] - (c * z[ind]) ** (1.0 / (loss.p - 1.0))
+        return float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(n))
+
+    return psi

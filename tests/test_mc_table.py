@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import desk_params
+from oracles import mc_masked_means
 from shortfall_hedge import psi
 from shortfall_hedge.errors import HeavyTailError, NanGuardError
 from shortfall_hedge.mc import McConfig
@@ -42,10 +43,9 @@ def _at(table: _McTable, c: float, side: int) -> tuple:
 def _near_keys(neg_key: np.ndarray) -> list:
     """c at a spread of sorted keys: exp(key) and two ulps either side, so
     that ln c meets, undershoots and overshoots the key."""
-    finite = neg_key[np.isfinite(neg_key)]
     out = []
-    for i in np.linspace(0, finite.size - 1, 9).astype(int):
-        c = math.exp(-float(finite[i]))
+    for i in np.linspace(0, neg_key.size - 1, 9).astype(int):
+        c = math.exp(-float(neg_key[i]))
         below = np.nextafter(c, 0.0)
         above = np.nextafter(c, math.inf)
         out += [float(np.nextafter(below, 0.0)), float(below), c,
@@ -55,31 +55,97 @@ def _near_keys(neg_key: np.ndarray) -> list:
 
 @pytest.mark.parametrize("loss", LOSSES, ids=lambda l: l.kind)
 def test_sorted_table_matches_masked_means(loss):
+    # every read, from the totals of an unsorted side or from the prefix
+    # sums of a sorted one, is the masked mean over the full sample
     payoff = _basket()
-    masked = _McTable(payoff, PARAMS, loss, 10_000, 5)
-    table = _McTable(payoff, PARAMS, loss, 10_000, 5)
+    masked = mc_masked_means(payoff, PARAMS, loss, 10_000, 5)
     for side in (1, 2):
+        edges = _McTable(payoff, PARAMS, loss, 10_000, 5)
+        got = [_at(edges, c, side) for c in (0.0, math.inf)]
+        assert edges.sides[side].neg_key is None
+        table = _McTable(payoff, PARAMS, loss, 10_000, 5)
         table.sides[side]._sort()
         neg_key = table.sides[side].neg_key
         cs = [0.0, math.inf] + _near_keys(neg_key)
         # some c land exactly on a key: ln c <= key must hold there
         assert np.isin([-_lnc(c) for c in cs], neg_key).any()
-        for c in cs:
-            want = masked.sides[side]._masked(c, _lnc(c))
-            got = _at(table, c, side)
-            assert _close(want[0], got[0]), (side, c, want, got)
-            assert _close(want[1], got[1]), (side, c, want, got)
+        got += [_at(table, c, side) for c in cs]
+        for c, (v, e) in zip([0.0, math.inf] + cs, got):
+            want = masked(side, c)
+            assert _close(want[0], v), (side, c, want, (v, e))
+            assert _close(want[1], e), (side, c, want, (v, e))
 
 
-def test_table_sorts_each_side_at_its_second_finite_c():
+def test_table_sorts_each_side_at_its_first_finite_c():
     table = _McTable(_basket(), PARAMS, LossSpec(POWER, 2.0), 10_000, 3)
+    for side in table.sides.values():
+        # the paths with H = 0 leave the table; the means still divide by n
+        assert side.n == 10_000 and 0 < side.key.size < side.n
+        assert (side.h > 0).all() and np.isfinite(side.key).all()
+    edges = [v for c in (0.0, math.inf) for side in (1, 2)
+             for v in _at(table, c, side)]
+    assert table.sides[1].neg_key is None  # the edges need no sort
+    assert table.sides[2].neg_key is None
     first = _at(table, 1.5, 2)
-    _at(table, 0.0, 2)
-    _at(table, math.inf, 2)
-    assert table.sides[2].neg_key is None  # the edges need no sort
-    assert _at(table, 1.5, 2) == pytest.approx(first, rel=1e-12)
     assert table.sides[2].neg_key is not None and table.sides[2].h is None
     assert table.sides[1].neg_key is None  # the other side stays unsorted
+    assert _at(table, 1.5, 2) == first
+    again = [v for c in (0.0, math.inf) for side in (1, 2)
+             for v in _at(table, c, side)]
+    assert again == pytest.approx(edges, rel=1e-12)
+
+
+def _count_sorts(monkeypatch) -> list:
+    """The _McSide objects that _sort is called on, one entry per call."""
+    sorted_sides = []
+    real = psi._McSide._sort
+
+    def counting(side):
+        sorted_sides.append(side)
+        return real(side)
+
+    monkeypatch.setattr(psi._McSide, "_sort", counting)
+    return sorted_sides
+
+
+@pytest.mark.parametrize("loss", LOSSES, ids=lambda l: l.kind)
+def test_each_side_sorts_at_most_once(loss, monkeypatch):
+    sorts = _count_sorts(monkeypatch)
+    payoff = _basket()  # a new contract: the edge cache misses
+    mc = McConfig(20_000, seed=4)
+    x = 0.5 * price(payoff, PARAMS, mc)
+    phi1(payoff, PARAMS, loss, 0.0, mc=mc)  # the edges alone
+    assert sorts == []
+    # a solve reads both sides at finite c: each sorts once
+    risk, _ = phi1(payoff, PARAMS, loss, x, mc=mc)
+    assert len(sorts) == 2 and sorts[0] is not sorts[1]
+    sorts.clear()
+    phi2(payoff, PARAMS, loss, risk, mc=mc)
+    assert len(sorts) == 2 and sorts[0] is not sorts[1]
+    sorts.clear()
+    psi_mc(payoff, PARAMS, loss, 1.0, 20_000, 4)
+    assert len(sorts) == 2 and sorts[0] is not sorts[1]
+
+
+@pytest.mark.parametrize("loss", LOSSES, ids=lambda l: l.kind)
+def test_round_trip_reads_psi1_on_one_step(loss):
+    # phi1's Psi1 read at c1 and phi2's bisection read Psi1 from the same
+    # prefix sums, so phi2(phi1(x)) settles on the step of c1: the same
+    # count of P-paths in A_c
+    payoff = _basket()
+    off_step = []
+    for seed in range(1, 13):
+        mc = McConfig(20_000, seed=seed)
+        p_h = price(payoff, PARAMS, mc)
+        table = _McTable(payoff, PARAMS, loss, 20_000, seed)
+        table.sides[1]._sort()
+        for frac in (0.37, 0.8):
+            risk, c1 = phi1(payoff, PARAMS, loss, frac * p_h, mc=mc)
+            _cost, c2 = phi2(payoff, PARAMS, loss, risk, mc=mc)
+            v = table.side([c1, c2], 1)[0]
+            if v[0] != v[1]:
+                off_step.append((seed, frac, c1, c2))
+    assert off_step == []
 
 
 @pytest.mark.parametrize("loss", LOSSES, ids=lambda l: l.kind)

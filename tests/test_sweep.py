@@ -1,5 +1,6 @@
 """Random-market sweep: phi1 and its phi2 round trip over a box of markets,
-payoffs and losses, beyond the desk market every other Phi test runs at."""
+payoffs and losses, beyond the desk market every other Phi test runs at,
+and the Monte Carlo Psi table against quadrature over a smaller box."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from shortfall_hedge.errors import InfeasibleInversionError, ShortfallHedgeError
 from shortfall_hedge.market import MarketParams
 from shortfall_hedge.payoffs import (DIGITAL, OUTPERFORMANCE, Payoff,
                                      QUANTO_DOMESTIC, QUANTO_FOREIGN, SPREAD)
-from shortfall_hedge.psi import LINEAR, LossSpec, POWER
+from shortfall_hedge.psi import LINEAR, LossSpec, POWER, _psi_side, psi_mc
 from shortfall_hedge.solver import METHOD_QUAD, _route_method, phi1, phi2, price
 
 
@@ -58,3 +59,35 @@ def test_random_markets_solve_or_raise_typed_errors(kind, m, s0, sigma, theta,
         assert method != METHOD_QUAD, "a continuous Psi side jumped"
     except ShortfallHedgeError as exc:
         event(f"raised: {type(exc).__name__}")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kind=st.sampled_from((DIGITAL, QUANTO_DOMESTIC, QUANTO_FOREIGN,
+                             OUTPERFORMANCE, SPREAD)),
+       m=st.floats(0.8, 1.2),
+       sigma=st.tuples(st.floats(0.1, 0.4), st.floats(0.1, 0.4)),
+       theta=st.tuples(THETA, THETA),
+       rho=st.floats(-0.9, 0.9),
+       p=st.sampled_from((None, 2.0)),
+       u=st.floats(0.1, 0.9))
+def test_mc_table_matches_quadrature(kind, m, sigma, theta, rho, p, u):
+    # psi_mc reads the sorted prefix sums of the Monte Carlo table at a c
+    # that a quadrature phi1 solve lands on, where A_c holds a share of the
+    # paths; both sides agree with quadrature within 4 se + err
+    s0, r = (100.0, 95.0), 0.02
+    alpha = tuple(r + s * t for s, t in zip(sigma, theta))
+    params = MarketParams(s0=s0, alpha=alpha, sigma=sigma, rho=rho, r=r, T=1.0)
+    payoff = Payoff(kind, _strike(kind, s0, m))
+    loss = LossSpec(LINEAR) if p is None else LossSpec(POWER, p)
+    if _route_method(payoff, params, loss) != METHOD_QUAD:
+        event("no closed form: a power sign condition fails")
+        return
+    try:
+        c = phi1(payoff, params, loss, u * price(payoff, params))[1]
+        quad = [_psi_side(payoff, params, loss, [c], side) for side in (1, 2)]
+    except ShortfallHedgeError as exc:
+        event(f"raised: {type(exc).__name__}")
+        return
+    mc = psi_mc(payoff, params, loss, c, 20_000, 7)
+    for (v, e), got in zip(quad, (mc.psi1, mc.psi2)):
+        assert abs(v[0] - got) <= 4.0 * mc.err_estimate + e[0], (c, v, e, mc)
