@@ -110,7 +110,9 @@ def sample(law: GaussianLaw, n: int, seed: int) -> np.ndarray:
         raise ValidationError([f"n: must be >= 1, got {n!r}"])
     rng = np.random.Generator(np.random.Philox(seed))
     z = rng.standard_normal((n, law.dim))
-    return law.mean + z @ law._chol.T
+    w = z @ law._chol.T
+    w += law.mean
+    return w
 
 
 def tilted_interval_mass(gamma, m, s, lo, hi):

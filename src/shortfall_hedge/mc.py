@@ -19,7 +19,7 @@ from .gaussian import sample
 from .market import (UNDER_P, UNDER_PTILDE, MarketParams, _check_measure,
                      radon_nikodym, terminal_price, wiener_law)
 from .payoffs import Payoff, evaluate, payoff_constants
-from .psi import LINEAR, LossSpec, _nan_guard
+from .psi import LINEAR, LossSpec, _drop_mc_table, _nan_guard
 
 _MAX_PATHS = 10 ** 8
 
@@ -60,6 +60,7 @@ def estimate(integrand, params: MarketParams, mc: McConfig,
     estimator.
     """
     _check_measure(under)
+    _drop_mc_table()  # one sample's arrays alive at a time
     m = (mc.n_paths + 1) // 2
     z = sample(wiener_law(params), m, mc.seed)
     mean = (np.zeros(2) if under == UNDER_P

@@ -46,12 +46,17 @@ side.
 Monte Carlo twins of both functions (psi_mc, and _McTable for arrays of
 c) sample W_T under P and W~_T under P~ directly and work for every
 payoff, including Custom and the parameter regions where a closed-form
-sign condition fails.
+sign condition fails.  psi_mc and the solver take their table from
+_mc_table, which holds the last one built until a call on another
+(payoff, params, loss, n, seed) or a simulation (mc.estimate) empties it:
+one sample serves a contract's phi1, phi2 and verify_risk, and at most one
+table is alive at a time.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -783,6 +788,13 @@ def _suffix(x: np.ndarray) -> np.ndarray:
     return out
 
 
+# the (key, _McTable) that _mc_table holds, or None; _MC_LOCK guards it and
+# every table's lazy sort, and is reentrant because a Custom payoff's
+# function runs under it
+_mc_held = None
+_MC_LOCK = threading.RLock()
+
+
 def _nan_guard(vals: np.ndarray, w: np.ndarray, offset: int = 0) -> np.ndarray:
     """vals, unless a path's value is not finite: then NanGuardError with
     that path's index (plus offset) and coordinates w[i]."""
@@ -802,8 +814,10 @@ class _McSide:
     keeps prefix (and, for the power shortfall term, suffix) sums of each
     term and of its square, and drops the per-path arrays; every finite c
     is read from those sums at k = #{key >= ln c}, found by binary search.
-    A read that holds only c = 0 and c = inf, before any sort, takes the
-    totals of the H terms, as the c-weighted Z~ terms vanish there.
+    c = 0 and c = inf, where the c-weighted Z~ terms vanish, read the totals
+    of the H terms, taken when the side is built: the same bits in every
+    read, before the sort or after it.  The sort runs under _MC_LOCK, so
+    that threads sharing the table sort it once.
 
     kind "linear":  H 1_Ac
          "power1":  (H^p 1_{Ac^c} + (c Z~)^q 1_Ac) / p,   q = p/(p-1)
@@ -817,26 +831,31 @@ class _McSide:
         self.key = key
         self.h = h      # H^p on the power1 side, H otherwise
         self.zt = zt    # Z~ (power only)
+        with np.errstate(over="ignore"):  # side() reports an inf sum
+            self.totals = (np.sum(h), np.sum(h * h))
         self.neg_key = None  # -key ascending, once sorted
         self.sums = ()
 
     def value(self, c, lnc):
         """(means, standard errors) of the side's terms at each c."""
-        if self.neg_key is None:
-            if np.all((c == 0.0) | (c == math.inf)):
-                return self._from_totals(c)
-            self._sort()
-        return self._from_sums(c, lnc)
+        s, s2 = self._from_totals(c)
+        finite = (c > 0.0) & (c < math.inf)
+        if finite.any():
+            with _MC_LOCK:
+                if self.neg_key is None:
+                    self._sort()
+            s[finite], s2[finite] = self._from_sums(c[finite], lnc[finite])
+        return self._stats(s, s2)
 
     def _from_totals(self, c):
         # the H terms count on A_c, all paths at c = 0 and none at c = inf,
         # and the power1 shortfall term H^p off A_c
         full = (c == 0.0) != (self.kind == "power1")
-        s = np.where(full, np.sum(self.h), 0.0)
-        s2 = np.where(full, np.sum(self.h * self.h), 0.0)
+        s = np.where(full, self.totals[0], 0.0)
+        s2 = np.where(full, self.totals[1], 0.0)
         if self.kind == "power1":
             s, s2 = s / self.p, s2 / (self.p * self.p)
-        return self._stats(s, s2)
+        return s, s2
 
     def _sort(self):
         # unsorted arrays are dropped as soon as they are gathered, and the
@@ -874,7 +893,7 @@ class _McSide:
             ck = _each(lambda ci: ci ** (1.0 / (p - 1.0)), np.where(k > 0, c, 0.0))
             s = np.where(k > 0, hs[k] - ck * us[k], 0.0)
             s2 = np.where(k > 0, h2[k] - 2.0 * ck * hu[k] + ck * ck * u2[k], 0.0)
-        return self._stats(s, s2)
+        return s, s2
 
     def _stats(self, s, s2):
         """(means, standard errors) from the sums of the terms and of their
@@ -958,6 +977,34 @@ class _McTable:
         return v, e
 
 
+def _mc_table(payoff: Payoff, params: MarketParams, loss: LossSpec, n: int,
+              seed: int) -> _McTable:
+    """The _McTable of (payoff, params, loss, n, seed), held until a call
+    with another key or a simulation (_drop_mc_table).
+
+    A call with the held key returns the held table.  Any other key first
+    empties the slot and then builds and holds its own table, so that at
+    most one table is alive at a time: a phi1, phi2 and verify_risk of one
+    contract read one sample, sorted once.
+    """
+    global _mc_held
+    key = (payoff, params, loss, n, seed)
+    with _MC_LOCK:
+        if _mc_held is not None and _mc_held[0] == key:
+            return _mc_held[1]
+        _mc_held = None
+        table = _McTable(payoff, params, loss, n, seed)
+        _mc_held = key, table
+        return table
+
+
+def _drop_mc_table():
+    """Empty the slot of _mc_table, before a simulation draws its sample."""
+    global _mc_held
+    with _MC_LOCK:
+        _mc_held = None
+
+
 def psi_mc(payoff: Payoff, params: MarketParams, loss: LossSpec, c: float,
            n: int, seed: int) -> PsiPair:
     """Unbiased Monte Carlo estimate of (Psi1, Psi2) at c.
@@ -970,7 +1017,7 @@ def psi_mc(payoff: Payoff, params: MarketParams, loss: LossSpec, c: float,
 
     c = _validate_c(c)
     mc = McConfig(n, seed)
-    table = _McTable(payoff, params, loss, mc.n_paths, mc.seed)
+    table = _mc_table(payoff, params, loss, mc.n_paths, mc.seed)
     (psi1,), (se1,) = table.side([c], 1)
     (psi2,), (se2,) = table.side([c], 2)
     return PsiPair(psi1=float(psi1), psi2=float(psi2), c=c,

@@ -39,10 +39,12 @@ whole grid at once, on one thread.
 
 Named payoffs evaluate Psi by quadrature; Custom payoffs, and power-loss
 cases whose closed-form sign condition fails, fall back to the Monte Carlo
-table (psi._McTable): one sample with a fixed (n, seed) per solve, so the
-inverted function stays deterministic and pathwise monotone in c; a named
-payoff's sample is _FALLBACK_MC.  Both routes read ahead, except on
-Spread/power Psi1 by quadrature.
+table (psi._McTable): one sample with a fixed (n, seed), so the inverted
+function stays deterministic and pathwise monotone in c; a named payoff's
+sample is _FALLBACK_MC.  The table is psi._mc_table's, held from solve to
+solve until another contract's table or a simulation replaces it, so a
+contract's phi1, phi2 and verify_risk draw and sort one sample.  Both
+routes read ahead, except on Spread/power Psi1 by quadrature.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from .market import MarketParams
 from .mc import McConfig
 from .payoffs import CUSTOM, Payoff
 from .psi import (LINEAR, POWER, LossSpec, _is_one_c_side, _make_ctx,
-                  _McTable, _psi_side, _sign_guard_power)
+                  _mc_table, _psi_side, _sign_guard_power)
 
 _FALLBACK_MC = McConfig(n_paths=200_000, seed=1729)
 _EDGE_TOL = 1e-9
@@ -115,9 +117,10 @@ def _route_method(payoff: Payoff, params: MarketParams, loss: LossSpec) -> str:
 class _Evaluator:
     """One-sided Psi evaluation with a fixed route (quadrature or MC).
 
-    On the MC route it owns one _McTable: one seeded sample for the whole
-    solve, dropped with the evaluator: mc for a Custom payoff, else (or
-    where mc is None) _FALLBACK_MC.
+    On the MC route it reads psi._mc_table's table, one seeded sample that
+    the engine holds after the solve for the next call on the same
+    contract: mc for a Custom payoff, else (or where mc is None)
+    _FALLBACK_MC.
     """
 
     def __init__(self, payoff: Payoff, params: MarketParams, loss: LossSpec,
@@ -128,7 +131,7 @@ class _Evaluator:
         self.method = _route_method(payoff, params, loss)
         if self.method == METHOD_MC:
             mc = mc if payoff.kind == CUSTOM and mc else _FALLBACK_MC
-            self._table = _McTable(payoff, params, loss, mc.n_paths, mc.seed)
+            self._table = _mc_table(payoff, params, loss, mc.n_paths, mc.seed)
 
     def side(self, c, side: int):
         """(values, errs) of Psi_side at each c of an array."""

@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from conftest import desk_params
 from oracles import mc_masked_means
+from shortfall_hedge import mc as mc_module
 from shortfall_hedge import psi
 from shortfall_hedge.errors import HeavyTailError, NanGuardError
-from shortfall_hedge.mc import McConfig
+from shortfall_hedge.mc import McConfig, verify_risk
 from shortfall_hedge.payoffs import CUSTOM, QUANTO_DOMESTIC, SPREAD, Payoff
 from shortfall_hedge.psi import LINEAR, POWER, LossSpec, _lnc, _McTable, psi_mc
 from shortfall_hedge.solver import phi1, phi2, price
@@ -92,7 +97,98 @@ def test_table_sorts_each_side_at_its_first_finite_c():
     assert _at(table, 1.5, 2) == first
     again = [v for c in (0.0, math.inf) for side in (1, 2)
              for v in _at(table, c, side)]
-    assert again == pytest.approx(edges, rel=1e-12)
+    assert again == edges  # the edges read the totals, sorted or not
+
+
+@pytest.mark.parametrize("loss", LOSSES, ids=lambda l: l.kind)
+def test_edge_reads_keep_their_bits_after_a_sort(loss):
+    # c = 0 and c = inf read the totals taken when the table was built: on
+    # the held table a psi_mc at the edges gives the same bits before and
+    # after a phi1 has sorted both sides, alone or in a read with finite c
+    payoff = _basket()
+    mc = McConfig(20_000, seed=8)
+    x = 0.5 * price(payoff, PARAMS, mc)
+    edges = [psi_mc(payoff, PARAMS, loss, c, 20_000, 8) for c in (0.0, math.inf)]
+    table = psi._mc_table(payoff, PARAMS, loss, 20_000, 8)
+    assert all(side.neg_key is None for side in table.sides.values())
+    phi1(payoff, PARAMS, loss, x, mc=mc)
+    assert psi._mc_table(payoff, PARAMS, loss, 20_000, 8) is table
+    assert all(side.neg_key is not None for side in table.sides.values())
+    again = [psi_mc(payoff, PARAMS, loss, c, 20_000, 8) for c in (0.0, math.inf)]
+    assert [(p.psi1.hex(), p.psi2.hex(), p.err_estimate.hex()) for p in again] \
+        == [(p.psi1.hex(), p.psi2.hex(), p.err_estimate.hex()) for p in edges]
+    for side in (1, 2):
+        mixed = table.side([0.0, 1.5, math.inf], side)
+        alone = table.side([0.0, math.inf], side)
+        assert list(mixed[0][[0, 2]]) == list(alone[0])
+        assert list(mixed[1][[0, 2]]) == list(alone[1])
+
+
+def test_threads_share_the_held_table():
+    # 4 threads, more than the cores, solve on one fresh table with a short
+    # switch interval: one builds it, one sorts each side, and every thread
+    # gets the serial result's bits
+    payoff = _basket()
+    mc = McConfig(50_000, seed=9)
+    x = 0.5 * price(payoff, PARAMS, mc)
+    loss = LOSSES[1]
+    serial = phi1(payoff, PARAMS, loss, x, mc=mc)
+    start = threading.Barrier(4, timeout=60)
+
+    def solve(_):
+        start.wait()
+        return phi1(payoff, PARAMS, loss, x, mc=mc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(3):
+                psi._drop_mc_table()
+                futures = [pool.submit(solve, i) for i in range(4)]
+                assert [f.result(timeout=60) for f in futures] == [serial] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_held_table_never_doubles_the_peak(monkeypatch):
+    # a table is built only after the slot is emptied, and a simulation
+    # empties it before it draws, so that no two samples' arrays are alive:
+    # verify_risk after a phi1 on the held table peaks no higher than the
+    # build of that table
+    payoff = _basket()
+    loss = LOSSES[1]
+    mc = McConfig(100_000, seed=2)
+    x = 0.5 * price(payoff, PARAMS, mc)
+    psi._drop_mc_table()
+    tracemalloc.start()
+    try:
+        phi1(payoff, PARAMS, loss, x, mc=mc)  # builds and holds the table
+        held, build = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        verify_risk(payoff, PARAMS, loss, x, mc)
+        _, verify = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < held < build and verify <= build
+    # every sample is drawn on an empty slot: a table's of another key, a
+    # solve's on another contract, and a simulation's
+    held_at_draw = []
+    for module in (psi, mc_module):
+        real = module.sample
+
+        def recording(law, n, seed, real=real):
+            held_at_draw.append(psi._mc_held)
+            return real(law, n, seed)
+
+        monkeypatch.setattr(module, "sample", recording)
+    phi1(payoff, PARAMS, loss, x, mc=mc)  # after a simulation: 1 draw
+    psi_mc(payoff, PARAMS, loss, 1.0, 100_000, 3)  # 1
+    phi1(payoff, PARAMS, loss, x, mc=mc)  # 1
+    phi1(_basket(), PARAMS, loss, 0.0, mc=mc)  # price and edges: 2
+    phi1(payoff, PARAMS, loss, x, mc=mc)  # 1
+    verify_risk(payoff, PARAMS, loss, x, mc)  # its two simulations: 2
+    assert held_at_draw == [None] * 8
 
 
 def _count_sorts(monkeypatch) -> list:
@@ -110,6 +206,8 @@ def _count_sorts(monkeypatch) -> list:
 
 @pytest.mark.parametrize("loss", LOSSES, ids=lambda l: l.kind)
 def test_each_side_sorts_at_most_once(loss, monkeypatch):
+    # each side of a table sorts once, and the engine holds the table from
+    # call to call: a later solve or psi_mc on the same key sorts nothing
     sorts = _count_sorts(monkeypatch)
     payoff = _basket()  # a new contract: the edge cache misses
     mc = McConfig(20_000, seed=4)
@@ -119,12 +217,17 @@ def test_each_side_sorts_at_most_once(loss, monkeypatch):
     # a solve reads both sides at finite c: each sorts once
     risk, _ = phi1(payoff, PARAMS, loss, x, mc=mc)
     assert len(sorts) == 2 and sorts[0] is not sorts[1]
+    sorted_sides = list(sorts)
     sorts.clear()
     phi2(payoff, PARAMS, loss, risk, mc=mc)
-    assert len(sorts) == 2 and sorts[0] is not sorts[1]
-    sorts.clear()
     psi_mc(payoff, PARAMS, loss, 1.0, 20_000, 4)
+    phi1(payoff, PARAMS, loss, x, mc=mc)
+    assert sorts == []
+    # another seed is another table, whose sides sort once each
+    psi_mc(payoff, PARAMS, loss, 1.0, 20_000, 5)
+    psi_mc(payoff, PARAMS, loss, 2.0, 20_000, 5)
     assert len(sorts) == 2 and sorts[0] is not sorts[1]
+    assert not [side for side in sorts if side in sorted_sides]
 
 
 @pytest.mark.parametrize("loss", LOSSES, ids=lambda l: l.kind)
@@ -148,12 +251,8 @@ def test_round_trip_reads_psi1_on_one_step(loss):
     assert off_step == []
 
 
-@pytest.mark.parametrize("loss", LOSSES, ids=lambda l: l.kind)
-def test_one_sample_per_solve(loss, monkeypatch):
-    payoff = _basket()
-    mc = McConfig(20_000, seed=3)
-    x = 0.5 * price(payoff, PARAMS, mc)
-    risk, _ = phi1(payoff, PARAMS, loss, x, mc=mc)  # fills price and edges
+def _count_samples(monkeypatch) -> list:
+    """The row counts of the samples the Monte Carlo tables draw."""
     calls = []
     real = psi.sample
 
@@ -162,8 +261,50 @@ def test_one_sample_per_solve(loss, monkeypatch):
         return real(law, n, seed)
 
     monkeypatch.setattr(psi, "sample", counting)
+    return calls
+
+
+@pytest.mark.parametrize("loss", LOSSES, ids=lambda l: l.kind)
+def test_one_sample_per_solve(loss, monkeypatch):
+    # at most one sample per solve, and none where the engine holds the
+    # contract's table: only a solve after another key's table draws again
+    payoff = _basket()
+    mc = McConfig(20_000, seed=3)
+    x = 0.5 * price(payoff, PARAMS, mc)
+    risk, _ = phi1(payoff, PARAMS, loss, x, mc=mc)  # fills price and edges
+    calls = _count_samples(monkeypatch)
     phi1(payoff, PARAMS, loss, x, mc=mc)
+    phi2(payoff, PARAMS, loss, risk, mc=mc)
+    assert calls == []
+    psi_mc(payoff, PARAMS, loss, 1.0, 20_000, 4)  # another seed
     assert calls == [40_000]
+    phi2(payoff, PARAMS, loss, risk, mc=mc)
+    phi1(payoff, PARAMS, loss, x, mc=mc)
+    assert calls == [40_000, 40_000]
+
+
+@pytest.mark.parametrize("loss", LOSSES, ids=lambda l: l.kind)
+def test_visit_draws_one_sample(loss, monkeypatch):
+    # price, phi1, phi2 and verify_risk's engine solve of one contract draw
+    # one sample per table key (a Custom price reads the linear table) and
+    # sort each side once; a solve on another contract in between, or the
+    # simulation of verify_risk, empties the slot and the next solve draws
+    sorts = _count_sorts(monkeypatch)
+    calls = _count_samples(monkeypatch)
+    payoff, other = _basket(), _basket()
+    mc = McConfig(20_000, seed=6)
+    x = 0.5 * price(payoff, PARAMS, mc)
+    risk, _ = phi1(payoff, PARAMS, loss, x, mc=mc)
+    phi2(payoff, PARAMS, loss, risk, mc=mc)
+    verify_risk(payoff, PARAMS, loss, x, mc)
+    keys = 1 if loss.kind == LINEAR else 2
+    assert calls == [40_000] * keys
+    assert len(sorts) == 2 and sorts[0] is not sorts[1]
+    phi1(other, PARAMS, loss, 0.5 * price(other, PARAMS, mc), mc=mc)
+    calls.clear()
+    phi2(payoff, PARAMS, loss, risk, mc=mc)
+    assert calls == [40_000]
+    verify_risk(payoff, PARAMS, loss, x, mc)  # its simulation empties the slot
     phi2(payoff, PARAMS, loss, risk, mc=mc)
     assert calls == [40_000, 40_000]
 

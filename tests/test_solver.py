@@ -251,6 +251,11 @@ def test_custom_curve_draws_one_sample(kind, loss, monkeypatch):
         return real(law, n, seed)
 
     monkeypatch.setattr(psi, "sample", counting)
+    # the edges left the table held: the curve and each point's one-point
+    # solve read it, and with the slot emptied the curve draws it once
+    curve(payoff, params, loss, kind, grid, mc=mc)
+    assert calls == []
+    psi._drop_mc_table()
     rc = curve(payoff, params, loss, kind, grid, mc=mc)
     assert calls == [40_000]
     for g, pt in zip(grid, rc.points):
@@ -258,6 +263,7 @@ def test_custom_curve_draws_one_sample(kind, loss, monkeypatch):
         assert pt.error is None and pt.c == c and pt.method == method
         assert pt.value == pytest.approx(value, rel=1e-12)
         assert pt.err_estimate == pytest.approx(err, rel=1e-12)
+    assert calls == [40_000]
 
 
 def test_custom_price_and_linear_solve_share_one_sample(monkeypatch):
