@@ -13,6 +13,11 @@ do not force refinement.  Accepted panel errors are summed per interval and
 reported; refinement is capped, never raised on.  A non-finite integrand
 value raises HeavyTailError at once: no panel around it could converge, and
 refining toward it only multiplies the panels.
+
+Most rounds refine only the one or two panels of an interval that hold a
+kink, so an integrand call costs its fixed numpy overhead more than its
+points: each call of an elementwise integrand also evaluates the children
+of its panels ahead of the next round (integrate_batch).
 """
 
 from __future__ import annotations
@@ -62,9 +67,13 @@ _REL_TOL = 1e-9
 _ABS_FLOOR = 1e-15
 _INITIAL_PANELS = 8
 _MAX_ROUNDS = 40
+# read-ahead: an integrand call evaluates at most _LEVELS levels of the
+# panel tree, a level below the first only within _CALL_POINTS abscissae
+_LEVELS = 2
+_CALL_POINTS = 3000
 
 
-def integrate_batch(f, lo, hi):
+def integrate_batch(f, lo, hi, elementwise: bool = True):
     """Integrate f over each [lo[i], hi[i]] with per-panel adaptive G7/K15.
 
     f(x, ids) receives a flat array of abscissae and the interval index of
@@ -72,11 +81,24 @@ def integrate_batch(f, lo, hi):
     Intervals with hi <= lo contribute zero.  Returns (values, errors),
     both arrays of len(lo); errors are the summed accepted-panel K-G
     differences (a conservative bound for smooth integrands).  Raises
-    HeavyTailError on the first non-finite integrand value.
+    HeavyTailError on the first non-finite integrand value of a panel that
+    the refinement evaluates.
 
-    An interval's value and error are the same bits whatever other
-    intervals share the call, provided f is elementwise: its panels, their
-    acceptance and the order of their sums depend on that interval alone.
+    elementwise states that f's value at a point does not depend on the
+    other points of the call.  Then an interval's value and error are the
+    same bits whatever other intervals share the call (its panels, their
+    acceptance and the order of their sums depend on that interval alone),
+    and a call of f reads ahead.  Each round evaluates the unconverged
+    panels and splits them in two; a call evaluates the round's panels
+    and, while it stays within _CALL_POINTS abscissae and _MAX_ROUNDS
+    rounds, their children (_LEVELS levels in all), and the rounds are
+    replayed on the evaluated rows, a level at a time.  So the panels
+    accepted, their errors, the order of every sum and the first
+    non-finite value reported are those of one round per call, and a
+    non-finite value on a child that no round reaches raises nothing.
+    An integrand that is not elementwise (Spread/power Psi1, whose inner
+    rule follows the widest row of a c in the call) would move with the
+    children it sees, and evaluates one round per call.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -96,45 +118,70 @@ def integrate_batch(f, lo, hi):
     a = lo[ids] + step[np.repeat(np.arange(m), _INITIAL_PANELS)] * k
     b = a + step[np.repeat(np.arange(m), _INITIAL_PANELS)]
 
-    scale = np.zeros(n)  # running |integral| estimate per interval
-    for rnd in range(_MAX_ROUNDS):
-        c = 0.5 * (a + b)
-        h = 0.5 * (b - a)
+    rnd = 0
+    while True:
+        # the levels of this call: the round's panels, then the children
+        # of each level's panels, left halves first, as a round splits them
+        la, lb, lids = [a], [b], [ids]
+        while (elementwise and len(la) < _LEVELS
+               and rnd + len(la) < _MAX_ROUNDS
+               and 15 * (sum(x.size for x in la) + 2 * la[-1].size)
+               <= _CALL_POINTS):
+            mid = 0.5 * (la[-1] + lb[-1])
+            la.append(np.concatenate([la[-1], mid]))
+            lb.append(np.concatenate([mid, lb[-1]]))
+            lids.append(np.concatenate([lids[-1], lids[-1]]))
+        starts = np.cumsum([0] + [x.size for x in la])
+        a_all, b_all = np.concatenate(la), np.concatenate(lb)
+        ids_all = np.concatenate(lids)
+        c = 0.5 * (a_all + b_all)
+        h = 0.5 * (b_all - a_all)
         x = (c[:, None] + h[:, None] * NODES[None, :]).ravel()
-        ids_x = np.repeat(ids, 15)
-        y = np.asarray(f(x, ids_x), dtype=float)
-        if not np.isfinite(y).all():
-            i = int(np.flatnonzero(~np.isfinite(y))[0])
-            raise HeavyTailError(
-                f"quadrature integrand is {float(y[i])!r} at x = "
-                f"{float(x[i]):.6g}: a loss term overflows, too heavy a tail "
-                "for the quadrature box")
+        y = np.asarray(f(x, np.repeat(ids_all, 15)), dtype=float)
         y = y.reshape(-1, 15)
+        finite = np.isfinite(y)
+        bad = None
+        if not finite.all():
+            # a child may hold what no round reaches: raise only on a row
+            # a round evaluates, and sum the rest without a RuntimeWarning
+            bad, raw = ~finite.all(axis=1), y
+            y = np.where(finite, y, 0.0)
         # row sums, not y @ WK: a BLAS product rounds each row differently
         # with the batch, and a value must not depend on its neighbours
-        k15 = h * (y * WK).sum(axis=-1)
-        g7 = h * (y * WG).sum(axis=-1)
-        err = np.abs(k15 - g7)
+        k15_all = h * (y * WK).sum(axis=-1)
+        err_all = np.abs(k15_all - h * (y * WG).sum(axis=-1))
 
-        # refresh scale: accumulated + current estimates of live panels
-        est = vals.copy()
-        np.add.at(est, ids, k15)
-        scale = np.abs(est)
-        floor = _ABS_FLOOR + 1e-13 * scale[ids]
-        done = err <= np.maximum(_REL_TOL * np.abs(k15), floor)
-        if rnd == _MAX_ROUNDS - 1:
-            done[:] = True
-        np.add.at(vals, ids[done], k15[done])
-        np.add.at(errs, ids[done], err[done])
-        if done.all():
-            break
-        keep = ~done
-        a_r, b_r, ids_r = a[keep], b[keep], ids[keep]
+        rows = np.arange(a.size)  # the round's panels among the rows
+        for level in range(len(la)):
+            if bad is not None and bad[rows].any():
+                r = int(rows[bad[rows]][0])
+                j = int(np.flatnonzero(~finite[r])[0])
+                raise HeavyTailError(
+                    f"quadrature integrand is {float(raw[r, j])!r} at x = "
+                    f"{float(x[15 * r + j]):.6g}: a loss term overflows, too "
+                    "heavy a tail for the quadrature box")
+            k15, err, ids = k15_all[rows], err_all[rows], ids_all[rows]
+            # scale: accumulated + current estimates of live panels
+            est = vals.copy()
+            np.add.at(est, ids, k15)
+            floor = _ABS_FLOOR + 1e-13 * np.abs(est)[ids]
+            done = err <= np.maximum(_REL_TOL * np.abs(k15), floor)
+            if rnd >= _MAX_ROUNDS - 1:
+                done[:] = True
+            np.add.at(vals, ids[done], k15[done])
+            np.add.at(errs, ids[done], err[done])
+            rnd += 1
+            if done.all():
+                return vals, errs
+            kept = rows[~done]
+            if level + 1 < len(la):
+                left = kept - starts[level] + starts[level + 1]
+                rows = np.concatenate([left, left + la[level].size])
+        a_r, b_r, ids = a_all[kept], b_all[kept], ids_all[kept]
         mid = 0.5 * (a_r + b_r)
         a = np.concatenate([a_r, mid])
         b = np.concatenate([mid, b_r])
-        ids = np.concatenate([ids_r, ids_r])
-    return vals, errs
+        ids = np.concatenate([ids, ids])
 
 
 def integrate_rows(f, lo, hi, n_panels):

@@ -128,18 +128,18 @@ def tilted_interval_mass(gamma, m, s, lo, hi):
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
-        alpha = (lo - m) / s - gamma * s
-        beta = (hi - m) / s - gamma * s
+        gs = gamma * s
+        alpha = (lo - m) / s - gs
+        beta = (hi - m) / s - gs
         # at infinite bounds the shifted argument keeps the same sign
-        alpha = np.where(np.isneginf(lo), -np.inf, alpha)
-        beta = np.where(np.isposinf(hi), np.inf, beta)
+        alpha = np.where(lo == -np.inf, -np.inf, alpha)
+        beta = np.where(hi == np.inf, np.inf, beta)
         upper_tail = (np.where(np.isinf(alpha), 0.0, alpha)
                       + np.where(np.isinf(beta), 0.0, beta)) > 0
-        low, high = np.minimum(alpha, beta), np.maximum(alpha, beta)
-        diff = (ndtr(np.where(upper_tail, -low, high))
-                - ndtr(np.where(upper_tail, -high, low)))
-        diff = np.where(beta <= alpha, 0.0, diff)
-        factor = np.exp(gamma * m + 0.5 * (gamma * s) ** 2)
-        out = np.where(diff <= 0.0, 0.0, factor * diff)
-        out = np.where(hi <= lo, 0.0, out)
+        # rows with beta <= alpha are zeroed below, so alpha is the low end
+        diff = (ndtr(np.where(upper_tail, -alpha, beta))
+                - ndtr(np.where(upper_tail, -beta, alpha)))
+        factor = np.exp(gamma * m + 0.5 * gs ** 2)
+        out = np.where((diff <= 0.0) | (beta <= alpha) | (hi <= lo), 0.0,
+                       factor * diff)
     return out

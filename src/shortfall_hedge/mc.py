@@ -60,9 +60,17 @@ def estimate(integrand, params: MarketParams, mc: McConfig,
     estimator.
     """
     _check_measure(under)
+    return _paired(integrand, params, _draws(params, mc), under)
+
+
+def _draws(params: MarketParams, mc: McConfig) -> np.ndarray:
+    """The ceil(n_paths / 2) centred normals z of estimate's pairs."""
     _drop_mc_table()  # one sample's arrays alive at a time
-    m = (mc.n_paths + 1) // 2
-    z = sample(wiener_law(params), m, mc.seed)
+    return sample(wiener_law(params), (mc.n_paths + 1) // 2, mc.seed)
+
+
+def _paired(integrand, params: MarketParams, z: np.ndarray, under: str):
+    """estimate's (mean, std_error) on the pairs (mean + z, mean - z)."""
     mean = (np.zeros(2) if under == UNDER_P
             else -params.T * np.array(params.theta))
     vals = 0.0
@@ -70,7 +78,8 @@ def estimate(integrand, params: MarketParams, mc: McConfig,
         vals = vals + _nan_guard(np.asarray(integrand(w[:, 0], w[:, 1]),
                                             dtype=float), w)
     vals = 0.5 * vals  # pair means
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(m))
+    return (float(np.mean(vals)),
+            float(np.std(vals, ddof=1) / math.sqrt(z.shape[0])))
 
 
 def _modified_claim(payoff: Payoff, params: MarketParams, loss: LossSpec,
@@ -125,7 +134,9 @@ def verify_risk(payoff: Payoff, params: MarketParams, loss: LossSpec,
     must not exceed x and must bind when x < p(H).  Each comparison allows
     3 combined standard errors: the simulation's and, on the engine's
     Monte Carlo route, the engine's own (of the risk, and of the capital
-    it spends at c).  The engine solves as phi1(..., mc=mc) does.
+    it spends at c).  The engine solves as phi1(..., mc=mc) does.  Both
+    simulations run on one draw of estimate's normals, each about its own
+    measure's mean.
     """
     from .solver import _one, _phi1_impl, price
 
@@ -141,8 +152,10 @@ def verify_risk(payoff: Payoff, params: MarketParams, loss: LossSpec,
         mod, _h = _modified_claim(payoff, params, loss, c, w1, w2)
         return math.exp(-params.r * params.T) * mod
 
-    mc_risk, risk_se = estimate(shortfall_loss, params, mc, UNDER_P)
-    mc_cost, cost_se = estimate(discounted_mod, params, mc, UNDER_PTILDE)
+    # both measures pair the same normals; only their mean differs
+    z = _draws(params, mc)
+    mc_risk, risk_se = _paired(shortfall_loss, params, z, UNDER_P)
+    mc_cost, cost_se = _paired(discounted_mod, params, z, UNDER_PTILDE)
     slack = 1e-9 * max(1.0, abs(engine_risk), x)
     risk_tol = 3.0 * math.hypot(risk_se, risk_err) + slack
     cost_tol = 3.0 * math.hypot(cost_se, cost_err) + slack

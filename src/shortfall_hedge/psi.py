@@ -40,8 +40,10 @@ orthants take the c's in one rect_upper_prob call).  Per-c constants
 (ln c, c^q) are taken in Python floats, and integrate_batch sums each
 interval on its own, so a value does not depend on the other c's of the
 call.  Only Spread/power Psi1 runs its c's one after another
-(_is_one_c_side).  psi_linear and psi_power call it at one c, once per
-side.
+(_is_one_c_side), and its integrand is the one that is not elementwise:
+its inner rule follows the widest row of a c in the call, so
+integrate_batch reads no panel ahead on it.  psi_linear and psi_power call
+it at one c, once per side.
 
 Monte Carlo twins of both functions (psi_mc, and _McTable for arrays of
 c) sample W_T under P and W~_T under P~ directly and work for every
@@ -438,7 +440,10 @@ def _spread_power_psi1(ctx: _Ctx, c, p: float):
                                               np.inf), out)
         return _phi(y, sd) * out
 
-    return _integrate(f, -ctx.cap, ctx.cap, np.full(c.size, True))
+    # the inner panel count follows the widest row of a c in the call, so
+    # no call may hold rows that the refinement does not reach
+    return integrate_batch(f, np.full(c.size, -ctx.cap),
+                           np.full(c.size, ctx.cap), elementwise=False)
 
 
 def _spread_power_psi2(ctx: _Ctx, c, p: float):

@@ -12,7 +12,10 @@ No engine code calls these, so they live beside the tests:
   bit for bit;
 - the Monte Carlo Psi sides as masked means over the full sample,
   zero-payoff paths included (`mc_masked_means`), which the sorted
-  prefix sums of `psi._McTable` must agree with.
+  prefix sums of `psi._McTable` must agree with;
+- `_quad.integrate_batch` as a loop that evaluates one round per
+  integrand call (`integrate_batch_one_level`), which the read-ahead
+  must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import ndtr
 
-from shortfall_hedge.errors import ValidationError
+from shortfall_hedge import _quad
+from shortfall_hedge.errors import HeavyTailError, ValidationError
 from shortfall_hedge.gaussian import sample
 from shortfall_hedge.market import (UNDER_P, UNDER_PTILDE, MarketParams,
                                     derive_constants, radon_nikodym,
@@ -303,3 +307,49 @@ def mc_masked_means(payoff: Payoff, params: MarketParams, loss: LossSpec,
         return float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(n))
 
     return psi
+
+
+def integrate_batch_one_level(f, lo, hi):
+    """_quad.integrate_batch without read-ahead: each integrand call
+    evaluates the panels of one round, under the module's rule constants
+    as they are at the call."""
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    n = lo.size
+    vals, errs = np.zeros(n), np.zeros(n)
+    live = hi - lo > 0
+    if not live.any():
+        return vals, errs
+    panels = _quad._INITIAL_PANELS
+    ids = np.repeat(np.nonzero(live)[0], panels)
+    step = ((hi - lo) / panels)[ids]
+    a = lo[ids] + step * np.tile(np.arange(panels), live.sum())
+    b = a + step
+    for rnd in range(_quad._MAX_ROUNDS):
+        c, h = 0.5 * (a + b), 0.5 * (b - a)
+        x = (c[:, None] + h[:, None] * _quad.NODES[None, :]).ravel()
+        y = np.asarray(f(x, np.repeat(ids, 15)), dtype=float)
+        if not np.isfinite(y).all():
+            i = int(np.flatnonzero(~np.isfinite(y))[0])
+            raise HeavyTailError(
+                f"quadrature integrand is {float(y[i])!r} at x = "
+                f"{float(x[i]):.6g}: a loss term overflows, too heavy a tail "
+                "for the quadrature box")
+        y = y.reshape(-1, 15)
+        k15 = h * (y * _quad.WK).sum(axis=-1)
+        err = np.abs(k15 - h * (y * _quad.WG).sum(axis=-1))
+        est = vals.copy()
+        np.add.at(est, ids, k15)
+        floor = _quad._ABS_FLOOR + 1e-13 * np.abs(est)[ids]
+        done = err <= np.maximum(_quad._REL_TOL * np.abs(k15), floor)
+        if rnd == _quad._MAX_ROUNDS - 1:
+            done[:] = True
+        np.add.at(vals, ids[done], k15[done])
+        np.add.at(errs, ids[done], err[done])
+        if done.all():
+            break
+        a, b, ids = a[~done], b[~done], ids[~done]
+        mid = 0.5 * (a + b)
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        ids = np.concatenate([ids, ids])
+    return vals, errs

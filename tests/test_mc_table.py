@@ -187,8 +187,8 @@ def test_held_table_never_doubles_the_peak(monkeypatch):
     phi1(payoff, PARAMS, loss, x, mc=mc)  # 1
     phi1(_basket(), PARAMS, loss, 0.0, mc=mc)  # price and edges: 2
     phi1(payoff, PARAMS, loss, x, mc=mc)  # 1
-    verify_risk(payoff, PARAMS, loss, x, mc)  # its two simulations: 2
-    assert held_at_draw == [None] * 8
+    verify_risk(payoff, PARAMS, loss, x, mc)  # one simulation draw: 1
+    assert held_at_draw == [None] * 7
 
 
 def _count_sorts(monkeypatch) -> list:

@@ -11,6 +11,7 @@ from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
 from conftest import DESK_PAYOFFS, desk_params
+from oracles import integrate_batch_one_level
 from shortfall_hedge.errors import (AssumptionViolatedError,
                                     UnsupportedClosedFormError,
                                     ValidationError)
@@ -351,6 +352,31 @@ def test_spread_power_psi1_matches_a_fine_inner_rule(rho, monkeypatch):
             m.setattr(psi_mod, "_INNER_PANELS_MAX", 1536)
             ref, _err = psi_mod._psi_side(payoff, params, loss, cs, 1)
         assert (np.abs(got - ref) <= err).all(), (p, got - ref, err)
+
+
+@pytest.mark.parametrize("loss", (LossSpec(LINEAR), LossSpec(POWER, 2.0)),
+                         ids=lambda l: l.kind)
+@pytest.mark.parametrize("payoff", DESK_PAYOFFS, ids=lambda p: p.kind)
+def test_psi_side_values_keep_their_bits(payoff, loss, monkeypatch):
+    # the solver holds values it read in one batch for reads in another:
+    # each c's value and error are those of a one-c call.  And reading
+    # ahead in the panel tree moves none of them: they are the bits of one
+    # round per integrand call, Spread/power Psi1 (whose inner rule
+    # follows the widest row of a c in the call) included
+    params = desk_params()
+    cs = [0.0, 0.37, 1.0, 6.5, 41.0, math.inf]
+    got = {side: psi_mod._psi_side(payoff, params, loss, cs, side)
+           for side in (1, 2)}
+    for side, (v, e) in got.items():
+        for j, c in enumerate(cs):
+            (v1,), (e1,) = psi_mod._psi_side(payoff, params, loss, [c], side)
+            assert (v[j], e[j]) == (v1, e1), (side, c)
+    monkeypatch.setattr(psi_mod, "integrate_batch",
+                        lambda f, lo, hi, elementwise=True:
+                        integrate_batch_one_level(f, lo, hi))
+    for side, (v, e) in got.items():
+        v1, e1 = psi_mod._psi_side(payoff, params, loss, cs, side)
+        assert np.array_equal(v, v1) and np.array_equal(e, e1), side
 
 
 def test_spread_power_inner_chunks_keep_the_bits(monkeypatch):

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shortfall_hedge._quad as quad_mod
 from shortfall_hedge._quad import integrate_batch, integrate_rows
+from shortfall_hedge.errors import HeavyTailError
+
+from oracles import integrate_batch_one_level
 
 
 def test_polynomial_exactness():
@@ -71,7 +76,9 @@ def test_integrate_batch_reads_its_rule_at_each_call(monkeypatch):
     monkeypatch.undo()
     points.clear()
     integrate_batch(f, np.array([0.0]), np.array([1.0]))
-    assert points[0] == 8 * 15 and len(points) > 1
+    # 8 panels and rounds to spare again: the first call evaluates the 8
+    # panels and, ahead of the second round, their 16 children
+    assert points[0] == (8 + 16) * 15
 
 
 def test_integrate_rows_matches_exponential():
@@ -107,6 +114,87 @@ def test_integrate_batch_is_invariant_to_the_batch(intervals):
         v1, e1 = integrate_batch(_bumps(freq[one], decay[one]), lo[one],
                                  hi[one])
         assert vals[i] == v1[0] and errs[i] == e1[0], i
+
+
+@contextlib.contextmanager
+def _rule(**constants):
+    """The module's rule constants set for a while (a Hypothesis test
+    cannot take the function-scoped monkeypatch)."""
+    saved = {k: getattr(quad_mod, k) for k in constants}
+    for k, v in constants.items():
+        setattr(quad_mod, k, v)
+    try:
+        yield
+    finally:
+        for k, v in saved.items():
+            setattr(quad_mod, k, v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_INTERVAL, min_size=1, max_size=14),
+       st.integers(1, 8), st.integers(1, 40))
+def test_read_ahead_matches_one_level_per_call(intervals, panels, rounds):
+    # the read-ahead replays the one-round-per-call loop on its rows: the
+    # same values and errors, bit for bit, with empty intervals, calls
+    # whose budget leaves no room for children, and rounds cut by the cap
+    lo, width, freq, decay = (np.array(v) for v in zip(*intervals))
+    hi = lo + width * (np.arange(lo.size) % 4 != 3)  # every 4th is empty
+    calls, rounds_seen = [], []
+
+    def counted(sizes):
+        def f(x, ids):
+            sizes.append(x.size)
+            return _bumps(freq, decay)(x, ids)
+        return f
+
+    with _rule(_INITIAL_PANELS=panels, _MAX_ROUNDS=rounds):
+        vals, errs = integrate_batch(counted(calls), lo, hi)
+        want_vals, want_errs = integrate_batch_one_level(
+            counted(rounds_seen), lo, hi)
+    assert np.array_equal(vals, want_vals)
+    assert np.array_equal(errs, want_errs)
+    # a call passes the budget only where one round alone does
+    assert len(calls) <= len(rounds_seen)
+    assert max(calls, default=0) <= max([quad_mod._CALL_POINTS]
+                                        + rounds_seen)
+
+
+def _with_infs(f, at, seen):
+    """f, but inf at each abscissa of at; seen records those evaluated."""
+    def g(x, ids):
+        y = f(x, ids)
+        hit = np.isin(x, at)
+        seen.extend(x[hit].tolist())
+        return np.where(hit, np.inf, y)
+    return g
+
+
+def test_inf_on_an_unread_child_raises_nothing():
+    # 8 panels of a linear integrand all converge in the first round; the
+    # call also evaluated their children, one of which holds an inf at its
+    # centre, a point the refinement never reaches: no error, no warning
+    seen = []
+    centre = 0.5 * (0.0 + 0.0625)  # the left child of the first panel
+    f = _with_infs(lambda x, ids: 1.0 + x, [centre], seen)
+    vals, errs = integrate_batch(f, [0.0], [1.0])
+    assert seen == [centre]
+    want = integrate_batch_one_level(lambda x, ids: 1.0 + x, [0.0], [1.0])
+    assert vals[0] == want[0][0] == 1.5 and errs[0] == want[1][0]
+
+
+def test_inf_on_a_refined_panel_raises_the_loops_error():
+    # the kink at 0.3 refines the third panel, [0.25, 0.375], whose right
+    # child holds an inf; the left child of the first panel, evaluated
+    # earlier in the same call but never needed, holds one too
+    unread, needed = 0.03125, 0.34375
+    kink = lambda x, ids: np.abs(x - 0.3)  # noqa: E731
+    with pytest.raises(HeavyTailError) as got:
+        integrate_batch(_with_infs(kink, [unread, needed], []), [0.0], [1.0])
+    with pytest.raises(HeavyTailError) as want:
+        integrate_batch_one_level(_with_infs(kink, [unread, needed], []),
+                                  [0.0], [1.0])
+    assert str(got.value) == str(want.value)
+    assert "inf at x = 0.34375" in str(got.value)
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -415,6 +416,54 @@ def _failing_above(limit, raised):
     return failing
 
 
+@pytest.mark.parametrize("loss", (LIN, P2), ids=lambda l: l.kind)
+def test_walk_values_are_integrated_once_per_contract(loss, monkeypatch):
+    # every solve reads c = 0, 1 and powers of 2: a contract's second solve
+    # takes their values from the first, with the same bits, and so does a
+    # solve after the held values are cleared
+    params = desk_params()
+    payoff = Payoff(OUTPERFORMANCE, 100.0)
+    x = 0.4 * price(payoff, params)
+    solver._held_walk.cache_clear()
+    first = _phi1_impl(payoff, params, loss, [x], None)
+    reads = []
+    real = solver._psi_side
+
+    def counting(payoff, params, loss, c, side, *args, **kwargs):
+        reads.extend(np.atleast_1d(c).tolist())
+        return real(payoff, params, loss, c, side, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_psi_side", counting)
+    assert phi1(payoff, params, loss, x) == first[0][:2]
+    assert reads and not set(reads) & solver._WALK_CS
+    assert _phi1_impl(payoff, params, loss, [x], None) == first
+    solver._held_walk.cache_clear()
+    reads.clear()
+    assert _phi1_impl(payoff, params, loss, [x], None) == first
+    assert {0.0, 1.0} <= set(reads)
+
+
+def test_threads_share_the_held_walk():
+    # solves on 4 threads fill one contract's held values at once: each
+    # returns the serial bits
+    params = desk_params()
+    payoff = Payoff(QUANTO_FOREIGN, 9500.0)
+    xs = [f * price(payoff, params) for f in (0.2, 0.4, 0.6, 0.8)]
+    solver._held_walk.cache_clear()
+    serial = [_phi1_impl(payoff, params, P2, [x], None) for x in xs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(3):
+                solver._held_walk.cache_clear()
+                futures = [pool.submit(_phi1_impl, payoff, params, P2, [x],
+                                       None) for x in xs]
+                assert [f.result(timeout=60) for f in futures] == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_read_ahead_failures_stay_unseen(monkeypatch):
     # a read-ahead c that fails raises only in a solve that reaches it
     params = desk_params()
@@ -428,11 +477,14 @@ def test_read_ahead_failures_stay_unseen(monkeypatch):
     assert 1.0 < c < 2.0 ** 7
     limit = 2.0 ** math.ceil(math.log2(c))
     raised = []
+    # the clean solve left its walk's values held: read them afresh
+    solver._held_walk.cache_clear()
     monkeypatch.setattr(solver, "_psi_side", _failing_above(limit, raised))
     assert _phi1_impl(payoff, params, LIN, [x], None) == clean
     assert raised
     # below the solved c the solve raises the error a solve that reads
     # one c at a time raises
+    solver._held_walk.cache_clear()
     monkeypatch.setattr(solver, "_psi_side", _failing_above(0.5 * limit, []))
 
     def error():
@@ -441,6 +493,7 @@ def test_read_ahead_failures_stay_unseen(monkeypatch):
         return str(exc.value)
 
     read_ahead = error()
+    solver._held_walk.cache_clear()
     monkeypatch.setattr(solver, "_READ_AHEAD_CS", 1)
     assert error() == read_ahead
 
@@ -487,6 +540,9 @@ def test_jump_at_zero_is_infeasible_at_the_walk_floor(monkeypatch):
     payoff = Payoff(QUANTO_DOMESTIC, 100.0)
     p_h = price(payoff, params)
     _edges(payoff, params, LIN, None)
+    # the walk's values of earlier solves are held: clear them, so that
+    # the stand-in below answers every read
+    solver._held_walk.cache_clear()
     full = math.exp(params.r * params.T) * p_h
     reads = []
 
@@ -496,8 +552,12 @@ def test_jump_at_zero_is_infeasible_at_the_walk_floor(monkeypatch):
         return np.where(c == 0.0, full, 0.25 * full), np.zeros_like(c)
 
     monkeypatch.setattr(solver, "_psi_side", jump)
-    with pytest.raises(InfeasibleInversionError):
-        phi1(payoff, params, LIN, 0.5 * p_h)
+    try:
+        with pytest.raises(InfeasibleInversionError):
+            phi1(payoff, params, LIN, 0.5 * p_h)
+    finally:
+        # the stand-in's values must not outlive the test
+        solver._held_walk.cache_clear()
     assert min(c for c in reads if c > 0.0) == sys.float_info.min
 
 
