@@ -11,12 +11,13 @@ region parameter c:
 
 Psi2 and linear Psi1 are nonincreasing in c, power Psi1 nondecreasing, so
 each equation is solved on a sign predicate, in u = ln c: a walk from c = 1
-finds a bracket, and Chandrupatla's (1997) derivative-free hybrid of
-inverse quadratic interpolation and bisection closes it; where the function
-is flat at the target level the returned c is the infimum of the solution
-set (the predicate flips exactly at the left endpoint).  On the Monte Carlo
-route Psi is a step function, on which an interpolant predicts nothing, and
-every step bisects ln c.
+finds a bracket, _GRID_LEVELS = 4 bisection steps narrow it to 1/16, and
+Chandrupatla's (1997) derivative-free hybrid of inverse quadratic
+interpolation and bisection closes it; where the function is flat at the
+target level the returned c is the infimum of the solution set (the
+predicate flips exactly at the left endpoint).  On the Monte Carlo route
+Psi is a step function, on which an interpolant predicts nothing, and every
+step bisects ln c.
 
 Each point's solve is one generator, _predicate_bisection: plain code that
 yields every c it reads and is sent Psi(c) back.  The check at the end uses
@@ -25,17 +26,20 @@ solve functions take a grid of inputs and drive the points' generators in
 lockstep (_bisect), answering them from a memo of the Psi values read so
 far.  With each c a solve also yields a function that lists the c's its
 next steps compute without a new Psi value: the walk's next steps (both
-ways, up to 2^+-7, while the direction is unknown), and once bracketed the
-midpoint and the two clamped points of either new bracket, or on the Monte
-Carlo route the levels of the bisection tree.  A read takes every running
-point's c and the first 15 // (points running) - 1 of its listed c's (the
-Psi sides take c-arrays).  A single solve so makes 6-11 reads of 38-60 c's
-by quadrature and 12 by Monte Carlo, and a 21-point curve 12-24 reads
-instead of about 50.  The read-ahead c's are floats the solve computes and
-a Psi value does not depend on its batch, so read-ahead only chooses which
-c's are read: every point runs the same steps, with the same values, as it
-does alone.  phi1 and phi2 solve a grid of one point; a curve solves its
-whole grid at once, on one thread.
+ways, up to 2^+-7, while the direction is unknown), the levels of the
+bisection tree while the next step bisects (always on the Monte Carlo
+route), and before a Chandrupatla step the midpoint and the two clamped
+points of either new bracket.  A read takes every running point's c and
+the first 15 // (points running) - 1 of its listed c's (the Psi sides take
+c-arrays), so a lone solve's first bisection step reads all four levels,
+1 + 2 + 4 + 8 c's.  On the desk contracts a contract's first solve so
+integrates Psi 5-7 times, 47-55 c's in all, by quadrature (12 reads by
+Monte Carlo), and a first 21-point curve 14-24 times instead of about 50.
+The read-ahead c's are floats the solve computes and a Psi value does not
+depend on its batch, so read-ahead only chooses which c's are read: every
+point runs the same steps, with the same values, as it does alone.  phi1
+and phi2 solve a grid of one point; a curve solves its whole grid at once,
+on one thread.
 
 Named payoffs evaluate Psi by quadrature; Custom payoffs, and power-loss
 cases whose closed-form sign condition fails, fall back to the Monte Carlo
@@ -47,13 +51,16 @@ contract's phi1, phi2 and verify_risk draw and sort one sample.  Both
 routes read ahead, except on Spread/power Psi1 by quadrature.
 
 By quadrature the solver holds, per contract, the Psi values of each side
-at the c's that every solve reads (_WALK_CS: 0, inf, 1 and the walk's 32
-powers of 2) as they are read (_held_walk, an lru_cache of 256 contracts
-as _edges is), and a read integrates only the c's it lacks.  A Psi value
+at the 515 c's of _HELD_CS as they are read (_held, an lru_cache of 256
+contracts as _edges is), and a read integrates only the c's it lacks.
+_HELD_CS is every c that a solve reads before its Chandrupatla steps: 0,
+inf, 1, the walk's 32 powers of 2, and the grid of 15 midpoints that the
+four bisection steps can read in each of the 32 walk brackets.  A Psi value
 does not depend on its batch, so a held value is the one a new read would
-give.  A contract's later solves so integrate only the c's that close
-their brackets: 5-9 reads of 23-40 c's, and a repeated 21-point curve
-9-14 reads.
+give.  A contract's later solves so integrate only the c's of their
+Chandrupatla steps, which start from a bracket 1/16 of the walk's with an
+interpolation point in hand: 3-7 times, 17-45 c's, and a repeated 21-point
+curve 7-11 times.
 """
 
 from __future__ import annotations
@@ -78,6 +85,9 @@ _FALLBACK_MC = McConfig(n_paths=200_000, seed=1729)
 _EDGE_TOL = 1e-9
 # the most c's one solve asks a _bisect read for (see _ahead)
 _READ_AHEAD_CS = 15
+# the bisection steps that open every bracket of the walk: 1 + 2 + 4 + 8
+# c's, one full read of _READ_AHEAD_CS, hold a bracket's grid whole
+_GRID_LEVELS = 4
 # the most steps that close a bracket, a guard against a hang: a bracket
 # within the float range closes in far fewer
 _MAX_STEPS = 200
@@ -144,18 +154,18 @@ class _Evaluator:
 
     def side(self, c, side: int):
         """(values, errs) of Psi_side at each c of an array; by quadrature
-        only the c's that _held_walk lacks are integrated."""
+        only the c's that _held lacks are integrated."""
         if self.method == METHOD_MC:
             v, e = self._table.side(c, side)
             return np.maximum(v, 0.0), e
-        held = _held_walk(self.payoff, self.params, self.loss)[side - 1]
+        held = _held(self.payoff, self.params, self.loss)[side - 1]
         cs = [float(ci) for ci in np.ravel(c)]
         new = [ci for ci in dict.fromkeys(cs) if ci not in held]
         got = {}
         if new:
             v, e = _psi_side(self.payoff, self.params, self.loss, new, side)
             got = dict(zip(new, zip(v.tolist(), e.tolist())))
-            held.update((ci, got[ci]) for ci in new if ci in _WALK_CS)
+            held.update((ci, got[ci]) for ci in new if ci in _HELD_CS)
         v, e = np.array([held[ci] if ci in held else got[ci] for ci in cs],
                         dtype=float).reshape(-1, 2).T
         return v, e
@@ -163,24 +173,22 @@ class _Evaluator:
 
 def _read(ev: _Evaluator, c, side: int) -> dict:
     """{c: (Psi_side(c), err, failure)} over the distinct c's of c, read in
-    one call.  If that call raises, each c is read alone, so that a failure
-    is the ShortfallHedgeError of that c alone (else None) and the other
-    c's keep their values."""
+    one call.  If that call raises, each half of the c's is read in the
+    same way, so that a failure is the ShortfallHedgeError of that c read
+    alone (else None) and the other c's keep their values: a value does not
+    depend on the c's read with it."""
     cs = list(dict.fromkeys(c))
-    failed = [None] * len(cs)
     if not cs:
         return {}
     try:
         v, e = ev.side(np.array(cs, dtype=float), side)
-    except ShortfallHedgeError:
-        v, e = np.full(len(cs), math.nan), np.full(len(cs), math.nan)
-        for j, cj in enumerate(cs):
-            try:
-                (v[j],), (e[j],) = ev.side(np.array([cj]), side)
-            except ShortfallHedgeError as exc:
-                failed[j] = exc
-    return {cj: (float(v[j]), float(e[j]), failed[j])
-            for j, cj in enumerate(cs)}
+    except ShortfallHedgeError as exc:
+        if len(cs) == 1:
+            return {cs[0]: (math.nan, math.nan, exc)}
+        half = len(cs) // 2
+        return {**_read(ev, cs[:half], side), **_read(ev, cs[half:], side)}
+    return {cj: (vj, ej, None)
+            for cj, vj, ej in zip(cs, v.tolist(), e.tolist())}
 
 
 def _one(results: list):
@@ -262,20 +270,6 @@ def _walk(up: bool) -> list:
     return cs
 
 
-# the c's that every quadrature solve reads: c = 0, the walk's start and
-# steps both ways, and the edges' c = inf
-_WALK_CS = frozenset([0.0, math.inf, 1.0] + _walk(True) + _walk(False))
-
-
-@functools.lru_cache(maxsize=256)
-def _held_walk(payoff: Payoff, params: MarketParams, loss: LossSpec):
-    """({c: (Psi1, err)}, {c: (Psi2, err)}): the quadrature values of the
-    contract at the c's of _WALK_CS read so far, filled by
-    _Evaluator.side.  Threads that read a c at once both integrate it and
-    store the same bits."""
-    return {}, {}
-
-
 def _tl(lo: float, hi: float) -> float:
     """Chandrupatla's clamp t_l: the fraction of [lo, hi] in ln c that is
     half the width at which _closed stops, so that a step that close to an
@@ -290,6 +284,40 @@ def _at(lo: float, hi: float, s: float) -> float:
     if s <= 0.5:
         return lo * math.exp(s * span)
     return hi * math.exp((s - 1.0) * span)
+
+
+def _grid(lo: float, hi: float, levels: int) -> list:
+    """The 2^levels - 1 midpoints in ln c that levels bisection steps from
+    the bracket [lo, hi] can read, each built by _at as a step builds it."""
+    if levels == 0:
+        return []
+    mid = _at(lo, hi, 0.5)
+    return ([mid] + _grid(lo, mid, levels - 1)
+            + _grid(mid, hi, levels - 1))
+
+
+def _held_cs() -> frozenset:
+    """The c's whose quadrature values each contract holds: c = 0, the
+    edges' c = inf, the walk's start and steps both ways, and the
+    _GRID_LEVELS-level grid of each of the 32 brackets between consecutive
+    walk c's."""
+    ups, downs = [1.0] + _walk(True), [1.0] + _walk(False)
+    cs = [0.0, math.inf] + ups + downs
+    for lo, hi in list(zip(ups, ups[1:])) + list(zip(downs[1:], downs)):
+        cs += _grid(lo, hi, _GRID_LEVELS)
+    return frozenset(cs)
+
+
+_HELD_CS = _held_cs()
+
+
+@functools.lru_cache(maxsize=256)
+def _held(payoff: Payoff, params: MarketParams, loss: LossSpec):
+    """({c: (Psi1, err)}, {c: (Psi2, err)}): the quadrature values of the
+    contract at the c's of _HELD_CS read so far, filled by
+    _Evaluator.side.  Threads that read a c at once both integrate it and
+    store the same bits."""
+    return {}, {}
 
 
 class _Point(NamedTuple):
@@ -361,12 +389,15 @@ def _predicate_bisection(side: int, target: float, increasing: bool,
     while f >= 0, to the end of the float range at most; until then it
     reads ahead the walk's next steps, both ways while the direction is
     unknown.  A bracket found, it takes _MAX_STEPS steps at most until the
-    bracket is _closed: Chandrupatla's (_chandrupatla) if interpolate, else
-    bisection in ln c, each clamped to [t_l, 1 - t_l] of the bracket (_tl)
-    and placed by _at.  The answer is the bracket's right end hi, and a
-    check that the value already read there is the target within
-    max(tol, 8 err).  A walk up that finds no bracket raises; a walk down
-    that finds none checks its last c.
+    bracket is _closed: _GRID_LEVELS bisection steps in ln c, whose c's
+    (_grid) are the same for every target in the walk's bracket, then
+    Chandrupatla's (_chandrupatla), with the point the last bisection
+    displaced as its third, if interpolate, else bisection; each step is
+    clamped to [t_l, 1 - t_l] of the bracket (_tl) and placed by _at.  The
+    answer is the bracket's right end hi, and a check that the value
+    already read there is the target within max(tol, 8 err).  A walk up
+    that finds no bracket raises; a walk down that finds none checks its
+    last c.
     """
     def point(c, v, err):
         return _Point(c, v - target if increasing else target - v, v, err)
@@ -402,15 +433,17 @@ def _predicate_bisection(side: int, target: float, increasing: bool,
                 f"c = {last.c!r}")
         return checked(last)
     b, third = last, None
-    for _ in range(_MAX_STEPS):
+    for step in range(_MAX_STEPS):
         lo, hi = (a.c, b.c) if a.f < 0.0 else (b.c, a.c)
         if _closed(lo, hi):
             break
-        t = _chandrupatla(a, b, third) if interpolate else 0.5
+        # the first _GRID_LEVELS steps bisect, on the grid that _held keeps
+        t = (_chandrupatla(a, b, third)
+             if interpolate and step >= _GRID_LEVELS else 0.5)
         tl = _tl(lo, hi)
         x = _at(lo, hi, min(1.0 - tl, max(tl, t if a.f < 0.0 else 1.0 - t)))
-        new = point(x, *(yield x, functools.partial(_ahead, lo, x, hi,
-                                                    interpolate)))
+        new = point(x, *(yield x, functools.partial(
+            _ahead, lo, x, hi, interpolate and step >= _GRID_LEVELS - 1)))
         if (new.f < 0.0) == (a.f < 0.0):
             third = a
         else:
@@ -426,16 +459,17 @@ def _bisect(ev: _Evaluator, side: int, targets: dict, increasing: bool,
     out[point].
 
     The points' _predicate_bisection solves run in lockstep and are
-    answered from a memo of the Psi_side values read so far: Chandrupatla
-    steps on the quadrature route, bisection in ln c on the Monte Carlo
-    route, where Psi is a step function on which an interpolant predicts
-    nothing.  A step whose c's are all in the memo reads nothing; otherwise
-    one _read takes, from every running solve, its current c and the first
-    n - 1 of the c's its next steps compute without a new value, n =
-    _READ_AHEAD_CS // n_live (at least 1).  Those are the floats the
-    solve computes, and a Psi value does not depend on the other c's of its
-    read, so every solve runs the steps and sees the values it would see
-    alone; a c whose read failed raises only in a solve that reaches it.
+    answered from a memo of the Psi_side values read so far: four
+    bisection steps and then Chandrupatla's on the quadrature route, and
+    bisection in ln c throughout on the Monte Carlo route, where Psi is a
+    step function on which an interpolant predicts nothing.  A step whose
+    c's are all in the memo reads nothing; otherwise one _read takes, from
+    every running solve, its current c and the first n - 1 of the c's its
+    next steps compute without a new value, n = _READ_AHEAD_CS // n_live
+    (at least 1).  Those are the floats the solve computes, and a Psi value
+    does not depend on the other c's of its read, so every solve runs the
+    steps and sees the values it would see alone; a c whose read failed
+    raises only in a solve that reaches it.
     Spread/power Psi1 by quadrature, which runs its c's one after another,
     reads only the c of each step (n = 1).  At n = 1 the memo answers
     nothing: the solves run in lockstep from the same walk, so a c that two

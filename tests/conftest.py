@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pytest
+
+from shortfall_hedge import solver
 from shortfall_hedge.market import MarketParams
 from shortfall_hedge.payoffs import (DIGITAL, OUTPERFORMANCE, Payoff,
                                      QUANTO_DOMESTIC, QUANTO_FOREIGN, SPREAD)
@@ -22,3 +25,16 @@ DESK_PAYOFFS = (
     Payoff(OUTPERFORMANCE, strike=100.0),
     Payoff(SPREAD, strike=5.0),
 )
+
+
+@pytest.fixture
+def fresh_held():
+    """The solver's held quadrature values (solver._held), cleared before
+    and after the test; yields the function that clears them.
+
+    Every test that replaces solver._psi_side takes it: its solves then
+    see every read they make, and no value of a stand-in stays held for a
+    later test to read."""
+    solver._held.cache_clear()
+    yield solver._held.cache_clear
+    solver._held.cache_clear()

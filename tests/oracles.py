@@ -15,7 +15,11 @@ No engine code calls these, so they live beside the tests:
   prefix sums of `psi._McTable` must agree with;
 - `_quad.integrate_batch` as a loop that evaluates one round per
   integrand call (`integrate_batch_one_level`), which the read-ahead
-  must equal bit for bit.
+  must equal bit for bit;
+- a linear-loss region side of `psi` by `scipy.integrate.quad`, with the
+  kink of each region's inner mass as a breakpoint
+  (`region_side_linear_quad`), the independent value that a quadrature
+  side must match within its reported error.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
+from scipy import integrate
 from scipy.special import ndtr
 
 from shortfall_hedge import _quad
@@ -35,7 +40,8 @@ from shortfall_hedge.market import (UNDER_P, UNDER_PTILDE, MarketParams,
                                     terminal_price, wiener_law)
 from shortfall_hedge.payoffs import (DIGITAL, QUANTO_DOMESTIC, QUANTO_FOREIGN,
                                      Payoff, evaluate, payoff_constants)
-from shortfall_hedge.psi import LINEAR, LossSpec
+from shortfall_hedge.psi import (LINEAR, TRUNC_SD, LossSpec, _REGIONS,
+                                 _make_ctx, _side_fields)
 
 _PARALLEL_TOL = 1e-12
 
@@ -353,3 +359,48 @@ def integrate_batch_one_level(f, lo, hi):
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
         ids = np.concatenate([ids, ids])
     return vals, errs
+
+
+def region_side_linear_quad(payoff: Payoff, params: MarketParams, c: float,
+                            side: int) -> float:
+    """Psi_side(c) of a linear-loss region payoff (QuantoDomestic,
+    Outperformance) by scipy.integrate.quad, over the engine's regions and
+    truncation.
+
+    On a region the outer integrand is phi(o) F(o) E[e^(tau s); lo(o) <= s
+    <= cap(o) | o], with lo(o) = (L - a_o o) / a_s and L = ln c - BT, and
+    the inner mass is the closed form e^(tau m + tau^2 s^2 / 2) times a
+    normal probability shifted by tau s^2.  Where the region has a cap(o) =
+    alpha o + beta, the mass has a kink at o* = (L - beta a_s) / (a_o +
+    alpha a_s), where lo meets cap; it is passed to quad as a breakpoint.
+    Requires a_s > 0 and 0 < c < inf.
+    """
+    ctx = _make_ctx(payoff, params, TRUNC_SD)
+    tilde = side == 2
+    big_l = math.log(c) - _side_fields(ctx, tilde)[0] * ctx.cons.T
+    total = 0.0
+    for r in _REGIONS[payoff.kind](ctx, None, tilde):
+        assert r.a_s > 0.0
+
+        def f(o, r=r):
+            lo = (big_l - r.a_o * o) / r.a_s
+            hi = math.inf if r.cap is None else float(r.cap(o))
+            if lo >= hi:
+                return 0.0
+            m = r.slope * o + r.tau * r.s_sd ** 2
+            a, b = (lo - m) / r.s_sd, (hi - m) / r.s_sd
+            prob = ndtr(b) - ndtr(a) if a < 0.0 else ndtr(-a) - ndtr(-b)
+            tilt = math.exp(r.tau * r.slope * o + 0.5 * (r.tau * r.s_sd) ** 2)
+            dens = math.exp(-0.5 * (o / r.o_sd) ** 2) / (
+                r.o_sd * math.sqrt(2.0 * math.pi))
+            return dens * float(r.f(np.array([o]))[0]) * tilt * float(prob)
+
+        points = None
+        if r.cap is not None:
+            beta = float(r.cap(0.0))
+            alpha = float(r.cap(1.0)) - beta
+            kink = (big_l - beta * r.a_s) / (r.a_o + alpha * r.a_s)
+            points = [kink] if r.lo < kink < r.hi else None
+        total += integrate.quad(f, r.lo, r.hi, points=points, epsabs=1e-14,
+                                epsrel=1e-12, limit=400)[0]
+    return total

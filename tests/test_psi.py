@@ -11,7 +11,7 @@ from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
 from conftest import DESK_PAYOFFS, desk_params
-from oracles import integrate_batch_one_level
+from oracles import integrate_batch_one_level, region_side_linear_quad
 from shortfall_hedge.errors import (AssumptionViolatedError,
                                     UnsupportedClosedFormError,
                                     ValidationError)
@@ -377,6 +377,35 @@ def test_psi_side_values_keep_their_bits(payoff, loss, monkeypatch):
     for side, (v, e) in got.items():
         v1, e1 = psi_mod._psi_side(payoff, params, loss, cs, side)
         assert np.array_equal(v, v1) and np.array_equal(e, e1), side
+
+
+@pytest.mark.parametrize("side", (1, 2))
+def test_region_oracle_matches_a_side_without_a_kink(side):
+    # QuantoDomestic's one region has no cap, so its inner mass has no
+    # kink: there the quadrature side and the independent scipy quad agree
+    # within the reported error
+    params = desk_params(rho=-0.5)
+    payoff = Payoff(QUANTO_DOMESTIC, 100.0)
+    for c in (0.3, 1.0, 1.94, 5.0):
+        (v,), (err,) = psi_mod._psi_side(payoff, params, LossSpec(LINEAR),
+                                         [c], side)
+        ref = region_side_linear_quad(payoff, params, c, side)
+        assert abs(v - ref) <= err + 1e-14 * abs(ref), c
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: the kink where a region's inner lower limit meets its "
+    "cap falls inside a panel that G7 and K15 accept together"))
+def test_outperformance_psi1_within_its_error_of_an_independent_quad():
+    # the benchmark's desk Outperformance/linear contract: Psi1(1.94) reads
+    # 4.241699343679855 with err 7.5e-11, and scipy quad with the kink as a
+    # breakpoint gives 4.2417004791495625, 1.5e4 errors away
+    params = desk_params(rho=-0.5)
+    payoff = Payoff(OUTPERFORMANCE, 100.0)
+    (v,), (err,) = psi_mod._psi_side(payoff, params, LossSpec(LINEAR),
+                                     [1.94], 1)
+    ref = region_side_linear_quad(payoff, params, 1.94, 1)
+    assert abs(v - ref) <= err + 1e-14 * abs(ref)
 
 
 def test_spread_power_inner_chunks_keep_the_bits(monkeypatch):

@@ -8,6 +8,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DESK_PAYOFFS, desk_params
 from oracles import ln_c_bisection
@@ -24,6 +26,9 @@ from shortfall_hedge.solver import (SolveConfig, _edges, _one, _phi1_impl,
 
 LIN = LossSpec(LINEAR)
 P2 = LossSpec(POWER, 2.0)
+# the ten desk contracts: the five named payoffs, linear and p = 2
+DESK_CONTRACTS = [(payoff, loss) for payoff in DESK_PAYOFFS
+                  for loss in (LIN, P2)]
 
 
 def test_price_symmetric_digital():
@@ -46,7 +51,8 @@ def test_price_is_discounted_psi2_at_zero():
         assert price(payoff, params) == pytest.approx(want, rel=1e-12)
 
 
-def test_price_and_edges_are_cached_once_per_contract(monkeypatch):
+def test_price_and_edges_are_cached_once_per_contract(monkeypatch,
+                                                      fresh_held):
     # mc moves a price and the edges only for Custom payoffs: a named
     # contract fills one entry of each
     params = desk_params(rho=0.15)
@@ -290,9 +296,9 @@ def test_custom_price_and_linear_solve_share_one_sample(monkeypatch):
     assert (risk, c) == (_edges(basket, params, LIN, mc)[0], math.inf)
 
 
-def test_curve_psi_failures_stay_per_point(monkeypatch):
-    # a batched read that raises is retried one c at a time: only the
-    # points whose own c fails carry the error
+def test_curve_psi_failures_stay_per_point(monkeypatch, fresh_held):
+    # a batched read that raises is retried in halves down to single c's:
+    # only the points whose own c fails carry the error
     params = desk_params()
     payoff = Payoff(QUANTO_DOMESTIC, 100.0)
     grid = list(np.linspace(0.05, 0.95, 10) * price(payoff, params))
@@ -318,7 +324,7 @@ def test_curve_psi_failures_stay_per_point(monkeypatch):
             assert b.error == "c above the limit" and math.isnan(b.value)
 
 
-def test_curve_reads_psi_once_per_lockstep_step(monkeypatch):
+def test_curve_reads_psi_once_per_lockstep_step(monkeypatch, fresh_held):
     # 21 points share every step: 14 reads, not 21 solves of 7 each
     params = desk_params()
     payoff = Payoff(QUANTO_FOREIGN, 9500.0)
@@ -344,7 +350,8 @@ ONE_C_SIDES = {(SPREAD, POWER, 1)}
 
 @pytest.mark.parametrize("loss", (LIN, P2), ids=lambda l: l.kind)
 @pytest.mark.parametrize("payoff", DESK_PAYOFFS, ids=lambda p: p.kind)
-def test_one_point_solve_reads_each_c_once(payoff, loss, monkeypatch):
+def test_one_point_solve_reads_each_c_once(payoff, loss, monkeypatch,
+                                           fresh_held):
     # the check at the answer uses the value its steps already read, and a
     # single solve reads up to 15 c's that its next steps may compute
     params = desk_params()
@@ -417,14 +424,16 @@ def _failing_above(limit, raised):
 
 
 @pytest.mark.parametrize("loss", (LIN, P2), ids=lambda l: l.kind)
-def test_walk_values_are_integrated_once_per_contract(loss, monkeypatch):
-    # every solve reads c = 0, 1 and powers of 2: a contract's second solve
-    # takes their values from the first, with the same bits, and so does a
-    # solve after the held values are cleared
+def test_walk_values_are_integrated_once_per_contract(loss, monkeypatch,
+                                                      fresh_held):
+    # every solve reads c = 0, 1, powers of 2 and the grid of its walk
+    # bracket: a contract's second solve takes their values from the first,
+    # with the same bits, and so does a solve after the held values are
+    # cleared
     params = desk_params()
     payoff = Payoff(OUTPERFORMANCE, 100.0)
     x = 0.4 * price(payoff, params)
-    solver._held_walk.cache_clear()
+    fresh_held()
     first = _phi1_impl(payoff, params, loss, [x], None)
     reads = []
     real = solver._psi_side
@@ -435,36 +444,140 @@ def test_walk_values_are_integrated_once_per_contract(loss, monkeypatch):
 
     monkeypatch.setattr(solver, "_psi_side", counting)
     assert phi1(payoff, params, loss, x) == first[0][:2]
-    assert reads and not set(reads) & solver._WALK_CS
+    assert reads and not set(reads) & solver._HELD_CS
     assert _phi1_impl(payoff, params, loss, [x], None) == first
-    solver._held_walk.cache_clear()
+    fresh_held()
     reads.clear()
     assert _phi1_impl(payoff, params, loss, [x], None) == first
     assert {0.0, 1.0} <= set(reads)
 
 
-def test_threads_share_the_held_walk():
-    # solves on 4 threads fill one contract's held values at once: each
-    # returns the serial bits
+def test_threads_share_the_held_walk(fresh_held):
+    # phi1 and phi2 solves on 4 threads fill one contract's held values at
+    # once, the walk and its brackets' grids: each returns the serial bits
     params = desk_params()
-    payoff = Payoff(QUANTO_FOREIGN, 9500.0)
-    xs = [f * price(payoff, params) for f in (0.2, 0.4, 0.6, 0.8)]
-    solver._held_walk.cache_clear()
-    serial = [_phi1_impl(payoff, params, P2, [x], None) for x in xs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            for _ in range(3):
-                solver._held_walk.cache_clear()
-                futures = [pool.submit(_phi1_impl, payoff, params, P2, [x],
-                                       None) for x in xs]
-                assert [f.result(timeout=60) for f in futures] == serial
+            for payoff, loss in DESK_CONTRACTS:
+                xs = [f * price(payoff, params) for f in (0.2, 0.4, 0.45, 0.8)]
+                fresh_held()
+                serial = [_phi1_impl(payoff, params, loss, [x], None)
+                          for x in xs]
+                vs = [r[0][0] for r in serial]
+                serial += [_phi2_impl(payoff, params, loss, [v], None)
+                           for v in vs]
+                for _ in range(2):
+                    fresh_held()
+                    futures = [pool.submit(_phi1_impl, payoff, params, loss,
+                                           [x], None) for x in xs]
+                    futures += [pool.submit(_phi2_impl, payoff, params, loss,
+                                            [v], None) for v in vs]
+                    assert [f.result(timeout=60) for f in futures] == serial
     finally:
         sys.setswitchinterval(interval)
 
 
-def test_read_ahead_failures_stay_unseen(monkeypatch):
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(k=st.integers(0, len(DESK_CONTRACTS) - 1), u=st.floats(0.02, 0.98),
+       shift=st.floats(-0.1, 0.1))
+def test_held_grid_keeps_every_bit(k, u, shift):
+    # a contract's phi1 and its phi2 round trip return the same tuples with
+    # the held values cleared and after another solve on the contract has
+    # filled the grid of a bracket near (or at) its own
+    payoff, loss = DESK_CONTRACTS[k]
+    params = desk_params()
+    p_h = price(payoff, params)
+
+    def round_trip(f):
+        r1 = _phi1_impl(payoff, params, loss, [f * p_h], None)
+        return r1, _phi2_impl(payoff, params, loss, [r1[0][0]], None)
+
+    solver._held.cache_clear()
+    cold = round_trip(u)
+    solver._held.cache_clear()
+    round_trip(min(max(u + shift, 0.01), 0.99))
+    assert round_trip(u) == cold
+    solver._held.cache_clear()
+
+
+def test_held_values_lie_on_the_precomputed_cs(fresh_held):
+    # c = 0, inf and 1, the walk's 16 c's each way, and the 15 midpoints
+    # of the four-level grid of each of the 32 walk brackets
+    assert len(solver._HELD_CS) == 3 + 2 * 16 + 32 * 15
+    params = desk_params()
+    walk = {0.0, math.inf, 1.0, *solver._walk(True), *solver._walk(False)}
+    for payoff, loss in DESK_CONTRACTS[:4]:
+        p_h = price(payoff, params)
+        rc = curve(payoff, params, loss, "phi1",
+                   list(np.linspace(0.0, 0.95, 5) * p_h))
+        for pt in rc.points[1:]:
+            phi2(payoff, params, loss, pt.value)
+        held = solver._held(payoff, params, loss)
+        cs = set(held[0]) | set(held[1])
+        assert cs <= solver._HELD_CS and cs - walk
+
+
+def test_second_solve_in_a_bracket_reads_none_of_its_grid(monkeypatch,
+                                                          fresh_held):
+    # the first phi1 in a walk bracket reads its grid in one read; a
+    # second phi1 in that bracket takes the grid from the held values and
+    # integrates only the c's of its own closing steps
+    params = desk_params()
+    payoff = Payoff(QUANTO_DOMESTIC, 100.0)
+    p_h = price(payoff, params)
+    c1 = phi1(payoff, params, LIN, 0.5 * p_h)[1]
+    lo = 2.0 ** math.floor(math.log2(c1))
+    hi = 2.0 * lo
+    assert 1.0 <= lo and hi <= 2.0 ** 7
+    grid = {lo, hi, *solver._grid(lo, hi, solver._GRID_LEVELS)}
+    assert grid <= set(solver._held(payoff, params, LIN)[1])
+    c2 = solver._at(lo, hi, 0.3 if c1 > solver._at(lo, hi, 0.5) else 0.7)
+    (v2,), _e = psi._psi_side(payoff, params, LIN, [c2], 2)
+    reads = []
+    real = solver._psi_side
+
+    def counting(payoff, params, loss, c, side, *args, **kwargs):
+        reads.extend(np.atleast_1d(c).tolist())
+        return real(payoff, params, loss, c, side, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_psi_side", counting)
+    c = phi1(payoff, params, LIN, math.exp(-params.r * params.T) * v2)[1]
+    assert lo < c < hi and abs(c - c2) <= 1e-9 * c2
+    assert reads and not set(reads) & grid
+
+
+@pytest.mark.parametrize("at", (0, 7, 14))
+def test_a_failing_read_is_halved(at, monkeypatch, fresh_held):
+    # one c of 15 fails: the read splits its c's in halves down to that c
+    # alone, 9 Psi calls at most where a retry of each c alone makes 16,
+    # and every c keeps its value or its one-c error
+    params = desk_params()
+    payoff = Payoff(QUANTO_DOMESTIC, 100.0)
+    ev = solver._Evaluator(payoff, params, LIN, None)
+    cs = [1.0 + k / 16.0 for k in range(1, 15)]
+    cs.insert(at, 2.5)
+    assert not set(cs) & solver._HELD_CS
+    clean = solver._read(ev, cs, 2)
+    calls, raised = [], []
+    failing = _failing_above(2.0, raised)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return failing(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_psi_side", counting)
+    got = solver._read(ev, cs, 2)
+    assert len(calls) <= 9
+    for c in cs:
+        if c == 2.5:
+            assert str(got[c][2]) == "c = 2.5 is above the limit"
+        else:
+            assert got[c] == clean[c]
+
+
+def test_read_ahead_failures_stay_unseen(monkeypatch, fresh_held):
     # a read-ahead c that fails raises only in a solve that reaches it
     params = desk_params()
     payoff = Payoff(QUANTO_DOMESTIC, 100.0)
@@ -478,13 +591,13 @@ def test_read_ahead_failures_stay_unseen(monkeypatch):
     limit = 2.0 ** math.ceil(math.log2(c))
     raised = []
     # the clean solve left its walk's values held: read them afresh
-    solver._held_walk.cache_clear()
+    fresh_held()
     monkeypatch.setattr(solver, "_psi_side", _failing_above(limit, raised))
     assert _phi1_impl(payoff, params, LIN, [x], None) == clean
     assert raised
     # below the solved c the solve raises the error a solve that reads
     # one c at a time raises
-    solver._held_walk.cache_clear()
+    fresh_held()
     monkeypatch.setattr(solver, "_psi_side", _failing_above(0.5 * limit, []))
 
     def error():
@@ -493,7 +606,7 @@ def test_read_ahead_failures_stay_unseen(monkeypatch):
         return str(exc.value)
 
     read_ahead = error()
-    solver._held_walk.cache_clear()
+    fresh_held()
     monkeypatch.setattr(solver, "_READ_AHEAD_CS", 1)
     assert error() == read_ahead
 
@@ -532,7 +645,7 @@ def test_root_far_below_one_solves():
     assert list(risks) == sorted(risks, reverse=True) and risks[-1] > 0.0
 
 
-def test_jump_at_zero_is_infeasible_at_the_walk_floor(monkeypatch):
+def test_jump_at_zero_is_infeasible_at_the_walk_floor(monkeypatch, fresh_held):
     # a Psi2 that jumps at c = 0+ is never bracketed: the walk down from
     # c = 1 ends at its floor, the smallest normal float, and the check
     # there rejects the target
@@ -540,9 +653,9 @@ def test_jump_at_zero_is_infeasible_at_the_walk_floor(monkeypatch):
     payoff = Payoff(QUANTO_DOMESTIC, 100.0)
     p_h = price(payoff, params)
     _edges(payoff, params, LIN, None)
-    # the walk's values of earlier solves are held: clear them, so that
-    # the stand-in below answers every read
-    solver._held_walk.cache_clear()
+    # _edges held real values at c = 0: clear them, so that the stand-in
+    # below answers every read
+    fresh_held()
     full = math.exp(params.r * params.T) * p_h
     reads = []
 
@@ -552,12 +665,8 @@ def test_jump_at_zero_is_infeasible_at_the_walk_floor(monkeypatch):
         return np.where(c == 0.0, full, 0.25 * full), np.zeros_like(c)
 
     monkeypatch.setattr(solver, "_psi_side", jump)
-    try:
-        with pytest.raises(InfeasibleInversionError):
-            phi1(payoff, params, LIN, 0.5 * p_h)
-    finally:
-        # the stand-in's values must not outlive the test
-        solver._held_walk.cache_clear()
+    with pytest.raises(InfeasibleInversionError):
+        phi1(payoff, params, LIN, 0.5 * p_h)
     assert min(c for c in reads if c > 0.0) == sys.float_info.min
 
 
