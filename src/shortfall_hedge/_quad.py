@@ -16,8 +16,9 @@ refining toward it only multiplies the panels.
 
 Most rounds refine only the one or two panels of an interval that hold a
 kink, so an integrand call costs its fixed numpy overhead more than its
-points: each call of an elementwise integrand also evaluates the children
-of its panels ahead of the next round (integrate_batch).
+points: each call also evaluates the children of its panels ahead of the
+next round (integrate_batch).  Every integrand is elementwise, so a value
+does not depend on the batch it is read in.
 """
 
 from __future__ import annotations
@@ -71,34 +72,33 @@ _MAX_ROUNDS = 40
 # panel tree, a level below the first only within _CALL_POINTS abscissae
 _LEVELS = 2
 _CALL_POINTS = 3000
+# abscissae per integrand call of integrate_rows: 128 KiB temporaries stay
+# in the heap and the L2 cache, where MB ones are mapped anew on every call
+_ROWS_CALL_POINTS = 16384
 
 
-def integrate_batch(f, lo, hi, elementwise: bool = True):
+def integrate_batch(f, lo, hi):
     """Integrate f over each [lo[i], hi[i]] with per-panel adaptive G7/K15.
 
     f(x, ids) receives a flat array of abscissae and the interval index of
-    each abscissa, and returns integrand values of the same shape.
+    each abscissa, and returns integrand values of the same shape; its
+    value at a point must not depend on the other points of the call.
     Intervals with hi <= lo contribute zero.  Returns (values, errors),
     both arrays of len(lo); errors are the summed accepted-panel K-G
     differences (a conservative bound for smooth integrands).  Raises
     HeavyTailError on the first non-finite integrand value of a panel that
     the refinement evaluates.
 
-    elementwise states that f's value at a point does not depend on the
-    other points of the call.  Then an interval's value and error are the
-    same bits whatever other intervals share the call (its panels, their
-    acceptance and the order of their sums depend on that interval alone),
-    and a call of f reads ahead.  Each round evaluates the unconverged
-    panels and splits them in two; a call evaluates the round's panels
-    and, while it stays within _CALL_POINTS abscissae and _MAX_ROUNDS
-    rounds, their children (_LEVELS levels in all), and the rounds are
-    replayed on the evaluated rows, a level at a time.  So the panels
-    accepted, their errors, the order of every sum and the first
+    An interval's value and error are the same bits whatever other
+    intervals share the call: its panels, their acceptance and the order
+    of their sums depend on that interval alone.  Each round evaluates the
+    unconverged panels and splits them in two; a call of f evaluates the
+    round's panels and, while it stays within _CALL_POINTS abscissae and
+    _MAX_ROUNDS rounds, their children (_LEVELS levels in all), and the
+    rounds are replayed on the evaluated rows, a level at a time.  So the
+    panels accepted, their errors, the order of every sum and the first
     non-finite value reported are those of one round per call, and a
     non-finite value on a child that no round reaches raises nothing.
-    An integrand that is not elementwise (Spread/power Psi1, whose inner
-    rule follows the widest row of a c in the call) would move with the
-    children it sees, and evaluates one round per call.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -123,8 +123,7 @@ def integrate_batch(f, lo, hi, elementwise: bool = True):
         # the levels of this call: the round's panels, then the children
         # of each level's panels, left halves first, as a round splits them
         la, lb, lids = [a], [b], [ids]
-        while (elementwise and len(la) < _LEVELS
-               and rnd + len(la) < _MAX_ROUNDS
+        while (len(la) < _LEVELS and rnd + len(la) < _MAX_ROUNDS
                and 15 * (sum(x.size for x in la) + 2 * la[-1].size)
                <= _CALL_POINTS):
             mid = 0.5 * (la[-1] + lb[-1])
@@ -185,22 +184,32 @@ def integrate_batch(f, lo, hi, elementwise: bool = True):
 
 
 def integrate_rows(f, lo, hi, n_panels):
-    """Fixed-panel K15 integration of f row-wise over [lo[i], hi[i]].
+    """Fixed-panel K15 integration of f row-wise over [lo[i], hi[i]], on
+    n_panels[i] equal panels (an int gives every row the same count).
 
-    f receives abscissae shaped (rows, n_panels, 15); per-row constants in
-    the integrand must broadcast against that shape.  No error control;
-    meant for inner integrals whose smoothness is arranged by the caller.
-    Rows with hi <= lo yield 0.  Each row's value depends only on that row,
-    so integrating rows in chunks gives the same bits.
+    The rows' panels are laid out flat, row after row: f(x, rows) gets the
+    abscissae shaped (panels, 15) and each panel's row, once per chunk of
+    whole rows of about _ROWS_CALL_POINTS abscissae.  No error control; for
+    inner integrals whose smoothness the caller arranges.  Rows with
+    hi <= lo yield 0.  A row's value depends on that row alone.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     width = np.maximum(hi - lo, 0.0)
-    edges = np.linspace(0.0, 1.0, n_panels + 1)
-    a = lo[:, None] + width[:, None] * edges[None, :-1]
-    b = lo[:, None] + width[:, None] * edges[None, 1:]
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    x = c[..., None] + h[..., None] * NODES
-    y = np.asarray(f(x), dtype=float)
-    return (h * (y * WK).sum(axis=-1)).sum(axis=1)
+    n = np.broadcast_to(np.asarray(n_panels, dtype=int), lo.shape)
+    ends = np.cumsum(n)
+    starts = ends - n
+    out = np.empty(lo.size)
+    # a chunk is the rows whose last panel falls in one stretch of
+    # _ROWS_CALL_POINTS // 15 panels
+    _grp, first = np.unique((ends - 1) // (_ROWS_CALL_POINTS // 15),
+                            return_index=True)
+    for i, j in zip(first, [*first[1:], lo.size]):
+        rows = np.repeat(np.arange(i, j), n[i:j])
+        k = np.arange(rows.size) - (starts[rows] - starts[i])
+        h = 0.5 * width[rows] / n[rows]
+        c = lo[rows] + (2 * k + 1) * h
+        y = np.asarray(f(c[:, None] + h[:, None] * NODES, rows), dtype=float)
+        out[i:j] = np.add.reduceat(h * (y * WK).sum(axis=-1),
+                                   starts[i:j] - starts[i])
+    return out

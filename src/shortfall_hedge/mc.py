@@ -98,10 +98,11 @@ def _modified_claim(payoff: Payoff, params: MarketParams, loss: LossSpec,
         return h, h
     if math.isinf(c):
         return np.zeros_like(h), h
-    z = radon_nikodym(cons, w1, w2, UNDER_P)
-    if loss.kind == LINEAR:
-        return h * (c * z <= 1.0), h
-    return np.maximum(h - (c * z) ** (1.0 / (loss.p - 1.0)), 0.0), h
+    with np.errstate(over="ignore"):  # where c Z~ is inf the claim pays 0
+        z = radon_nikodym(cons, w1, w2, UNDER_P)
+        if loss.kind == LINEAR:
+            return h * (c * z <= 1.0), h
+        return np.maximum(h - (c * z) ** (1.0 / (loss.p - 1.0)), 0.0), h
 
 
 @dataclass(frozen=True)

@@ -29,21 +29,22 @@ Each side integrates one of four payoff shapes:
 - Spread/power: the inner shortfall (S1 - S2 - K)^p has no tilt form.  It
   runs on a fixed K15 rule in t, x = d(y) + t^4 (which removes the
   algebraic edge at the payoff root d(y)), with 4 W / (3 sd) panels for a
-  row width W and the conditional sd, clipped to 4..24.  Its upper limit,
-  the region boundary x*(y), is a root found by Newton's method in
-  w = ln(S1 - S2 - K).
+  row's width W and the conditional sd, clipped to 4..24, each row's
+  count its own.  Its upper limit, the region boundary x*(y), is a root
+  found by Newton's method in w = ln(S1 - S2 - K).
+
+Under power loss each c-weighted term, (c Z~)^q or (c Z~)^kap on A_c, is
+a weight c^e e^(-e (BT + a o)) times a tilted mass, either of which may
+leave the float range while their product is bounded: the weight enters
+tilted_interval_mass as its log, log_scale, never formed on its own.
 
 _psi_side is the one quadrature entry point, and it takes an array of c:
 every side integrates one interval per c in one integrate_batch call, its
-integrand indexing the per-c constants by interval id (the digital's
-orthants take the c's in one rect_upper_prob call).  Per-c constants
-(ln c, c^q) are taken in Python floats, and integrate_batch sums each
-interval on its own, so a value does not depend on the other c's of the
-call.  Only Spread/power Psi1 runs its c's one after another
-(_is_one_c_side), and its integrand is the one that is not elementwise:
-its inner rule follows the widest row of a c in the call, so
-integrate_batch reads no panel ahead on it.  psi_linear and psi_power call
-it at one c, once per side.
+integrand indexing ln c by interval id (the digital's orthants take the
+c's in one rect_upper_prob call).  Every integrand is elementwise and
+integrate_batch sums each interval on its own, so a value does not depend
+on the other c's of the call.  psi_linear and psi_power call it at one c,
+once per side.
 
 Monte Carlo twins of both functions (psi_mc, and _McTable for arrays of
 c) sample W_T under P and W~_T under P~ directly and work for every
@@ -84,12 +85,9 @@ _SIGN_TOL = 1e-14
 # Gaussian integrals are truncated at +/-TRUNC_SD marginal standard
 # deviations (truncated mass < 1e-23, the documented error floor)
 TRUNC_SD = 10.0
+_LN_MAX = math.log(np.finfo(float).max)
 _INNER_PANELS_MIN = 4
 _INNER_PANELS_MAX = 24
-# abscissae per inner-integral chunk: 16384 doubles (128 KiB) per temporary
-# stay in the heap and the L2 cache; a temporary of all rows (120 x 24 x 15,
-# 346 KB, in a first outer round) is mapped and unmapped again on every call
-_INNER_CHUNK_POINTS = 16384
 
 
 @dataclass(frozen=True)
@@ -138,12 +136,6 @@ def _lnc(c: float) -> float:
 def _each(fn, c) -> np.ndarray:
     """fn at each c, in Python floats: the same bits as a one-c call."""
     return np.array([fn(float(ci)) for ci in c], dtype=float)
-
-
-def _c_weight(c, q: float, b: float, t: float) -> np.ndarray:
-    """c^q e^(-q b t) at each c, 0 at c = inf, in Python floats."""
-    return _each(lambda ci: 0.0 if math.isinf(ci)
-                 else ci ** q * math.exp(-q * b * t), c)
 
 
 def _integrate(f, lo: float, hi: float, live):
@@ -230,7 +222,8 @@ def _digital_side(ctx: _Ctx, c, p: Optional[float], tilde: bool):
     and tilt one outer integral of the tilted mass of Y | X.  Where it
     refuses, Y = lam X up to a conditional sd s_yx (lam = 0 where A = 0),
     every term is a tilted_interval_mass over an interval of X, and the
-    error adds the mass of the band |lam X - u| <= 8 s_yx.
+    error adds the mass of the band |lam X - u| <= 8 s_yx.  K^p is a float
+    that may overflow to inf, which _psi_side reports.
     """
     bs, _m1, _m2, suf = _side_fields(ctx, tilde)
     k, t = ctx.k, ctx.cons.T
@@ -240,8 +233,12 @@ def _digital_side(ctx: _Ctx, c, p: Optional[float], tilde: bool):
     cov = m @ ctx.params.wiener_cov @ m.T
     sd_x, lam = math.sqrt(cov[0, 0]), cov[0, 1] / cov[0, 0]
     ln_k = 0.0 if p is None else (p - 1.0) * math.log(k)
-    u = _each(_lnc, c) - ln_k - bs * t
+    lnc = _each(_lnc, c)
+    u = lnc - ln_k - bs * t
     e = 0.0 if p is None else (1.0 if tilde else p) / (p - 1.0)
+    # ln of the weight of tilt, c^e e^(-e BT), over p on Psi1
+    ln_w = None if p is None else (
+        e * (lnc - bs * t) - (0.0 if tilde else math.log(p)))
     try:
         law = GaussianLaw(2, np.zeros(2), cov)
     except DegenerateLawError:
@@ -262,14 +259,16 @@ def _digital_side(ctx: _Ctx, c, p: Optional[float], tilde: bool):
             ((thr, mid), (mid, np.inf))
         band_x = (np.maximum(thr, b_lo), b_hi)
 
-        def mass(g, x_range):
-            return tilted_interval_mass(g, 0.0, sd_x, *x_range)
+        def mass(g, x_range, log_scale=0.0):
+            return tilted_interval_mass(g, 0.0, sd_x, *x_range, log_scale)
 
         on, off = mass(0.0, on_x), mass(0.0, off_x)
         err_on = RECT_ERR + mass(0.0, band_x)
-        # off the band, E[e^(-e Y) | X] = e^(-e lam X + (e s_yx)^2 / 2)
-        g = math.exp(0.5 * (e * s_yx) ** 2)
-        tilt, err_tilt = g * mass(-e * lam, on_x), g * mass(-e * lam, band_x)
+        if p is not None:
+            # off the band, E[e^(-e Y) | X] = e^(-e lam X + (e s_yx)^2 / 2)
+            ln_g = ln_w + 0.5 * (e * s_yx) ** 2
+            tilt = mass(-e * lam, on_x, ln_g)
+            err_tilt = mass(-e * lam, band_x, ln_g)
     else:
         on = rect_upper_prob(law, (thr, u))
         off = float(ndtr(-thr / sd_x)) - on
@@ -279,17 +278,16 @@ def _digital_side(ctx: _Ctx, c, p: Optional[float], tilde: bool):
 
             def f(x, ids):
                 return _phi(x, sd_x) * tilted_interval_mass(
-                    -e, lam * x, s_yx, u[ids], np.inf)
+                    -e, lam * x, s_yx, u[ids], np.inf, ln_w[ids])
 
             tilt, err_tilt = _integrate(f, max(thr, -ctx.trunc_sd * sd_x),
                                         ctx.trunc_sd * sd_x, c < math.inf)
     if p is None:
         return k * on, k * err_on
-    w = _c_weight(c, e, bs, t)
     if tilde:
-        return k * on - w * tilt, k * err_on + w * err_tilt
-    kp, w = k ** p / p, w / p
-    return kp * off + w * tilt, kp * err_on + w * err_tilt
+        return k * on - tilt, k * err_on + err_tilt
+    kp = np.float64(k) ** p / p
+    return kp * off + tilt, kp * err_on + err_tilt
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +331,8 @@ def _spread_strike(ctx: _Ctx, m2: float, y):
 # ---------------------------------------------------------------------------
 # power loss, at each c of an array: Psi1 sides see 0 < c <= inf, Psi2
 # sides 0 < c < inf (_psi_side settles the other c's, and checks the sign
-# condition first).  A term weighted by coef2 is skipped, by mask, where
-# coef2 is 0: at c = inf it is 0 * inf.
+# condition first).  Each c-weighted term passes the log of its weight to
+# tilted_interval_mass; at c = inf its interval is empty and the term 0.
 # ---------------------------------------------------------------------------
 
 def _spread_xstar(ctx: _Ctx, lnc, p: float, y, tilde: bool):
@@ -380,70 +378,40 @@ def _spread_xstar(ctx: _Ctx, lnc, p: float, y, tilde: bool):
     return x_star, d_y, s2k
 
 
-def _spread_shortfall_rows(ctx: _Ctx, p: float, d_y, s2k, m_c, t_hi):
-    """Inner integral of (S1 - S2 - K)^p over [d(y), d(y) + t_hi^4] under
-    the conditional law of W1, row-wise after x = d(y) + t^4.  The panel
-    count follows the widest of the given rows."""
-    s10, sg1, cond_sd = ctx.params.s0[0], ctx.params.sigma[0], ctx.cond_sd
-    n_panels = int(np.clip(
-        math.ceil(4.0 * float(np.max(t_hi, initial=0.0)) ** 4
-                  / (3.0 * cond_sd)),
-        _INNER_PANELS_MIN, _INNER_PANELS_MAX))
-
-    # rows in chunks: a row's value does not depend on the other rows
-    step = max(1, _INNER_CHUNK_POINTS // (15 * n_panels))
-    out = np.empty_like(t_hi)
-    for i in range(0, t_hi.size, step):
-        r = slice(i, i + step)
-        d_r, s_r, m_r = d_y[r], s2k[r], m_c[r]
-
-        def inner(tt):
-            x = d_r[:, None, None] + tt ** 4
-            gap = np.maximum(s10 * np.exp(ctx.m1p + sg1 * x)
-                             - s_r[:, None, None], 0.0)
-            return (gap ** p * _phi(x - m_r[:, None, None], cond_sd)
-                    * 4.0 * tt ** 3)
-
-        out[r] = integrate_rows(inner, np.zeros_like(t_hi[r]), t_hi[r],
-                                n_panels)
-    return out
-
-
 def _spread_power_psi1(ctx: _Ctx, c, p: float):
     a1, a2 = ctx.cons.a1, ctx.cons.a2
-    sg1 = ctx.params.sigma[0]
-    rho, sd, cond_sd, t = ctx.rho, ctx.sd, ctx.cond_sd, ctx.cons.T
+    sg1, s10 = ctx.params.sigma[0], ctx.params.s0[0]
+    rho, sd, cond_sd = ctx.rho, ctx.sd, ctx.cond_sd
     q = p / (p - 1.0)
     lnc = _each(_lnc, c)
-    coef2 = _c_weight(c, q, ctx.cons.b_cap, t)
+    bt = ctx.cons.b_cap * ctx.cons.T
 
     def f(y, ids):
         x_star, d_y, s2k = _spread_xstar(ctx, lnc[ids], p, y, False)
         m_c = rho * y
+
+        def inner(tt, rows):  # (S1 - S2 - K)^p under W1 | y, x = d(y) + t^4
+            x = d_y[rows, None] + tt ** 4
+            gap = np.maximum(s10 * np.exp(ctx.m1p + sg1 * x)
+                             - s2k[rows, None], 0.0)
+            return (gap ** p * _phi(x - m_c[rows, None], cond_sd)
+                    * 4.0 * tt ** 3)
+
         # inner cap: beyond the tilt-shifted conditional tail the p-th power
         # of the gap carries negligible mass
         hi_inner = np.minimum(x_star,
                               np.maximum(d_y, m_c + p * sg1 * cond_sd ** 2
                                          + (ctx.trunc_sd + 2.0) * cond_sd))
         t_hi = np.maximum(hi_inner - d_y, 0.0) ** 0.25
-        # one c at a time, so that each c's panel count and temporaries are
-        # those of a one-c call
-        t1 = np.empty_like(y)
-        for i in np.unique(ids):
-            r = ids == i
-            t1[r] = _spread_shortfall_rows(ctx, p, d_y[r], s2k[r], m_c[r],
-                                           t_hi[r])
-        out = t1 / p
-        c2 = coef2[ids]
-        out = np.where(c2 != 0.0, out + (c2 / p) * np.exp(-q * a2 * y)
-                       * tilted_interval_mass(-q * a1, m_c, cond_sd, x_star,
-                                              np.inf), out)
-        return _phi(y, sd) * out
+        n_panels = np.clip(np.ceil(4.0 * t_hi ** 4 / (3.0 * cond_sd)),
+                           _INNER_PANELS_MIN, _INNER_PANELS_MAX).astype(int)
+        t1 = integrate_rows(inner, np.zeros_like(t_hi), t_hi, n_panels)
+        # (c Z~)^q on A_c: weight c^q e^(-q (BT + A2 y)), mass over x >= x*
+        t2 = tilted_interval_mass(-q * a1, m_c, cond_sd, x_star, np.inf,
+                                  q * (lnc[ids] - bt - a2 * y))
+        return _phi(y, sd) * (t1 + t2) / p
 
-    # the inner panel count follows the widest row of a c in the call, so
-    # no call may hold rows that the refinement does not reach
-    return integrate_batch(f, np.full(c.size, -ctx.cap),
-                           np.full(c.size, ctx.cap), elementwise=False)
+    return _integrate(f, -ctx.cap, ctx.cap, np.full(c.size, True))
 
 
 def _spread_power_psi2(ctx: _Ctx, c, p: float):
@@ -452,8 +420,8 @@ def _spread_power_psi2(ctx: _Ctx, c, p: float):
     rho, sd, cond_sd, t = ctx.rho, ctx.sd, ctx.cond_sd, ctx.cons.T
     kap = 1.0 / (p - 1.0)
     lnc = _each(_lnc, c)
-    coef2 = _c_weight(c, kap, ctx.cons.b_cap_tilde, t)
-    _bs, m1, _m2, _suf = _side_fields(ctx, True)
+    bs, m1, _m2, _suf = _side_fields(ctx, True)
+    bt = bs * t
 
     def f(y, ids):
         x_star, _d_y, s2k = _spread_xstar(ctx, lnc[ids], p, y, True)
@@ -461,8 +429,9 @@ def _spread_power_psi2(ctx: _Ctx, c, p: float):
         t1 = s10 * np.exp(m1) * tilted_interval_mass(sg1, m_c, cond_sd,
                                                      x_star, np.inf)
         t2 = s2k * tilted_interval_mass(0.0, m_c, cond_sd, x_star, np.inf)
-        t3 = coef2[ids] * np.exp(-kap * a2 * y) * tilted_interval_mass(
-            -kap * a1, m_c, cond_sd, x_star, np.inf)
+        # (c Z~)^kap on A_c: weight c^kap e^(-kap (BT + A2 y))
+        t3 = tilted_interval_mass(-kap * a1, m_c, cond_sd, x_star, np.inf,
+                                  kap * (lnc[ids] - bt - a2 * y))
         return _phi(y, sd) * (t1 - t2 - t3)
 
     return _integrate(f, -ctx.cap, ctx.cap, np.full(c.size, True))
@@ -508,8 +477,8 @@ def _region_side(ctx: _Ctx, c, region: _Region, p: Optional[float],
            Psi2: F TIM(tau; v, cap)
                   - c^kap e^(-kap BT) e^(-kap a_o o) TIM(-kap a_s; v, cap)
 
-    The c-weighted Psi1 term is skipped, by mask, where its weight is 0: at
-    c = inf it is 0 * inf.
+    The weight of the c-weighted term, c^e e^(-e (a_o o + BT)), enters its
+    TIM as the log_scale e (ln c - a_o o - BT).
     """
     r = region
     bs, t = _side_fields(ctx, tilde)[0], ctx.cons.T
@@ -529,25 +498,24 @@ def _region_side(ctx: _Ctx, c, region: _Region, p: Optional[float],
 
     e_c = 1.0 / (p - 1.0) if tilde else p / (p - 1.0)
     lnc = _each(_lnc, c)
-    coef2 = _c_weight(c, e_c, bs, t)
     den = (p - 1.0) * r.tau + r.a_s
 
     def f(o, ids):
         big_f = r.f(o)
+        ln_cz = lnc[ids] - r.a_o * o - bt
         with np.errstate(divide="ignore"):
-            v = (lnc[ids] - r.a_o * o - bt - (p - 1.0) * np.log(big_f)) / den
+            v = (ln_cz - (p - 1.0) * np.log(big_f)) / den
         cap = np.inf if r.cap is None else r.cap(o)
         m_s = r.slope * o
-        c2 = coef2[ids]
-        t2 = c2 * np.exp(-e_c * r.a_o * o) * tilted_interval_mass(
-            -e_c * r.a_s, m_s, r.s_sd, v, cap)
+        t2 = tilted_interval_mass(-e_c * r.a_s, m_s, r.s_sd, v, cap,
+                                  e_c * ln_cz)
         if tilde:
             t1 = big_f * tilted_interval_mass(r.tau, m_s, r.s_sd, v, cap)
             return _phi(o, r.o_sd) * (t1 - t2)
         hi = v if r.cap is None else np.minimum(v, cap)
         t1 = big_f ** p * tilted_interval_mass(p * r.tau, m_s, r.s_sd,
                                                -np.inf, hi)
-        return _phi(o, r.o_sd) * np.where(c2 != 0.0, t1 + t2, t1) / p
+        return _phi(o, r.o_sd) * (t1 + t2) / p
 
     return _integrate(f, r.lo, r.hi, np.full(c.size, True))
 
@@ -558,7 +526,8 @@ def _qd_regions(ctx: _Ctx, p: Optional[float], tilde: bool):
     _bs, m1, m2, suf = _side_fields(ctx, tilde)
     sg1, sg2 = ctx.params.sigma
     s10, s20 = ctx.params.s0
-    coef, k = s20 * math.exp(m2), ctx.k
+    # e^m2 past the float range is inf, and the integrand not finite
+    coef, k = s20 * (math.exp(m2) if m2 < _LN_MAX else math.inf), ctx.k
     return (_Region(
         lo=max(ctx.cons.thresholds["a1" + suf], -ctx.cap), hi=ctx.cap,
         o_sd=ctx.sd, slope=ctx.rho, s_sd=ctx.cond_sd,
@@ -603,7 +572,7 @@ def _qf_regions(ctx: _Ctx, p: float, tilde: bool):
     s10, s20 = ctx.params.s0
     sg2, k = ctx.params.sigma[1], ctx.k
     k21, k22 = inv[1, 0], inv[1, 1]
-    per_s2 = 1.0 / (s20 * math.exp(m2))
+    per_s2 = 1.0 / (s20 * math.exp(m2)) if m2 < _LN_MAX else 0.0
 
     def big_f(z):
         n_z = np.maximum(s10 * s20 * np.exp(m1 + m2 + z) - k, 0.0)
@@ -697,6 +666,7 @@ def _sign_guard_power(payoff: Payoff, ctx: _Ctx, p: float):
             "use the Monte Carlo route")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _psi_side(payoff: Payoff, params: MarketParams, loss: LossSpec, c,
               side: int, trunc_sd: float = TRUNC_SD):
     """(values, errs) of Psi1 (side=1) or Psi2 (side=2) by quadrature, as
@@ -705,8 +675,9 @@ def _psi_side(payoff: Payoff, params: MarketParams, loss: LossSpec, c,
     The one closed-form Psi entry point: the solver reads one side at all
     the c's of a step, and psi_linear / psi_power call it at one c, once
     per side.  A value does not depend on the other c's of the call.  A
-    power term that overflows (K^p at a large p, say) raises
-    HeavyTailError.
+    term that overflows (K^p at a large p, say) raises HeavyTailError: here
+    if it reaches the value, else from integrate_batch as a non-finite
+    integrand, and never as a RuntimeWarning.
     """
     c = np.array([_validate_c(ci) for ci in np.ravel(c)])
     if payoff.kind == CUSTOM:
@@ -724,16 +695,8 @@ def _psi_side(payoff: Payoff, params: MarketParams, loss: LossSpec, c,
     # Psi1(0) = 0 and Psi2(inf) = 0: A_0 is everything, A_inf empty
     rest = ~at0 if side == 1 else ~at0 & (c < math.inf)
     if rest.any():
-        try:
-            # an overflowing term is reported below, or by integrate_batch
-            # as a non-finite integrand, not as a RuntimeWarning
-            with np.errstate(over="ignore", invalid="ignore"):
-                v[rest], e[rest] = _closed_side(ctx, payoff.kind, c[rest],
-                                                loss.p, side == 2)
-        except OverflowError:
-            raise HeavyTailError(
-                f"Psi{side} at p = {loss.p!r}, c = {_fmt_c(c[rest])}: a "
-                "power-loss term overflows") from None
+        v[rest], e[rest] = _closed_side(ctx, payoff.kind, c[rest], loss.p,
+                                        side == 2)
         bad = ~(np.isfinite(v) & np.isfinite(e))
         if bad.any():
             raise HeavyTailError(
@@ -743,9 +706,10 @@ def _psi_side(payoff: Payoff, params: MarketParams, loss: LossSpec, c,
 
 
 def _is_one_c_side(payoff: Payoff, loss: LossSpec, side: int) -> bool:
-    """Whether _psi_side runs the c's of this side one after another, so
-    that a read of k c's costs about k one-c reads: Spread/power Psi1,
-    whose inner panel count is that of a one-c call, and no other side."""
+    """Whether a read of k c's on this side costs about k one-c reads, so
+    that the solver reads only the c of each step: Spread/power Psi1, whose
+    inner rule costs the same per outer point whatever the batch, and no
+    other side."""
     return (payoff.kind, loss.kind, side) == (SPREAD, POWER, 1)
 
 
@@ -960,8 +924,10 @@ class _McTable:
         key = np.log(h.take(keep))
         key *= loss.p - 1.0
         key -= ln_z
+        with np.errstate(over="ignore"):  # side() reports an inf sum
+            zt = np.exp(ln_z, out=ln_z)
         return _McSide("power1" if under == UNDER_P else "power2", n, loss.p,
-                       key, terms, np.exp(ln_z, out=ln_z))
+                       key, terms, zt)
 
     @np.errstate(all="ignore")
     def side(self, c, side: int):

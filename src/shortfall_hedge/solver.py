@@ -48,7 +48,8 @@ function stays deterministic and pathwise monotone in c; a named payoff's
 sample is _FALLBACK_MC.  The table is psi._mc_table's, held from solve to
 solve until another contract's table or a simulation replaces it, so a
 contract's phi1, phi2 and verify_risk draw and sort one sample.  Both
-routes read ahead, except on Spread/power Psi1 by quadrature.
+routes read ahead, except on Spread/power Psi1 by quadrature (see
+psi._is_one_c_side).
 
 By quadrature the solver holds, per contract, the Psi values of each side
 at the 515 c's of _HELD_CS as they are read (_held, an lru_cache of 256
@@ -470,10 +471,10 @@ def _bisect(ev: _Evaluator, side: int, targets: dict, increasing: bool,
     does not depend on the other c's of its read, so every solve runs the
     steps and sees the values it would see alone; a c whose read failed
     raises only in a solve that reaches it.
-    Spread/power Psi1 by quadrature, which runs its c's one after another,
-    reads only the c of each step (n = 1).  At n = 1 the memo answers
-    nothing: the solves run in lockstep from the same walk, so a c that two
-    solves read is read by both at the same step.
+    Spread/power Psi1 by quadrature, where a read of k c's costs about k
+    one-c reads, reads only the c of each step (n = 1).  At n = 1 the memo
+    answers nothing: the solves run in lockstep from the same walk, so a c
+    that two solves read is read by both at the same step.
     """
     tol = max(SolveConfig.abs_tol_target * max(1.0, scale),
               1e-7 * max(1.0, scale) if ev.method == METHOD_MC else 0.0)

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import pathlib
+import tempfile
 import warnings
+from datetime import timedelta
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
-from shortfall_hedge.cli import (_GRID_MAX_POINTS, main, parse_config,
-                                 resolve_grid)
+from shortfall_hedge.cli import (_EXIT_CODES, _GRID_MAX_POINTS, main,
+                                 parse_config, resolve_grid)
 
 SYMMETRIC = {
     "market": {"s0": [100.0, 100.0], "alpha": [0.05, 0.05],
@@ -317,14 +323,42 @@ def test_overflowing_power_loss_exit_code(tmp_path, capsys, recwarn, kind,
 
 
 def test_overflow_message_names_p_and_c_exactly(tmp_path, capsys):
-    # p = 1.0000001 overflows; the message prints the p the engine was
-    # given, not a rounded p = 1 that it would refuse
+    # K^p overflows just above p = 400; the message prints the p the engine
+    # was given, not a rounded p = 400, and the c it read
+    cfg = _write(tmp_path, dict(
+        DESK, payoff={"kind": "Digital", "strike": 10.0},
+        loss={"kind": "power", "p": 400.00000000000006}))
+    assert main(["psi", "--config", cfg, "--c", "2.5"]) == 5
+    assert "at p = 400.00000000000006, c = 2.5:" in capsys.readouterr().err
+    assert main(["phi1", "--config", cfg, "--x", "0.5*price"]) == 5
+    assert "at p = 400.00000000000006, c = inf:" in capsys.readouterr().err
+    # p = 1.0000001 overflowed a c-weight formed on its own; in logs it
+    # solves
     cfg = dict(DESK, payoff={"kind": "QuantoDomestic", "strike": 100.0},
                loss={"kind": "power", "p": 1.0000001})
-    rc = main(["phi1", "--config", _write(tmp_path, cfg), "--x", "0.5*price"])
-    err = capsys.readouterr().err
+    assert main(["phi1", "--config", _write(tmp_path, cfg), "--x",
+                 "0.5*price"]) == 0
+
+
+@pytest.mark.parametrize("kind, strike, loss", [
+    ("QuantoDomestic", 100.0, {"kind": "linear"}),
+    ("QuantoForeign", 9500.0, {"kind": "power", "p": 2.0})])
+@pytest.mark.parametrize("command", (["phi1", "--x", "0.5*price"],
+                                     ["psi", "--c", "2"]))
+def test_drift_past_the_float_range_exit_code(tmp_path, capsys, recwarn,
+                                              kind, strike, loss, command):
+    # at alpha2 = 800, e^m2 of a region's payoff factor leaves the float
+    # range: a typed heavy-tail refusal, not a raw OverflowError from
+    # math.exp, and no numpy RuntimeWarning on the way
+    warnings.simplefilter("always")
+    cfg = dict(DESK, market=dict(DESK["market"], alpha=[0.08, 800.0]),
+               payoff={"kind": kind, "strike": strike}, loss=loss)
+    rc = main([command[0], "--config", _write(tmp_path, cfg)] + command[1:])
+    err = capsys.readouterr().err.splitlines()
     assert rc == 5
-    assert "at p = 1.0000001, c = 1.0:" in err
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "overflows" in err[0]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_psi_command_csv(tmp_path, capsys):
@@ -428,3 +462,108 @@ def test_output_section_and_format_override(tmp_path):
     assert main(["price", "--config", _write(tmp_path, doc, "cfg2.json"),
                  "--format", "json", "--out", str(out_json)]) == 0
     assert json.loads(out_json.read_text())["command"] == "price"
+
+
+# ---------------------------------------------------------------------------
+# fuzz: random configs, commands and expressions through main, in process
+# ---------------------------------------------------------------------------
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+_FUZZ_KINDS = ("Digital", "QuantoDomestic", "QuantoForeign", "Outperformance",
+               "Spread")
+_FUZZ_CONFIGS = st.fixed_dictionaries({
+    "market": st.fixed_dictionaries({
+        "s0": st.lists(_log_uniform(1e-3, 1e4), min_size=2, max_size=2),
+        "alpha": st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+        "sigma": st.lists(st.floats(0.01, 3.0), min_size=2, max_size=2),
+        "rho": st.floats(-0.9999, 0.9999), "r": st.floats(-0.1, 0.1),
+        "T": st.floats(0.01, 30.0)}),
+    "payoff": st.fixed_dictionaries({
+        "kind": st.sampled_from(_FUZZ_KINDS),
+        "strike": _log_uniform(1e-3, 1e6)}),
+    "loss": st.one_of(
+        st.just({"kind": "linear"}),
+        _log_uniform(1e-6, 5.0).map(lambda d: {"kind": "power",
+                                               "p": 1.0 + d})),
+    "mc": st.just({"n_paths": 10_000, "seed": 3})})
+# a share of a symbol, arithmetic over numbers and the four symbols, and
+# malformed strings
+_FUZZ_SYMBOLS = ("p(H)", "price", "E[H]", "E[l(H)]")
+_FUZZ_EXPRS = st.one_of(
+    st.tuples(st.floats(0.0, 1.2), st.sampled_from(_FUZZ_SYMBOLS)).map(
+        lambda us: f"{us[0]!r}*{us[1]}"),
+    st.recursive(
+        st.one_of(st.floats(-1e3, 1e3).map(repr),
+                  st.sampled_from(("0", "1e400") + _FUZZ_SYMBOLS)),
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map("".join),
+            inner.map(lambda e: f"({e})"), inner.map(lambda e: f"-{e}")),
+        max_leaves=4),
+    st.text(alphabet="0123456789.+-*/()eEHlp[] x_", max_size=10))
+_FUZZ_GRIDS = st.one_of(
+    st.tuples(_FUZZ_EXPRS, _FUZZ_EXPRS,
+              st.sampled_from(("1", "2", "5", "0", "-3", "x", "2.5", ""))
+              ).map(":".join),
+    st.text(alphabet="0123456789.*()pH x", max_size=10))
+_FUZZ_ARGS = st.sampled_from(
+    ("price", "psi --c", "phi1 --x", "phi2 --v", "verify --x", "curve phi1",
+     "curve phi2")).flatmap(lambda command: st.tuples(
+         st.just(command.split()),
+         _FUZZ_GRIDS if command.startswith("curve") else _FUZZ_EXPRS)).map(
+    lambda ca: ca[0] if ca[0] == ["price"] else
+    ca[0][:-1] + [f"{ca[0][-1]}={ca[1]}"] if ca[0][0] != "curve" else
+    ca[0] + [f"--grid={ca[1]}"])
+_CODES = {0} | {code for _kinds, code in _EXIT_CODES}
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=10),
+          derandomize=True)
+@given(doc=_FUZZ_CONFIGS, args=_FUZZ_ARGS)
+# the QuantoDomestic market at p near 1.1 whose phi2 root lies where c^q
+# leaves the float range: refused as a nan integrand once, solved now
+@example(doc={
+    "market": {"s0": [461.0093608039018, 0.71286256778038],
+               "alpha": [0.8629124053328097, 2.1824336746729234],
+               "sigma": [0.013740057834448415, 0.4295021922782957],
+               "rho": 0.05490819286769, "r": -0.09685995229525057,
+               "T": 0.025937958525741593},
+    "payoff": {"kind": "QuantoDomestic", "strike": 0.3920894308187772},
+    "loss": {"kind": "power", "p": 1.1057141734329337}},
+    args=["phi2", "--v=0.9054*E[l(H)]"])
+# e^m2 past the float range at alpha2 = 800: an OverflowError escaped once
+@example(doc=dict(DESK, market=dict(DESK["market"], alpha=[0.08, 800.0]),
+                  payoff={"kind": "QuantoDomestic", "strike": 100.0},
+                  loss={"kind": "linear"}),
+         args=["psi", "--c=2"])
+# Z~ past the float range on the Monte Carlo route (theta2 = 16): a numpy
+# overflow warning escaped once
+@example(doc={
+    "market": {"s0": [1.0, 1.0], "alpha": [0.0, 1.0], "sigma": [1.0, 0.0625],
+               "rho": 0.0, "r": 0.0, "T": 5.0},
+    "payoff": {"kind": "Outperformance", "strike": 1.0},
+    "loss": {"kind": "power", "p": 2.0}}, args=["phi1", "--x=0.0*p(H)"])
+# and so did one from Z~ in verify's simulation (theta2 = -16)
+@example(doc={
+    "market": {"s0": [1.0, 1.0], "alpha": [0.0, -2.0], "sigma": [1.0, 0.125],
+               "rho": 0.0, "r": 0.0, "T": 5.0},
+    "payoff": {"kind": "QuantoDomestic", "strike": 1.0},
+    "loss": {"kind": "linear"}, "mc": {"n_paths": 10_000, "seed": 3}},
+    args=["verify", "--x=1.0*E[H]"])
+def test_cli_fuzz_exits_with_a_documented_code(doc, args):
+    # any config of the fuzz box, command and option string: main returns
+    # 0 or a code of _EXIT_CODES, writes only error: lines to stderr, and
+    # raises nothing (no traceback, no RuntimeWarning, which the suite
+    # turns into errors), within the deadline
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write(pathlib.Path(tmp), doc)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(args[:1] + ["--config", cfg] + args[1:])
+    event(f"{args[0]}: exit {rc}")
+    assert rc in _CODES, (rc, err.getvalue())
+    lines = err.getvalue().splitlines()
+    assert all(line.startswith("error: ") for line in lines), lines
+    assert (rc == 0) == (not lines), (rc, lines)

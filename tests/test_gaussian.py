@@ -83,6 +83,47 @@ def test_tilted_interval_mass_overflow_is_zero_not_nan():
     assert np.isfinite(float(out2))
 
 
+def test_tilted_interval_mass_in_logs_matches_mpmath():
+    # rows whose factor e^(log_scale + gamma m + gamma^2 s^2 / 2) passes
+    # e^600 while Phi(beta) - Phi(alpha) underflows to 0 in floats: the
+    # product, taken in logs, against 40-digit mpmath.  Its exponent rounds
+    # to about eps times the size of its terms, log_scale and gamma times a
+    # bound; with gamma s ~ 6e4 the sum of the exponent and ln Phi, each
+    # ~ 2e9, would keep no more than 6 digits
+    mpmath = pytest.importorskip("mpmath")
+    rows = np.array([  # gamma, m, s, lo, hi, log_scale
+        [40.0, 0.0, 1.0, -np.inf, 0.1, 0.0],
+        [-40.0, 0.0, 1.0, -0.1, np.inf, 0.0],       # the upper tail
+        [40.0, 0.3, 1.0, -2.0, 0.4, 0.0],
+        [-2.0, 1.0, 0.6, 40.0, 40.01, 2000.0],      # a narrow interval
+        [30.0, 0.0, 1.5, -np.inf, 0.0, -300.0],
+        [0.0, 0.0, 1.0, 39.0, np.inf, 700.0],
+        [-0.5, 0.2, 0.8, 38.5, 39.0, 1000.0],
+        [3.0, 0.0, 1.0, -1.0, 1.0, 650.0],          # Phi(t) near 1
+        [-123456.7, 0.13, 0.47, 1.9, np.inf, 234567.0],
+        [-123456.7, 0.13, 0.47, 1.9, 1.9000001, 234567.0],
+        [2.5e4, -0.3, 0.8, -np.inf, -1.1, 27500.0],
+        [-0.5, 0.2, 0.8, 39.0, 38.5, np.inf],       # empty: 0, not nan
+    ])
+    got = tilted_interval_mass(*rows.T[:5], log_scale=rows[:, 5])
+    with mpmath.workdps(40):
+        for row, g in zip(rows, got):
+            gamma, m, s, lo, hi, log_scale = (mpmath.mpf(v) for v in row)
+            alpha = (lo - m) / s - gamma * s
+            beta = (hi - m) / s - gamma * s
+            diff = (mpmath.ncdf(-alpha) - mpmath.ncdf(-beta)
+                    if alpha + beta > 0 else
+                    mpmath.ncdf(beta) - mpmath.ncdf(alpha))
+            want = (0 if hi <= lo else mpmath.exp(
+                log_scale + gamma * m + (gamma * s) ** 2 / 2) * diff)
+            size = abs(row[5]) + abs(row[0]) * np.abs(row[3:5]).min()
+            tol = 1e-15 * max(1e3, size if np.isfinite(size) else 0.0)
+            assert abs(g - want) <= tol * abs(want), (row, g, want)
+    # the same rows one at a time: a row does not depend on its batch
+    assert [float(tilted_interval_mass(*r[:5], log_scale=r[5]))
+            for r in rows] == got.tolist()
+
+
 @settings(max_examples=100, deadline=None)
 @given(gamma=st.floats(-3, 3), m=st.floats(-2, 2), s=st.floats(0.2, 3),
        a=st.floats(-4, 4), width1=st.floats(0, 3), width2=st.floats(0, 3))

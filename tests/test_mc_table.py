@@ -357,7 +357,8 @@ def test_non_finite_loss_term_raises_nan_guard():
 def test_power_weight_past_the_float_range_raises_heavy_tail(recwarn):
     # at alpha1 = 5.4 the phi2 root lies near c = 4e155, where the weight
     # c^q of the prefix sums overflows a float: HeavyTailError naming the
-    # side and c, as on the quadrature route, not a raw OverflowError
+    # side and c, not a raw OverflowError.  The quadrature route takes its
+    # weights in logs and solves there
     params = desk_params(alpha=(5.4, 0.05), rho=0.0)
     loss = LossSpec(POWER, 2.0)
     custom = Payoff(CUSTOM, custom_eval=lambda s1, s2:
@@ -369,8 +370,12 @@ def test_power_weight_past_the_float_range_raises_heavy_tail(recwarn):
         phi2(custom, params, loss, 0.5 * top, mc=mc)
     quanto = Payoff(QUANTO_DOMESTIC, strike=100.0)
     top = phi1(quanto, params, loss, 0.0)[0]
-    with pytest.raises(HeavyTailError, match=r"power-loss term overflows"):
-        phi2(quanto, params, loss, 0.5 * top)
+    _cost, c = phi2(quanto, params, loss, 0.5 * top)
+    assert 1e154 < c < math.inf
+    # the round trip: Psi1 at the returned c is the risk bound, within the
+    # check that ends the solve
+    got = psi.psi_power(quanto, params, c, 2.0)
+    assert abs(got.psi1 - 0.5 * top) <= max(1e-9 * top, 8.0 * got.err_estimate)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

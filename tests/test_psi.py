@@ -16,11 +16,13 @@ from shortfall_hedge.errors import (AssumptionViolatedError,
                                     UnsupportedClosedFormError,
                                     ValidationError)
 from shortfall_hedge.gaussian import sample
-from shortfall_hedge.market import (UNDER_P, UNDER_PTILDE, derive_constants,
-                                    radon_nikodym, terminal_price, wiener_law)
+from shortfall_hedge.market import (UNDER_P, UNDER_PTILDE, MarketParams,
+                                    derive_constants, radon_nikodym,
+                                    terminal_price, wiener_law)
 from shortfall_hedge.payoffs import (CUSTOM, DIGITAL, OUTPERFORMANCE, Payoff,
                                      QUANTO_DOMESTIC, QUANTO_FOREIGN, SPREAD,
                                      evaluate)
+import shortfall_hedge._quad as quad_mod
 import shortfall_hedge.psi as psi_mod
 from shortfall_hedge.psi import (LINEAR, LossSpec, POWER, psi_linear, psi_mc,
                                  psi_power)
@@ -361,8 +363,8 @@ def test_psi_side_values_keep_their_bits(payoff, loss, monkeypatch):
     # the solver holds values it read in one batch for reads in another:
     # each c's value and error are those of a one-c call.  And reading
     # ahead in the panel tree moves none of them: they are the bits of one
-    # round per integrand call, Spread/power Psi1 (whose inner rule
-    # follows the widest row of a c in the call) included
+    # round per integrand call, Spread/power Psi1 (whose inner rule takes
+    # each row's panel count from that row alone) included
     params = desk_params()
     cs = [0.0, 0.37, 1.0, 6.5, 41.0, math.inf]
     got = {side: psi_mod._psi_side(payoff, params, loss, cs, side)
@@ -372,8 +374,7 @@ def test_psi_side_values_keep_their_bits(payoff, loss, monkeypatch):
             (v1,), (e1,) = psi_mod._psi_side(payoff, params, loss, [c], side)
             assert (v[j], e[j]) == (v1, e1), (side, c)
     monkeypatch.setattr(psi_mod, "integrate_batch",
-                        lambda f, lo, hi, elementwise=True:
-                        integrate_batch_one_level(f, lo, hi))
+                        integrate_batch_one_level)
     for side, (v, e) in got.items():
         v1, e1 = psi_mod._psi_side(payoff, params, loss, cs, side)
         assert np.array_equal(v, v1) and np.array_equal(e, e1), side
@@ -409,14 +410,51 @@ def test_outperformance_psi1_within_its_error_of_an_independent_quad():
 
 
 def test_spread_power_inner_chunks_keep_the_bits(monkeypatch):
-    # the inner shortfall integral runs in row chunks; one chunk of all
-    # rows must give the same bits
+    # the inner shortfall integral runs in row chunks (integrate_rows); one
+    # chunk of all rows must give the same bits
     params = desk_params()
     payoff = Payoff(SPREAD, 5.0)
     chunked = [psi_power(payoff, params, c=c) for c in (0.5, 25.0)]
-    monkeypatch.setattr(psi_mod, "_INNER_CHUNK_POINTS", 10 ** 9)
+    monkeypatch.setattr(quad_mod, "_ROWS_CALL_POINTS", 10 ** 9)
     whole = [psi_power(payoff, params, c=c) for c in (0.5, 25.0)]
     assert chunked == whole
+
+
+# a Digital at p = 1.2 whose c-weights and tilts leave the float range on
+# their own, though their products on A_c are bounded
+_TILTED_DIGITAL = (Payoff(DIGITAL, 8.457764069246629), MarketParams(
+    s0=(67.9481970657719, 126.63502756459589),
+    alpha=(-0.9069156483382611, -0.9700838385487495),
+    sigma=(0.42517903033162835, 0.5464007170244504),
+    rho=-0.4373566057823094, r=0.03492473941503814, T=3.0))
+
+
+def test_digital_tilt_past_the_float_range_matches_a_bounded_simulation():
+    # power Psi1(c) = E[min(H^p, (c Z~)^q)] / p, every simulated term at
+    # most K^p / p.  At c = 1e8 the tilted mass's factor passes e^600 while
+    # its Phi difference underflows: taken apart, it read 0 and Psi1 3 %
+    # low (1.2392) at an err_estimate of 1e-14.  At c = 1 and c = 8.8e-10
+    # a weight overflowed on its own and Psi1 was refused
+    payoff, params = _TILTED_DIGITAL
+    p = 1.2
+    q = p / (p - 1.0)
+    cs = [8.8e-10, 1.0, 1e8]
+    got, err = psi_mod._psi_side(payoff, params, LossSpec(POWER, p), cs, 1)
+    assert np.isfinite(got).all() and np.isfinite(err).all()
+    assert got[0] <= got[1] <= got[2]
+    n = 1_000_000
+    w = sample(wiener_law(params), n, seed=11)
+    h = evaluate(payoff, terminal_price(params, 1, w[:, 0]),
+                 terminal_price(params, 2, w[:, 1]))
+    cons = derive_constants(params, payoff.strike)
+    ln_z = -cons.a1 * w[:, 0] - cons.a2 * w[:, 1] - cons.b_cap * cons.T
+    with np.errstate(divide="ignore"):
+        ln_hp = p * np.log(h)
+    # c = 8.8e-10 is a rare event that no path of the sample reaches
+    for c, v, e in zip(cs[1:], got[1:], err[1:]):
+        term = np.exp(np.minimum(ln_hp, q * (math.log(c) + ln_z))) / p
+        mean, se = term.mean(), term.std(ddof=1) / math.sqrt(n)
+        assert abs(v - mean) <= 4.0 * se + e, (c, v, mean, se)
 
 
 def test_power_sign_guards_raise_named_conditions():

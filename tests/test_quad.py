@@ -84,7 +84,7 @@ def test_integrate_batch_reads_its_rule_at_each_call(monkeypatch):
 def test_integrate_rows_matches_exponential():
     lo = np.array([0.0, 1.0, 2.0])
     hi = np.array([4.0, 3.0, 2.0])
-    vals = integrate_rows(np.exp, lo, hi, n_panels=8)
+    vals = integrate_rows(lambda x, rows: np.exp(x), lo, hi, n_panels=8)
     truth = np.exp(hi) - np.exp(lo)
     truth[2] = 0.0  # hi == lo row contributes nothing
     assert np.all(np.abs(vals - truth) <= 1e-10 * np.maximum(truth, 1.0))
@@ -199,18 +199,24 @@ def test_inf_on_a_refined_panel_raises_the_loops_error():
 
 @settings(max_examples=40, deadline=None)
 @given(rows=st.lists(st.tuples(st.floats(-3, 3), st.floats(0, 4),
-                               st.floats(0.1, 3)), min_size=1, max_size=12),
-       n_panels=st.integers(1, 40), chunk=st.integers(1, 5))
-def test_integrate_rows_is_invariant_to_the_chunks(rows, n_panels, chunk):
-    lo, width, g = (np.array(v) for v in zip(*rows))
+                               st.floats(0.1, 3), st.integers(1, 40)),
+                     min_size=1, max_size=12),
+       chunk=st.integers(1, 5))
+def test_integrate_rows_is_invariant_to_the_chunks(rows, chunk):
+    # each row has its own panel count; its panels share the integrand
+    # call with other rows' panels, and its value is the same in any batch
+    lo, width, g, n_panels = (np.array(v) for v in zip(*rows))
     hi = lo + width
 
     def for_rows(gr):
-        return lambda x: np.exp(-gr[:, None, None] * x) * np.cos(x)
+        return lambda x, r: np.exp(-gr[r, None] * x) * np.cos(x)
 
     whole = integrate_rows(for_rows(g), lo, hi, n_panels)
     parts = np.concatenate([
         integrate_rows(for_rows(g[k:k + chunk]), lo[k:k + chunk],
-                       hi[k:k + chunk], n_panels)
+                       hi[k:k + chunk], n_panels[k:k + chunk])
         for k in range(0, lo.size, chunk)])
     assert np.array_equal(whole, parts)
+    same = integrate_rows(for_rows(g), lo, hi, int(n_panels[0]))
+    alone = integrate_rows(for_rows(g[:1]), lo[:1], hi[:1], n_panels[:1])
+    assert same[0] == alone[0] == whole[0]
