@@ -705,14 +705,6 @@ def _psi_side(payoff: Payoff, params: MarketParams, loss: LossSpec, c,
     return np.maximum(v, 0.0), e
 
 
-def _is_one_c_side(payoff: Payoff, loss: LossSpec, side: int) -> bool:
-    """Whether a read of k c's on this side costs about k one-c reads, so
-    that the solver reads only the c of each step: Spread/power Psi1, whose
-    inner rule costs the same per outer point whatever the batch, and no
-    other side."""
-    return (payoff.kind, loss.kind, side) == (SPREAD, POWER, 1)
-
-
 def _fmt_c(c) -> str:
     return ", ".join(repr(float(ci)) for ci in c)
 

@@ -24,17 +24,17 @@ yields every c it reads and is sent Psi(c) back.  The check at the end uses
 the value already read at the answer, so a solve reads each c once.  The
 solve functions take a grid of inputs and drive the points' generators in
 lockstep (_bisect), answering them from a memo of the Psi values read so
-far.  With each c a solve also yields a function that lists the c's its
-next steps compute without a new Psi value: the walk's next steps (both
-ways, up to 2^+-7, while the direction is unknown), the levels of the
-bisection tree while the next step bisects (always on the Monte Carlo
-route), and before a Chandrupatla step the midpoint and the two clamped
-points of either new bracket.  A read takes every running point's c and
-the first 15 // (points running) - 1 of its listed c's (the Psi sides take
-c-arrays), so a lone solve's first bisection step reads all four levels,
-1 + 2 + 4 + 8 c's.  On the desk contracts a contract's first solve so
-integrates Psi 5-7 times, 47-55 c's in all, by quadrature (12 reads by
-Monte Carlo), and a first 21-point curve 14-24 times instead of about 50.
+far.  With each c a solve also yields a function that lists c's its next
+steps may compute without a new Psi value: the walk's next steps (both
+ways, up to 2^+-7, while the direction is unknown), else the levels of the
+bisection tree below the read (_ahead).  A read takes every running point's
+c and the first 15 // (points running) - 1 of its listed c's (the Psi sides
+take c-arrays); by quadrature only the listed c's of _HELD_CS, so there
+Chandrupatla steps read their own c alone, and a lone solve's first
+bisection step reads all four levels, 1 + 2 + 4 + 8 c's.  On the desk
+contracts a contract's first solve so integrates Psi 7-11 times, 30-40 c's
+in all, by quadrature (13-15 table reads by Monte Carlo), the read of the
+other side at the answer included, and a first 21-point curve 14-24 times.
 The read-ahead c's are floats the solve computes and a Psi value does not
 depend on its batch, so read-ahead only chooses which c's are read: every
 point runs the same steps, with the same values, as it does alone.  phi1
@@ -47,9 +47,7 @@ table (psi._McTable): one sample with a fixed (n, seed), so the inverted
 function stays deterministic and pathwise monotone in c; a named payoff's
 sample is _FALLBACK_MC.  The table is psi._mc_table's, held from solve to
 solve until another contract's table or a simulation replaces it, so a
-contract's phi1, phi2 and verify_risk draw and sort one sample.  Both
-routes read ahead, except on Spread/power Psi1 by quadrature (see
-psi._is_one_c_side).
+contract's phi1, phi2 and verify_risk draw and sort one sample.
 
 By quadrature the solver holds, per contract, the Psi values of each side
 at the 515 c's of _HELD_CS as they are read (_held, an lru_cache of 256
@@ -60,8 +58,8 @@ four bisection steps can read in each of the 32 walk brackets.  A Psi value
 does not depend on its batch, so a held value is the one a new read would
 give.  A contract's later solves so integrate only the c's of their
 Chandrupatla steps, which start from a bracket 1/16 of the walk's with an
-interpolation point in hand: 3-7 times, 17-45 c's, and a repeated 21-point
-curve 7-11 times.
+interpolation point in hand, and the other side at the answer: 5-7 reads
+of one c each, and a repeated 21-point curve 7-12 reads.
 """
 
 from __future__ import annotations
@@ -79,8 +77,8 @@ from .errors import (AssumptionViolatedError, HeavyTailError,
 from .market import MarketParams
 from .mc import McConfig
 from .payoffs import CUSTOM, Payoff
-from .psi import (LINEAR, POWER, LossSpec, _is_one_c_side, _make_ctx,
-                  _mc_table, _psi_side, _sign_guard_power)
+from .psi import (LINEAR, POWER, LossSpec, _make_ctx, _mc_table, _psi_side,
+                  _sign_guard_power)
 
 _FALLBACK_MC = McConfig(n_paths=200_000, seed=1729)
 _EDGE_TOL = 1e-9
@@ -353,21 +351,15 @@ def _chandrupatla(a: _Point, b: _Point, third: Optional[_Point]) -> float:
             + alpha * fa / (fc - fa) * fb / (fc - fb))
 
 
-def _ahead(lo: float, x: float, hi: float, interpolate: bool) -> list:
-    """The c's that the step after a read at x in (lo, hi) computes without
-    x's value, whichever side of the answer x lies on, _READ_AHEAD_CS - 1 at
-    most: with interpolation, the two clamped points and the midpoint of
-    each new bracket; without, the levels of the bisection tree below x."""
+def _ahead(lo: float, x: float, hi: float) -> list:
+    """The levels of the bisection tree below a read at x in (lo, hi): the
+    c's that bisection steps after it compute without x's value, whichever
+    side of the answer x lies on, _READ_AHEAD_CS - 1 at most."""
     cs, level = [], [(lo, x), (x, hi)]
     while level and len(cs) < _READ_AHEAD_CS - 1:
         below = []
         for a, b in level:
-            if _closed(a, b):
-                continue
-            if interpolate:
-                tl = _tl(a, b)
-                cs += [_at(a, b, tl), _at(a, b, 1.0 - tl), _at(a, b, 0.5)]
-            else:
+            if not _closed(a, b):
                 mid = _at(a, b, 0.5)
                 cs.append(mid)
                 below += [(a, mid), (mid, b)]
@@ -380,8 +372,9 @@ def _predicate_bisection(side: int, target: float, increasing: bool,
     """One point's solve: the infimum c of {c : Psi_side(c) reaches target}.
 
     A generator: it yields (c, ahead), the c it reads now and a function
-    that lists the c's its next steps compute without a new Psi value, is
-    sent (Psi_side(c), err) and returns (c, Psi_side(c), err).
+    that lists c's its next steps may compute without a new Psi value (the
+    walk's next steps, else _ahead's bisection tree), is sent
+    (Psi_side(c), err) and returns (c, Psi_side(c), err).
     With f = Psi - target for a nondecreasing side and target - Psi for a
     nonincreasing one (_Point), the predicate "f < 0" is True exactly left
     of the answer.
@@ -443,8 +436,7 @@ def _predicate_bisection(side: int, target: float, increasing: bool,
              if interpolate and step >= _GRID_LEVELS else 0.5)
         tl = _tl(lo, hi)
         x = _at(lo, hi, min(1.0 - tl, max(tl, t if a.f < 0.0 else 1.0 - t)))
-        new = point(x, *(yield x, functools.partial(
-            _ahead, lo, x, hi, interpolate and step >= _GRID_LEVELS - 1)))
+        new = point(x, *(yield x, functools.partial(_ahead, lo, x, hi)))
         if (new.f < 0.0) == (a.f < 0.0):
             third = a
         else:
@@ -465,21 +457,18 @@ def _bisect(ev: _Evaluator, side: int, targets: dict, increasing: bool,
     bisection in ln c throughout on the Monte Carlo route, where Psi is a
     step function on which an interpolant predicts nothing.  A step whose
     c's are all in the memo reads nothing; otherwise one _read takes, from
-    every running solve, its current c and the first n - 1 of the c's its
-    next steps compute without a new value, n = _READ_AHEAD_CS // n_live
-    (at least 1).  Those are the floats the solve computes, and a Psi value
-    does not depend on the other c's of its read, so every solve runs the
-    steps and sees the values it would see alone; a c whose read failed
-    raises only in a solve that reaches it.
-    Spread/power Psi1 by quadrature, where a read of k c's costs about k
-    one-c reads, reads only the c of each step (n = 1).  At n = 1 the memo
-    answers nothing: the solves run in lockstep from the same walk, so a c
-    that two solves read is read by both at the same step.
+    every running solve, its current c and the first n - 1 of the c's it
+    lists ahead, n = _READ_AHEAD_CS // n_live (at least 1), where by
+    quadrature a listed c counts only if it is one of _HELD_CS, which every
+    contract keeps.  Those are the floats the solve computes, and a Psi
+    value does not depend on the other c's of its read, so every solve runs
+    the steps and sees the values it would see alone; a c whose read failed
+    raises only in a solve that reaches it.  At n = 1 the memo answers
+    nothing: the solves run in lockstep from the same walk, so a c that two
+    solves read is read by both at the same step.
     """
     tol = max(SolveConfig.abs_tol_target * max(1.0, scale),
               1e-7 * max(1.0, scale) if ev.method == METHOD_MC else 0.0)
-    one_c = (ev.method == METHOD_QUAD
-             and _is_one_c_side(ev.payoff, ev.loss, side))
     solves = {i: _predicate_bisection(side, float(t), increasing, tol,
                                       ev.method == METHOD_QUAD)
               for i, t in targets.items()}
@@ -487,10 +476,13 @@ def _bisect(ev: _Evaluator, side: int, targets: dict, increasing: bool,
     memo, solved = {}, {}
     while at:
         if any(c not in memo for c, _next in at.values()):
-            n = 1 if one_c else max(1, _READ_AHEAD_CS // len(at))
+            n = max(1, _READ_AHEAD_CS // len(at))
             cs = []
             for c, next_cs in at.values():
-                cs += [c] + (next_cs()[:n - 1] if n > 1 else [])
+                ahead = next_cs() if n > 1 else []
+                if ev.method == METHOD_QUAD:
+                    ahead = [a for a in ahead if a in _HELD_CS]
+                cs += [c] + ahead[:n - 1]
             memo.update(_read(ev, [c for c in cs if c not in memo], side))
         next_at = {}
         for i, (c, _next) in at.items():

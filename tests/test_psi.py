@@ -342,7 +342,9 @@ def test_spread_xstar_of_a_row_does_not_depend_on_its_batch(tilde):
 @pytest.mark.parametrize("rho", (-0.5, 0.6))
 def test_spread_power_psi1_matches_a_fine_inner_rule(rho, monkeypatch):
     # the inner shortfall rule against 1536 panels per row, well inside the
-    # outer quadrature's error estimate
+    # outer quadrature's error estimate; the reference integrates one round
+    # per integrand call, with the bits of integrate_batch but no child rows
+    # of 1536 inner panels each
     params = desk_params(rho=rho)
     payoff = Payoff(SPREAD, 5.0)
     cs = np.exp(np.linspace(-6.0, 12.0, 7))
@@ -352,6 +354,7 @@ def test_spread_power_psi1_matches_a_fine_inner_rule(rho, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(psi_mod, "_INNER_PANELS_MIN", 1536)
             m.setattr(psi_mod, "_INNER_PANELS_MAX", 1536)
+            m.setattr(psi_mod, "integrate_batch", integrate_batch_one_level)
             ref, _err = psi_mod._psi_side(payoff, params, loss, cs, 1)
         assert (np.abs(got - ref) <= err).all(), (p, got - ref, err)
 
@@ -406,6 +409,23 @@ def test_outperformance_psi1_within_its_error_of_an_independent_quad():
     (v,), (err,) = psi_mod._psi_side(payoff, params, LossSpec(LINEAR),
                                      [1.94], 1)
     ref = region_side_linear_quad(payoff, params, 1.94, 1)
+    assert abs(v - ref) <= err + 1e-14 * abs(ref)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: the S1-call side's err_estimate is 310x smaller than "
+    "its gap to a tight rerun"))
+def test_quanto_foreign_psi1_within_its_error_of_a_tight_rerun(monkeypatch):
+    # desk QuantoForeign/linear at rho = 0.6: Psi1(e^-0.5) reads
+    # 21.05024115166505 with err 7.1e-12, and a rerun at a 1e-14 tolerance
+    # on 256 initial panels gives 21.050241149459644, 310 errors away
+    params = desk_params(rho=0.6)
+    payoff = Payoff(QUANTO_FOREIGN, 9500.0)
+    c = [math.exp(-0.5)]
+    (v,), (err,) = psi_mod._psi_side(payoff, params, LossSpec(LINEAR), c, 1)
+    monkeypatch.setattr(quad_mod, "_REL_TOL", 1e-14)
+    monkeypatch.setattr(quad_mod, "_INITIAL_PANELS", 256)
+    (ref,), _err = psi_mod._psi_side(payoff, params, LossSpec(LINEAR), c, 1)
     assert abs(v - ref) <= err + 1e-14 * abs(ref)
 
 

@@ -344,10 +344,6 @@ def test_curve_reads_psi_once_per_lockstep_step(monkeypatch, fresh_held):
     assert len(calls) <= 16
 
 
-# the one side whose c's run one after another: no c is read ahead on it
-ONE_C_SIDES = {(SPREAD, POWER, 1)}
-
-
 @pytest.mark.parametrize("loss", (LIN, P2), ids=lambda l: l.kind)
 @pytest.mark.parametrize("payoff", DESK_PAYOFFS, ids=lambda p: p.kind)
 def test_one_point_solve_reads_each_c_once(payoff, loss, monkeypatch,
@@ -371,11 +367,50 @@ def test_one_point_solve_reads_each_c_once(payoff, loss, monkeypatch,
         solve(payoff, params, loss, 0.5 * top)
         cs = [c for s, batch in reads if s == side for c in batch]
         assert len(cs) > 2 and len(set(cs)) == len(cs)
-        if (payoff.kind, loss.kind, side) in ONE_C_SIDES:
-            assert all(len(batch) == 1 for s, batch in reads if s == side)
-        else:
-            assert len(reads) <= 9
-            assert all(len(batch) <= 15 for _s, batch in reads)
+        assert len(reads) <= 9
+        assert all(len(batch) <= 15 for _s, batch in reads)
+
+
+@pytest.mark.parametrize("rho", (-0.5, 0.6))
+def test_quadrature_reads_step_cs_and_held_cs_only(rho, monkeypatch,
+                                                    fresh_held):
+    # by quadrature a read takes the c's the running steps read and, ahead
+    # of the steps, only c's that every contract holds: cold and warm round
+    # trips integrate no c outside those two sets
+    params = desk_params(rho=rho)
+    stepped, integrated = set(), []
+    real_solve, real_side = solver._predicate_bisection, solver._psi_side
+
+    def recording(*args, **kwargs):
+        solve = real_solve(*args, **kwargs)
+        try:
+            c, ahead = next(solve)
+            while True:
+                stepped.add(c)
+                c, ahead = solve.send((yield c, ahead))
+        except StopIteration as done:
+            stepped.add(done.value[0])
+            return done.value
+
+    def counting(payoff, params, loss, c, side, *args, **kwargs):
+        integrated.extend(np.atleast_1d(c).tolist())
+        return real_side(payoff, params, loss, c, side, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_predicate_bisection", recording)
+    monkeypatch.setattr(solver, "_psi_side", counting)
+    contracts = [(payoff, loss) for payoff, loss in DESK_CONTRACTS
+                 if solver._route_method(payoff, params, loss)
+                 == solver.METHOD_QUAD]
+    assert len(contracts) >= 9
+    for payoff, loss in contracts:
+        p_h = price(payoff, params)
+        for u in (0.2, 0.5, 0.8):
+            for _cold_then_warm in range(2):
+                risk, _c = phi1(payoff, params, loss, u * p_h)
+                phi2(payoff, params, loss, risk)
+        stray = [c for c in integrated
+                 if c not in stepped and c not in solver._HELD_CS]
+        assert not stray, (payoff.kind, loss.kind, stray[:5])
 
 
 BASKET = Payoff(CUSTOM, custom_eval=lambda s1, s2:
