@@ -8,24 +8,24 @@ uses A_c = {c Z~ <= H^(p-1)}.  Definitions:
                        + (1/p) E[(c Z~)^(p/(p-1)) 1_Ac]
              Psi2(c) = E~[(H - (c Z~)^(1/(p-1))) 1_Ac]
 
-Each side integrates one of four payoff shapes:
+Each side integrates one of three payoff shapes:
 
-- Digital (_digital_side): orthants of X = sigma1 W1 - sigma2 W2 and
-  Y = A1 W1 + A2 W2.  Three terms, on = P(X >= thr, Y >= u), off =
-  P(X >= thr, Y < u) and tilt = E[e^(-e Y); X >= thr, Y >= u], give every
-  side.  Where GaussianLaw takes their covariance, on is in closed form by
-  Owen's T (gaussian.rect_upper_prob, err_estimate a 4 eps rounding bound)
-  and tilt is one outer integral.  Where it refuses, Y = lam X up to a
-  small conditional sd: each term is a tilted interval mass of X, and the
-  error adds the mass of the band where the sign of Y - u is unknown.
+- Tail tables (_TailTable): every linear side but the Outperformance's,
+  and the Digital under power loss.  A_c = {Y >= u} is a half-plane in
+  Y = A1 W1 + A2 W2 ~ N(0, v), u = ln c - BT (less (p-1) ln K for the
+  Digital under power loss, whose A_c lies in {H = K}).  On the line
+  Y = y, ln S1 and ln S2 are affine in one standard normal xi, so g(y) =
+  E[H | Y = y] is closed-form tilted interval masses, and each side is a
+  tail in y of one c-independent integrand phi_v(y) e^(-gamma y) g(y),
+  held as panels with suffix and prefix sums: a read at c is a suffix sum
+  plus one K15 partial panel.  _table_side states the formulas.
 - Product-form regions (_region_side): H = F(o) e^(tau s) on {s <= cap(o)}
   for a Gaussian outer o and inner s | o, so A_c is a half-line in s and
   each term is F times a closed-form tilted interval mass.  QuantoDomestic
-  is one region, Outperformance two (S1 >= S2 and S2 >= S1), and
-  QuantoForeign under power loss one region in the (U, Z) coordinates of
-  _qf_uz.  _region_side states the formula.
-- The S1-call side (_s1_call_side): H = (S1 - K(y))^+ with K(y) = K/S2
-  for QuantoForeign and S2 + K for Spread, under linear loss.
+  under power loss is one region, Outperformance two (S1 >= S2 and
+  S2 >= S1) under either loss, and QuantoForeign under power loss one
+  region in the (U, Z) coordinates of _qf_uz.  _region_side states the
+  formula.
 - Spread/power: the inner shortfall (S1 - S2 - K)^p has no tilt form.  It
   runs on a fixed K15 rule in t, x = d(y) + t^4 (which removes the
   algebraic edge at the payoff root d(y)), with 4 W / (3 sd) panels for a
@@ -39,12 +39,12 @@ leave the float range while their product is bounded: the weight enters
 tilted_interval_mass as its log, log_scale, never formed on its own.
 
 _psi_side is the one quadrature entry point, and it takes an array of c:
-every side integrates one interval per c in one integrate_batch call, its
-integrand indexing ln c by interval id (the digital's orthants take the
-c's in one rect_upper_prob call).  Every integrand is elementwise and
-integrate_batch sums each interval on its own, so a value does not depend
-on the other c's of the call.  psi_linear and psi_power call it at one c,
-once per side.
+a region or Spread/power side integrates one interval per c in one
+integrate_batch call, its integrand indexing ln c by interval id, and a
+table side reads each c from its held table.  Every integrand is
+elementwise and each interval and read is summed on its own, so a value
+does not depend on the other c's of the call.  psi_linear and psi_power
+call it at one c, once per side.
 
 Monte Carlo twins of both functions (psi_mc, and _McTable for arrays of
 c) sample W_T under P and W~_T under P~ directly and work for every
@@ -58,20 +58,20 @@ table is alive at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit, ndtr
+from scipy.special import expit
 
-from ._quad import integrate_batch, integrate_rows
-from .errors import (AssumptionViolatedError, DegenerateLawError,
-                     HeavyTailError, NanGuardError, UnsupportedClosedFormError,
+from . import _quad as quad
+from ._quad import NODES, WG, WK, integrate_batch, integrate_rows
+from .errors import (AssumptionViolatedError, HeavyTailError, NanGuardError, UnsupportedClosedFormError,
                      ValidationError)
-from .gaussian import (RECT_ERR, GaussianLaw, rect_upper_prob, sample,
-                       tilted_interval_mass)
+from .gaussian import sample, tilted_interval_mass
 from .market import (UNDER_P, UNDER_PTILDE, MarketParams,
                      MeasureConstants, wiener_law)
 from .payoffs import (CUSTOM, DIGITAL, OUTPERFORMANCE, QUANTO_DOMESTIC,
@@ -201,131 +201,419 @@ def _half_line(a: float, rest, big_l):
 
 
 # ---------------------------------------------------------------------------
-# Digital, either loss: orthants of X = sigma1 W1 - sigma2 W2, whose event
-# X >= thr is S1 >= S2, and Y = A1 W1 + A2 W2 = -ln Z~ - BT
+# the tail table: linear loss on Digital, QuantoDomestic, QuantoForeign and
+# Spread, and Digital under power loss.  A_c = {Y >= u} is a half-plane in
+# Y = A1 W1 + A2 W2, so each side is a tail integral in y of one
+# c-independent integrand, held per contract and read at any u
 # ---------------------------------------------------------------------------
 
-def _digital_side(ctx: _Ctx, c, p: Optional[float], tilde: bool):
-    """One Digital side at each c; p None is linear loss.
+@dataclass(frozen=True)
+class _Line:
+    """W = k y + u xi on the line Y = y, with xi ~ N(0, 1) independent of Y
+    ~ N(0, v), so that ln S_i = c_i + d_i y + b_i xi; v_a is the variance
+    of A1 W1 + A2 W2.  Where A = 0, Z~ is constant and the line runs along
+    W2 instead (step: A_c is everything or nothing).  b_x = b1 - b2, the
+    sd of ln(S1 / S2) on the line, is formed as one sum, since it cancels
+    where A is nearly parallel to (sigma1, -sigma2)."""
 
-    A_c = {Y >= u}, u = ln c - (p-1) ln K - BT (ln c - BT under linear
-    loss).  With e = q = p/(p-1) on Psi1 and kap = 1/(p-1) on Psi2,
-
-        on = P(X >= thr, Y >= u),   off = P(X >= thr, Y < u),
-        tilt = E[e^(-e Y); X >= thr, Y >= u]
-
-    give    linear:  K on
-            Psi1:    (K^p / p) off + (c^q e^(-qBT) / p) tilt
-            Psi2:    K on - c^kap e^(-kap BT) tilt.
-
-    Where GaussianLaw takes the (X, Y) covariance, on is rect_upper_prob
-    and tilt one outer integral of the tilted mass of Y | X.  Where it
-    refuses, Y = lam X up to a conditional sd s_yx (lam = 0 where A = 0),
-    every term is a tilted_interval_mass over an interval of X, and the
-    error adds the mass of the band |lam X - u| <= 8 s_yx.  K^p is a float
-    that may overflow to inf, which _psi_side reports.
-    """
-    bs, _m1, _m2, suf = _side_fields(ctx, tilde)
-    k, t = ctx.k, ctx.cons.T
-    thr = ctx.cons.thresholds["b" + suf]
-    sg1, sg2 = ctx.params.sigma
-    m = np.array([[sg1, -sg2], [ctx.cons.a1, ctx.cons.a2]])
-    cov = m @ ctx.params.wiener_cov @ m.T
-    sd_x, lam = math.sqrt(cov[0, 0]), cov[0, 1] / cov[0, 0]
-    ln_k = 0.0 if p is None else (p - 1.0) * math.log(k)
-    lnc = _each(_lnc, c)
-    u = lnc - ln_k - bs * t
-    e = 0.0 if p is None else (1.0 if tilde else p) / (p - 1.0)
-    # ln of the weight of tilt, c^e e^(-e BT), over p on Psi1
-    ln_w = None if p is None else (
-        e * (lnc - bs * t) - (0.0 if tilde else math.log(p)))
-    try:
-        law = GaussianLaw(2, np.zeros(2), cov)
-    except DegenerateLawError:
-        GaussianLaw(1, np.zeros(1), cov[:1, :1])  # X itself must be a law
-        # s_yx^2 = det(cov) / var X: the form of the other branch cancels,
-        # and rounds an s_yx below about 1e-8 to 0
-        s_yx = (abs(sg1 * ctx.cons.a2 + sg2 * ctx.cons.a1) * ctx.sd
-                * ctx.cond_sd / sd_x)
-        band = 8.0 * s_yx
-        if lam == 0.0:  # Y is 0 up to s_yx: A_c is all of X >= thr or none
-            cut = np.where(u <= 0.0, -np.inf, np.inf)
-            b_lo, b_hi = np.where(np.abs(u) < band, -np.inf, np.inf), np.inf
-        else:
-            cut = u / lam
-            b_lo, b_hi = np.sort([(u - band) / lam, (u + band) / lam], axis=0)
-        mid = np.maximum(thr, cut)
-        on_x, off_x = ((mid, np.inf), (thr, mid)) if lam >= 0.0 else \
-            ((thr, mid), (mid, np.inf))
-        band_x = (np.maximum(thr, b_lo), b_hi)
-
-        def mass(g, x_range, log_scale=0.0):
-            return tilted_interval_mass(g, 0.0, sd_x, *x_range, log_scale)
-
-        on, off = mass(0.0, on_x), mass(0.0, off_x)
-        err_on = RECT_ERR + mass(0.0, band_x)
-        if p is not None:
-            # off the band, E[e^(-e Y) | X] = e^(-e lam X + (e s_yx)^2 / 2)
-            ln_g = ln_w + 0.5 * (e * s_yx) ** 2
-            tilt = mass(-e * lam, on_x, ln_g)
-            err_tilt = mass(-e * lam, band_x, ln_g)
-    else:
-        on = rect_upper_prob(law, (thr, u))
-        off = float(ndtr(-thr / sd_x)) - on
-        err_on = np.full(c.size, RECT_ERR)
-        if p is not None:
-            s_yx = math.sqrt(max(cov[1, 1] - lam * cov[0, 1], 0.0))
-
-            def f(x, ids):
-                return _phi(x, sd_x) * tilted_interval_mass(
-                    -e, lam * x, s_yx, u[ids], np.inf, ln_w[ids])
-
-            tilt, err_tilt = _integrate(f, max(thr, -ctx.trunc_sd * sd_x),
-                                        ctx.trunc_sd * sd_x, c < math.inf)
-    if p is None:
-        return k * on, k * err_on
-    if tilde:
-        return k * on - tilt, k * err_on + err_tilt
-    kp = np.float64(k) ** p / p
-    return kp * off + tilt, kp * err_on + err_tilt
+    v: float
+    v_a: float
+    c: tuple
+    d: tuple
+    b: tuple
+    b_x: float
+    step: bool
 
 
-# ---------------------------------------------------------------------------
-# linear loss, one side (tilde=False -> Psi1 under P, tilde=True -> Psi2),
-# at each c of an array; c = inf gives an empty interval (A_c is empty)
-# ---------------------------------------------------------------------------
-
-def _s1_call_side(ctx: _Ctx, c, tilde: bool, strike_of):
-    """H = (S1 - K(y))^+ under linear loss: outer y = W2, inner W1 | y.
-
-    strike_of(ctx, m2, y) is the strike K(y) per row, for the S2 drift m2.
-    """
-    bs, m1, m2, _suf = _side_fields(ctx, tilde)
-    big_l = _each(_lnc, c) - bs * ctx.cons.T
+def _line(ctx: _Ctx, tilde: bool) -> _Line:
+    _bs, m1, m2, _suf = _side_fields(ctx, tilde)
     a1, a2 = ctx.cons.a1, ctx.cons.a2
-    sg1, s10 = ctx.params.sigma[0], ctx.params.s0[0]
-    rho, sd, cond_sd = ctx.rho, ctx.sd, ctx.cond_sd
-
-    def f(y, ids):
-        k_y = strike_of(ctx, m2, y)
-        lo_x, hi_x = _half_line(a1, a2 * y, big_l[ids])
-        lo_x = np.maximum(lo_x, (np.log(k_y / s10) - m1) / sg1)
-        m_c = rho * y
-        t1 = s10 * np.exp(m1) * tilted_interval_mass(sg1, m_c, cond_sd, lo_x, hi_x)
-        t2 = k_y * tilted_interval_mass(0.0, m_c, cond_sd, lo_x, hi_x)
-        return _phi(y, sd) * (t1 - t2)
-
-    return _integrate(f, -ctx.cap, ctx.cap, big_l < math.inf)
-
-
-def _qf_strike(ctx: _Ctx, m2: float, y):
-    """K / S2(y): QuantoForeign is (S1 - K/S2)^+."""
-    return (ctx.k / ctx.params.s0[1]) * np.exp(-m2 - ctx.params.sigma[1] * y)
+    t, rho = ctx.cons.T, ctx.rho
+    v_a = t * (a1 * a1 + 2.0 * rho * a1 * a2 + a2 * a2)
+    step = not v_a > 1e-300
+    if step:
+        a1, a2 = 0.0, 1.0
+    v = t * (a1 * a1 + 2.0 * rho * a1 * a2 + a2 * a2)
+    # E[W | Y] = Q T A y / v; the conditional covariance is rank one,
+    # det(QT) / v (-A2, A1)(-A2, A1)^T
+    k = (t * (a1 + rho * a2) / v, t * (rho * a1 + a2) / v)
+    u = math.sqrt(t * t * (1.0 - rho * rho) / v)
+    sg, s0 = ctx.params.sigma, ctx.params.s0
+    return _Line(v=v, v_a=0.0 if step else v_a,
+                 c=(math.log(s0[0]) + m1, math.log(s0[1]) + m2),
+                 d=(sg[0] * k[0], sg[1] * k[1]),
+                 b=(-sg[0] * u * a2, sg[1] * u * a1),
+                 b_x=-u * (sg[0] * a2 + sg[1] * a1), step=step)
 
 
-def _spread_strike(ctx: _Ctx, m2: float, y):
-    """S2(y) + K: Spread is (S1 - S2 - K)^+."""
-    return ctx.params.s0[1] * np.exp(m2 + ctx.params.sigma[1] * y) + ctx.k
+def _crossing(c: float, d: float, b: float):
+    """Breakpoints of the table where the payoff's indicator, c + d y + b xi
+    >= 0, flips on the line: its probability Phi((c + d y) / |b|) is a ramp
+    in y around y* = -c / d, r = |b / d| wide, a step where b is 0.  So y*
+    and y* +- r, 4r and 8r, if d is not 0."""
+    if abs(d) <= _SIGN_TOL:
+        return []
+    y, r = -c / d, abs(b / d)
+    return [y + f * r for f in (-8.0, -4.0, -1.0, 0.0, 1.0, 4.0, 8.0)]
+
+
+def _mass(b, lo, hi, ls):
+    """E[e^(b xi) 1{lo <= xi <= hi}] e^ls for xi ~ N(0, 1)."""
+    return tilted_interval_mass(b, 0.0, 1.0, lo, hi, ls)
+
+
+def _terms(*terms):
+    """(sum, sum of sizes) of g's signed terms: a g of terms that cancel
+    (a call far out of the money) is off by rounding of their sizes."""
+    return sum(terms), sum(np.abs(t) for t in terms)
+
+
+def _digital_g(line: _Line, ctx: _Ctx, suf: str):
+    """K P(S1 >= S2 | y): xi on one side of where ln S1 = ln S2.  Each
+    payoff's g takes its indicator at y = 0 from the thresholds of the
+    side's measure, suffix suf, each formed from one log of a ratio."""
+    (d1, d2), b_x, k = line.d, line.b_x, ctx.k
+    x0 = -ctx.cons.thresholds["b" + suf]
+
+    def g(y, ls):
+        lo, hi = _half_line(b_x, x0 + (d1 - d2) * y, 0.0)
+        on = _mass(0.0, lo, hi, ls + math.log(k))
+        return on, on
+
+    return g, (0.0,), _crossing(x0, d1 - d2, b_x)
+
+
+def _qd_g(line: _Line, ctx: _Ctx, suf: str):
+    """E[S2 (S1 - K)^+ | y]."""
+    (c1, c2), (d1, d2), (b1, b2) = line.c, line.d, line.b
+    ln_k = math.log(ctx.k)
+    x0 = -ctx.cons.thresholds["a1" + suf] * ctx.params.sigma[0]
+
+    def g(y, ls):
+        a1, a2 = c1 + d1 * y, c2 + d2 * y
+        lo, hi = _half_line(b1, x0 + d1 * y, 0.0)
+        return _terms(_mass(b1 + b2, lo, hi, ls + a1 + a2),
+                      -_mass(b2, lo, hi, ls + a2 + ln_k))
+
+    return g, (d1 + d2, d2), _crossing(x0, d1, b1)
+
+
+def _qf_g(line: _Line, ctx: _Ctx, suf: str):
+    """E[(S1 - K / S2)^+ | y]."""
+    (c1, c2), (d1, d2), (b1, b2) = line.c, line.d, line.b
+    ln_k, x0 = math.log(ctx.k), -ctx.cons.thresholds["d" + suf]
+
+    def g(y, ls):
+        a1, a2 = c1 + d1 * y, c2 + d2 * y
+        lo, hi = _half_line(b1 + b2, x0 + (d1 + d2) * y, 0.0)
+        return _terms(_mass(b1, lo, hi, ls + a1),
+                      -_mass(-b2, lo, hi, ls + ln_k - a2))
+
+    return g, (d1, -d2), _crossing(x0, d1 + d2, b1 + b2)
+
+
+def _spread_g(line: _Line, ctx: _Ctx, _suf: str):
+    """E[(S1 - S2 - K)^+ | y].  The set {S1 - S2 >= K} is where the convex
+    h(xi) = ln(S2 + K) - ln S1 is <= 0: one interval, inside the interval
+    where both of its affine lower bounds, ln S2 - ln S1 and ln K - ln S1,
+    are <= 0.  Newton's method from each finite end of that interval
+    descends to the root on that side.  Where b1 / b2 is in (0, 1), h has
+    a minimum, and the set is empty at the y's where it is positive: it
+    appears or vanishes at the one y where that minimum is 0."""
+    (c1, c2), (d1, d2), (b1, b2) = line.c, line.d, line.b
+    ln_k = math.log(ctx.k)
+    ratio = b1 / b2 if b2 != 0.0 else 0.0
+    has_min = 0.0 < ratio < 1.0
+    breaks = []
+    if has_min:
+        # at the minimum S2 = K ratio / (1 - ratio): h = ln(K / (1 - ratio))
+        # - c1 - d1 y - ratio (ln(K ratio / (1 - ratio)) - c2 - d2 y)
+        ln_s2 = ln_k + math.log(ratio) - math.log1p(-ratio)
+        h0 = ln_k - math.log1p(-ratio) - c1 - ratio * (ln_s2 - c2)
+        if abs(ratio * d2 - d1) > _SIGN_TOL:
+            breaks = [-h0 / (ratio * d2 - d1)]
+
+    def h(xi, a1, a2):
+        return np.logaddexp(a2 + b2 * xi, ln_k) - a1 - b1 * xi
+
+    def root(x, a1, a2):
+        # a row stops on its own, once h is at rounding level or a step no
+        # longer moves it, so its root does not depend on the other rows
+        rows = np.arange(x.size)
+        for _ in range(60):  # monotone from outside; the cap is a guard
+            xr, a1r, a2r = x[rows], a1[rows], a2[rows]
+            hx = h(xr, a1r, a2r)
+            x_next = xr - hx / (b2 * expit(a2r + b2 * xr - ln_k) - b1)
+            live = ((hx > 8.9e-16 * (np.abs(a1r) + np.abs(b1 * xr) + ln_k
+                                     + np.abs(a2r + b2 * xr) + 1.0))
+                    & (x_next != xr) & np.isfinite(x_next))
+            rows = rows[live]
+            x[rows] = x_next[live]
+            if not rows.size:
+                break
+        return x
+
+    def g(y, ls):
+        a1, a2 = c1 + d1 * y, c2 + d2 * y
+        lo1, hi1 = _half_line(b1 - b2, a1 - a2, 0.0)
+        lo2, hi2 = _half_line(b1, a1, ln_k)
+        lo, hi = np.maximum(lo1, lo2), np.minimum(hi1, hi2)
+        empty = lo >= hi
+        if has_min:
+            xi_min = (ln_s2 - a2) / b2
+            empty |= h(xi_min, a1, a2) > 0.0
+        fin_lo, fin_hi = ~empty & np.isfinite(lo), ~empty & np.isfinite(hi)
+        lo, hi = np.where(empty, 0.0, lo), np.where(empty, 0.0, hi)
+        lo[fin_lo] = root(lo[fin_lo], a1[fin_lo], a2[fin_lo])
+        hi[fin_hi] = root(hi[fin_hi], a1[fin_hi], a2[fin_hi])
+        return _terms(_mass(b1, lo, hi, ls + a1), -_mass(b2, lo, hi, ls + a2),
+                      -_mass(0.0, lo, hi, ls + ln_k))
+
+    return g, (d1, d2, 0.0), breaks
+
+
+_LINE_PAYOFFS = {DIGITAL: _digital_g, QUANTO_DOMESTIC: _qd_g,
+                 QUANTO_FOREIGN: _qf_g, SPREAD: _spread_g}
+# the table spans the y's within _TAIL_SD sd of Y's mean and of the means
+# of the payoff's exponential terms, beyond which phi_v underflows
+_TAIL_SD = 38.5
+_PANEL_SD = 2.0
+_PANEL_FALL = 5.0
+_TABLE_PANELS_MAX = 4096
+# rounding of a panel's value, per unit of its value and of the ratio of
+# its abscissae to its width (_panels)
+_ROUND = 8.0 * np.finfo(float).eps
+
+
+def _panels(g, mu: float, v: float, a, b):
+    """(ln scale, K15, |K15 - G7|, rounding) of the integral of
+    phi_v(y - mu) g(y) over each panel [a, b] that does not straddle mu,
+    the value being e^(ln scale) K15.  The scale is phi_v at the panel's end nearer mu,
+    where the Gaussian is largest, and g(y, log_scale) takes the rest of
+    the Gaussian as its log_scale, so that no panel underflows however
+    far from mu it lies.
+
+    g returns its value and the sum of the sizes of its terms.  The
+    rounding bound covers those terms, and the abscissae, each rounded to
+    eps |y|, which moves a value by its own size per eps |y| / (b - a) at
+    most where g has a ramp as narrow as the panel (a Digital whose
+    S1 / S2 is nearly fixed by Y).  The error of the panel is |K15 - G7|
+    plus the rounding bound."""
+    h = 0.5 * (b - a)
+    y = (a + h)[:, None] + h[:, None] * NODES
+    near = np.where(a >= mu, a, b)
+    ln_scale = -0.5 * (near - mu) ** 2 / v - 0.5 * math.log(2.0 * math.pi * v)
+    rest = (0.5 / v) * ((near - mu)[:, None] ** 2 - (y - mu) ** 2)
+    vals, sizes = (x.reshape(-1, 15) for x in g(y.ravel(), rest.ravel()))
+    k15 = h * (vals * WK).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ulps = np.where(h > 0.0, 1.0 + (np.abs(a) + np.abs(b)) / (2.0 * h), 0.0)
+    return (ln_scale, k15, np.abs(k15 - h * (vals * WG).sum(axis=-1)),
+            _ROUND * (ulps * np.abs(k15) + h * (sizes * WK).sum(axis=-1)))
+
+
+def _layout(lo: float, hi: float, mu: float, sd: float):
+    """Panel edges over [lo, hi], mu among them: _PANEL_SD sd apart near
+    mu, and further out each panel spans a step of _PANEL_FALL in the
+    exponent of the Gaussian, where G7 and K15 agree to about 1e-9 on an
+    exponential; at most _TABLE_PANELS_MAX panels, else evenly spaced."""
+    bend = _PANEL_FALL / _PANEL_SD  # where the two rules meet, in sd
+
+    def away(z0, z1):  # distances from mu, in sd, over [z0, z1], z0 >= 0
+        if z1 <= z0:
+            return np.empty(0)
+        flat = np.arange(z0, min(z1, bend), _PANEL_SD)
+        start = max(z0, bend)
+        n = max(0, math.ceil((z1 * z1 - start * start) / (2.0 * _PANEL_FALL)))
+        if flat.size + n > _TABLE_PANELS_MAX:
+            return None
+        steep = np.sqrt(start * start + 2.0 * _PANEL_FALL * np.arange(n))
+        return np.concatenate([flat, steep[steep >= start], [z1]])
+
+    z_lo, z_hi = (lo - mu) / sd, (hi - mu) / sd
+    right, left = away(max(z_lo, 0.0), z_hi), away(max(-z_hi, 0.0), -z_lo)
+    if right is None or left is None or right.size + left.size > (
+            _TABLE_PANELS_MAX + 1):
+        return np.linspace(lo, hi, _TABLE_PANELS_MAX + 1)
+    edges = np.unique(np.concatenate([mu - sd * left, mu + sd * right]))
+    return edges[(edges >= lo) & (edges <= hi)]
+
+
+class _TailTable:
+    """The integral of phi_v(y - mu) g(y) over y, held as panels, so that
+    its tail beyond any u (or its head below u) is a suffix (prefix) sum
+    of whole panels plus one K15 partial panel.
+
+    Panels start on _layout's edges and the payoff's breakpoints, and
+    split in two until each one's G7/K15 difference is within
+    _quad._REL_TOL of its value, its rounding bound or 1e-13 of the tail
+    it starts (_quad._MAX_ROUNDS rounds and _TABLE_PANELS_MAX panels at
+    most).  Each panel's value is a mantissa times e^(ln scale) (_panels),
+    and a sum of panels a mantissa times e^(the largest ln scale in it):
+    nothing underflows in a tail, however far mu is from the values
+    read."""
+
+    def __init__(self, g, mu: float, v: float, lo: float, hi: float,
+                 breaks, step: bool, ln_const: float):
+        self.g, self.mu, self.v, self.step = g, mu, v, step
+        self.ln_const = ln_const
+        edges = np.unique(np.concatenate([
+            _layout(lo, hi, mu, math.sqrt(v)),
+            [x for x in [mu, *breaks] if lo < x < hi]]))
+        a, b = edges[:-1], edges[1:]
+        done = []
+        for rnd in range(quad._MAX_ROUNDS):
+            ln_s, k15, diff, rounding = _panels(g, mu, v, a, b)
+            if not np.isfinite(k15).all():
+                raise HeavyTailError(
+                    "a payoff term overflows on the tail table, too heavy a "
+                    "tail for the quadrature")
+            # a panel far below the tail it starts (where g falls faster
+            # than the Gaussian) needs only a share of that tail
+            fin = [*done, (a, ln_s, k15)]
+            pa, pls, pk = (np.concatenate([x[i] for x in fin])
+                           for i in (0, -2, -1))
+            order = np.argsort(pa, kind="stable")
+            with np.errstate(divide="ignore"):
+                ln_pk = (pls + np.log(np.abs(pk)))[order]
+            tail = np.empty(pa.size)
+            tail[order] = np.logaddexp.accumulate(ln_pk[::-1])[::-1]
+            with np.errstate(over="ignore"):
+                floor = 1e-13 * np.exp(tail[pa.size - a.size:] - ln_s)
+            ok = ((diff <= np.maximum(quad._REL_TOL * np.abs(k15),
+                                      np.maximum(rounding, floor)))
+                  | (rnd == quad._MAX_ROUNDS - 1)
+                  | (2 * a.size > _TABLE_PANELS_MAX))
+            done.append(tuple(x[ok] for x in (a, b, diff + rounding, ln_s,
+                                              k15)))
+            if ok.all():
+                break
+            a, b = a[~ok], b[~ok]
+            mid = 0.5 * (a + b)
+            a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        a, b, err, ln_s, k15 = (np.concatenate(x) for x in zip(*done))
+        order = np.argsort(a, kind="stable")
+        self.a, self.b = a[order], b[order]
+        ln_s, k15, err = ln_s[order], k15[order], err[order]
+        # suffix and prefix sums: (largest ln scale, mantissa, err mantissa)
+        self.up = self._sums(ln_s, k15, err)
+        self.down = tuple(x[::-1] for x in self._sums(
+            ln_s[::-1], k15[::-1], err[::-1]))
+
+    @staticmethod
+    def _sums(ln_s, k15, err):
+        """Sums of panels j..n-1 for j = 0..n, each as mantissas over e^top,
+        top the largest ln scale among them rounded up to a multiple of 64:
+        no sum leaves the float range, and the few runs of one top are
+        each one cumulative sum."""
+        n = ln_s.size
+        top = np.full(n + 1, -np.inf)
+        top[:-1] = np.ceil(np.maximum.accumulate(ln_s[::-1])[::-1] / 64.0) * 64.0
+        here = np.exp(ln_s - top[:-1])
+        m, e = np.zeros(n + 1), np.zeros(n + 1)
+        ends = [*np.flatnonzero(np.diff(top[:-1])) + 1, n]
+        for j0, j1 in zip([0, *ends[:-1]][::-1], ends[::-1]):
+            carry = math.exp(top[j1] - top[j0])
+            for out, x in ((m, k15), (e, err)):
+                out[j0:j1] = (np.cumsum((x[j0:j1] * here[j0:j1])[::-1])[::-1]
+                              + out[j1] * carry)
+        return top, m, e
+
+    def read(self, u, ln_w, upper: bool = True):
+        """(values, errs) of e^ln_w times the integral over y >= u (upper)
+        or y < u, at each u of an array (ln_w per u or one for all): the
+        sum of the whole panels beyond u and one K15 panel from u to the
+        end of its own."""
+        u = np.asarray(u, dtype=float)
+        if self.step:  # Y is constant: A_c is everything or nothing
+            u = np.where(u <= 0.0, -np.inf, np.inf)
+        ln_w = np.broadcast_to(np.asarray(ln_w, dtype=float) + self.ln_const,
+                               u.shape)
+        n = self.a.size
+        j = np.searchsorted(self.a, u, side="right") - 1
+        inside = (j >= 0) & (u < self.b[np.maximum(j, 0)])
+        if upper:  # panels j+1.. (all at j = -1, none past the end)
+            top, m, e = self.up
+            first = j + 1
+        else:  # panels ..j-1, or none below the table, all past it
+            top, m, e = self.down
+            first = np.where(inside, j, np.where(j < 0, 0, n))
+        val, err = self._scaled(top[first], m[first], e[first], ln_w)
+        if inside.any():
+            r = np.flatnonzero(inside)
+            jr = j[r]
+            ln_s, k15, diff, rounding = _panels(
+                self.g, self.mu, self.v, u[r] if upper else self.a[jr],
+                self.b[jr] if upper else u[r])
+            pv, pe = self._scaled(ln_s, k15, diff + rounding, ln_w[r])
+            val[r] += pv
+            err[r] += pe
+        return val, err
+
+    @staticmethod
+    def _scaled(ln_s, m, e, ln_w):
+        """e^(ln_w + ln_s) m and likewise e, taken in logs; 0 where m is."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ln = ln_w + ln_s
+            val = np.where(m != 0.0, np.exp(ln + np.log(np.abs(m))), 0.0)
+            err = np.where(e != 0.0, np.exp(ln + np.log(e)), 0.0)
+        return np.copysign(val, m), err
+
+
+@functools.lru_cache(maxsize=256)
+def _tail_table(payoff: Payoff, params: MarketParams, tilde: bool,
+                gamma: float) -> _TailTable:
+    """The _TailTable of one side of a contract, held as _edges is: the
+    integral of phi_v(y) e^(-gamma y) g(y) = e^(gamma^2 v / 2) phi_v(y +
+    gamma v) g(y), with g(y) = E[H | Y = y] on the side's measure, tabled
+    around mu = -gamma v with the constant as ln_const."""
+    ctx = _make_ctx(payoff, params, TRUNC_SD)
+    line = _line(ctx, tilde)
+    g, growth, breaks = _LINE_PAYOFFS[payoff.kind](
+        line, ctx, _side_fields(ctx, tilde)[3])
+    # phi_v(y) e^(d y) peaks at d v: span every term's peak
+    sd = math.sqrt(line.v)
+    lo = min(0.0, *(d * line.v for d in growth)) - _TAIL_SD * sd
+    hi = max(0.0, *(d * line.v for d in growth)) + _TAIL_SD * sd
+    return _TailTable(g, -gamma * line.v_a, line.v, lo, hi, breaks,
+                      line.step, 0.5 * gamma * gamma * line.v_a)
+
+
+def _table_side(payoff: Payoff, ctx: _Ctx, c, p: Optional[float],
+                tilde: bool):
+    """One side at each c from the tail tables; p None is linear loss.
+
+    A_c = {Y >= u}, u = ln c - BT under linear loss and, for the Digital
+    under power loss, u = ln c - (p-1) ln K - BT (A_c lies in {H = K}).
+    With T_g(u) the integral over y >= u of phi_v(y) e^(-g y) E[H | y] and
+    e = q = p/(p-1) on Psi1 and kap = 1/(p-1) on Psi2,
+
+        linear:  T_0(u)
+        Psi1:    (K^(p-1) / p) (E[H] - T_0(u))
+                 + (c^q e^(-qBT) / (p K)) T_q(u)
+        Psi2:    T_0(u) - (c^kap e^(-kap BT) / K) T_kap(u)
+
+    where E[H] - T_0(u) is read as the head below u.  Every weight enters
+    as its log."""
+    params, t = ctx.params, ctx.cons.T
+    bs = _side_fields(ctx, tilde)[0]
+    lnc = _each(_lnc, c)
+    if p is None:
+        return _tail_table(payoff, params, tilde, 0.0).read(lnc - bs * t, 0.0)
+    ln_k = math.log(payoff.strike)
+    u = lnc - (p - 1.0) * ln_k - bs * t
+    e = (1.0 if tilde else p) / (p - 1.0)
+    tilted = _tail_table(payoff, params, tilde, e)
+    # ln of c^e e^(-e BT) / K, over p on Psi1
+    ln_w = e * (lnc - bs * t) - ln_k
+    # at c = inf the tilted tail is empty, and its weight inf is not read
+    tv, te = tilted.read(u, np.where(u < math.inf, ln_w, 0.0))
+    plain = _tail_table(payoff, params, tilde, 0.0)
+    if tilde:
+        on, on_err = plain.read(u, 0.0)
+        return on - tv, on_err + te
+    off, off_err = plain.read(u, (p - 1.0) * ln_k - math.log(p), upper=False)
+    return off + tv / p, off_err + te / p
 
 
 # ---------------------------------------------------------------------------
@@ -610,20 +898,19 @@ _REGIONS = {
     QUANTO_FOREIGN: _qf_regions,
     OUTPERFORMANCE: _outp_regions,
 }
-_S1_CALL_STRIKES = {QUANTO_FOREIGN: _qf_strike, SPREAD: _spread_strike}
 
 
-def _closed_side(ctx: _Ctx, kind: str, c, p: Optional[float], tilde: bool):
+def _closed_side(ctx: _Ctx, payoff: Payoff, c, p: Optional[float],
+                 tilde: bool):
     """(values, errs) of one side at each c, by the payoff's shape; p None
-    is linear loss.  Digital is orthants, QuantoForeign/linear and
-    Spread/linear the S1-call side, Spread/power its own kernels, and every
-    other side a sum over product-form regions."""
-    if kind == DIGITAL:
-        return _digital_side(ctx, c, p, tilde)
-    if kind == SPREAD and p is not None:
+    is linear loss.  The Digital and every other linear side but the
+    Outperformance's read the tail tables, Spread/power runs its own
+    kernels, and every other side is a sum over product-form regions."""
+    kind = payoff.kind
+    if kind == DIGITAL or (p is None and kind != OUTPERFORMANCE):
+        return _table_side(payoff, ctx, c, p, tilde)
+    if kind == SPREAD:
         return (_spread_power_psi2 if tilde else _spread_power_psi1)(ctx, c, p)
-    if p is None and kind in _S1_CALL_STRIKES:
-        return _s1_call_side(ctx, c, tilde, _S1_CALL_STRIKES[kind])
     # one region is its own value; two regions add, v1 + v2
     v, e = np.sum([_region_side(ctx, c, r, p, tilde)
                    for r in _REGIONS[kind](ctx, p, tilde)], axis=0)
@@ -685,17 +972,21 @@ def _psi_side(payoff: Payoff, params: MarketParams, loss: LossSpec, c,
             "custom payoffs have no closed-form Psi; use psi_mc")
     ctx = _make_ctx(payoff, params, trunc_sd)
     if loss.kind == LINEAR:
-        v, e = _closed_side(ctx, payoff.kind, c, None, side == 2)
+        v, e = _closed_side(ctx, payoff, c, None, side == 2)
+        bad = ~(np.isfinite(v) & np.isfinite(e))
+        if bad.any():
+            raise HeavyTailError(
+                f"Psi{side} at c = {_fmt_c(c[bad])}: a payoff term overflows")
         return np.maximum(v, 0.0), e
     _sign_guard_power(payoff, ctx, loss.p)
     v, e = np.zeros(c.size), np.zeros(c.size)
     at0 = c == 0.0
     if side == 2 and at0.any():
-        v[at0], e[at0] = _closed_side(ctx, payoff.kind, c[at0], None, True)
+        v[at0], e[at0] = _closed_side(ctx, payoff, c[at0], None, True)
     # Psi1(0) = 0 and Psi2(inf) = 0: A_0 is everything, A_inf empty
     rest = ~at0 if side == 1 else ~at0 & (c < math.inf)
     if rest.any():
-        v[rest], e[rest] = _closed_side(ctx, payoff.kind, c[rest], loss.p,
+        v[rest], e[rest] = _closed_side(ctx, payoff, c[rest], loss.p,
                                         side == 2)
         bad = ~(np.isfinite(v) & np.isfinite(e))
         if bad.any():

@@ -19,7 +19,12 @@ No engine code calls these, so they live beside the tests:
 - a linear-loss region side of `psi` by `scipy.integrate.quad`, with the
   kink of each region's inner mass as a breakpoint
   (`region_side_linear_quad`), the independent value that a quadrature
-  side must match within its reported error.
+  side must match within its reported error;
+- a side of `psi`'s tail tables (linear Digital, QuantoDomestic,
+  QuantoForeign and Spread, and the Digital under power loss) as
+  `scipy.integrate.quad` of its integrand in Y = A1 W1 + A2 W2, with the
+  conditional law on the line of fixed Y taken by an eigendecomposition and
+  the payoff's set on it by brentq (`line_side_quad`).
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from scipy import integrate
+from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from shortfall_hedge import _quad
@@ -39,7 +45,8 @@ from shortfall_hedge.market import (UNDER_P, UNDER_PTILDE, MarketParams,
                                     derive_constants, radon_nikodym,
                                     terminal_price, wiener_law)
 from shortfall_hedge.payoffs import (DIGITAL, QUANTO_DOMESTIC, QUANTO_FOREIGN,
-                                     Payoff, evaluate, payoff_constants)
+                                     SPREAD, Payoff, evaluate,
+                                     payoff_constants)
 from shortfall_hedge.psi import (LINEAR, TRUNC_SD, LossSpec, _REGIONS,
                                  _make_ctx, _side_fields)
 
@@ -404,3 +411,146 @@ def region_side_linear_quad(payoff: Payoff, params: MarketParams, c: float,
         total += integrate.quad(f, r.lo, r.hi, points=points, epsabs=1e-14,
                                 epsrel=1e-12, limit=400)[0]
     return total
+
+
+def _line_law(params: MarketParams, a):
+    """(v, m, u): Y = a . W ~ N(0, v) for W ~ N(0, QT), and W | Y = y is
+    m y + u xi, xi ~ N(0, 1), its covariance taken apart by eigh."""
+    cov = params.wiener_cov
+    s = cov @ a
+    v = float(a @ s)
+    cond = cov - np.outer(s, s) / v
+    vals, vecs = np.linalg.eigh(cond)
+    return v, s / v, vecs[:, -1] * math.sqrt(max(vals[-1], 0.0))
+
+
+def _line_payoff(payoff: Payoff, params: MarketParams, tilde: bool):
+    """(v, g, breaks) of the y-integrand phi_v(y) g(y) of a linear side,
+    g(y) = E[H | Y = y] on the side's measure, Y = A1 W1 + A2 W2: on the
+    line of fixed y, ln S_i = e_i + f_i xi, and g is a sum of lognormal
+    masses over the interval of xi where H > 0, whose ends are found by
+    brentq between sign changes on a grid of xi."""
+    cons = payoff_constants(payoff, params)
+    v, mvec, u = _line_law(params, np.array([cons.a1, cons.a2]))
+    mu = (params.r, params.r) if tilde else params.alpha
+    base = [math.log(params.s0[i]) + (mu[i] - 0.5 * params.sigma[i] ** 2)
+            * params.T for i in (0, 1)]
+    f1, f2 = params.sigma[0] * u[0], params.sigma[1] * u[1]
+    k = payoff.strike
+
+    def terms(y):
+        e1 = base[0] + params.sigma[0] * mvec[0] * y
+        e2 = base[1] + params.sigma[1] * mvec[1] * y
+        # (coefficient ln, slope in xi, sign) of each lognormal term of H,
+        # the function whose positive set is {H > 0}, and the xi's where
+        # that function turns (its pieces between them are monotone)
+        if payoff.kind == DIGITAL:
+            return ([(math.log(k), 0.0, 1.0)],
+                    lambda x: e1 - e2 + (f1 - f2) * x, [])
+        if payoff.kind == QUANTO_DOMESTIC:
+            return ([(e1 + e2, f1 + f2, 1.0), (math.log(k) + e2, f2, -1.0)],
+                    lambda x: e1 + f1 * x - math.log(k), [])
+        if payoff.kind == QUANTO_FOREIGN:
+            return ([(e1, f1, 1.0), (math.log(k) - e2, -f2, -1.0)],
+                    lambda x: e1 + e2 + (f1 + f2) * x - math.log(k), [])
+        # S1 - S2 - K turns where f1 S1 = f2 S2
+        turns = ([(math.log(f2 / f1) + e2 - e1) / (f1 - f2)]
+                 if f1 * f2 > 0.0 and f1 != f2 else [])
+        return ([(e1, f1, 1.0), (e2, f2, -1.0), (math.log(k), 0.0, -1.0)],
+                lambda x: math.exp(e1 + f1 * x) - math.exp(e2 + f2 * x) - k,
+                turns)
+
+    def interval(h, turns):
+        """The interval where h > 0, from the signs at the ends of each
+        monotone piece and brentq within the pieces that change sign."""
+        ends = [-60.0, *turns, 60.0]
+        roots = []
+        for a, b in zip(ends, ends[1:]):
+            if (h(a) > 0.0) != (h(b) > 0.0):
+                roots.append(brentq(h, a, b, xtol=1e-300))
+        lo = -math.inf if h(-60.0) > 0.0 else None
+        hi = math.inf if h(60.0) > 0.0 else None
+        if lo is None and roots:
+            lo = roots.pop(0)
+        if hi is None and roots:
+            hi = roots.pop()
+        return None if lo is None or hi is None else (lo, hi)
+
+    def mass(a, b):  # P(a <= xi <= b), on the tail that keeps digits
+        if a == -math.inf and b == math.inf:
+            return 1.0
+        if a + b > 0.0:
+            return float(ndtr(-a) - ndtr(-b))
+        return float(ndtr(b) - ndtr(a))
+
+    def g(y):
+        parts, h, turns = terms(y)
+        ends = interval(h, turns)
+        if ends is None:
+            return 0.0
+        lo, hi = ends
+        return sum(sign * math.exp(ln + 0.5 * f * f) * mass(lo - f, hi - f)
+                   for ln, f, sign in parts)
+
+    # where the indicator's mean on the line crosses 0 (the centre of its
+    # ramp in y): Digital, QuantoDomestic and QuantoForeign
+    h0, h1 = terms(0.0)[1](0.0), terms(1.0)[1](0.0)
+    breaks = ([h0 / (h0 - h1)] if payoff.kind != SPREAD and h1 != h0
+              else [])
+    return v, g, breaks
+
+
+def line_side_quad(payoff: Payoff, params: MarketParams, loss: LossSpec,
+                   c: float, side: int, breaks=()) -> float:
+    """Psi_side(c) of a linear Digital, QuantoDomestic, QuantoForeign or
+    Spread side, or a Digital power side, by scipy.integrate.quad over y of
+    its y-integrand, with the lower limit, the y where the payoff's
+    indicator flips on average (not for Spread) and breaks as breakpoints.
+
+    A_c = {Y >= u}: u = ln c - BT, and for the Digital under power loss
+    u = ln c - (p-1) ln K - BT, where on A_c (c Z~)^q = K^p e^(q (u - y))
+    and (c Z~)^kap = K e^(kap (u - y)).  So with f = phi_v g,
+
+        linear:  int_u^inf f
+        Psi1:    (K^(p-1) / p) (int_-inf^u f + int_u^inf e^(q (u - y)) f)
+        Psi2:    int_u^inf (1 - e^(kap (u - y))) f
+
+    g takes the side's own measure: P on Psi1, P~ on Psi2.  The integral
+    runs over the 40 sd either side of the mean of Y and of each
+    exponential term's tilt of it."""
+    tilde = side == 2
+    cons = payoff_constants(payoff, params)
+    v, g, own = _line_payoff(payoff, params, tilde)
+    breaks = [*breaks, *own]
+    sd = math.sqrt(v)
+    b = cons.b_cap_tilde if tilde else cons.b_cap
+    u = math.log(c) - b * cons.T
+    weight = None
+    if loss.kind != LINEAR:
+        p = loss.p
+        u -= (p - 1.0) * math.log(payoff.strike)
+        e = (1.0 if tilde else p) / (p - 1.0)
+        weight = e
+    lo, hi = -45.0 * sd, 45.0 * sd
+    if payoff.kind == QUANTO_DOMESTIC:  # the S1 S2 term tilts Y by up to
+        hi += 3.0 * v * sum(params.sigma) / sd  # a few sd at the desk
+
+    def integral(f, a, b_):
+        if b_ <= a:
+            return 0.0
+        pts = [x for x in breaks if a < x < b_]
+        return integrate.quad(f, a, b_, points=pts or None, epsabs=0.0,
+                              epsrel=1e-13, limit=400)[0]
+
+    def dens(y):
+        return math.exp(-0.5 * y * y / v) / math.sqrt(2.0 * math.pi * v) * g(y)
+
+    if weight is None:
+        return integral(dens, max(u, lo), hi)
+    if tilde:
+        return integral(lambda y: -math.expm1(weight * (u - y)) * dens(y),
+                        max(u, lo), hi)
+    scale = math.exp((loss.p - 1.0) * math.log(payoff.strike)) / loss.p
+    return scale * (integral(dens, lo, min(u, hi))
+                    + integral(lambda y: math.exp(weight * (u - y)) * dens(y),
+                               max(u, lo), hi))

@@ -10,8 +10,12 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conftest import DESK_PAYOFFS, desk_params
-from oracles import integrate_batch_one_level, region_side_linear_quad
+from oracles import (integrate_batch_one_level, line_side_quad,
+                     region_side_linear_quad)
 from shortfall_hedge.errors import (AssumptionViolatedError,
                                     UnsupportedClosedFormError,
                                     ValidationError)
@@ -412,21 +416,140 @@ def test_outperformance_psi1_within_its_error_of_an_independent_quad():
     assert abs(v - ref) <= err + 1e-14 * abs(ref)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 2: the S1-call side's err_estimate is 310x smaller than "
-    "its gap to a tight rerun"))
 def test_quanto_foreign_psi1_within_its_error_of_a_tight_rerun(monkeypatch):
-    # desk QuantoForeign/linear at rho = 0.6: Psi1(e^-0.5) reads
-    # 21.05024115166505 with err 7.1e-12, and a rerun at a 1e-14 tolerance
-    # on 256 initial panels gives 21.050241149459644, 310 errors away
+    # desk QuantoForeign/linear at rho = 0.6: Psi1(e^-0.5) on the S1-call
+    # side read 21.05024115166505 with err 7.1e-12, 310 errors from a rerun
+    # at a 1e-14 tolerance (21.050241149459644).  The tail table's value
+    # must lie within its error of its own table rebuilt at that tolerance
     params = desk_params(rho=0.6)
     payoff = Payoff(QUANTO_FOREIGN, 9500.0)
     c = [math.exp(-0.5)]
     (v,), (err,) = psi_mod._psi_side(payoff, params, LossSpec(LINEAR), c, 1)
-    monkeypatch.setattr(quad_mod, "_REL_TOL", 1e-14)
-    monkeypatch.setattr(quad_mod, "_INITIAL_PANELS", 256)
-    (ref,), _err = psi_mod._psi_side(payoff, params, LossSpec(LINEAR), c, 1)
+    psi_mod._tail_table.cache_clear()
+    try:
+        monkeypatch.setattr(quad_mod, "_REL_TOL", 1e-14)
+        (ref,), _err = psi_mod._psi_side(payoff, params, LossSpec(LINEAR),
+                                         c, 1)
+    finally:
+        psi_mod._tail_table.cache_clear()
     assert abs(v - ref) <= err + 1e-14 * abs(ref)
+    assert abs(ref - 21.050241149459644) <= err + 1e-14 * abs(ref)
+
+
+# the sides read from the tail tables: every linear side but the
+# Outperformance's, and the Digital under power loss
+_TABLE_CASES = [(payoff, loss) for payoff in DESK_PAYOFFS
+                for loss in (LossSpec(LINEAR), LossSpec(POWER, 2.0))
+                if payoff.kind == DIGITAL
+                or (loss.kind == LINEAR and payoff.kind != OUTPERFORMANCE)]
+
+
+@pytest.mark.parametrize("rho", (-0.5, 0.6))
+@pytest.mark.parametrize("payoff,loss", _TABLE_CASES,
+                         ids=lambda v: getattr(v, "kind", None) if
+                         isinstance(v, Payoff) else str(v.p or "linear"))
+def test_tail_table_sides_match_an_independent_quad(payoff, loss, rho):
+    # each side at 29 c's over [e^-6, e^8] against scipy quad of its
+    # integrand in Y = A1 W1 + A2 W2, whose conditional law on the line of
+    # fixed Y and the payoff's set on it the oracle works out for itself.
+    # QuantoDomestic/linear also against the region oracle, where its 10 sd
+    # box in W1 holds the value (1e-6 of the edge and up; at 8 sd of Y, c =
+    # 33, the box loses 3e-9 of it)
+    params = desk_params(rho)
+    cs = np.exp(np.linspace(-6.0, 8.0, 29))
+    for side in (1, 2):
+        got, err = psi_mod._psi_side(payoff, params, loss, cs, side)
+        for c, v, e in zip(cs, got, err):
+            ref = line_side_quad(payoff, params, loss, float(c), side)
+            assert abs(v - ref) <= e + 1e-14 * abs(ref), (side, c, v, ref, e)
+            if (payoff.kind == QUANTO_DOMESTIC and rho < 0.0
+                    and v >= 1e-6 * got[0]):
+                ref = region_side_linear_quad(payoff, params, float(c), side)
+                assert abs(v - ref) <= e + 1e-14 * abs(ref), (side, c, v, ref)
+
+
+def _scaled(payoff, params, lam):
+    """The contract with s0 scaled by lam and the strike so that H scales
+    by mu: (payoff, params, mu)."""
+    mu = lam * lam if payoff.kind == QUANTO_DOMESTIC else lam
+    strike = payoff.strike * (lam * lam if payoff.kind == QUANTO_FOREIGN
+                              else lam)
+    return (Payoff(payoff.kind, strike),
+            MarketParams(s0=tuple(lam * s for s in params.s0),
+                         alpha=params.alpha, sigma=params.sigma,
+                         rho=params.rho, r=params.r, T=params.T), mu)
+
+
+_THETA = st.floats(0.05, 0.5).flatmap(lambda t: st.sampled_from((t, -t)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from((DIGITAL, QUANTO_DOMESTIC, QUANTO_FOREIGN,
+                             SPREAD)),
+       p=st.sampled_from((None, 1.5, 2.0, 3.0)),
+       lam=st.floats(0.1, 10.0), m=st.floats(0.8, 1.2),
+       s0=st.tuples(st.floats(50.0, 150.0), st.floats(50.0, 150.0)),
+       sigma=st.tuples(st.floats(0.05, 0.8), st.floats(0.05, 0.8)),
+       theta=st.tuples(_THETA, _THETA),
+       rho=st.floats(-0.95, 0.95), r=st.floats(0.0, 0.05),
+       T=st.sampled_from((0.25, 1.0, 3.0)), z=st.floats(-3.0, 3.0))
+def test_tail_table_sides_scale_with_the_payoff(kind, p, lam, m, s0, sigma,
+                                                theta, rho, r, T, z):
+    # ROADMAP item 9's identity, with no stored reference: s0 scaled by lam
+    # and the strike so that H scales by mu leave Z~ alone.  So a linear
+    # side scales by mu at the same c, and a Digital power side obeys
+    # Psi2(mu^(p-1) c) = mu Psi2(c) and Psi1(mu^(p-1) c) = mu^p Psi1(c).
+    # c is z sd of ln Z~ from its mean
+    if p is not None and kind != DIGITAL:
+        p = None
+    loss = LossSpec(LINEAR) if p is None else LossSpec(POWER, p)
+    params = MarketParams(s0=s0, alpha=tuple(r + s * t for s, t in
+                                             zip(sigma, theta)),
+                          sigma=sigma, rho=rho, r=r, T=T)
+    strike = {DIGITAL: 10.0, QUANTO_DOMESTIC: s0[0], QUANTO_FOREIGN:
+              s0[0] * s0[1], SPREAD: 0.1 * s0[0]}[kind] * m
+    payoff = Payoff(kind, strike)
+    big, big_params, mu = _scaled(payoff, params, lam)
+    cons = derive_constants(params, strike)
+    c = math.exp(z * math.sqrt(2.0 * cons.b_cap * T) + cons.b_cap * T)
+    shift = 1.0 if p is None else mu ** (p - 1.0)
+    for side in (1, 2):
+        (v,), (e,) = psi_mod._psi_side(payoff, params, loss, [c], side)
+        (w,), (f,) = psi_mod._psi_side(big, big_params, loss, [shift * c],
+                                       side)
+        factor = mu ** p if p is not None and side == 1 else mu
+        ref = factor * v
+        assert abs(w - ref) <= f + factor * e + 1e-14 * abs(ref), (
+            side, w, ref, f, factor * e)
+
+
+@pytest.mark.parametrize("rho", (-0.5, 0.6))
+def test_digital_and_quanto_domestic_prices_match_their_closed_forms(rho):
+    # Digital: K e^(-rT) Phi(d) in X = sigma1 W1 - sigma2 W2; QuantoDomestic:
+    # Black-Scholes with S2 as numeraire, under which S1 drifts at
+    # r + rho sigma1 sigma2.  Each within its err and 1e-13 relative
+    for params in (desk_params(rho), desk_params(rho, sigma=(6.0, 0.3))):
+        (s10, s20), (sg1, sg2), r, t = (params.s0, params.sigma, params.r,
+                                        params.T)
+        disc = math.exp(-r * t)
+        sd_x = math.sqrt(t * (sg1 ** 2 - 2.0 * rho * sg1 * sg2 + sg2 ** 2))
+        d = (math.log(s10 / s20) - 0.5 * (sg1 ** 2 - sg2 ** 2) * t) / sd_x
+        fwd = s10 * math.exp((r + rho * sg1 * sg2) * t)
+        d1 = (math.log(fwd / 100.0) + 0.5 * sg1 ** 2 * t) / (sg1 * math.sqrt(t))
+        cases = [(Payoff(DIGITAL, 10.0), 10.0 * disc * float(ndtr(d))),
+                 (Payoff(QUANTO_DOMESTIC, 100.0), s20 * (
+                     fwd * float(ndtr(d1))
+                     - 100.0 * float(ndtr(d1 - sg1 * math.sqrt(t)))))]
+        for payoff, want in cases:
+            (_v,), (err,) = psi_mod._psi_side(payoff, params,
+                                              LossSpec(LINEAR), [0.0], 2)
+            got = price(payoff, params)
+            assert abs(got - want) <= disc * err + 1e-13 * want, (
+                payoff.kind, params.sigma, got, want, err)
+    # sigma1 = 6: the 12 sd box read 3924.06956153 and price refused it
+    qd = price(Payoff(QUANTO_DOMESTIC, 100.0), desk_params(-0.5,
+                                                           sigma=(6.0, 0.3)))
+    assert abs(qd - 3924.069563057742) <= 1e-13 * 3924.069563057742
 
 
 def test_spread_power_inner_chunks_keep_the_bits(monkeypatch):

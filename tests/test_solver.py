@@ -750,9 +750,39 @@ def test_solves_match_a_plain_ln_c_bisection(payoff, loss, rho):
 
 
 def test_heavy_tail_rejected():
+    # Outperformance/linear stays on its region side, whose 10 and 12 sd
+    # boxes disagree at sigma1 = 6 (0.00323 vs 112.01).  QuantoDomestic at
+    # the same market now prices from its tail table (test_psi)
     params = desk_params(sigma=(6.0, 0.3))
-    with pytest.raises(HeavyTailError):
-        price(Payoff(QUANTO_DOMESTIC, 100.0), params)
+    with pytest.raises(HeavyTailError, match="tail"):
+        price(Payoff(OUTPERFORMANCE, 100.0), params)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 2: Outperformance/power Psi2 moves by 1.27e-6 between "
+    "two c's 6e-6 apart while Psi1 barely moves, so a round trip misses"))
+def test_outperformance_power_round_trip_of_the_benchmark():
+    # desk-quad at seed 1, op 5088: phi2(phi1(x)) returns 5.651597132059019,
+    # 1.24e-6 off, against the benchmark's tolerance of 2e-8.  Psi1 reads
+    # 144.8944738611416 at c2 = 29.320259733245678 and 144.8944738611327
+    # at c1 = 29.320265832840054, where Phi1' = -c e^rT asks for 3.7e-5
+    params = desk_params(-0.5)
+    payoff = Payoff(OUTPERFORMANCE, 100.0)
+    x = 5.6515958919096585
+    risk, _c1 = phi1(payoff, params, P2, x)
+    cost, _c2 = phi2(payoff, params, P2, risk)
+    assert abs(cost - x) <= 2e-8
+
+
+@pytest.mark.xfail(strict=True, raises=InfeasibleInversionError, reason=(
+    "ROADMAP item 2: Outperformance/power Psi1 steps by 3.6e-4 over "
+    "dc = 1e-11 near c = 118.498, against an err of 1.9e-7"))
+def test_outperformance_power_phi2_of_the_curve_book():
+    # curve-book at seed 2, op 767: Psi1(118.49806597237159) =
+    # 432.09057571827907 and Psi1(118.498065972382) = 432.09093852454225,
+    # so phi2 at a v between closes its bracket across the step
+    params = desk_params(-0.5)
+    phi2(Payoff(OUTPERFORMANCE, 100.0), params, P2, 432.090694075)
 
 
 def test_solve_config_is_a_constant():
