@@ -516,8 +516,11 @@ def line_side_quad(payoff: Payoff, params: MarketParams, loss: LossSpec,
         Psi2:    int_u^inf (1 - e^(kap (u - y))) f
 
     g takes the side's own measure: P on Psi1, P~ on Psi2.  The integral
-    runs over the 40 sd either side of the mean of Y and of each
-    exponential term's tilt of it."""
+    runs over the 45 sd either side of the mean of Y (further up for the
+    QuantoDomestic's S1 S2 term, which tilts Y).  The eigh of the
+    conditional covariance loses digits of the sd of ln(S1 / S2) on the
+    line where A is nearly parallel to (sigma1, -sigma2), so the oracle
+    is for markets away from that (the desk's)."""
     tilde = side == 2
     cons = payoff_constants(payoff, params)
     v, g, own = _line_payoff(payoff, params, tilde)
