@@ -69,8 +69,8 @@ from scipy.special import expit
 
 from . import _quad as quad
 from ._quad import NODES, WG, WK, integrate_batch, integrate_rows
-from .errors import (AssumptionViolatedError, HeavyTailError, NanGuardError, UnsupportedClosedFormError,
-                     ValidationError)
+from .errors import (AssumptionViolatedError, HeavyTailError, NanGuardError,
+                     UnsupportedClosedFormError, ValidationError)
 from .gaussian import sample, tilted_interval_mass
 from .market import (UNDER_P, UNDER_PTILDE, MarketParams,
                      MeasureConstants, wiener_law)
@@ -388,10 +388,10 @@ _ROUND = 8.0 * np.finfo(float).eps
 def _panels(g, mu: float, v: float, a, b):
     """(ln scale, K15, |K15 - G7|, rounding) of the integral of
     phi_v(y - mu) g(y) over each panel [a, b] that does not straddle mu,
-    the value being e^(ln scale) K15.  The scale is phi_v at the panel's end nearer mu,
-    where the Gaussian is largest, and g(y, log_scale) takes the rest of
-    the Gaussian as its log_scale, so that no panel underflows however
-    far from mu it lies.
+    the value being e^(ln scale) K15.  The scale is phi_v at the panel's
+    end nearer mu, where the Gaussian is largest, and g(y, log_scale)
+    takes the rest of the Gaussian as its log_scale, so that no panel
+    underflows however far from mu it lies.
 
     g returns its value and the sum of the sizes of its terms.  The
     rounding bound covers those terms, and the abscissae, each rounded to
@@ -407,7 +407,8 @@ def _panels(g, mu: float, v: float, a, b):
     vals, sizes = (x.reshape(-1, 15) for x in g(y.ravel(), rest.ravel()))
     k15 = h * (vals * WK).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ulps = np.where(h > 0.0, 1.0 + (np.abs(a) + np.abs(b)) / (2.0 * h), 0.0)
+        ulps = np.where(h > 0.0, 1.0 + (np.abs(a) + np.abs(b)) / (2.0 * h),
+                        0.0)
     return (ln_scale, k15, np.abs(k15 - h * (vals * WG).sum(axis=-1)),
             _ROUND * (ulps * np.abs(k15) + h * (sizes * WK).sum(axis=-1)))
 
@@ -508,7 +509,8 @@ class _TailTable:
         each one cumulative sum."""
         n = ln_s.size
         top = np.full(n + 1, -np.inf)
-        top[:-1] = np.ceil(np.maximum.accumulate(ln_s[::-1])[::-1] / 64.0) * 64.0
+        top[:-1] = 64.0 * np.ceil(
+            np.maximum.accumulate(ln_s[::-1])[::-1] / 64.0)
         here = np.exp(ln_s - top[:-1])
         m, e = np.zeros(n + 1), np.zeros(n + 1)
         ends = [*np.flatnonzero(np.diff(top[:-1])) + 1, n]
