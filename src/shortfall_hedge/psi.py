@@ -446,16 +446,16 @@ class _TailTable:
     of whole panels plus one K15 partial panel.
 
     Panels start on _layout's edges and the payoff's breakpoints, and
-    split in two until each one's G7/K15 difference is within
-    _quad._REL_TOL of its value, its rounding bound or 1e-13 of the tail
-    it starts (_quad._MAX_ROUNDS rounds and _TABLE_PANELS_MAX panels at
-    most).  Each panel's value is a mantissa times e^(ln scale) (_panels),
-    and a sum of panels a mantissa times e^(the largest ln scale in it):
-    nothing underflows in a tail, however far mu is from the values
-    read."""
+    split in two until each one's G7/K15 difference is within rel_tol of
+    its value, its rounding bound or 1e-13 of the tail it starts
+    (max_rounds rounds and _TABLE_PANELS_MAX panels at most).  Each
+    panel's value is a mantissa times e^(ln scale) (_panels), and a sum of
+    panels a mantissa times e^(the largest ln scale in it): nothing
+    underflows in a tail, however far mu is from the values read."""
 
     def __init__(self, g, mu: float, v: float, lo: float, hi: float,
-                 breaks, step: bool, ln_const: float):
+                 breaks, step: bool, ln_const: float, rel_tol: float,
+                 max_rounds: int):
         self.g, self.mu, self.v, self.step = g, mu, v, step
         self.ln_const = ln_const
         edges = np.unique(np.concatenate([
@@ -463,7 +463,7 @@ class _TailTable:
             [x for x in [mu, *breaks] if lo < x < hi]]))
         a, b = edges[:-1], edges[1:]
         done = []
-        for rnd in range(quad._MAX_ROUNDS):
+        for rnd in range(max_rounds):
             ln_s, k15, diff, rounding = _panels(g, mu, v, a, b)
             if not np.isfinite(k15).all():
                 raise HeavyTailError(
@@ -481,9 +481,9 @@ class _TailTable:
             tail[order] = np.logaddexp.accumulate(ln_pk[::-1])[::-1]
             with np.errstate(over="ignore"):
                 floor = 1e-13 * np.exp(tail[pa.size - a.size:] - ln_s)
-            ok = ((diff <= np.maximum(quad._REL_TOL * np.abs(k15),
+            ok = ((diff <= np.maximum(rel_tol * np.abs(k15),
                                       np.maximum(rounding, floor)))
-                  | (rnd == quad._MAX_ROUNDS - 1)
+                  | (rnd == max_rounds - 1)
                   | (2 * a.size > _TABLE_PANELS_MAX))
             done.append(tuple(x[ok] for x in (a, b, diff + rounding, ln_s,
                                               k15)))
@@ -564,11 +564,14 @@ class _TailTable:
 
 @functools.lru_cache(maxsize=256)
 def _tail_table(payoff: Payoff, params: MarketParams, tilde: bool,
-                gamma: float) -> _TailTable:
+                gamma: float, rel_tol: float,
+                max_rounds: int) -> _TailTable:
     """The _TailTable of one side of a contract, held as _edges is: the
     integral of phi_v(y) e^(-gamma y) g(y) = e^(gamma^2 v / 2) phi_v(y +
     gamma v) g(y), with g(y) = E[H | Y = y] on the side's measure, tabled
-    around mu = -gamma v with the constant as ln_const."""
+    around mu = -gamma v with the constant as ln_const.  The accept rule
+    (rel_tol, max_rounds) is part of the key, so that a run under another
+    rule builds and holds its own tables."""
     ctx = _make_ctx(payoff, params, TRUNC_SD)
     line = _line(ctx, tilde)
     g, growth, breaks = _LINE_PAYOFFS[payoff.kind](
@@ -578,7 +581,8 @@ def _tail_table(payoff: Payoff, params: MarketParams, tilde: bool,
     lo = min(0.0, *(d * line.v for d in growth)) - _TAIL_SD * sd
     hi = max(0.0, *(d * line.v for d in growth)) + _TAIL_SD * sd
     return _TailTable(g, -gamma * line.v_a, line.v, lo, hi, breaks,
-                      line.step, 0.5 * gamma * gamma * line.v_a)
+                      line.step, 0.5 * gamma * gamma * line.v_a, rel_tol,
+                      max_rounds)
 
 
 def _table_side(payoff: Payoff, ctx: _Ctx, c, p: Optional[float],
@@ -597,25 +601,30 @@ def _table_side(payoff: Payoff, ctx: _Ctx, c, p: Optional[float],
 
     where E[H] - T_0(u) is read as the head below u.  Every weight enters
     as its log."""
-    params, t = ctx.params, ctx.cons.T
+    t = ctx.cons.T
     bs = _side_fields(ctx, tilde)[0]
     lnc = _each(_lnc, c)
+
+    def table(gamma):  # under the accept rule of this call
+        return _tail_table(payoff, ctx.params, tilde, gamma, quad._REL_TOL,
+                           quad._MAX_ROUNDS)
     if p is None:
-        return _tail_table(payoff, params, tilde, 0.0).read(lnc - bs * t, 0.0)
+        return table(0.0).read(lnc - bs * t, 0.0)
     ln_k = math.log(payoff.strike)
     u = lnc - (p - 1.0) * ln_k - bs * t
     e = (1.0 if tilde else p) / (p - 1.0)
-    tilted = _tail_table(payoff, params, tilde, e)
-    # ln of c^e e^(-e BT) / K, over p on Psi1
-    ln_w = e * (lnc - bs * t) - ln_k
+    tilted = table(e)
+    # ln of c^e e^(-e BT) / K, over p on Psi1 (divided in logs: the product
+    # may pass the float range where its quotient does not)
+    ln_w = e * (lnc - bs * t) - ln_k - (0.0 if tilde else math.log(p))
     # at c = inf the tilted tail is empty, and its weight inf is not read
     tv, te = tilted.read(u, np.where(u < math.inf, ln_w, 0.0))
-    plain = _tail_table(payoff, params, tilde, 0.0)
+    plain = table(0.0)
     if tilde:
         on, on_err = plain.read(u, 0.0)
         return on - tv, on_err + te
     off, off_err = plain.read(u, (p - 1.0) * ln_k - math.log(p), upper=False)
-    return off + tv / p, off_err + te / p
+    return off + tv, off_err + te
 
 
 # ---------------------------------------------------------------------------
@@ -902,14 +911,22 @@ _REGIONS = {
 }
 
 
+def _on_table(kind: str, p: Optional[float]) -> bool:
+    """Whether a named payoff's sides read the tail tables under loss p
+    (None linear): the Digital's, and every other linear side but the
+    Outperformance's.  A table spans its own _TAIL_SD sd and takes no
+    trunc_sd."""
+    return kind == DIGITAL or (p is None and kind != OUTPERFORMANCE)
+
+
 def _closed_side(ctx: _Ctx, payoff: Payoff, c, p: Optional[float],
                  tilde: bool):
     """(values, errs) of one side at each c, by the payoff's shape; p None
-    is linear loss.  The Digital and every other linear side but the
-    Outperformance's read the tail tables, Spread/power runs its own
-    kernels, and every other side is a sum over product-form regions."""
+    is linear loss.  _on_table's sides read the tail tables, Spread/power
+    runs its own kernels, and every other side is a sum over product-form
+    regions."""
     kind = payoff.kind
-    if kind == DIGITAL or (p is None and kind != OUTPERFORMANCE):
+    if _on_table(kind, p):
         return _table_side(payoff, ctx, c, p, tilde)
     if kind == SPREAD:
         return (_spread_power_psi2 if tilde else _spread_power_psi1)(ctx, c, p)
@@ -963,10 +980,12 @@ def _psi_side(payoff: Payoff, params: MarketParams, loss: LossSpec, c,
 
     The one closed-form Psi entry point: the solver reads one side at all
     the c's of a step, and psi_linear / psi_power call it at one c, once
-    per side.  A value does not depend on the other c's of the call.  A
-    term that overflows (K^p at a large p, say) raises HeavyTailError: here
-    if it reaches the value, else from integrate_batch as a non-finite
-    integrand, and never as a RuntimeWarning.
+    per side.  A value does not depend on the other c's of the call.
+    trunc_sd bounds the boxes of the region sides and Spread/power; the
+    tail tables (_on_table) take none.  A term that overflows (K^p at a
+    large p, say) raises HeavyTailError: here if it reaches the value,
+    else from integrate_batch as a non-finite integrand, and never as a
+    RuntimeWarning.
     """
     c = np.array([_validate_c(ci) for ci in np.ravel(c)])
     if payoff.kind == CUSTOM:

@@ -77,8 +77,8 @@ from .errors import (AssumptionViolatedError, HeavyTailError,
 from .market import MarketParams
 from .mc import McConfig
 from .payoffs import CUSTOM, Payoff
-from .psi import (LINEAR, POWER, LossSpec, _make_ctx, _mc_table, _psi_side,
-                  _sign_guard_power)
+from .psi import (LINEAR, POWER, LossSpec, _make_ctx, _mc_table, _on_table,
+                  _psi_side, _sign_guard_power)
 
 _FALLBACK_MC = McConfig(n_paths=200_000, seed=1729)
 _EDGE_TOL = 1e-9
@@ -230,9 +230,12 @@ def price(payoff: Payoff, params: MarketParams,
     """p(H) = e^{-rT} E~[H], computed once per contract, and per mc only
     for Custom payoffs.
 
-    Quadrature for named payoffs, with a numerical integrability check:
+    Quadrature for named payoffs.  A payoff priced on a box (the
+    Outperformance's regions) has a numerical integrability check:
     widening the Gaussian truncation from 10 to 12 sd must move the value
-    by less than 1e-6 relative, else the tail is declared too heavy.
+    by less than 1e-6 relative, else the tail is declared too heavy.  A
+    payoff priced on a tail table (psi._on_table) takes no box; its tail
+    is refused only where a term overflows.
     Custom payoffs price by Monte Carlo: Psi2(0) of their linear _edges.
     """
     disc = math.exp(-params.r * params.T)
@@ -240,6 +243,8 @@ def price(payoff: Payoff, params: MarketParams,
     if payoff.kind == CUSTOM:
         return disc * _edges(payoff, params, loss, mc)[2]
     v10 = float(_psi_side(payoff, params, loss, [0.0], 2, trunc_sd=10.0)[0][0])
+    if _on_table(payoff.kind, None):
+        return disc * v10
     v12 = float(_psi_side(payoff, params, loss, [0.0], 2, trunc_sd=12.0)[0][0])
     if abs(v12 - v10) > 1e-6 * max(abs(v12), 1e-300):
         raise HeavyTailError(

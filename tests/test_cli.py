@@ -327,11 +327,23 @@ def test_overflowing_power_loss_exit_code(tmp_path, capsys, recwarn, kind,
 
 
 def test_overflow_message_names_p_and_c_exactly(tmp_path, capsys):
-    # K^p overflows just above p = 400; the message prints the p the engine
-    # was given, not a rounded p = 400, and the c it read.  Psi1(2.5) is
-    # finite: its shortfall term K^p P(X >= thr, Y < u) / p, u = ln 2.5 -
-    # 399 ln K - BT, holds a tail of Y 2000 sd out, and the tail table
-    # takes K^(p-1) in logs; the edge E[l(H)] at c = inf overflows
+    # the message prints the p the engine was given and the c it read, not
+    # their rounded forms.  A Digital paying K = 1e155 at p = 2 has
+    # Psi1(1e155) = 1e308^p Psi1(10) of the Digital paying 10 (the payoff's
+    # scaling), 10^309.3: past the float range at a finite c
+    cfg = _write(tmp_path, dict(
+        DESK, payoff={"kind": "Digital", "strike": 1e155},
+        loss={"kind": "power", "p": 2.0000000000000004}))
+    assert main(["psi", "--config", cfg, "--c",
+                 "1.0000000000000002e+155"]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(
+        "error: Psi1 at p = 2.0000000000000004, c = 1.0000000000000002e+155:")
+    # K^p overflows just above p = 400.  Psi1(2.5) is finite: its shortfall
+    # term K^p P(X >= thr, Y < u) / p, u = ln 2.5 - 399 ln K - BT, holds a
+    # tail of Y 2000 sd out, and the tail table takes K^(p-1) in logs; the
+    # edge E[l(H)] at c = inf overflows
     cfg = _write(tmp_path, dict(
         DESK, payoff={"kind": "Digital", "strike": 10.0},
         loss={"kind": "power", "p": 400.00000000000006}))

@@ -420,20 +420,23 @@ def test_quanto_foreign_psi1_within_its_error_of_a_tight_rerun(monkeypatch):
     # desk QuantoForeign/linear at rho = 0.6: Psi1(e^-0.5) on the S1-call
     # side read 21.05024115166505 with err 7.1e-12, 310 errors from a rerun
     # at a 1e-14 tolerance (21.050241149459644).  The tail table's value
-    # must lie within its error of its own table rebuilt at that tolerance
+    # must lie within its error of its own table rebuilt at that tolerance.
+    # The accept rule keys the held tables: the tight run builds its own,
+    # and the restored rule reads the first table again
     params = desk_params(rho=0.6)
     payoff = Payoff(QUANTO_FOREIGN, 9500.0)
     c = [math.exp(-0.5)]
     (v,), (err,) = psi_mod._psi_side(payoff, params, LossSpec(LINEAR), c, 1)
-    psi_mod._tail_table.cache_clear()
-    try:
-        monkeypatch.setattr(quad_mod, "_REL_TOL", 1e-14)
+    built = psi_mod._tail_table.cache_info().misses
+    with monkeypatch.context() as patch:
+        patch.setattr(quad_mod, "_REL_TOL", 1e-14)
         (ref,), _err = psi_mod._psi_side(payoff, params, LossSpec(LINEAR),
                                          c, 1)
-    finally:
-        psi_mod._tail_table.cache_clear()
+    assert psi_mod._tail_table.cache_info().misses == built + 1
     assert abs(v - ref) <= err + 1e-14 * abs(ref)
     assert abs(ref - 21.050241149459644) <= err + 1e-14 * abs(ref)
+    again = psi_mod._psi_side(payoff, params, LossSpec(LINEAR), c, 1)
+    assert (again[0][0], again[1][0]) == (v, err)
 
 
 # the sides read from the tail tables: every linear side but the
@@ -521,6 +524,25 @@ def test_tail_table_sides_scale_with_the_payoff(kind, p, lam, m, s0, sigma,
         ref = factor * v
         assert abs(w - ref) <= f + factor * e + 1e-14 * abs(ref), (
             side, w, ref, f, factor * e)
+
+
+def test_digital_power_psi1_near_the_float_range_is_finite():
+    # a desk Digital at K = e^1.8, p = 400.00000000000006: Psi1(1.7e308) is
+    # about 1.4e306, though c^q e^(-qBT) T_q(u) / K, its shortfall term
+    # before the division by p, is past the float range.  By the payoff's
+    # scaling it is K^p Psi1(c / K^(p-1)) of the Digital paying 1, here
+    # taken in logs
+    p, c = 400.00000000000006, 1.7e308
+    loss, strike = LossSpec(POWER, p), math.exp(1.8)
+    ln_k = math.log(strike)
+    (v,), (e,) = psi_mod._psi_side(Payoff(DIGITAL, strike), desk_params(),
+                                   loss, [c], 1)
+    (w,), (f,) = psi_mod._psi_side(Payoff(DIGITAL, 1.0), desk_params(),
+                                   loss, [math.exp(math.log(c)
+                                                   - (p - 1.0) * ln_k)], 1)
+    ref = math.exp(p * ln_k + math.log(w))
+    assert 1e306 < v < math.inf
+    assert abs(v - ref) <= e + f / w * ref + 1e-12 * ref
 
 
 @pytest.mark.parametrize("rho", (-0.5, 0.6))

@@ -70,7 +70,11 @@ def test_price_and_edges_are_cached_once_per_contract(monkeypatch,
     got = {price(payoff, params), price(payoff, params, None),
            price(payoff, params, mc), price(payoff, params, mc=None)}
     assert len(got) == 1 and price.cache_info().misses == misses + 1
-    assert len(reads) == 2  # Psi2(0) at 10 and at 12 sd, once
+    assert len(reads) == 1  # Psi2(0) from its tail table, once
+    # a payoff priced on its regions reads Psi2(0) at 10 and at 12 sd
+    reads.clear()
+    price(Payoff(OUTPERFORMANCE, 101.0), params)
+    assert len(reads) == 2
     misses = _edges.cache_info().misses
     assert _edges(payoff, params, LIN, None) == _edges(payoff, params, LIN, mc)
     assert _edges.cache_info().misses == misses + 1
