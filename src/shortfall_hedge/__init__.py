@@ -12,7 +12,7 @@ from .errors import (AssumptionViolatedError, DegenerateLawError,
                      InvalidCorrelationError, NanGuardError, OutOfRangeError,
                      PayoffContractError, ShortfallHedgeError,
                      UnsupportedClosedFormError, ValidationError)
-from .gaussian import GaussianLaw, rect_upper_prob, sample
+from .gaussian import GaussianLaw, sample
 from .market import (UNDER_P, UNDER_PTILDE, MarketParams, MeasureConstants,
                      derive_constants, radon_nikodym, terminal_price,
                      wiener_law)
@@ -31,7 +31,7 @@ __all__ = [
     "InfeasibleInversionError", "InvalidCorrelationError", "NanGuardError",
     "OutOfRangeError", "PayoffContractError", "ShortfallHedgeError",
     "UnsupportedClosedFormError", "ValidationError",
-    "GaussianLaw", "rect_upper_prob", "sample",
+    "GaussianLaw", "sample",
     "UNDER_P", "UNDER_PTILDE", "MarketParams", "MeasureConstants",
     "derive_constants", "radon_nikodym", "terminal_price", "wiener_law",
     "McConfig", "VerifyReport", "estimate", "verify_risk",

@@ -42,7 +42,7 @@ from .errors import (AssumptionViolatedError, HeavyTailError,
                      InfeasibleInversionError, NanGuardError, OutOfRangeError,
                      PayoffContractError, ShortfallHedgeError,
                      UnsupportedClosedFormError, ValidationError)
-from .market import MarketParams
+from .market import MarketParams, _real
 from .mc import McConfig, verify_risk
 from .payoffs import CUSTOM, DIGITAL, KINDS, Payoff
 from .psi import LINEAR, POWER, LossSpec, _psi_pair
@@ -137,10 +137,7 @@ def _convert(kind, v):
     elif _is_num(v):
         if kind == _INT and isinstance(v, int):
             return v, None
-        try:
-            f = float(v)
-        except OverflowError:  # an integer literal beyond the float range
-            f = math.inf
+        f = _real(v)  # NaN for an integer literal past the float range
         if not math.isfinite(f):
             return None, f"must be finite, got {v!r}"
         if kind == _NUM:

@@ -1,11 +1,9 @@
 """Bivariate normal algebra for the Psi integrals.
 
-The law type, closed-form upper-orthant probabilities, closed-form
-exponentially tilted interval masses, and seeded sampling of correlated
-normals.  All operations are pure functions on immutable values and are
-safe to call concurrently.  Nothing here integrates numerically: orthant
-probabilities use Owen's T function and carry only rounding error
-(RECT_ERR).
+The law type, closed-form exponentially tilted interval masses, and
+seeded sampling of correlated normals.  All operations are pure functions
+on immutable values and are safe to call concurrently.  Nothing here
+integrates numerically.
 """
 
 from __future__ import annotations
@@ -14,14 +12,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr, ndtr, owens_t
+from scipy.special import erfcx, log_ndtr, ndtr
 
 from .errors import DegenerateLawError, ValidationError
 
 _PIVOT_THRESHOLD = 1e-12
 _SYM_TOL = 1e-12
-# absolute rounding bound of one rect_upper_prob value
-RECT_ERR = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,53 +51,6 @@ class GaussianLaw:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "_chol", chol)
-
-    @property
-    def marginal_sd(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.cov))
-
-
-def rect_upper_prob(law: GaussianLaw, lower):
-    """P(X1 >= lower[0], X2 >= lower[1]) for a bivariate law, in closed form.
-
-    The bounds may be arrays (broadcast together), each element of the
-    result the bits of a scalar call, which returns a Python float.  Either
-    bound may be +/-inf.  With the standardised bounds h, k and the
-    correlation rho, Owen's (1956) T function gives
-
-        P = (Phi(-h) + Phi(-k)) / 2 - T(h, a_h) - T(k, a_k) - beta,
-        a_h = (k/h - rho) / sqrt(1 - rho^2),  a_k = (h/k - rho) / sqrt(1 - rho^2),
-
-    with beta = 1/2 when h and k lie on opposite sides of 0, else 0.  The
-    signs are read from h and k themselves, never from h*k, which underflows;
-    a zero bound counts as positive, so a_h = +/-inf with the sign of k at
-    h = 0 (k/h would let -0.0 flip it), and h = k = 0 is the quadrant
-    1/4 + asin(rho) / (2 pi); k/h may overflow to inf, its limit.  The
-    absolute rounding error is within RECT_ERR.
-    """
-    if law.dim != 2:
-        raise DegenerateLawError("rect_upper_prob requires a bivariate law")
-    l1, l2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in lower))
-    m1, m2 = (float(v) for v in law.mean)
-    s1, s2 = (float(v) for v in law.marginal_sd)
-    rho = float(law.cov[0, 1]) / (s1 * s2)
-    root = math.sqrt((1.0 - rho) * (1.0 + rho))
-    # the formula at every element, then the special cases, earliest last
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        h = (l1 - m1) / s1
-        k = (l2 - m2) / s2
-        a_h = np.where(h == 0.0, np.copysign(np.inf, k), (k / h - rho) / root)
-        a_k = np.where(k == 0.0, np.copysign(np.inf, h), (h / k - rho) / root)
-        beta = np.where((h >= 0.0) != (k >= 0.0), 0.5, 0.0)
-        prob = np.clip(0.5 * (ndtr(-h) + ndtr(-k)) - owens_t(h, a_h)
-                       - owens_t(k, a_k) - beta, 0.0, 1.0)
-        prob = np.where((h == 0.0) & (k == 0.0),
-                        0.25 + math.asin(rho) / (2.0 * math.pi), prob)
-        prob = np.where((l1 == math.inf) | (l2 == math.inf), 0.0, prob)
-        prob = np.where(l2 == -math.inf, ndtr((m1 - l1) / s1), prob)
-        prob = np.where(l1 == -math.inf, ndtr((m2 - l2) / s2), prob)
-        prob = np.where((l1 == -math.inf) & (l2 == -math.inf), 1.0, prob)
-    return float(prob) if prob.ndim == 0 else prob
 
 
 def sample(law: GaussianLaw, n: int, seed: int) -> np.ndarray:

@@ -35,6 +35,14 @@ _MEASURES = (UNDER_P, UNDER_PTILDE)
 _RHO_CAP = 0.9999  # beyond this the 2x2 inverse of Q is numerically useless
 
 
+def _real(v) -> float:
+    """float(v), or NaN (which every real check refuses) if float(v) raises."""
+    try:
+        return float(v)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
 def _check_measure(under: str) -> str:
     if under not in _MEASURES:
         raise ValidationError([f"under: must be one of {_MEASURES}, got {under!r}"])
@@ -53,12 +61,11 @@ class MarketParams:
     T: float
 
     def __post_init__(self):
-        object.__setattr__(self, "s0", (float(self.s0[0]), float(self.s0[1])))
-        object.__setattr__(self, "alpha", (float(self.alpha[0]), float(self.alpha[1])))
-        object.__setattr__(self, "sigma", (float(self.sigma[0]), float(self.sigma[1])))
-        object.__setattr__(self, "rho", float(self.rho))
-        object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "T", float(self.T))
+        for name in ("s0", "alpha", "sigma"):
+            pair = getattr(self, name)
+            object.__setattr__(self, name, (_real(pair[0]), _real(pair[1])))
+        for name in ("rho", "r", "T"):
+            object.__setattr__(self, name, _real(getattr(self, name)))
         bad = []
         for i in (0, 1):
             if not (self.s0[i] > 0 and math.isfinite(self.s0[i])):

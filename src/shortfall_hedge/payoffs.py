@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import PayoffContractError, ValidationError
-from .market import MarketParams, MeasureConstants, derive_constants
+from .market import MarketParams, MeasureConstants, _real, derive_constants
 
 DIGITAL = "Digital"
 QUANTO_DOMESTIC = "QuantoDomestic"
@@ -43,13 +43,12 @@ class Payoff:
         elif self.kind == CUSTOM:
             if self.custom_eval is None:
                 bad.append("payoff.custom_eval: required for Custom payoffs")
-        else:
-            if not (isinstance(self.strike, (int, float)) and self.strike > 0
-                    and np.isfinite(self.strike)):
-                bad.append(f"payoff.strike: must be a positive real, got {self.strike!r}")
+        elif not (isinstance(self.strike, (int, float))
+                  and 0 < _real(self.strike) < np.inf):
+            bad.append(f"payoff.strike: must be a positive real, got {self.strike!r}")
         if bad:
             raise ValidationError(bad)
-        object.__setattr__(self, "strike", float(self.strike))
+        object.__setattr__(self, "strike", _real(self.strike))
 
 
 def payoff_constants(payoff: Payoff, params: MarketParams) -> MeasureConstants:

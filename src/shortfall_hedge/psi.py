@@ -73,7 +73,7 @@ from .errors import (AssumptionViolatedError, HeavyTailError, NanGuardError,
                      UnsupportedClosedFormError, ValidationError)
 from .gaussian import sample, tilted_interval_mass
 from .market import (UNDER_P, UNDER_PTILDE, MarketParams,
-                     MeasureConstants, wiener_law)
+                     MeasureConstants, _real, wiener_law)
 from .payoffs import (CUSTOM, DIGITAL, OUTPERFORMANCE, QUANTO_DOMESTIC,
                       QUANTO_FOREIGN, SPREAD, Payoff, evaluate,
                       payoff_constants)
@@ -102,7 +102,7 @@ class LossSpec:
             raise ValidationError(
                 [f"loss.kind: must be '{LINEAR}' or '{POWER}', got {self.kind!r}"])
         if self.kind == POWER:
-            if self.p is None or not (self.p > 1 and math.isfinite(self.p)):
+            if not 1 < _real(self.p) < math.inf:
                 raise ValidationError(
                     [f"loss.p: power loss requires finite p > 1, got {self.p!r}"])
             object.__setattr__(self, "p", float(self.p))
@@ -941,10 +941,10 @@ def _closed_side(ctx: _Ctx, payoff: Payoff, c, p: Optional[float],
 # ---------------------------------------------------------------------------
 
 def _validate_c(c) -> float:
-    c = float(c)
-    if math.isnan(c) or c < 0:
+    f = _real(c)
+    if not f >= 0:
         raise ValidationError([f"c: must be a nonnegative real, got {c!r}"])
-    return c
+    return f
 
 
 def _sign_guard_power(payoff: Payoff, ctx: _Ctx, p: float):

@@ -74,7 +74,7 @@ import numpy as np
 from .errors import (AssumptionViolatedError, HeavyTailError,
                      InfeasibleInversionError, OutOfRangeError,
                      ShortfallHedgeError, ValidationError)
-from .market import MarketParams
+from .market import MarketParams, _real
 from .mc import McConfig
 from .payoffs import CUSTOM, Payoff
 from .psi import (LINEAR, POWER, LossSpec, _make_ctx, _mc_table, _on_table,
@@ -230,28 +230,24 @@ def price(payoff: Payoff, params: MarketParams,
     """p(H) = e^{-rT} E~[H], computed once per contract, and per mc only
     for Custom payoffs.
 
-    Quadrature for named payoffs.  A payoff priced on a box (the
-    Outperformance's regions) has a numerical integrability check:
-    widening the Gaussian truncation from 10 to 12 sd must move the value
-    by less than 1e-6 relative, else the tail is declared too heavy.  A
-    payoff priced on a tail table (psi._on_table) takes no box; its tail
-    is refused only where a term overflows.
-    Custom payoffs price by Monte Carlo: Psi2(0) of their linear _edges.
+    E~[H] is Psi2(0) of linear loss, read as _edges reads it
+    (_Evaluator.side): held by quadrature for named payoffs, from the Monte
+    Carlo table for Custom ones.  A payoff priced on a box (the
+    Outperformance's regions) must also move by less than 1e-6 relative
+    when its Gaussian truncation widens from 10 to 12 sd, else its tail is
+    declared too heavy; a tail table (psi._on_table) takes no box.
     """
-    disc = math.exp(-params.r * params.T)
     loss = LossSpec(LINEAR)
-    if payoff.kind == CUSTOM:
-        return disc * _edges(payoff, params, loss, mc)[2]
-    v10 = float(_psi_side(payoff, params, loss, [0.0], 2, trunc_sd=10.0)[0][0])
-    if _on_table(payoff.kind, None):
-        return disc * v10
-    v12 = float(_psi_side(payoff, params, loss, [0.0], 2, trunc_sd=12.0)[0][0])
-    if abs(v12 - v10) > 1e-6 * max(abs(v12), 1e-300):
-        raise HeavyTailError(
-            "truncated-tail contribution to E~[H] exceeds 1e-6 relative "
-            f"({abs(v12 - v10):.3g} vs {v12:.6g}); payoff tail too heavy "
-            "for the quadrature box")
-    return disc * v10
+    v10 = float(_Evaluator(payoff, params, loss, mc).side([0.0], 2)[0][0])
+    if payoff.kind != CUSTOM and not _on_table(payoff.kind, None):
+        v12 = float(_psi_side(payoff, params, loss, [0.0], 2,
+                              trunc_sd=12.0)[0][0])
+        if abs(v12 - v10) > 1e-6 * max(abs(v12), 1e-300):
+            raise HeavyTailError(
+                "truncated-tail contribution to E~[H] exceeds 1e-6 relative "
+                f"({abs(v12 - v10):.3g} vs {v12:.6g}); payoff tail too heavy "
+                "for the quadrature box")
+    return math.exp(-params.r * params.T) * v10
 
 
 def _closed(lo: float, hi: float) -> bool:
@@ -514,13 +510,15 @@ def _phi1_impl(payoff: Payoff, params: MarketParams, loss: LossSpec, xs,
     x = 0 and x >= p(H).  An error of a step every point shares goes to
     every point that reached it.
     """
-    out: list = [None] * len(xs)
+    out: list = [ValidationError([f"x: must be a real number, got {x!r}"])
+                 if math.isnan(_real(x)) else None for x in xs]
+    if all(out):
+        return out
     try:
         method = _route_method(payoff, params, loss)
         p_h = price(payoff, params, mc)
         todo = {}
-        for i, x in enumerate(xs):
-            x = float(x)
+        for i, x in [(i, float(x)) for i, x in enumerate(xs) if not out[i]]:
             if x < -_EDGE_TOL * max(1.0, p_h):
                 out[i] = OutOfRangeError(
                     f"x: capital must be nonnegative, got {x!r}")
@@ -573,14 +571,16 @@ def _phi2_impl(payoff: Payoff, params: MarketParams, loss: LossSpec, vs,
                mc: Optional[McConfig]) -> list:
     """Per risk bound v of the grid vs: (cost, c, err, method), or the
     ShortfallHedgeError that v's solve raised."""
-    out: list = [None] * len(vs)
+    out: list = [ValidationError([f"v: must be a real number, got {v!r}"])
+                 if math.isnan(_real(v)) else None for v in vs]
+    if all(out):
+        return out
     try:
         method = _route_method(payoff, params, loss)
         psi1_edge, _e1, psi2_full, e2 = _edges(payoff, params, loss, mc)
         disc = math.exp(-params.r * params.T)
         todo = {}
-        for i, v in enumerate(vs):
-            v = float(v)
+        for i, v in [(i, float(v)) for i, v in enumerate(vs) if not out[i]]:
             if v < -_EDGE_TOL * max(1.0, psi1_edge):
                 out[i] = OutOfRangeError(
                     f"v: risk bound must be nonnegative, got {v!r}")
@@ -631,11 +631,11 @@ def curve(payoff: Payoff, params: MarketParams, loss: LossSpec, kind: str,
     mc is as in phi1."""
     if kind not in ("phi1", "phi2"):
         raise ValidationError([f"kind: must be 'phi1' or 'phi2', got {kind!r}"])
-    grid = [float(g) for g in grid]
+    grid = [_real(g) for g in grid]
     if not grid:
         raise ValidationError(["grid: must contain at least one point"])
-    if any(g < 0 for g in grid):
-        raise ValidationError(["grid: all points must be nonnegative"])
+    if not all(g >= 0 for g in grid):
+        raise ValidationError(["grid: all points must be nonnegative reals"])
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValidationError(["grid: points must be sorted ascending"])
     impl = _phi1_impl if kind == "phi1" else _phi2_impl

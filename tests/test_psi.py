@@ -157,9 +157,10 @@ _DIGITAL_MARKETS = {
                                   LossSpec(POWER, 2.0), LossSpec(POWER, 3.0)),
                          ids=lambda v: str(v.p or "linear"))
 def test_digital_sides_match_monte_carlo(market, loss):
-    # every branch of the Digital side against one seeded Monte Carlo table
-    # per case: the general orthant law (desk), Y = 0 (A = 0) and Y = lam X
-    # with lam > 0 and lam < 0 (A parallel to (sigma1, -sigma2))
+    # every case of the Digital's tail table against one seeded Monte Carlo
+    # table per case: a general market (desk), Y = 0 (A = 0, where A_c is a
+    # step in c) and Y = lam X with lam > 0 and lam < 0 (A parallel to
+    # (sigma1, -sigma2), where P(S1 >= S2 | Y = y) is a step in y)
     params = _DIGITAL_MARKETS[market]
     payoff = Payoff(DIGITAL, 10.0)
     cs = [0.5, 1.0, 2.0] if loss.kind == LINEAR else [0.3, 1.0, 3.0]
@@ -173,9 +174,10 @@ def test_digital_sides_match_monte_carlo(market, loss):
 @pytest.mark.parametrize("t,rho", ((0.8, 0.3), (-0.6, -0.4)))
 @pytest.mark.parametrize("delta", (1e-13, 1e-10, 1e-8, 1e-7))
 def test_near_parallel_digital_solves_within_its_error(t, rho, delta):
-    # A nearly parallel to (sigma1, -sigma2): the (X, Y) covariance has a
-    # Cholesky pivot below GaussianLaw's threshold, and Y = lam X up to a
-    # conditional sd s_yx of at most about 1e-6
+    # A nearly parallel to (sigma1, -sigma2): the (X, Y) covariance is all
+    # but singular, and Y = lam X up to a conditional sd s_yx of at most
+    # about 1e-6, so that P(S1 >= S2 | Y = y) is a ramp about s_yx / |lam|
+    # wide in y, where the tail table places its breakpoints
     params = _parallel_market(t, rho, delta)
     payoff = Payoff(DIGITAL, 10.0)
     for loss in (LossSpec(LINEAR), LossSpec(POWER, 2.0)):

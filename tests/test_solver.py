@@ -62,7 +62,7 @@ def test_price_and_edges_are_cached_once_per_contract(monkeypatch,
     real = solver._psi_side
 
     def counting(*args, **kwargs):
-        reads.append(1)
+        reads.append((args[4], kwargs.get("trunc_sd", 10.0)))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solver, "_psi_side", counting)
@@ -71,10 +71,14 @@ def test_price_and_edges_are_cached_once_per_contract(monkeypatch,
            price(payoff, params, mc), price(payoff, params, mc=None)}
     assert len(got) == 1 and price.cache_info().misses == misses + 1
     assert len(reads) == 1  # Psi2(0) from its tail table, once
-    # a payoff priced on its regions reads Psi2(0) at 10 and at 12 sd
+    # a payoff priced on its regions reads Psi2(0) at 10 and at 12 sd; the
+    # 10 sd read is held, so its linear edges integrate only Psi1(0)
     reads.clear()
-    price(Payoff(OUTPERFORMANCE, 101.0), params)
-    assert len(reads) == 2
+    outp = Payoff(OUTPERFORMANCE, 101.0)
+    price(outp, params)
+    assert reads == [(2, 10.0), (2, 12.0)]
+    _edges(outp, params, LIN, None)
+    assert reads == [(2, 10.0), (2, 12.0), (1, 10.0)]
     misses = _edges.cache_info().misses
     assert _edges(payoff, params, LIN, None) == _edges(payoff, params, LIN, mc)
     assert _edges.cache_info().misses == misses + 1
