@@ -61,9 +61,19 @@ class MarketParams:
     T: float
 
     def __post_init__(self):
+        shape = []
         for name in ("s0", "alpha", "sigma"):
             pair = getattr(self, name)
-            object.__setattr__(self, name, (_real(pair[0]), _real(pair[1])))
+            try:
+                two = tuple(pair)
+            except TypeError:
+                two = ()
+            if len(two) != 2:
+                shape.append(f"{name}: must be a pair of two numbers, got {pair!r}")
+                continue
+            object.__setattr__(self, name, (_real(two[0]), _real(two[1])))
+        if shape:
+            raise ValidationError(shape)
         for name in ("rho", "r", "T"):
             object.__setattr__(self, name, _real(getattr(self, name)))
         bad = []

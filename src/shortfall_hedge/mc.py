@@ -143,6 +143,7 @@ def verify_risk(payoff: Payoff, params: MarketParams, loss: LossSpec,
 
     engine_risk, c, risk_err, _method, cost_err = _one(_phi1_impl(
         payoff, params, loss, [x], mc))
+    x = float(x)  # a real, or _phi1_impl has raised
     p_h = price(payoff, params, mc)
 
     def shortfall_loss(w1, w2):

@@ -24,7 +24,9 @@ No engine code calls these, so they live beside the tests:
   QuantoForeign and Spread, and the Digital under power loss) as
   `scipy.integrate.quad` of its integrand in Y = A1 W1 + A2 W2, with the
   conditional law on the line of fixed Y taken by an eigendecomposition and
-  the payoff's set on it by brentq (`line_side_quad`).
+  the payoff's set on it by brentq (`line_side_quad`);
+- power-loss Psi1 from the engine's own Psi2 alone, integrated by parts
+  (`psi1_by_parts`): no stored reference, and none of Psi1's code.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from shortfall_hedge.market import (UNDER_P, UNDER_PTILDE, MarketParams,
 from shortfall_hedge.payoffs import (DIGITAL, QUANTO_DOMESTIC, QUANTO_FOREIGN,
                                      SPREAD, Payoff, evaluate,
                                      payoff_constants)
-from shortfall_hedge.psi import (LINEAR, TRUNC_SD, LossSpec, _REGIONS,
-                                 _make_ctx, _side_fields)
+from shortfall_hedge.psi import (LINEAR, POWER, TRUNC_SD, LossSpec,
+                                 _REGIONS, _make_ctx, _psi_side, _side_fields)
 
 _PARALLEL_TOL = 1e-12
 
@@ -557,3 +559,50 @@ def line_side_quad(payoff: Payoff, params: MarketParams, loss: LossSpec,
     return scale * (integral(dens, lo, min(u, hi))
                     + integral(lambda y: math.exp(weight * (u - y)) * dens(y),
                                max(u, lo), hi))
+
+
+def psi1_by_parts(payoff: Payoff, params: MarketParams, p: float, c):
+    """(Psi1, error bound) under power loss p at each c of a list, from the
+    engine's Psi2 alone.
+
+    c is the Lagrange multiplier of the capital constraint, so dPsi1 =
+    -c dPsi2, and by parts, with Psi1(0) = 0 and c Psi2(c) -> 0 at both
+    ends,
+
+        Psi1(c) = int_0^c Psi2(s) ds - c Psi2(c),
+        Psi1(inf) = int_0^inf Psi2(s) ds,
+
+    the integral by scipy.integrate.quad_vec in u = ln s of (Psi2, err2)
+    e^u, piece by piece between the sorted ln c's, so that a list costs
+    one pass.  The bound is quad_vec's error estimates plus the integral of
+    Psi2's own error, and c err2(c).  For c << 1 the two terms cancel to
+    far fewer digits than either holds, which the bound shows."""
+    loss = LossSpec(POWER, p)
+    cs = np.atleast_1d(np.asarray(c, dtype=float))
+
+    def f(u):
+        s = math.exp(u) if u < 700.0 else math.inf  # Psi2 is 0 long before
+        if s == math.inf:
+            return np.zeros(2)
+        (v,), (e,) = _psi_side(payoff, params, loss, [s], 2)
+        return np.array([v, e]) * s
+
+    order = np.argsort(cs)
+    ends = [-math.inf, *np.log(cs[order])]
+    if ends[-1] < math.inf:
+        ends.append(math.inf)  # a finite last c still needs no tail
+    head, err = np.zeros(cs.size), np.zeros(cs.size)
+    at, at_err = 0.0, 0.0
+    for k, (a, b) in enumerate(zip(ends, ends[1:])):
+        if k == cs.size:
+            break
+        if a < b:
+            (v, e), quad_err = integrate.quad_vec(
+                f, a, b, epsabs=0.0, epsrel=1e-13, norm="max")
+            at, at_err = at + v, at_err + e + quad_err
+        head[order[k]], err[order[k]] = at, at_err
+    finite = cs < math.inf
+    v2, e2 = _psi_side(payoff, params, loss, cs[finite], 2)
+    head[finite] -= cs[finite] * v2
+    err[finite] += cs[finite] * e2
+    return head, err

@@ -118,6 +118,16 @@ def test_invalid_inputs_rejected():
         terminal_price(desk_params(), 3, 0.0)
 
 
+def test_pair_fields_must_be_pairs():
+    # a scalar escaped as a raw TypeError, and a third entry was dropped
+    for bad in (dict(s0=100.0), dict(s0=(1.0, 2.0, 3.0)), dict(alpha=(0.08,)),
+                dict(sigma=None)):
+        with pytest.raises(ValidationError) as exc:
+            desk_params(**bad)
+        assert f"{next(iter(bad))}: must be a pair" in str(exc.value)
+    assert desk_params(s0=[100.0, 95.0]).s0 == (100.0, 95.0)
+
+
 def test_constants_cached_and_immutable():
     params = desk_params()
     cons = derive_constants(params, 10.0)

@@ -172,6 +172,16 @@ def test_verify_risk_accepts_engine_solution():
     assert rep2.ok
 
 
+def test_verify_risk_takes_a_numeric_string_as_phi1_does():
+    # "5" solved, then escaped as a raw TypeError from the tolerance's max
+    params = desk_params()
+    payoff = Payoff(DIGITAL, 10.0)
+    mc = McConfig(20_000, seed=3)
+    rep = verify_risk(payoff, params, LossSpec(LINEAR), "5", mc)
+    assert rep == verify_risk(payoff, params, LossSpec(LINEAR), 5.0, mc)
+    assert rep.x == 5.0
+
+
 def test_named_fallback_solves_on_the_engines_sample():
     # Outperformance/power at rho = 0.6 fails its sign condition and leaves
     # quadrature: phi1 solves on the engine's own sample whatever mc says,

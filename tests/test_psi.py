@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import DESK_PAYOFFS, desk_params
 from oracles import (integrate_batch_one_level, line_side_quad,
-                     region_side_linear_quad)
+                     psi1_by_parts, region_side_linear_quad)
 from shortfall_hedge.errors import (AssumptionViolatedError,
                                     UnsupportedClosedFormError,
                                     ValidationError)
@@ -363,6 +363,22 @@ def test_spread_power_psi1_matches_a_fine_inner_rule(rho, monkeypatch):
             m.setattr(psi_mod, "integrate_batch", integrate_batch_one_level)
             ref, _err = psi_mod._psi_side(payoff, params, loss, cs, 1)
         assert (np.abs(got - ref) <= err).all(), (p, got - ref, err)
+
+
+@pytest.mark.parametrize("rho", (-0.5, 0.6))
+@pytest.mark.parametrize("payoff", (Payoff(SPREAD, 5.0), Payoff(DIGITAL, 10.0)),
+                         ids=lambda p: p.kind)
+def test_power_psi1_matches_its_psi2_integrated_by_parts(payoff, rho):
+    # dPsi1 = -c dPsi2, so Psi1 is the engine's own Psi2 integrated by
+    # parts (oracles.psi1_by_parts): no stored reference, and none of
+    # Psi1's code.  The oracle's bound holds its quad error and Psi2's
+    params = desk_params(rho=rho)
+    cs = [1e-3, 0.3, 1.0, 4.0, 20.0, 150.0, math.inf]
+    for p in (1.5, 2.0, 3.0):
+        ref, ref_err = psi1_by_parts(payoff, params, p, cs)
+        got, err = psi_mod._psi_side(payoff, params, LossSpec(POWER, p), cs, 1)
+        assert (np.abs(got - ref) <= err + ref_err + 1e-14 * np.abs(ref)).all(), (
+            p, got - ref, err, ref_err)
 
 
 @pytest.mark.parametrize("loss", (LossSpec(LINEAR), LossSpec(POWER, 2.0)),
