@@ -3,8 +3,9 @@
 The engine keeps one flat work array of panels that may span many unrelated
 intervals and refines all unconverged panels at once, so integrand
 evaluations stay inside numpy.  A scalar-callback integrator would be far
-too slow here: outer nodes of the nested integrals in `psi` can each carry
-an inner integral of their own.
+too slow here: a Psi side in `psi` integrates one interval per c of a
+read, and Spread/power's W table one per node of its panels, dozens at
+once.
 
 Panels are accepted when the 7-point Gauss vs 15-point Kronrod difference
 falls below max(_REL_TOL * |panel|, floor), with the floor tied to the
@@ -72,9 +73,6 @@ _MAX_ROUNDS = 40
 # panel tree, a level below the first only within _CALL_POINTS abscissae
 _LEVELS = 2
 _CALL_POINTS = 3000
-# abscissae per integrand call of integrate_rows: 128 KiB temporaries stay
-# in the heap and the L2 cache, where MB ones are mapped anew on every call
-_ROWS_CALL_POINTS = 16384
 
 
 def integrate_batch(f, lo, hi):
@@ -181,35 +179,3 @@ def integrate_batch(f, lo, hi):
         a = np.concatenate([a_r, mid])
         b = np.concatenate([mid, b_r])
         ids = np.concatenate([ids, ids])
-
-
-def integrate_rows(f, lo, hi, n_panels):
-    """Fixed-panel K15 integration of f row-wise over [lo[i], hi[i]], on
-    n_panels[i] equal panels (an int gives every row the same count).
-
-    The rows' panels are laid out flat, row after row: f(x, rows) gets the
-    abscissae shaped (panels, 15) and each panel's row, once per chunk of
-    whole rows of about _ROWS_CALL_POINTS abscissae.  No error control; for
-    inner integrals whose smoothness the caller arranges.  Rows with
-    hi <= lo yield 0.  A row's value depends on that row alone.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    width = np.maximum(hi - lo, 0.0)
-    n = np.broadcast_to(np.asarray(n_panels, dtype=int), lo.shape)
-    ends = np.cumsum(n)
-    starts = ends - n
-    out = np.empty(lo.size)
-    # a chunk is the rows whose last panel falls in one stretch of
-    # _ROWS_CALL_POINTS // 15 panels
-    _grp, first = np.unique((ends - 1) // (_ROWS_CALL_POINTS // 15),
-                            return_index=True)
-    for i, j in zip(first, [*first[1:], lo.size]):
-        rows = np.repeat(np.arange(i, j), n[i:j])
-        k = np.arange(rows.size) - (starts[rows] - starts[i])
-        h = 0.5 * width[rows] / n[rows]
-        c = lo[rows] + (2 * k + 1) * h
-        y = np.asarray(f(c[:, None] + h[:, None] * NODES, rows), dtype=float)
-        out[i:j] = np.add.reduceat(h * (y * WK).sum(axis=-1),
-                                   starts[i:j] - starts[i])
-    return out

@@ -69,7 +69,8 @@ class MarketParams:
             except TypeError:
                 two = ()
             if len(two) != 2:
-                shape.append(f"{name}: must be a pair of two numbers, got {pair!r}")
+                shape.append(
+                    f"{name}: must be a pair of two numbers, got {pair!r}")
                 continue
             object.__setattr__(self, name, (_real(two[0]), _real(two[1])))
         if shape:

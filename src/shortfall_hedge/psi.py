@@ -26,12 +26,11 @@ Each side integrates one of three payoff shapes:
   S2 >= S1) under either loss, and QuantoForeign under power loss one
   region in the (U, Z) coordinates of _qf_uz.  _region_side states the
   formula.
-- Spread/power: the inner shortfall (S1 - S2 - K)^p has no tilt form.  It
-  runs on a fixed K15 rule in t, x = d(y) + t^4 (which removes the
-  algebraic edge at the payoff root d(y)), with 4 W / (3 sd) panels for a
-  row's width W and the conditional sd, clipped to 4..24, each row's
-  count its own.  Its upper limit, the region boundary x*(y), is a root
-  found by Newton's method in w = ln(S1 - S2 - K).
+- Spread/power: Psi2 integrates over y = W~2 the tilted masses of W~1
+  beyond x*(y), a root found by Newton's method; one is the c-weighted
+  term W(c) = c^kap E~[Z~^kap 1_Ac].  As c is the multiplier of the
+  capital constraint, dPsi1 = -c dPsi2, and Psi1(c) = kap int_0^c W(s)
+  ds reads a held _TailTable of W in ln c (_w_table).
 
 Under power loss each c-weighted term, (c Z~)^q or (c Z~)^kap on A_c, is
 a weight c^e e^(-e (BT + a o)) times a tilted mass, either of which may
@@ -39,7 +38,7 @@ leave the float range while their product is bounded: the weight enters
 tilted_interval_mass as its log, log_scale, never formed on its own.
 
 _psi_side is the one quadrature entry point, and it takes an array of c:
-a region or Spread/power side integrates one interval per c in one
+a region side or Spread/power Psi2 integrates one interval per c in one
 integrate_batch call, its integrand indexing ln c by interval id, and a
 table side reads each c from its held table.  Every integrand is
 elementwise and each interval and read is summed on its own, so a value
@@ -65,10 +64,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, log_ndtr
 
 from . import _quad as quad
-from ._quad import NODES, WG, WK, integrate_batch, integrate_rows
+from ._quad import NODES, WG, WK, integrate_batch
 from .errors import (AssumptionViolatedError, HeavyTailError, NanGuardError,
                      UnsupportedClosedFormError, ValidationError)
 from .gaussian import sample, tilted_interval_mass
@@ -86,8 +85,6 @@ _SIGN_TOL = 1e-14
 # deviations (truncated mass < 1e-23, the documented error floor)
 TRUNC_SD = 10.0
 _LN_MAX = math.log(np.finfo(float).max)
-_INNER_PANELS_MIN = 4
-_INNER_PANELS_MAX = 24
 
 
 @dataclass(frozen=True)
@@ -441,30 +438,27 @@ def _layout(lo: float, hi: float, mu: float, sd: float):
 
 
 class _TailTable:
-    """The integral of phi_v(y - mu) g(y) over y, held as panels, so that
-    its tail beyond any u (or its head below u) is a suffix (prefix) sum
-    of whole panels plus one K15 partial panel.
+    """The integral of one c-independent integrand over a line, held as
+    panels, so that its tail beyond any u (or its head below u) is a suffix
+    (prefix) sum of whole panels plus one K15 partial panel.
 
-    Panels start on _layout's edges and the payoff's breakpoints, and
-    split in two until each one's G7/K15 difference is within rel_tol of
-    its value, its rounding bound or 1e-13 of the tail it starts
-    (max_rounds rounds and _TABLE_PANELS_MAX panels at most).  Each
-    panel's value is a mantissa times e^(ln scale) (_panels), and a sum of
-    panels a mantissa times e^(the largest ln scale in it): nothing
-    underflows in a tail, however far mu is from the values read."""
+    panels(a, b) gives (ln scale, K15, |K15 - G7|, error floor) of the
+    integral over each panel [a, b], the value being e^(ln scale) K15:
+    _panels for a tail table in Y, _w_table's for the W table.  Panels
+    start on edges and split in two until each one's G7/K15 difference is
+    within rel_tol of its value, its error floor or 1e-13 of the tail it
+    starts (max_rounds rounds and _TABLE_PANELS_MAX panels at most); a
+    panel's error is its difference plus its floor.  A sum of panels is a
+    mantissa times e^(the largest ln scale in it): nothing underflows in a
+    tail, however far the integrand's peak is from the values read."""
 
-    def __init__(self, g, mu: float, v: float, lo: float, hi: float,
-                 breaks, step: bool, ln_const: float, rel_tol: float,
-                 max_rounds: int):
-        self.g, self.mu, self.v, self.step = g, mu, v, step
-        self.ln_const = ln_const
-        edges = np.unique(np.concatenate([
-            _layout(lo, hi, mu, math.sqrt(v)),
-            [x for x in [mu, *breaks] if lo < x < hi]]))
+    def __init__(self, panels, edges, ln_const: float, rel_tol: float,
+                 max_rounds: int, step: bool = False):
+        self.panels, self.ln_const, self.step = panels, ln_const, step
         a, b = edges[:-1], edges[1:]
         done = []
         for rnd in range(max_rounds):
-            ln_s, k15, diff, rounding = _panels(g, mu, v, a, b)
+            ln_s, k15, diff, rounding = panels(a, b)
             if not np.isfinite(k15).all():
                 raise HeavyTailError(
                     "a payoff term overflows on the tail table, too heavy a "
@@ -544,9 +538,8 @@ class _TailTable:
         if inside.any():
             r = np.flatnonzero(inside)
             jr = j[r]
-            ln_s, k15, diff, rounding = _panels(
-                self.g, self.mu, self.v, u[r] if upper else self.a[jr],
-                self.b[jr] if upper else u[r])
+            ln_s, k15, diff, rounding = self.panels(
+                u[r] if upper else self.a[jr], self.b[jr] if upper else u[r])
             pv, pe = self._scaled(ln_s, k15, diff + rounding, ln_w[r])
             val[r] += pv
             err[r] += pe
@@ -580,9 +573,12 @@ def _tail_table(payoff: Payoff, params: MarketParams, tilde: bool,
     sd = math.sqrt(line.v)
     lo = min(0.0, *(d * line.v for d in growth)) - _TAIL_SD * sd
     hi = max(0.0, *(d * line.v for d in growth)) + _TAIL_SD * sd
-    return _TailTable(g, -gamma * line.v_a, line.v, lo, hi, breaks,
-                      line.step, 0.5 * gamma * gamma * line.v_a, rel_tol,
-                      max_rounds)
+    mu = -gamma * line.v_a
+    edges = np.unique(np.concatenate([
+        _layout(lo, hi, mu, sd), [x for x in [mu, *breaks] if lo < x < hi]]))
+    return _TailTable(functools.partial(_panels, g, mu, line.v), edges,
+                      0.5 * gamma * gamma * line.v_a, rel_tol, max_rounds,
+                      line.step)
 
 
 def _table_side(payoff: Payoff, ctx: _Ctx, c, p: Optional[float],
@@ -677,60 +673,143 @@ def _spread_xstar(ctx: _Ctx, lnc, p: float, y, tilde: bool):
     return x_star, d_y, s2k
 
 
-def _spread_power_psi1(ctx: _Ctx, c, p: float):
+def _spread_w(ctx: _Ctx, p: float):
+    """w(y, lnc, ln_w): (x*(y), S2(y) + K, t), t Spread/power Psi2's y-term
+    (less phi) of W(c) = c^kap E~[Z~^kap 1_Ac], its weight at ln_w."""
     a1, a2 = ctx.cons.a1, ctx.cons.a2
-    sg1, s10 = ctx.params.sigma[0], ctx.params.s0[0]
-    rho, sd, cond_sd = ctx.rho, ctx.sd, ctx.cond_sd
-    q = p / (p - 1.0)
-    lnc = _each(_lnc, c)
-    bt = ctx.cons.b_cap * ctx.cons.T
+    kap = 1.0 / (p - 1.0)
+    bt = ctx.cons.b_cap_tilde * ctx.cons.T
 
-    def f(y, ids):
-        x_star, d_y, s2k = _spread_xstar(ctx, lnc[ids], p, y, False)
-        m_c = rho * y
+    def w(y, lnc, ln_w):
+        x_star, _d_y, s2k = _spread_xstar(ctx, lnc, p, y, True)
+        return x_star, s2k, tilted_interval_mass(
+            -kap * a1, ctx.rho * y, ctx.cond_sd, x_star, np.inf,
+            kap * (ln_w - bt - a2 * y))
 
-        def inner(tt, rows):  # (S1 - S2 - K)^p under W1 | y, x = d(y) + t^4
-            x = d_y[rows, None] + tt ** 4
-            gap = np.maximum(s10 * np.exp(ctx.m1p + sg1 * x)
-                             - s2k[rows, None], 0.0)
-            return (gap ** p * _phi(x - m_c[rows, None], cond_sd)
-                    * 4.0 * tt ** 3)
+    return w
 
-        # inner cap: beyond the tilt-shifted conditional tail the p-th power
-        # of the gap carries negligible mass
-        hi_inner = np.minimum(x_star,
-                              np.maximum(d_y, m_c + p * sg1 * cond_sd ** 2
-                                         + (ctx.trunc_sd + 2.0) * cond_sd))
-        t_hi = np.maximum(hi_inner - d_y, 0.0) ** 0.25
-        n_panels = np.clip(np.ceil(4.0 * t_hi ** 4 / (3.0 * cond_sd)),
-                           _INNER_PANELS_MIN, _INNER_PANELS_MAX).astype(int)
-        t1 = integrate_rows(inner, np.zeros_like(t_hi), t_hi, n_panels)
-        # (c Z~)^q on A_c: weight c^q e^(-q (BT + A2 y)), mass over x >= x*
-        t2 = tilted_interval_mass(-q * a1, m_c, cond_sd, x_star, np.inf,
-                                  q * (lnc[ids] - bt - a2 * y))
-        return _phi(y, sd) * (t1 + t2) / p
 
-    return _integrate(f, -ctx.cap, ctx.cap, np.full(c.size, True))
+@functools.lru_cache(maxsize=256)
+def _w_table(payoff: Payoff, params: MarketParams, p: float, rel_tol: float,
+             max_rounds: int):
+    """Spread/power Psi1 of a contract, held and keyed as _tail_table's
+    tables are: a function of ln c (0 < c <= inf) that returns (values,
+    errs).  dPsi1/dc = kap W(c), so Psi1 is the head in u = ln c of G(u) =
+    kap E e^(q u) m(u), E = E~[Z~^kap] and m(u) = P^kap(A_c), held over
+    [u_lo, u_hi] as a _TailTable in v = -u.  Each m is integrate_batch
+    over the Psi2 box in y, its error in its panel's.  key = (p-1) ln H +
+    A.W~ + B~T, and A_c = {key >= u}; key <= V = (p-1) ln S1 + A.W~ + B~T
+    ~ N(mu, s^2) under P^kap, so e^(q u) P(V >= u) peaks at u_c = mu + q
+    s^2.  Nothing beyond the table is dropped:
+
+    - above u_hi = u_c + TRUNC_SD s, Psi1(inf) - Psi1 <= (E/p) e^(q mu +
+      q^2 s^2 / 2) Phi(-TRUNC_SD), which joins the error;
+    - the head below u <= u_lo, (E/p)(e^(q u) m(u) + E^kap[e^(q key); key
+      < u]), lies between (E/p) e^(q u) m(u_lo) and (E/p) e^(q u) M, M =
+      P^kap(H > 0), or, as key <= V, (E/p)(2 e^(q u) P(V >= u) + e^(q mu +
+      q^2 s^2 / 2) P(V < u - q s^2)): its midpoint is read, and its
+      half-width joins the error.  M - m(u) falls as c^kap (H has a
+      density at 0+), so u_lo = u_c - TRUNC_SD s - ln(1 / rel_tol) / kap
+      puts it near rel_tol M.
+
+    Below mu, G grows at most as e^(q u), and above it falls as a Gaussian
+    of sd s about u_c: panels start _PANEL_FALL / q apart below mu and on
+    _layout's edges above."""
+    ctx = _make_ctx(payoff, params, TRUNC_SD)
+    cons, t, rho = ctx.cons, ctx.cons.T, ctx.rho
+    a1, a2 = cons.a1, cons.a2
+    kap, q = 1.0 / (p - 1.0), p / (p - 1.0)
+    sg1 = params.sigma[0]
+    b1 = (p - 1.0) * sg1 + a1
+    mu = ((p - 1.0) * (math.log(params.s0[0]) + ctx.m1q)
+          + cons.b_cap_tilde * t
+          - kap * t * (b1 * (a1 + rho * a2) + a2 * (rho * a1 + a2)))
+    s = math.sqrt(t * (b1 * b1 + 2.0 * rho * b1 * a2 + a2 * a2))
+    u_c = mu + q * s * s
+    u_hi = u_c + TRUNC_SD * s
+    u_lo = u_c - TRUNC_SD * s - math.log(1.0 / rel_tol) / kap
+    ln_e = (-kap * cons.b_cap_tilde * t
+            + 0.5 * kap * kap * t * (a1 * a1 + 2.0 * rho * a1 * a2 + a2 * a2))
+    ln_ep = ln_e - math.log(p)
+    w = _spread_w(ctx, p)
+
+    def m_of(lnc, ln_m):
+        # G / (kap E e^(q min(u, u_top) + ln_m)): near m / M below u_top,
+        # where kap E M e^(q u) reaches E[S1^p] / p >= E[l(H)], so that
+        # integrate_batch's absolute floor is tiny beside what is read
+        # (64 c's a call keep each temporary in the cache)
+        ln_w = (q * np.maximum(lnc - u_top, 0.0) - ln_e - ln_m) / kap
+
+        def part(j):
+            lc, lw = lnc[j:j + 64], ln_w[j:j + 64]
+            return _integrate(lambda y, ids: _phi(y, ctx.sd) * w(
+                y, lc[ids], lw[ids])[2], -ctx.cap, ctx.cap,
+                np.full(lc.size, True))
+        vals, errs = zip(*map(part, range(0, lnc.size, 64)))
+        return np.concatenate(vals), np.concatenate(errs)
+
+    u_top = math.inf
+    (m_all,), _err = m_of(np.array([-math.inf]), 0.0)
+    if not m_all > 0.0:
+        raise HeavyTailError(
+            "Spread/power Psi1: the mass of H > 0 under the tilt by Z~^kap "
+            "underflows")
+    ln_m = math.log(m_all)  # then every m over M, M once more among them
+    u_top = (p * (math.log(params.s0[0]) + ctx.m1p + 0.5 * p * sg1 * sg1 * t)
+             - math.log(p * kap) - ln_e - ln_m) / q
+    (m_all, m_lo), (e_all, e_lo) = m_of(np.array([-math.inf, u_lo]), ln_m)
+    m_lo = max(m_lo - e_lo, 0.0) * math.exp(-q * max(u_lo - u_top, 0.0))
+    m_hi = m_all + e_all
+    ln_rest = ln_ep + q * (u_c - 0.5 * q * s * s) + log_ndtr(-TRUNC_SD)
+
+    def head(u):  # (midpoint, half-width) of the head below u <= u_lo
+        lower, upper = np.exp(ln_ep + ln_m + q * u) * np.array([[m_lo],
+                                                                [m_hi]])
+        by_v = np.exp(ln_ep + np.logaddexp(
+            math.log(2.0) + q * u + log_ndtr((mu - u) / s),
+            q * (u_c - 0.5 * q * s * s) + log_ndtr((u - u_c) / s)))
+        upper = np.maximum(np.minimum(upper, by_v), lower)
+        return 0.5 * (lower + upper), 0.5 * (upper - lower)
+
+    def panels(a, b):  # in v = -u; e^(q min(u, u_top)) is largest at -a
+        h = 0.5 * (b - a)
+        v = (a + h)[:, None] + h[:, None] * NODES
+        m, e = (x.reshape(-1, 15) for x in m_of(-v.ravel(), ln_m))
+        top = q * np.minimum(-a, u_top)
+        scale = np.exp(q * np.minimum(-v, u_top) - top[:, None])
+        k15 = h * (m * scale * WK).sum(axis=-1)
+        return (top, k15, np.abs(k15 - h * (m * scale * WG).sum(axis=-1)),
+                h * (e * scale * WK).sum(axis=-1) + _ROUND * np.abs(k15))
+
+    mid, width = max(u_lo, mu), _PANEL_FALL / q
+    edges = np.unique(np.concatenate([
+        [u_lo], mid - width * np.arange(math.ceil((mid - u_lo) / width) - 1,
+                                        0, -1), _layout(mid, u_hi, u_c, s)]))
+    table = _TailTable(panels, -edges[::-1], math.log(kap) + ln_e + ln_m,
+                       rel_tol, max_rounds)
+
+    def read(lnc):
+        val, err = table.read(-lnc, 0.0)
+        h_val, h_err = head(np.minimum(lnc, u_lo))
+        return val + h_val, err + h_err + np.where(lnc > u_hi,
+                                                   np.exp(ln_rest), 0.0)
+
+    return read
 
 
 def _spread_power_psi2(ctx: _Ctx, c, p: float):
-    a1, a2 = ctx.cons.a1, ctx.cons.a2
     sg1, s10 = ctx.params.sigma[0], ctx.params.s0[0]
-    rho, sd, cond_sd, t = ctx.rho, ctx.sd, ctx.cond_sd, ctx.cons.T
-    kap = 1.0 / (p - 1.0)
+    rho, sd, cond_sd = ctx.rho, ctx.sd, ctx.cond_sd
     lnc = _each(_lnc, c)
-    bs, m1, _m2, _suf = _side_fields(ctx, True)
-    bt = bs * t
+    m1 = _side_fields(ctx, True)[1]
+    w = _spread_w(ctx, p)
 
     def f(y, ids):
-        x_star, _d_y, s2k = _spread_xstar(ctx, lnc[ids], p, y, True)
+        x_star, s2k, t3 = w(y, lnc[ids], lnc[ids])
         m_c = rho * y
         t1 = s10 * np.exp(m1) * tilted_interval_mass(sg1, m_c, cond_sd,
                                                      x_star, np.inf)
         t2 = s2k * tilted_interval_mass(0.0, m_c, cond_sd, x_star, np.inf)
-        # (c Z~)^kap on A_c: weight c^kap e^(-kap (BT + A2 y))
-        t3 = tilted_interval_mass(-kap * a1, m_c, cond_sd, x_star, np.inf,
-                                  kap * (lnc[ids] - bt - a2 * y))
         return _phi(y, sd) * (t1 - t2 - t3)
 
     return _integrate(f, -ctx.cap, ctx.cap, np.full(c.size, True))
@@ -923,13 +1002,16 @@ def _closed_side(ctx: _Ctx, payoff: Payoff, c, p: Optional[float],
                  tilde: bool):
     """(values, errs) of one side at each c, by the payoff's shape; p None
     is linear loss.  _on_table's sides read the tail tables, Spread/power
-    runs its own kernels, and every other side is a sum over product-form
-    regions."""
+    Psi2 runs its own kernel and Psi1 reads its W table, and every other
+    side is a sum over product-form regions."""
     kind = payoff.kind
     if _on_table(kind, p):
         return _table_side(payoff, ctx, c, p, tilde)
     if kind == SPREAD:
-        return (_spread_power_psi2 if tilde else _spread_power_psi1)(ctx, c, p)
+        if tilde:
+            return _spread_power_psi2(ctx, c, p)
+        return _w_table(payoff, ctx.params, p, quad._REL_TOL,
+                        quad._MAX_ROUNDS)(_each(_lnc, c))
     # one region is its own value; two regions add, v1 + v2
     v, e = np.sum([_region_side(ctx, c, r, p, tilde)
                    for r in _REGIONS[kind](ctx, p, tilde)], axis=0)
@@ -981,11 +1063,11 @@ def _psi_side(payoff: Payoff, params: MarketParams, loss: LossSpec, c,
     The one closed-form Psi entry point: the solver reads one side at all
     the c's of a step, and psi_linear / psi_power call it at one c, once
     per side.  A value does not depend on the other c's of the call.
-    trunc_sd bounds the boxes of the region sides and Spread/power; the
-    tail tables (_on_table) take none.  A term that overflows (K^p at a
-    large p, say) raises HeavyTailError: here if it reaches the value,
-    else from integrate_batch as a non-finite integrand, and never as a
-    RuntimeWarning.
+    trunc_sd bounds the boxes of the region sides and Spread/power Psi2;
+    the tables (_on_table's and Spread/power Psi1's) take none.  A term
+    that overflows (K^p at a large p, say) raises HeavyTailError: here if
+    it reaches the value, else from integrate_batch as a non-finite
+    integrand, and never as a RuntimeWarning.
     """
     c = np.array([_validate_c(ci) for ci in np.ravel(c)])
     if payoff.kind == CUSTOM:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shortfall_hedge._quad as quad_mod
-from shortfall_hedge._quad import integrate_batch, integrate_rows
+from shortfall_hedge._quad import integrate_batch
 from shortfall_hedge.errors import HeavyTailError
 
 from oracles import integrate_batch_one_level
@@ -79,15 +79,6 @@ def test_integrate_batch_reads_its_rule_at_each_call(monkeypatch):
     # 8 panels and rounds to spare again: the first call evaluates the 8
     # panels and, ahead of the second round, their 16 children
     assert points[0] == (8 + 16) * 15
-
-
-def test_integrate_rows_matches_exponential():
-    lo = np.array([0.0, 1.0, 2.0])
-    hi = np.array([4.0, 3.0, 2.0])
-    vals = integrate_rows(lambda x, rows: np.exp(x), lo, hi, n_panels=8)
-    truth = np.exp(hi) - np.exp(lo)
-    truth[2] = 0.0  # hi == lo row contributes nothing
-    assert np.all(np.abs(vals - truth) <= 1e-10 * np.maximum(truth, 1.0))
 
 
 def _bumps(freq, decay):
@@ -195,28 +186,3 @@ def test_inf_on_a_refined_panel_raises_the_loops_error():
                                   [0.0], [1.0])
     assert str(got.value) == str(want.value)
     assert "inf at x = 0.34375" in str(got.value)
-
-
-@settings(max_examples=40, deadline=None)
-@given(rows=st.lists(st.tuples(st.floats(-3, 3), st.floats(0, 4),
-                               st.floats(0.1, 3), st.integers(1, 40)),
-                     min_size=1, max_size=12),
-       chunk=st.integers(1, 5))
-def test_integrate_rows_is_invariant_to_the_chunks(rows, chunk):
-    # each row has its own panel count; its panels share the integrand
-    # call with other rows' panels, and its value is the same in any batch
-    lo, width, g, n_panels = (np.array(v) for v in zip(*rows))
-    hi = lo + width
-
-    def for_rows(gr):
-        return lambda x, r: np.exp(-gr[r, None] * x) * np.cos(x)
-
-    whole = integrate_rows(for_rows(g), lo, hi, n_panels)
-    parts = np.concatenate([
-        integrate_rows(for_rows(g[k:k + chunk]), lo[k:k + chunk],
-                       hi[k:k + chunk], n_panels[k:k + chunk])
-        for k in range(0, lo.size, chunk)])
-    assert np.array_equal(whole, parts)
-    same = integrate_rows(for_rows(g), lo, hi, int(n_panels[0]))
-    alone = integrate_rows(for_rows(g[:1]), lo[:1], hi[:1], n_panels[:1])
-    assert same[0] == alone[0] == whole[0]
