@@ -696,11 +696,14 @@ def _w_table(payoff: Payoff, params: MarketParams, p: float, rel_tol: float,
     tables are: a function of ln c (0 < c <= inf) that returns (values,
     errs).  dPsi1/dc = kap W(c), so Psi1 is the head in u = ln c of G(u) =
     kap E e^(q u) m(u), E = E~[Z~^kap] and m(u) = P^kap(A_c), held over
-    [u_lo, u_hi] as a _TailTable in v = -u.  Each m is integrate_batch
-    over the Psi2 box in y, its error in its panel's.  key = (p-1) ln H +
-    A.W~ + B~T, and A_c = {key >= u}; key <= V = (p-1) ln S1 + A.W~ + B~T
-    ~ N(mu, s^2) under P^kap, so e^(q u) P(V >= u) peaks at u_c = mu + q
-    s^2.  Nothing beyond the table is dropped:
+    [u_lo, u_hi] as a _TailTable in v = -u.  A_c = {key >= u}, key = (p-1)
+    ln H + A.W~ + B~T <= V = (p-1) ln S1 + A.W~ + B~T ~ N(mu, s^2) under
+    P^kap, so e^(q u) P(V >= u) peaks at u_c = mu + q s^2.  Each m is
+    integrate_batch over the Psi2 box in y, its error in its panel's, the
+    box widened to hold y_c +- TRUNC_SD sd, y_c = E^kap[W~2] + beta max(u -
+    mu, 0) (beta the slope of E^kap[W~2 | V] in V): where the mass of {V >=
+    u} lies in y, out of the box at a large c in a wide market.  Nothing
+    beyond the table is dropped:
 
     - above u_hi = u_c + TRUNC_SD s, Psi1(inf) - Psi1 <= (E/p) e^(q mu +
       q^2 s^2 / 2) Phi(-TRUNC_SD), which joins the error;
@@ -732,6 +735,8 @@ def _w_table(payoff: Payoff, params: MarketParams, p: float, rel_tol: float,
             + 0.5 * kap * kap * t * (a1 * a1 + 2.0 * rho * a1 * a2 + a2 * a2))
     ln_ep = ln_e - math.log(p)
     w = _spread_w(ctx, p)
+    y_kap = -kap * t * (rho * a1 + a2)
+    beta = t * (rho * b1 + a2) / (s * s)
 
     def m_of(lnc, ln_m):
         # G / (kap E e^(q min(u, u_top) + ln_m)): near m / M below u_top,
@@ -739,12 +744,14 @@ def _w_table(payoff: Payoff, params: MarketParams, p: float, rel_tol: float,
         # integrate_batch's absolute floor is tiny beside what is read
         # (64 c's a call keep each temporary in the cache)
         ln_w = (q * np.maximum(lnc - u_top, 0.0) - ln_e - ln_m) / kap
+        y_c = y_kap + beta * np.maximum(lnc - mu, 0.0)
+        lo = np.minimum(-ctx.cap, y_c - ctx.cap)
+        hi = np.maximum(ctx.cap, y_c + ctx.cap)
 
         def part(j):
             lc, lw = lnc[j:j + 64], ln_w[j:j + 64]
-            return _integrate(lambda y, ids: _phi(y, ctx.sd) * w(
-                y, lc[ids], lw[ids])[2], -ctx.cap, ctx.cap,
-                np.full(lc.size, True))
+            return integrate_batch(lambda y, ids: _phi(y, ctx.sd) * w(
+                y, lc[ids], lw[ids])[2], lo[j:j + 64], hi[j:j + 64])
         vals, errs = zip(*map(part, range(0, lnc.size, 64)))
         return np.concatenate(vals), np.concatenate(errs)
 
@@ -760,14 +767,15 @@ def _w_table(payoff: Payoff, params: MarketParams, p: float, rel_tol: float,
     (m_all, m_lo), (e_all, e_lo) = m_of(np.array([-math.inf, u_lo]), ln_m)
     m_lo = max(m_lo - e_lo, 0.0) * math.exp(-q * max(u_lo - u_top, 0.0))
     m_hi = m_all + e_all
-    ln_rest = ln_ep + q * (u_c - 0.5 * q * s * s) + log_ndtr(-TRUNC_SD)
+    ln_ev = q * (mu + 0.5 * q * s * s)  # ln E^kap[e^(q V)]
+    ln_rest = ln_ep + ln_ev + log_ndtr(-TRUNC_SD)
 
     def head(u):  # (midpoint, half-width) of the head below u <= u_lo
         lower, upper = np.exp(ln_ep + ln_m + q * u) * np.array([[m_lo],
                                                                 [m_hi]])
         by_v = np.exp(ln_ep + np.logaddexp(
             math.log(2.0) + q * u + log_ndtr((mu - u) / s),
-            q * (u_c - 0.5 * q * s * s) + log_ndtr((u - u_c) / s)))
+            ln_ev + log_ndtr((u - u_c) / s)))
         upper = np.maximum(np.minimum(upper, by_v), lower)
         return 0.5 * (lower + upper), 0.5 * (upper - lower)
 

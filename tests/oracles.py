@@ -26,12 +26,16 @@ No engine code calls these, so they live beside the tests:
   conditional law on the line of fixed Y taken by an eigendecomposition and
   the payoff's set on it by brentq (`line_side_quad`);
 - power-loss Psi1 from the engine's own Psi2 alone, integrated by parts
-  (`psi1_by_parts`): no stored reference, and none of Psi1's code.
+  (`psi1_by_parts`): no stored reference, and none of Psi1's code;
+- Spread/power Psi1 by nested `scipy.integrate.quad` under P, with the
+  region boundary by brentq (`spread_power_psi1_quad`): no box, no table
+  and no W of the engine's.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -606,3 +610,65 @@ def psi1_by_parts(payoff: Payoff, params: MarketParams, p: float, c):
     head[finite] -= cs[finite] * v2
     err[finite] += cs[finite] * e2
     return head, err
+
+
+def spread_power_psi1_quad(payoff: Payoff, params: MarketParams, p: float,
+                           c: float):
+    """(Psi1(c), quad error) of the Spread under power loss p, as
+    (E[H^p 1_{Ac^c}] + c^q E[Z~^q 1_Ac]) / p by nested scipy.integrate.quad
+    under P: W2 = y over 40 sd either way, W1 | y from the payoff root d(y)
+    on, split at the region boundary x*(y), where H = (c Z~)^kap, found by
+    brentq (H rises and Z~ falls in W1, since A1 > 0).  c = inf is
+    E[H^p] / p."""
+    cons = derive_constants(params, payoff.strike)
+    (s10, s20), (sg1, sg2), k = params.s0, params.sigma, payoff.strike
+    t, rho = params.T, params.rho
+    m1, m2 = ((a - 0.5 * s * s) * t
+              for a, s in zip(params.alpha, params.sigma))
+    sd, csd = math.sqrt(t), math.sqrt(t * (1.0 - rho * rho))
+    q, kap = p / (p - 1.0), 1.0 / (p - 1.0)
+    lnc = math.log(c) if c < math.inf else math.inf
+
+    def quad(f, a, b):
+        # the shortfall piece over a sliver [d, x*] at a small c reaches
+        # roundoff before 1e-11 of itself, far below the total
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            return integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-11,
+                                  limit=400)[0]
+
+    def inner(y):
+        s2k = s20 * math.exp(m2 + sg2 * y) + k
+        d, mc = (math.log(s2k / s10) - m1) / sg1, rho * y
+
+        def dens(x):
+            return math.exp(-0.5 * ((x - mc) / csd) ** 2) / (
+                csd * math.sqrt(2.0 * math.pi))
+
+        def h(x):  # S1 - S2 - K, without its cancellation near d
+            return s2k * math.expm1(sg1 * (x - d))
+
+        def ln_cz(x):
+            return lnc - cons.a1 * x - cons.a2 * y - cons.b_cap * t
+
+        top = max(d, mc + p * sg1 * csd * csd) + 40.0 * csd
+        x_star = top
+        if lnc < math.inf:
+            def g(x):
+                return math.log(max(h(x), 1e-300)) - kap * ln_cz(x)
+            x_star, hi = d, d + 1.0  # at g(d) >= 0, A_c holds all H > 0
+            while g(hi) < 0.0:
+                hi = d + 2.0 * (hi - d)
+            if g(d) < 0.0:
+                x_star = brentq(g, d, hi, xtol=1e-15, rtol=1e-15)
+        on = quad(lambda x: math.exp(q * ln_cz(x)) * dens(x), x_star,
+                  max(x_star, mc - q * cons.a1 * csd * csd) + 40.0 * csd
+                  ) if lnc < math.inf else 0.0
+        return (quad(lambda x: h(x) ** p * dens(x), d, min(x_star, top))
+                + on) / p
+
+    v, e = integrate.quad(
+        lambda y: inner(y) * math.exp(-0.5 * (y / sd) ** 2)
+        / (sd * math.sqrt(2.0 * math.pi)), -40.0 * sd, 40.0 * sd,
+        epsabs=0.0, epsrel=1e-11, limit=400)
+    return v, e

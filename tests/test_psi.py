@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from conftest import DESK_PAYOFFS, desk_params
 from oracles import (integrate_batch_one_level, line_side_quad,
-                     psi1_by_parts, region_side_linear_quad)
+                     psi1_by_parts, region_side_linear_quad,
+                     spread_power_psi1_quad)
 from shortfall_hedge.errors import (AssumptionViolatedError,
                                     UnsupportedClosedFormError,
                                     ValidationError)
@@ -360,6 +361,36 @@ def test_power_psi1_matches_its_psi2_integrated_by_parts(payoff, rho):
         got, err = psi_mod._psi_side(payoff, params, LossSpec(POWER, p), cs, 1)
         tol = err + ref_err + 1e-14 * np.abs(ref)
         assert (np.abs(got - ref) <= tol).all(), (p, got - ref, err, ref_err)
+
+
+# two markets of the sweep's wide box (|theta_i| up to 3, T = 3) at p = 3
+_WIDE_SPREADS = (
+    (MarketParams(s0=(126.52473832785226, 140.91793139905502),
+                  alpha=(0.37115208518720133, -1.830689224747992),
+                  sigma=(0.16329670855761164, 0.7500645442305715),
+                  rho=-0.15408306326494825, r=0.0002589432907716072, T=3.0),
+     10.194205407847083, (math.inf,)),
+    (MarketParams(s0=(90.24982981039815, 59.670409393174566),
+                  alpha=(-0.6928126533747491, 0.5888725940890007),
+                  sigma=(0.7758710382866161, 0.21125302801691004),
+                  rho=-0.6999299499642191, r=0.03358825813056425, T=3.0),
+     41.21066326707469, (1e-6, 0.1)),
+)
+
+
+@pytest.mark.parametrize("params,strike,cs", _WIDE_SPREADS,
+                         ids=("tilt-leaves-the-box", "fine-x-rule"))
+def test_spread_power_psi1_of_wide_markets_matches_a_nested_quad(
+        params, strike, cs):
+    # first: at large c the y-mass of W lies 12-20 sd below the Psi2 box's
+    # centre, and on that box alone Psi1(inf) read 22551214.5986503 +-
+    # 3.2e-3, 0.19 short of E[H^3] / 3.  second: the fixed inner rule in x
+    # read Psi1(1e-6) 2e-5 low at an err_estimate of 4e-16
+    payoff = Payoff(SPREAD, strike)
+    got, err = psi_mod._psi_side(payoff, params, LossSpec(POWER, 3.0), cs, 1)
+    for c, v, e in zip(cs, got, err):
+        ref, ref_err = spread_power_psi1_quad(payoff, params, 3.0, c)
+        assert abs(v - ref) <= e + ref_err + 1e-11 * abs(ref), (c, v, ref, e)
 
 
 @pytest.mark.parametrize("loss", (LossSpec(LINEAR), LossSpec(POWER, 2.0)),
