@@ -602,7 +602,7 @@ def psi1_by_parts(payoff: Payoff, params: MarketParams, p: float, c):
             break
         if a < b:
             (v, e), quad_err = integrate.quad_vec(
-                f, a, b, epsabs=0.0, epsrel=1e-13, norm="max")
+                f, a, b, epsabs=0.0, epsrel=1e-12, norm="max")
             at, at_err = at + v, at_err + e + quad_err
         head[order[k]], err[order[k]] = at, at_err
     finite = cs < math.inf
