@@ -699,11 +699,8 @@ def _w_table(payoff: Payoff, params: MarketParams, p: float, rel_tol: float,
     [u_lo, u_hi] as a _TailTable in v = -u.  A_c = {key >= u}, key = (p-1)
     ln H + A.W~ + B~T <= V = (p-1) ln S1 + A.W~ + B~T ~ N(mu, s^2) under
     P^kap, so e^(q u) P(V >= u) peaks at u_c = mu + q s^2.  Each m is
-    integrate_batch over the Psi2 box in y, its error in its panel's, the
-    box widened to hold y_c +- TRUNC_SD sd, y_c = E^kap[W~2] + beta max(u -
-    mu, 0) (beta the slope of E^kap[W~2 | V] in V): where the mass of {V >=
-    u} lies in y, out of the box at a large c in a wide market.  Nothing
-    beyond the table is dropped:
+    integrate_batch over the Psi2 box in y, its error in its panel's.
+    Nothing beyond the table's span is dropped:
 
     - above u_hi = u_c + TRUNC_SD s, Psi1(inf) - Psi1 <= (E/p) e^(q mu +
       q^2 s^2 / 2) Phi(-TRUNC_SD), which joins the error;
@@ -713,7 +710,8 @@ def _w_table(payoff: Payoff, params: MarketParams, p: float, rel_tol: float,
       q^2 s^2 / 2) P(V < u - q s^2)): its midpoint is read, and its
       half-width joins the error.  M - m(u) falls as c^kap (H has a
       density at 0+), so u_lo = u_c - TRUNC_SD s - ln(1 / rel_tol) / kap
-      puts it near rel_tol M.
+      puts it near rel_tol M.  Where M underflows (p near 1), V's bound
+      stands alone.
 
     Below mu, G grows at most as e^(q u), and above it falls as a Gaussian
     of sd s about u_c: panels start _PANEL_FALL / q apart below mu and on
@@ -735,8 +733,6 @@ def _w_table(payoff: Payoff, params: MarketParams, p: float, rel_tol: float,
             + 0.5 * kap * kap * t * (a1 * a1 + 2.0 * rho * a1 * a2 + a2 * a2))
     ln_ep = ln_e - math.log(p)
     w = _spread_w(ctx, p)
-    y_kap = -kap * t * (rho * a1 + a2)
-    beta = t * (rho * b1 + a2) / (s * s)
 
     def m_of(lnc, ln_m):
         # G / (kap E e^(q min(u, u_top) + ln_m)): near m / M below u_top,
@@ -744,39 +740,46 @@ def _w_table(payoff: Payoff, params: MarketParams, p: float, rel_tol: float,
         # integrate_batch's absolute floor is tiny beside what is read
         # (64 c's a call keep each temporary in the cache)
         ln_w = (q * np.maximum(lnc - u_top, 0.0) - ln_e - ln_m) / kap
-        y_c = y_kap + beta * np.maximum(lnc - mu, 0.0)
-        lo = np.minimum(-ctx.cap, y_c - ctx.cap)
-        hi = np.maximum(ctx.cap, y_c + ctx.cap)
 
         def part(j):
             lc, lw = lnc[j:j + 64], ln_w[j:j + 64]
-            return integrate_batch(lambda y, ids: _phi(y, ctx.sd) * w(
-                y, lc[ids], lw[ids])[2], lo[j:j + 64], hi[j:j + 64])
+            return _integrate(lambda y, ids: _phi(y, ctx.sd) * w(
+                y, lc[ids], lw[ids])[2], -ctx.cap, ctx.cap,
+                np.full(lc.size, True))
         vals, errs = zip(*map(part, range(0, lnc.size, 64)))
         return np.concatenate(vals), np.concatenate(errs)
 
+    # M over its bound P^kap(S1 >= K), whose log never underflows; then
+    # every m over M, M once more among them.  Where M underflows even so
+    # (the tilt carries it out of the box: p near 1), every m over
+    # E[S1^p] / p from u_lo on
     u_top = math.inf
-    (m_all,), _err = m_of(np.array([-math.inf]), 0.0)
-    if not m_all > 0.0:
-        raise HeavyTailError(
-            "Spread/power Psi1: the mass of H > 0 under the tilt by Z~^kap "
-            "underflows")
-    ln_m = math.log(m_all)  # then every m over M, M once more among them
-    u_top = (p * (math.log(params.s0[0]) + ctx.m1p + 0.5 * p * sg1 * sg1 * t)
-             - math.log(p * kap) - ln_e - ln_m) / q
-    (m_all, m_lo), (e_all, e_lo) = m_of(np.array([-math.inf, u_lo]), ln_m)
-    m_lo = max(m_lo - e_lo, 0.0) * math.exp(-q * max(u_lo - u_top, 0.0))
-    m_hi = m_all + e_all
+    ln_mb = float(log_ndtr((math.log(params.s0[0] / payoff.strike) + ctx.m1q
+                            - kap * t * sg1 * (a1 + rho * a2))
+                           / (sg1 * math.sqrt(t))))
+    (m_all,), _err = m_of(np.array([-math.inf]), ln_mb)
+    ln_top = (p * (math.log(params.s0[0]) + ctx.m1p + 0.5 * p * sg1 * sg1 * t)
+              - math.log(p * kap) - ln_e)
+    found = m_all > 0.0
+    ln_m = ln_mb + math.log(m_all) if found else ln_top - q * u_lo
+    u_top = (ln_top - ln_m) / q
+    m, e = m_of(np.array([-math.inf, u_lo] if found else [u_lo]), ln_m)
+    m_hi = m[0] + e[0] if found else math.inf
+    # logs of m(u_lo) and M, each bound taken in logs: e^(q u) M may pass
+    # the float range where the head does not
+    ln_lo, ln_hi = (math.log(x) if x > 0.0 else -math.inf for x in (
+        m[-1] - e[-1], m_hi))
+    ln_lo -= q * max(u_lo - u_top, 0.0)
     ln_ev = q * (mu + 0.5 * q * s * s)  # ln E^kap[e^(q V)]
     ln_rest = ln_ep + ln_ev + log_ndtr(-TRUNC_SD)
 
     def head(u):  # (midpoint, half-width) of the head below u <= u_lo
-        lower, upper = np.exp(ln_ep + ln_m + q * u) * np.array([[m_lo],
-                                                                [m_hi]])
+        at = ln_ep + ln_m + q * u
+        lower = np.exp(at + ln_lo)
         by_v = np.exp(ln_ep + np.logaddexp(
             math.log(2.0) + q * u + log_ndtr((mu - u) / s),
             ln_ev + log_ndtr((u - u_c) / s)))
-        upper = np.maximum(np.minimum(upper, by_v), lower)
+        upper = np.maximum(np.minimum(np.exp(at + ln_hi), by_v), lower)
         return 0.5 * (lower + upper), 0.5 * (upper - lower)
 
     def panels(a, b):  # in v = -u; e^(q min(u, u_top)) is largest at -a

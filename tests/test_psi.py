@@ -363,33 +363,41 @@ def test_power_psi1_matches_its_psi2_integrated_by_parts(payoff, rho):
         assert (np.abs(got - ref) <= tol).all(), (p, got - ref, err, ref_err)
 
 
-# two markets of the sweep's wide box (|theta_i| up to 3, T = 3) at p = 3
+# two markets of the sweep's wide box (|theta_i| up to 3, T = 3) at p = 3,
+# and the desk at p near 1
 _WIDE_SPREADS = (
-    (MarketParams(s0=(126.52473832785226, 140.91793139905502),
-                  alpha=(0.37115208518720133, -1.830689224747992),
-                  sigma=(0.16329670855761164, 0.7500645442305715),
-                  rho=-0.15408306326494825, r=0.0002589432907716072, T=3.0),
-     10.194205407847083, (math.inf,)),
-    (MarketParams(s0=(90.24982981039815, 59.670409393174566),
-                  alpha=(-0.6928126533747491, 0.5888725940890007),
-                  sigma=(0.7758710382866161, 0.21125302801691004),
-                  rho=-0.6999299499642191, r=0.03358825813056425, T=3.0),
-     41.21066326707469, (1e-6, 0.1)),
+    pytest.param(
+        MarketParams(s0=(126.52473832785226, 140.91793139905502),
+                     alpha=(0.37115208518720133, -1.830689224747992),
+                     sigma=(0.16329670855761164, 0.7500645442305715),
+                     rho=-0.15408306326494825, r=0.0002589432907716072,
+                     T=3.0),
+        10.194205407847083, 3.0, (math.inf,), id="tilt-leaves-the-box",
+        marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 2: at a large c the y-mass of Spread/power's W "
+            "lies 12-20 sd below Psi2's box, whose tail is not in the "
+            "error: Psi1(inf) reads 22551214.5986503 +- 3.2e-3, 0.19 short "
+            "of E[H^3] / 3"))),
+    pytest.param(
+        MarketParams(s0=(90.24982981039815, 59.670409393174566),
+                     alpha=(-0.6928126533747491, 0.5888725940890007),
+                     sigma=(0.7758710382866161, 0.21125302801691004),
+                     rho=-0.6999299499642191, r=0.03358825813056425, T=3.0),
+        41.21066326707469, 3.0, (1e-6, 0.1), id="fine-x-rule"),
+    pytest.param(desk_params(rho=-0.5), 5.0, 1.001, (0.3,), id="p-near-1"),
 )
 
 
-@pytest.mark.parametrize("params,strike,cs", _WIDE_SPREADS,
-                         ids=("tilt-leaves-the-box", "fine-x-rule"))
+@pytest.mark.parametrize("params,strike,p,cs", _WIDE_SPREADS)
 def test_spread_power_psi1_of_wide_markets_matches_a_nested_quad(
-        params, strike, cs):
-    # first: at large c the y-mass of W lies 12-20 sd below the Psi2 box's
-    # centre, and on that box alone Psi1(inf) read 22551214.5986503 +-
-    # 3.2e-3, 0.19 short of E[H^3] / 3.  second: the fixed inner rule in x
-    # read Psi1(1e-6) 2e-5 low at an err_estimate of 4e-16
+        params, strike, p, cs):
+    # fine-x-rule: the fixed inner rule in x read Psi1(1e-6) 2e-5 low at an
+    # err_estimate of 4e-16.  p-near-1: the mass of H > 0 under the tilt by
+    # Z~^1000 underflows, and the table was refused with HeavyTailError
     payoff = Payoff(SPREAD, strike)
-    got, err = psi_mod._psi_side(payoff, params, LossSpec(POWER, 3.0), cs, 1)
+    got, err = psi_mod._psi_side(payoff, params, LossSpec(POWER, p), cs, 1)
     for c, v, e in zip(cs, got, err):
-        ref, ref_err = spread_power_psi1_quad(payoff, params, 3.0, c)
+        ref, ref_err = spread_power_psi1_quad(payoff, params, p, c)
         assert abs(v - ref) <= e + ref_err + 1e-11 * abs(ref), (c, v, ref, e)
 
 
