@@ -699,8 +699,9 @@ def _w_table(payoff: Payoff, params: MarketParams, p: float, rel_tol: float,
     [u_lo, u_hi] as a _TailTable in v = -u.  A_c = {key >= u}, key = (p-1)
     ln H + A.W~ + B~T <= V = (p-1) ln S1 + A.W~ + B~T ~ N(mu, s^2) under
     P^kap, so e^(q u) P(V >= u) peaks at u_c = mu + q s^2.  Each m is
-    integrate_batch over the Psi2 box in y, its error in its panel's.
-    Nothing beyond the table's span is dropped:
+    integrate_batch over the Psi2 box in y, its error in its panel's (the
+    box's tail, as Psi2's, is not).  Nothing beyond the span in u is
+    dropped:
 
     - above u_hi = u_c + TRUNC_SD s, Psi1(inf) - Psi1 <= (E/p) e^(q mu +
       q^2 s^2 / 2) Phi(-TRUNC_SD), which joins the error;
