@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit, log_ndtr
+from scipy.special import expit, log_ndtr, ndtr
 
 from . import _quad as quad
 from ._quad import NODES, WG, WK, integrate_batch
@@ -696,99 +696,110 @@ def _w_table(payoff: Payoff, params: MarketParams, p: float, rel_tol: float,
     tables are: a function of ln c (0 < c <= inf) that returns (values,
     errs).  dPsi1/dc = kap W(c), so Psi1 is the head in u = ln c of G(u) =
     kap E e^(q u) m(u), E = E~[Z~^kap] and m(u) = P^kap(A_c), held over
-    [u_lo, u_hi] as a _TailTable in v = -u.  A_c = {key >= u}, key = (p-1)
-    ln H + A.W~ + B~T <= V = (p-1) ln S1 + A.W~ + B~T ~ N(mu, s^2) under
-    P^kap, so e^(q u) P(V >= u) peaks at u_c = mu + q s^2.  Each m is
-    integrate_batch over the Psi2 box in y, its error in its panel's (the
-    box's tail, as Psi2's, is not).  Nothing beyond the span in u is
-    dropped:
+    [u_lo, u_hi] as a _TailTable in v = -u.
 
-    - above u_hi = u_c + TRUNC_SD s, Psi1(inf) - Psi1 <= (E/p) e^(q mu +
-      q^2 s^2 / 2) Phi(-TRUNC_SD), which joins the error;
-    - the head below u <= u_lo, (E/p)(e^(q u) m(u) + E^kap[e^(q key); key
-      < u]), lies between (E/p) e^(q u) m(u_lo) and (E/p) e^(q u) M, M =
-      P^kap(H > 0), or, as key <= V, (E/p)(2 e^(q u) P(V >= u) + e^(q mu +
-      q^2 s^2 / 2) P(V < u - q s^2)): its midpoint is read, and its
-      half-width joins the error.  M - m(u) falls as c^kap (H has a
-      density at 0+), so u_lo = u_c - TRUNC_SD s - ln(1 / rel_tol) / kap
-      puts it near rel_tol M.  Where M underflows (p near 1), V's bound
-      stands alone.
+    Under P^kap, W~ ~ N(-kap T Q A, T Q), and A_c lies in three half-planes
+    {L.W~ >= t}: {V >= u}, V = (p-1) ln S1 + A.W~ + B~T >= key as H <= S1,
+    {S1 >= K} and {S1 >= S2}.  Take the one of largest z = (t - E L.W~) /
+    sd(L.W~), or none where every z <= 0.  Then 1{L.W~ >= t} <= e^(lam
+    (L.W~ - t)), lam = z / sd(L.W~), bounds the mass of A_c with y = W~2
+    beyond TRUNC_SD sd of its mean under the tilt e^(lam L.W~) by 2
+    Phi(-TRUNC_SD) e^(-z^2 / 2).  So each m is integrate_batch over that
+    box in y, divided by n = e^(-z^2 / 2), and that bound joins its error.
+    Nothing beyond the span in u is dropped either, with V ~ N(mu, s^2):
+
+    - above u_hi = u_c + TRUNC_SD s, u_c = mu + q s^2 where e^(q u) P(V >=
+      u) peaks, Psi1(inf) - Psi1 <= (E/p) E^kap[e^(q V); V >= u] <= (E/p)
+      e^(q mu + q^2 s^2 / 2) Phi(-TRUNC_SD), which joins the error;
+    - below u <= u_lo, the head, (E/p)(e^(q u) m(u) + E^kap[e^(q key);
+      key < u]), lies between (E/p) e^(q u) m(u_lo) and the smaller of
+      (E/p) e^(q u) M, M = m(-inf) = P^kap(H > 0), and, as key <= V, (E/p)
+      (2 e^(q u) P(V >= u) + e^(q mu + q^2 s^2 / 2) P(V < u - q s^2)): its
+      midpoint is read, its half-width joins the error.  M - m(u) falls as
+      c^kap (H has a density at 0+), so u_lo = u_c - TRUNC_SD s - ln(1 /
+      rel_tol) / kap puts it near rel_tol M.
 
     Below mu, G grows at most as e^(q u), and above it falls as a Gaussian
     of sd s about u_c: panels start _PANEL_FALL / q apart below mu and on
-    _layout's edges above."""
+    _layout's edges above.  Where kap A.W~ over a box is so large that its
+    rounding passes 10 rel_tol (p near 1 and a large A T), the refinement
+    would chase rounding (18 s and 1 GB at 1.5e-6 on the desk), and
+    HeavyTailError is raised."""
     ctx = _make_ctx(payoff, params, TRUNC_SD)
     cons, t, rho = ctx.cons, ctx.cons.T, ctx.rho
-    a1, a2 = cons.a1, cons.a2
+    a = np.array([cons.a1, cons.a2])
     kap, q = 1.0 / (p - 1.0), p / (p - 1.0)
-    sg1 = params.sigma[0]
-    b1 = (p - 1.0) * sg1 + a1
-    mu = ((p - 1.0) * (math.log(params.s0[0]) + ctx.m1q)
-          + cons.b_cap_tilde * t
-          - kap * t * (b1 * (a1 + rho * a2) + a2 * (rho * a1 + a2)))
-    s = math.sqrt(t * (b1 * b1 + 2.0 * rho * b1 * a2 + a2 * a2))
+    tq = t * np.array([[1.0, rho], [rho, 1.0]])
+    mean = -kap * (tq @ a)
+    ln_s1 = math.log(params.s0[0]) + ctx.m1q
+    # the half-planes {L.W~ >= t0 (+ u for V)}: V, S1 >= K, S1 >= S2
+    big_l = np.array([[(p - 1.0) * params.sigma[0] + a[0], a[1]],
+                      [params.sigma[0], 0.0],
+                      [params.sigma[0], -params.sigma[1]]])
+    t0 = np.array([-(p - 1.0) * ln_s1 - cons.b_cap_tilde * t,
+                   math.log(payoff.strike) - ln_s1,
+                   math.log(params.s0[1]) + ctx.m2q - ln_s1])
+    cov = big_l @ tq
+    sd_l, m_l = np.sqrt((cov * big_l).sum(axis=1)), big_l @ mean
+    mu, s = m_l[0] - t0[0], sd_l[0]
     u_c = mu + q * s * s
     u_hi = u_c + TRUNC_SD * s
     u_lo = u_c - TRUNC_SD * s - math.log(1.0 / rel_tol) / kap
-    ln_e = (-kap * cons.b_cap_tilde * t
-            + 0.5 * kap * kap * t * (a1 * a1 + 2.0 * rho * a1 * a2 + a2 * a2))
+    ln_e = -kap * cons.b_cap_tilde * t + 0.5 * kap * kap * (a @ tq @ a)
     ln_ep = ln_e - math.log(p)
+    ln_phi = math.log(ctx.sd * math.sqrt(2.0 * math.pi))
     w = _spread_w(ctx, p)
+    call = quad._CALL_POINTS // (15 * quad._INITIAL_PANELS)
 
-    def m_of(lnc, ln_m):
-        # G / (kap E e^(q min(u, u_top) + ln_m)): near m / M below u_top,
-        # where kap E M e^(q u) reaches E[S1^p] / p >= E[l(H)], so that
-        # integrate_batch's absolute floor is tiny beside what is read
-        # (64 c's a call keep each temporary in the cache)
-        ln_w = (q * np.maximum(lnc - u_top, 0.0) - ln_e - ln_m) / kap
+    def m_of(lnc):  # (ln n, m / n, err / n) at each ln c, M at -inf
+        thr = np.tile(t0, (lnc.size, 1))
+        thr[:, 0] += lnc
+        z = np.maximum((thr - m_l) / sd_l, 0.0)
+        j = z.argmax(axis=1)
+        z = z[np.arange(lnc.size), j]
+        centre = mean + (z / sd_l[j])[:, None] * cov[j]
+        size = kap * (np.where(np.isfinite(lnc), np.abs(lnc), 0.0)
+                      + (np.abs(centre) + ctx.cap) @ np.abs(a))
+        if (np.finfo(float).eps * size > 10.0 * rel_tol).any():
+            raise HeavyTailError(
+                f"Spread/power Psi1 at p = {p!r}: the tilt by Z~^(1/(p-1)) "
+                "carries W~ where its exponent rounds off beyond the "
+                "quadrature's tolerance")
+        ln_n = -0.5 * z * z
+        lw = -(ln_e + ln_n) / kap  # e^(kap lw) E m = m / n
+        y0 = centre[:, 1]
 
-        def part(j):
-            lc, lw = lnc[j:j + 64], ln_w[j:j + 64]
-            return _integrate(lambda y, ids: _phi(y, ctx.sd) * w(
-                y, lc[ids], lw[ids])[2], -ctx.cap, ctx.cap,
-                np.full(lc.size, True))
-        vals, errs = zip(*map(part, range(0, lnc.size, 64)))
-        return np.concatenate(vals), np.concatenate(errs)
+        def part(i):  # the m's whose first panels fill one _CALL_POINTS
+            lc, lwi = lnc[i:i + call], lw[i:i + call]
+            return integrate_batch(lambda y, ids: w(
+                y, lc[ids], lwi[ids] - (0.5 * y * y / t + ln_phi) / kap)[2],
+                y0[i:i + call] - ctx.cap, y0[i:i + call] + ctx.cap)
+        m, e = map(np.concatenate, zip(*map(part, range(0, lnc.size, call))))
+        return ln_n, m, e + 2.0 * ndtr(-TRUNC_SD)
 
-    # M over its bound P^kap(S1 >= K), whose log never underflows; then
-    # every m over M, M once more among them.  Where M underflows even so
-    # (the tilt carries it out of the box: p near 1), every m over
-    # E[S1^p] / p from u_lo on
-    u_top = math.inf
-    ln_mb = float(log_ndtr((math.log(params.s0[0] / payoff.strike) + ctx.m1q
-                            - kap * t * sg1 * (a1 + rho * a2))
-                           / (sg1 * math.sqrt(t))))
-    (m_all,), _err = m_of(np.array([-math.inf]), ln_mb)
-    ln_top = (p * (math.log(params.s0[0]) + ctx.m1p + 0.5 * p * sg1 * sg1 * t)
-              - math.log(p * kap) - ln_e)
-    found = m_all > 0.0
-    ln_m = ln_mb + math.log(m_all) if found else ln_top - q * u_lo
-    u_top = (ln_top - ln_m) / q
-    m, e = m_of(np.array([-math.inf, u_lo] if found else [u_lo]), ln_m)
-    m_hi = m[0] + e[0] if found else math.inf
-    # logs of m(u_lo) and M, each bound taken in logs: e^(q u) M may pass
-    # the float range where the head does not
-    ln_lo, ln_hi = (math.log(x) if x > 0.0 else -math.inf for x in (
-        m[-1] - e[-1], m_hi))
-    ln_lo -= q * max(u_lo - u_top, 0.0)
+    (ln_hi, ln_lo), m, e = m_of(np.array([-math.inf, u_lo]))
+    with np.errstate(divide="ignore"):
+        ln_hi += math.log(m[0] + e[0])
+        ln_lo += np.log(max(m[1] - e[1], 0.0))
     ln_ev = q * (mu + 0.5 * q * s * s)  # ln E^kap[e^(q V)]
     ln_rest = ln_ep + ln_ev + log_ndtr(-TRUNC_SD)
 
     def head(u):  # (midpoint, half-width) of the head below u <= u_lo
-        at = ln_ep + ln_m + q * u
-        lower = np.exp(at + ln_lo)
-        by_v = np.exp(ln_ep + np.logaddexp(
+        lower = np.exp(ln_ep + q * u + ln_lo)
+        by_v = ln_ep + np.logaddexp(
             math.log(2.0) + q * u + log_ndtr((mu - u) / s),
-            ln_ev + log_ndtr((u - u_c) / s)))
-        upper = np.maximum(np.minimum(np.exp(at + ln_hi), by_v), lower)
+            ln_ev + log_ndtr((u - u_c) / s))
+        upper = np.maximum(np.exp(np.minimum(ln_ep + q * u + ln_hi, by_v)),
+                           lower)
         return 0.5 * (lower + upper), 0.5 * (upper - lower)
 
-    def panels(a, b):  # in v = -u; e^(q min(u, u_top)) is largest at -a
+    def panels(a, b):  # in v = -u, each node's value over its n
         h = 0.5 * (b - a)
-        v = (a + h)[:, None] + h[:, None] * NODES
-        m, e = (x.reshape(-1, 15) for x in m_of(-v.ravel(), ln_m))
-        top = q * np.minimum(-a, u_top)
-        scale = np.exp(q * np.minimum(-v, u_top) - top[:, None])
+        u = -((a + h)[:, None] + h[:, None] * NODES)
+        ln_n, m, e = (x.reshape(-1, 15) for x in m_of(u.ravel()))
+        ln_g = q * u + ln_n
+        top = ln_g.max(axis=1)
+        scale = np.exp(ln_g - top[:, None])
         k15 = h * (m * scale * WK).sum(axis=-1)
         return (top, k15, np.abs(k15 - h * (m * scale * WG).sum(axis=-1)),
                 h * (e * scale * WK).sum(axis=-1) + _ROUND * np.abs(k15))
@@ -797,8 +808,8 @@ def _w_table(payoff: Payoff, params: MarketParams, p: float, rel_tol: float,
     edges = np.unique(np.concatenate([
         [u_lo], mid - width * np.arange(math.ceil((mid - u_lo) / width) - 1,
                                         0, -1), _layout(mid, u_hi, u_c, s)]))
-    table = _TailTable(panels, -edges[::-1], math.log(kap) + ln_e + ln_m,
-                       rel_tol, max_rounds)
+    table = _TailTable(panels, -edges[::-1], math.log(kap) + ln_e, rel_tol,
+                       max_rounds)
 
     def read(lnc):
         val, err = table.read(-lnc, 0.0)

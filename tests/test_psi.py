@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from conftest import DESK_PAYOFFS, desk_params
 from oracles import (integrate_batch_one_level, line_side_quad,
                      psi1_by_parts, region_side_linear_quad,
-                     spread_power_psi1_quad)
-from shortfall_hedge.errors import (AssumptionViolatedError,
+                     spread_ln_power_moment, spread_power_psi1_quad)
+from shortfall_hedge.errors import (AssumptionViolatedError, HeavyTailError,
                                     UnsupportedClosedFormError,
                                     ValidationError)
 from shortfall_hedge.gaussian import sample
@@ -372,12 +372,7 @@ _WIDE_SPREADS = (
                      sigma=(0.16329670855761164, 0.7500645442305715),
                      rho=-0.15408306326494825, r=0.0002589432907716072,
                      T=3.0),
-        10.194205407847083, 3.0, (math.inf,), id="tilt-leaves-the-box",
-        marks=pytest.mark.xfail(strict=True, reason=(
-            "ROADMAP item 2: at a large c the y-mass of Spread/power's W "
-            "lies 12-20 sd below Psi2's box, whose tail is not in the "
-            "error: Psi1(inf) reads 22551214.5986503 +- 3.2e-3, 0.19 short "
-            "of E[H^3] / 3"))),
+        10.194205407847083, 3.0, (math.inf,), id="tilt-leaves-the-box"),
     pytest.param(
         MarketParams(s0=(90.24982981039815, 59.670409393174566),
                      alpha=(-0.6928126533747491, 0.5888725940890007),
@@ -391,6 +386,8 @@ _WIDE_SPREADS = (
 @pytest.mark.parametrize("params,strike,p,cs", _WIDE_SPREADS)
 def test_spread_power_psi1_of_wide_markets_matches_a_nested_quad(
         params, strike, p, cs):
+    # tilt-leaves-the-box: W's y-mass at a large c lies far below y = 0,
+    # and a box fixed there read Psi1(inf) 22551214.5986503 +- 3.2e-3.
     # fine-x-rule: the fixed inner rule in x read Psi1(1e-6) 2e-5 low at an
     # err_estimate of 4e-16.  p-near-1: the mass of H > 0 under the tilt by
     # Z~^1000 underflows, and the table was refused with HeavyTailError
@@ -399,6 +396,49 @@ def test_spread_power_psi1_of_wide_markets_matches_a_nested_quad(
     for c, v, e in zip(cs, got, err):
         ref, ref_err = spread_power_psi1_quad(payoff, params, p, c)
         assert abs(v - ref) <= e + ref_err + 1e-11 * abs(ref), (c, v, ref, e)
+
+
+@pytest.mark.parametrize("rho", (-0.5, 0.6))
+def test_spread_power_psi1_of_a_high_power_matches_a_grid(rho):
+    # at p = 100 the mass of H^100 lies some 20 sd up W1 and, at rho =
+    # -0.5, 10 sd down W2: W values on a box fixed around y = 0 read
+    # Psi1(inf) 1.2772e287, half of E[H^100] / 100 = 2.4428e287
+    payoff, params = Payoff(SPREAD, 5.0), desk_params(rho=rho)
+    (v,), (e,) = psi_mod._psi_side(payoff, params, LossSpec(POWER, 100.0),
+                                   [math.inf], 1)
+    ref = spread_ln_power_moment(payoff, params, 100.0)
+    assert abs(math.log(v) - ref) <= e / v + 1e-12, (math.log(v), ref, e)
+
+
+def test_spread_power_psi1_refuses_a_tilt_that_rounds_off():
+    # a CLI fuzz market at p - 1 = 4.5e-6: the tilt by Z~^kap carries W~
+    # some 500 sd from 0, where kap A.W~ rounds off far beyond the accept
+    # rule.  A fixed box read Psi1(inf) 5.9e15 +- 1.5e16 against E[H^p] / p
+    # = 5.12e40; it is refused instead
+    params = MarketParams(
+        s0=(334.75045778249915, 569.0607852714771),
+        alpha=(2.9999999999999996, -1.0073469445631953),
+        sigma=(2.9999999999999996, 0.01), rho=0.10945637487311677,
+        r=1.3853462495152456e-40, T=29.307303188177514)
+    with pytest.raises(HeavyTailError, match="rounds off"):
+        psi_mod._psi_side(Payoff(SPREAD, 0.010587665332887457), params,
+                          LossSpec(POWER, 1.0000044918385982), [math.inf], 1)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 15: below the W table's span the head is bracketed by "
+    "m(u_lo) and M, which lie far apart where ln H sits far below ln S1 "
+    "under the tilt: Psi1(1e-20) reads 5.98e-50 +- 5.98e-50 against a "
+    "nested quad's 9.90e-52"))
+def test_spread_power_psi1_far_below_its_span_keeps_digits():
+    params = MarketParams(
+        s0=(81.2230674175029, 121.97484391385755),
+        alpha=(1.0950912458508233, -0.2051211881039437),
+        sigma=(0.3912631123642999, 0.09258077179468759),
+        rho=-0.20119051602256088, r=0.04976808297144985, T=3.0)
+    (v,), (e,) = psi_mod._psi_side(Payoff(SPREAD, 6.90365657341995), params,
+                                   LossSpec(POWER, 1.2), [1e-20], 1)
+    assert e <= 1e-6 * v, (v, e)
 
 
 @pytest.mark.parametrize("loss", (LossSpec(LINEAR), LossSpec(POWER, 2.0)),
