@@ -698,19 +698,18 @@ def _w_table(payoff: Payoff, params: MarketParams, p: float, rel_tol: float,
     kap E e^(q u) m(u), E = E~[Z~^kap] and m(u) = P^kap(A_c), held over
     [u_lo, u_hi] as a _TailTable in v = -u.
 
-    Under P^kap, W~ ~ N(-kap T Q A, T Q), and A_c lies in three half-planes
-    {L.W~ >= t}: {V >= u}, V = (p-1) ln S1 + A.W~ + B~T >= key as H <= S1,
-    {S1 >= K} and {S1 >= S2}.  Take the one of largest z = (t - E L.W~) /
-    sd(L.W~), or none where every z <= 0.  Then 1{L.W~ >= t} <= e^(lam
-    (L.W~ - t)), lam = z / sd(L.W~), bounds the mass of A_c with y = W~2
-    beyond TRUNC_SD sd of its mean under the tilt e^(lam L.W~) by 2
-    Phi(-TRUNC_SD) e^(-z^2 / 2).  So each m is integrate_batch over that
-    box in y, divided by n = e^(-z^2 / 2), and that bound joins its error.
-    Nothing beyond the span in u is dropped either, with V ~ N(mu, s^2):
+    Under P^kap, W~ ~ N(-kap T Q A, T Q).  A_c lies in the half-planes
+    {L.W~ >= t} {V >= u}, V = (p-1) ln S1 + A.W~ + B~T (the key's bound,
+    as H <= S1), {S1 >= K} and {S1 >= S2}; take the one of largest z = (t
+    - E L.W~) / sd(L.W~) > 0, if any.  As 1{L.W~ >= t} <= e^(lam (L.W~ -
+    t)), lam = z / sd(L.W~), the mass of A_c beyond TRUNC_SD sd of the
+    mean of y = W~2 under the tilt e^(lam L.W~) is at most 2
+    Phi(-TRUNC_SD) n, n = e^(-z^2 / 2).  So m is integrate_batch over that
+    box in y, over n, and the bound joins its error.  With V ~ N(mu, s^2):
 
-    - above u_hi = u_c + TRUNC_SD s, u_c = mu + q s^2 where e^(q u) P(V >=
-      u) peaks, Psi1(inf) - Psi1 <= (E/p) E^kap[e^(q V); V >= u] <= (E/p)
-      e^(q mu + q^2 s^2 / 2) Phi(-TRUNC_SD), which joins the error;
+    - above u_hi = u_c + TRUNC_SD s, u_c = mu + q s^2, Psi1(inf) - Psi1 <=
+      (E/p) E^kap[e^(q V); V >= u] <= (E/p) e^(q mu + q^2 s^2 / 2)
+      Phi(-TRUNC_SD), which joins the error;
     - below u <= u_lo, the head, (E/p)(e^(q u) m(u) + E^kap[e^(q key);
       key < u]), lies between (E/p) e^(q u) m(u_lo) and the smaller of
       (E/p) e^(q u) M, M = m(-inf) = P^kap(H > 0), and, as key <= V, (E/p)
@@ -721,10 +720,9 @@ def _w_table(payoff: Payoff, params: MarketParams, p: float, rel_tol: float,
 
     Below mu, G grows at most as e^(q u), and above it falls as a Gaussian
     of sd s about u_c: panels start _PANEL_FALL / q apart below mu and on
-    _layout's edges above.  Where kap A.W~ over a box is so large that its
-    rounding passes 10 rel_tol (p near 1 and a large A T), the refinement
-    would chase rounding (18 s and 1 GB at 1.5e-6 on the desk), and
-    HeavyTailError is raised."""
+    _layout's edges above.  Where kap A.W~ over a box rounds off beyond 10
+    rel_tol (p near 1 and a large A T), the refinement would chase the
+    rounding (18 s and 1 GB at 1.5e-6 on the desk): HeavyTailError."""
     ctx = _make_ctx(payoff, params, TRUNC_SD)
     cons, t, rho = ctx.cons, ctx.cons.T, ctx.rho
     a = np.array([cons.a1, cons.a2])
@@ -749,7 +747,11 @@ def _w_table(payoff: Payoff, params: MarketParams, p: float, rel_tol: float,
     ln_ep = ln_e - math.log(p)
     ln_phi = math.log(ctx.sd * math.sqrt(2.0 * math.pi))
     w = _spread_w(ctx, p)
-    call = quad._CALL_POINTS // (15 * quad._INITIAL_PANELS)
+    # W values per integrate_batch call: 64 keep a round's temporaries in
+    # the cache (desk-quad set-up 0.32 s, against 0.45 s at 25 a call),
+    # where one call per round raised the desk's peak RSS by 8 MB and a
+    # p = 100 build's from 65 MB to 194 MB
+    call = 64
 
     def m_of(lnc):  # (ln n, m / n, err / n) at each ln c, M at -inf
         thr = np.tile(t0, (lnc.size, 1))
@@ -769,7 +771,7 @@ def _w_table(payoff: Payoff, params: MarketParams, p: float, rel_tol: float,
         lw = -(ln_e + ln_n) / kap  # e^(kap lw) E m = m / n
         y0 = centre[:, 1]
 
-        def part(i):  # the m's whose first panels fill one _CALL_POINTS
+        def part(i):
             lc, lwi = lnc[i:i + call], lw[i:i + call]
             return integrate_batch(lambda y, ids: w(
                 y, lc[ids], lwi[ids] - (0.5 * y * y / t + ln_phi) / kap)[2],
