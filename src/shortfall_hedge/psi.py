@@ -716,7 +716,9 @@ def _w_table(payoff: Payoff, params: MarketParams, p: float, rel_tol: float,
       (2 e^(q u) P(V >= u) + e^(q mu + q^2 s^2 / 2) P(V < u - q s^2)): its
       midpoint is read, its half-width joins the error.  M - m(u) falls as
       c^kap (H has a density at 0+), so u_lo = u_c - TRUNC_SD s - ln(1 /
-      rel_tol) / kap puts it near rel_tol M.
+      rel_tol) / kap puts it near rel_tol M where ln H is near ln S1; where
+      it lies far below, u_lo moves s, 2s, 4s, ... further down while that
+      half-width passes rel_tol of the head there and shrinks.
 
     Below mu, G grows at most as e^(q u), and above it falls as a Gaussian
     of sd s about u_c: panels start _PANEL_FALL / q apart below mu and on
@@ -779,10 +781,6 @@ def _w_table(payoff: Payoff, params: MarketParams, p: float, rel_tol: float,
         m, e = map(np.concatenate, zip(*map(part, range(0, lnc.size, call))))
         return ln_n, m, e + 2.0 * ndtr(-TRUNC_SD)
 
-    (ln_hi, ln_lo), m, e = m_of(np.array([-math.inf, u_lo]))
-    with np.errstate(divide="ignore"):
-        ln_hi += math.log(m[0] + e[0])
-        ln_lo += np.log(max(m[1] - e[1], 0.0))
     ln_ev = q * (mu + 0.5 * q * s * s)  # ln E^kap[e^(q V)]
     ln_rest = ln_ep + ln_ev + log_ndtr(-TRUNC_SD)
 
@@ -794,6 +792,17 @@ def _w_table(payoff: Payoff, params: MarketParams, p: float, rel_tol: float,
         upper = np.maximum(np.exp(np.minimum(ln_ep + q * u + ln_hi, by_v)),
                            lower)
         return 0.5 * (lower + upper), 0.5 * (upper - lower)
+
+    step, width = s, math.inf
+    while True:
+        (ln_hi, ln_lo), m, e = m_of(np.array([-math.inf, u_lo]))
+        with np.errstate(divide="ignore"):
+            ln_hi += math.log(m[0] + e[0])
+            ln_lo += np.log(max(m[1] - e[1], 0.0))
+        mid, half = head(u_lo)
+        if not rel_tol * mid < half < width * mid:
+            break
+        u_lo, step, width = u_lo - step, 2.0 * step, half / mid
 
     def panels(a, b):  # in v = -u, each node's value over its n
         h = 0.5 * (b - a)
