@@ -425,32 +425,32 @@ def test_spread_power_psi1_refuses_a_tilt_that_rounds_off():
                           LossSpec(POWER, 1.0000044918385982), [math.inf], 1)
 
 
-def test_spread_power_psi1_far_below_its_span_keeps_digits():
-    # ln H lies far below ln S1 under the tilt, so m(u) reaches M = P^kap(H
-    # > 0) some 40 below the span's first u_lo: a head bracketed there by
-    # m(u_lo) and M read Psi1(1e-20) 5.98e-50 +- 5.98e-50, against 9.90e-52
-    params = MarketParams(
-        s0=(81.2230674175029, 121.97484391385755),
-        alpha=(1.0950912458508233, -0.2051211881039437),
-        sigma=(0.3912631123642999, 0.09258077179468759),
-        rho=-0.20119051602256088, r=0.04976808297144985, T=3.0)
-    (v,), (e,) = psi_mod._psi_side(Payoff(SPREAD, 6.90365657341995), params,
-                                   LossSpec(POWER, 1.2), [1e-20], 1)
-    assert e <= 1e-6 * v, (v, e)
-
-
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 15: below the W table's first u_lo, m(u) is below the "
-    "bound 2 Phi(-TRUNC_SD) n on its box's tail, since n, taken from V's "
-    "half-plane, lies far above the mass where ln H sits far below ln S1; "
-    "so u_lo cannot move, and Psi1(1e-20) reads 2.4997e-49 +- 2.4997e-49"))
-def test_spread_power_psi1_far_below_its_span_past_the_box_bound():
-    params = MarketParams(
-        s0=(73.06671823011024, 146.99075735821714),
-        alpha=(0.5908120130989745, -0.048017361524647875),
-        sigma=(0.20586325034255298, 0.42985701214109806),
-        rho=0.18995192708488218, r=0.024869252210975763, T=3.0)
-    (v,), (e,) = psi_mod._psi_side(Payoff(SPREAD, 6.536696430945978), params,
+# two markets of the sweep's wide box at p = 1.2 where ln H lies far below
+# ln S1 under the tilt, so m(u) reaches M = P^kap(H > 0) far below the
+# span's first u_lo
+@pytest.mark.parametrize("params,strike", (
+    pytest.param(
+        MarketParams(s0=(81.2230674175029, 121.97484391385755),
+                     alpha=(1.0950912458508233, -0.2051211881039437),
+                     sigma=(0.3912631123642999, 0.09258077179468759),
+                     rho=-0.20119051602256088, r=0.04976808297144985, T=3.0),
+        6.90365657341995, id="u_lo-moves"),
+    pytest.param(
+        MarketParams(s0=(73.06671823011024, 146.99075735821714),
+                     alpha=(0.5908120130989745, -0.048017361524647875),
+                     sigma=(0.20586325034255298, 0.42985701214109806),
+                     rho=0.18995192708488218, r=0.024869252210975763, T=3.0),
+        6.536696430945978, id="past-the-box-bound",
+        marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 15: m(u) below the first u_lo is under the bound "
+            "2 Phi(-TRUNC_SD) n on its box's tail, n from V's half-plane "
+            "lying far above the mass, so u_lo cannot move: Psi1(1e-20) "
+            "reads 2.4997e-49 +- 2.4997e-49"))),
+))
+def test_spread_power_psi1_far_below_its_span_keeps_digits(params, strike):
+    # u_lo-moves: a head bracketed at the first u_lo by m(u_lo) and M read
+    # Psi1(1e-20) 5.98e-50 +- 5.98e-50, against a nested quad's 9.90e-52
+    (v,), (e,) = psi_mod._psi_side(Payoff(SPREAD, strike), params,
                                    LossSpec(POWER, 1.2), [1e-20], 1)
     assert e <= 1e-6 * v, (v, e)
 
