@@ -18,7 +18,7 @@ from .errors import ValidationError
 from .gaussian import sample
 from .market import (UNDER_P, UNDER_PTILDE, MarketParams, _check_measure,
                      radon_nikodym, terminal_price, wiener_law)
-from .payoffs import Payoff, evaluate, payoff_constants
+from .payoffs import Payoff, _called, evaluate, payoff_constants
 from .psi import LINEAR, LossSpec, _drop_mc_table, _nan_guard
 
 _MAX_PATHS = 10 ** 8
@@ -49,15 +49,24 @@ class McConfig:
             raise ValidationError(bad)
 
 
+def _check_mc(mc, optional: bool = True):
+    """ValidationError naming mc unless it is an McConfig or, where
+    optional, None."""
+    if not (isinstance(mc, McConfig) or (optional and mc is None)):
+        also = " or None" if optional else ""
+        raise ValidationError([f"mc: must be an McConfig{also}, got {mc!r}"])
+
+
 def estimate(integrand, params: MarketParams, mc: McConfig,
              under: str = UNDER_P):
     """(mean, std_error) of E[integrand(w1, w2)] under the stated measure.
 
     integrand must be a pure vectorized function of the P-Brownian
-    coordinates.  The paths come in antithetic pairs (z, -z) about the
-    measure's mean, ceil(n_paths / 2) of them, and the standard error is
-    computed over pair means, which keeps it unbiased for the paired
-    estimator.
+    coordinates, one value per path; one that raises or returns anything
+    else raises PayoffContractError.  The paths come in antithetic pairs
+    (z, -z) about the measure's mean, ceil(n_paths / 2) of them, and the
+    standard error is computed over pair means, which keeps it unbiased for
+    the paired estimator.
     """
     _check_measure(under)
     return _paired(integrand, params, _draws(params, mc), under)
@@ -75,8 +84,8 @@ def _paired(integrand, params: MarketParams, z: np.ndarray, under: str):
             else -params.T * np.array(params.theta))
     vals = 0.0
     for w in (mean + z, mean - z):
-        vals = vals + _nan_guard(np.asarray(integrand(w[:, 0], w[:, 1]),
-                                            dtype=float), w)
+        vals = vals + _nan_guard(_called(integrand, "integrand",
+                                         (w.shape[0],), w[:, 0], w[:, 1]), w)
     vals = 0.5 * vals  # pair means
     return (float(np.mean(vals)),
             float(np.std(vals, ddof=1) / math.sqrt(z.shape[0])))
@@ -141,6 +150,7 @@ def verify_risk(payoff: Payoff, params: MarketParams, loss: LossSpec,
     """
     from .solver import _one, _phi1_impl, price
 
+    _check_mc(mc, optional=False)
     engine_risk, c, risk_err, _method, cost_err = _one(_phi1_impl(
         payoff, params, loss, [x], mc))
     x = float(x)  # a real, or _phi1_impl has raised

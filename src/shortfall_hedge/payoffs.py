@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import PayoffContractError, ValidationError
+from .errors import PayoffContractError, ShortfallHedgeError, ValidationError
 from .market import MarketParams, MeasureConstants, _real, derive_constants
 
 DIGITAL = "Digital"
@@ -43,6 +43,9 @@ class Payoff:
         elif self.kind == CUSTOM:
             if self.custom_eval is None:
                 bad.append("payoff.custom_eval: required for Custom payoffs")
+            elif not callable(self.custom_eval):
+                bad.append("payoff.custom_eval: must be callable, got "
+                           f"{self.custom_eval!r}")
         elif not (isinstance(self.strike, (int, float))
                   and 0 < _real(self.strike) < np.inf):
             bad.append(f"payoff.strike: must be a positive real, got {self.strike!r}")
@@ -56,6 +59,24 @@ def payoff_constants(payoff: Payoff, params: MarketParams) -> MeasureConstants:
     strike is unused)."""
     return derive_constants(
         params, payoff.strike if payoff.kind != CUSTOM else 1.0)
+
+
+def _called(fn, what: str, shape: tuple, *args) -> np.ndarray:
+    """fn(*args), a user's function, as a float array of the given shape.
+    A call that raises, or returns anything else, raises
+    PayoffContractError naming what, chained to its cause; an engine error
+    raised inside fn passes as it is."""
+    try:
+        out = np.asarray(fn(*args), dtype=float)
+    except ShortfallHedgeError:
+        raise
+    except Exception as exc:
+        raise PayoffContractError(
+            f"{what} raised {type(exc).__name__}: {exc}") from exc
+    if out.shape != shape:
+        raise PayoffContractError(
+            f"{what} returned shape {out.shape}, expected {shape}")
+    return out
 
 
 def evaluate(payoff: Payoff, s1, s2):
@@ -74,11 +95,8 @@ def evaluate(payoff: Payoff, s1, s2):
     elif payoff.kind == SPREAD:
         out = np.maximum(s1 - s2 - k, 0.0)
     else:
-        out = np.asarray(payoff.custom_eval(s1, s2), dtype=float)
-        if out.shape != np.broadcast_shapes(s1.shape, s2.shape):
-            raise PayoffContractError(
-                f"custom payoff returned shape {out.shape}, expected "
-                f"{np.broadcast_shapes(s1.shape, s2.shape)}")
+        out = _called(payoff.custom_eval, "custom payoff",
+                      np.broadcast_shapes(s1.shape, s2.shape), s1, s2)
         if not np.all(np.isfinite(out)):
             raise PayoffContractError("custom payoff returned a non-finite value")
         if np.any(out < 0):

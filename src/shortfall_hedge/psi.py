@@ -46,17 +46,18 @@ does not depend on the other c's of the call.  psi_linear and psi_power
 call it at one c, once per side.
 
 Monte Carlo twins of both functions (psi_mc, and _McTable for arrays of
-c) sample W_T under P and W~_T under P~ directly and work for every
-payoff, including Custom and the parameter regions where a closed-form
-sign condition fails.  psi_mc and the solver take their table from
-_mc_table, which holds the last one built until a call on another
-(payoff, params, loss, n, seed) or a simulation (mc.estimate) empties it:
-one sample serves a contract's phi1, phi2 and verify_risk, and at most one
-table is alive at a time.
+c, which also inverts each side exactly for the solver) sample W_T under
+P and W~_T under P~ directly and work for every payoff, including Custom
+and the parameter regions where a closed-form sign condition fails.
+psi_mc and the solver take their table from _mc_table, which holds the
+last one built until a call on another (payoff, params, loss, n, seed) or
+a simulation (mc.estimate) empties it: one sample serves a contract's
+phi1, phi2 and verify_risk, and at most one table is alive at a time.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import threading
@@ -1211,30 +1212,127 @@ class _McSide:
     kind "linear":  H 1_Ac
          "power1":  (H^p 1_{Ac^c} + (c Z~)^q 1_Ac) / p,   q = p/(p-1)
          "power2":  (H - (c Z~)^kap) 1_Ac,                 kap = 1/(p-1)
+
+    On each interval of ln c between consecutive sorted keys A_c holds the
+    same k paths, and n Psi is closed form in c (_sums_at): S[k] (linear),
+    (OFF[k] + c^q ON[k]) / p (power1) or HS[k] - c^kap US[k] (power2),
+    from the prefix sums S, ON, HS, US and the suffix sums OFF.  A target
+    is so inverted exactly, by a search over the keys (invert).
     """
 
-    def __init__(self, kind: str, n: int, p: Optional[float], key, h, zt=None):
+    def __init__(self, kind: str, side: int, n: int, p: Optional[float], key,
+                 h, zt=None):
         self.kind = kind
+        self.side = side
         self.n = n
         self.p = p
         self.key = key
         self.h = h      # H^p on the power1 side, H otherwise
         self.zt = zt    # Z~ (power only)
-        with np.errstate(over="ignore"):  # side() reports an inf sum
+        with np.errstate(over="ignore"):  # value() reports an inf sum
             self.totals = (np.sum(h), np.sum(h * h))
         self.neg_key = None  # -key ascending, once sorted
         self.sums = ()
+        # the power of c in the c-weighted term: q (power1), kap (power2)
+        self.c_power = (None if p is None else
+                        p / (p - 1.0) if kind == "power1" else 1.0 / (p - 1.0))
 
-    def value(self, c, lnc):
-        """(means, standard errors) of the side's terms at each c."""
+    @np.errstate(all="ignore")
+    def value(self, c):
+        """(means, standard errors) of the side's terms at each c of an
+        array.  A weight c^q or c^kap past the float range, as on the
+        quadrature route, or a value that is not finite raises
+        HeavyTailError."""
+        c = np.asarray(c, dtype=float)
         s, s2 = self._from_totals(c)
         finite = (c > 0.0) & (c < math.inf)
         if finite.any():
-            with _MC_LOCK:
-                if self.neg_key is None:
-                    self._sort()
-            s[finite], s2[finite] = self._from_sums(c[finite], lnc[finite])
-        return self._stats(s, s2)
+            cf = c[finite]
+            k = np.searchsorted(self._sorted(), -_each(_lnc, cf), side="right")
+            try:
+                # c^q or c^kap in Python floats, only where A_c holds a path
+                w = (None if self.c_power is None else
+                     _each(lambda ci: ci ** self.c_power,
+                           np.where(k > 0, cf, 0.0)))
+            except OverflowError:
+                raise HeavyTailError(
+                    f"Monte Carlo Psi{self.side} at c = {_fmt_c(c)}: a "
+                    "power-loss weight overflows") from None
+            s[finite], s2[finite] = self._sums_at(k, w)
+        v, e = self._stats(s, s2)
+        bad = ~np.isfinite(v)
+        if bad.any():
+            raise HeavyTailError(f"Monte Carlo Psi{self.side} at c = "
+                                 f"{_fmt_c(c[bad])}: the sum over the paths "
+                                 "overflows")
+        return v, e
+
+    @np.errstate(all="ignore")
+    def invert(self, targets):
+        """(c, means, standard errors) at the least c whose read (value)
+        meets each target of an array: a mean at least the target on the
+        rising power1 side, at most it on the others.  c is 0 where c = 0
+        meets the target, else the least positive float that does, or inf
+        where no float does.
+
+        A binary search over the sorted keys, reading the closed form with
+        c at each key it tries, finds the k paths of A_c at the answer; the
+        closed form solved for c with those k paths is a first guess.  Steps
+        in float bits from it, of 1, 2, 4, ... ulps until a read changes
+        sides and then halving, settle on the least float whose own read
+        meets the target: the answer and its value are a read's bits.
+        """
+        t = np.asarray(targets, dtype=float)
+        n, p, cp = self.n, self.p, self.c_power
+
+        def meets(v, t):  # NaN, as inf * 0 past the float range, meets
+            if self.kind == "power1":
+                return ~np.less(v, t)
+            return ~np.greater(v, t)
+
+        def missed_at(j, t):  # the read with c at the j-th key, path j in A_c
+            w = None if cp is None else np.exp(cp * -neg_key[j])
+            return not meets(self._sums_at(j + 1, w)[0] / n, t)
+
+        neg_key = self._sorted()
+        m = neg_key.size
+        guess = np.ones(t.size)
+        if m:
+            # k: the count of keys, descending, at whose c the read meets t
+            k = np.array([bisect.bisect(range(m), False,
+                                        key=lambda j: missed_at(j, ti))
+                          for ti in t.tolist()], dtype=np.int64)
+            # the interval of ln c with those k paths in A_c starts here
+            bottom = -neg_key[np.minimum(k, m - 1)]
+            if self.kind == "linear":  # a constant read: its least c
+                ln_c = bottom
+            elif self.kind == "power1":
+                off, _off2, on, _on2 = self.sums
+                ln_c = (np.log(p * n * t - off[k]) - np.log(on[k])) / cp
+            else:
+                hs, _h2, _hu, us, _u2 = self.sums
+                ln_c = (np.log(hs[k] - n * t) - np.log(us[k])) / cp
+            ln_c = np.clip(ln_c, bottom, -neg_key[np.maximum(k - 1, 0)])
+            guess = np.exp(np.where(np.isnan(ln_c), bottom, ln_c))
+        # the least float meeting t lies in (lo, hi], in float bits; the
+        # largest float, not yet read, stands in for a c that meets it
+        at0 = meets(self.value(np.zeros(t.size))[0], t)
+        lo = np.zeros(t.size, dtype=np.int64)
+        hi = np.where(at0, 1, np.float64(np.finfo(float).max).view(np.int64))
+        x = np.clip(guess.view(np.int64), lo + 1, hi - 1)
+        step = np.ones(t.size, dtype=np.int64)
+        live = hi - lo > 1
+        while live.any():
+            met = np.zeros(t.size, dtype=bool)
+            met[live] = meets(self.value(x[live].view(float))[0], t[live])
+            lo, hi = np.where(live & ~met, x, lo), np.where(live & met, x, hi)
+            gap = np.minimum(step, (hi - lo) // 2)
+            x = np.where(met, hi - gap, lo + gap)
+            step = 2 * np.minimum(step, 1 << 61)
+            live = hi - lo > 1
+        c = np.where(at0, 0.0, hi.view(float))
+        v, err = self.value(c)
+        return np.where(meets(v, t), c, math.inf), v, err
 
     def _from_totals(self, c):
         # the H terms count on A_c, all paths at c = 0 and none at c = inf,
@@ -1256,33 +1354,37 @@ class _McSide:
         self.key = self.h = self.zt = order = None
         if self.kind == "linear":
             self.sums = (_prefix(h), _prefix(h * h))
-        elif self.kind == "power1":
-            z **= self.p / (self.p - 1.0)
+            return
+        z **= self.c_power
+        if self.kind == "power1":
             # off-A_c terms as a suffix sum: total - prefix loses digits
             self.sums = (_suffix(h), _suffix(h * h),
                          _prefix(z), _prefix(z * z))
         else:
-            z **= 1.0 / (self.p - 1.0)
             self.sums = (_prefix(h), _prefix(h * h), _prefix(h * z),
                          _prefix(z), _prefix(z * z))
 
-    def _from_sums(self, c, lnc):
-        k = np.searchsorted(self.neg_key, -lnc, side="right")
+    def _sorted(self):
+        """The ascending -key, the side sorted first if it is not yet."""
+        with _MC_LOCK:
+            if self.neg_key is None:
+                self._sort()
+        return self.neg_key
+
+    def _sums_at(self, k, w):
+        """(sums of the terms, sums of their squares) with the first k
+        sorted paths in A_c and c-weights w, c^q or c^kap (None if
+        linear)."""
         p = self.p
         if self.kind == "linear":
-            s, s2 = self.sums[0][k], self.sums[1][k]
-        elif self.kind == "power1":
+            return self.sums[0][k], self.sums[1][k]
+        if self.kind == "power1":
             off, off2, on, on2 = self.sums
-            # c^q in Python floats, and only where A_c holds a path
-            cq = _each(lambda ci: ci ** (p / (p - 1.0)), np.where(k > 0, c, 0.0))
-            s = off[k] / p + cq * on[k] / p
-            s2 = off2[k] / (p * p) + cq * cq * on2[k] / (p * p)
-        else:
-            hs, h2, hu, us, u2 = self.sums
-            ck = _each(lambda ci: ci ** (1.0 / (p - 1.0)), np.where(k > 0, c, 0.0))
-            s = np.where(k > 0, hs[k] - ck * us[k], 0.0)
-            s2 = np.where(k > 0, h2[k] - 2.0 * ck * hu[k] + ck * ck * u2[k], 0.0)
-        return s, s2
+            return (off[k] / p + w * on[k] / p,
+                    off2[k] / (p * p) + w * w * on2[k] / (p * p))
+        hs, h2, hu, us, u2 = self.sums
+        return (np.where(k > 0, hs[k] - w * us[k], 0.0),
+                np.where(k > 0, h2[k] - 2.0 * w * hu[k] + w * w * u2[k], 0.0))
 
     def _stats(self, s, s2):
         """(means, standard errors) from the sums of the terms and of their
@@ -1329,6 +1431,7 @@ class _McTable:
         ln_z -= cons.a2 * w[:, 1]
         ln_z -= b * t
         n = w.shape[0]
+        side = 1 if under == UNDER_P else 2
         terms = h
         if loss.kind == POWER and under == UNDER_P:
             with np.errstate(over="ignore"):  # _nan_guard reports the overflow
@@ -1339,33 +1442,24 @@ class _McTable:
         keep = np.flatnonzero(h > 0)
         terms, ln_z = terms.take(keep), ln_z.take(keep)
         if loss.kind == LINEAR:
-            return _McSide("linear", n, None, np.negative(ln_z, out=ln_z),
-                           terms)
+            return _McSide("linear", side, n, None,
+                           np.negative(ln_z, out=ln_z), terms)
         key = np.log(h.take(keep))
         key *= loss.p - 1.0
         key -= ln_z
-        with np.errstate(over="ignore"):  # side() reports an inf sum
+        with np.errstate(over="ignore"):  # value() reports an inf sum
             zt = np.exp(ln_z, out=ln_z)
-        return _McSide("power1" if under == UNDER_P else "power2", n, loss.p,
-                       key, terms, zt)
+        return _McSide(f"power{side}", side, n, loss.p, key, terms, zt)
 
-    @np.errstate(all="ignore")
     def side(self, c, side: int):
-        """(Psi_side, standard errors) at each validated c of an array.  A
-        weight c^q or c^kap past the float range, as on the quadrature
-        route, or a value that is not finite raises HeavyTailError."""
-        c = np.asarray(c, dtype=float)
-        try:
-            v, e = self.sides[side].value(c, _each(_lnc, c))
-        except OverflowError:
-            raise HeavyTailError(
-                f"Monte Carlo Psi{side} at c = {_fmt_c(c)}: a power-loss "
-                "weight overflows") from None
-        bad = ~np.isfinite(v)
-        if bad.any():
-            raise HeavyTailError(f"Monte Carlo Psi{side} at c = {_fmt_c(c[bad])}"
-                                 ": the sum over the paths overflows")
-        return v, e
+        """(Psi_side, standard errors) at each validated c of an array
+        (_McSide.value)."""
+        return self.sides[side].value(c)
+
+    def invert(self, targets, side: int):
+        """(c, Psi_side, standard errors) at the least c whose Psi_side
+        meets each target of an array (_McSide.invert)."""
+        return self.sides[side].invert(targets)
 
 
 def _mc_table(payoff: Payoff, params: MarketParams, loss: LossSpec, n: int,

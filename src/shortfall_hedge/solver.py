@@ -10,36 +10,36 @@ region parameter c:
               then cost = e^{-rT} Psi2(c)
 
 Psi2 and linear Psi1 are nonincreasing in c, power Psi1 nondecreasing, so
-each equation is solved on a sign predicate, in u = ln c: a walk from c = 1
-finds a bracket, _GRID_LEVELS = 4 bisection steps narrow it to 1/16, and
-Chandrupatla's (1997) derivative-free hybrid of inverse quadratic
+each equation is solved on a sign predicate: the answer is the infimum of
+the c's where Psi reaches the target, and a check that the value read
+there is the target within max(tol, 8 err) ends the solve (_checked).
+
+By quadrature (_bisect) the predicate is solved in u = ln c: a walk from
+c = 1 finds a bracket, _GRID_LEVELS = 4 bisection steps narrow it to 1/16,
+and Chandrupatla's (1997) derivative-free hybrid of inverse quadratic
 interpolation and bisection closes it; where the function is flat at the
 target level the returned c is the infimum of the solution set (the
-predicate flips exactly at the left endpoint).  On the Monte Carlo route
-Psi is a step function, on which an interpolant predicts nothing, and every
-step bisects ln c.
+predicate flips exactly at the left endpoint).  Each point's solve is one
+generator, _predicate_bisection: plain code that yields every c it reads
+and is sent Psi(c) back.  The check at the end uses the value already read
+at the answer, so a solve reads each c once.  The solve functions take a
+grid of inputs and drive the points' generators in lockstep (_bisect),
+answering them from a memo of the Psi values read so far.
 
-Each point's solve is one generator, _predicate_bisection: plain code that
-yields every c it reads and is sent Psi(c) back.  The check at the end uses
-the value already read at the answer, so a solve reads each c once.  The
-solve functions take a grid of inputs and drive the points' generators in
-lockstep (_bisect), answering them from a memo of the Psi values read so
-far.  With each c a solve also yields a function that lists c's its next
-steps may compute without a new Psi value: the walk's next steps (both
-ways, up to 2^+-7, while the direction is unknown), else the levels of the
-bisection tree below the read (_ahead).  A read takes every running point's
-c and the first 15 // (points running) - 1 of its listed c's (the Psi sides
-take c-arrays); by quadrature only the listed c's of _HELD_CS, so there
-Chandrupatla steps read their own c alone, and a lone solve's first
-bisection step reads all four levels, 1 + 2 + 4 + 8 c's.  On the desk
-contracts a contract's first solve so integrates Psi 7-11 times, 30-40 c's
-in all, by quadrature (13-15 table reads by Monte Carlo), the read of the
-other side at the answer included, and a first 21-point curve 14-24 times.
-The read-ahead c's are floats the solve computes and a Psi value does not
-depend on its batch, so read-ahead only chooses which c's are read: every
-point runs the same steps, with the same values, as it does alone.  phi1
-and phi2 solve a grid of one point; a curve solves its whole grid at once,
-on one thread.
+A read takes each running c that the memo lacks with the rest of its block
+(_BLOCKS, data built once from _walk and _grid): the c's that a solve reads
+before its Chandrupatla steps fall into fixed blocks of 15 c's at most --
+c = 0 and 1 with the walk's first 13 steps both ways, the walk's later
+steps two at a time, the grid of each walk bracket -- and a Chandrupatla
+step's c, in no block, is read alone.  A lone solve's first read so takes
+the walk up to 2^7 and down to 2^-6, and its first bisection step the
+whole grid of its bracket.  A Psi value does not depend on its batch, so
+the blocks only choose which c's are read together: every point runs the
+same steps, with the same values, as it does alone.  On the desk contracts
+a contract's first solve so integrates Psi 7-11 times, 35-41 c's in all,
+the read of the other side at the answer included, and a first 21-point
+curve 9-16 times.  phi1 and phi2 solve a grid of one point; a curve
+solves its whole grid at once, on one thread.
 
 Named payoffs evaluate Psi by quadrature; Custom payoffs, and power-loss
 cases whose closed-form sign condition fails, fall back to the Monte Carlo
@@ -47,19 +47,26 @@ table (psi._McTable): one sample with a fixed (n, seed), so the inverted
 function stays deterministic and pathwise monotone in c; a named payoff's
 sample is _FALLBACK_MC.  The table is psi._mc_table's, held from solve to
 solve until another contract's table or a simulation replaces it, so a
-contract's phi1, phi2 and verify_risk draw and sort one sample.
+contract's phi1, phi2 and verify_risk draw and sort one sample.  There Psi
+is a step function of the sorted keys, closed form in c between two keys,
+and the table inverts every target of a grid exactly, in one call
+(_invert, psi._McTable.invert): the least float c whose read meets the
+target.  A solve so makes two table reads, the inversion and the other
+side at the answer, and its check takes a tolerance of 1e-7 max(1, scale):
+a target that a step of the table jumps raises InfeasibleInversionError.
 
 By quadrature the solver holds, per contract, the Psi values of each side
-at the 515 c's of _HELD_CS as they are read (_held, an lru_cache of 256
-contracts as _edges is), and a read integrates only the c's it lacks.
-_HELD_CS is every c that a solve reads before its Chandrupatla steps: 0,
-inf, 1, the walk's 32 powers of 2, and the grid of 15 midpoints that the
-four bisection steps can read in each of the 32 walk brackets.  A Psi value
-does not depend on its batch, so a held value is the one a new read would
-give.  A contract's later solves so integrate only the c's of their
-Chandrupatla steps, which start from a bracket 1/16 of the walk's with an
-interpolation point in hand, and the other side at the answer: 5-7 reads
-of one c each, and a repeated 21-point curve 7-12 reads.
+at the 515 c's of _HELD_CS, the blocks' c's, as they are read (_held, an
+lru_cache of 256 contracts as _edges is), and a read integrates only the
+c's it lacks.  _HELD_CS is every c that a solve reads before its
+Chandrupatla steps: 0, inf, 1, the walk's 32 powers of 2, and the grid of
+15 midpoints that the four bisection steps can read in each of the 32 walk
+brackets.  A Psi value does not depend on its batch, so a held value is
+the one a new read would give.  A contract's later solves so integrate
+only the c's of their Chandrupatla steps, which start from a bracket 1/16
+of the walk's with an interpolation point in hand, and the other side at
+the answer: 5-7 reads of one c each, and a repeated 21-point curve 7-11
+reads.
 """
 
 from __future__ import annotations
@@ -75,17 +82,15 @@ from .errors import (AssumptionViolatedError, HeavyTailError,
                      InfeasibleInversionError, OutOfRangeError,
                      ShortfallHedgeError, ValidationError)
 from .market import MarketParams, _real
-from .mc import McConfig
+from .mc import McConfig, _check_mc
 from .payoffs import CUSTOM, Payoff
 from .psi import (LINEAR, POWER, LossSpec, _make_ctx, _mc_table, _on_table,
                   _psi_side, _sign_guard_power)
 
 _FALLBACK_MC = McConfig(n_paths=200_000, seed=1729)
 _EDGE_TOL = 1e-9
-# the most c's one solve asks a _bisect read for (see _ahead)
-_READ_AHEAD_CS = 15
-# the bisection steps that open every bracket of the walk: 1 + 2 + 4 + 8
-# c's, one full read of _READ_AHEAD_CS, hold a bracket's grid whole
+# the bisection steps that open every bracket of the walk: their 1 + 2 + 4
+# + 8 c's, a bracket's grid, are one block of _BLOCKS
 _GRID_LEVELS = 4
 # the most steps that close a bracket, a guard against a hang: a bracket
 # within the float range closes in far fewer
@@ -138,7 +143,7 @@ class _Evaluator:
     On the MC route it reads psi._mc_table's table, one seeded sample that
     the engine holds after the solve for the next call on the same
     contract: mc for a Custom payoff, else (or where mc is None)
-    _FALLBACK_MC.
+    _FALLBACK_MC; _invert inverts that table.
     """
 
     def __init__(self, payoff: Payoff, params: MarketParams, loss: LossSpec,
@@ -170,24 +175,32 @@ class _Evaluator:
         return v, e
 
 
-def _read(ev: _Evaluator, c, side: int) -> dict:
-    """{c: (Psi_side(c), err, failure)} over the distinct c's of c, read in
-    one call.  If that call raises, each half of the c's is read in the
-    same way, so that a failure is the ShortfallHedgeError of that c read
-    alone (else None) and the other c's keep their values: a value does not
-    depend on the c's read with it."""
-    cs = list(dict.fromkeys(c))
-    if not cs:
+def _split(call, keys, width: int) -> dict:
+    """{key: row + (failure,)} over the distinct keys, the rows of the
+    arrays that one call(keys) returns, and failure None.  If that call
+    raises, each half of the keys is taken in the same way, so that a
+    failure is the ShortfallHedgeError of its key taken alone, with a row
+    of width NaNs, and the other keys keep their rows: a row does not
+    depend on the keys taken with it."""
+    keys = list(dict.fromkeys(keys))
+    if not keys:
         return {}
     try:
-        v, e = ev.side(np.array(cs, dtype=float), side)
+        cols = call(keys)
     except ShortfallHedgeError as exc:
-        if len(cs) == 1:
-            return {cs[0]: (math.nan, math.nan, exc)}
-        half = len(cs) // 2
-        return {**_read(ev, cs[:half], side), **_read(ev, cs[half:], side)}
-    return {cj: (vj, ej, None)
-            for cj, vj, ej in zip(cs, v.tolist(), e.tolist())}
+        if len(keys) == 1:
+            return {keys[0]: (math.nan,) * width + (exc,)}
+        half = len(keys) // 2
+        return {**_split(call, keys[:half], width),
+                **_split(call, keys[half:], width)}
+    return {key: row + (None,)
+            for key, row in zip(keys, zip(*(col.tolist() for col in cols)))}
+
+
+def _read(ev: _Evaluator, c, side: int) -> dict:
+    """{c: (Psi_side(c), err, failure)} over the distinct c's of c, read in
+    one call and split on a failure (_split)."""
+    return _split(lambda cs: ev.side(np.array(cs, dtype=float), side), c, 2)
 
 
 def _one(results: list):
@@ -209,8 +222,15 @@ def _cached_on(key):
     return wrap
 
 
+def _mc_key(payoff: Payoff, mc) -> Optional[McConfig]:
+    """mc as far as it moves a value: itself for a Custom payoff, else
+    None; ValidationError unless it is None or an McConfig."""
+    _check_mc(mc)
+    return mc if payoff.kind == CUSTOM else None
+
+
 @_cached_on(lambda payoff, params, loss, mc: (
-    payoff, params, loss, mc if payoff.kind == CUSTOM else None))
+    payoff, params, loss, _mc_key(payoff, mc)))
 def _edges(payoff: Payoff, params: MarketParams, loss: LossSpec,
            mc: Optional[McConfig]):
     """(Psi1 edge, err, Psi2(0), err); the Psi1 edge is E[H] for linear loss
@@ -224,7 +244,7 @@ def _edges(payoff: Payoff, params: MarketParams, loss: LossSpec,
 
 
 @_cached_on(lambda payoff, params, mc=None: (
-    payoff, params, mc if payoff.kind == CUSTOM else None))
+    payoff, params, _mc_key(payoff, mc)))
 def price(payoff: Payoff, params: MarketParams,
           mc: Optional[McConfig] = None) -> float:
     """p(H) = e^{-rT} E~[H], computed once per contract, and per mc only
@@ -296,19 +316,33 @@ def _grid(lo: float, hi: float, levels: int) -> list:
             + _grid(mid, hi, levels - 1))
 
 
-def _held_cs() -> frozenset:
-    """The c's whose quadrature values each contract holds: c = 0, the
-    edges' c = inf, the walk's start and steps both ways, and the
-    _GRID_LEVELS-level grid of each of the 32 brackets between consecutive
-    walk c's."""
-    ups, downs = [1.0] + _walk(True), [1.0] + _walk(False)
-    cs = [0.0, math.inf] + ups + downs
+def _blocks() -> dict:
+    """{c: its block}, the c's that a quadrature read takes together.
+
+    The blocks partition the c's that every solve reads before its
+    Chandrupatla steps, and they hold the size of a grid at most,
+    2^_GRID_LEVELS - 1 = 15 c's.  The first is c = 0, 1 and the walk's
+    first steps alternately up and down (2^1 .. 2^7 and 2^-1 .. 2^-6).
+    Then each walk's later steps go two at a time, each of the 32 brackets
+    between consecutive walk c's has its grid (_grid) as one block, and the
+    edges' c = inf is alone.
+    """
+    ups, downs = _walk(True), _walk(False)
+    both = [c for pair in zip(ups, downs) for c in pair]
+    first = ([0.0, 1.0] + both)[:2 ** _GRID_LEVELS - 1]
+    blocks = [first, [math.inf]]
+    for walk in (ups, downs):
+        rest = [c for c in walk if c not in first]
+        blocks += [rest[i:i + 2] for i in range(0, len(rest), 2)]
+    ups, downs = [1.0] + ups, [1.0] + downs
     for lo, hi in list(zip(ups, ups[1:])) + list(zip(downs[1:], downs)):
-        cs += _grid(lo, hi, _GRID_LEVELS)
-    return frozenset(cs)
+        blocks.append(_grid(lo, hi, _GRID_LEVELS))
+    return {c: tuple(block) for block in blocks for c in block}
 
 
-_HELD_CS = _held_cs()
+_BLOCKS = _blocks()
+# the c's whose quadrature values each contract holds (_held)
+_HELD_CS = frozenset(_BLOCKS)
 
 
 @functools.lru_cache(maxsize=256)
@@ -352,71 +386,54 @@ def _chandrupatla(a: _Point, b: _Point, third: Optional[_Point]) -> float:
             + alpha * fa / (fc - fa) * fb / (fc - fb))
 
 
-def _ahead(lo: float, x: float, hi: float) -> list:
-    """The levels of the bisection tree below a read at x in (lo, hi): the
-    c's that bisection steps after it compute without x's value, whichever
-    side of the answer x lies on, _READ_AHEAD_CS - 1 at most."""
-    cs, level = [], [(lo, x), (x, hi)]
-    while level and len(cs) < _READ_AHEAD_CS - 1:
-        below = []
-        for a, b in level:
-            if not _closed(a, b):
-                mid = _at(a, b, 0.5)
-                cs.append(mid)
-                below += [(a, mid), (mid, b)]
-        level = below
-    return cs[:_READ_AHEAD_CS - 1]
+def _checked(side: int, target: float, tol: float, c: float, v: float,
+             err: float):
+    """(c, v, err), if Psi_side(c) = v is the target within max(tol, 8 err),
+    else InfeasibleInversionError: the check that ends a solve."""
+    within = max(tol, 8.0 * err)
+    if abs(v - target) <= within:
+        return c, v, err
+    raise InfeasibleInversionError(
+        f"Psi{side}({c:.12g}) = {v:.12g} cannot reach target "
+        f"{target:.12g} within tolerance {within:.3g}: the Psi function "
+        "jumps across the target (degenerate or discontinuous case)")
 
 
 def _predicate_bisection(side: int, target: float, increasing: bool,
-                         tol: float, interpolate: bool):
+                         tol: float):
     """One point's solve: the infimum c of {c : Psi_side(c) reaches target}.
 
-    A generator: it yields (c, ahead), the c it reads now and a function
-    that lists c's its next steps may compute without a new Psi value (the
-    walk's next steps, else _ahead's bisection tree), is sent
-    (Psi_side(c), err) and returns (c, Psi_side(c), err).
-    With f = Psi - target for a nondecreasing side and target - Psi for a
-    nonincreasing one (_Point), the predicate "f < 0" is True exactly left
-    of the answer.
+    A generator: it yields each c it reads, is sent (Psi_side(c), err) and
+    returns (c, Psi_side(c), err).  With f = Psi - target for a
+    nondecreasing side and target - Psi for a nonincreasing one (_Point),
+    the predicate "f < 0" is True exactly left of the answer.
 
     It reads c = 0, then walks from c = 1 (_walk) up while f < 0 or down
-    while f >= 0, to the end of the float range at most; until then it
-    reads ahead the walk's next steps, both ways while the direction is
-    unknown.  A bracket found, it takes _MAX_STEPS steps at most until the
-    bracket is _closed: _GRID_LEVELS bisection steps in ln c, whose c's
-    (_grid) are the same for every target in the walk's bracket, then
-    Chandrupatla's (_chandrupatla), with the point the last bisection
-    displaced as its third, if interpolate, else bisection; each step is
-    clamped to [t_l, 1 - t_l] of the bracket (_tl) and placed by _at.  The
-    answer is the bracket's right end hi, and a check that the value
-    already read there is the target within max(tol, 8 err).  A walk up
-    that finds no bracket raises; a walk down that finds none checks its
-    last c.
+    while f >= 0, to the end of the float range at most.  A bracket found,
+    it takes _MAX_STEPS steps at most until the bracket is _closed:
+    _GRID_LEVELS bisection steps in ln c, whose c's (_grid) are the same
+    for every target in the walk's bracket, then Chandrupatla's
+    (_chandrupatla), with the point the last bisection displaced as its
+    third; each step is clamped to [t_l, 1 - t_l] of the bracket (_tl) and
+    placed by _at.  The answer is the bracket's right end hi, and a check
+    (_checked) that the value already read there is the target within
+    max(tol, 8 err).  A walk up that finds no bracket raises; a walk down
+    that finds none checks its last c.
     """
     def point(c, v, err):
         return _Point(c, v - target if increasing else target - v, v, err)
 
     def checked(hi: _Point):
-        within = max(tol, 8.0 * hi.err)
-        if abs(hi.v - target) <= within:
-            return hi.c, hi.v, hi.err
-        raise InfeasibleInversionError(
-            f"Psi{side}({hi.c:.12g}) = {hi.v:.12g} cannot reach target "
-            f"{target:.12g} within tolerance {within:.3g}: the Psi function "
-            "jumps across the target (degenerate or discontinuous case)")
+        return _checked(side, target, tol, hi.c, hi.v, hi.err)
 
     ups, downs = _walk(True), _walk(False)
-    both = [c for pair in zip(ups, downs) for c in pair]
-    v, err = yield 0.0, lambda: [1.0] + both
+    v, err = yield 0.0
     if point(0.0, v, err).f >= 0.0:
         return 0.0, v, err
-    last = point(1.0, *(yield 1.0, lambda: both))
+    last = point(1.0, *(yield 1.0))
     walk = ups if last.f < 0.0 else downs
-    for k, c in enumerate(walk):
-        # the next step: the walk's next c, or the bracket's midpoint
-        a = point(c, *(yield c, lambda: walk[k + 1:k + 2] + [
-            _at(min(c, last.c), max(c, last.c), 0.5)]))
+    for c in walk:
+        a = point(c, *(yield c))
         if (a.f < 0.0) != (last.f < 0.0):
             break
         last = a
@@ -433,11 +450,10 @@ def _predicate_bisection(side: int, target: float, increasing: bool,
         if _closed(lo, hi):
             break
         # the first _GRID_LEVELS steps bisect, on the grid that _held keeps
-        t = (_chandrupatla(a, b, third)
-             if interpolate and step >= _GRID_LEVELS else 0.5)
+        t = _chandrupatla(a, b, third) if step >= _GRID_LEVELS else 0.5
         tl = _tl(lo, hi)
         x = _at(lo, hi, min(1.0 - tl, max(tl, t if a.f < 0.0 else 1.0 - t)))
-        new = point(x, *(yield x, functools.partial(_ahead, lo, x, hi)))
+        new = point(x, *(yield x))
         if (new.f < 0.0) == (a.f < 0.0):
             third = a
         else:
@@ -446,47 +462,33 @@ def _predicate_bisection(side: int, target: float, increasing: bool,
     return checked(a if a.f >= 0.0 else b)
 
 
-def _bisect(ev: _Evaluator, side: int, targets: dict, increasing: bool,
-            scale: float, out: list) -> dict:
+def _bisect(ev: _Evaluator, side: int, targets: dict, scale: float,
+            out: list) -> dict:
     """{point: (c, Psi_side(c), err)} for the {point: target} solves that
-    found their c; a solve that raised records its ShortfallHedgeError on
-    out[point].
+    found their c, by quadrature; a solve that raised records its
+    ShortfallHedgeError on out[point].
 
     The points' _predicate_bisection solves run in lockstep and are
-    answered from a memo of the Psi_side values read so far: four
-    bisection steps and then Chandrupatla's on the quadrature route, and
-    bisection in ln c throughout on the Monte Carlo route, where Psi is a
-    step function on which an interpolant predicts nothing.  A step whose
-    c's are all in the memo reads nothing; otherwise one _read takes, from
-    every running solve, its current c and the first n - 1 of the c's it
-    lists ahead, n = _READ_AHEAD_CS // n_live (at least 1), where by
-    quadrature a listed c counts only if it is one of _HELD_CS, which every
-    contract keeps.  Those are the floats the solve computes, and a Psi
-    value does not depend on the other c's of its read, so every solve runs
-    the steps and sees the values it would see alone; a c whose read failed
-    raises only in a solve that reaches it.  At n = 1 the memo answers
-    nothing: the solves run in lockstep from the same walk, so a c that two
-    solves read is read by both at the same step.
+    answered from a memo of the Psi_side values read so far.  A step whose
+    c's are all in the memo reads nothing; otherwise one _read takes every
+    running c that the memo lacks with the rest of its block of _BLOCKS (a
+    Chandrupatla step's c, in no block, alone), less the memo's c's.  A Psi
+    value does not depend on the other c's of its read, so every solve
+    runs the steps and sees the values it would see alone; a c whose read
+    failed raises only in a solve that reaches it.
     """
-    tol = max(SolveConfig.abs_tol_target * max(1.0, scale),
-              1e-7 * max(1.0, scale) if ev.method == METHOD_MC else 0.0)
-    solves = {i: _predicate_bisection(side, float(t), increasing, tol,
-                                      ev.method == METHOD_QUAD)
+    tol = SolveConfig.abs_tol_target * max(1.0, scale)
+    increasing = side == 1 and ev.loss.kind == POWER
+    solves = {i: _predicate_bisection(side, float(t), increasing, tol)
               for i, t in targets.items()}
     at = {i: next(solve) for i, solve in solves.items()}
     memo, solved = {}, {}
     while at:
-        if any(c not in memo for c, _next in at.values()):
-            n = max(1, _READ_AHEAD_CS // len(at))
-            cs = []
-            for c, next_cs in at.values():
-                ahead = next_cs() if n > 1 else []
-                if ev.method == METHOD_QUAD:
-                    ahead = [a for a in ahead if a in _HELD_CS]
-                cs += [c] + ahead[:n - 1]
-            memo.update(_read(ev, [c for c in cs if c not in memo], side))
+        cs = [b for c in at.values() if c not in memo
+              for b in _BLOCKS.get(c, (c,))]
+        memo.update(_read(ev, [c for c in cs if c not in memo], side))
         next_at = {}
-        for i, (c, _next) in at.items():
+        for i, c in at.items():
             v, err, failed = memo[c]
             try:
                 next_at[i] = (solves[i].send((v, err)) if failed is None
@@ -496,6 +498,34 @@ def _bisect(ev: _Evaluator, side: int, targets: dict, increasing: bool,
             except ShortfallHedgeError as exc:
                 out[i] = exc
         at = next_at
+    return solved
+
+
+def _invert(ev: _Evaluator, side: int, targets: dict, scale: float,
+            out: list) -> dict:
+    """_bisect's result on the Monte Carlo route, where Psi_side is a step
+    function of the table's sorted keys: the table inverts every target at
+    once, exactly (psi._McTable.invert), and _checked ends each solve at a
+    tolerance of 1e-7 max(1, scale).  A failing inversion is split as
+    _split splits it, so that only the targets whose own search fails
+    record its error."""
+    tol = 1e-7 * max(1.0, scale)
+    got = _split(lambda ts: ev._table.invert(ts, side), targets.values(), 3)
+    solved = {}
+    for i, target in targets.items():
+        c, v, err, failed = got[target]
+        try:
+            if failed is not None:
+                raise failed
+            if c == math.inf:
+                raise InfeasibleInversionError(
+                    f"could not bracket the Psi{side} inversion target "
+                    f"{target!r}: no float c reaches it")
+            v = max(v, 0.0)  # as _Evaluator.side reads it
+            solved[i] = _checked(side, target, tol, c, v, err) if c else (
+                c, v, err)
+        except ShortfallHedgeError as exc:
+            out[i] = exc
     return solved
 
 
@@ -534,9 +564,9 @@ def _phi1_impl(payoff: Payoff, params: MarketParams, loss: LossSpec, xs,
         if todo:
             ev = _Evaluator(payoff, params, loss, mc)
             growth = math.exp(params.r * params.T)
-            solved = _bisect(
-                ev, 2, {i: growth * x for i, x in todo.items()},
-                increasing=False, scale=growth * p_h, out=out)
+            solve = _invert if ev.method == METHOD_MC else _bisect
+            solved = solve(ev, 2, {i: growth * x for i, x in todo.items()},
+                           growth * p_h, out)
             got = _read(ev, sorted(c for c, _v, _e in solved.values()), 1)
             for i, (c, _v2, err2) in solved.items():
                 v1, err1, bad = got[c]
@@ -599,8 +629,8 @@ def _phi2_impl(payoff: Payoff, params: MarketParams, loss: LossSpec, vs,
             ev = _Evaluator(payoff, params, loss, mc)
             targets = {i: psi1_edge - v if loss.kind == LINEAR else v
                        for i, v in todo.items()}
-            solved = _bisect(ev, 1, targets, increasing=(loss.kind == POWER),
-                             scale=psi1_edge, out=out)
+            solve = _invert if ev.method == METHOD_MC else _bisect
+            solved = solve(ev, 1, targets, psi1_edge, out)
             got = _read(ev, sorted(c for c, _v, _e in solved.values()), 2)
             for i, (c, _v1, _e1) in solved.items():
                 v2, err2, bad = got[c]
@@ -631,7 +661,12 @@ def curve(payoff: Payoff, params: MarketParams, loss: LossSpec, kind: str,
     mc is as in phi1."""
     if kind not in ("phi1", "phi2"):
         raise ValidationError([f"kind: must be 'phi1' or 'phi2', got {kind!r}"])
-    grid = [_real(g) for g in grid]
+    _check_mc(mc)
+    try:
+        grid = [_real(g) for g in grid]
+    except TypeError:
+        raise ValidationError(
+            [f"grid: must be a sequence of reals, got {grid!r}"]) from None
     if not grid:
         raise ValidationError(["grid: must contain at least one point"])
     if not all(g >= 0 for g in grid):

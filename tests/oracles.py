@@ -7,6 +7,9 @@ No engine code calls these, so they live beside the tests:
 - the strict-monotonicity report of Psi1/Psi2 in c (`uniqueness_check`);
 - a plain predicate bisection in ln c, one c per read, that the solver's
   Chandrupatla steps must agree with (`ln_c_bisection`);
+- the bisection of a side of `psi._McTable` that the solver ran before
+  the table inverted itself (`mc_bisect`): the exact inversion's c must
+  lie in its final bracket;
 - `gaussian.tilted_interval_mass` in its four-ndtr form
   (`tilted_interval_mass_four_ndtr`), which the two-ndtr form must equal
   bit for bit;
@@ -35,6 +38,7 @@ No engine code calls these, so they live beside the tests:
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -249,6 +253,38 @@ def ln_c_bisection(psi, target: float, increasing: bool):
         else:
             hi = mid
     return (hi, *psi(hi))
+
+
+def mc_bisect(table, side: int, target: float, increasing: bool):
+    """(lo, hi, Psi_side(hi)): the final bracket of a bisection in ln c of
+    one side of a psi._McTable, one c per read, closed as the solver closed
+    it before the table inverted itself: at hi - lo <= 1e-13 hi.
+
+    The side is nondecreasing in c if increasing, else nonincreasing; a c
+    meets the target where its read is at least the target (increasing) or
+    at most it, so that lo misses and hi meets.  lo = hi = 0 where c = 0
+    meets the target.  Otherwise the bracket opens at the smallest normal
+    float and the largest power of 2, the ends of the solver's walk, and
+    the geometric mean of the ends replaces the end with its predicate.
+    """
+    def read(c):
+        return float(table.side([c], side)[0][0])
+
+    def meets(c):
+        v = read(c)
+        return v >= target if increasing else v <= target
+
+    if meets(0.0):
+        return 0.0, 0.0, read(0.0)
+    lo, hi = sys.float_info.min, 2.0 ** 1023
+    assert not meets(lo) and meets(hi), (side, target)
+    while hi - lo > 1e-13 * hi:
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if meets(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi, read(hi)
 
 
 def tilted_interval_mass_four_ndtr(gamma, m, s, lo, hi):

@@ -10,7 +10,8 @@ from scipy.special import ndtr
 
 from conftest import desk_params
 from oracles import DiscreteState, brute_force_np, discretize
-from shortfall_hedge.errors import NanGuardError, ValidationError
+from shortfall_hedge.errors import (NanGuardError, PayoffContractError,
+                                    ValidationError)
 from shortfall_hedge.market import (UNDER_P, UNDER_PTILDE, derive_constants,
                                     radon_nikodym, terminal_price)
 from shortfall_hedge.mc import McConfig, estimate, verify_risk
@@ -74,6 +75,18 @@ def test_estimate_reproducible_and_guarded():
         estimate(lambda w1, w2: np.where(w1 > 0, np.nan, 1.0), params,
                  McConfig(10_000, seed=1))
     assert exc.value.index >= 0
+
+
+def test_estimate_checks_its_integrand():
+    # one value per path: a scalar once gave se = nan, and strings a raw
+    # ValueError
+    params = desk_params()
+    mc = McConfig(10_000, seed=1)
+    with pytest.raises(PayoffContractError, match=r"returned shape \(\)"):
+        estimate(lambda w1, w2: 1.0, params, mc)
+    with pytest.raises(PayoffContractError, match="integrand raised") as info:
+        estimate(lambda w1, w2: np.full(w1.shape, "x"), params, mc)
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_mc_config_validation():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import threading
@@ -10,16 +11,19 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import desk_params
-from oracles import mc_masked_means
+from oracles import mc_bisect, mc_masked_means
 from shortfall_hedge import mc as mc_module
 from shortfall_hedge import psi
-from shortfall_hedge.errors import HeavyTailError, NanGuardError
+from shortfall_hedge.errors import (HeavyTailError, InfeasibleInversionError,
+                                    NanGuardError)
 from shortfall_hedge.mc import McConfig, verify_risk
 from shortfall_hedge.payoffs import CUSTOM, QUANTO_DOMESTIC, SPREAD, Payoff
 from shortfall_hedge.psi import LINEAR, POWER, LossSpec, _lnc, _McTable, psi_mc
-from shortfall_hedge.solver import phi1, phi2, price
+from shortfall_hedge.solver import curve, phi1, phi2, price
 
 PARAMS = desk_params()
 LOSSES = (LossSpec(LINEAR), LossSpec(POWER, 2.0))
@@ -315,26 +319,92 @@ def test_visit_draws_one_sample(loss, monkeypatch):
     # A1 < 0: the spread's power sign condition fails
     (Payoff(SPREAD, 5.0), desk_params(alpha=(-0.04, 0.05)), LOSSES[1]),
 ), ids=("basket-linear", "basket-power", "spread-power"))
-def test_mc_solve_reads_ahead(payoff, params, loss, monkeypatch):
-    # the Monte Carlo table is a step function, where a chord between the
-    # bracket ends predicts nothing, so the route reads 4 levels of the
-    # bisection tree ahead: at most 14 table reads of at most 15 c's
+def test_mc_solve_makes_at_most_two_table_reads(payoff, params, loss,
+                                                monkeypatch):
+    # the table inverts the target exactly, in one call, and the solve
+    # reads the other side at the answer: two table calls of one c each
     mc = McConfig(20_000, seed=3)
     x = 0.5 * price(payoff, params, mc)
     risk, _ = phi1(payoff, params, loss, x, mc=mc)  # fills price and edges
     reads = []
-    real = _McTable.side
+    for name in ("side", "invert"):
+        real = getattr(_McTable, name)
 
-    def counting(table, c, side):
-        reads.append(len(c))
-        return real(table, c, side)
+        def counting(table, c, side, real=real, name=name):
+            reads.append((name, len(c)))
+            return real(table, c, side)
 
-    monkeypatch.setattr(_McTable, "side", counting)
+        monkeypatch.setattr(_McTable, name, counting)
     for solve, arg in ((phi1, x), (phi2, risk)):
         reads.clear()
         solve(payoff, params, loss, arg, mc=mc)
-        assert 2 < len(reads) <= 14
-        assert max(reads) <= 15
+        assert reads == [("invert", 1), ("side", 1)]
+
+
+# Custom payoffs whose tables the inversion property below draws from: a
+# basket call, a Digital whose H is one value, and a put on S1 in S2 units
+_CUSTOM_EVALS = (
+    lambda s1, s2: np.maximum(0.5 * (s1 + s2) - 95.0, 0.0),
+    lambda s1, s2: (s1 >= s2).astype(float),
+    lambda s1, s2: np.maximum(100.0 - s1, 0.0) * s2 / 95.0,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _custom_table(k: int, power: bool, seed: int) -> _McTable:
+    return _McTable(Payoff(CUSTOM, custom_eval=_CUSTOM_EVALS[k]), PARAMS,
+                    LOSSES[power], 10_000, seed)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(k=st.integers(0, len(_CUSTOM_EVALS) - 1), power=st.booleans(),
+       side=st.sampled_from((1, 2)), seed=st.integers(1, 3),
+       u=st.floats(0.01, 0.99))
+def test_inversion_is_the_least_c_of_the_bisection_bracket(k, power, side,
+                                                           seed, u):
+    # the table's inversion returns the least float c whose read meets the
+    # target: c lies in the final bracket of the bisection that the solver
+    # ran before (mc_bisect), a read at c (1 - 1e-12) misses the target,
+    # and the value at c is the bisection's, to the bit for linear loss
+    # and within 1e-12 relative for power loss
+    table = _custom_table(k, power, seed)
+    rising = power and side == 1
+    top = float(table.side([math.inf if rising else 0.0], side)[0][0])
+    target = u * top
+    (c,), (v,), _err = table.invert([target], side)
+    lo, hi, v_hi = mc_bisect(table, side, target, rising)
+    assert lo < c <= hi
+    below = float(table.side([c * (1.0 - 1e-12)], side)[0][0])
+    assert below < target if rising else below > target
+    if power:
+        assert abs(v - v_hi) <= 1e-12 * abs(v_hi)
+    else:
+        assert v == v_hi
+
+
+@pytest.mark.parametrize("kind", ("phi1", "phi2"))
+def test_a_step_across_the_target_is_infeasible(kind):
+    # at alpha = r, Z~ = 1 and every linear key is 0: Psi steps at c = 1
+    # from its c = 0 value to 0, and the least c whose read meets an
+    # interior target, just above 1, misses it by more than
+    # max(1e-7 max(1, scale), 8 se): the check that ends every solve raises
+    params = desk_params(alpha=(0.02, 0.02), r=0.02)
+    basket = _basket()
+    mc = McConfig(20_000, seed=1)
+    loss = LOSSES[0]
+    top = (price(basket, params, mc) if kind == "phi1"
+           else psi_mc(basket, params, loss, 0.0, 20_000, 1).psi1)
+    solve = phi1 if kind == "phi1" else phi2
+    side = 2 if kind == "phi1" else 1
+    with pytest.raises(InfeasibleInversionError,
+                       match=rf"^Psi{side}\(1\) = 0 cannot reach target .* "
+                       "jumps across the target"):
+        solve(basket, params, loss, 0.5 * top, mc=mc)
+    # a curve records the error on each interior point
+    rc = curve(basket, params, loss, kind, [0.0, 0.25 * top, 0.5 * top],
+               mc=mc)
+    assert rc.points[0].error is None
+    assert all("jumps across the target" in pt.error for pt in rc.points[1:])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")  # se of p(H)
@@ -355,10 +425,11 @@ def test_non_finite_loss_term_raises_nan_guard():
 
 
 def test_power_weight_past_the_float_range_raises_heavy_tail(recwarn):
-    # at alpha1 = 5.4 the phi2 root lies near c = 4e155, where the weight
+    # at alpha1 = 5.4 the phi2 root lies past c = 1e154, where the weight
     # c^q of the prefix sums overflows a float: HeavyTailError naming the
-    # side and c, not a raw OverflowError.  The quadrature route takes its
-    # weights in logs and solves there
+    # side and the c that the inversion reads there, not a raw
+    # OverflowError.  The quadrature route takes its weights in logs and
+    # solves there
     params = desk_params(alpha=(5.4, 0.05), rho=0.0)
     loss = LossSpec(POWER, 2.0)
     custom = Payoff(CUSTOM, custom_eval=lambda s1, s2:
@@ -366,8 +437,12 @@ def test_power_weight_past_the_float_range_raises_heavy_tail(recwarn):
     mc = McConfig(20_000, seed=1)
     top = phi1(custom, params, loss, 0.0, mc=mc)[0]
     with pytest.raises(HeavyTailError, match=r"Monte Carlo Psi1 at c = "
-                       r"4\.29\d*e\+155: a power-loss weight overflows"):
+                       r"(\S+): a power-loss weight overflows") as info:
         phi2(custom, params, loss, 0.5 * top, mc=mc)
+    c = float(str(info.value).split(" = ")[1].split(":")[0])
+    assert 1e154 < c < math.inf
+    with pytest.raises(OverflowError):
+        c ** 2.0  # the weight c^q, q = p / (p - 1) = 2
     quanto = Payoff(QUANTO_DOMESTIC, strike=100.0)
     top = phi1(quanto, params, loss, 0.0)[0]
     _cost, c = phi2(quanto, params, loss, 0.5 * top)

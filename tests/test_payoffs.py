@@ -59,6 +59,26 @@ def test_custom_contract_enforced():
     assert evaluate(ok, 105.0, 100.0) == 5.0
 
 
+def test_custom_eval_must_be_callable():
+    with pytest.raises(ValidationError, match="custom_eval: must be callable"):
+        Payoff(CUSTOM, custom_eval=3)
+
+
+@pytest.mark.parametrize("fn, cause", (
+    (lambda s1, s2: 1 / 0, ZeroDivisionError),
+    (lambda s1, s2: np.full(s1.shape, "a"), ValueError),
+), ids=("raises", "strings"))
+def test_custom_eval_failures_are_contract_errors(fn, cause):
+    # a custom payoff that raises, or returns what is not a float array,
+    # breaks its contract: PayoffContractError (exit 6), chained to the
+    # cause, not the raw error
+    with pytest.raises(PayoffContractError, match="custom payoff raised") \
+            as info:
+        evaluate(Payoff(CUSTOM, custom_eval=fn), np.array([100.0, 90.0]),
+                 np.array([95.0, 95.0]))
+    assert isinstance(info.value.__cause__, cause)
+
+
 def test_payoff_validation():
     with pytest.raises(ValidationError):
         Payoff("Binary", 5.0)

@@ -17,7 +17,7 @@ from shortfall_hedge import psi, solver
 from shortfall_hedge.errors import (HeavyTailError, InfeasibleInversionError,
                                     OutOfRangeError, ValidationError)
 from shortfall_hedge.market import MarketParams
-from shortfall_hedge.mc import McConfig
+from shortfall_hedge.mc import McConfig, verify_risk
 from shortfall_hedge.payoffs import (CUSTOM, DIGITAL, OUTPERFORMANCE, Payoff,
                                      QUANTO_DOMESTIC, QUANTO_FOREIGN, SPREAD)
 from shortfall_hedge.psi import LINEAR, LossSpec, POWER, psi_linear, psi_power
@@ -202,6 +202,31 @@ def test_curve_single_point_and_ordering_checks():
         curve(payoff, params, LIN, "phi1", [-1.0, 1.0])
 
 
+@pytest.mark.parametrize("grid", (1.0, None), ids=("float", "none"))
+def test_curve_grid_that_is_no_sequence_is_a_validation_error(grid):
+    with pytest.raises(ValidationError, match="grid: must be a sequence"):
+        curve(Payoff(DIGITAL, 10.0), desk_params(), LIN, "phi1", grid)
+
+
+@pytest.mark.parametrize("mc", ("x", (20_000, 1)), ids=("str", "tuple"))
+@pytest.mark.parametrize("payoff", (Payoff(DIGITAL, 10.0), Payoff(
+    CUSTOM, custom_eval=lambda s1, s2: np.maximum(s1 - 100.0, 0.0))),
+    ids=lambda p: p.kind)
+def test_mc_that_is_no_mc_config_is_a_validation_error(payoff, mc):
+    # every entry point that takes mc names it, for named payoffs (which
+    # ignore a valid one) as for Custom ones, instead of an AttributeError
+    # on mc.n_paths; verify_risk's simulation needs an McConfig
+    params = desk_params()
+    for call in (lambda: price(payoff, params, mc),
+                 lambda: phi1(payoff, params, LIN, 1.0, mc=mc),
+                 lambda: phi2(payoff, params, LIN, 1.0, mc=mc),
+                 lambda: curve(payoff, params, LIN, "phi1", [1.0], mc=mc),
+                 lambda: verify_risk(payoff, params, LIN, 1.0, mc),
+                 lambda: verify_risk(payoff, params, LIN, 1.0, None)):
+        with pytest.raises(ValidationError, match="mc: must be an McConfig"):
+            call()
+
+
 def test_curve_captures_per_point_failures():
     # a degenerate measure makes Psi2 a step: interior targets are infeasible
     params = desk_params(alpha=(0.02, 0.02), r=0.02)
@@ -383,8 +408,8 @@ def test_one_point_solve_reads_each_c_once(payoff, loss, monkeypatch,
 def test_quadrature_reads_step_cs_and_held_cs_only(rho, monkeypatch,
                                                     fresh_held):
     # by quadrature a read takes the c's the running steps read and, ahead
-    # of the steps, only c's that every contract holds: cold and warm round
-    # trips integrate no c outside those two sets
+    # of the steps, only c's of their blocks, which every contract holds:
+    # cold and warm round trips integrate no c outside those two sets
     params = desk_params(rho=rho)
     stepped, integrated = set(), []
     real_solve, real_side = solver._predicate_bisection, solver._psi_side
@@ -392,10 +417,10 @@ def test_quadrature_reads_step_cs_and_held_cs_only(rho, monkeypatch,
     def recording(*args, **kwargs):
         solve = real_solve(*args, **kwargs)
         try:
-            c, ahead = next(solve)
+            c = next(solve)
             while True:
                 stepped.add(c)
-                c, ahead = solve.send((yield c, ahead))
+                c = solve.send((yield c))
         except StopIteration as done:
             stepped.add(done.value[0])
             return done.value
@@ -429,10 +454,12 @@ BASKET = Payoff(CUSTOM, custom_eval=lambda s1, s2:
 @pytest.mark.parametrize("payoff", DESK_PAYOFFS + (BASKET,),
                          ids=lambda p: p.kind)
 def test_read_ahead_keeps_every_bit(payoff, loss, monkeypatch):
-    # reading ahead reads c's that the solve's own steps compute, and
-    # changes no value it sees: one c per read, or three, run the same
-    # steps and give the same tuples.  On the Monte Carlo route also an
-    # 11-point curve, whose last running points read ahead.
+    # a read takes the rest of each new c's block, c's that the solve's own
+    # steps may compute, and changes no value it sees: with one-c blocks
+    # (the block table emptied) the solves run the same steps and give the
+    # same tuples.  The Monte Carlo route reads no blocks: its 11-point
+    # curve, whose targets the table inverts in one search, gives each
+    # point the tuple of its one-point solve.
     params = desk_params()
     mc = McConfig(20_000, seed=3) if payoff.kind == CUSTOM else None
     p_h = price(payoff, params, mc)
@@ -442,15 +469,16 @@ def test_read_ahead_keeps_every_bit(payoff, loss, monkeypatch):
         for f in (0.1, 0.5, 0.9):
             r1 = _phi1_impl(payoff, params, loss, [f * p_h], mc)[0]
             got += [r1, _phi2_impl(payoff, params, loss, [r1[0]], mc)[0]]
-        if mc is not None:
-            got.append(curve(payoff, params, loss, "phi1",
-                             list(np.linspace(0.0, 1.0, 11) * p_h), mc=mc))
         return got
 
-    read_ahead = solves()
-    for n in (1, 3):
-        monkeypatch.setattr(solver, "_READ_AHEAD_CS", n)
+    if mc is None:
+        read_ahead = solves()
+        monkeypatch.setattr(solver, "_BLOCKS", {})
         assert solves() == read_ahead
+    else:
+        xs = list(np.linspace(0.0, 1.0, 11) * p_h)
+        assert _phi1_impl(payoff, params, loss, xs, mc) == [
+            _phi1_impl(payoff, params, loss, [x], mc)[0] for x in xs]
 
 
 def _failing_above(limit, raised):
@@ -650,7 +678,7 @@ def test_read_ahead_failures_stay_unseen(monkeypatch, fresh_held):
 
     read_ahead = error()
     fresh_held()
-    monkeypatch.setattr(solver, "_READ_AHEAD_CS", 1)
+    monkeypatch.setattr(solver, "_BLOCKS", {})
     assert error() == read_ahead
 
 
