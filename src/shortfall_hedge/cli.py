@@ -399,6 +399,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: parse_args keeps no state between calls
+_PARSER = _build_parser()
+
+
 def _apply_overrides(config: RunConfig, options) -> RunConfig:
     mc = config.mc if options.seed is None else replace(config.mc,
                                                          seed=options.seed)
@@ -420,7 +424,7 @@ _EXIT_CODES = (
 
 
 def main(argv=None) -> int:
-    options = _build_parser().parse_args(argv)
+    options = _PARSER.parse_args(argv)
     try:
         config = _apply_overrides(load_config(options.config), options)
         text = run(options.command, config, options)

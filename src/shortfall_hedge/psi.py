@@ -18,14 +18,19 @@ Each side integrates one of three payoff shapes:
   E[H | Y = y] is closed-form tilted interval masses, and each side is a
   tail in y of one c-independent integrand phi_v(y) e^(-gamma y) g(y),
   held as panels with suffix and prefix sums: a read at c is a suffix sum
-  plus one K15 partial panel.  _table_side states the formulas.
+  plus one K15 partial panel.  _table_side states the formulas.  The
+  panels keep their node values, so that the side is also a piecewise
+  polynomial in u, its model (_SideTable), and a read can return
+  dPsi/d ln c from it (_psi_side's slope): the solver inverts these sides,
+  and Spread/power Psi1, on their tables.
 - Product-form regions (_region_side): H = F(o) e^(tau s) on {s <= cap(o)}
   for a Gaussian outer o and inner s | o, so A_c is a half-line in s and
   each term is F times a closed-form tilted interval mass.  QuantoDomestic
   under power loss is one region, Outperformance two (S1 >= S2 and
   S2 >= S1) under either loss, and QuantoForeign under power loss one
   region in the (U, Z) coordinates of _qf_uz.  _region_side states the
-  formula.
+  formula; an Outperformance region under power loss is split at its
+  corner per c (_Corner).
 - Spread/power: Psi2 integrates over y = W~2 the tilted masses of W~1
   beyond x*(y), a root found by Newton's method; one is the c-weighted
   term W(c) = c^kap E~[Z~^kap 1_Ac].  As c is the multiplier of the
@@ -65,6 +70,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial import chebyshev
 from scipy.special import expit, log_ndtr, ndtr
 
 from . import _quad as quad
@@ -384,9 +390,10 @@ _ROUND = 8.0 * np.finfo(float).eps
 
 
 def _panels(g, mu: float, v: float, a, b):
-    """(ln scale, K15, |K15 - G7|, rounding) of the integral of
-    phi_v(y - mu) g(y) over each panel [a, b] that does not straddle mu,
-    the value being e^(ln scale) K15.  The scale is phi_v at the panel's
+    """(ln scale, K15, |K15 - G7|, rounding, node values) of the integral
+    of phi_v(y - mu) g(y) over each panel [a, b] that does not straddle mu,
+    the value being e^(ln scale) K15 and the integrand at the 15 nodes
+    e^(ln scale) times the node values.  The scale is phi_v at the panel's
     end nearer mu, where the Gaussian is largest, and g(y, log_scale)
     takes the rest of the Gaussian as its log_scale, so that no panel
     underflows however far from mu it lies.
@@ -408,7 +415,8 @@ def _panels(g, mu: float, v: float, a, b):
         ulps = np.where(h > 0.0, 1.0 + (np.abs(a) + np.abs(b)) / (2.0 * h),
                         0.0)
     return (ln_scale, k15, np.abs(k15 - h * (vals * WG).sum(axis=-1)),
-            _ROUND * (ulps * np.abs(k15) + h * (sizes * WK).sum(axis=-1)))
+            _ROUND * (ulps * np.abs(k15) + h * (sizes * WK).sum(axis=-1)),
+            vals)
 
 
 def _layout(lo: float, hi: float, mu: float, sd: float):
@@ -438,20 +446,39 @@ def _layout(lo: float, hi: float, mu: float, sd: float):
     return edges[(edges >= lo) & (edges <= hi)]
 
 
+# the Chebyshev coefficients (columns) of the degree-14 Lagrange
+# polynomials (rows) of the 15 K15 nodes, and of their antiderivatives that
+# are 0 at 1: a panel's interpolant through its node values, and its
+# partial integrals, read as sums over the nodes at T_k(t) = cos(k acos t).
+# Built from their roots, with no LAPACK call (whose first call costs the
+# process 0.5 MB)
+_LAGRANGE = np.array([
+    chebyshev.chebfromroots(np.delete(NODES, j))
+    / np.prod(NODES[j] - np.delete(NODES, j)) for j in range(15)])
+_LAGRANGE_INT = chebyshev.chebint(_LAGRANGE.T, lbnd=1.0).T
+# where Y is constant, a table's two knots: either side of its jump at u = 0,
+# closer together than the 1e-13 in ln c that ends an inversion
+_STEP_KNOT = 2.0 ** -45
+
+
 class _TailTable:
     """The integral of one c-independent integrand over a line, held as
     panels, so that its tail beyond any u (or its head below u) is a suffix
     (prefix) sum of whole panels plus one K15 partial panel.
 
-    panels(a, b) gives (ln scale, K15, |K15 - G7|, error floor) of the
-    integral over each panel [a, b], the value being e^(ln scale) K15:
-    _panels for a tail table in Y, _w_table's for the W table.  Panels
-    start on edges and split in two until each one's G7/K15 difference is
-    within rel_tol of its value, its error floor or 1e-13 of the tail it
-    starts (max_rounds rounds and _TABLE_PANELS_MAX panels at most); a
-    panel's error is its difference plus its floor.  A sum of panels is a
-    mantissa times e^(the largest ln scale in it): nothing underflows in a
-    tail, however far the integrand's peak is from the values read."""
+    panels(a, b) gives (ln scale, K15, |K15 - G7|, error floor, node
+    values) of the integral over each panel [a, b], the value being
+    e^(ln scale) K15 and the integrand at the 15 nodes e^(ln scale) times
+    the node values: _panels for a tail table in Y, _w_table's for the W
+    table.  Panels start on edges and split in two until each one's G7/K15
+    difference is within rel_tol of its value, its error floor or 1e-13 of
+    the tail it starts (max_rounds rounds and _TABLE_PANELS_MAX panels at
+    most); a panel's error is its difference plus its floor.  A sum of
+    panels is a mantissa times e^(the largest ln scale in it): nothing
+    underflows in a tail, however far the integrand's peak is from the
+    values read.  Each accepted panel keeps its node values, so that the
+    table is also a piecewise polynomial in u, read at no integration
+    (read's "model")."""
 
     def __init__(self, panels, edges, ln_const: float, rel_tol: float,
                  max_rounds: int, step: bool = False):
@@ -459,7 +486,7 @@ class _TailTable:
         a, b = edges[:-1], edges[1:]
         done = []
         for rnd in range(max_rounds):
-            ln_s, k15, diff, rounding = panels(a, b)
+            ln_s, k15, diff, rounding, vals = panels(a, b)
             if not np.isfinite(k15).all():
                 raise HeavyTailError(
                     "a payoff term overflows on the tail table, too heavy a "
@@ -480,21 +507,22 @@ class _TailTable:
                                       np.maximum(rounding, floor)))
                   | (rnd == max_rounds - 1)
                   | (2 * a.size > _TABLE_PANELS_MAX))
-            done.append(tuple(x[ok] for x in (a, b, diff + rounding, ln_s,
-                                              k15)))
+            done.append(tuple(x[ok] for x in (a, b, diff + rounding, vals,
+                                              ln_s, k15)))
             if ok.all():
                 break
             a, b = a[~ok], b[~ok]
             mid = 0.5 * (a + b)
             a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-        a, b, err, ln_s, k15 = (np.concatenate(x) for x in zip(*done))
+        a, b, err, vals, ln_s, k15 = (np.concatenate(x) for x in zip(*done))
         order = np.argsort(a, kind="stable")
         self.a, self.b = a[order], b[order]
-        ln_s, k15, err = ln_s[order], k15[order], err[order]
+        self.vals, self.ln_s = vals[order], ln_s[order]
+        k15, err = k15[order], err[order]
         # suffix and prefix sums: (largest ln scale, mantissa, err mantissa)
-        self.up = self._sums(ln_s, k15, err)
+        self.up = self._sums(self.ln_s, k15, err)
         self.down = tuple(x[::-1] for x in self._sums(
-            ln_s[::-1], k15[::-1], err[::-1]))
+            self.ln_s[::-1], k15[::-1], err[::-1]))
 
     @staticmethod
     def _sums(ln_s, k15, err):
@@ -516,11 +544,26 @@ class _TailTable:
                               + out[j1] * carry)
         return top, m, e
 
-    def read(self, u, ln_w, upper: bool = True):
+    def knots(self):
+        """The u's where a read changes panel: the panel edges, or, where Y
+        is constant, either side of the jump at u = 0."""
+        if self.step:
+            return np.array([-_STEP_KNOT, _STEP_KNOT])
+        return np.append(self.a, self.b[-1])
+
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+    def read(self, u, ln_w, upper: bool = True, how: Optional[str] = None):
         """(values, errs) of e^ln_w times the integral over y >= u (upper)
         or y < u, at each u of an array (ln_w per u or one for all): the
         sum of the whole panels beyond u and one K15 panel from u to the
-        end of its own."""
+        end of its own.
+
+        how "slope" adds a third array, the derivative in u: the integrand
+        at u, negated on an upper read, read from the degree-14 interpolant
+        of the held node values of u's panel.  how "model" also reads the
+        partial panel from that interpolant, as its integral, with no err:
+        the table as a piecewise polynomial in u.  Each row is a sum over
+        the 15 nodes, whatever the other rows."""
         u = np.asarray(u, dtype=float)
         if self.step:  # Y is constant: A_c is everything or nothing
             u = np.where(u <= 0.0, -np.inf, np.inf)
@@ -536,23 +579,38 @@ class _TailTable:
             top, m, e = self.down
             first = np.where(inside, j, np.where(j < 0, 0, n))
         val, err = self._scaled(top[first], m[first], e[first], ln_w)
+        slope = np.zeros(u.shape)
         if inside.any():
             r = np.flatnonzero(inside)
-            jr = j[r]
-            ln_s, k15, diff, rounding = self.panels(
-                u[r] if upper else self.a[jr], self.b[jr] if upper else u[r])
-            pv, pe = self._scaled(ln_s, k15, diff + rounding, ln_w[r])
+            jr, ur, zero = j[r], u[r], np.zeros(r.size)
+            if how is not None:
+                h = 0.5 * (self.b[jr] - self.a[jr])
+                t = np.clip((ur - self.a[jr]) / h - 1.0, -1.0, 1.0)
+                cheb = np.cos(np.arccos(t)[:, None] * np.arange(16))
+                vals = self.vals[jr]
+                at_u, ante = ((vals * (cheb[:, None, :lag.shape[1]] * lag)
+                               .sum(axis=-1)).sum(axis=-1)
+                              for lag in (_LAGRANGE, _LAGRANGE_INT))
+                ps = self._scaled(self.ln_s[jr], at_u, zero, ln_w[r])[0]
+                slope[r] = -ps if upper else ps
+            if how == "model":
+                part = -ante if upper else ante + (vals * WK).sum(axis=-1)
+                pv, pe = self._scaled(self.ln_s[jr], h * part, zero, ln_w[r])
+            else:
+                ln_s, k15, diff, rounding, _vals = self.panels(
+                    ur if upper else self.a[jr], self.b[jr] if upper else ur)
+                pv, pe = self._scaled(ln_s, k15, diff + rounding, ln_w[r])
             val[r] += pv
             err[r] += pe
-        return val, err
+        return (val, err) if how is None else (val, err, slope)
 
     @staticmethod
     def _scaled(ln_s, m, e, ln_w):
-        """e^(ln_w + ln_s) m and likewise e, taken in logs; 0 where m is."""
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ln = ln_w + ln_s
-            val = np.where(m != 0.0, np.exp(ln + np.log(np.abs(m))), 0.0)
-            err = np.where(e != 0.0, np.exp(ln + np.log(e)), 0.0)
+        """e^(ln_w + ln_s) m and likewise e, taken in logs; 0 where m is
+        (read's errstate takes the logs of 0)."""
+        ln = ln_w + ln_s
+        val = np.where(m != 0.0, np.exp(ln + np.log(np.abs(m))), 0.0)
+        err = np.where(e != 0.0, np.exp(ln + np.log(e)), 0.0)
         return np.copysign(val, m), err
 
 
@@ -583,8 +641,9 @@ def _tail_table(payoff: Payoff, params: MarketParams, tilde: bool,
 
 
 def _table_side(payoff: Payoff, ctx: _Ctx, c, p: Optional[float],
-                tilde: bool):
-    """One side at each c from the tail tables; p None is linear loss.
+                tilde: bool, how: Optional[str] = None):
+    """One side at each c from the tail tables; p None is linear loss;
+    how as _TailTable.read takes it, the derivative in ln c.
 
     A_c = {Y >= u}, u = ln c - BT under linear loss and, for the Digital
     under power loss, u = ln c - (p-1) ln K - BT (A_c lies in {H = K}).
@@ -597,31 +656,43 @@ def _table_side(payoff: Payoff, ctx: _Ctx, c, p: Optional[float],
         Psi2:    T_0(u) - (c^kap e^(-kap BT) / K) T_kap(u)
 
     where E[H] - T_0(u) is read as the head below u.  Every weight enters
-    as its log."""
+    as its log, and the c-weighted term's derivative is e times it plus
+    the weight times that of T_e."""
     t = ctx.cons.T
     bs = _side_fields(ctx, tilde)[0]
     lnc = _each(_lnc, c)
-
-    def table(gamma):  # under the accept rule of this call
-        return _tail_table(payoff, ctx.params, tilde, gamma, quad._REL_TOL,
-                           quad._MAX_ROUNDS)
+    tables = _side_tables(payoff, ctx, p, tilde)
     if p is None:
-        return table(0.0).read(lnc - bs * t, 0.0)
+        return tables[0].read(lnc - bs * t, 0.0, how=how)
+    plain, tilted = tables
     ln_k = math.log(payoff.strike)
     u = lnc - (p - 1.0) * ln_k - bs * t
     e = (1.0 if tilde else p) / (p - 1.0)
-    tilted = table(e)
     # ln of c^e e^(-e BT) / K, over p on Psi1 (divided in logs: the product
     # may pass the float range where its quotient does not)
     ln_w = e * (lnc - bs * t) - ln_k - (0.0 if tilde else math.log(p))
     # at c = inf the tilted tail is empty, and its weight inf is not read
-    tv, te = tilted.read(u, np.where(u < math.inf, ln_w, 0.0))
-    plain = table(0.0)
+    tv, te, *ts = tilted.read(u, np.where(u < math.inf, ln_w, 0.0), how=how)
     if tilde:
-        on, on_err = plain.read(u, 0.0)
-        return on - tv, on_err + te
-    off, off_err = plain.read(u, (p - 1.0) * ln_k - math.log(p), upper=False)
-    return off + tv, off_err + te
+        on, on_err, *s = plain.read(u, 0.0, how=how)
+        got = on - tv, on_err + te
+        return got if how is None else (*got, s[0] - (e * tv + ts[0]))
+    off, off_err, *s = plain.read(u, (p - 1.0) * ln_k - math.log(p),
+                                  upper=False, how=how)
+    got = off + tv, off_err + te
+    return got if how is None else (*got, s[0] + e * tv + ts[0])
+
+
+def _side_tables(payoff: Payoff, ctx: _Ctx, p: Optional[float],
+                 tilde: bool) -> tuple:
+    """The tail tables of one side under the accept rule of this call: T_0,
+    and T_e under power loss."""
+    def table(gamma):
+        return _tail_table(payoff, ctx.params, tilde, gamma, quad._REL_TOL,
+                           quad._MAX_ROUNDS)
+    if p is None:
+        return (table(0.0),)
+    return table(0.0), table((1.0 if tilde else p) / (p - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -694,10 +765,12 @@ def _spread_w(ctx: _Ctx, p: float):
 def _w_table(payoff: Payoff, params: MarketParams, p: float, rel_tol: float,
              max_rounds: int):
     """Spread/power Psi1 of a contract, held and keyed as _tail_table's
-    tables are: a function of ln c (0 < c <= inf) that returns (values,
-    errs).  dPsi1/dc = kap W(c), so Psi1 is the head in u = ln c of G(u) =
-    kap E e^(q u) m(u), E = E~[Z~^kap] and m(u) = P^kap(A_c), held over
-    [u_lo, u_hi] as a _TailTable in v = -u.
+    tables are: (read, knots), read(ln c, how) the (values, errs) at
+    0 < c <= inf, how as _TailTable.read takes it, and knots the ln c's
+    where a read changes panel.  dPsi1/dc = kap W(c), so Psi1 is the head
+    in u = ln c of G(u) = kap E e^(q u) m(u), E = E~[Z~^kap] and m(u) =
+    P^kap(A_c), held over [u_lo, u_hi] as a _TailTable in v = -u, whose
+    interpolant gives the derivative in u, G(u).
 
     Under P^kap, W~ ~ N(-kap T Q A, T Q).  A_c lies in the half-planes
     {L.W~ >= t} {V >= u}, V = (p-1) ln S1 + A.W~ + B~T (the key's bound,
@@ -719,7 +792,8 @@ def _w_table(payoff: Payoff, params: MarketParams, p: float, rel_tol: float,
       c^kap (H has a density at 0+), so u_lo = u_c - TRUNC_SD s - ln(1 /
       rel_tol) / kap puts it near rel_tol M where ln H is near ln S1; where
       it lies far below, u_lo moves s, 2s, 4s, ... further down while that
-      half-width passes rel_tol of the head there and shrinks.
+      half-width passes rel_tol of the head there and shrinks.  That
+      midpoint is closed form in u, and so is its derivative.
 
     Below mu, G grows at most as e^(q u), and above it falls as a Gaussian
     of sd s about u_c: panels start _PANEL_FALL / q apart below mu and on
@@ -785,14 +859,30 @@ def _w_table(payoff: Payoff, params: MarketParams, p: float, rel_tol: float,
     ln_ev = q * (mu + 0.5 * q * s * s)  # ln E^kap[e^(q V)]
     ln_rest = ln_ep + ln_ev + log_ndtr(-TRUNC_SD)
 
-    def head(u):  # (midpoint, half-width) of the head below u <= u_lo
+    def bounds(u):  # the head's bounds below u <= u_lo, and their logs
         lower = np.exp(ln_ep + q * u + ln_lo)
-        by_v = ln_ep + np.logaddexp(
-            math.log(2.0) + q * u + log_ndtr((mu - u) / s),
-            ln_ev + log_ndtr((u - u_c) / s))
-        upper = np.maximum(np.exp(np.minimum(ln_ep + q * u + ln_hi, by_v)),
-                           lower)
+        x1 = math.log(2.0) + q * u + log_ndtr((mu - u) / s)
+        x2 = ln_ev + log_ndtr((u - u_c) / s)
+        by_v = ln_ep + np.logaddexp(x1, x2)
+        by_hi = ln_ep + q * u + ln_hi
+        upper = np.maximum(np.exp(np.minimum(by_hi, by_v)), lower)
+        return lower, upper, (by_hi, by_v, x1, x2)
+
+    def head(u):  # (midpoint, half-width) of the head below u <= u_lo
+        lower, upper, _logs = bounds(u)
         return 0.5 * (lower + upper), 0.5 * (upper - lower)
+
+    def head_slope(u):  # d/du of head's midpoint, u < u_lo
+        lower, upper, (by_hi, by_v, x1, x2) = bounds(u)
+        # d ln Phi(z) / dz = phi(z) / Phi(z), in logs
+        z1, z2 = (mu - u) / s, (u - u_c) / s
+        mills1, mills2 = (np.exp(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
+                                 - log_ndtr(z)) for z in (z1, z2))
+        by_v_slope = (np.exp(ln_ep + x1) * (q - mills1 / s)
+                      + np.exp(ln_ep + x2) * mills2 / s)
+        upper_slope = np.where(upper == lower, q * lower,
+                               np.where(by_hi <= by_v, q * upper, by_v_slope))
+        return 0.5 * (q * lower + upper_slope)
 
     step, width = s, math.inf
     while True:
@@ -814,7 +904,8 @@ def _w_table(payoff: Payoff, params: MarketParams, p: float, rel_tol: float,
         scale = np.exp(ln_g - top[:, None])
         k15 = h * (m * scale * WK).sum(axis=-1)
         return (top, k15, np.abs(k15 - h * (m * scale * WG).sum(axis=-1)),
-                h * (e * scale * WK).sum(axis=-1) + _ROUND * np.abs(k15))
+                h * (e * scale * WK).sum(axis=-1) + _ROUND * np.abs(k15),
+                m * scale)
 
     mid, width = max(u_lo, mu), _PANEL_FALL / q
     edges = np.unique(np.concatenate([
@@ -823,13 +914,20 @@ def _w_table(payoff: Payoff, params: MarketParams, p: float, rel_tol: float,
     table = _TailTable(panels, -edges[::-1], math.log(kap) + ln_e, rel_tol,
                        max_rounds)
 
-    def read(lnc):
-        val, err = table.read(-lnc, 0.0)
+    def read(lnc, how=None):
+        val, err, *t_s = table.read(-lnc, 0.0, how=how)
         h_val, h_err = head(np.minimum(lnc, u_lo))
-        return val + h_val, err + h_err + np.where(lnc > u_hi,
-                                                   np.exp(ln_rest), 0.0)
+        got = val + h_val, err + h_err + np.where(lnc > u_hi,
+                                                  np.exp(ln_rest), 0.0)
+        if how is None:
+            return got
+        below = lnc < u_lo
+        slope = -t_s[0]
+        if below.any():
+            slope[below] += head_slope(lnc[below])
+        return (*got, slope)
 
-    return read
+    return read, -table.knots()[::-1]
 
 
 def _spread_power_psi2(ctx: _Ctx, c, p: float):
@@ -861,7 +959,9 @@ class _Region:
     """H = F(o) e^(tau s) on {s <= cap(o)}, where the outer o ~ N(0, o_sd^2)
     runs over [lo, hi], the inner s | o ~ N(slope o, s_sd^2), and Z~ =
     e^(-a_o o - a_s s - BT).  f and cap map an array of o to F(o) and to
-    cap(o); cap None is no cap."""
+    cap(o); cap None is no cap.  corner, where given, is the _Corner of
+    the power A_c's inner limit v(o) and cap(o), where the power integrand
+    kinks."""
 
     lo: float
     hi: float
@@ -873,6 +973,7 @@ class _Region:
     tau: float
     f: Callable
     cap: Optional[Callable] = None
+    corner: Optional["_Corner"] = None
 
 
 def _region_side(ctx: _Ctx, c, region: _Region, p: Optional[float],
@@ -930,7 +1031,24 @@ def _region_side(ctx: _Ctx, c, region: _Region, p: Optional[float],
                                                -np.inf, hi)
         return _phi(o, r.o_sd) * (t1 + t2) / p
 
-    return _integrate(f, r.lo, r.hi, np.full(c.size, True))
+    if r.corner is None:
+        return _integrate(f, r.lo, r.hi, np.full(c.size, True))
+    # per c, [lo, o*] in o and [o*, hi] in w = ln F, two intervals of one
+    # call (_Corner)
+    n = c.size
+    o_mid, w_mid = r.corner.at(lnc - bt, p)
+
+    def parts(x, ids):
+        out = np.empty(x.size)
+        left = ids < n
+        out[left] = f(x[left], ids[left])
+        o, do_dw = r.corner.o(x[~left])
+        out[~left] = f(o, ids[~left] - n) * do_dw
+        return out
+
+    v, e = integrate_batch(parts, np.concatenate([np.full(n, r.lo), w_mid]),
+                           np.concatenate([o_mid, np.full(n, r.corner.w_hi)]))
+    return v[:n] + v[n:], e[:n] + e[n:]
 
 
 def _qd_regions(ctx: _Ctx, p: Optional[float], tilde: bool):
@@ -1000,7 +1118,7 @@ def _qf_regions(ctx: _Ctx, p: float, tilde: bool):
 def _outp_regions(ctx: _Ctx, p: Optional[float], tilde: bool):
     """Outperformance, (max(S1, S2) - K)^+: the region S1 >= S2 (o = W1,
     s = W2) and the region S2 >= S1 (o = W2, s = W1), each with tau = 0,
-    so the power denominator is A2 or A1."""
+    so the power denominator is A2 or A1, and each with its corner."""
     _bs, m1, m2, suf = _side_fields(ctx, tilde)
     thr = ctx.cons.thresholds
     thr_b, k = thr["b" + suf], ctx.k
@@ -1009,13 +1127,88 @@ def _outp_regions(ctx: _Ctx, p: Optional[float], tilde: bool):
     s10, s20 = ctx.params.s0
     common = dict(hi=ctx.cap, o_sd=ctx.sd, slope=ctx.rho, s_sd=ctx.cond_sd,
                   tau=0.0)
+    lo1, lo2 = max(thr["a1" + suf], -ctx.cap), max(thr["a2" + suf], -ctx.cap)
     return (
-        _Region(lo=max(thr["a1" + suf], -ctx.cap), a_o=a1, a_s=a2,
+        _Region(lo=lo1, a_o=a1, a_s=a2,
                 f=lambda x: np.maximum(s10 * np.exp(m1 + sg1 * x) - k, 0.0),
-                cap=lambda x: (sg1 * x - thr_b) / sg2, **common),
-        _Region(lo=max(thr["a2" + suf], -ctx.cap), a_o=a2, a_s=a1,
+                cap=lambda x: (sg1 * x - thr_b) / sg2,
+                corner=_Corner(math.log(s10) + m1, sg1, k, a1, a2, sg1 / sg2,
+                               -thr_b / sg2, lo1, ctx.cap),
+                **common),
+        _Region(lo=lo2, a_o=a2, a_s=a1,
                 f=lambda y: np.maximum(s20 * np.exp(m2 + sg2 * y) - k, 0.0),
-                cap=lambda y: (sg2 * y + thr_b) / sg1, **common))
+                cap=lambda y: (sg2 * y + thr_b) / sg1,
+                corner=_Corner(math.log(s20) + m2, sg2, k, a2, a1, sg2 / sg1,
+                               thr_b / sg1, lo2, ctx.cap),
+                **common))
+
+
+class _Corner:
+    """An Outperformance region's corner, where v(o) = (big_l - a_o o -
+    (p-1) ln F(o)) / a_s, the inner limit of the power A_c at big_l = ln c
+    - BT, meets cap(o) = cap_slope o + cap_0, F(o) = e^(ln_sm + sg o) - K.
+
+    g = v - cap is strictly decreasing (a_o, a_s > 0 by the sign guard).
+    Right of the corner v < cap, and v has F's root, where ln F = -inf, on
+    its left: a scale of the corner's distance from the root, which
+    _region_side leaves behind by integrating that part in w = ln F, o(w)
+    = (ln(e^w + K) - ln_sm) / sg."""
+
+    def __init__(self, ln_sm: float, sg: float, k: float, a_o: float,
+                 a_s: float, cap_slope: float, cap_0: float, lo: float,
+                 hi: float):
+        self.ln_sm, self.sg, self.ln_k = ln_sm, sg, math.log(k)
+        self.a_o, self.a_s, self.cap_slope, self.cap_0 = (a_o, a_s,
+                                                          cap_slope, cap_0)
+        self.lo, self.hi = lo, hi
+        with np.errstate(divide="ignore"):  # F = 0 at the payoff root
+            self.w_lo, self.w_hi = np.log(np.maximum(
+                np.exp(ln_sm + sg * np.array([lo, hi])) - k, 0.0))
+
+    def o(self, w):
+        """(o(w), do/dw) at each w."""
+        return ((np.logaddexp(w, self.ln_k) - self.ln_sm) / self.sg,
+                expit(w - self.ln_k) / self.sg)
+
+    def at(self, big_l, p: float):
+        """(o*, w* = ln F(o*)) per big_l: o* = lo where g(lo) <= 0 and hi
+        where g(hi) >= 0.  Between, Newton's method in w, where g is
+        concave (o(w) is convex) and decreasing, so that from the right of
+        the root the iterates descend to it.  They start at ln F(hi) or, if
+        less, the root of g with o(w) replaced by the larger of its
+        asymptotes, (ln K - ln_sm) / sg and (w - ln_sm) / sg, both below
+        o(w), so that g <= 0 there.  A row takes its last step once a step
+        is 1e-9 at most, which leaves its root 1e-17 off; o* is a break
+        between two intervals, which any o near the corner serves.  Rows
+        stop on their own, so that o* does not depend on the other rows."""
+        slope_o = self.a_o / self.a_s + self.cap_slope
+
+        def g(bl, o, w):
+            return ((bl - self.a_o * o - (p - 1.0) * w) / self.a_s
+                    - self.cap_slope * o - self.cap_0)
+
+        g_lo, g_hi = (g(big_l, o, w) for o, w in ((self.lo, self.w_lo),
+                                                  (self.hi, self.w_hi)))
+        w_star = np.where(g_lo <= 0.0, self.w_lo, self.w_hi)
+        o_star = np.where(g_lo <= 0.0, self.lo, self.hi)
+        newton = rows = np.flatnonzero((g_lo > 0.0) & (g_hi < 0.0))
+        bl = big_l[rows]
+        flat = (bl / self.a_s - self.cap_0 - slope_o * (
+            self.ln_k - self.ln_sm) / self.sg) * self.a_s / (p - 1.0)
+        rise = ((bl / self.a_s - self.cap_0 + slope_o * self.ln_sm / self.sg)
+                / ((p - 1.0) / self.a_s + slope_o / self.sg))
+        w = np.minimum(self.w_hi, np.where(flat <= self.ln_k, flat, rise))
+        for _ in range(50):  # a few steps a row; the cap is a guard
+            o, do_dw = self.o(w)
+            step = g(bl, o, w) / (slope_o * do_dw + (p - 1.0) / self.a_s)
+            w = w + step
+            w_star[rows] = w
+            live = np.abs(step) > 1e-9
+            if not live.any():
+                break
+            rows, bl, w = rows[live], bl[live], w[live]
+        o_star[newton] = self.o(w_star[newton])[0]
+        return np.clip(o_star, self.lo, self.hi), w_star
 
 
 _REGIONS = {
@@ -1034,23 +1227,177 @@ def _on_table(kind: str, p: Optional[float]) -> bool:
 
 
 def _closed_side(ctx: _Ctx, payoff: Payoff, c, p: Optional[float],
-                 tilde: bool):
+                 tilde: bool, how: Optional[str] = None):
     """(values, errs) of one side at each c, by the payoff's shape; p None
     is linear loss.  _on_table's sides read the tail tables, Spread/power
     Psi2 runs its own kernel and Psi1 reads its W table, and every other
-    side is a sum over product-form regions."""
+    side is a sum over product-form regions.  how, as _TailTable.read
+    takes it, is for the sides of _table_sides only."""
     kind = payoff.kind
     if _on_table(kind, p):
-        return _table_side(payoff, ctx, c, p, tilde)
+        return _table_side(payoff, ctx, c, p, tilde, how)
     if kind == SPREAD:
         if tilde:
             return _spread_power_psi2(ctx, c, p)
         return _w_table(payoff, ctx.params, p, quad._REL_TOL,
-                        quad._MAX_ROUNDS)(_each(_lnc, c))
+                        quad._MAX_ROUNDS)[0](_each(_lnc, c), how)
     # one region is its own value; two regions add, v1 + v2
     v, e = np.sum([_region_side(ctx, c, r, p, tilde)
                    for r in _REGIONS[kind](ctx, p, tilde)], axis=0)
     return v, e
+
+
+def _table_sides(kind: str, p: Optional[float]) -> tuple:
+    """The sides that a named payoff reads from held tables under loss p
+    (None linear): _on_table's both, and Spread/power Psi1 (_w_table)."""
+    if _on_table(kind, p):
+        return 1, 2
+    return (1,) if kind == SPREAD and p is not None else ()
+
+
+@np.errstate(all="ignore")
+def _newton(read, t, increasing: bool, c, lo, hi, steps: int,
+            tol: float = 1e-13):
+    """(c, value, err, next c) per target of t at the end of a safeguarded
+    Newton solve in ln c of a monotone side, nondecreasing if increasing:
+    read(c) gives (values, errs, d value / d ln c) at an array of c.
+
+    Each row reads its c, which lies in its bracket (lo, hi], and a read
+    that meets the target (at least t if increasing, at most t otherwise)
+    becomes hi, one that misses lo.  The step is Newton's on ln value,
+    ln(t / v) v / slope (exact on an exponential), or (t - v) / slope at
+    v = 0; a step of at most tol ends the row at the c just read, with the
+    c that the step reaches as its next c.  A step that leaves the bracket,
+    or is not finite, halves the bracket in ln c instead, or ends the row
+    where an end is 0 or inf.  A bracket that hi - lo <= 1e-13 hi closes
+    ends the row at hi, if it was read.  A row that ends on no small step
+    has its c as its next.  The rows run in lockstep, one read of all
+    running c's a step, steps at most, so that each row sees the values
+    it would see alone."""
+    t = np.asarray(t, dtype=float)
+    c, lo, hi = (np.array(x, dtype=float) for x in (c, lo, hi))
+    last = np.full((4, t.size), np.nan)  # the row's c, v, err, next c
+    met = np.full((3, t.size), np.nan)  # its last read that met t
+    live = np.arange(t.size)
+    for _ in range(steps):
+        if not live.size:
+            break
+        cl, tl = c[live], t[live]
+        v, e, slope = read(cl)
+        last[:, live] = cl, v, e, cl
+        ok = v >= tl if increasing else v <= tl
+        met[:, live[ok]] = cl[ok], v[ok], e[ok]
+        hi[live[ok]], lo[live[~ok]] = cl[ok], cl[~ok]
+        l, h = lo[live], hi[live]
+        du = np.where(v > 0.0, np.log(tl / v) * v, tl - v) / slope
+        step = cl * np.exp(du)
+        mid = np.exp(0.5 * (np.log(l) + np.log(h)))
+        inside = (step > l) & (step < h)
+        small = np.abs(du) <= tol
+        closed = h - l <= 1e-13 * h
+        c[live] = np.where(inside, step, mid)
+        last[3, live[small]] = step[small]
+        ends = closed & ~np.isnan(met[0, live])
+        last[:3, live[ends]] = met[:, live[ends]]
+        last[3, live[ends]] = met[0, live[ends]]
+        live = live[~(closed | small | ~(inside | (l > 0.0) & (h < math.inf)))]
+    return last
+
+
+class _SideTable:
+    """One side of _table_sides as a function of c, and the model of it
+    that its tables' held node values give at no integration (read's
+    "model"): a piecewise polynomial in u between the knots, the ln c's
+    where one of its tables changes panel.
+
+    knots holds those c's, with the smallest normal float and the largest
+    float at the ends, at the model's values there and slope its slopes;
+    (v0, e0) is the side's read at c = 0.  guess(t) searches the knots for the bracket (lo, hi]
+    whose model values hold each target, and solves the model there
+    (_newton): a c to read first, and the bracket, for an inversion on
+    exact reads.  Below the first knot of a table it reads its whole tail
+    (or none of its head), so a side is closed form in c there; where Y is
+    constant a table's two knots straddle its jump, a bracket that is
+    already closed."""
+
+    def __init__(self, payoff: Payoff, params: MarketParams, loss: LossSpec,
+                 side: int):
+        self.ctx = _make_ctx(payoff, params, TRUNC_SD)
+        self.payoff, self.tilde = payoff, side == 2
+        self.p = None if loss.kind == LINEAR else loss.p
+        self.increasing = side == 1 and self.p is not None
+        if _on_table(payoff.kind, self.p):
+            shift = _side_fields(self.ctx, self.tilde)[0] * self.ctx.cons.T
+            if self.p is not None:
+                shift += (self.p - 1.0) * math.log(payoff.strike)
+            lnc = shift + np.concatenate([
+                table.knots() for table in _side_tables(
+                    payoff, self.ctx, self.p, self.tilde)])
+        else:
+            lnc = _w_table(payoff, params, self.p, quad._REL_TOL,
+                           quad._MAX_ROUNDS)[1]
+        tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+        with np.errstate(over="ignore", under="ignore"):
+            cs = np.exp(np.unique(lnc))
+        self.knots = np.concatenate([[tiny], cs[(cs > tiny) & (cs < huge)],
+                                     [huge]])
+        # 64 knots a read keep the interpolant's temporaries small (600
+        # knots at once raised a desk run's peak RSS by 1.1 MB)
+        self.at, _e, self.slope = map(np.concatenate, zip(*(
+            self.model(self.knots[i:i + 64])
+            for i in range(0, self.knots.size, 64))))
+        (self.v0,), (self.e0,) = _psi_side(payoff, params, loss, [0.0], side)
+
+    @np.errstate(all="ignore")
+    def model(self, c):
+        """(values, 0, slopes) of the model at each c of an array."""
+        return _closed_side(self.ctx, self.payoff, c, self.p, self.tilde,
+                            "model")
+
+    @np.errstate(all="ignore")
+    def guess(self, t):
+        """(c, lo, hi) per target of t: the model's solution in the bracket
+        (lo, hi] of knots whose model values hold it, the first knot that
+        meets the target its hi; c = inf where no knot meets it."""
+        t = np.asarray(t, dtype=float)
+        key = self.at if self.increasing else -self.at
+        k = np.searchsorted(key, t if self.increasing else -t)
+        found = k < self.knots.size
+        k = np.minimum(k, self.knots.size - 1)
+        hi = self.knots[k]
+        lo = np.where(k > 0, self.knots[k - 1], 0.0)
+        # the start: ln c as a cubic in ln value through the bracket's ends,
+        # with their slopes (Hermite), where it falls inside the bracket
+        v0, v1 = self.at[k - 1], self.at[k]
+        y0 = np.log(v0)
+        w = np.log(v1) - y0
+        s = (np.log(t) - y0) / w
+        start = np.exp(
+            (2.0 * s + 1.0) * (s - 1.0) ** 2 * np.log(lo)
+            + s * s * (3.0 - 2.0 * s) * np.log(hi)
+            + s * w * ((s - 1.0) ** 2 * v0 / self.slope[k - 1]
+                       + s * (s - 1.0) * v1 / self.slope[k]))
+        start = np.where((start > lo) & (start <= hi), start, hi)
+        c = np.full(t.size, math.inf)
+        # the model's last step, of 1e-7 at most, leaves it 1e-14 off
+        c[found] = _newton(self.model, t[found], self.increasing,
+                           start[found], lo[found], hi[found], 100, 1e-7)[3]
+        return c, lo, hi
+
+
+@functools.lru_cache(maxsize=256)
+def _held_side_table(payoff: Payoff, params: MarketParams, loss: LossSpec,
+                     side: int, rel_tol: float,
+                     max_rounds: int) -> _SideTable:
+    return _SideTable(payoff, params, loss, side)
+
+
+def _side_table(payoff: Payoff, params: MarketParams, loss: LossSpec,
+                side: int) -> _SideTable:
+    """The _SideTable of one side of a contract, held as its tables are,
+    under the accept rule of this call."""
+    return _held_side_table(payoff, params, loss, side, quad._REL_TOL,
+                            quad._MAX_ROUNDS)
 
 
 # ---------------------------------------------------------------------------
@@ -1091,9 +1438,10 @@ def _sign_guard_power(payoff: Payoff, ctx: _Ctx, p: float):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _psi_side(payoff: Payoff, params: MarketParams, loss: LossSpec, c,
-              side: int, trunc_sd: float = TRUNC_SD):
+              side: int, trunc_sd: float = TRUNC_SD, slope: bool = False):
     """(values, errs) of Psi1 (side=1) or Psi2 (side=2) by quadrature, as
-    arrays over the 1-d array of c.
+    arrays over the 1-d array of c; slope adds dPsi/d ln c at each c, on
+    the sides of _table_sides only, read with the values.
 
     The one closed-form Psi entry point: the solver reads one side at all
     the c's of a step, and psi_linear / psi_power call it at one c, once
@@ -1109,29 +1457,32 @@ def _psi_side(payoff: Payoff, params: MarketParams, loss: LossSpec, c,
         raise UnsupportedClosedFormError(
             "custom payoffs have no closed-form Psi; use psi_mc")
     ctx = _make_ctx(payoff, params, trunc_sd)
+    how = "slope" if slope else None
     if loss.kind == LINEAR:
-        v, e = _closed_side(ctx, payoff, c, None, side == 2)
+        v, e, *s = _closed_side(ctx, payoff, c, None, side == 2, how)
         bad = ~(np.isfinite(v) & np.isfinite(e))
         if bad.any():
             raise HeavyTailError(
                 f"Psi{side} at c = {_fmt_c(c[bad])}: a payoff term overflows")
-        return np.maximum(v, 0.0), e
+        return (np.maximum(v, 0.0), e, *s)
     _sign_guard_power(payoff, ctx, loss.p)
-    v, e = np.zeros(c.size), np.zeros(c.size)
+    v, e, s = np.zeros(c.size), np.zeros(c.size), np.zeros(c.size)
     at0 = c == 0.0
     if side == 2 and at0.any():
         v[at0], e[at0] = _closed_side(ctx, payoff, c[at0], None, True)
     # Psi1(0) = 0 and Psi2(inf) = 0: A_0 is everything, A_inf empty
     rest = ~at0 if side == 1 else ~at0 & (c < math.inf)
     if rest.any():
-        v[rest], e[rest] = _closed_side(ctx, payoff, c[rest], loss.p,
-                                        side == 2)
+        got = _closed_side(ctx, payoff, c[rest], loss.p, side == 2, how)
+        v[rest], e[rest] = got[:2]
+        if slope:
+            s[rest] = got[2]
         bad = ~(np.isfinite(v) & np.isfinite(e))
         if bad.any():
             raise HeavyTailError(
                 f"Psi{side} at p = {loss.p!r}, c = {_fmt_c(c[bad])}: a "
                 "power-loss term overflows")
-    return np.maximum(v, 0.0), e
+    return (np.maximum(v, 0.0), e) + ((s,) if slope else ())
 
 
 def _fmt_c(c) -> str:

@@ -10,11 +10,21 @@ region parameter c:
               then cost = e^{-rT} Psi2(c)
 
 Psi2 and linear Psi1 are nonincreasing in c, power Psi1 nondecreasing, so
-each equation is solved on a sign predicate: the answer is the infimum of
-the c's where Psi reaches the target, and a check that the value read
-there is the target within max(tol, 8 err) ends the solve (_checked).
+each equation is solved on a sign predicate: the answer is the least c
+where Psi reaches the target, and a check that the value read there is
+the target within max(tol, 8 err) ends the solve (_checked).
 
-By quadrature (_bisect) the predicate is solved in u = ln c: a walk from
+By quadrature the sides that read held tables (psi._table_sides: every
+linear side but the Outperformance's, both Digital power sides and
+Spread/power Psi1) invert on them (_Evaluator.invert, by _invert): a
+search over the knots of the side's held interpolant and Newton's method
+on it give a first c (psi._SideTable.guess), and Newton's method in ln c
+on exact reads, each with its slope dPsi/d ln c, ends at the c read last
+once a step is at most 1e-13 (psi._newton).  A warm solve so reads the
+inverted side once or twice, and a curve steps all its targets in
+lockstep, one read per step.
+
+The other sides are solved by a walk (_bisect) in u = ln c: a walk from
 c = 1 finds a bracket, _GRID_LEVELS = 4 bisection steps narrow it to 1/16,
 and Chandrupatla's (1997) derivative-free hybrid of inverse quadratic
 interpolation and bisection closes it; where the function is flat at the
@@ -26,20 +36,18 @@ at the answer, so a solve reads each c once.  The solve functions take a
 grid of inputs and drive the points' generators in lockstep (_bisect),
 answering them from a memo of the Psi values read so far.
 
-A read takes each running c that the memo lacks with the rest of its block
-(_BLOCKS, data built once from _walk and _grid): the c's that a solve reads
-before its Chandrupatla steps fall into fixed blocks of 15 c's at most --
-c = 0 and 1 with the walk's first 13 steps both ways, the walk's later
-steps two at a time, the grid of each walk bracket -- and a Chandrupatla
-step's c, in no block, is read alone.  A lone solve's first read so takes
-the walk up to 2^7 and down to 2^-6, and its first bisection step the
-whole grid of its bracket.  A Psi value does not depend on its batch, so
-the blocks only choose which c's are read together: every point runs the
-same steps, with the same values, as it does alone.  On the desk contracts
-a contract's first solve so integrates Psi 7-11 times, 35-41 c's in all,
-the read of the other side at the answer included, and a first 21-point
-curve 9-16 times.  phi1 and phi2 solve a grid of one point; a curve
-solves its whole grid at once, on one thread.
+A walk's read takes each running c that the memo lacks with the rest of
+its block (_BLOCKS, data built once from _UPS, _DOWNS and _grid): the c's
+that a solve reads before its Chandrupatla steps fall into fixed blocks of
+15 c's at most -- c = 0 and 1 with the walk's first 13 steps both ways,
+the walk's later steps two at a time, the grid of each walk bracket -- and
+a Chandrupatla step's c, in no block, is read alone.  A lone solve's first
+read so takes the walk up to 2^7 and down to 2^-6, and its first
+bisection step the whole grid of its bracket.  A Psi value does not
+depend on its batch, so the blocks only choose which c's are read
+together: every point runs the same steps, with the same values, as it
+does alone.  phi1 and phi2 solve a grid of one point; a curve solves its
+whole grid at once, on one thread.
 
 Named payoffs evaluate Psi by quadrature; Custom payoffs, and power-loss
 cases whose closed-form sign condition fails, fall back to the Monte Carlo
@@ -55,18 +63,17 @@ target.  A solve so makes two table reads, the inversion and the other
 side at the answer, and its check takes a tolerance of 1e-7 max(1, scale):
 a target that a step of the table jumps raises InfeasibleInversionError.
 
-By quadrature the solver holds, per contract, the Psi values of each side
+For its walks the solver holds, per contract, the Psi values of each side
 at the 515 c's of _HELD_CS, the blocks' c's, as they are read (_held, an
 lru_cache of 256 contracts as _edges is), and a read integrates only the
-c's it lacks.  _HELD_CS is every c that a solve reads before its
+c's it lacks.  _HELD_CS is every c that a walk reads before its
 Chandrupatla steps: 0, inf, 1, the walk's 32 powers of 2, and the grid of
 15 midpoints that the four bisection steps can read in each of the 32 walk
 brackets.  A Psi value does not depend on its batch, so a held value is
-the one a new read would give.  A contract's later solves so integrate
+the one a new read would give.  A contract's later walks so integrate
 only the c's of their Chandrupatla steps, which start from a bracket 1/16
 of the walk's with an interpolation point in hand, and the other side at
-the answer: 5-7 reads of one c each, and a repeated 21-point curve 7-11
-reads.
+the answer: 5-7 reads of one c each.
 """
 
 from __future__ import annotations
@@ -84,8 +91,9 @@ from .errors import (AssumptionViolatedError, HeavyTailError,
 from .market import MarketParams, _real
 from .mc import McConfig, _check_mc
 from .payoffs import CUSTOM, Payoff
-from .psi import (LINEAR, POWER, LossSpec, _make_ctx, _mc_table, _on_table,
-                  _psi_side, _sign_guard_power)
+from .psi import (LINEAR, POWER, LossSpec, _make_ctx, _mc_table, _newton,
+                  _on_table, _psi_side, _side_table, _sign_guard_power,
+                  _table_sides)
 
 _FALLBACK_MC = McConfig(n_paths=200_000, seed=1729)
 _EDGE_TOL = 1e-9
@@ -143,7 +151,8 @@ class _Evaluator:
     On the MC route it reads psi._mc_table's table, one seeded sample that
     the engine holds after the solve for the next call on the same
     contract: mc for a Custom payoff, else (or where mc is None)
-    _FALLBACK_MC; _invert inverts that table.
+    _FALLBACK_MC.  invert inverts that table, and by quadrature each side
+    of psi._table_sides on its own tables; _bisect solves the others.
     """
 
     def __init__(self, payoff: Payoff, params: MarketParams, loss: LossSpec,
@@ -173,6 +182,41 @@ class _Evaluator:
         v, e = np.array([held[ci] if ci in held else got[ci] for ci in cs],
                         dtype=float).reshape(-1, 2).T
         return v, e
+
+    def inverts(self, side: int) -> bool:
+        """Whether invert solves side: the Monte Carlo table's both, by
+        quadrature the sides that read held tables."""
+        p = self.loss.p if self.loss.kind == POWER else None
+        return (self.method == METHOD_MC
+                or side in _table_sides(self.payoff.kind, p))
+
+    def invert(self, targets, side: int):
+        """(c, Psi_side(c), err) at the answer to each target of a list, c
+        inf where no float c meets it.
+
+        The Monte Carlo table inverts itself exactly (psi._McTable.invert):
+        the least float c that meets the target.  A quadrature table side
+        (psi._SideTable) finds each target on the model of its held node
+        values, knots and all, and psi._newton then steps on exact reads,
+        _psi_side with the slope dPsi/d ln c that each read returns, until
+        a step in ln c is 1e-13 at most.  A target that c = 0 meets answers
+        c = 0, with the read there that the table holds."""
+        if self.method == METHOD_MC:
+            return self._table.invert(targets, side)
+        t = np.asarray(targets, dtype=float)
+        table = _side_table(self.payoff, self.params, self.loss, side)
+        at0 = table.v0 >= t if table.increasing else table.v0 <= t
+        c, lo, hi = table.guess(t)
+        got = np.array([np.where(at0, 0.0, c), np.full(t.size, table.v0),
+                        np.full(t.size, table.e0)])
+        run = ~at0 & (c < math.inf)
+        if run.any():
+            got[:, run] = _newton(
+                lambda cs: _psi_side(self.payoff, self.params, self.loss, cs,
+                                     side, slope=True),
+                t[run], table.increasing, c[run], lo[run], hi[run],
+                _MAX_STEPS)[:3]
+        return tuple(got)
 
 
 def _split(call, keys, width: int) -> dict:
@@ -327,19 +371,20 @@ def _blocks() -> dict:
     between consecutive walk c's has its grid (_grid) as one block, and the
     edges' c = inf is alone.
     """
-    ups, downs = _walk(True), _walk(False)
-    both = [c for pair in zip(ups, downs) for c in pair]
+    both = [c for pair in zip(_UPS, _DOWNS) for c in pair]
     first = ([0.0, 1.0] + both)[:2 ** _GRID_LEVELS - 1]
     blocks = [first, [math.inf]]
-    for walk in (ups, downs):
+    for walk in (_UPS, _DOWNS):
         rest = [c for c in walk if c not in first]
         blocks += [rest[i:i + 2] for i in range(0, len(rest), 2)]
-    ups, downs = [1.0] + ups, [1.0] + downs
+    ups, downs = [1.0] + _UPS, [1.0] + _DOWNS
     for lo, hi in list(zip(ups, ups[1:])) + list(zip(downs[1:], downs)):
         blocks.append(_grid(lo, hi, _GRID_LEVELS))
     return {c: tuple(block) for block in blocks for c in block}
 
 
+# the walk's c's up and down from c = 1, read by every _predicate_bisection
+_UPS, _DOWNS = _walk(True), _walk(False)
 _BLOCKS = _blocks()
 # the c's whose quadrature values each contract holds (_held)
 _HELD_CS = frozenset(_BLOCKS)
@@ -426,22 +471,21 @@ def _predicate_bisection(side: int, target: float, increasing: bool,
     def checked(hi: _Point):
         return _checked(side, target, tol, hi.c, hi.v, hi.err)
 
-    ups, downs = _walk(True), _walk(False)
     v, err = yield 0.0
     if point(0.0, v, err).f >= 0.0:
         return 0.0, v, err
     last = point(1.0, *(yield 1.0))
-    walk = ups if last.f < 0.0 else downs
+    walk = _UPS if last.f < 0.0 else _DOWNS
     for c in walk:
         a = point(c, *(yield c))
         if (a.f < 0.0) != (last.f < 0.0):
             break
         last = a
     else:
-        if walk is ups:
+        if walk is _UPS:
             raise InfeasibleInversionError(
                 f"could not bracket the Psi{side} inversion target "
-                f"{target!r} within {len(ups)} walk steps up to "
+                f"{target!r} within {len(_UPS)} walk steps up to "
                 f"c = {last.c!r}")
         return checked(last)
     b, third = last, None
@@ -503,14 +547,16 @@ def _bisect(ev: _Evaluator, side: int, targets: dict, scale: float,
 
 def _invert(ev: _Evaluator, side: int, targets: dict, scale: float,
             out: list) -> dict:
-    """_bisect's result on the Monte Carlo route, where Psi_side is a step
-    function of the table's sorted keys: the table inverts every target at
-    once, exactly (psi._McTable.invert), and _checked ends each solve at a
-    tolerance of 1e-7 max(1, scale).  A failing inversion is split as
-    _split splits it, so that only the targets whose own search fails
-    record its error."""
-    tol = 1e-7 * max(1.0, scale)
-    got = _split(lambda ts: ev._table.invert(ts, side), targets.values(), 3)
+    """_bisect's result where the side is a table (_Evaluator.inverts):
+    the table inverts every target at once (_Evaluator.invert), and
+    _checked ends each solve at a tolerance of max(1, scale) times
+    SolveConfig's by quadrature, 1e-7 on the Monte Carlo route, where
+    Psi_side is a step function of the table's sorted keys.  A failing
+    inversion is split as _split splits it, so that only the targets whose
+    own solve fails record its error."""
+    tol = (1e-7 if ev.method == METHOD_MC
+           else SolveConfig.abs_tol_target) * max(1.0, scale)
+    got = _split(lambda ts: ev.invert(ts, side), targets.values(), 3)
     solved = {}
     for i, target in targets.items():
         c, v, err, failed = got[target]
@@ -564,7 +610,7 @@ def _phi1_impl(payoff: Payoff, params: MarketParams, loss: LossSpec, xs,
         if todo:
             ev = _Evaluator(payoff, params, loss, mc)
             growth = math.exp(params.r * params.T)
-            solve = _invert if ev.method == METHOD_MC else _bisect
+            solve = _invert if ev.inverts(2) else _bisect
             solved = solve(ev, 2, {i: growth * x for i, x in todo.items()},
                            growth * p_h, out)
             got = _read(ev, sorted(c for c, _v, _e in solved.values()), 1)
@@ -629,7 +675,7 @@ def _phi2_impl(payoff: Payoff, params: MarketParams, loss: LossSpec, vs,
             ev = _Evaluator(payoff, params, loss, mc)
             targets = {i: psi1_edge - v if loss.kind == LINEAR else v
                        for i, v in todo.items()}
-            solve = _invert if ev.method == METHOD_MC else _bisect
+            solve = _invert if ev.inverts(1) else _bisect
             solved = solve(ev, 1, targets, psi1_edge, out)
             got = _read(ev, sorted(c for c, _v, _e in solved.values()), 2)
             for i, (c, _v1, _e1) in solved.items():

@@ -532,6 +532,29 @@ def test_quanto_foreign_psi1_within_its_error_of_a_tight_rerun(monkeypatch):
     assert (again[0][0], again[1][0]) == (v, err)
 
 
+@pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
+def test_outperformance_power_sides_within_their_err_of_a_tight_rerun(
+        p, monkeypatch):
+    # each region's power integrand kinks at its corner, where the inner
+    # limit v(o) of A_c meets the cap, and right of it v has the payoff's
+    # root at the corner's distance (psi._Corner).  Split there, and taken
+    # in w = ln F right of it, both sides at 29 c's lie within their err of
+    # a rerun at a 1e-13 tolerance from 64 initial panels (and rounding);
+    # a region integrated whole missed it by up to 2e7 errs on 2-5 of them
+    params = desk_params(-0.5)
+    payoff = Payoff(OUTPERFORMANCE, 100.0)
+    loss = LossSpec(POWER, p)
+    cs = np.exp(np.linspace(-6.0, 8.0, 29))
+    for side in (1, 2):
+        got, err = psi_mod._psi_side(payoff, params, loss, cs, side)
+        with monkeypatch.context() as patch:
+            patch.setattr(quad_mod, "_REL_TOL", 1e-13)
+            patch.setattr(quad_mod, "_INITIAL_PANELS", 64)
+            ref, _err = psi_mod._psi_side(payoff, params, loss, cs, side)
+        for c, v, e, r in zip(cs, got, err, ref):
+            assert abs(v - r) <= e + 1e-14 * abs(r), (side, c, v, r, e)
+
+
 # the sides read from the tail tables: every linear side but the
 # Outperformance's, and the Digital under power loss
 _TABLE_CASES = [(payoff, loss) for payoff in DESK_PAYOFFS

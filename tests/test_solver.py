@@ -358,32 +358,45 @@ def test_curve_psi_failures_stay_per_point(monkeypatch, fresh_held):
 
 
 def test_curve_reads_psi_once_per_lockstep_step(monkeypatch, fresh_held):
-    # 21 points share every step: 14 reads, not 21 solves of 7 each
+    # 21 points share every step, not 21 solves of their own: on a table
+    # side (QuantoForeign/linear Psi1) the Newton steps on exact reads take
+    # 2 reads of all running points at most, and the other side at the
+    # answers one more; a walk (QuantoDomestic/power Psi1) 14 reads in all
     params = desk_params()
-    payoff = Payoff(QUANTO_FOREIGN, 9500.0)
-    top = _edges(payoff, params, LIN, None)[0]
-    price(payoff, params)
-    calls = []
-    real = solver._psi_side
+    for payoff, loss, table in ((Payoff(QUANTO_FOREIGN, 9500.0), LIN, True),
+                                (Payoff(QUANTO_DOMESTIC, 100.0), P2, False)):
+        assert solver._Evaluator(payoff, params, loss,
+                                 None).inverts(1) == table
+        top = _edges(payoff, params, loss, None)[0]
+        price(payoff, params)
+        calls = []
+        real = solver._psi_side
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("slope", False))
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "_psi_side", counting)
-    rc = curve(payoff, params, LIN, "phi2", list(np.linspace(0.0, 0.95, 21)
-                                                  * top))
-    assert all(p.error is None for p in rc.points)
-    assert len(calls) <= 16
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_psi_side", counting)
+            rc = curve(payoff, params, loss, "phi2",
+                       list(np.linspace(0.0, 0.95, 21) * top))
+        assert all(p.error is None for p in rc.points)
+        if table:
+            assert 1 <= sum(calls) <= 2 and len(calls) - sum(calls) <= 2
+        else:
+            assert not any(calls) and len(calls) <= 16
 
 
 @pytest.mark.parametrize("loss", (LIN, P2), ids=lambda l: l.kind)
 @pytest.mark.parametrize("payoff", DESK_PAYOFFS, ids=lambda p: p.kind)
 def test_one_point_solve_reads_each_c_once(payoff, loss, monkeypatch,
                                            fresh_held):
-    # the check at the answer uses the value its steps already read, and a
-    # single solve reads up to 15 c's that its next steps may compute
+    # the check at the answer uses the value its steps already read.  A
+    # walk reads up to 15 c's at once that its next steps may compute; a
+    # table side (_Evaluator.inverts) reads its Newton steps' c's alone,
+    # with their slopes, 2 at most, and c = 0 from its table
     params = desk_params()
+    ev = solver._Evaluator(payoff, params, loss, None)
     # the cached price and edges, filled under the solver's own cache keys
     p_h = price(payoff, params, None)
     edge = _edges(payoff, params, loss, None)[0]
@@ -399,17 +412,23 @@ def test_one_point_solve_reads_each_c_once(payoff, loss, monkeypatch,
         reads.clear()
         solve(payoff, params, loss, 0.5 * top)
         cs = [c for s, batch in reads if s == side for c in batch]
-        assert len(cs) > 2 and len(set(cs)) == len(cs)
-        assert len(reads) <= 9
-        assert all(len(batch) <= 15 for _s, batch in reads)
+        assert len(set(cs)) == len(cs)
+        if ev.inverts(side):
+            assert 1 <= len(cs) <= 2
+            assert all(len(batch) == 1 for _s, batch in reads)
+        else:
+            assert len(cs) > 2 and len(reads) <= 9
+            assert all(len(batch) <= 15 for _s, batch in reads)
 
 
 @pytest.mark.parametrize("rho", (-0.5, 0.6))
 def test_quadrature_reads_step_cs_and_held_cs_only(rho, monkeypatch,
                                                     fresh_held):
-    # by quadrature a read takes the c's the running steps read and, ahead
-    # of the steps, only c's of their blocks, which every contract holds:
-    # cold and warm round trips integrate no c outside those two sets
+    # by quadrature a read takes the c's the running steps read, a walk's
+    # (its generator's) or a table side's (its Newton steps', read with
+    # their slopes), and, ahead of a walk's steps, only c's of their
+    # blocks, which every contract holds: cold and warm round trips
+    # integrate no c outside those two sets
     params = desk_params(rho=rho)
     stepped, integrated = set(), []
     real_solve, real_side = solver._predicate_bisection, solver._psi_side
@@ -426,7 +445,8 @@ def test_quadrature_reads_step_cs_and_held_cs_only(rho, monkeypatch,
             return done.value
 
     def counting(payoff, params, loss, c, side, *args, **kwargs):
-        integrated.extend(np.atleast_1d(c).tolist())
+        (stepped.update if kwargs.get("slope") else integrated.extend)(
+            np.atleast_1d(c).tolist())
         return real_side(payoff, params, loss, c, side, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_predicate_bisection", recording)
@@ -454,12 +474,13 @@ BASKET = Payoff(CUSTOM, custom_eval=lambda s1, s2:
 @pytest.mark.parametrize("payoff", DESK_PAYOFFS + (BASKET,),
                          ids=lambda p: p.kind)
 def test_read_ahead_keeps_every_bit(payoff, loss, monkeypatch):
-    # a read takes the rest of each new c's block, c's that the solve's own
-    # steps may compute, and changes no value it sees: with one-c blocks
-    # (the block table emptied) the solves run the same steps and give the
-    # same tuples.  The Monte Carlo route reads no blocks: its 11-point
-    # curve, whose targets the table inverts in one search, gives each
-    # point the tuple of its one-point solve.
+    # a walk's read takes the rest of each new c's block, c's that the
+    # solve's own steps may compute, and changes no value it sees: with
+    # one-c blocks (the block table emptied) the solves run the same steps
+    # and give the same tuples.  A table side reads no blocks, so that its
+    # solves give the same tuples too.  The Monte Carlo route reads no
+    # blocks: its 11-point curve, whose targets the table inverts in one
+    # search, gives each point the tuple of its one-point solve.
     params = desk_params()
     mc = McConfig(20_000, seed=3) if payoff.kind == CUSTOM else None
     p_h = price(payoff, params, mc)
@@ -525,7 +546,8 @@ def test_walk_values_are_integrated_once_per_contract(loss, monkeypatch,
 
 def test_threads_share_the_held_walk(fresh_held):
     # phi1 and phi2 solves on 4 threads fill one contract's held values at
-    # once, the walk and its brackets' grids: each returns the serial bits
+    # once, the walk and its brackets' grids, and build its side tables
+    # (psi._SideTable) at once: each returns the serial bits
     params = desk_params()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -541,6 +563,7 @@ def test_threads_share_the_held_walk(fresh_held):
                            for v in vs]
                 for _ in range(2):
                     fresh_held()
+                    psi._held_side_table.cache_clear()
                     futures = [pool.submit(_phi1_impl, payoff, params, loss,
                                            [x], None) for x in xs]
                     futures += [pool.submit(_phi2_impl, payoff, params, loss,
@@ -575,11 +598,15 @@ def test_held_grid_keeps_every_bit(k, u, shift):
 
 def test_held_values_lie_on_the_precomputed_cs(fresh_held):
     # c = 0, inf and 1, the walk's 16 c's each way, and the 15 midpoints
-    # of the four-level grid of each of the 32 walk brackets
+    # of the four-level grid of each of the 32 walk brackets, on the
+    # contracts whose Psi2 a walk inverts
     assert len(solver._HELD_CS) == 3 + 2 * 16 + 32 * 15
     params = desk_params()
     walk = {0.0, math.inf, 1.0, *solver._walk(True), *solver._walk(False)}
-    for payoff, loss in DESK_CONTRACTS[:4]:
+    walks = [(payoff, loss) for payoff, loss in DESK_CONTRACTS
+             if not solver._Evaluator(payoff, params, loss, None).inverts(2)]
+    assert len(walks) == 5
+    for payoff, loss in walks:
         p_h = price(payoff, params)
         rc = curve(payoff, params, loss, "phi1",
                    list(np.linspace(0.0, 0.95, 5) * p_h))
@@ -594,9 +621,10 @@ def test_second_solve_in_a_bracket_reads_none_of_its_grid(monkeypatch,
                                                           fresh_held):
     # the first phi1 in a walk bracket reads its grid in one read; a
     # second phi1 in that bracket takes the grid from the held values and
-    # integrates only the c's of its own closing steps
+    # integrates only the c's of its own closing steps (Outperformance/
+    # linear, whose Psi2 a walk inverts)
     params = desk_params()
-    payoff = Payoff(QUANTO_DOMESTIC, 100.0)
+    payoff = Payoff(OUTPERFORMANCE, 100.0)
     p_h = price(payoff, params)
     c1 = phi1(payoff, params, LIN, 0.5 * p_h)[1]
     lo = 2.0 ** math.floor(math.log2(c1))
@@ -650,8 +678,9 @@ def test_a_failing_read_is_halved(at, monkeypatch, fresh_held):
 
 def test_read_ahead_failures_stay_unseen(monkeypatch, fresh_held):
     # a read-ahead c that fails raises only in a solve that reaches it
+    # (Outperformance/linear, whose Psi2 a walk inverts)
     params = desk_params()
-    payoff = Payoff(QUANTO_DOMESTIC, 100.0)
+    payoff = Payoff(OUTPERFORMANCE, 100.0)
     x = 0.5 * price(payoff, params)
     clean = _phi1_impl(payoff, params, LIN, [x], None)
     c = clean[0][1]
@@ -719,9 +748,10 @@ def test_root_far_below_one_solves():
 def test_jump_at_zero_is_infeasible_at_the_walk_floor(monkeypatch, fresh_held):
     # a Psi2 that jumps at c = 0+ is never bracketed: the walk down from
     # c = 1 ends at its floor, the smallest normal float, and the check
-    # there rejects the target
+    # there rejects the target (Outperformance/linear, whose Psi2 a walk
+    # inverts)
     params = desk_params()
-    payoff = Payoff(QUANTO_DOMESTIC, 100.0)
+    payoff = Payoff(OUTPERFORMANCE, 100.0)
     p_h = price(payoff, params)
     _edges(payoff, params, LIN, None)
     # _edges held real values at c = 0: clear them, so that the stand-in
@@ -739,6 +769,31 @@ def test_jump_at_zero_is_infeasible_at_the_walk_floor(monkeypatch, fresh_held):
     with pytest.raises(InfeasibleInversionError):
         phi1(payoff, params, LIN, 0.5 * p_h)
     assert min(c for c in reads if c > 0.0) == sys.float_info.min
+
+
+def test_jump_at_zero_is_infeasible_on_a_table_side(monkeypatch, fresh_held):
+    # a QuantoDomestic/linear Psi2 that jumps at c = 0+ and is flat after:
+    # the Newton steps, with no slope, halve the bracket of knots that the
+    # held model finds until it closes, and the check at its right end
+    # rejects the target
+    params = desk_params()
+    payoff = Payoff(QUANTO_DOMESTIC, 100.0)
+    p_h = price(payoff, params)
+    _edges(payoff, params, LIN, None)
+    fresh_held()
+    full = math.exp(params.r * params.T) * p_h
+    reads = []
+
+    def jump(payoff, params, loss, c, side, *args, slope=False, **kwargs):
+        c = np.asarray(c, dtype=float)
+        reads.extend(c.tolist())
+        got = np.where(c == 0.0, full, 0.25 * full), np.zeros_like(c)
+        return got + (np.zeros_like(c),) if slope else got
+
+    monkeypatch.setattr(solver, "_psi_side", jump)
+    with pytest.raises(InfeasibleInversionError, match="cannot reach"):
+        phi1(payoff, params, LIN, 0.5 * p_h)
+    assert 2 < len(reads) <= solver._MAX_STEPS + 1
 
 
 def test_root_below_2_to_the_minus_200_solves():
@@ -785,6 +840,77 @@ def test_solves_match_a_plain_ln_c_bisection(payoff, loss, rho):
         assert abs(risk - ref) <= err + tol
 
 
+def _table_solves():
+    """(rho, payoff, loss, kind) of the desk solves that invert a table
+    side by quadrature (_Evaluator.inverts)."""
+    cases = []
+    for rho in (-0.5, 0.6):
+        params = desk_params(rho=rho)
+        for payoff, loss in DESK_CONTRACTS:
+            ev = solver._Evaluator(payoff, params, loss, None)
+            cases += [(rho, payoff, loss, kind)
+                      for kind, side in (("phi1", 2), ("phi2", 1))
+                      if ev.method == solver.METHOD_QUAD and ev.inverts(side)]
+    return cases
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=st.sampled_from(_table_solves()), f=st.floats(0.02, 0.98))
+def test_table_sides_invert_on_their_tables(case, f):
+    # a table side finds its target on the model of its held node values
+    # and then steps on exact reads: a warm solve reads the inverted side
+    # once or twice, its c lies within 2e-13 of a plain bisection in ln c
+    # on the same reads, Phi within its err and the tolerance of the value
+    # there, and a curve's point is its one-point solve
+    rho, payoff, loss, kind = case
+    params = desk_params(rho=rho)
+    p_h = price(payoff, params)
+    edge = _edges(payoff, params, loss, None)[0]
+    side, impl, top = ((2, _phi1_impl, p_h) if kind == "phi1"
+                       else (1, _phi2_impl, edge))
+    ev = solver._Evaluator(payoff, params, loss, None)
+    impl(payoff, params, loss, [0.5 * top], None)
+    reads = []
+    real = solver._psi_side
+
+    def counting(payoff, params, loss, c, side, *args, **kwargs):
+        reads.append(side)
+        return real(payoff, params, loss, c, side, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_psi_side", counting)
+        got = _one(impl(payoff, params, loss, [f * top], None))
+    assert 1 <= reads.count(side) <= 2
+    value, c, err = got[:3]
+
+    def psi_at(s):
+        def read(c):
+            (v,), (e,) = ev.side(np.array([c]), s)
+            return float(v), float(e)
+        return read
+
+    growth = math.exp(params.r * params.T)
+    if kind == "phi1":
+        target, increasing = growth * f * p_h, False
+    else:
+        target = edge - f * edge if loss.kind == LINEAR else f * edge
+        increasing = loss.kind == POWER
+    c_ref = ln_c_bisection(psi_at(side), target, increasing)[0]
+    assert abs(c - c_ref) <= 2e-13 * c_ref
+    if kind == "phi1":
+        v1 = psi_at(1)(c_ref)[0]
+        ref = max(edge - v1, 0.0) if loss.kind == LINEAR else v1
+        scale = edge
+    else:
+        ref = psi_at(2)(c_ref)[0] / growth
+        scale = p_h
+    assert abs(value - ref) <= err + 1e-9 * max(1.0, scale)
+    grid = sorted({0.5 * top, f * top})
+    pts = curve(payoff, params, loss, kind, grid).points
+    pt = pts[grid.index(f * top)]
+    assert (pt.value, pt.c, pt.err_estimate) == (value, c, err)
+
+
 def test_heavy_tail_rejected():
     # Outperformance/linear stays on its region side, whose 10 and 12 sd
     # boxes disagree at sigma1 = 6 (0.00323 vs 112.01).  QuantoDomestic at
@@ -794,14 +920,13 @@ def test_heavy_tail_rejected():
         price(Payoff(OUTPERFORMANCE, 100.0), params)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 2: Outperformance/power Psi2 moves by 1.27e-6 between "
-    "two c's 6e-6 apart while Psi1 barely moves, so a round trip misses"))
 def test_outperformance_power_round_trip_of_the_benchmark():
-    # desk-quad at seed 1, op 5088: phi2(phi1(x)) returns 5.651597132059019,
-    # 1.24e-6 off, against the benchmark's tolerance of 2e-8.  Psi1 reads
-    # 144.8944738611416 at c2 = 29.320259733245678 and 144.8944738611327
-    # at c1 = 29.320265832840054, where Phi1' = -c e^rT asks for 3.7e-5
+    # desk-quad at seed 1, op 5088: phi2(phi1(x)) returned 5.651597132059019,
+    # 1.24e-6 off, against the benchmark's tolerance of 2e-8, while each
+    # region's integrand kinked inside a panel at its corner (psi._Corner).
+    # Psi1 read 144.8944738611416 at c2 = 29.320259733245678 and
+    # 144.8944738611327 at c1 = 29.320265832840054, where Phi1' = -c e^rT
+    # asks for 3.7e-5
     params = desk_params(-0.5)
     payoff = Payoff(OUTPERFORMANCE, 100.0)
     x = 5.6515958919096585
@@ -810,15 +935,19 @@ def test_outperformance_power_round_trip_of_the_benchmark():
     assert abs(cost - x) <= 2e-8
 
 
-@pytest.mark.xfail(strict=True, raises=InfeasibleInversionError, reason=(
-    "ROADMAP item 2: Outperformance/power Psi1 steps by 3.6e-4 over "
-    "dc = 1e-11 near c = 118.498, against an err of 1.9e-7"))
 def test_outperformance_power_phi2_of_the_curve_book():
-    # curve-book at seed 2, op 767: Psi1(118.49806597237159) =
-    # 432.09057571827907 and Psi1(118.498065972382) = 432.09093852454225,
-    # so phi2 at a v between closes its bracket across the step
+    # curve-book at seed 2, op 767: Psi1(118.49806597237159) read
+    # 432.09057571827907 and Psi1(118.498065972382) 432.09093852454225, a
+    # step of 3.6e-4 against an err of 1.9e-7 where the corner fell inside
+    # a panel, so phi2 at a v between closed its bracket across the step.
+    # Both c's now read the same value within its err
     params = desk_params(-0.5)
-    phi2(Payoff(OUTPERFORMANCE, 100.0), params, P2, 432.090694075)
+    payoff = Payoff(OUTPERFORMANCE, 100.0)
+    (v1, v2), (e1, e2) = psi._psi_side(
+        payoff, params, P2, [118.49806597237159, 118.498065972382], 1)
+    assert abs(v1 - v2) <= e1 + e2
+    cost, c = phi2(payoff, params, P2, 432.090694075)
+    assert 0.0 < cost and 118.0 < c < 119.0
 
 
 def test_solve_config_is_a_constant():
