@@ -19,7 +19,9 @@ Most rounds refine only the one or two panels of an interval that hold a
 kink, so an integrand call costs its fixed numpy overhead more than its
 points: each call also evaluates the children of its panels ahead of the
 next round (integrate_batch).  Every integrand is elementwise, so a value
-does not depend on the batch it is read in.
+does not depend on the batch it is read in.  An integrand may return a
+second row, a Psi side's slope in ln c, summed on the panels that its
+first row accepts.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ _LEVELS = 2
 _CALL_POINTS = 3000
 
 
-def integrate_batch(f, lo, hi):
+def integrate_batch(f, lo, hi, slope: bool = False):
     """Integrate f over each [lo[i], hi[i]] with per-panel adaptive G7/K15.
 
     f(x, ids) receives a flat array of abscissae and the interval index of
@@ -86,6 +88,12 @@ def integrate_batch(f, lo, hi):
     differences (a conservative bound for smooth integrands).  Raises
     HeavyTailError on the first non-finite integrand value of a panel that
     the refinement evaluates.
+
+    With slope, f returns two rows, the integrand and a second integrand
+    (a Psi side's dPsi/d ln c), and a third array is returned: the K15
+    sums of the second row over the panels that the first row accepts.
+    The first row alone decides acceptance and errors, so that a value
+    and its error are the same bits with or without the second row.
 
     An interval's value and error are the same bits whatever other
     intervals share the call: its panels, their acceptance and the order
@@ -101,12 +109,12 @@ def integrate_batch(f, lo, hi):
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     n = lo.size
-    vals = np.zeros(n)
-    errs = np.zeros(n)
+    vals, errs, slopes = np.zeros(n), np.zeros(n), np.zeros(n)
+    out = (vals, errs, slopes) if slope else (vals, errs)
     width = hi - lo
     live = width > 0
     if not live.any():
-        return vals, errs
+        return out
 
     idx_live = np.nonzero(live)[0]
     m = idx_live.size
@@ -135,6 +143,9 @@ def integrate_batch(f, lo, hi):
         h = 0.5 * (b_all - a_all)
         x = (c[:, None] + h[:, None] * NODES[None, :]).ravel()
         y = np.asarray(f(x, np.repeat(ids_all, 15)), dtype=float)
+        if slope:
+            y, dy = y
+            ks_all = h * (dy.reshape(-1, 15) * WK).sum(axis=-1)
         y = y.reshape(-1, 15)
         finite = np.isfinite(y)
         bad = None
@@ -167,9 +178,11 @@ def integrate_batch(f, lo, hi):
                 done[:] = True
             np.add.at(vals, ids[done], k15[done])
             np.add.at(errs, ids[done], err[done])
+            if slope:
+                np.add.at(slopes, ids[done], ks_all[rows][done])
             rnd += 1
             if done.all():
-                return vals, errs
+                return out
             kept = rows[~done]
             if level + 1 < len(la):
                 left = kept - starts[level] + starts[level + 1]

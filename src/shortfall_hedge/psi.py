@@ -20,9 +20,9 @@ Each side integrates one of three payoff shapes:
   held as panels with suffix and prefix sums: a read at c is a suffix sum
   plus one K15 partial panel.  _table_side states the formulas.  The
   panels keep their node values, so that the side is also a piecewise
-  polynomial in u, its model (_SideTable), and a read can return
-  dPsi/d ln c from it (_psi_side's slope): the solver inverts these sides,
-  and Spread/power Psi1, on their tables.
+  polynomial in u, its model (_SideTable), whose integrand at u is a
+  read's dPsi/d ln c: the solver inverts these sides, and Spread/power
+  Psi1, on their tables.
 - Product-form regions (_region_side): H = F(o) e^(tau s) on {s <= cap(o)}
   for a Gaussian outer o and inner s | o, so A_c is a half-line in s and
   each term is F times a closed-form tilted interval mass.  QuantoDomestic
@@ -49,6 +49,15 @@ table side reads each c from its held table.  Every integrand is
 elementwise and each interval and read is summed on its own, so a value
 does not depend on the other c's of the call.  psi_linear and psi_power
 call it at one c, once per side.
+
+With slope, every quadrature read also returns dPsi/d ln c, which the
+solver's Newton steps take.  As c is the multiplier of the capital
+constraint, dPsi1 = c dPsi2 under linear loss and -c dPsi2 under power
+loss, and each slope is an integral that its side's integrand already
+holds: a table side's is its held interpolant at u, and a region side's
+or Spread/power Psi2's a second integrand row (integrate_batch), kap
+times the c-weighted term under power loss, the moving limit's density
+under linear loss.  A value and its err are the same bits either way.
 
 Monte Carlo twins of both functions (psi_mc, and _McTable for arrays of
 c, which also inverts each side exactly for the solver) sample W_T under
@@ -142,9 +151,11 @@ def _each(fn, c) -> np.ndarray:
     return np.array([fn(float(ci)) for ci in c], dtype=float)
 
 
-def _integrate(f, lo: float, hi: float, live):
-    """integrate_batch of f over [lo, hi] once per c; 0 where not live."""
-    return integrate_batch(f, np.full(live.size, lo), np.where(live, hi, lo))
+def _integrate(f, lo: float, hi: float, live, slope: bool):
+    """integrate_batch of f over [lo, hi] once per c; 0 where not live;
+    with slope, f's second row too."""
+    return integrate_batch(f, np.full(live.size, lo), np.where(live, hi, lo),
+                           slope)
 
 
 @dataclass(frozen=True)
@@ -930,12 +941,16 @@ def _w_table(payoff: Payoff, params: MarketParams, p: float, rel_tol: float,
     return read, -table.knots()[::-1]
 
 
-def _spread_power_psi2(ctx: _Ctx, c, p: float):
+def _spread_power_psi2(ctx: _Ctx, c, p: float, slope: bool):
+    """Spread/power Psi2 at each c: the integral over y = W~2 of phi times
+    S1's and S2 + K's masses beyond x*(y) less W(c)'s y-term t3, whose
+    -kap phi t3 is the slope row."""
     sg1, s10 = ctx.params.sigma[0], ctx.params.s0[0]
     rho, sd, cond_sd = ctx.rho, ctx.sd, ctx.cond_sd
     lnc = _each(_lnc, c)
     m1 = _side_fields(ctx, True)[1]
     w = _spread_w(ctx, p)
+    kap = 1.0 / (p - 1.0)
 
     def f(y, ids):
         x_star, s2k, t3 = w(y, lnc[ids], lnc[ids])
@@ -943,9 +958,11 @@ def _spread_power_psi2(ctx: _Ctx, c, p: float):
         t1 = s10 * np.exp(m1) * tilted_interval_mass(sg1, m_c, cond_sd,
                                                      x_star, np.inf)
         t2 = s2k * tilted_interval_mass(0.0, m_c, cond_sd, x_star, np.inf)
-        return _phi(y, sd) * (t1 - t2 - t3)
+        phi = _phi(y, sd)
+        val = phi * (t1 - t2 - t3)
+        return (val, -kap * phi * t3) if slope else val
 
-    return _integrate(f, -ctx.cap, ctx.cap, np.full(c.size, True))
+    return _integrate(f, -ctx.cap, ctx.cap, np.full(c.size, True), slope)
 
 
 # ---------------------------------------------------------------------------
@@ -977,8 +994,9 @@ class _Region:
 
 
 def _region_side(ctx: _Ctx, c, region: _Region, p: Optional[float],
-                 tilde: bool):
-    """One side over one region at each c; p None is linear loss.
+                 tilde: bool, slope: bool):
+    """One side over one region at each c; p None is linear loss; with
+    slope, (values, errs, dPsi/d ln c).
 
     With TIM(g; lo, hi) = E[e^(g s) 1{lo <= s <= hi} | o] (the inner
     tilted_interval_mass), a row is
@@ -992,7 +1010,13 @@ def _region_side(ctx: _Ctx, c, region: _Region, p: Optional[float],
                   - c^kap e^(-kap BT) e^(-kap a_o o) TIM(-kap a_s; v, cap)
 
     The weight of the c-weighted term, c^e e^(-e (a_o o + BT)), enters its
-    TIM as the log_scale e (ln c - a_o o - BT).
+    TIM as the log_scale e (ln c - a_o o - BT).  Its row t2 gives the
+    slope row: as c is the multiplier of the capital constraint, the
+    terms at the moving limit v cancel, and the slope is kap t2 on Psi1
+    and -kap t2 on Psi2.  Under linear loss the limit b = (ln c - BT -
+    a_o o) / a_s moves, and the slope row is F e^(tau b) n(b) / |a_s|,
+    negated, n the density of s | o, where b binds: not where the cap
+    does, nor on an empty interval.
     """
     r = region
     bs, t = _side_fields(ctx, tilde)[0], ctx.cons.T
@@ -1003,14 +1027,27 @@ def _region_side(ctx: _Ctx, c, region: _Region, p: Optional[float],
         def f(o, ids):
             big_f = r.f(o)
             lo_s, hi_s = _half_line(r.a_s, r.a_o * o, big_l[ids])
+            b, cap = (hi_s if r.a_s < 0.0 else lo_s), np.inf
             if r.cap is not None:
-                hi_s = np.minimum(hi_s, r.cap(o))
-            mass = tilted_interval_mass(r.tau, r.slope * o, r.s_sd, lo_s, hi_s)
-            return _phi(o, r.o_sd) * big_f * mass
+                cap = r.cap(o)
+                hi_s = np.minimum(hi_s, cap)
+            m_s = r.slope * o
+            mass = tilted_interval_mass(r.tau, m_s, r.s_sd, lo_s, hi_s)
+            phi_f = _phi(o, r.o_sd) * big_f
+            val = phi_f * mass
+            if not slope:
+                return val
+            # e^(tau b) n(b; m_s, s_sd) from TIM's standardized limit
+            z = (b - m_s) / r.s_sd - r.tau * r.s_sd
+            dens = np.exp(r.tau * m_s + 0.5 * (r.tau * r.s_sd) ** 2
+                          - 0.5 * z * z) / (r.s_sd * math.sqrt(2.0 * math.pi))
+            binds = (lo_s < hi_s) & (b < cap) & (abs(r.a_s) > _SIGN_TOL)
+            return val, np.where(binds, -phi_f * dens / abs(r.a_s), 0.0)
 
-        return _integrate(f, r.lo, r.hi, big_l < math.inf)
+        return _integrate(f, r.lo, r.hi, big_l < math.inf, slope)
 
-    e_c = 1.0 / (p - 1.0) if tilde else p / (p - 1.0)
+    kap = 1.0 / (p - 1.0)
+    e_c = kap if tilde else p / (p - 1.0)
     lnc = _each(_lnc, c)
     den = (p - 1.0) * r.tau + r.a_s
 
@@ -1023,32 +1060,36 @@ def _region_side(ctx: _Ctx, c, region: _Region, p: Optional[float],
         m_s = r.slope * o
         t2 = tilted_interval_mass(-e_c * r.a_s, m_s, r.s_sd, v, cap,
                                   e_c * ln_cz)
+        phi = _phi(o, r.o_sd)
         if tilde:
             t1 = big_f * tilted_interval_mass(r.tau, m_s, r.s_sd, v, cap)
-            return _phi(o, r.o_sd) * (t1 - t2)
-        hi = v if r.cap is None else np.minimum(v, cap)
-        t1 = big_f ** p * tilted_interval_mass(p * r.tau, m_s, r.s_sd,
-                                               -np.inf, hi)
-        return _phi(o, r.o_sd) * (t1 + t2) / p
+            val = phi * (t1 - t2)
+        else:
+            hi = v if r.cap is None else np.minimum(v, cap)
+            t1 = big_f ** p * tilted_interval_mass(p * r.tau, m_s, r.s_sd,
+                                                   -np.inf, hi)
+            val = phi * (t1 + t2) / p
+        return (val, (-kap if tilde else kap) * phi * t2) if slope else val
 
     if r.corner is None:
-        return _integrate(f, r.lo, r.hi, np.full(c.size, True))
+        return _integrate(f, r.lo, r.hi, np.full(c.size, True), slope)
     # per c, [lo, o*] in o and [o*, hi] in w = ln F, two intervals of one
     # call (_Corner)
     n = c.size
     o_mid, w_mid = r.corner.at(lnc - bt, p)
 
     def parts(x, ids):
-        out = np.empty(x.size)
+        out = np.empty((2, x.size) if slope else x.size)
         left = ids < n
-        out[left] = f(x[left], ids[left])
+        out[..., left] = f(x[left], ids[left])
         o, do_dw = r.corner.o(x[~left])
-        out[~left] = f(o, ids[~left] - n) * do_dw
+        out[..., ~left] = np.asarray(f(o, ids[~left] - n)) * do_dw
         return out
 
-    v, e = integrate_batch(parts, np.concatenate([np.full(n, r.lo), w_mid]),
-                           np.concatenate([o_mid, np.full(n, r.corner.w_hi)]))
-    return v[:n] + v[n:], e[:n] + e[n:]
+    got = integrate_batch(parts, np.concatenate([np.full(n, r.lo), w_mid]),
+                          np.concatenate([o_mid, np.full(n, r.corner.w_hi)]),
+                          slope)
+    return tuple(x[:n] + x[n:] for x in got)
 
 
 def _qd_regions(ctx: _Ctx, p: Optional[float], tilde: bool):
@@ -1231,20 +1272,20 @@ def _closed_side(ctx: _Ctx, payoff: Payoff, c, p: Optional[float],
     """(values, errs) of one side at each c, by the payoff's shape; p None
     is linear loss.  _on_table's sides read the tail tables, Spread/power
     Psi2 runs its own kernel and Psi1 reads its W table, and every other
-    side is a sum over product-form regions.  how, as _TailTable.read
-    takes it, is for the sides of _table_sides only."""
+    side is a sum over product-form regions.  how "slope", as
+    _TailTable.read takes it, adds dPsi/d ln c on every side; how "model"
+    is for the sides of _table_sides only."""
     kind = payoff.kind
     if _on_table(kind, p):
         return _table_side(payoff, ctx, c, p, tilde, how)
     if kind == SPREAD:
         if tilde:
-            return _spread_power_psi2(ctx, c, p)
+            return _spread_power_psi2(ctx, c, p, how == "slope")
         return _w_table(payoff, ctx.params, p, quad._REL_TOL,
                         quad._MAX_ROUNDS)[0](_each(_lnc, c), how)
     # one region is its own value; two regions add, v1 + v2
-    v, e = np.sum([_region_side(ctx, c, r, p, tilde)
-                   for r in _REGIONS[kind](ctx, p, tilde)], axis=0)
-    return v, e
+    return tuple(np.sum([_region_side(ctx, c, r, p, tilde, how == "slope")
+                         for r in _REGIONS[kind](ctx, p, tilde)], axis=0))
 
 
 def _table_sides(kind: str, p: Optional[float]) -> tuple:
@@ -1302,6 +1343,23 @@ def _newton(read, t, increasing: bool, c, lo, hi, steps: int,
         last[3, live[ends]] = met[0, live[ends]]
         live = live[~(closed | small | ~(inside | (l > 0.0) & (h < math.inf)))]
     return last
+
+
+@np.errstate(all="ignore")
+def _hermite(t, lo, hi, v_lo, v_hi, s_lo, s_hi):
+    """A first c per target of t in its bracket (lo, hi] of a monotone
+    side: ln c as the cubic in ln value through the bracket's ends, at
+    their values v with their slopes s = dPsi/d ln c (Hermite), or hi
+    where that c is not inside the bracket."""
+    y0 = np.log(v_lo)
+    w = np.log(v_hi) - y0
+    s = (np.log(t) - y0) / w
+    start = np.exp(
+        (2.0 * s + 1.0) * (s - 1.0) ** 2 * np.log(lo)
+        + s * s * (3.0 - 2.0 * s) * np.log(hi)
+        + s * w * ((s - 1.0) ** 2 * v_lo / s_lo
+                   + s * (s - 1.0) * v_hi / s_hi))
+    return np.where((start > lo) & (start <= hi), start, hi)
 
 
 class _SideTable:
@@ -1366,18 +1424,8 @@ class _SideTable:
         k = np.minimum(k, self.knots.size - 1)
         hi = self.knots[k]
         lo = np.where(k > 0, self.knots[k - 1], 0.0)
-        # the start: ln c as a cubic in ln value through the bracket's ends,
-        # with their slopes (Hermite), where it falls inside the bracket
-        v0, v1 = self.at[k - 1], self.at[k]
-        y0 = np.log(v0)
-        w = np.log(v1) - y0
-        s = (np.log(t) - y0) / w
-        start = np.exp(
-            (2.0 * s + 1.0) * (s - 1.0) ** 2 * np.log(lo)
-            + s * s * (3.0 - 2.0 * s) * np.log(hi)
-            + s * w * ((s - 1.0) ** 2 * v0 / self.slope[k - 1]
-                       + s * (s - 1.0) * v1 / self.slope[k]))
-        start = np.where((start > lo) & (start <= hi), start, hi)
+        start = _hermite(t, lo, hi, self.at[k - 1], self.at[k],
+                         self.slope[k - 1], self.slope[k])
         c = np.full(t.size, math.inf)
         # the model's last step, of 1e-7 at most, leaves it 1e-14 off
         c[found] = _newton(self.model, t[found], self.increasing,
@@ -1440,8 +1488,10 @@ def _sign_guard_power(payoff: Payoff, ctx: _Ctx, p: float):
 def _psi_side(payoff: Payoff, params: MarketParams, loss: LossSpec, c,
               side: int, trunc_sd: float = TRUNC_SD, slope: bool = False):
     """(values, errs) of Psi1 (side=1) or Psi2 (side=2) by quadrature, as
-    arrays over the 1-d array of c; slope adds dPsi/d ln c at each c, on
-    the sides of _table_sides only, read with the values.
+    arrays over the 1-d array of c; slope adds dPsi/d ln c at each c, read
+    with the values: a table side's from its held interpolant, a region
+    side's and Spread/power Psi2's as a second integrand row
+    (integrate_batch), the value and err the same bits either way.
 
     The one closed-form Psi entry point: the solver reads one side at all
     the c's of a step, and psi_linear / psi_power call it at one c, once

@@ -24,30 +24,34 @@ once a step is at most 1e-13 (psi._newton).  A warm solve so reads the
 inverted side once or twice, and a curve steps all its targets in
 lockstep, one read per step.
 
-The other sides are solved by a walk (_bisect) in u = ln c: a walk from
-c = 1 finds a bracket, _GRID_LEVELS = 4 bisection steps narrow it to 1/16,
-and Chandrupatla's (1997) derivative-free hybrid of inverse quadratic
-interpolation and bisection closes it; where the function is flat at the
-target level the returned c is the infimum of the solution set (the
-predicate flips exactly at the left endpoint).  Each point's solve is one
-generator, _predicate_bisection: plain code that yields every c it reads
-and is sent Psi(c) back.  The check at the end uses the value already read
-at the answer, so a solve reads each c once.  The solve functions take a
-grid of inputs and drive the points' generators in lockstep (_bisect),
-answering them from a memo of the Psi values read so far.
+The other sides (QuantoDomestic/power, QuantoForeign/power,
+Outperformance under both losses, Spread/power Psi2) are bracketed by a
+walk (_bisect) in u = ln c: a walk from c = 1 finds a bracket and
+_GRID_LEVELS = 4 bisection steps narrow it to 1/16, every read with its
+slope.  Each point's walk is one generator, _predicate_bisection: plain
+code that yields every c it reads, is sent Psi(c) back and returns the
+bracket.  The solve functions take a grid of inputs and drive the points'
+generators in lockstep (_bisect), answering them from a memo of the Psi
+values read so far.  Each bracket's ends then give a first c, a cubic
+Hermite in (ln Psi, ln c) through them (psi._hermite, the formula that
+starts psi._SideTable.guess) moved onto the root of the forward cubic
+(_start), and one lockstep psi._newton closes every bracketed point on
+exact reads with their slopes, as on a table side.  Where Psi is flat at
+the target level the steps have no slope and halve the bracket, so the
+returned c is the infimum of the solution set within 1e-13; where Psi
+only rounds to the target over a stretch, a read there ends the steps,
+and any c of the stretch may be returned.
 
 A walk's read takes each running c that the memo lacks with the rest of
 its block (_BLOCKS, data built once from _UPS, _DOWNS and _grid): the c's
-that a solve reads before its Chandrupatla steps fall into fixed blocks of
-15 c's at most -- c = 0 and 1 with the walk's first 13 steps both ways,
-the walk's later steps two at a time, the grid of each walk bracket -- and
-a Chandrupatla step's c, in no block, is read alone.  A lone solve's first
-read so takes the walk up to 2^7 and down to 2^-6, and its first
-bisection step the whole grid of its bracket.  A Psi value does not
-depend on its batch, so the blocks only choose which c's are read
-together: every point runs the same steps, with the same values, as it
-does alone.  phi1 and phi2 solve a grid of one point; a curve solves its
-whole grid at once, on one thread.
+that a walk reads fall into fixed blocks of 15 c's at most -- c = 0 and 1
+with the walk's first 13 steps both ways, the walk's later steps two at a
+time, the grid of each walk bracket.  A lone solve's first read so takes
+the walk up to 2^7 and down to 2^-6, and its first bisection step the
+whole grid of its bracket.  A Psi value does not depend on its batch, so
+the blocks only choose which c's are read together: every point runs the
+same steps, with the same values, as it does alone.  phi1 and phi2 solve
+a grid of one point; a curve solves its whole grid at once, on one thread.
 
 Named payoffs evaluate Psi by quadrature; Custom payoffs, and power-loss
 cases whose closed-form sign condition fails, fall back to the Monte Carlo
@@ -64,16 +68,16 @@ side at the answer, and its check takes a tolerance of 1e-7 max(1, scale):
 a target that a step of the table jumps raises InfeasibleInversionError.
 
 For its walks the solver holds, per contract, the Psi values of each side
-at the 515 c's of _HELD_CS, the blocks' c's, as they are read (_held, an
-lru_cache of 256 contracts as _edges is), and a read integrates only the
-c's it lacks.  _HELD_CS is every c that a walk reads before its
-Chandrupatla steps: 0, inf, 1, the walk's 32 powers of 2, and the grid of
-15 midpoints that the four bisection steps can read in each of the 32 walk
-brackets.  A Psi value does not depend on its batch, so a held value is
-the one a new read would give.  A contract's later walks so integrate
-only the c's of their Chandrupatla steps, which start from a bracket 1/16
-of the walk's with an interpolation point in hand, and the other side at
-the answer: 5-7 reads of one c each.
+at the 515 c's of _HELD_CS, the blocks' c's, with their slopes, as they
+are read (_held, an lru_cache of 256 contracts as _edges is), and a read
+integrates only the c's it lacks.  _HELD_CS is every c that a walk reads:
+0, inf, 1, the walk's 32 powers of 2, and the grid of 15 midpoints that
+the four bisection steps can read in each of the 32 walk brackets.  A Psi
+value does not depend on its batch, so a held value is the one a new read
+would give.  A contract's later walks so read nothing, and a warm solve
+reads only its Newton steps' c's, 2-3 from the forward cubic's root, and
+the other side at the answer, which needs no slope: 3-4 reads of one c
+each.
 """
 
 from __future__ import annotations
@@ -91,17 +95,17 @@ from .errors import (AssumptionViolatedError, HeavyTailError,
 from .market import MarketParams, _real
 from .mc import McConfig, _check_mc
 from .payoffs import CUSTOM, Payoff
-from .psi import (LINEAR, POWER, LossSpec, _make_ctx, _mc_table, _newton,
-                  _on_table, _psi_side, _side_table, _sign_guard_power,
-                  _table_sides)
+from .psi import (LINEAR, POWER, LossSpec, _hermite, _make_ctx, _mc_table,
+                  _newton, _on_table, _psi_side, _side_table,
+                  _sign_guard_power, _table_sides)
 
 _FALLBACK_MC = McConfig(n_paths=200_000, seed=1729)
 _EDGE_TOL = 1e-9
-# the bisection steps that open every bracket of the walk: their 1 + 2 + 4
-# + 8 c's, a bracket's grid, are one block of _BLOCKS
+# the bisection steps that narrow every bracket of the walk: their 1 + 2 +
+# 4 + 8 c's, a bracket's grid, are one block of _BLOCKS
 _GRID_LEVELS = 4
-# the most steps that close a bracket, a guard against a hang: a bracket
-# within the float range closes in far fewer
+# the most Newton steps that close a bracket, a guard against a hang: a
+# bracket within the float range closes in far fewer
 _MAX_STEPS = 200
 
 METHOD_QUAD = "quadrature"
@@ -165,23 +169,29 @@ class _Evaluator:
             mc = mc if payoff.kind == CUSTOM and mc else _FALLBACK_MC
             self._table = _mc_table(payoff, params, loss, mc.n_paths, mc.seed)
 
-    def side(self, c, side: int):
-        """(values, errs) of Psi_side at each c of an array; by quadrature
-        only the c's that _held lacks are integrated."""
+    def side(self, c, side: int, slope: bool = False):
+        """(values, errs) of Psi_side at each c of an array, and with slope
+        (by quadrature) dPsi/d ln c too; by quadrature only the c's that
+        _held lacks, or holds with no slope where one is asked, are
+        integrated."""
         if self.method == METHOD_MC:
             v, e = self._table.side(c, side)
             return np.maximum(v, 0.0), e
         held = _held(self.payoff, self.params, self.loss)[side - 1]
         cs = [float(ci) for ci in np.ravel(c)]
-        new = [ci for ci in dict.fromkeys(cs) if ci not in held]
+        new = [ci for ci in dict.fromkeys(cs)
+               if ci not in held or slope and math.isnan(held[ci][2])]
         got = {}
         if new:
-            v, e = _psi_side(self.payoff, self.params, self.loss, new, side)
-            got = dict(zip(new, zip(v.tolist(), e.tolist())))
+            rows = _psi_side(self.payoff, self.params, self.loss, new, side,
+                             slope=slope)
+            if not slope:
+                rows += (np.full(len(new), math.nan),)
+            got = dict(zip(new, zip(*(x.tolist() for x in rows))))
             held.update((ci, got[ci]) for ci in new if ci in _HELD_CS)
-        v, e = np.array([held[ci] if ci in held else got[ci] for ci in cs],
-                        dtype=float).reshape(-1, 2).T
-        return v, e
+        rows = np.array([got[ci] if ci in got else held[ci] for ci in cs],
+                        dtype=float).reshape(-1, 3).T
+        return tuple(rows) if slope else tuple(rows[:2])
 
     def inverts(self, side: int) -> bool:
         """Whether invert solves side: the Monte Carlo table's both, by
@@ -241,10 +251,12 @@ def _split(call, keys, width: int) -> dict:
             for key, row in zip(keys, zip(*(col.tolist() for col in cols)))}
 
 
-def _read(ev: _Evaluator, c, side: int) -> dict:
-    """{c: (Psi_side(c), err, failure)} over the distinct c's of c, read in
-    one call and split on a failure (_split)."""
-    return _split(lambda cs: ev.side(np.array(cs, dtype=float), side), c, 2)
+def _read(ev: _Evaluator, c, side: int, slope: bool = False) -> dict:
+    """{c: (Psi_side(c), err, failure)} over the distinct c's of c, or with
+    slope {c: (Psi_side(c), err, dPsi/d ln c, failure)}, read in one call
+    and split on a failure (_split)."""
+    return _split(lambda cs: ev.side(np.array(cs, dtype=float), side, slope),
+                  c, 3 if slope else 2)
 
 
 def _one(results: list):
@@ -314,12 +326,6 @@ def price(payoff: Payoff, params: MarketParams,
     return math.exp(-params.r * params.T) * v10
 
 
-def _closed(lo: float, hi: float) -> bool:
-    """Whether the bracket [lo, hi] is narrow enough to stop stepping:
-    relative to hi, so that a root at c << 1 is found as closely as any."""
-    return hi - lo <= 1e-13 * hi
-
-
 def _walk(up: bool) -> list:
     """The 16 c's of the walk from c = 1, up or down: 2^(+-k) for
     k = 1..7, then steps in ln c that double each time (2^(+-9), 2^(+-13),
@@ -334,28 +340,17 @@ def _walk(up: bool) -> list:
     return cs
 
 
-def _tl(lo: float, hi: float) -> float:
-    """Chandrupatla's clamp t_l: the fraction of [lo, hi] in ln c that is
-    half the width at which _closed stops, so that a step that close to an
-    end closes the bracket when the root lies between."""
-    return min(0.5, 0.5e-13 / math.log(hi / lo))
-
-
-def _at(lo: float, hi: float, s: float) -> float:
-    """The c at fraction s of [lo, hi] in ln c, counted from the nearer end
-    so that a step next to either end keeps its distance from it."""
-    span = math.log(hi / lo)
-    if s <= 0.5:
-        return lo * math.exp(s * span)
-    return hi * math.exp((s - 1.0) * span)
+def _mid(lo: float, hi: float) -> float:
+    """The midpoint of [lo, hi] in ln c."""
+    return lo * math.exp(0.5 * math.log(hi / lo))
 
 
 def _grid(lo: float, hi: float, levels: int) -> list:
     """The 2^levels - 1 midpoints in ln c that levels bisection steps from
-    the bracket [lo, hi] can read, each built by _at as a step builds it."""
+    the bracket [lo, hi] can read, each built by _mid as a step builds it."""
     if levels == 0:
         return []
-    mid = _at(lo, hi, 0.5)
+    mid = _mid(lo, hi)
     return ([mid] + _grid(lo, mid, levels - 1)
             + _grid(mid, hi, levels - 1))
 
@@ -363,13 +358,13 @@ def _grid(lo: float, hi: float, levels: int) -> list:
 def _blocks() -> dict:
     """{c: its block}, the c's that a quadrature read takes together.
 
-    The blocks partition the c's that every solve reads before its
-    Chandrupatla steps, and they hold the size of a grid at most,
-    2^_GRID_LEVELS - 1 = 15 c's.  The first is c = 0, 1 and the walk's
-    first steps alternately up and down (2^1 .. 2^7 and 2^-1 .. 2^-6).
-    Then each walk's later steps go two at a time, each of the 32 brackets
-    between consecutive walk c's has its grid (_grid) as one block, and the
-    edges' c = inf is alone.
+    The blocks partition the c's that every solve reads before its Newton
+    steps, and they hold the size of a grid at most, 2^_GRID_LEVELS - 1 =
+    15 c's.  The first is c = 0, 1 and the walk's first steps alternately
+    up and down (2^1 .. 2^7 and 2^-1 .. 2^-6).  Then each walk's later
+    steps go two at a time, each of the 32 brackets between consecutive
+    walk c's has its grid (_grid) as one block, and the edges' c = inf is
+    alone.
     """
     both = [c for pair in zip(_UPS, _DOWNS) for c in pair]
     first = ([0.0, 1.0] + both)[:2 ** _GRID_LEVELS - 1]
@@ -392,43 +387,22 @@ _HELD_CS = frozenset(_BLOCKS)
 
 @functools.lru_cache(maxsize=256)
 def _held(payoff: Payoff, params: MarketParams, loss: LossSpec):
-    """({c: (Psi1, err)}, {c: (Psi2, err)}): the quadrature values of the
-    contract at the c's of _HELD_CS read so far, filled by
+    """({c: (Psi1, err, slope)}, {c: (Psi2, err, slope)}): the quadrature
+    values of the contract at the c's of _HELD_CS read so far, with their
+    slopes dPsi/d ln c (NaN where a read took none), filled by
     _Evaluator.side.  Threads that read a c at once both integrate it and
     store the same bits."""
     return {}, {}
 
 
 class _Point(NamedTuple):
-    """A c a solve has read: Psi(c) = v with its err, and f = Psi - target
-    signed to be negative exactly left of the answer."""
+    """A c a solve has read: Psi(c) = v with its err and its slope
+    dPsi/d ln c."""
 
     c: float
-    f: float
     v: float
     err: float
-
-
-def _chandrupatla(a: _Point, b: _Point, third: Optional[_Point]) -> float:
-    """Chandrupatla's (1997) step from the newest point a toward the other
-    end b of the bracket, as a fraction t of [a, b] in ln c.
-
-    third is the point that a displaced (None before the first step).
-    Inverse quadratic interpolation through a, b and third where his
-    (xi, Phi) test finds it monotone over the bracket, else t = 1/2; also
-    t = 1/2 when f(a) = 0, so that a stretch of Psi flat at the target
-    bisects to its left edge.
-    """
-    if third is None or a.f == 0.0:
-        return 0.5
-    (ca, fa), (cb, fb), (cc, fc) = a[:2], b[:2], third[:2]
-    xi = math.log(ca / cb) / math.log(cc / cb)
-    phi = (fa - fb) / (fc - fb)
-    if not (phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi):
-        return 0.5
-    alpha = math.log(cc / ca) / math.log(cb / ca)
-    return (fa / (fb - fa) * fc / (fb - fc)
-            + alpha * fa / (fc - fa) * fb / (fc - fb))
+    slope: float
 
 
 def _checked(side: int, target: float, tol: float, c: float, v: float,
@@ -444,41 +418,31 @@ def _checked(side: int, target: float, tol: float, c: float, v: float,
         "jumps across the target (degenerate or discontinuous case)")
 
 
-def _predicate_bisection(side: int, target: float, increasing: bool,
-                         tol: float):
-    """One point's solve: the infimum c of {c : Psi_side(c) reaches target}.
+def _predicate_bisection(side: int, target: float, increasing: bool):
+    """One point's bracket of the infimum c of {c : Psi_side(c) meets
+    target}, at least it on a nondecreasing side, at most it otherwise.
 
-    A generator: it yields each c it reads, is sent (Psi_side(c), err) and
-    returns (c, Psi_side(c), err).  With f = Psi - target for a
-    nondecreasing side and target - Psi for a nonincreasing one (_Point),
-    the predicate "f < 0" is True exactly left of the answer.
-
-    It reads c = 0, then walks from c = 1 (_walk) up while f < 0 or down
-    while f >= 0, to the end of the float range at most.  A bracket found,
-    it takes _MAX_STEPS steps at most until the bracket is _closed:
-    _GRID_LEVELS bisection steps in ln c, whose c's (_grid) are the same
-    for every target in the walk's bracket, then Chandrupatla's
-    (_chandrupatla), with the point the last bisection displaced as its
-    third; each step is clamped to [t_l, 1 - t_l] of the bracket (_tl) and
-    placed by _at.  The answer is the bracket's right end hi, and a check
-    (_checked) that the value already read there is the target within
-    max(tol, 8 err).  A walk up that finds no bracket raises; a walk down
-    that finds none checks its last c.
+    A generator: it yields each c it reads, is sent (Psi_side(c), err,
+    slope) and returns the bracket's ends (lo, hi) as _Points, lo missing
+    the target and hi meeting it, or (None, the answer's _Point).  It reads
+    c = 0, the answer if it meets the target, then walks from c = 1
+    (_walk) up while a read misses or down while it meets, to the end of
+    the float range at most; a walk up that finds no bracket raises, and a
+    walk down that finds none answers its last c.  The bracket found,
+    _GRID_LEVELS bisection steps in ln c narrow it to 1/16, on c's (_grid)
+    that are the same for every target in the walk's bracket.
     """
-    def point(c, v, err):
-        return _Point(c, v - target if increasing else target - v, v, err)
+    def meets(p: _Point) -> bool:
+        return p.v >= target if increasing else p.v <= target
 
-    def checked(hi: _Point):
-        return _checked(side, target, tol, hi.c, hi.v, hi.err)
-
-    v, err = yield 0.0
-    if point(0.0, v, err).f >= 0.0:
-        return 0.0, v, err
-    last = point(1.0, *(yield 1.0))
-    walk = _UPS if last.f < 0.0 else _DOWNS
+    at0 = _Point(0.0, *(yield 0.0))
+    if meets(at0):
+        return None, at0
+    last = _Point(1.0, *(yield 1.0))
+    walk = _DOWNS if meets(last) else _UPS
     for c in walk:
-        a = point(c, *(yield c))
-        if (a.f < 0.0) != (last.f < 0.0):
+        a = _Point(c, *(yield c))
+        if meets(a) != meets(last):
             break
         last = a
     else:
@@ -487,23 +451,42 @@ def _predicate_bisection(side: int, target: float, increasing: bool,
                 f"could not bracket the Psi{side} inversion target "
                 f"{target!r} within {len(_UPS)} walk steps up to "
                 f"c = {last.c!r}")
-        return checked(last)
-    b, third = last, None
-    for step in range(_MAX_STEPS):
-        lo, hi = (a.c, b.c) if a.f < 0.0 else (b.c, a.c)
-        if _closed(lo, hi):
-            break
-        # the first _GRID_LEVELS steps bisect, on the grid that _held keeps
-        t = _chandrupatla(a, b, third) if step >= _GRID_LEVELS else 0.5
-        tl = _tl(lo, hi)
-        x = _at(lo, hi, min(1.0 - tl, max(tl, t if a.f < 0.0 else 1.0 - t)))
-        new = point(x, *(yield x))
-        if (new.f < 0.0) == (a.f < 0.0):
-            third = a
-        else:
-            third, b = b, a
-        a = new
-    return checked(a if a.f >= 0.0 else b)
+        return None, last
+    lo, hi = (last, a) if meets(a) else (a, last)
+    for _ in range(_GRID_LEVELS):
+        c = _mid(lo.c, hi.c)
+        new = _Point(c, *(yield c))
+        lo, hi = (lo, new) if meets(new) else (new, hi)
+    return lo, hi
+
+
+@np.errstate(all="ignore")
+def _start(t, lo: _Point, hi: _Point):
+    """The first c of Newton's steps for each target of t in its bracket
+    (lo, hi], the ends given as arrays: psi._hermite's start, ln c as a
+    cubic in ln Psi through the ends with their slopes, moved by 4 Newton
+    steps onto the root of the forward cubic, ln Psi in ln c through the
+    same ends and slopes, each step clipped to the bracket, or the
+    Hermite start where that root is not inside the bracket.  On the desk
+    walks the forward cubic's root lies 13-45 times closer in the median,
+    most where a bracket is wide (above 2^7 the walk's steps double), and
+    a warm solve reads 3.0-3.45 c's on average, against 3.0-3.9 from the
+    Hermite start alone."""
+    c = _hermite(t, lo.c, hi.c, lo.v, hi.v, lo.slope, hi.slope)
+    u0, h = np.log(lo.c), np.log(hi.c / lo.c)
+    y0, y1, y = np.log(lo.v), np.log(hi.v), np.log(t)
+    m0, m1 = h * lo.slope / lo.v, h * hi.slope / hi.v
+    x = (np.log(c) - u0) / h
+    for _ in range(4):
+        # the cubic at x, in the Hermite basis, and its derivative
+        f = (((2.0 * x - 3.0) * x * x + 1.0) * y0
+             + ((x - 2.0) * x + 1.0) * x * m0
+             + (3.0 - 2.0 * x) * x * x * y1 + (x - 1.0) * x * x * m1)
+        df = (6.0 * x * (x - 1.0) * (y0 - y1)
+              + ((3.0 * x - 4.0) * x + 1.0) * m0 + (3.0 * x - 2.0) * x * m1)
+        x = np.clip(x - (f - y) / df, 0.0, 1.0)
+    root = np.exp(u0 + x * h)
+    return np.where((root > lo.c) & (root <= hi.c), root, c)
 
 
 def _bisect(ev: _Evaluator, side: int, targets: dict, scale: float,
@@ -512,36 +495,69 @@ def _bisect(ev: _Evaluator, side: int, targets: dict, scale: float,
     found their c, by quadrature; a solve that raised records its
     ShortfallHedgeError on out[point].
 
-    The points' _predicate_bisection solves run in lockstep and are
-    answered from a memo of the Psi_side values read so far.  A step whose
-    c's are all in the memo reads nothing; otherwise one _read takes every
-    running c that the memo lacks with the rest of its block of _BLOCKS (a
-    Chandrupatla step's c, in no block, alone), less the memo's c's.  A Psi
-    value does not depend on the other c's of its read, so every solve
-    runs the steps and sees the values it would see alone; a c whose read
-    failed raises only in a solve that reaches it.
+    The points' _predicate_bisection walks run in lockstep and are answered
+    from a memo of the Psi_side values read so far, each with its slope.
+    A step whose c's are all in the memo reads nothing; otherwise one _read
+    takes every running c that the memo lacks with the rest of its block
+    of _BLOCKS, less the memo's c's.  A Psi value does not depend on the
+    other c's of its read, so every walk runs the steps and sees the values
+    it would see alone; a c whose read failed raises only in a walk that
+    reaches it.
+
+    Each bracket's ends, with their slopes, then give a first c (_start),
+    and one lockstep psi._newton steps every bracketed point on exact
+    reads, each with its slope, until a step in ln c is 1e-13 at most: the
+    answer is the c read last.  A failing Newton read is split as _split
+    splits it, so that only the points whose own steps fail record its
+    error.  _checked ends every solve but one answered at c = 0.
     """
     tol = SolveConfig.abs_tol_target * max(1.0, scale)
     increasing = side == 1 and ev.loss.kind == POWER
-    solves = {i: _predicate_bisection(side, float(t), increasing, tol)
+    solves = {i: _predicate_bisection(side, float(t), increasing)
               for i, t in targets.items()}
     at = {i: next(solve) for i, solve in solves.items()}
-    memo, solved = {}, {}
+    memo, ends = {}, {}
     while at:
         cs = [b for c in at.values() if c not in memo
               for b in _BLOCKS.get(c, (c,))]
-        memo.update(_read(ev, [c for c in cs if c not in memo], side))
+        memo.update(_read(ev, [c for c in cs if c not in memo], side,
+                          slope=True))
         next_at = {}
         for i, c in at.items():
-            v, err, failed = memo[c]
+            *got, failed = memo[c]
             try:
-                next_at[i] = (solves[i].send((v, err)) if failed is None
+                next_at[i] = (solves[i].send(tuple(got)) if failed is None
                               else solves[i].throw(failed))
             except StopIteration as done:
-                solved[i] = done.value
+                ends[i] = done.value
             except ShortfallHedgeError as exc:
                 out[i] = exc
         at = next_at
+    row = {i: r for r, i in enumerate(
+        i for i, (lo, _hi) in ends.items() if lo is not None)}
+    t = np.array([targets[i] for i in row], dtype=float)
+    lo, hi = (np.array([ends[i][end] for i in row], dtype=float).reshape(
+        -1, 4).T for end in (0, 1))
+    start = _start(t, _Point(*lo), _Point(*hi))
+
+    def newton(points):
+        r = np.array([row[i] for i in points])
+        return _newton(
+            lambda cs: _psi_side(ev.payoff, ev.params, ev.loss, cs, side,
+                                 slope=True),
+            t[r], increasing, start[r], lo[0, r], hi[0, r], _MAX_STEPS)[:3]
+
+    got = _split(newton, row, 3)
+    solved = {}
+    for i, (_lo, answer) in ends.items():
+        c, v, err, failed = got[i] if i in row else (*answer[:3], None)
+        try:
+            if failed is not None:
+                raise failed
+            solved[i] = _checked(side, targets[i], tol, c, v, err) if c else (
+                c, v, err)
+        except ShortfallHedgeError as exc:
+            out[i] = exc
     return solved
 
 

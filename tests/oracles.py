@@ -6,7 +6,7 @@ No engine code calls these, so they live beside the tests:
   likelihood-ratio solution with a fractional last cell (`brute_force_np`);
 - the strict-monotonicity report of Psi1/Psi2 in c (`uniqueness_check`);
 - a plain predicate bisection in ln c, one c per read, that the solver's
-  Chandrupatla steps must agree with (`ln_c_bisection`);
+  Newton steps must agree with (`ln_c_bisection`);
 - the bisection of a side of `psi._McTable` that the solver ran before
   the table inverted itself (`mc_bisect`): the exact inversion's c must
   lie in its final bracket;
@@ -364,17 +364,19 @@ def mc_masked_means(payoff: Payoff, params: MarketParams, loss: LossSpec,
     return psi
 
 
-def integrate_batch_one_level(f, lo, hi):
+def integrate_batch_one_level(f, lo, hi, slope=False):
     """_quad.integrate_batch without read-ahead: each integrand call
     evaluates the panels of one round, under the module's rule constants
-    as they are at the call."""
+    as they are at the call.  With slope, f's second row is summed over
+    the panels its first row accepts, a third array."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     n = lo.size
-    vals, errs = np.zeros(n), np.zeros(n)
+    vals, errs, slopes = np.zeros(n), np.zeros(n), np.zeros(n)
+    out = (vals, errs, slopes) if slope else (vals, errs)
     live = hi - lo > 0
     if not live.any():
-        return vals, errs
+        return out
     panels = _quad._INITIAL_PANELS
     ids = np.repeat(np.nonzero(live)[0], panels)
     step = ((hi - lo) / panels)[ids]
@@ -384,6 +386,9 @@ def integrate_batch_one_level(f, lo, hi):
         c, h = 0.5 * (a + b), 0.5 * (b - a)
         x = (c[:, None] + h[:, None] * _quad.NODES[None, :]).ravel()
         y = np.asarray(f(x, np.repeat(ids, 15)), dtype=float)
+        if slope:
+            y, dy = y
+            dk15 = h * (dy.reshape(-1, 15) * _quad.WK).sum(axis=-1)
         if not np.isfinite(y).all():
             i = int(np.flatnonzero(~np.isfinite(y))[0])
             raise HeavyTailError(
@@ -401,13 +406,15 @@ def integrate_batch_one_level(f, lo, hi):
             done[:] = True
         np.add.at(vals, ids[done], k15[done])
         np.add.at(errs, ids[done], err[done])
+        if slope:
+            np.add.at(slopes, ids[done], dk15[done])
         if done.all():
             break
         a, b, ids = a[~done], b[~done], ids[~done]
         mid = 0.5 * (a + b)
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
         ids = np.concatenate([ids, ids])
-    return vals, errs
+    return out
 
 
 def region_side_linear_quad(payoff: Payoff, params: MarketParams, c: float,

@@ -186,3 +186,34 @@ def test_inf_on_a_refined_panel_raises_the_loops_error():
                                   [0.0], [1.0])
     assert str(got.value) == str(want.value)
     assert "inf at x = 0.34375" in str(got.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_INTERVAL, min_size=1, max_size=9), st.integers(1, 40))
+def test_a_slope_row_moves_no_value_bit(intervals, rounds):
+    # a second integrand row is summed on the panels the first row accepts:
+    # the values and errors are the bits of the one-row call, and the third
+    # array is the one-level loop's, with rounds cut by the cap too
+    lo, width, freq, decay = (np.array(v) for v in zip(*intervals))
+    hi = lo + width * (np.arange(lo.size) % 4 != 3)  # every 4th is empty
+    f = _bumps(freq, decay)
+
+    def rows(x, ids):
+        return f(x, ids), np.cos(freq[ids] * x)
+
+    with _rule(_MAX_ROUNDS=rounds):
+        vals, errs = integrate_batch(f, lo, hi)
+        got = integrate_batch(rows, lo, hi, slope=True)
+        want = integrate_batch_one_level(rows, lo, hi, slope=True)
+    assert np.array_equal(vals, got[0]) and np.array_equal(errs, got[1])
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_a_slope_row_integrates_its_own_integrand():
+    # the row cos x over [0, t] on the panels that sin x accepts: sin t
+    t = np.array([0.5, 2.0, 7.0, 30.0, 0.0])
+    vals, _errs, slopes = integrate_batch(
+        lambda x, ids: (np.sin(x), np.cos(x)), np.zeros(t.size), t,
+        slope=True)
+    assert np.abs(vals - (1.0 - np.cos(t))).max() <= 1e-12
+    assert np.abs(slopes - np.sin(t)).max() <= 1e-12

@@ -358,10 +358,11 @@ def test_curve_psi_failures_stay_per_point(monkeypatch, fresh_held):
 
 
 def test_curve_reads_psi_once_per_lockstep_step(monkeypatch, fresh_held):
-    # 21 points share every step, not 21 solves of their own: on a table
-    # side (QuantoForeign/linear Psi1) the Newton steps on exact reads take
-    # 2 reads of all running points at most, and the other side at the
-    # answers one more; a walk (QuantoDomestic/power Psi1) 14 reads in all
+    # 21 points share every step, not 21 solves of their own: a warm curve
+    # reads the inverted side once per lockstep Newton step, every running
+    # point in one read with its slope, on a table side (QuantoForeign/
+    # linear Psi1) 2 reads at most and after a walk (QuantoDomestic/power
+    # Psi1, its walk values held) 3, and the other side at the answers once
     params = desk_params()
     for payoff, loss, table in ((Payoff(QUANTO_FOREIGN, 9500.0), LIN, True),
                                 (Payoff(QUANTO_DOMESTIC, 100.0), P2, False)):
@@ -369,22 +370,24 @@ def test_curve_reads_psi_once_per_lockstep_step(monkeypatch, fresh_held):
                                  None).inverts(1) == table
         top = _edges(payoff, params, loss, None)[0]
         price(payoff, params)
+        grid = list(np.linspace(0.0, 0.95, 21) * top)
+        curve(payoff, params, loss, "phi2", grid)
         calls = []
         real = solver._psi_side
 
         def counting(*args, **kwargs):
-            calls.append(kwargs.get("slope", False))
+            calls.append((kwargs.get("slope", False), len(args[3])))
             return real(*args, **kwargs)
 
         with monkeypatch.context() as patch:
             patch.setattr(solver, "_psi_side", counting)
-            rc = curve(payoff, params, loss, "phi2",
-                       list(np.linspace(0.0, 0.95, 21) * top))
+            rc = curve(payoff, params, loss, "phi2", grid)
         assert all(p.error is None for p in rc.points)
-        if table:
-            assert 1 <= sum(calls) <= 2 and len(calls) - sum(calls) <= 2
-        else:
-            assert not any(calls) and len(calls) <= 16
+        stepped = [n for slope, n in calls if slope]
+        assert 1 <= len(stepped) <= (2 if table else 3)
+        # the point at v = 0 costs the full price, with no solve
+        assert max(stepped) == 20
+        assert [n for slope, n in calls if not slope] == [20]
 
 
 @pytest.mark.parametrize("loss", (LIN, P2), ids=lambda l: l.kind)
@@ -425,8 +428,8 @@ def test_one_point_solve_reads_each_c_once(payoff, loss, monkeypatch,
 def test_quadrature_reads_step_cs_and_held_cs_only(rho, monkeypatch,
                                                     fresh_held):
     # by quadrature a read takes the c's the running steps read, a walk's
-    # (its generator's) or a table side's (its Newton steps', read with
-    # their slopes), and, ahead of a walk's steps, only c's of their
+    # (its generator's) or Newton's (read with their slopes, after a walk
+    # or on a table side), and, ahead of a walk's steps, only c's of their
     # blocks, which every contract holds: cold and warm round trips
     # integrate no c outside those two sets
     params = desk_params(rho=rho)
@@ -441,7 +444,6 @@ def test_quadrature_reads_step_cs_and_held_cs_only(rho, monkeypatch,
                 stepped.add(c)
                 c = solve.send((yield c))
         except StopIteration as done:
-            stepped.add(done.value[0])
             return done.value
 
     def counting(payoff, params, loss, c, side, *args, **kwargs):
@@ -632,7 +634,8 @@ def test_second_solve_in_a_bracket_reads_none_of_its_grid(monkeypatch,
     assert 1.0 <= lo and hi <= 2.0 ** 7
     grid = {lo, hi, *solver._grid(lo, hi, solver._GRID_LEVELS)}
     assert grid <= set(solver._held(payoff, params, LIN)[1])
-    c2 = solver._at(lo, hi, 0.3 if c1 > solver._at(lo, hi, 0.5) else 0.7)
+    # a c 0.3 or 0.7 of the way across the bracket in ln c, away from c1
+    c2 = lo * (hi / lo) ** (0.3 if c1 > solver._mid(lo, hi) else 0.7)
     (v2,), _e = psi._psi_side(payoff, params, LIN, [c2], 2)
     reads = []
     real = solver._psi_side
@@ -760,10 +763,11 @@ def test_jump_at_zero_is_infeasible_at_the_walk_floor(monkeypatch, fresh_held):
     full = math.exp(params.r * params.T) * p_h
     reads = []
 
-    def jump(payoff, params, loss, c, side, *args, **kwargs):
+    def jump(payoff, params, loss, c, side, *args, slope=False, **kwargs):
         c = np.asarray(c, dtype=float)
         reads.extend(c.tolist())
-        return np.where(c == 0.0, full, 0.25 * full), np.zeros_like(c)
+        got = np.where(c == 0.0, full, 0.25 * full), np.zeros_like(c)
+        return got + (np.zeros_like(c),) if slope else got
 
     monkeypatch.setattr(solver, "_psi_side", jump)
     with pytest.raises(InfeasibleInversionError):
@@ -815,8 +819,8 @@ def test_root_below_2_to_the_minus_200_solves():
 @pytest.mark.parametrize("loss", (LIN, P2), ids=lambda l: l.kind)
 @pytest.mark.parametrize("payoff", DESK_PAYOFFS, ids=lambda p: p.kind)
 def test_solves_match_a_plain_ln_c_bisection(payoff, loss, rho):
-    # Chandrupatla steps end in the bracket a plain bisection in ln c ends
-    # in: the same c within 2e-13, on either route
+    # Newton's steps from the walk's bracket end where a plain bisection
+    # in ln c ends: the same c within 2e-13, on either route
     params = desk_params(rho=rho)
     p_h = price(payoff, params)
     edge = _edges(payoff, params, loss, None)[0]
@@ -909,6 +913,57 @@ def test_table_sides_invert_on_their_tables(case, f):
     pts = curve(payoff, params, loss, kind, grid).points
     pt = pts[grid.index(f * top)]
     assert (pt.value, pt.c, pt.err_estimate) == (value, c, err)
+
+
+def _walk_solves():
+    """(rho, payoff, loss, kind) of the desk solves that a walk brackets
+    and Newton's method closes by quadrature (_bisect)."""
+    cases = []
+    for rho in (-0.5, 0.6):
+        params = desk_params(rho=rho)
+        for payoff, loss in DESK_CONTRACTS:
+            ev = solver._Evaluator(payoff, params, loss, None)
+            cases += [pytest.param(rho, payoff, loss, kind, id=(
+                f"{payoff.kind}-{loss.kind}-{kind}-{rho}"))
+                for kind, side in (("phi1", 2), ("phi2", 1))
+                if ev.method == solver.METHOD_QUAD and not ev.inverts(side)]
+    return cases
+
+
+@pytest.mark.parametrize("rho, payoff, loss, kind", _walk_solves())
+def test_warm_walk_solves_read_three_cs_at_most(rho, payoff, loss, kind,
+                                                fresh_held):
+    # a walk's reads are held: a warm solve reads only its Newton steps'
+    # c's, each with its slope, 3 at most from the held bracket's start
+    # (solver._start), and the other side once at the answer, with no
+    # slope; a curve's point is its one-point solve
+    params = desk_params(rho=rho)
+    p_h = price(payoff, params)
+    edge = _edges(payoff, params, loss, None)[0]
+    side, impl, top = ((2, _phi1_impl, p_h) if kind == "phi1"
+                       else (1, _phi2_impl, edge))
+    fs = (0.05, 0.3, 0.5, 0.7, 0.95)
+    solves = [_one(impl(payoff, params, loss, [f * top], None)) for f in fs]
+    real = solver._psi_side
+    for f, want in zip(fs, solves):
+        reads = []
+
+        def counting(payoff, params, loss, c, side, *args, slope=False,
+                     **kwargs):
+            reads.append((side, slope, len(c)))
+            return real(payoff, params, loss, c, side, *args, slope=slope,
+                        **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_psi_side", counting)
+            assert _one(impl(payoff, params, loss, [f * top], None)) == want
+        steps = [r for r in reads if r[0] == side]
+        assert 1 <= len(steps) <= 3, (f, reads)
+        assert all(slope and n == 1 for _side, slope, n in steps)
+        assert [r for r in reads if r[0] != side] == [(3 - side, False, 1)]
+    pts = curve(payoff, params, loss, kind, [f * top for f in fs]).points
+    for pt, (value, c, err, *_rest) in zip(pts, solves):
+        assert (pt.value, pt.c, pt.err_estimate) == (value, c, err)
 
 
 def test_heavy_tail_rejected():
