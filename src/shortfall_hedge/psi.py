@@ -1310,9 +1310,12 @@ def _newton(read, t, increasing: bool, c, lo, hi, steps: int,
     v = 0; a step of at most tol ends the row at the c just read, with the
     c that the step reaches as its next c.  A step that leaves the bracket,
     or is not finite, halves the bracket in ln c instead, or ends the row
-    where an end is 0 or inf.  A bracket that hi - lo <= 1e-13 hi closes
-    ends the row at hi, if it was read.  A row that ends on no small step
-    has its c as its next.  The rows run in lockstep, one read of all
+    where an end is 0 or inf; so does a read of t itself where one float
+    of t spans more than tol in ln c at the read's slope, so that a
+    stretch of c that reads t ends at its least c, not where a step first
+    reaches it.  A bracket that hi - lo <= 1e-13 hi closes ends the row at
+    hi, if it was read.  A row that ends on no small step has its c as its
+    next.  The rows run in lockstep, one read of all
     running c's a step, steps at most, so that each row sees the values
     it would see alone."""
     t = np.asarray(t, dtype=float)
@@ -1333,8 +1336,9 @@ def _newton(read, t, increasing: bool, c, lo, hi, steps: int,
         du = np.where(v > 0.0, np.log(tl / v) * v, tl - v) / slope
         step = cl * np.exp(du)
         mid = np.exp(0.5 * (np.log(l) + np.log(h)))
-        inside = (step > l) & (step < h)
-        small = np.abs(du) <= tol
+        stretch = (v == tl) & (np.spacing(np.abs(tl)) > tol * np.abs(slope))
+        inside = (step > l) & (step < h) & ~stretch
+        small = (np.abs(du) <= tol) & ~stretch
         closed = h - l <= 1e-13 * h
         c[live] = np.where(inside, step, mid)
         last[3, live[small]] = step[small]

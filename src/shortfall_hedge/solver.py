@@ -34,13 +34,13 @@ bracket.  The solve functions take a grid of inputs and drive the points'
 generators in lockstep (_bisect), answering them from a memo of the Psi
 values read so far.  Each bracket's ends then give a first c, a cubic
 Hermite in (ln Psi, ln c) through them (psi._hermite, the formula that
-starts psi._SideTable.guess) moved onto the root of the forward cubic
-(_start), and one lockstep psi._newton closes every bracketed point on
-exact reads with their slopes, as on a table side.  Where Psi is flat at
-the target level the steps have no slope and halve the bracket, so the
-returned c is the infimum of the solution set within 1e-13; where Psi
-only rounds to the target over a stretch, a read there ends the steps,
-and any c of the stretch may be returned.
+starts psi._SideTable.guess), and one lockstep psi._newton closes every
+bracketed point on exact reads with their slopes, as on a table side.
+Where Psi is flat at the target level the steps have no slope and halve
+the bracket, and so does a read of the target itself where one float of
+it spans more than 1e-13 in ln c, so the returned c is the infimum of the
+solution set within 1e-13 also where Psi only rounds to the target over a
+stretch.
 
 A walk's read takes each running c that the memo lacks with the rest of
 its block (_BLOCKS, data built once from _UPS, _DOWNS and _grid): the c's
@@ -75,9 +75,8 @@ integrates only the c's it lacks.  _HELD_CS is every c that a walk reads:
 the four bisection steps can read in each of the 32 walk brackets.  A Psi
 value does not depend on its batch, so a held value is the one a new read
 would give.  A contract's later walks so read nothing, and a warm solve
-reads only its Newton steps' c's, 2-3 from the forward cubic's root, and
-the other side at the answer, which needs no slope: 3-4 reads of one c
-each.
+reads only its Newton steps' c's, 2-4 from the Hermite start, and the
+other side at the answer, which needs no slope: 3-5 reads of one c each.
 """
 
 from __future__ import annotations
@@ -460,35 +459,6 @@ def _predicate_bisection(side: int, target: float, increasing: bool):
     return lo, hi
 
 
-@np.errstate(all="ignore")
-def _start(t, lo: _Point, hi: _Point):
-    """The first c of Newton's steps for each target of t in its bracket
-    (lo, hi], the ends given as arrays: psi._hermite's start, ln c as a
-    cubic in ln Psi through the ends with their slopes, moved by 4 Newton
-    steps onto the root of the forward cubic, ln Psi in ln c through the
-    same ends and slopes, each step clipped to the bracket, or the
-    Hermite start where that root is not inside the bracket.  On the desk
-    walks the forward cubic's root lies 13-45 times closer in the median,
-    most where a bracket is wide (above 2^7 the walk's steps double), and
-    a warm solve reads 3.0-3.45 c's on average, against 3.0-3.9 from the
-    Hermite start alone."""
-    c = _hermite(t, lo.c, hi.c, lo.v, hi.v, lo.slope, hi.slope)
-    u0, h = np.log(lo.c), np.log(hi.c / lo.c)
-    y0, y1, y = np.log(lo.v), np.log(hi.v), np.log(t)
-    m0, m1 = h * lo.slope / lo.v, h * hi.slope / hi.v
-    x = (np.log(c) - u0) / h
-    for _ in range(4):
-        # the cubic at x, in the Hermite basis, and its derivative
-        f = (((2.0 * x - 3.0) * x * x + 1.0) * y0
-             + ((x - 2.0) * x + 1.0) * x * m0
-             + (3.0 - 2.0 * x) * x * x * y1 + (x - 1.0) * x * x * m1)
-        df = (6.0 * x * (x - 1.0) * (y0 - y1)
-              + ((3.0 * x - 4.0) * x + 1.0) * m0 + (3.0 * x - 2.0) * x * m1)
-        x = np.clip(x - (f - y) / df, 0.0, 1.0)
-    root = np.exp(u0 + x * h)
-    return np.where((root > lo.c) & (root <= hi.c), root, c)
-
-
 def _bisect(ev: _Evaluator, side: int, targets: dict, scale: float,
             out: list) -> dict:
     """{point: (c, Psi_side(c), err)} for the {point: target} solves that
@@ -504,12 +474,14 @@ def _bisect(ev: _Evaluator, side: int, targets: dict, scale: float,
     it would see alone; a c whose read failed raises only in a walk that
     reaches it.
 
-    Each bracket's ends, with their slopes, then give a first c (_start),
-    and one lockstep psi._newton steps every bracketed point on exact
-    reads, each with its slope, until a step in ln c is 1e-13 at most: the
-    answer is the c read last.  A failing Newton read is split as _split
-    splits it, so that only the points whose own steps fail record its
-    error.  _checked ends every solve but one answered at c = 0.
+    Each bracket's ends, with their slopes, then give a first c
+    (psi._hermite), and one lockstep psi._newton steps every bracketed
+    point on exact reads, each with its slope, until a step in ln c is
+    1e-13 at most, the answer being the c read last, or until the bracket
+    closes on the least c of a stretch that reads the target.  A failing
+    Newton read is split as _split splits it, so that only the points
+    whose own steps fail record its error.  _checked ends every solve but
+    one answered at c = 0.
     """
     tol = SolveConfig.abs_tol_target * max(1.0, scale)
     increasing = side == 1 and ev.loss.kind == POWER
@@ -536,16 +508,16 @@ def _bisect(ev: _Evaluator, side: int, targets: dict, scale: float,
     row = {i: r for r, i in enumerate(
         i for i, (lo, _hi) in ends.items() if lo is not None)}
     t = np.array([targets[i] for i in row], dtype=float)
-    lo, hi = (np.array([ends[i][end] for i in row], dtype=float).reshape(
-        -1, 4).T for end in (0, 1))
-    start = _start(t, _Point(*lo), _Point(*hi))
+    lo, hi = (_Point(*np.array([ends[i][end] for i in row], dtype=float)
+                     .reshape(-1, 4).T) for end in (0, 1))
+    start = _hermite(t, lo.c, hi.c, lo.v, hi.v, lo.slope, hi.slope)
 
     def newton(points):
         r = np.array([row[i] for i in points])
         return _newton(
             lambda cs: _psi_side(ev.payoff, ev.params, ev.loss, cs, side,
                                  slope=True),
-            t[r], increasing, start[r], lo[0, r], hi[0, r], _MAX_STEPS)[:3]
+            t[r], increasing, start[r], lo.c[r], hi.c[r], _MAX_STEPS)[:3]
 
     got = _split(newton, row, 3)
     solved = {}

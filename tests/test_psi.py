@@ -508,7 +508,8 @@ _SLOPE_CS = np.exp(np.linspace(-4.0, 6.0, 29))
 # panels its value accepts, 1.9e-5 off a central difference at rho = 0.6;
 # every other slope lies within 1.1e-6.  The slope only steers Newton's
 # method, where an error e in it scales the last step by e
-_SLOPE_REL = 1e-4
+_SLOPE_REL = 1e-5
+_SLOPE_REL_OUTPERFORMANCE_LINEAR = 1e-4
 
 
 @pytest.mark.parametrize("payoff,loss,rho", _quad_contracts())
@@ -519,6 +520,8 @@ def test_slopes_match_central_differences(payoff, loss, rho):
     # are the same bits with or without the slope
     params = desk_params(rho=rho)
     h = 1e-5
+    rel = (_SLOPE_REL_OUTPERFORMANCE_LINEAR if payoff.kind == OUTPERFORMANCE
+           and loss.kind == LINEAR else _SLOPE_REL)
     for side in (1, 2):
         v, e = psi_mod._psi_side(payoff, params, loss, _SLOPE_CS, side)
         got = psi_mod._psi_side(payoff, params, loss, _SLOPE_CS, side,
@@ -530,7 +533,7 @@ def test_slopes_match_central_differences(payoff, loss, rho):
         diff, noise = (up - down) / (2.0 * h), (e_up + e_down) / (2.0 * h)
         seen = noise <= 1e-3 * np.abs(diff)
         assert seen.sum() >= 8, side
-        miss = np.abs(got[2] - diff) - _SLOPE_REL * np.abs(diff) - noise
+        miss = np.abs(got[2] - diff) - rel * np.abs(diff) - noise
         assert (miss[seen] <= 0.0).all(), (side, _SLOPE_CS[seen][
             miss[seen] > 0.0], got[2][seen], diff[seen])
 
@@ -539,29 +542,33 @@ def _item_2(payoff, loss, rho):
     """The strict xfail of the contracts whose two sides miss the envelope
     identity by ROADMAP item 2's defect."""
     if (payoff.kind in (QUANTO_DOMESTIC, QUANTO_FOREIGN) and loss.kind == POWER
-            or payoff.kind == OUTPERFORMANCE and loss.kind == LINEAR
-            and rho == -0.5):
+            or payoff.kind == OUTPERFORMANCE and loss.kind == LINEAR):
         return pytest.mark.xfail(strict=True, reason=(
             "ROADMAP item 2: a kink of a region's integrand (the payoff "
             "root, or the corner where its inner limit meets its cap) falls "
             "inside a panel that G7 and K15 accept, so the two sides' values, "
-            "and their slopes, disagree by 7e-4 to 3e-3"))
+            "and their slopes, disagree by 2e-5 to 3e-3"))
     return ()
 
 
 @pytest.mark.parametrize("payoff,loss,rho", _quad_contracts(_item_2))
 def test_slopes_keep_the_envelope_identity(payoff, loss, rho):
     # c is the multiplier of the capital constraint: dPsi1 = c dPsi2 under
-    # linear loss and -c dPsi2 under power loss, at each c within
-    # _SLOPE_REL of s1 plus 1e-14 of the largest s1: where the slopes fall
-    # below that, the +-10 sd boxes of the two sides' measures set them
-    # apart
+    # linear loss and -c dPsi2 under power loss, at each c within 1e-8 of
+    # s1 (the passing contracts keep it within 2.5e-10 but for one c of
+    # QuantoForeign/linear, 5.6e-8; item 2's misses are 2e-5 to 3e-3),
+    # plus the two values' errs, e1 + c e2 (a table side's slope is its
+    # interpolant's, no finer than its values; at that c they are 1.9e-6
+    # of its slope), plus 1e-14 of the largest s1: where the slopes fall below
+    # that, the +-10 sd boxes of the two sides' measures set them apart
     params = desk_params(rho=rho)
-    s1, s2 = (psi_mod._psi_side(payoff, params, loss, _SLOPE_CS, side,
-                                slope=True)[2] for side in (1, 2))
+    (_v1, e1, s1), (_v2, e2, s2) = (
+        psi_mod._psi_side(payoff, params, loss, _SLOPE_CS, side, slope=True)
+        for side in (1, 2))
     sign = 1.0 if loss.kind == LINEAR else -1.0
     miss = np.abs(s1 - sign * _SLOPE_CS * s2)
-    bound = _SLOPE_REL * np.abs(s1) + 1e-14 * np.abs(s1).max()
+    bound = (1e-8 * np.abs(s1) + e1 + _SLOPE_CS * e2
+             + 1e-14 * np.abs(s1).max())
     assert (miss <= bound).all(), (_SLOPE_CS[miss > bound],
                                    (miss / np.abs(s1))[miss > bound])
 

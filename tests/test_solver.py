@@ -362,7 +362,7 @@ def test_curve_reads_psi_once_per_lockstep_step(monkeypatch, fresh_held):
     # reads the inverted side once per lockstep Newton step, every running
     # point in one read with its slope, on a table side (QuantoForeign/
     # linear Psi1) 2 reads at most and after a walk (QuantoDomestic/power
-    # Psi1, its walk values held) 3, and the other side at the answers once
+    # Psi1, its walk values held) 4, and the other side at the answers once
     params = desk_params()
     for payoff, loss, table in ((Payoff(QUANTO_FOREIGN, 9500.0), LIN, True),
                                 (Payoff(QUANTO_DOMESTIC, 100.0), P2, False)):
@@ -384,7 +384,7 @@ def test_curve_reads_psi_once_per_lockstep_step(monkeypatch, fresh_held):
             rc = curve(payoff, params, loss, "phi2", grid)
         assert all(p.error is None for p in rc.points)
         stepped = [n for slope, n in calls if slope]
-        assert 1 <= len(stepped) <= (2 if table else 3)
+        assert 1 <= len(stepped) <= (2 if table else 4)
         # the point at v = 0 costs the full price, with no solve
         assert max(stepped) == 20
         assert [n for slope, n in calls if not slope] == [20]
@@ -428,13 +428,14 @@ def test_one_point_solve_reads_each_c_once(payoff, loss, monkeypatch,
 def test_quadrature_reads_step_cs_and_held_cs_only(rho, monkeypatch,
                                                     fresh_held):
     # by quadrature a read takes the c's the running steps read, a walk's
-    # (its generator's) or Newton's (read with their slopes, after a walk
-    # or on a table side), and, ahead of a walk's steps, only c's of their
-    # blocks, which every contract holds: cold and warm round trips
-    # integrate no c outside those two sets
+    # (its generator's) or Newton's (after a walk or on a table side),
+    # and, ahead of a walk's steps, only c's of their blocks, which every
+    # contract holds: cold and warm round trips integrate no c outside
+    # those two sets
     params = desk_params(rho=rho)
     stepped, integrated = set(), []
     real_solve, real_side = solver._predicate_bisection, solver._psi_side
+    real_newton = solver._newton
 
     def recording(*args, **kwargs):
         solve = real_solve(*args, **kwargs)
@@ -446,12 +447,19 @@ def test_quadrature_reads_step_cs_and_held_cs_only(rho, monkeypatch,
         except StopIteration as done:
             return done.value
 
+    def newton(read, *args, **kwargs):
+        def stepping(cs):
+            stepped.update(np.atleast_1d(cs).tolist())
+            return read(cs)
+
+        return real_newton(stepping, *args, **kwargs)
+
     def counting(payoff, params, loss, c, side, *args, **kwargs):
-        (stepped.update if kwargs.get("slope") else integrated.extend)(
-            np.atleast_1d(c).tolist())
+        integrated.extend(np.atleast_1d(c).tolist())
         return real_side(payoff, params, loss, c, side, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_predicate_bisection", recording)
+    monkeypatch.setattr(solver, "_newton", newton)
     monkeypatch.setattr(solver, "_psi_side", counting)
     contracts = [(payoff, loss) for payoff, loss in DESK_CONTRACTS
                  if solver._route_method(payoff, params, loss)
@@ -844,6 +852,37 @@ def test_solves_match_a_plain_ln_c_bisection(payoff, loss, rho):
         assert abs(risk - ref) <= err + tol
 
 
+def test_a_stretch_that_reads_the_target_solves_to_its_least_c():
+    # Psi1 of this Outperformance/linear market moves by one float of its
+    # target over 5.7e-4 in ln c (slope -4.4e-10 at 1044.65): a Newton
+    # read of the target itself inside that stretch halves the bracket
+    # instead of ending the solve, so that phi2 answers the least c that
+    # a plain bisection in ln c finds, and the cost there
+    params = MarketParams(
+        s0=(144.53309761295975, 65.26626175651325),
+        alpha=(0.6975248091835735, -0.4719826775007424),
+        sigma=(0.2286930258149556, 0.4431191831660811),
+        rho=0.18789586338369424, r=0.015555472561995493, T=3.0)
+    payoff = Payoff(OUTPERFORMANCE, 126.89730937141883)
+    ev = solver._Evaluator(payoff, params, LIN, None)
+    assert ev.method == solver.METHOD_QUAD and not ev.inverts(1)
+    edge = _edges(payoff, params, LIN, None)[0]
+    v = 4.147295840084553e-10
+    cost, c, err = _one(_phi2_impl(payoff, params, LIN, [v], None))[:3]
+
+    def psi_at(side):
+        def read(c):
+            (x,), (e,) = ev.side(np.array([c]), side)
+            return float(x), float(e)
+        return read
+
+    c_ref = ln_c_bisection(psi_at(1), edge - v, False)[0]
+    assert abs(c - c_ref) <= 2e-13 * c_ref
+    ref = math.exp(-params.r * params.T) * psi_at(2)(c_ref)[0]
+    tol = SolveConfig().abs_tol_target * max(1.0, edge)
+    assert abs(cost - ref) <= err + tol
+
+
 def _table_solves():
     """(rho, payoff, loss, kind) of the desk solves that invert a table
     side by quadrature (_Evaluator.inverts)."""
@@ -931,12 +970,13 @@ def _walk_solves():
 
 
 @pytest.mark.parametrize("rho, payoff, loss, kind", _walk_solves())
-def test_warm_walk_solves_read_three_cs_at_most(rho, payoff, loss, kind,
+def test_warm_walk_solves_read_four_cs_at_most(rho, payoff, loss, kind,
                                                 fresh_held):
     # a walk's reads are held: a warm solve reads only its Newton steps'
-    # c's, each with its slope, 3 at most from the held bracket's start
-    # (solver._start), and the other side once at the answer, with no
-    # slope; a curve's point is its one-point solve
+    # c's, each with its slope, 4 at most from the Hermite start that the
+    # held bracket's ends give (psi._hermite; 2.4 on average over the desk),
+    # and the other side once at the answer, with no slope; a curve's point
+    # is its one-point solve
     params = desk_params(rho=rho)
     p_h = price(payoff, params)
     edge = _edges(payoff, params, loss, None)[0]
@@ -958,7 +998,7 @@ def test_warm_walk_solves_read_three_cs_at_most(rho, payoff, loss, kind,
             patch.setattr(solver, "_psi_side", counting)
             assert _one(impl(payoff, params, loss, [f * top], None)) == want
         steps = [r for r in reads if r[0] == side]
-        assert 1 <= len(steps) <= 3, (f, reads)
+        assert 1 <= len(steps) <= 4, (f, reads)
         assert all(slope and n == 1 for _side, slope, n in steps)
         assert [r for r in reads if r[0] != side] == [(3 - side, False, 1)]
     pts = curve(payoff, params, loss, kind, [f * top for f in fs]).points
