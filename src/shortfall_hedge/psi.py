@@ -1456,6 +1456,20 @@ def _side_table(payoff: Payoff, params: MarketParams, loss: LossSpec,
 # public entry points
 # ---------------------------------------------------------------------------
 
+# the type of each contract argument of an entry point
+_CONTRACT_TYPES = {"payoff": Payoff, "params": MarketParams, "loss": LossSpec}
+
+
+def _check_contract(**args):
+    """ValidationError naming each contract argument given (payoff, params,
+    loss) that is not of its type, as mc._check_mc names mc."""
+    bad = [f"{name}: must be a {_CONTRACT_TYPES[name].__name__}, got {v!r}"
+           for name, v in args.items()
+           if not isinstance(v, _CONTRACT_TYPES[name])]
+    if bad:
+        raise ValidationError(bad)
+
+
 def _validate_c(c) -> float:
     f = _real(c)
     if not f >= 0:
@@ -1545,6 +1559,7 @@ def _fmt_c(c) -> str:
 
 def _psi_pair(payoff: Payoff, params: MarketParams, loss: LossSpec,
               c) -> PsiPair:
+    _check_contract(payoff=payoff, params=params)
     c = _validate_c(c)
     v1, e1 = _psi_side(payoff, params, loss, [c], 1)
     v2, e2 = _psi_side(payoff, params, loss, [c], 2)
@@ -1905,6 +1920,7 @@ def psi_mc(payoff: Payoff, params: MarketParams, loss: LossSpec, c: float,
     """
     from .mc import McConfig  # mc imports this module
 
+    _check_contract(payoff=payoff, params=params, loss=loss)
     c = _validate_c(c)
     mc = McConfig(n, seed)
     table = _mc_table(payoff, params, loss, mc.n_paths, mc.seed)

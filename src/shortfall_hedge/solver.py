@@ -14,44 +14,46 @@ each equation is solved on a sign predicate: the answer is the least c
 where Psi reaches the target, and a check that the value read there is
 the target within max(tol, 8 err) ends the solve (_checked).
 
-By quadrature the sides that read held tables (psi._table_sides: every
-linear side but the Outperformance's, both Digital power sides and
-Spread/power Psi1) invert on them (_Evaluator.invert, by _invert): a
-search over the knots of the side's held interpolant and Newton's method
-on it give a first c (psi._SideTable.guess), and Newton's method in ln c
-on exact reads, each with its slope dPsi/d ln c, ends at the c read last
-once a step is at most 1e-13 (psi._newton).  A warm solve so reads the
-inverted side once or twice, and a curve steps all its targets in
-lockstep, one read per step.
+One routine solves every side (_invert, by _Evaluator.invert): a first c
+and a bracket (lo, hi] of it, then, by quadrature, Newton's method in ln c
+on exact reads, each with its slope dPsi/d ln c, until a step is at most
+1e-13, the answer being the c read last (psi._newton).  The targets of a
+grid step in lockstep, one read of all running c's a step, and each sees
+the values it would see alone.  Where Psi is flat at the target level the
+steps have no slope and halve the bracket, and so does a read of the
+target itself where one float of it spans more than 1e-13 in ln c, so the
+returned c is the infimum of the solution set within 1e-13 also where Psi
+only rounds to the target over a stretch.
+
+The sides that read held tables (psi._table_sides: every linear side but
+the Outperformance's, both Digital power sides and Spread/power Psi1) find
+the first c on them: a search over the knots of the side's held
+interpolant and Newton's method on it (psi._SideTable.guess).  A warm
+solve so reads the inverted side once or twice.
 
 The other sides (QuantoDomestic/power, QuantoForeign/power,
-Outperformance under both losses, Spread/power Psi2) are bracketed by a
-walk (_bisect) in u = ln c: a walk from c = 1 finds a bracket and
-_GRID_LEVELS = 4 bisection steps narrow it to 1/16, every read with its
-slope.  Each point's walk is one generator, _predicate_bisection: plain
-code that yields every c it reads, is sent Psi(c) back and returns the
-bracket.  The solve functions take a grid of inputs and drive the points'
-generators in lockstep (_bisect), answering them from a memo of the Psi
-values read so far.  Each bracket's ends then give a first c, a cubic
-Hermite in (ln Psi, ln c) through them (psi._hermite, the formula that
-starts psi._SideTable.guess), and one lockstep psi._newton closes every
-bracketed point on exact reads with their slopes, as on a table side.
-Where Psi is flat at the target level the steps have no slope and halve
-the bracket, and so does a read of the target itself where one float of
-it spans more than 1e-13 in ln c, so the returned c is the infimum of the
-solution set within 1e-13 also where Psi only rounds to the target over a
-stretch.
+Outperformance under both losses, Spread/power Psi2) search a fixed
+lattice of c's (_lattice, _bracket): c = 0, the answer if it meets the
+target, then c = 1 and a walk in ln c from there (_walk), up while reads
+miss or down while they meet, to the end of the float range at most, then
+the grid of the walk's bracket (_grid, its 15 midpoints of four levels) in
+ascending order.  The bracket's hi is the least lattice c whose read meets
+the target, its lo the lattice c just below; a walk up that meets nothing
+answers c = inf, which _invert refuses, and a walk down that misses nothing
+its floor, 2^-1022.  The bracket's ends, with their slopes, give the first
+c, a cubic Hermite in (ln Psi, ln c) (psi._hermite, the formula that
+starts psi._SideTable.guess).
 
-A walk's read takes each running c that the memo lacks with the rest of
-its block (_BLOCKS, data built once from _UPS, _DOWNS and _grid): the c's
-that a walk reads fall into fixed blocks of 15 c's at most -- c = 0 and 1
-with the walk's first 13 steps both ways, the walk's later steps two at a
-time, the grid of each walk bracket.  A lone solve's first read so takes
-the walk up to 2^7 and down to 2^-6, and its first bisection step the
-whole grid of its bracket.  A Psi value does not depend on its batch, so
-the blocks only choose which c's are read together: every point runs the
-same steps, with the same values, as it does alone.  phi1 and phi2 solve
-a grid of one point; a curve solves its whole grid at once, on one thread.
+The points of a grid search in rounds: each names the next lattice c it
+needs, and one read takes them all, each with the rest of its block
+(_BLOCKS, data built once from _UPS, _DOWNS and _grid): c = 0 and 1 with
+the walk's first 13 steps both ways, the walk's later steps two at a time,
+the grid of each walk bracket.  A lone solve's first read so takes the walk
+up to 2^7 and down to 2^-6, and a later one the whole grid of its bracket.
+A Psi value does not depend on its batch, so the blocks only choose which
+c's are read together, and a read that fails raises only in a point whose
+search reaches its c.  phi1 and phi2 solve a grid of one point; a curve
+solves its whole grid at once, on one thread.
 
 Named payoffs evaluate Psi by quadrature; Custom payoffs, and power-loss
 cases whose closed-form sign condition fails, fall back to the Monte Carlo
@@ -67,16 +69,16 @@ target.  A solve so makes two table reads, the inversion and the other
 side at the answer, and its check takes a tolerance of 1e-7 max(1, scale):
 a target that a step of the table jumps raises InfeasibleInversionError.
 
-For its walks the solver holds, per contract, the Psi values of each side
-at the 515 c's of _HELD_CS, the blocks' c's, with their slopes, as they
-are read (_held, an lru_cache of 256 contracts as _edges is), and a read
-integrates only the c's it lacks.  _HELD_CS is every c that a walk reads:
-0, inf, 1, the walk's 32 powers of 2, and the grid of 15 midpoints that
-the four bisection steps can read in each of the 32 walk brackets.  A Psi
-value does not depend on its batch, so a held value is the one a new read
-would give.  A contract's later walks so read nothing, and a warm solve
-reads only its Newton steps' c's, 2-4 from the Hermite start, and the
-other side at the answer, which needs no slope: 3-5 reads of one c each.
+For its lattice the solver holds, per contract, the Psi values of each
+side at the 515 c's of _HELD_CS, the blocks' c's, with their slopes, as
+they are read (_held, an lru_cache of 256 contracts as _edges is), and a
+read integrates only the c's it lacks.  _HELD_CS is the lattice: 0, inf,
+1, the walk's 32 powers of 2, and the grid of 15 midpoints in each of the
+32 walk brackets.  A Psi value does not depend on its batch, so a held
+value is the one a new read would give.  A contract's later searches so
+read nothing, and a warm solve reads only its Newton steps' c's, 2-4 from
+the Hermite start, and the other side at the answer, which needs no
+slope: 3-5 reads of one c each.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -94,14 +96,14 @@ from .errors import (AssumptionViolatedError, HeavyTailError,
 from .market import MarketParams, _real
 from .mc import McConfig, _check_mc
 from .payoffs import CUSTOM, Payoff
-from .psi import (LINEAR, POWER, LossSpec, _hermite, _make_ctx, _mc_table,
-                  _newton, _on_table, _psi_side, _side_table,
-                  _sign_guard_power, _table_sides)
+from .psi import (LINEAR, POWER, LossSpec, _check_contract, _hermite,
+                  _make_ctx, _mc_table, _newton, _on_table, _psi_side,
+                  _side_table, _sign_guard_power, _table_sides)
 
 _FALLBACK_MC = McConfig(n_paths=200_000, seed=1729)
 _EDGE_TOL = 1e-9
-# the bisection steps that narrow every bracket of the walk: their 1 + 2 +
-# 4 + 8 c's, a bracket's grid, are one block of _BLOCKS
+# the levels of midpoints in ln c that make a walk bracket's grid: its
+# 1 + 2 + 4 + 8 c's are one block of _BLOCKS
 _GRID_LEVELS = 4
 # the most Newton steps that close a bracket, a guard against a hang: a
 # bracket within the float range closes in far fewer
@@ -112,8 +114,9 @@ METHOD_MC = "monte-carlo"
 
 
 class SolveConfig:
-    """The fixed tolerance of the check that ends a Psi inversion (_bisect),
-    a class only because the benchmark reads SolveConfig().abs_tol_target."""
+    """The fixed tolerance of the check that ends a Psi inversion (_invert,
+    _checked), a class only because the benchmark reads
+    SolveConfig().abs_tol_target."""
 
     abs_tol_target = 1e-9
 
@@ -154,8 +157,8 @@ class _Evaluator:
     On the MC route it reads psi._mc_table's table, one seeded sample that
     the engine holds after the solve for the next call on the same
     contract: mc for a Custom payoff, else (or where mc is None)
-    _FALLBACK_MC.  invert inverts that table, and by quadrature each side
-    of psi._table_sides on its own tables; _bisect solves the others.
+    _FALLBACK_MC.  invert inverts that table, and by quadrature every
+    side: on its own tables or on the lattice of held c's.
     """
 
     def __init__(self, payoff: Payoff, params: MarketParams, loss: LossSpec,
@@ -192,38 +195,40 @@ class _Evaluator:
                         dtype=float).reshape(-1, 3).T
         return tuple(rows) if slope else tuple(rows[:2])
 
-    def inverts(self, side: int) -> bool:
-        """Whether invert solves side: the Monte Carlo table's both, by
-        quadrature the sides that read held tables."""
-        p = self.loss.p if self.loss.kind == POWER else None
-        return (self.method == METHOD_MC
-                or side in _table_sides(self.payoff.kind, p))
-
     def invert(self, targets, side: int):
         """(c, Psi_side(c), err) at the answer to each target of a list, c
         inf where no float c meets it.
 
         The Monte Carlo table inverts itself exactly (psi._McTable.invert):
-        the least float c that meets the target.  A quadrature table side
-        (psi._SideTable) finds each target on the model of its held node
-        values, knots and all, and psi._newton then steps on exact reads,
-        _psi_side with the slope dPsi/d ln c that each read returns, until
-        a step in ln c is 1e-13 at most.  A target that c = 0 meets answers
-        c = 0, with the read there that the table holds."""
+        the least float c that meets the target.  By quadrature a side of
+        psi._table_sides (psi._SideTable) finds each target on the model of
+        its held node values, knots and all, a target that c = 0 meets
+        answering c = 0 with the read there that the table holds; any other
+        side finds it on the lattice (_lattice), whose answers at c = 0, at
+        the walk's floor and at inf carry their own reads.  From the first
+        c in its bracket psi._newton then steps on exact reads, _psi_side
+        with the slope dPsi/d ln c that each read returns, until a step in
+        ln c is 1e-13 at most."""
         if self.method == METHOD_MC:
             return self._table.invert(targets, side)
         t = np.asarray(targets, dtype=float)
-        table = _side_table(self.payoff, self.params, self.loss, side)
-        at0 = table.v0 >= t if table.increasing else table.v0 <= t
-        c, lo, hi = table.guess(t)
-        got = np.array([np.where(at0, 0.0, c), np.full(t.size, table.v0),
-                        np.full(t.size, table.e0)])
-        run = ~at0 & (c < math.inf)
+        p = self.loss.p if self.loss.kind == POWER else None
+        increasing = side == 1 and p is not None
+        if side in _table_sides(self.payoff.kind, p):
+            table = _side_table(self.payoff, self.params, self.loss, side)
+            at0 = table.v0 >= t if increasing else table.v0 <= t
+            c, lo, hi = table.guess(t)
+            got = np.array([np.where(at0, 0.0, c), np.full(t.size, table.v0),
+                            np.full(t.size, table.e0)])
+            run = ~at0 & (c < math.inf)
+        else:
+            got, lo, hi = _lattice(self, side, t, increasing)
+            run = lo < hi
         if run.any():
             got[:, run] = _newton(
                 lambda cs: _psi_side(self.payoff, self.params, self.loss, cs,
                                      side, slope=True),
-                t[run], table.increasing, c[run], lo[run], hi[run],
+                t[run], increasing, got[0, run], lo[run], hi[run],
                 _MAX_STEPS)[:3]
         return tuple(got)
 
@@ -277,15 +282,17 @@ def _cached_on(key):
     return wrap
 
 
-def _mc_key(payoff: Payoff, mc) -> Optional[McConfig]:
+def _mc_key(payoff: Payoff, params: MarketParams, mc) -> Optional[McConfig]:
     """mc as far as it moves a value: itself for a Custom payoff, else
-    None; ValidationError unless it is None or an McConfig."""
+    None; ValidationError unless payoff is a Payoff, params a MarketParams
+    and mc None or an McConfig, before a cache key hashes them."""
+    _check_contract(payoff=payoff, params=params)
     _check_mc(mc)
     return mc if payoff.kind == CUSTOM else None
 
 
 @_cached_on(lambda payoff, params, loss, mc: (
-    payoff, params, loss, _mc_key(payoff, mc)))
+    payoff, params, loss, _mc_key(payoff, params, mc)))
 def _edges(payoff: Payoff, params: MarketParams, loss: LossSpec,
            mc: Optional[McConfig]):
     """(Psi1 edge, err, Psi2(0), err); the Psi1 edge is E[H] for linear loss
@@ -299,7 +306,7 @@ def _edges(payoff: Payoff, params: MarketParams, loss: LossSpec,
 
 
 @_cached_on(lambda payoff, params, mc=None: (
-    payoff, params, _mc_key(payoff, mc)))
+    payoff, params, _mc_key(payoff, params, mc)))
 def price(payoff: Payoff, params: MarketParams,
           mc: Optional[McConfig] = None) -> float:
     """p(H) = e^{-rT} E~[H], computed once per contract, and per mc only
@@ -344,13 +351,16 @@ def _mid(lo: float, hi: float) -> float:
     return lo * math.exp(0.5 * math.log(hi / lo))
 
 
-def _grid(lo: float, hi: float, levels: int) -> list:
-    """The 2^levels - 1 midpoints in ln c that levels bisection steps from
-    the bracket [lo, hi] can read, each built by _mid as a step builds it."""
+@functools.lru_cache(maxsize=None)
+def _grid(lo: float, hi: float, levels: int) -> tuple:
+    """The 2^levels - 1 midpoints in ln c of the bracket [lo, hi] to levels
+    levels, in ascending order: the grid of its lower half, its midpoint
+    (_mid), the grid of its upper half.  Held: only the 32 walk brackets
+    and their parts are asked for."""
     if levels == 0:
-        return []
+        return ()
     mid = _mid(lo, hi)
-    return ([mid] + _grid(lo, mid, levels - 1)
+    return (_grid(lo, mid, levels - 1) + (mid,)
             + _grid(mid, hi, levels - 1))
 
 
@@ -377,7 +387,7 @@ def _blocks() -> dict:
     return {c: tuple(block) for block in blocks for c in block}
 
 
-# the walk's c's up and down from c = 1, read by every _predicate_bisection
+# the walk's c's up and down from c = 1, which every lattice search reads
 _UPS, _DOWNS = _walk(True), _walk(False)
 _BLOCKS = _blocks()
 # the c's whose quadrature values each contract holds (_held)
@@ -394,16 +404,6 @@ def _held(payoff: Payoff, params: MarketParams, loss: LossSpec):
     return {}, {}
 
 
-class _Point(NamedTuple):
-    """A c a solve has read: Psi(c) = v with its err and its slope
-    dPsi/d ln c."""
-
-    c: float
-    v: float
-    err: float
-    slope: float
-
-
 def _checked(side: int, target: float, tol: float, c: float, v: float,
              err: float):
     """(c, v, err), if Psi_side(c) = v is the target within max(tol, 8 err),
@@ -417,131 +417,86 @@ def _checked(side: int, target: float, tol: float, c: float, v: float,
         "jumps across the target (degenerate or discontinuous case)")
 
 
-def _predicate_bisection(side: int, target: float, increasing: bool):
-    """One point's bracket of the infimum c of {c : Psi_side(c) meets
-    target}, at least it on a nondecreasing side, at most it otherwise.
+def _bracket(memo: dict, target: float, increasing: bool) -> tuple:
+    """(lo, hi) for target on the lattice, from memo {c: (Psi_side(c), err,
+    slope, failure)}: hi the least lattice c whose read meets target (at
+    least it if increasing, at most it otherwise), lo the lattice c just
+    below it, or lo None where hi is c = 0, the walk's floor 2^-1022 or
+    inf, where no c up to 2^1023 meets it.
 
-    A generator: it yields each c it reads, is sent (Psi_side(c), err,
-    slope) and returns the bracket's ends (lo, hi) as _Points, lo missing
-    the target and hi meeting it, or (None, the answer's _Point).  It reads
-    c = 0, the answer if it meets the target, then walks from c = 1
-    (_walk) up while a read misses or down while it meets, to the end of
-    the float range at most; a walk up that finds no bracket raises, and a
-    walk down that finds none answers its last c.  The bracket found,
-    _GRID_LEVELS bisection steps in ln c narrow it to 1/16, on c's (_grid)
-    that are the same for every target in the walk's bracket.
-    """
-    def meets(p: _Point) -> bool:
-        return p.v >= target if increasing else p.v <= target
+    The search reads c = 0, c = 1, the walk from there (_walk) up while
+    reads miss or down while they meet, then the grid (_grid) of the walk's
+    bracket in ascending order.  A c that memo lacks raises KeyError(c),
+    and a c whose read failed raises its failure."""
+    def meets(c: float) -> bool:
+        v, _err, _slope, failed = memo[c]
+        if failed is not None:
+            raise failed
+        return v >= target if increasing else v <= target
 
-    at0 = _Point(0.0, *(yield 0.0))
-    if meets(at0):
-        return None, at0
-    last = _Point(1.0, *(yield 1.0))
-    walk = _DOWNS if meets(last) else _UPS
-    for c in walk:
-        a = _Point(c, *(yield c))
-        if meets(a) != meets(last):
+    if meets(0.0):
+        return None, 0.0
+    up, last = not meets(1.0), 1.0
+    for c in _UPS if up else _DOWNS:
+        if meets(c) == up:
             break
-        last = a
+        last = c
     else:
-        if walk is _UPS:
-            raise InfeasibleInversionError(
-                f"could not bracket the Psi{side} inversion target "
-                f"{target!r} within {len(_UPS)} walk steps up to "
-                f"c = {last.c!r}")
-        return None, last
-    lo, hi = (last, a) if meets(a) else (a, last)
-    for _ in range(_GRID_LEVELS):
-        c = _mid(lo.c, hi.c)
-        new = _Point(c, *(yield c))
-        lo, hi = (lo, new) if meets(new) else (new, hi)
+        return None, math.inf if up else last
+    lo, hi = sorted((last, c))
+    for c in _grid(lo, hi, _GRID_LEVELS):
+        if meets(c):
+            return lo, c
+        lo = c
     return lo, hi
 
 
-def _bisect(ev: _Evaluator, side: int, targets: dict, scale: float,
-            out: list) -> dict:
-    """{point: (c, Psi_side(c), err)} for the {point: target} solves that
-    found their c, by quadrature; a solve that raised records its
-    ShortfallHedgeError on out[point].
+def _lattice(ev: _Evaluator, side: int, t, increasing: bool) -> tuple:
+    """(got, lo, hi) per target of the array t by quadrature: the bracket
+    (lo, hi] of _bracket, got[0] its first c for psi._newton (psi._hermite
+    through its ends' reads and slopes); or lo NaN and got (c, Psi_side(c),
+    err) at an answer that _bracket gives alone.
 
-    The points' _predicate_bisection walks run in lockstep and are answered
-    from a memo of the Psi_side values read so far, each with its slope.
-    A step whose c's are all in the memo reads nothing; otherwise one _read
-    takes every running c that the memo lacks with the rest of its block
-    of _BLOCKS, less the memo's c's.  A Psi value does not depend on the
-    other c's of its read, so every walk runs the steps and sees the values
-    it would see alone; a c whose read failed raises only in a walk that
-    reaches it.
-
-    Each bracket's ends, with their slopes, then give a first c
-    (psi._hermite), and one lockstep psi._newton steps every bracketed
-    point on exact reads, each with its slope, until a step in ln c is
-    1e-13 at most, the answer being the c read last, or until the bracket
-    closes on the least c of a stretch that reads the target.  A failing
-    Newton read is split as _split splits it, so that only the points
-    whose own steps fail record its error.  _checked ends every solve but
-    one answered at c = 0.
-    """
-    tol = SolveConfig.abs_tol_target * max(1.0, scale)
-    increasing = side == 1 and ev.loss.kind == POWER
-    solves = {i: _predicate_bisection(side, float(t), increasing)
-              for i, t in targets.items()}
-    at = {i: next(solve) for i, solve in solves.items()}
-    memo, ends = {}, {}
-    while at:
-        cs = [b for c in at.values() if c not in memo
-              for b in _BLOCKS.get(c, (c,))]
+    The targets search in rounds from a memo of the reads so far: each
+    round one _read takes the c that each unfinished search needs next
+    with the rest of its block of _BLOCKS, less the memo's c's."""
+    memo, ends = {}, [None] * t.size
+    while None in ends:
+        need = []
+        for i, end in enumerate(ends):
+            if end is None:
+                try:
+                    ends[i] = _bracket(memo, float(t[i]), increasing)
+                except KeyError as unread:
+                    need.append(unread.args[0])
+        cs = [b for c in need for b in _BLOCKS.get(c, (c,))]
         memo.update(_read(ev, [c for c in cs if c not in memo], side,
                           slope=True))
-        next_at = {}
-        for i, c in at.items():
-            *got, failed = memo[c]
-            try:
-                next_at[i] = (solves[i].send(tuple(got)) if failed is None
-                              else solves[i].throw(failed))
-            except StopIteration as done:
-                ends[i] = done.value
-            except ShortfallHedgeError as exc:
-                out[i] = exc
-        at = next_at
-    row = {i: r for r, i in enumerate(
-        i for i, (lo, _hi) in ends.items() if lo is not None)}
-    t = np.array([targets[i] for i in row], dtype=float)
-    lo, hi = (_Point(*np.array([ends[i][end] for i in row], dtype=float)
-                     .reshape(-1, 4).T) for end in (0, 1))
-    start = _hermite(t, lo.c, hi.c, lo.v, hi.v, lo.slope, hi.slope)
-
-    def newton(points):
-        r = np.array([row[i] for i in points])
-        return _newton(
-            lambda cs: _psi_side(ev.payoff, ev.params, ev.loss, cs, side,
-                                 slope=True),
-            t[r], increasing, start[r], lo.c[r], hi.c[r], _MAX_STEPS)[:3]
-
-    got = _split(newton, row, 3)
-    solved = {}
-    for i, (_lo, answer) in ends.items():
-        c, v, err, failed = got[i] if i in row else (*answer[:3], None)
-        try:
-            if failed is not None:
-                raise failed
-            solved[i] = _checked(side, targets[i], tol, c, v, err) if c else (
-                c, v, err)
-        except ShortfallHedgeError as exc:
-            out[i] = exc
-    return solved
+    lo, hi = np.array([(math.nan if a is None else a, b)
+                       for a, b in ends]).T
+    (v_lo, _e, s_lo), (v_hi, e_hi, s_hi) = (
+        np.array([memo.get(c, (math.nan,) * 3)[:3] for c in x]).T
+        for x in (lo, hi))
+    got = np.array([hi, v_hi, e_hi])
+    run = lo < hi
+    got[0, run] = _hermite(t[run], lo[run], hi[run], v_lo[run], v_hi[run],
+                           s_lo[run], s_hi[run])
+    return got, lo, hi
 
 
 def _invert(ev: _Evaluator, side: int, targets: dict, scale: float,
             out: list) -> dict:
-    """_bisect's result where the side is a table (_Evaluator.inverts):
-    the table inverts every target at once (_Evaluator.invert), and
-    _checked ends each solve at a tolerance of max(1, scale) times
-    SolveConfig's by quadrature, 1e-7 on the Monte Carlo route, where
-    Psi_side is a step function of the table's sorted keys.  A failing
-    inversion is split as _split splits it, so that only the targets whose
-    own solve fails record its error."""
+    """{point: (c, Psi_side(c), err)} for the {point: target} solves that
+    found their c; a solve that raised records its ShortfallHedgeError on
+    out[point].
+
+    Every target is inverted at once (_Evaluator.invert), and _checked
+    ends each solve but one answered at c = 0, at a tolerance of
+    max(1, scale) times SolveConfig's by quadrature, 1e-7 on the Monte
+    Carlo route, where Psi_side is a step function of the table's sorted
+    keys; an answer at c = inf, where no float c meets the target, raises.
+    A failing inversion is split as _split splits it, so that only the
+    targets whose own solve fails record its error."""
     tol = (1e-7 if ev.method == METHOD_MC
            else SolveConfig.abs_tol_target) * max(1.0, scale)
     got = _split(lambda ts: ev.invert(ts, side), targets.values(), 3)
@@ -572,8 +527,10 @@ def _phi1_impl(payoff: Payoff, params: MarketParams, loss: LossSpec, xs,
     the capital the solution spends: the error of the solve's own read of
     Psi2 at c on the MC route, 0 on the quadrature route and at the edges
     x = 0 and x >= p(H).  An error of a step every point shares goes to
-    every point that reached it.
+    every point that reached it; a payoff, params or loss of the wrong type
+    raises ValidationError.
     """
+    _check_contract(payoff=payoff, params=params, loss=loss)
     out: list = [ValidationError([f"x: must be a real number, got {x!r}"])
                  if math.isnan(_real(x)) else None for x in xs]
     if all(out):
@@ -598,9 +555,8 @@ def _phi1_impl(payoff: Payoff, params: MarketParams, loss: LossSpec, xs,
         if todo:
             ev = _Evaluator(payoff, params, loss, mc)
             growth = math.exp(params.r * params.T)
-            solve = _invert if ev.inverts(2) else _bisect
-            solved = solve(ev, 2, {i: growth * x for i, x in todo.items()},
-                           growth * p_h, out)
+            solved = _invert(ev, 2, {i: growth * x for i, x in todo.items()},
+                             growth * p_h, out)
             got = _read(ev, sorted(c for c, _v, _e in solved.values()), 1)
             for i, (c, _v2, err2) in solved.items():
                 v1, err1, bad = got[c]
@@ -635,6 +591,7 @@ def _phi2_impl(payoff: Payoff, params: MarketParams, loss: LossSpec, vs,
                mc: Optional[McConfig]) -> list:
     """Per risk bound v of the grid vs: (cost, c, err, method), or the
     ShortfallHedgeError that v's solve raised."""
+    _check_contract(payoff=payoff, params=params, loss=loss)
     out: list = [ValidationError([f"v: must be a real number, got {v!r}"])
                  if math.isnan(_real(v)) else None for v in vs]
     if all(out):
@@ -663,8 +620,7 @@ def _phi2_impl(payoff: Payoff, params: MarketParams, loss: LossSpec, vs,
             ev = _Evaluator(payoff, params, loss, mc)
             targets = {i: psi1_edge - v if loss.kind == LINEAR else v
                        for i, v in todo.items()}
-            solve = _invert if ev.inverts(1) else _bisect
-            solved = solve(ev, 1, targets, psi1_edge, out)
+            solved = _invert(ev, 1, targets, psi1_edge, out)
             got = _read(ev, sorted(c for c, _v, _e in solved.values()), 2)
             for i, (c, _v1, _e1) in solved.items():
                 v2, err2, bad = got[c]

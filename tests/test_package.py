@@ -16,8 +16,8 @@ import shortfall_hedge
 from conftest import desk_params
 from shortfall_hedge import (DIGITAL, LINEAR, POWER, SPREAD, LossSpec,
                              McConfig, Payoff, ValidationError, curve,
-                             gaussian, phi1, phi2, psi, psi_linear, psi_mc,
-                             psi_power, solver, verify_risk)
+                             gaussian, phi1, phi2, price, psi, psi_linear,
+                             psi_mc, psi_power, solver, verify_risk)
 
 
 def test_every_exported_name_resolves():
@@ -108,6 +108,57 @@ def test_numbers_that_are_not_reals_raise_a_typed_error(bad):
             with pytest.raises(ValidationError,
                                match=rf"(?<![\w.]){re.escape(field)}: "):
                 call()
+
+
+# per public entry point: a call of it on a contract, and the contract
+# arguments it takes
+_CONTRACT_CALLS = {
+    "price": (lambda payoff, params, loss: price(payoff, params),
+              ("payoff", "params")),
+    "phi1": (lambda payoff, params, loss: phi1(payoff, params, loss, 1.0),
+             ("payoff", "params", "loss")),
+    "phi2": (lambda payoff, params, loss: phi2(payoff, params, loss, 1.0),
+             ("payoff", "params", "loss")),
+    "curve": (lambda payoff, params, loss: curve(payoff, params, loss,
+                                                 "phi1", [0.5, 1.0]),
+              ("payoff", "params", "loss")),
+    "psi_linear": (lambda payoff, params, loss: psi_linear(payoff, params,
+                                                           1.0),
+                   ("payoff", "params")),
+    "psi_power": (lambda payoff, params, loss: psi_power(payoff, params,
+                                                         1.0),
+                  ("payoff", "params")),
+    "psi_mc": (lambda payoff, params, loss: psi_mc(payoff, params, loss,
+                                                   1.0, 10_000, 1),
+               ("payoff", "params", "loss")),
+    "verify_risk": (lambda payoff, params, loss: verify_risk(
+        payoff, params, loss, 1.0, McConfig(10_000, 1)),
+        ("payoff", "params", "loss")),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_CONTRACT_CALLS))
+def test_contract_arguments_of_the_wrong_type_raise_a_typed_error(entry):
+    # a payoff, params or loss of the wrong type once escaped as a raw
+    # AttributeError or TypeError, price(payoff, {}) from its cache key:
+    # each is a ValidationError naming the argument, before any Psi read
+    def no_read(*args, **kwargs):
+        raise AssertionError("a Psi read before the contract was checked")
+
+    call, names = _CONTRACT_CALLS[entry]
+    contract = {"payoff": Payoff(DIGITAL, 10.0),
+                "params": desk_params(rho=0.4321), "loss": LossSpec(LINEAR)}
+    with mock.patch.object(solver, "_psi_side", no_read), \
+            mock.patch.object(solver, "_mc_table", no_read), \
+            mock.patch.object(psi, "_psi_side", no_read), \
+            mock.patch.object(psi, "_mc_table", no_read):
+        for name in names:
+            for wrong in (None, "x", {}, 1.0, LossSpec(POWER, 2.0)):
+                if name == "loss" and isinstance(wrong, LossSpec):
+                    continue
+                with pytest.raises(ValidationError,
+                                   match=rf"(?<![\w.]){name}: must be a "):
+                    call(**{**contract, name: wrong})
 
 
 def test_infinite_capital_and_risk_bound_keep_their_edges():

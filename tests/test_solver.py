@@ -366,8 +366,7 @@ def test_curve_reads_psi_once_per_lockstep_step(monkeypatch, fresh_held):
     params = desk_params()
     for payoff, loss, table in ((Payoff(QUANTO_FOREIGN, 9500.0), LIN, True),
                                 (Payoff(QUANTO_DOMESTIC, 100.0), P2, False)):
-        assert solver._Evaluator(payoff, params, loss,
-                                 None).inverts(1) == table
+        assert (1 in psi._table_sides(payoff.kind, loss.p)) == table
         top = _edges(payoff, params, loss, None)[0]
         price(payoff, params)
         grid = list(np.linspace(0.0, 0.95, 21) * top)
@@ -395,11 +394,10 @@ def test_curve_reads_psi_once_per_lockstep_step(monkeypatch, fresh_held):
 def test_one_point_solve_reads_each_c_once(payoff, loss, monkeypatch,
                                            fresh_held):
     # the check at the answer uses the value its steps already read.  A
-    # walk reads up to 15 c's at once that its next steps may compute; a
-    # table side (_Evaluator.inverts) reads its Newton steps' c's alone,
-    # with their slopes, 2 at most, and c = 0 from its table
+    # lattice search reads up to 15 c's at once that its next steps may
+    # compute; a table side (psi._table_sides) reads its Newton steps' c's
+    # alone, with their slopes, 2 at most, and c = 0 from its table
     params = desk_params()
-    ev = solver._Evaluator(payoff, params, loss, None)
     # the cached price and edges, filled under the solver's own cache keys
     p_h = price(payoff, params, None)
     edge = _edges(payoff, params, loss, None)[0]
@@ -416,7 +414,7 @@ def test_one_point_solve_reads_each_c_once(payoff, loss, monkeypatch,
         solve(payoff, params, loss, 0.5 * top)
         cs = [c for s, batch in reads if s == side for c in batch]
         assert len(set(cs)) == len(cs)
-        if ev.inverts(side):
+        if side in psi._table_sides(payoff.kind, loss.p):
             assert 1 <= len(cs) <= 2
             assert all(len(batch) == 1 for _s, batch in reads)
         else:
@@ -427,25 +425,13 @@ def test_one_point_solve_reads_each_c_once(payoff, loss, monkeypatch,
 @pytest.mark.parametrize("rho", (-0.5, 0.6))
 def test_quadrature_reads_step_cs_and_held_cs_only(rho, monkeypatch,
                                                     fresh_held):
-    # by quadrature a read takes the c's the running steps read, a walk's
-    # (its generator's) or Newton's (after a walk or on a table side),
-    # and, ahead of a walk's steps, only c's of their blocks, which every
-    # contract holds: cold and warm round trips integrate no c outside
-    # those two sets
+    # by quadrature a read takes the c's of Newton's steps (after a
+    # lattice search or on a table side) and, for a lattice search, only
+    # c's of the lattice's blocks, which every contract holds: cold and
+    # warm round trips integrate no c outside those two sets
     params = desk_params(rho=rho)
     stepped, integrated = set(), []
-    real_solve, real_side = solver._predicate_bisection, solver._psi_side
-    real_newton = solver._newton
-
-    def recording(*args, **kwargs):
-        solve = real_solve(*args, **kwargs)
-        try:
-            c = next(solve)
-            while True:
-                stepped.add(c)
-                c = solve.send((yield c))
-        except StopIteration as done:
-            return done.value
+    real_side, real_newton = solver._psi_side, solver._newton
 
     def newton(read, *args, **kwargs):
         def stepping(cs):
@@ -458,7 +444,6 @@ def test_quadrature_reads_step_cs_and_held_cs_only(rho, monkeypatch,
         integrated.extend(np.atleast_1d(c).tolist())
         return real_side(payoff, params, loss, c, side, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "_predicate_bisection", recording)
     monkeypatch.setattr(solver, "_newton", newton)
     monkeypatch.setattr(solver, "_psi_side", counting)
     contracts = [(payoff, loss) for payoff, loss in DESK_CONTRACTS
@@ -614,7 +599,7 @@ def test_held_values_lie_on_the_precomputed_cs(fresh_held):
     params = desk_params()
     walk = {0.0, math.inf, 1.0, *solver._walk(True), *solver._walk(False)}
     walks = [(payoff, loss) for payoff, loss in DESK_CONTRACTS
-             if not solver._Evaluator(payoff, params, loss, None).inverts(2)]
+             if 2 not in psi._table_sides(payoff.kind, loss.p)]
     assert len(walks) == 5
     for payoff, loss in walks:
         p_h = price(payoff, params)
@@ -720,6 +705,85 @@ def test_read_ahead_failures_stay_unseen(monkeypatch, fresh_held):
     fresh_held()
     monkeypatch.setattr(solver, "_BLOCKS", {})
     assert error() == read_ahead
+
+
+@pytest.mark.parametrize("at, seen", [(-1, True), (0, True), (1, False),
+                                      (None, False)],
+                         ids=["below", "least", "above", "top"])
+def test_a_failing_grid_c_raises_only_where_the_search_reaches_it(
+        at, seen, monkeypatch, fresh_held):
+    # a lattice search reads its walk bracket's grid in ascending order up
+    # to the least c whose read meets the target: a grid c that fails at or
+    # below that c raises its error in that point's solve, one above it
+    # stays unseen, and a point whose walk ends in another bracket keeps
+    # its tuple (Outperformance/linear, whose Psi2 the lattice inverts)
+    params = desk_params()
+    payoff = Payoff(OUTPERFORMANCE, 100.0)
+    xs = [f * price(payoff, params) for f in (0.5, 0.9)]
+    clean = _phi1_impl(payoff, params, LIN, xs, None)
+    c = clean[0][1]
+    assert clean[1][1] < 1.0 < c < 2.0
+    grid = sorted(solver._grid(1.0, 2.0, solver._GRID_LEVELS))
+    least = min(k for k, g in enumerate(grid) if g >= c)
+    assert 0 < least < len(grid) - 2
+    bad = grid[-1 if at is None else least + at]
+    fresh_held()
+    real = solver._psi_side
+
+    def failing(payoff, params, loss, cs, side, *args, **kwargs):
+        if side == 2 and bad in np.atleast_1d(cs):
+            raise HeavyTailError(f"c = {bad!r} fails")
+        return real(payoff, params, loss, cs, side, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_psi_side", failing)
+    got = _phi1_impl(payoff, params, LIN, xs, None)
+    assert got[1] == clean[1]
+    if seen:
+        assert isinstance(got[0], HeavyTailError)
+        assert str(got[0]) == f"c = {bad!r} fails"
+    else:
+        assert got[0] == clean[0]
+
+
+def test_a_target_below_the_walk_ceiling_is_never_bracketed(monkeypatch,
+                                                            fresh_held):
+    # a Psi2 that levels off at half its value at c = 0 meets no target
+    # below that level: the walk up reads every c to 2^1023 and the solve
+    # raises; in a curve only those points carry the error, and the others
+    # are their one-point solves (Outperformance/linear, whose Psi2 the
+    # lattice inverts)
+    params = desk_params()
+    payoff = Payoff(OUTPERFORMANCE, 100.0)
+    p_h = price(payoff, params)
+    _edges(payoff, params, LIN, None)
+    fresh_held()
+    full = math.exp(params.r * params.T) * p_h
+    real = solver._psi_side
+    reads = []
+
+    def levelling(payoff, params, loss, c, side, *args, slope=False,
+                  **kwargs):
+        if side == 1:
+            return real(payoff, params, loss, c, side, *args, slope=slope,
+                        **kwargs)
+        c = np.asarray(c, dtype=float)
+        reads.extend(c.tolist())
+        got = (0.5 * full * (1.0 + 1.0 / (1.0 + c)), np.zeros_like(c))
+        slopes = -0.5 * full * (c / (1.0 + c)) / (1.0 + c)
+        return got + (slopes,) if slope else got
+
+    monkeypatch.setattr(solver, "_psi_side", levelling)
+    with pytest.raises(InfeasibleInversionError, match="could not bracket"):
+        phi1(payoff, params, LIN, 0.3 * p_h)
+    assert max(reads) == 2.0 ** 1023
+    grid = [f * p_h for f in (0.2, 0.4, 0.65, 0.8)]
+    for x, pt in zip(grid, curve(payoff, params, LIN, "phi1", grid).points):
+        if x < 0.5 * p_h:
+            assert "could not bracket" in pt.error and math.isnan(pt.c)
+        else:
+            one = _phi1_impl(payoff, params, LIN, [x], None)[0]
+            assert pt.error is None and 1.0 / 3.0 < pt.c < 3.0
+            assert (pt.value, pt.c, pt.err_estimate, pt.method) == one[:4]
 
 
 def test_mc_fallback_route_for_violated_signs():
@@ -865,7 +929,8 @@ def test_a_stretch_that_reads_the_target_solves_to_its_least_c():
         rho=0.18789586338369424, r=0.015555472561995493, T=3.0)
     payoff = Payoff(OUTPERFORMANCE, 126.89730937141883)
     ev = solver._Evaluator(payoff, params, LIN, None)
-    assert ev.method == solver.METHOD_QUAD and not ev.inverts(1)
+    assert ev.method == solver.METHOD_QUAD
+    assert 1 not in psi._table_sides(payoff.kind, LIN.p)
     edge = _edges(payoff, params, LIN, None)[0]
     v = 4.147295840084553e-10
     cost, c, err = _one(_phi2_impl(payoff, params, LIN, [v], None))[:3]
@@ -885,7 +950,7 @@ def test_a_stretch_that_reads_the_target_solves_to_its_least_c():
 
 def _table_solves():
     """(rho, payoff, loss, kind) of the desk solves that invert a table
-    side by quadrature (_Evaluator.inverts)."""
+    side by quadrature (psi._table_sides)."""
     cases = []
     for rho in (-0.5, 0.6):
         params = desk_params(rho=rho)
@@ -893,7 +958,8 @@ def _table_solves():
             ev = solver._Evaluator(payoff, params, loss, None)
             cases += [(rho, payoff, loss, kind)
                       for kind, side in (("phi1", 2), ("phi2", 1))
-                      if ev.method == solver.METHOD_QUAD and ev.inverts(side)]
+                      if ev.method == solver.METHOD_QUAD
+                      and side in psi._table_sides(payoff.kind, loss.p)]
     return cases
 
 
@@ -955,8 +1021,8 @@ def test_table_sides_invert_on_their_tables(case, f):
 
 
 def _walk_solves():
-    """(rho, payoff, loss, kind) of the desk solves that a walk brackets
-    and Newton's method closes by quadrature (_bisect)."""
+    """(rho, payoff, loss, kind) of the desk solves that the lattice brackets
+    and Newton's method closes by quadrature (_lattice)."""
     cases = []
     for rho in (-0.5, 0.6):
         params = desk_params(rho=rho)
@@ -965,7 +1031,8 @@ def _walk_solves():
             cases += [pytest.param(rho, payoff, loss, kind, id=(
                 f"{payoff.kind}-{loss.kind}-{kind}-{rho}"))
                 for kind, side in (("phi1", 2), ("phi2", 1))
-                if ev.method == solver.METHOD_QUAD and not ev.inverts(side)]
+                if ev.method == solver.METHOD_QUAD
+                and side not in psi._table_sides(payoff.kind, loss.p)]
     return cases
 
 
